@@ -34,6 +34,8 @@ from .surfgrp import (
     Word,
     _boundary_one,
     _boundary_two,
+    _mat_identity,
+    _mat_mul,
     fox_derivative,
     free_reduce,
     group_ring_image,
@@ -211,27 +213,15 @@ def _int_det(rows) -> int:
     return total
 
 
-def _int_mat_mul(a, b):
-    n, mid, m = len(a), len(b), len(b[0]) if b else 0
-    return tuple(tuple(sum(a[i][l] * b[l][j] for l in range(mid))
-                       for j in range(m)) for i in range(n))
-
-
-def _int_power(rows, m: int):
-    n = len(rows)
-    acc = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    for _ in range(m):
-        acc = _int_mat_mul(acc, rows)
-    return acc
-
-
 def classical_lefschetz(action: HomologyAction, m: int) -> int:
     """Alternating trace sum of the m-th iterate on fiber homology."""
     if m < 1:
         raise ValueError("iterate count must be at least 1")
     total = 0
     for sign, mat in ((1, action.h0), (-1, action.h1), (1, action.h2)):
-        power = _int_power(mat, m)
+        power = _mat_identity(len(mat))
+        for _ in range(m):
+            power = _mat_mul(power, mat)
         total += sign * sum(power[i][i] for i in range(len(power)))
     return total
 

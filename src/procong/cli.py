@@ -6,7 +6,7 @@ All numeric output is exact (integers, fractions, coefficient lists); the
 optional ``--approx`` flag adds decimal renderings with 30 significant
 digits obtained by interval refinement.  ``--json`` switches the report to
 a machine-readable form encoding the same values.  Identical inputs yield
-byte-identical reports, for any parallelism degree.
+byte-identical reports.
 
 Exit status: 0 on success, 2 on input errors (unreadable fixtures, bad
 arguments, validation failures), 1 on internal assertion failures.
@@ -49,7 +49,6 @@ class RunConfig:
     upto: Optional[int] = None
     rep: str = "trivial"
     group: Optional[str] = None
-    jobs: int = 1
     approx: bool = False
     output: str = "text"
 
@@ -60,8 +59,6 @@ class RunConfig:
                              ("--upto", self.upto)):
             if bound is not None and bound < 1:
                 raise ValueError(f"{label} must be a positive integer")
-        if self.jobs < 1:
-            raise ValueError("--jobs must be a positive integer")
         if self.output not in ("text", "json"):
             raise ValueError(f"unknown output mode {self.output!r}")
 
@@ -183,7 +180,7 @@ def _handle_torus_congr(config: RunConfig):
 def _handle_torus_sweep(config: RunConfig):
     a, b = _matrix_pair(config)
     bound = config.max_modulus if config.max_modulus is not None else 100
-    report = congruence_sweep(a, b, bound, jobs=config.jobs)
+    report = congruence_sweep(a, b, bound)
     return report.render_text(), report.to_json()
 
 
@@ -402,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("matrix_b")
     sweep.add_argument("--max", type=int, default=100,
                        help="largest modulus (default 100)")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers (default 1)")
     klevel = tsub.add_parser("klevel", parents=[common],
                              help="characteristic level of an index bound")
     klevel.add_argument("bound")
@@ -466,7 +461,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         upto=getattr(args, "upto", None),
         rep=getattr(args, "rep", "trivial"),
         group=getattr(args, "group", None),
-        jobs=getattr(args, "jobs", 1),
         approx=getattr(args, "approx", False),
         output="json" if args.json else "text",
     )

@@ -644,6 +644,9 @@ class LaurentPolynomial:
         return NotImplemented
 
     def __hash__(self):
+        # a constant compares equal to its scalar, so it hashes like it
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset((e, as_exact(c) if not isinstance(c, Cyclotomic) else c)
                               for e, c in self.terms.items()))
 
@@ -815,6 +818,9 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # with denominator one it compares equal to its numerator
+        if self.den.terms == {0: 1}:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):
@@ -1379,11 +1385,3 @@ def integer_kernel_basis(matrix):
     rank = sum(1 for d in diag if d != 0)
     return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
 
-
-def int_mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
-def int_mat_det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]

@@ -405,6 +405,7 @@ class NTDecomposition:
         object.__setattr__(self, "annuli", tuple(self.annuli))
         object.__setattr__(self, "piece_map", _as_sorted_pairs(self.piece_map))
         object.__setattr__(self, "circle_map", _as_sorted_pairs(self.circle_map))
+        self.validate()
 
     # -- lookups -----------------------------------------------------------
 
@@ -443,6 +444,8 @@ class NTDecomposition:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> "NTDecomposition":
+        """Raise DecompositionError unless the data is consistent; return
+        self.  Construction calls this, so every instance is valid."""
         piece_names = [p.name for p in self.pieces]
         annulus_names = [a.name for a in self.annuli]
         all_names = piece_names + annulus_names
@@ -652,11 +655,9 @@ class NTDecomposition:
 # split order, dilatation, deviation, iterates
 # ---------------------------------------------------------------------------
 
-def split_order(nt: NTDecomposition, *, _validated: bool = False) -> int:
+def split_order(nt: NTDecomposition) -> int:
     """Smallest power whose iterate fixes every periodic piece and every
     boundary circle of the pseudo-Anosov part."""
-    if not _validated:
-        nt.validate()
     pmap = nt.piece_permutation
     cmap = nt.circle_permutation
     d = 1
@@ -671,21 +672,19 @@ def split_order(nt: NTDecomposition, *, _validated: bool = False) -> int:
 def dilatation(nt: NTDecomposition) -> Dilatation:
     """Maximal stretch factor over the pseudo-Anosov pieces (one if there
     are none), bundled with the split order."""
-    nt.validate()
     best: Optional[StretchFactor] = None
     for p in nt.pieces:
         if p.kind != PSEUDO_ANOSOV:
             continue
         if best is None or p.stretch.compare(best) > 0:
             best = p.stretch
-    return Dilatation(best, split_order(nt, _validated=True))
+    return Dilatation(best, split_order(nt))
 
 
 def deviation(nt: NTDecomposition) -> Fraction:
     """Maximal absolute twist rate over the reduction annuli.  Defined to be
     zero when the pseudo-Anosov part is empty; a warning flags fixtures
     where nonzero twisting is then being discarded."""
-    nt.validate()
     if not any(p.kind == PSEUDO_ANOSOV for p in nt.pieces):
         if any(a.twist != 0 for a in nt.annuli):
             warnings.warn(
@@ -702,7 +701,6 @@ def iterate(nt: NTDecomposition, m: int) -> NTDecomposition:
     multiplied by m, and orbit data is re-reduced."""
     if m < 1:
         raise DecompositionError("iterate exponent must be a positive integer")
-    nt.validate()
     pmap = nt.piece_permutation
     cmap = nt.circle_permutation
 
@@ -740,7 +738,7 @@ def iterate(nt: NTDecomposition, m: int) -> NTDecomposition:
     annuli = [replace(a, twist=a.twist * m, orbits=new_orbits(a.orbits))
               for a in nt.annuli]
     return NTDecomposition(tuple(pieces), tuple(annuli),
-                           _power_map(pmap, m), _power_map(cmap, m)).validate()
+                           _power_map(pmap, m), _power_map(cmap, m))
 
 
 # ---------------------------------------------------------------------------
@@ -926,7 +924,6 @@ def fixed_point_classes(nt: NTDecomposition, m: int) -> Tuple[FixedClassRecord, 
     class (classes in one orbit repeat the shared index)."""
     if m < 1:
         raise DecompositionError("iterate exponent must be a positive integer")
-    nt.validate()
     records = []
     for family in _essential_families(nt, m):
         for j in range(family.classes):
@@ -1013,7 +1010,6 @@ def indexed_orbit_numbers(nt: NTDecomposition, upto: int) -> IndexedOrbitTable:
     to the bound; each orbit of fixed classes counts once."""
     if upto < 1:
         raise DecompositionError("the iterate bound must be a positive integer")
-    nt.validate()
     counts = {}
     for m in range(1, upto + 1):
         row = {}
@@ -1185,7 +1181,6 @@ def nt_graph(nt: NTDecomposition) -> DecompositionGraph:
     """The decomposition graph: pieces and annuli are vertices, every
     attached boundary circle is a directed edge from its annulus to its
     vertex piece."""
-    nt.validate()
     elements, d0, d1, kinds = [], {}, {}, {}
     for p in nt.pieces:
         elements.append(p.name)
@@ -1209,7 +1204,6 @@ def nt_graph(nt: NTDecomposition) -> DecompositionGraph:
 
 def graph_automorphism(nt: NTDecomposition) -> dict:
     """The automorphism induced on the decomposition graph by the map."""
-    nt.validate()
     pmap = nt.piece_permutation
     cmap = nt.circle_permutation
     out = dict(pmap)

@@ -65,7 +65,7 @@ def _decode_cellular(body) -> Tuple[CellularSurface, CellularSelfMap]:
 
 
 def _decode_nt(body) -> NTDecomposition:
-    return NTDecomposition.from_json(body).validate()
+    return NTDecomposition.from_json(body)
 
 
 def _decode_orbit_projection(body) -> OrbitProjectionFixture:
@@ -140,7 +140,13 @@ def parse_fixture(text: str) -> Fixture:
         raise ValueError(f"unknown fixture kind {kind!r}")
     if "body" not in data:
         raise ValueError("fixture has no body")
-    return Fixture(kind, decoder(data["body"]))
+    try:
+        payload = decoder(data["body"])
+    except (KeyError, TypeError, IndexError) as exc:
+        detail = (f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError)
+                  else str(exc))
+        raise ValueError(f"malformed {kind} fixture: {detail}") from exc
+    return Fixture(kind, payload)
 
 
 def load_fixture(path) -> Fixture:

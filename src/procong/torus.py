@@ -20,7 +20,6 @@ Three layers:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd, isqrt
@@ -55,7 +54,7 @@ class Mat2:
     @staticmethod
     def from_rows(rows) -> "Mat2":
         (a, b), (c, d) = rows
-        return Mat2(int(a), int(b), int(c), int(d))
+        return Mat2(a, b, c, d)
 
     @staticmethod
     def from_string(text: str) -> "Mat2":
@@ -743,25 +742,14 @@ class CongruenceReport:
         return "\n".join(lines)
 
 
-def congruence_sweep(a: Mat2, b: Mat2, max_n: int, jobs: int = 1) -> CongruenceReport:
-    """Test GL(2,Z/n) conjugacy for n = 1..max_n and summarize.
-
-    Levels are independent; with jobs > 1 they are dispatched to a thread
-    pool, and the report is assembled in modulus order either way.
-    """
+def congruence_sweep(a: Mat2, b: Mat2, max_n: int) -> CongruenceReport:
+    """Test GL(2,Z/n) conjugacy for n = 1..max_n and summarize."""
     _require_unimodular(a, b)
     if max_n < 1:
         raise ValueError("sweep bound must be a positive integer")
     solver = CommutationSolver(a, b)
-
-    def level(n: int) -> ModVerdict:
+    verdicts = []
+    for n in range(1, max_n + 1):
         witness = solver.witness_mod(n)
-        return ModVerdict(n, witness is not None, witness)
-
-    moduli = range(1, max_n + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            verdicts = tuple(pool.map(level, moduli))
-    else:
-        verdicts = tuple(level(n) for n in moduli)
-    return CongruenceReport(a, b, max_n, verdicts, sl2_conjugate(a, b))
+        verdicts.append(ModVerdict(n, witness is not None, witness))
+    return CongruenceReport(a, b, max_n, tuple(verdicts), sl2_conjugate(a, b))

@@ -117,7 +117,7 @@ def det_power_minus_identity(matrix: Mat2, m: int) -> int:
 
 def test_primary_01_classical_pair_congruence_separation():
     start = time.perf_counter()
-    report = congruence_sweep(PAIR_A, PAIR_B, 1000, jobs=1)
+    report = congruence_sweep(PAIR_A, PAIR_B, 1000)
     elapsed = time.perf_counter() - start
     assert report.sl2.conjugate is False
     assert report.all_levels_pass, f"first failure {report.first_failure}"
@@ -239,7 +239,7 @@ def test_primary_07_growth_certifies_the_dilatation():
     final = brackets[-1]
     assert final.iterate == 30
     target = Dilatation(StretchFactor((1, -3, 1), Fraction(5, 2), 3), 1)
-    certify_growth_estimate(final, target, relative=Fraction(1, 100))
+    assert certify_growth_estimate(final, target, relative=Fraction(1, 100))
     print(f"[PRIMARY 7] PASS: max(1, N_30)^(1/30) in "
           f"[{float(final.low):.6f}, {float(final.high):.6f}], certified "
           "within 1% of (3+sqrt(5))/2 by exact interval refinement")

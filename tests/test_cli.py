@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line driver: golden reports, exit
-codes, JSON/text agreement, and determinism under parallelism."""
+codes, JSON/text agreement, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,18 +165,6 @@ class TestGoldenReports:
 # ---------------------------------------------------------------------------
 
 class TestDeterminism:
-    def test_parallel_sweep_is_byte_identical(self, capsys):
-        _, one, _ = run(capsys, "torus", "sweep", PAIR_A, PAIR_B,
-                        "--max", "30", "--jobs", "1", "--json")
-        _, eight, _ = run(capsys, "torus", "sweep", PAIR_A, PAIR_B,
-                          "--max", "30", "--jobs", "8", "--json")
-        assert one == eight
-        _, t1, _ = run(capsys, "torus", "sweep", PAIR_A, PAIR_B,
-                       "--max", "30", "--jobs", "1")
-        _, t8, _ = run(capsys, "torus", "sweep", PAIR_A, PAIR_B,
-                       "--max", "30", "--jobs", "8")
-        assert t1 == t8
-
     def test_repeated_runs_are_identical(self, capsys):
         args = ("nt", "analyze", fixture("five_cases.json"), "--upto", "6")
         _, first, _ = run(capsys, *args)
@@ -245,6 +236,29 @@ class TestExitCodes:
         assert out == ""
         assert "internal check failed" in err
 
+    @pytest.mark.parametrize("source, drop, argv", [
+        ("torus_A211.json", ("matrix",), ["zeta"]),
+        ("genus2_finite_order.json", ("fiber",), ["zeta"]),
+        ("two_pa_swap.json", ("pieces", 0, "kind"), ["nt", "analyze"]),
+    ])
+    def test_malformed_fixture_body_is_an_input_error(self, tmp_path, source,
+                                                      drop, argv):
+        data = json.loads((FIXTURES / source).read_text())
+        owner = data["body"]
+        for step in drop[:-1]:
+            owner = owner[step]
+        del owner[drop[-1]]
+        path = tmp_path / source
+        path.write_text(json.dumps(data))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "procong", *argv,
+                               str(path)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 2
+        assert f"missing key {drop[-1]!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["torus"])
@@ -259,13 +273,11 @@ class TestExitCodes:
 class TestRunConfig:
     def test_parser_maps_to_config(self):
         args = build_parser().parse_args(
-            ["torus", "sweep", PAIR_A, PAIR_B, "--max", "50",
-             "--jobs", "4", "--json"])
+            ["torus", "sweep", PAIR_A, PAIR_B, "--max", "50", "--json"])
         config = config_from_args(args)
         assert config.subcommand == "torus sweep"
         assert config.inputs == (PAIR_A, PAIR_B)
         assert config.max_modulus == 50
-        assert config.jobs == 4
         assert config.output == "json"
 
     def test_defaults(self):
@@ -279,8 +291,6 @@ class TestRunConfig:
     def test_rejects_nonpositive_bounds(self):
         with pytest.raises(ValueError, match="--terms"):
             RunConfig("zeta", ("x",), terms=0)
-        with pytest.raises(ValueError, match="--jobs"):
-            RunConfig("zeta", ("x",), jobs=0)
 
     def test_rejects_unknown_output_mode(self):
         with pytest.raises(ValueError, match="output mode"):

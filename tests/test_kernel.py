@@ -227,6 +227,16 @@ class TestRationalFunction:
         series = exp_series(l_values, n)
         assert log_coefficients(series, n) == l_values
 
+    def test_constants_hash_like_their_scalar(self):
+        poly3 = LaurentPolynomial.constant(3)
+        frac3 = RationalFunction(poly3)
+        assert poly3 == 3 and frac3 == 3 and frac3 == poly3
+        assert hash(poly3) == hash(frac3) == hash(3)
+        assert len({poly3, 3}) == 1
+        assert len({poly3, frac3, 3}) == 1
+        assert hash(LaurentPolynomial.zero()) == hash(0)
+        assert hash(RationalFunction(poly(1, 2))) == hash(poly(1, 2))
+
 
 class TestNormalizedTorsionClass:
     def test_scaled_shifted_input(self):

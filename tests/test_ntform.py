@@ -418,19 +418,17 @@ class TestValidation:
             make_swap().pieces[1]))
 
     def test_stretch_on_periodic(self):
-        nt = NTDecomposition(
-            (VertexPiece("E", "periodic", -1, (), stretch=PHI),), (),
-            {"E": "E"}, {})
         with pytest.raises(DecompositionError, match="must not carry"):
-            nt.validate()
+            NTDecomposition(
+                (VertexPiece("E", "periodic", -1, (), stretch=PHI),), (),
+                {"E": "E"}, {})
 
     def test_period_on_pa(self):
         nt = make_single_pa()
-        bad = NTDecomposition(
-            (bad_piece(nt.pieces[0], period=2),), (), {"P": "P"},
-            dict(nt.circle_map))
         with pytest.raises(DecompositionError, match="reserved for periodic"):
-            bad.validate()
+            NTDecomposition(
+                (bad_piece(nt.pieces[0], period=2),), (), {"P": "P"},
+                dict(nt.circle_map))
 
     def test_boundary_count_arity(self):
         self._expect("one boundary singularity count", pieces=(
@@ -485,47 +483,42 @@ class TestValidation:
         self._expect("must permute", circle_map={"cP": "cP", "cQ": "cP"})
 
     def test_kind_preserved_along_orbit(self):
-        nt = NTDecomposition(
-            (VertexPiece("P", "pseudoAnosov", -1, (), (), PHI, ()),
-             VertexPiece("E", "periodic", -1, ())),
-            (), {"P": "E", "E": "P"}, {})
         with pytest.raises(DecompositionError, match="kind, Euler"):
-            nt.validate()
+            NTDecomposition(
+                (VertexPiece("P", "pseudoAnosov", -1, (), (), PHI, ()),
+                 VertexPiece("E", "periodic", -1, ())),
+                (), {"P": "E", "E": "P"}, {})
 
     def test_stretch_constant_along_orbit(self):
         other = StretchFactor((1, -7, 1), F(6), F(7))
-        nt = NTDecomposition(
-            (VertexPiece("P", "pseudoAnosov", -1, (), (), PHI, ()),
-             VertexPiece("Q", "pseudoAnosov", -1, (), (), other, ())),
-            (), {"P": "Q", "Q": "P"}, {})
         with pytest.raises(DecompositionError, match="agree along piece orbits"):
-            nt.validate()
+            NTDecomposition(
+                (VertexPiece("P", "pseudoAnosov", -1, (), (), PHI, ()),
+                 VertexPiece("Q", "pseudoAnosov", -1, (), (), other, ())),
+                (), {"P": "Q", "Q": "P"}, {})
 
     def test_counts_constant_along_orbit(self):
-        nt = NTDecomposition(
-            (VertexPiece("P", "pseudoAnosov", -1, ("cP",), (1,), PHI, ()),
-             VertexPiece("Q", "pseudoAnosov", -1, ("cQ",), (2,), PHI, ())),
-            (), {"P": "Q", "Q": "P"}, {"cP": "cQ", "cQ": "cP"})
         with pytest.raises(DecompositionError, match="counts must agree"):
-            nt.validate()
+            NTDecomposition(
+                (VertexPiece("P", "pseudoAnosov", -1, ("cP",), (1,), PHI, ()),
+                 VertexPiece("Q", "pseudoAnosov", -1, ("cQ",), (2,), PHI, ())),
+                (), {"P": "Q", "Q": "P"}, {"cP": "cQ", "cQ": "cP"})
 
     def test_twist_constant_along_orbit(self):
-        nt = NTDecomposition(
-            (), (ReductionAnnulus("A1", F(1, 2), (None, None)),
-                 ReductionAnnulus("A2", F(1, 3), (None, None))),
-            {"A1": "A2", "A2": "A1"}, {})
         with pytest.raises(DecompositionError, match="twist rates must agree"):
-            nt.validate()
+            NTDecomposition(
+                (), (ReductionAnnulus("A1", F(1, 2), (None, None)),
+                     ReductionAnnulus("A2", F(1, 3), (None, None))),
+                {"A1": "A2", "A2": "A1"}, {})
 
     def test_ends_respected(self):
         nt = make_star()
         bad_circles = dict(nt.circle_map)
         bad_circles["d1"], bad_circles["d2"] = "d3", "d1"
         bad_circles["d3"] = "d2"
-        bad = NTDecomposition(nt.pieces, nt.annuli, dict(nt.piece_map),
-                              bad_circles)
         with pytest.raises(DecompositionError):
-            bad.validate()
+            NTDecomposition(nt.pieces, nt.annuli, dict(nt.piece_map),
+                            bad_circles)
 
     def test_orbit_name_duplicated(self):
         self._expect("declared twice", pieces=(
@@ -541,12 +534,11 @@ class TestValidation:
             make_swap().pieces[1]))
 
     def test_elliptic_orbit_respects_period(self):
-        nt = NTDecomposition(
-            (VertexPiece("E", "periodic", -1, (), period=2,
-                         orbits=(InteriorOrbit("e", 3),)),),
-            (), {"E": "E"}, {})
         with pytest.raises(DecompositionError, match="outlives the period"):
-            nt.validate()
+            NTDecomposition(
+                (VertexPiece("E", "periodic", -1, (), period=2,
+                             orbits=(InteriorOrbit("e", 3),)),),
+                (), {"E": "E"}, {})
 
     def test_pa_orbit_needs_prongs(self):
         self._expect("need a prong count", pieces=(
@@ -568,12 +560,11 @@ class TestValidation:
             make_swap().pieces[1]))
 
     def test_prongs_off_pa_rejected(self):
-        nt = NTDecomposition(
-            (VertexPiece("E", "periodic", -1, (),
-                         orbits=(InteriorOrbit("e", 1, 3, 0),)),),
-            (), {"E": "E"}, {})
         with pytest.raises(DecompositionError, match="only apply"):
-            nt.validate()
+            NTDecomposition(
+                (VertexPiece("E", "periodic", -1, (),
+                             orbits=(InteriorOrbit("e", 1, 3, 0),)),),
+                (), {"E": "E"}, {})
 
 
 def bad_piece(piece, **overrides):
