@@ -18,7 +18,7 @@ independent of that choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
 from .kernel import (
     LaurentPolynomial,
@@ -29,22 +29,18 @@ from .kernel import (
     normalize_unit_class,
 )
 from .surfgrp import (
+    Chain,
     FiniteRepresentation,
     MappingTorusPresentation,
-    Word,
-    _boundary_one,
-    _boundary_two,
+    _chain_matrix,
+    _fox_chain,
     _mat_identity,
     _mat_mul,
-    fox_derivative,
+    _presentation_chains,
     free_reduce,
-    group_ring_image,
     mapping_torus,
     twisted_alexander,
 )
-
-# A decorated chain: (target cell index, integer coefficient, group word).
-Chain = Tuple[Tuple[int, int, Word], ...]
 
 
 def _freeze_chain(chain, n_targets: int, n_letters: int) -> Chain:
@@ -230,35 +226,6 @@ def classical_lefschetz(action: HomologyAction, m: int) -> int:
 # assembling decorated data into exact matrices
 # ---------------------------------------------------------------------------
 
-def _chain_matrix(mt: MappingTorusPresentation, rep: FiniteRepresentation,
-                  chains: Sequence[Chain], n_targets: int,
-                  strip_degree: int = 0) -> PolyMatrix:
-    """Block matrix of decorated chains: block (target, source) collects the
-    images of the decorations, each divided by t^strip_degree; blocks are
-    transposed for the row-vector convention."""
-    k = rep.dimension
-    columns = []
-    for chain in chains:
-        per_target: Dict[int, List[Tuple[int, Word]]] = {}
-        for target, coeff, word in chain:
-            per_target.setdefault(target, []).append((coeff, word))
-        blocks = []
-        for target in range(n_targets):
-            combo = per_target.get(target, [])
-            block = group_ring_image(mt, rep, combo).grid_transpose()
-            if strip_degree:
-                block = block.scale(LaurentPolynomial.t_power(-strip_degree))
-            blocks.append(block)
-        column = PolyMatrix.zero(0, k)
-        for b in blocks:
-            column = column.vstack(b)
-        columns.append(column)
-    out = PolyMatrix.zero(k * n_targets, 0)
-    for c in columns:
-        out = out.hstack(c)
-    return out
-
-
 def flow_boundary_matrices(surface: CellularSurface, flow: CellularSelfMap,
                            rep: FiniteRepresentation):
     """Exact matrices (rho_*(F_0), rho_*(F_1), rho_*(F_2)) of the flow-return
@@ -349,11 +316,14 @@ def lefschetz_numbers(surface: CellularSurface, flow: CellularSelfMap,
                       rep: FiniteRepresentation, upto: int):
     """Exact twisted Lefschetz numbers L_1..L_upto, read off from the
     logarithmic derivative of the zeta function."""
+    return lefschetz_from_zeta(zeta_from_cellular(surface, flow, rep), upto)
+
+
+def lefschetz_from_zeta(zeta: RationalFunction, upto: int):
+    """L_1..L_upto from the logarithmic derivative of a zeta function."""
     if upto < 1:
         raise ValueError("need at least one Lefschetz number")
-    zeta = zeta_from_cellular(surface, flow, rep)
-    series = zeta.series(upto + 1)
-    return log_coefficients(series, upto)
+    return log_coefficients(zeta.series(upto + 1), upto)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +337,7 @@ def cellular_model(mt: MappingTorusPresentation
     fiber.  The flow-return decorations realize conjugation by the inverse
     stable letter, so the monodromy must carry an inverse witness.
     """
-    canonical = _canonical_presentation(mt)
+    canonical = mapping_torus(mt.fiber, mt.monodromy)
     fiber = canonical.fiber
     t = canonical.stable_index
     psi = canonical.monodromy.inverse()
@@ -376,34 +346,20 @@ def cellular_model(mt: MappingTorusPresentation
     names1 = fiber.generators
     names2 = tuple(f"F{i}" for i in range(len(fiber.relators)))
 
-    boundary_one = tuple(
-        ((0, 1, (j,)), (0, -1, ()))
-        for j in range(1, fiber.rank + 1))
-    boundary_two = tuple(
-        tuple((j - 1, coeff, word)
-              for j in range(1, fiber.rank + 1)
-              for coeff, word in fox_derivative(r, j))
-        for r in fiber.relators)
+    boundary_one, boundary_two = _presentation_chains(fiber.rank,
+                                                      fiber.relators)
     surface = CellularSurface(canonical, (names0, names1, names2),
                               boundary_one, boundary_two)
 
     images0 = (((0, 1, (t,)),),)
-    images1 = tuple(
-        tuple((j - 1, coeff, free_reduce((t,) + word))
-              for j in range(1, fiber.rank + 1)
-              for coeff, word in fox_derivative(psi.images[g - 1], j))
-        for g in range(1, fiber.rank + 1))
+    images1 = tuple(_fox_chain(image, fiber.rank, lift=lambda u: (t,) + u)
+                    for image in psi.images)
     images2 = []
     for index, r in enumerate(fiber.relators):
         sign, conj = psi.relator_conjugacy()
         images2.append(((index, sign, free_reduce((t,) + conj)),))
     flow = CellularSelfMap(surface, (images0, images1, tuple(images2)))
     return surface, flow
-
-
-def _canonical_presentation(mt: MappingTorusPresentation) -> MappingTorusPresentation:
-    """Rebuild the untouched presentation of the same fibered space."""
-    return mapping_torus(mt.fiber, mt.monodromy)
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +373,17 @@ def mapping_torus_boundaries(mt: MappingTorusPresentation,
     convention.  d1 and d2 are the presentation-complex boundaries; d3 is the
     boundary of the flow cell of the fiber 2-cell.
     """
-    canonical = _canonical_presentation(mt)
+    canonical = mapping_torus(mt.fiber, mt.monodromy)
     fiber = canonical.fiber
     indices = list(range(1, fiber.rank + 1)) + [mt.stable_index]
     sub = rep.restricted(indices)
     sub.validate(canonical)
 
-    d1 = _boundary_one(canonical, sub)
-    d2 = _boundary_two(canonical, sub)
-    k = rep.dimension
-    if fiber.boundary_count != 0 or not fiber.relators:
-        d3 = PolyMatrix.zero(k * len(canonical.relators), 0)
-    else:
+    one, two = _presentation_chains(canonical.rank, canonical.relators)
+    d1 = _chain_matrix(canonical, sub, one, 1)
+    d2 = _chain_matrix(canonical, sub, two, canonical.rank)
+    chains = ()
+    if fiber.boundary_count == 0 and fiber.relators:
         t = canonical.stable_index
         phi = canonical.monodromy
         sign, conj = phi.relator_conjugacy()
@@ -438,18 +393,9 @@ def mapping_torus_boundaries(mt: MappingTorusPresentation,
         # 2-cell therefore receives sign*conj - t, and pushing t through
         # the letters of r leaves the monodromy image of each Fox
         # derivative on the flow cell of the matching generator.
-        top = group_ring_image(
-            canonical, sub, ((sign, conj), (-1, (t,)))).grid_transpose()
-        blocks = [top]
-        relator = fiber.relators[0]
-        for j in range(1, fiber.rank + 1):
-            pushed = tuple((coeff, phi.apply(word))
-                           for coeff, word in fox_derivative(relator, j))
-            blocks.append(group_ring_image(
-                canonical, sub, pushed).grid_transpose())
-        d3 = blocks[0]
-        for b in blocks[1:]:
-            d3 = d3.vstack(b)
+        chains = (((0, sign, conj), (0, -1, (t,)))
+                  + _fox_chain(fiber.relators[0], fiber.rank, 1, phi.apply),)
+    d3 = _chain_matrix(canonical, sub, chains, len(canonical.relators))
     if d2.cols and d3.cols and not (d2 @ d3).is_zero():
         raise AssertionError("three-dimensional chain model lost d.d = 0")
     if d1.cols and d2.cols and not (d1 @ d2).is_zero():

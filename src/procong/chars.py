@@ -20,21 +20,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .kernel import Cyclotomic, as_exact
+from .kernel import Cyclotomic, as_exact, scalar_conjugate
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
 CYCLIC_LIMIT = 60
-
-
-def _conjugate(value: Scalar) -> Scalar:
-    return value.conjugate() if isinstance(value, Cyclotomic) else value
-
-
-def _demote(value: Scalar) -> Scalar:
-    if isinstance(value, Cyclotomic):
-        return value.demote()
-    return as_exact(value)
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +57,6 @@ class FiniteGroupTable:
 
     def class_size(self, class_id: int) -> int:
         return len(self.classes[class_id])
-
-    def class_of(self, element: int) -> int:
-        for j, members in enumerate(self.classes):
-            if element in members:
-                return j
-        raise ValueError(f"element {element} outside the group")
 
     def inverse(self, element: int) -> int:
         row = self.multiplication[element]
@@ -127,9 +111,9 @@ class FiniteGroupTable:
                 psi = self.characters[s]
                 total = 0
                 for j, members in enumerate(self.classes):
-                    total = total + len(members) * chi[j] * _conjugate(psi[j])
+                    total = total + len(members) * chi[j] * scalar_conjugate(psi[j])
                 expected = self.order if r == s else 0
-                if _demote(total) != expected:
+                if as_exact(total) != expected:
                     raise ValueError(
                         f"character rows {r} and {s} of {self.name} violate "
                         "orthogonality")
@@ -140,7 +124,7 @@ def _cyclic_table(n: int) -> FiniteGroupTable:
     multiplication = tuple(tuple((i + j) % n for j in range(n))
                            for i in range(n))
     classes = tuple((k,) for k in range(n))
-    roots = [_demote(Cyclotomic.root(n, k)) if n > 1 else 1 for k in range(n)]
+    roots = [as_exact(Cyclotomic.root(n, k)) if n > 1 else 1 for k in range(n)]
     characters = tuple(tuple(roots[(r * j) % n] for j in range(n))
                        for r in range(n))
     table = FiniteGroupTable(f"cyclic({n})", elements, multiplication,
@@ -155,7 +139,7 @@ def _cyclic_table(n: int) -> FiniteGroupTable:
         total = 0
         for j in range(n):
             total = total + roots[(d * j) % n]
-        if _demote(total) != (n if d == 0 else 0):
+        if as_exact(total) != (n if d == 0 else 0):
             raise ValueError(
                 f"cyclic({n}) character rows violate orthogonality")
     if n <= 12:
@@ -308,7 +292,7 @@ def twisted_L_from_orbits(table: OrbitProjectionTable,
     total = 0
     for _, index, class_id in table.rows:
         total = total + index * value(class_id)
-    return _demote(total)
+    return as_exact(total)
 
 
 def class_indicator_L(table: OrbitProjectionTable, group: FiniteGroupTable,
@@ -325,9 +309,9 @@ def class_indicator_L(table: OrbitProjectionTable, group: FiniteGroupTable,
     direct = sum(index for _, index, c in table.rows if c == class_id)
     expansion = 0
     for chi in group.characters:
-        expansion = expansion + _conjugate(chi[class_id]) \
+        expansion = expansion + scalar_conjugate(chi[class_id]) \
             * twisted_L_from_orbits(table, chi)
-    expansion = _demote(Fraction(group.class_size(class_id), group.order)
+    expansion = as_exact(Fraction(group.class_size(class_id), group.order)
                         * expansion)
     if expansion != direct:
         raise ArithmeticError(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -56,36 +55,20 @@ def scalar_inverse(value):
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers for cyclotomic polynomials
+# cyclotomic fields
 # ---------------------------------------------------------------------------
-
-def _intpoly_divmod(num, den):
-    """Exact division of integer coefficient lists (little-endian), den monic."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(num) - len(den), -1, -1):
-        coeff = num[shift + len(den) - 1]
-        q[shift] = coeff
-        if coeff:
-            for i, d in enumerate(den):
-                num[shift + i] -= coeff * d
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
     """Coefficients (little-endian) of the n-th cyclotomic polynomial."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    poly = [-1] + [0] * (n - 1) + [1]          # x^n - 1
+    poly = LaurentPolynomial({0: -1, n: 1})          # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _intpoly_divmod(poly, list(cyclotomic_polynomial(d)))
-            if rem:
-                raise AssertionError("cyclotomic division left a remainder")
-    return tuple(poly)
+            poly = poly.exact_divide(
+                LaurentPolynomial.from_coefficients(cyclotomic_polynomial(d)))
+    return tuple(poly.coefficient(e) for e in range(poly.degree + 1))
 
 
 @lru_cache(maxsize=None)
@@ -129,10 +112,7 @@ class Cyclotomic:
             for k, c in enumerate(coeffs):
                 if c == 0:
                     continue
-                row = table[k % conductor] if k < conductor else None
-                if row is None:
-                    row = _reduce_large_power(conductor, k)
-                for i, r in enumerate(row):
+                for i, r in enumerate(table[k % conductor]):
                     if r:
                         reduced[i] += c * r
             coeffs = reduced
@@ -231,26 +211,22 @@ class Cyclotomic:
     def inverse(self) -> "Cyclotomic":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        a = [Fraction(c) for c in self.coeffs]
-        while a and a[-1] == 0:
-            a.pop()
-        # extended Euclid in Q[x]: s*a + t*phi = gcd = nonzero constant
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        t0, t1 = [Fraction(1)], [Fraction(0)]
-        while len(r1) > 1 or (len(r1) == 1 and False):
-            q, rem = _fracpoly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _fracpoly_sub(s0, _fracpoly_mul(q, s1))
-            t0, t1 = t1, _fracpoly_sub(t0, _fracpoly_mul(q, t1))
-            if not r1:
+        # extended Euclid in Q[x], tracking the cofactor s of the invariant
+        # s * self = r (mod Phi_n); it ends at a nonzero constant r
+        r0 = LaurentPolynomial.from_coefficients(
+            cyclotomic_polynomial(self.conductor))
+        r1 = LaurentPolynomial.from_coefficients(self.coeffs)
+        s0, s1 = LaurentPolynomial.zero(), LaurentPolynomial.one()
+        while r1.degree > 0:
+            q, rem = r0.divmod_poly(r1)
+            if rem.is_zero():
                 raise AssertionError("Phi_n shares a factor with a field element")
-            if len(r1) == 1:
-                break
-        const = r1[0]
-        inv = [c / const for c in s1]
-        return Cyclotomic(self.conductor, inv)
+            r0, r1 = r1, rem
+            s0, s1 = s1, s0 - q * s1
+        const = scalar_inverse(r1.coefficient(0))
+        return Cyclotomic(self.conductor,
+                          [s1.coefficient(e) * const
+                           for e in range(s1.degree + 1)])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
@@ -317,53 +293,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"cyc({self.conductor}):{list(self.coeffs)}"
-
-
-def _reduce_large_power(n, k):
-    """x^k mod Phi_n for k >= n via x^n = 1... careful: x^n = 1 only in the group
-    ring sense; modulo Phi_n we do have zeta^n = 1, so reduce k mod n."""
-    return _power_reduction_table(n)[k % n]
-
-
-def _fracpoly_divmod(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dn:
-        return [Fraction(0)], num
-    q = [Fraction(0)] * (len(num) - dn)
-    for shift in range(len(num) - dn - 1, -1, -1):
-        coeff = num[shift + dn] / lead
-        q[shift] = coeff
-        if coeff:
-            for i, d in enumerate(den):
-                num[shift + i] -= coeff * d
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _fracpoly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _fracpoly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -836,12 +765,6 @@ class RationalFunction:
 
     # -- series ------------------------------------------------------------
 
-    def order_at_zero(self):
-        """ord_{t=0}; None for the zero function."""
-        if self.is_zero():
-            return None
-        return self.num.valuation  # denominator has valuation 0 by canon
-
     def series(self, terms: int):
         """First `terms` Taylor coefficients at t = 0; error on a pole."""
         if terms < 0:
@@ -1160,7 +1083,6 @@ def smith_diagonalize(matrix: PolyMatrix):
         for i in range(pr, rows):
             for j in range(pc, cols):
                 if not m[i][j].is_zero():
-                    d = m[i][j].degree - m[i][j].valuation + (0 if m[i][j].valuation == 0 else 0)
                     d = m[i][j].degree
                     if best is None or d < best[0]:
                         best = (d, i, j)
@@ -1350,11 +1272,8 @@ def smith_integer(matrix):
                 col_op(i, i + 1, -1)       # col_i -= -1 * col_{i+1}: adds col i+1
                 # now column i has entries (a, b); clear by row reduction
                 while m[i + 1][i] != 0:
-                    q = m[i][i] // m[i + 1][i] if m[i + 1][i] != 0 else 0
-                    if m[i + 1][i] != 0:
-                        qq = m[i][i] // m[i + 1][i]
-                        row_op(i, i + 1, qq)
-                        row_swap(i, i + 1)
+                    row_op(i, i + 1, m[i][i] // m[i + 1][i])
+                    row_swap(i, i + 1)
                 # re-clear column/row tails
                 for j in range(k):
                     if j != i and m[i][j] != 0:

@@ -262,9 +262,6 @@ class Dilatation:
     factor: Optional[StretchFactor]
     split_order: int
 
-    def is_one(self) -> bool:
-        return self.factor is None
-
     def __eq__(self, other):
         if not isinstance(other, Dilatation):
             return NotImplemented

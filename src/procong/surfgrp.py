@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .kernel import (
@@ -42,6 +42,8 @@ from .kernel import (
 from .torus import Mat2
 
 Word = Tuple[int, ...]
+# A decorated chain: (target cell index, integer coefficient, group word).
+Chain = Tuple[Tuple[int, int, Word], ...]
 
 DEFAULT_ORDER_CAP = 20000
 
@@ -680,10 +682,15 @@ class FiniteRepresentation:
                      for v in mt.fiber_values)
         return cls(1, mats, order_cap)
 
+    @cached_property
+    def _inverses(self) -> Tuple[ScalarMatrix, ...]:
+        """Generator inverses, computed once per representation."""
+        return tuple(_mat_inverse(m) for m in self.matrices)
+
     def matrix(self, letter: int) -> ScalarMatrix:
         if letter > 0:
             return self.matrices[letter - 1]
-        return _mat_inverse(self.matrices[-letter - 1])
+        return self._inverses[-letter - 1]
 
     def evaluate_word(self, word: Iterable[int]) -> ScalarMatrix:
         acc = _mat_identity(self.dimension)
@@ -695,7 +702,6 @@ class FiniteRepresentation:
         """Check arity, invertibility, relator kills, and finite closure."""
         if len(self.matrices) != mt.rank:
             raise ValueError("need exactly one matrix per generator")
-        inverses = [_mat_inverse(m) for m in self.matrices]
         ident = _mat_identity(self.dimension)
         for r in mt.relators:
             if mt.degree(r) != 0:
@@ -704,7 +710,7 @@ class FiniteRepresentation:
                 raise ValueError("representation violates a relator")
         seen = {ident}
         frontier = [ident]
-        step_set = list(self.matrices) + inverses
+        step_set = self.matrices + self._inverses
         while frontier:
             fresh = []
             for m in frontier:
@@ -762,35 +768,52 @@ class FiniteRepresentation:
 # the twisted chain complex and its module orders
 # ---------------------------------------------------------------------------
 
+def _fox_chain(word: Word, n_generators: int, offset: int = 0,
+               lift=lambda u: u) -> Chain:
+    """All free derivatives of a word as one decorated chain: the term
+    (coeff, u) of d word / d g_j lands on target offset + j - 1 with the
+    decoration lift(u)."""
+    return tuple((offset + j - 1, coeff, lift(u))
+                 for j in range(1, n_generators + 1)
+                 for coeff, u in fox_derivative(word, j))
+
+
+def _presentation_chains(n_generators: int, relators: Sequence[Word]):
+    """Boundary chains of a presentation complex with one 0-cell: the 1-cell
+    of g bounds g - 1, the 2-cell of r bounds the free derivatives of r."""
+    one = tuple(((0, 1, (j,)), (0, -1, ())) for j in range(1, n_generators + 1))
+    two = tuple(_fox_chain(r, n_generators) for r in relators)
+    return one, two
+
+
+def _chain_matrix(mt: MappingTorusPresentation, rep: FiniteRepresentation,
+                  chains: Sequence[Chain], n_targets: int,
+                  strip_degree: int = 0) -> PolyMatrix:
+    """Twisted matrix of decorated chains, one block column per chain and
+    one block row per target.  A term (target, coeff, w) adds coeff times
+    t^(degree w - strip_degree) times the image of w to its block, which is
+    stored transposed for the row-vector convention."""
+    k = rep.dimension
+    grid = [[{} for _ in range(k * len(chains))] for _ in range(k * n_targets)]
+    for source, chain in enumerate(chains):
+        for target, coeff, word in chain:
+            mat = rep.evaluate_word(word)
+            exp = mt.degree(word) - strip_degree
+            for i, row in enumerate(mat):
+                for j, value in enumerate(row):
+                    entry = grid[target * k + j][source * k + i]
+                    entry[exp] = entry.get(exp, 0) + coeff * value
+    return PolyMatrix(k * n_targets, k * len(chains),
+                      [[LaurentPolynomial(e) for e in row] for row in grid])
+
+
 def group_ring_image(mt: MappingTorusPresentation, rep: FiniteRepresentation,
                      combo: Iterable[Tuple[int, Word]]) -> PolyMatrix:
     """Image of an integer combination of group elements: each word w maps to
     t^(degree w) times its matrix image; results live in k x k Laurent
     matrices."""
-    k = rep.dimension
-    acc = PolyMatrix.zero(k, k)
-    for coeff, word in combo:
-        mat = rep.evaluate_word(word)
-        exp = mt.degree(word)
-        block = PolyMatrix.build(
-            k, k,
-            lambda i, j, mat=mat, exp=exp, coeff=coeff:
-            LaurentPolynomial.t_power(exp, as_exact(coeff * mat[i][j])))
-        acc = acc + block
-    return acc
-
-
-def _boundary_one(mt: MappingTorusPresentation,
-                  rep: FiniteRepresentation) -> PolyMatrix:
-    """Degree-1 boundary: columns are transposed (image(g) - 1) blocks."""
-    k = rep.dimension
-    blocks = [group_ring_image(mt, rep, ((1, (j,)), (-1, ())))
-              .grid_transpose()
-              for j in range(1, mt.rank + 1)]
-    out = PolyMatrix.zero(k, 0)
-    for b in blocks:
-        out = out.hstack(b)
-    return out
+    chain = tuple((0, coeff, word) for coeff, word in combo)
+    return _chain_matrix(mt, rep, (chain,), 1).grid_transpose()
 
 
 def fox_alexander_matrix(mt: MappingTorusPresentation,
@@ -799,25 +822,8 @@ def fox_alexander_matrix(mt: MappingTorusPresentation,
     one block column per generator; presents the degree-1 twisted module of
     the presentation complex with respect to row-vector coefficients."""
     rep.validate(mt)
-    k = rep.dimension
-    if k == 0 or not mt.relators:
-        return PolyMatrix.zero(k * len(mt.relators), k * mt.rank)
-    grid = [[group_ring_image(mt, rep, fox_derivative(r, j))
-             for j in range(1, mt.rank + 1)]
-            for r in mt.relators]
-    return PolyMatrix.from_blocks(grid)
-
-
-def _boundary_two(mt: MappingTorusPresentation,
-                  rep: FiniteRepresentation) -> PolyMatrix:
-    """Degree-2 boundary: full transpose of the free-derivative block matrix."""
-    k = rep.dimension
-    if k == 0 or not mt.relators:
-        return PolyMatrix.zero(k * mt.rank, k * len(mt.relators))
-    grid = [[group_ring_image(mt, rep, fox_derivative(r, j))
-             for j in range(1, mt.rank + 1)]
-            for r in mt.relators]
-    return PolyMatrix.from_blocks(grid).grid_transpose()
+    _, two = _presentation_chains(mt.rank, mt.relators)
+    return _chain_matrix(mt, rep, two, mt.rank).grid_transpose()
 
 
 def twisted_alexander(mt: MappingTorusPresentation, rep: FiniteRepresentation,
@@ -834,10 +840,12 @@ def twisted_alexander(mt: MappingTorusPresentation, rep: FiniteRepresentation,
     rep.validate(mt)
     if rep.dimension == 0:
         return LaurentPolynomial.one()
-    if n == 0:
-        return homology_order(_boundary_one(mt, rep), None)
-    if n == 1:
-        return homology_order(_boundary_two(mt, rep), _boundary_one(mt, rep))
+    if n < 2:
+        one, two = _presentation_chains(mt.rank, mt.relators)
+        d1 = _chain_matrix(mt, rep, one, 1)
+        if n == 0:
+            return homology_order(d1, None)
+        return homology_order(_chain_matrix(mt, rep, two, mt.rank), d1)
     from .cellular import mapping_torus_boundaries
     _, d2, d3 = mapping_torus_boundaries(mt, rep)
     if n == 2:

@@ -66,7 +66,7 @@ class Mat2:
             rows = [[int(x) for x in part.split(",")] for part in row_parts]
             if any(len(r) != 2 for r in rows):
                 raise ValueError
-        except ValueError:
+        except (ValueError, AttributeError):
             raise ValueError(f"matrix must look like 'a,b;c,d', got {text!r}") from None
         return Mat2.from_rows(rows)
 

@@ -259,6 +259,20 @@ class TestExitCodes:
         assert f"missing key {drop[-1]!r}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_non_string_torus_matrix_is_an_input_error(self, tmp_path):
+        data = json.loads((FIXTURES / "torus_A211.json").read_text())
+        data["body"]["matrix"] = 5
+        path = tmp_path / "torus_A211.json"
+        path.write_text(json.dumps(data))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "procong", "zeta",
+                               str(path)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 2
+        assert "matrix" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["torus"])

@@ -13,6 +13,7 @@ from procong.kernel import (
     LaurentPolynomial,
     PolyMatrix,
     RationalFunction,
+    cyclotomic_polynomial,
     exp_series,
     homology_order,
     integer_kernel_basis,
@@ -76,6 +77,36 @@ class TestCyclotomic:
         z = Cyclotomic.root(5)
         x = 2 * z + 3 * z ** 2 - Fraction(1, 2)
         assert (x * x.inverse()).demote() == 1
+
+    @pytest.mark.parametrize("n, coeffs", [
+        (1, (-1, 1)),
+        (2, (1, 1)),
+        (12, (1, 0, -1, 0, 1)),
+        (60, (1, 0, 1, 0, 0, 0, -1, 0, -1, 0, -1, 0, 0, 0, 1, 0, 1)),
+        # the first cyclotomic polynomial with a coefficient -2
+        (105, (1, 1, 1, 0, 0, -1, -1, -2, -1, -1, 0, 0, 1, 1, 1, 1, 1, 1, 0,
+               0, -1, 0, -1, 0, -1, 0, -1, 0, -1, 0, 0, 1, 1, 1, 1, 1, 1, 0,
+               0, -1, -1, -2, -1, -1, 0, 0, 1, 1, 1)),
+    ])
+    def test_cyclotomic_polynomial_is_pinned(self, n, coeffs):
+        phi = cyclotomic_polynomial(n)
+        assert phi == coeffs
+        assert all(type(c) is int for c in phi)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_inverse_of_seeded_elements(self, n):
+        rng = random.Random(n)
+        deg = len(cyclotomic_polynomial(n)) - 1
+        elements = [Cyclotomic.from_rational(n, Fraction(-3, 7)),
+                    Cyclotomic.from_rational(n, 5)]
+        for _ in range(4):
+            elements.append(Cyclotomic(n, [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                for _ in range(deg)]))
+        for x in elements:
+            if x.is_zero():
+                continue
+            assert x * x.inverse() == 1
 
     def test_rational_demotion(self):
         z = Cyclotomic.root(4)
