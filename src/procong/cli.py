@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -466,18 +467,27 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _print_warning(message, category, filename, lineno, file=None,
+                   line=None):
+    """Library warnings reach stderr as one `warning:` line, without the
+    source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-        status, report = dispatch(config)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AssertionError, ArithmeticError) as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            config = config_from_args(args)
+            status, report = dispatch(config)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (AssertionError, ArithmeticError) as exc:
+            print(f"internal check failed: {exc}", file=sys.stderr)
+            return 1
     if report:
         print(report)
     return status

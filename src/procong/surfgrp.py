@@ -105,14 +105,15 @@ def fox_derivative(word: Iterable[int], index: int) -> Tuple[Tuple[int, Word], .
     """
     if index <= 0:
         raise ValueError("generator index must be positive")
+    # Every prefix of a reduced word is reduced, so each term word is a
+    # slice of the reduced word.
+    w = free_reduce(word)
     terms: List[Tuple[int, Word]] = []
-    prefix: Word = ()
-    for letter in free_reduce(word):
+    for position, letter in enumerate(w):
         if letter == index:
-            terms.append((1, prefix))
+            terms.append((1, w[:position]))
         elif letter == -index:
-            terms.append((-1, free_reduce(prefix + (letter,))))
-        prefix = prefix + (letter,)
+            terms.append((-1, w[:position + 1]))
     return tuple(terms)
 
 
@@ -698,8 +699,16 @@ class FiniteRepresentation:
             acc = _mat_mul(acc, self.matrix(letter))
         return acc
 
+    @cached_property
+    def _certified(self) -> set:
+        """Presentations this representation has passed `validate` for."""
+        return set()
+
     def validate(self, mt: MappingTorusPresentation) -> "FiniteRepresentation":
-        """Check arity, invertibility, relator kills, and finite closure."""
+        """Check arity, invertibility, relator kills, and finite closure;
+        each presentation is certified once per representation."""
+        if mt in self._certified:
+            return self
         if len(self.matrices) != mt.rank:
             raise ValueError("need exactly one matrix per generator")
         ident = _mat_identity(self.dimension)
@@ -724,6 +733,7 @@ class FiniteRepresentation:
                         seen.add(p)
                         fresh.append(p)
             frontier = fresh
+        self._certified.add(mt)
         return self
 
     def conjugate(self, change_of_basis) -> "FiniteRepresentation":
@@ -742,6 +752,8 @@ class FiniteRepresentation:
             self.order_cap)
 
     def restricted(self, indices: Sequence[int]) -> "FiniteRepresentation":
+        if list(indices) == list(range(1, len(self.matrices) + 1)):
+            return self
         return FiniteRepresentation(
             self.dimension,
             tuple(self.matrices[i - 1] for i in indices),
@@ -795,10 +807,28 @@ def _chain_matrix(mt: MappingTorusPresentation, rep: FiniteRepresentation,
     stored transposed for the row-vector convention."""
     k = rep.dimension
     grid = [[{} for _ in range(k * len(chains))] for _ in range(k * n_targets)]
+    # Prefix table of this call: node 0 is the empty word and
+    # children[(node, letter)] the node of that prefix followed by letter.
+    # Each node holds the image and the degree of its prefix, so a word
+    # costs one matrix product per prefix not seen before in the call.
+    images = [_mat_identity(k)]
+    degrees = [0]
+    children = {}
+    values = mt.fiber_values
     for source, chain in enumerate(chains):
         for target, coeff, word in chain:
-            mat = rep.evaluate_word(word)
-            exp = mt.degree(word) - strip_degree
+            node = 0
+            for letter in word:
+                child = children.get((node, letter))
+                if child is None:
+                    child = children[node, letter] = len(images)
+                    images.append(_mat_mul(images[node], rep.matrix(letter)))
+                    step = values[abs(letter) - 1]
+                    degrees.append(degrees[node]
+                                   + (step if letter > 0 else -step))
+                node = child
+            mat = images[node]
+            exp = degrees[node] - strip_degree
             for i, row in enumerate(mat):
                 for j, value in enumerate(row):
                     entry = grid[target * k + j][source * k + i]

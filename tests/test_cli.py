@@ -273,6 +273,25 @@ class TestExitCodes:
         assert "matrix" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("source", ["pure_twist.json",
+                                        "separating_twist.json"])
+    def test_library_warning_is_one_plain_stderr_line(self, source):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "procong", "nt",
+                               "analyze", fixture(source)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0
+        with pytest.warns(UserWarning, match="deviation is defined"):
+            _, report = dispatch(config_from_args(
+                build_parser().parse_args(["nt", "analyze", fixture(source)])))
+        assert proc.stdout == report + "\n"
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "warning: deviation is defined to be zero ")
+        assert "cli.py" not in proc.stderr and "/" not in proc.stderr
+
     def test_missing_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["torus"])

@@ -2,7 +2,8 @@
 
 `golden_fibered_reports.json` holds the stdout of ``alexander``, ``torsion``,
 ``zeta`` and ``lefschetz`` on two small fixtures under five rank-1
-representations (text mode), plus the JSON mode under ``zeta:4``.  Any change
+representations (text mode), plus the JSON mode under ``zeta:4``, and two
+reports on the long-word bundle ``torus_pair_a.json``.  Any change
 to how the twisted matrices, determinants or series are computed must keep
 these reports identical.  To regenerate (only when a report is meant to
 change, and say why): ``PYTHONPATH=src python tests/test_fibered_golden.py``.
@@ -24,6 +25,9 @@ GOLDEN = HERE / "golden_fibered_reports.json"
 SUBCOMMANDS = ("alexander", "torsion", "zeta", "lefschetz")
 SOURCES = ("torus_A211.json", "genus2_finite_order.json")
 REPS = ("trivial", "sign", "zeta:4", "zeta:6:5", "zeta:12")
+# relators of 444 and 587 letters: chain assembly on long words
+PAIR_KEYS = ("alexander torus_pair_a.json --rep trivial",
+             "lefschetz torus_pair_a.json --rep zeta:4")
 
 
 def invocations():
@@ -34,7 +38,7 @@ def invocations():
             for rep in REPS:
                 keys.append(f"{sub} {source} --rep {rep}")
             keys.append(f"{sub} {source} --rep zeta:4 --json")
-    return keys
+    return keys + list(PAIR_KEYS)
 
 
 def report(key):

@@ -14,6 +14,7 @@ from procong.kernel import (
     RationalFunction,
     normalize_unit_class,
 )
+from procong import surfgrp
 from procong.surfgrp import (
     FiniteRepresentation,
     GeneratorEndomorphism,
@@ -30,6 +31,8 @@ from procong.surfgrp import (
     twisted_torsion,
     word_concat,
     word_inverse,
+    _chain_matrix,
+    _fox_chain,
 )
 from procong.torus import Mat2
 
@@ -177,6 +180,35 @@ class TestWordCalculus:
         reduced = free_reduce(w)
         expected = {} if reduced == () else {reduced: 1, (): -1}
         assert acc == expected
+
+    @staticmethod
+    def textbook_derivative(word, g):
+        """d(u x)/dg = du/dg + u dx/dg with dg/dg = 1 and d(g^-1)/dg = -g^-1,
+        expanded letter by letter; term words are freely reduced."""
+        terms = []
+        prefix = ()
+        for letter in word:
+            if letter == g:
+                terms.append((1, free_reduce(prefix)))
+            elif letter == -g:
+                terms.append((-1, free_reduce(prefix + (letter,))))
+            prefix = prefix + (letter,)
+        return tuple(terms)
+
+    def test_derivative_is_pinned_to_the_textbook_recurrence(self):
+        rng = random.Random(1953)
+        letters = [x for x in range(-4, 5) if x != 0]
+        for _ in range(200):
+            raw = tuple(rng.choice(letters) for _ in range(rng.randrange(40)))
+            reduced = free_reduce(raw)
+            for g in (1, 2, 3, 4):
+                terms = fox_derivative(reduced, g)
+                assert terms == self.textbook_derivative(reduced, g)
+                assert fox_derivative(raw, g) == terms
+                assert (combo_dict(terms)
+                        == combo_dict(self.textbook_derivative(raw, g)))
+                for _, u in terms:
+                    assert reduced[:len(u)] == u
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +580,101 @@ class TestFoxMatrices:
         empty = FiniteRepresentation(0, ((), (), ()))
         fox = fox_alexander_matrix(mt, empty)
         assert fox.rows == 0 and fox.cols == 0
+
+
+def naive_chain_matrix(mt, rep, chains, n_targets, strip_degree=0):
+    """Reference assembly: every term's word evaluated from the identity."""
+    k = rep.dimension
+    grid = [[{} for _ in range(k * len(chains))] for _ in range(k * n_targets)]
+    for source, chain in enumerate(chains):
+        for target, coeff, word in chain:
+            mat = rep.evaluate_word(word)
+            exp = mt.degree(word) - strip_degree
+            for i, row in enumerate(mat):
+                for j, value in enumerate(row):
+                    entry = grid[target * k + j][source * k + i]
+                    entry[exp] = entry.get(exp, 0) + coeff * value
+    return PolyMatrix(k * n_targets, k * len(chains),
+                      [[LaurentPolynomial(e) for e in row] for row in grid])
+
+
+def affine_mod2_rep():
+    """Degree-4 permutation representation of the Anosov bundle's group:
+    a and b translate (Z/2)^2 by e1 and e2, t acts by [[2,1],[1,1]] mod 2."""
+    points = [(x, y) for x in range(2) for y in range(2)]
+
+    def perm(f):
+        rows = [[0] * 4 for _ in points]
+        for i, p in enumerate(points):
+            rows[points.index(f(p))][i] = 1
+        return rows
+
+    return FiniteRepresentation(4, (
+        perm(lambda p: ((p[0] + 1) % 2, p[1])),
+        perm(lambda p: (p[0], (p[1] + 1) % 2)),
+        perm(lambda p: ((2 * p[0] + p[1]) % 2, (p[0] + p[1]) % 2))))
+
+
+def random_chains(rng, n_chains, n_targets):
+    """Chains mixing prefixes of one long word, unrelated words, the empty
+    word and inverse letters (words over the 3 letters of the bundle)."""
+    letters = [-3, -2, -1, 1, 2, 3]
+    spine = tuple(rng.choice(letters) for _ in range(30))
+    chains = []
+    for _ in range(n_chains):
+        chain = []
+        for _ in range(rng.randrange(8)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                word = spine[:rng.randrange(len(spine) + 1)]
+            elif kind == 1:
+                word = tuple(rng.choice(letters)
+                             for _ in range(rng.randrange(12)))
+            else:
+                word = ()
+            chain.append((rng.randrange(n_targets), rng.choice([-2, -1, 1, 3]),
+                          word))
+        chains.append(tuple(chain))
+    return tuple(chains)
+
+
+class TestChainAssembly:
+    @pytest.mark.parametrize("rep", [
+        FiniteRepresentation(1, (((Cyclotomic.root(12, 1),),),
+                                 ((Cyclotomic.root(12, 5),),),
+                                 ((Cyclotomic.root(12, 2),),))),
+        affine_mod2_rep(),
+    ], ids=["cyclotomic", "affine4"])
+    def test_prefix_table_matches_naive_assembly(self, rep):
+        mt = anosov_bundle()
+        rng = random.Random(1994)
+        for _ in range(10):
+            n_targets = rng.randrange(1, 4)
+            chains = random_chains(rng, rng.randrange(1, 4), n_targets)
+            for strip in (0, 1):
+                fast = _chain_matrix(mt, rep, chains, n_targets, strip)
+                slow = naive_chain_matrix(mt, rep, chains, n_targets, strip)
+                assert (fast.rows, fast.cols) == (slow.rows, slow.cols)
+                assert fast.entries == slow.entries
+                assert repr(fast) == repr(slow)
+
+    def test_fox_chain_costs_at_most_one_product_per_letter(self,
+                                                            monkeypatch):
+        mt = anosov_bundle()
+        rep = affine_mod2_rep()
+        rng = random.Random(587)
+        relator = free_reduce(rng.choice([-3, -2, -1, 1, 2, 3])
+                              for _ in range(300))
+        calls = []
+        product = surfgrp._mat_mul
+
+        def counting(a, b):
+            calls.append(1)
+            return product(a, b)
+
+        monkeypatch.setattr(surfgrp, "_mat_mul", counting)
+        _chain_matrix(mt, rep, (_fox_chain(relator, 3),), 3)
+        assert 0 < len(calls) <= len(relator)
 
 
 class TestTwistedAlexander:
