@@ -6,7 +6,10 @@ decorated with group words read in an ambient fibered presentation (module
 degree 1 under the distinguished degree class.  Applying a finite matrix
 representation entrywise turns the decorated data into exact matrices; the
 twisted zeta function and the cellular torsion expression are determinant
-ratios of those matrices.
+ratios of those matrices.  The flow matrices and the zeta function are kept
+in the twisted complex of the presentation under the representation (module
+`surfgrp`), with the orders Delta_0..Delta_3 and the three-dimensional model
+(`mapping_torus_boundaries`, re-exported here), so each is built once.
 
 Matrix conventions: decorated maps are realized on row-vector coefficient
 blocks, so every assembled matrix here stores transposed k-blocks; the
@@ -28,19 +31,30 @@ from .kernel import (
     log_coefficients,
     normalize_unit_class,
 )
-from .surfgrp import (
+from .surfgrp import (  # noqa: F401  (mapping_torus_boundaries: re-exported)
     Chain,
     FiniteRepresentation,
+    GeneratorEndomorphism,
     MappingTorusPresentation,
     _chain_matrix,
     _fox_chain,
+    _json_int,
+    _json_word,
     _mat_identity,
     _mat_mul,
+    _per_complex,
     _presentation_chains,
     free_reduce,
     mapping_torus,
+    mapping_torus_boundaries,
     twisted_alexander,
 )
+
+
+def _json_chain(chain, field: str) -> Chain:
+    """A decorated chain read from a fixture, every number an integer."""
+    return tuple((_json_int(t, field), _json_int(c, field), _json_word(w, field))
+                 for t, c, w in chain)
 
 
 def _freeze_chain(chain, n_targets: int, n_letters: int) -> Chain:
@@ -117,9 +131,9 @@ class CellularSurface:
         names = tuple(tuple(n) for n in data["cells"])
         return cls(
             mt, names,
-            tuple(tuple((t, c, tuple(w)) for t, c, w in chain)
+            tuple(_json_chain(chain, "boundary_one")
                   for chain in data["boundary_one"]),
-            tuple(tuple((t, c, tuple(w)) for t, c, w in chain)
+            tuple(_json_chain(chain, "boundary_two")
                   for chain in data["boundary_two"]))
 
 
@@ -158,8 +172,7 @@ class CellularSelfMap:
     @classmethod
     def from_json(cls, surface: CellularSurface, data) -> "CellularSelfMap":
         return cls(surface, tuple(
-            tuple(tuple((t, c, tuple(w)) for t, c, w in chain)
-                  for chain in dim)
+            tuple(_json_chain(chain, "flow images") for chain in dim)
             for dim in data["images"]))
 
 
@@ -235,29 +248,14 @@ def flow_boundary_matrices(surface: CellularSurface, flow: CellularSelfMap,
     stripped: the returned matrices are constant.  Raises ValueError when the
     flow chains fail to commute with the decorated boundaries.
     """
-    if flow.surface != surface:
-        raise ValueError("flow map does not live on the given surface")
-    mt = surface.presentation
-    rep.validate(mt)
-    r0, r1, r2 = surface.cell_counts
+    return _flow(surface.presentation, rep, surface, flow)[0]
 
-    d1 = _chain_matrix(mt, rep, surface.boundary_one, r0)
-    d2 = _chain_matrix(mt, rep, surface.boundary_two, r1)
-    if d1.cols and d2.cols and not (d1 @ d2).is_zero():
-        raise ValueError("decorated boundaries do not compose to zero")
 
-    f_mats = [_chain_matrix(mt, rep, flow.images[n], (r0, r1, r2)[n],
-                            strip_degree=1)
-              for n in range(3)]
-    # chain-map condition, with the degree-1 twist restored on both sides
-    t_unit = LaurentPolynomial.t_power(1)
-    if (d1 @ f_mats[1].scale(t_unit)) != (f_mats[0].scale(t_unit) @ d1):
-        raise ValueError("flow chains do not commute with the boundary "
-                         "in degree 1")
-    if (d2 @ f_mats[2].scale(t_unit)) != (f_mats[1].scale(t_unit) @ d2):
-        raise ValueError("flow chains do not commute with the boundary "
-                         "in degree 2")
-    return tuple(f_mats)
+def zeta_from_cellular(surface: CellularSurface, flow: CellularSelfMap,
+                       rep: FiniteRepresentation) -> RationalFunction:
+    """Twisted zeta function det(1 - t F_1) / (det(1 - t F_0) det(1 - t F_2))
+    of the flow-return map; always has constant term exactly 1."""
+    return _flow(surface.presentation, rep, surface, flow)[1]
 
 
 def _det_one_minus_t(mat: PolyMatrix) -> LaurentPolynomial:
@@ -266,18 +264,38 @@ def _det_one_minus_t(mat: PolyMatrix) -> LaurentPolynomial:
     return shifted.determinant()
 
 
-def zeta_from_cellular(surface: CellularSurface, flow: CellularSelfMap,
-                       rep: FiniteRepresentation) -> RationalFunction:
-    """Twisted zeta function det(1 - t F_1) / (det(1 - t F_0) det(1 - t F_2))
-    of the flow-return map; always has constant term exactly 1."""
-    f0, f1, f2 = flow_boundary_matrices(surface, flow, rep)
+@_per_complex
+def _flow(mt: MappingTorusPresentation, rep: FiniteRepresentation,
+          surface: CellularSurface, flow: CellularSelfMap):
+    """The flow matrices of `flow_boundary_matrices` and the zeta function
+    of `zeta_from_cellular`."""
+    if flow.surface != surface:
+        raise ValueError("flow map does not live on the given surface")
+    r0, r1, r2 = surface.cell_counts
+
+    d1 = _chain_matrix(mt, rep, surface.boundary_one, r0)
+    d2 = _chain_matrix(mt, rep, surface.boundary_two, r1)
+    if d1.cols and d2.cols and not (d1 @ d2).is_zero():
+        raise ValueError("decorated boundaries do not compose to zero")
+
+    f0, f1, f2 = [_chain_matrix(mt, rep, flow.images[n], (r0, r1, r2)[n],
+                                strip_degree=1)
+                  for n in range(3)]
+    # chain-map condition, with the degree-1 twist restored on both sides
+    t_unit = LaurentPolynomial.t_power(1)
+    if (d1 @ f1.scale(t_unit)) != (f0.scale(t_unit) @ d1):
+        raise ValueError("flow chains do not commute with the boundary "
+                         "in degree 1")
+    if (d2 @ f2.scale(t_unit)) != (f1.scale(t_unit) @ d2):
+        raise ValueError("flow chains do not commute with the boundary "
+                         "in degree 2")
     numerator = _det_one_minus_t(f1)
     denominator = _det_one_minus_t(f0) * _det_one_minus_t(f2)
     zeta = RationalFunction(numerator, denominator)
     series0 = zeta.series(1)[0]
     if series0 != 1:
         raise AssertionError("zeta lost its constant term 1")
-    return zeta
+    return (f0, f1, f2), zeta
 
 
 @dataclass(frozen=True)
@@ -316,11 +334,7 @@ def lefschetz_numbers(surface: CellularSurface, flow: CellularSelfMap,
                       rep: FiniteRepresentation, upto: int):
     """Exact twisted Lefschetz numbers L_1..L_upto, read off from the
     logarithmic derivative of the zeta function."""
-    return lefschetz_from_zeta(zeta_from_cellular(surface, flow, rep), upto)
-
-
-def lefschetz_from_zeta(zeta: RationalFunction, upto: int):
-    """L_1..L_upto from the logarithmic derivative of a zeta function."""
+    zeta = zeta_from_cellular(surface, flow, rep)
     if upto < 1:
         raise ValueError("need at least one Lefschetz number")
     return log_coefficients(zeta.series(upto + 1), upto)
@@ -340,7 +354,10 @@ def cellular_model(mt: MappingTorusPresentation
     canonical = mapping_torus(mt.fiber, mt.monodromy)
     fiber = canonical.fiber
     t = canonical.stable_index
-    psi = canonical.monodromy.inverse()
+    if canonical.monodromy.inverse_images is None:
+        raise ValueError("no inverse witness attached to this endomorphism")
+    # the inverse monodromy; its witness was checked with the monodromy
+    psi = GeneratorEndomorphism(fiber, canonical.monodromy.inverse_images)
 
     names0 = ("p",)
     names1 = fiber.generators
@@ -354,50 +371,9 @@ def cellular_model(mt: MappingTorusPresentation
     images0 = (((0, 1, (t,)),),)
     images1 = tuple(_fox_chain(image, fiber.rank, lift=lambda u: (t,) + u)
                     for image in psi.images)
-    images2 = []
-    for index, r in enumerate(fiber.relators):
+    images2 = ()
+    if fiber.relators:
         sign, conj = psi.relator_conjugacy()
-        images2.append(((index, sign, free_reduce((t,) + conj)),))
-    flow = CellularSelfMap(surface, (images0, images1, tuple(images2)))
+        images2 = (((0, sign, free_reduce((t,) + conj)),),)
+    flow = CellularSelfMap(surface, (images0, images1, images2))
     return surface, flow
-
-
-# ---------------------------------------------------------------------------
-# the three-dimensional chain model behind degrees 2 and 3
-# ---------------------------------------------------------------------------
-
-def mapping_torus_boundaries(mt: MappingTorusPresentation,
-                             rep: FiniteRepresentation):
-    """Boundary matrices (d1, d2, d3) of the three-dimensional cellular chain
-    model of the fibered space over F[t^{+-1}], in the row-vector block
-    convention.  d1 and d2 are the presentation-complex boundaries; d3 is the
-    boundary of the flow cell of the fiber 2-cell.
-    """
-    canonical = mapping_torus(mt.fiber, mt.monodromy)
-    fiber = canonical.fiber
-    indices = list(range(1, fiber.rank + 1)) + [mt.stable_index]
-    sub = rep.restricted(indices)
-    sub.validate(canonical)
-
-    one, two = _presentation_chains(canonical.rank, canonical.relators)
-    d1 = _chain_matrix(canonical, sub, one, 1)
-    d2 = _chain_matrix(canonical, sub, two, canonical.rank)
-    chains = ()
-    if fiber.boundary_count == 0 and fiber.relators:
-        t = canonical.stable_index
-        phi = canonical.monodromy
-        sign, conj = phi.relator_conjugacy()
-        # The 3-cell is glued along the free identity
-        #     t r t^-1 = C * (conj r^sign conj^-1)
-        # where C collects one flow relator per letter of r.  The fiber
-        # 2-cell therefore receives sign*conj - t, and pushing t through
-        # the letters of r leaves the monodromy image of each Fox
-        # derivative on the flow cell of the matching generator.
-        chains = (((0, sign, conj), (0, -1, (t,)))
-                  + _fox_chain(fiber.relators[0], fiber.rank, 1, phi.apply),)
-    d3 = _chain_matrix(canonical, sub, chains, len(canonical.relators))
-    if d2.cols and d3.cols and not (d2 @ d3).is_zero():
-        raise AssertionError("three-dimensional chain model lost d.d = 0")
-    if d1.cols and d2.cols and not (d1 @ d2).is_zero():
-        raise AssertionError("presentation complex lost d.d = 0")
-    return d1, d2, d3

@@ -21,9 +21,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .cellular import (cellular_model, lefschetz_from_zeta,
-                       lefschetz_numbers, torsion_from_cellular,
-                       zeta_from_cellular)
+from .cellular import (cellular_model, lefschetz_numbers,
+                       torsion_from_cellular, zeta_from_cellular)
 from .chars import (all_class_indicators, builtin_group, nielsen_bound,
                     twisted_L_from_orbits)
 from .kernel import Cyclotomic, render_scalar
@@ -230,7 +229,8 @@ def _handle_zeta(config: RunConfig):
     rep = _resolve_rep(mt, config.rep)
     terms = config.terms if config.terms is not None else 5
     zeta = zeta_from_cellular(surface, flow, rep)
-    rendered = [render_scalar(v) for v in lefschetz_from_zeta(zeta, terms)]
+    rendered = [render_scalar(v)
+                for v in lefschetz_numbers(surface, flow, rep, terms)]
     lines = [f"rep: {config.rep}",
              f"zeta = {zeta.pretty()}",
              f"L_1..L_{terms} = " + ", ".join(rendered)]

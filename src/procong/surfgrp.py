@@ -16,13 +16,20 @@ reduced.  The central objects are:
 * :func:`twisted_alexander` / :func:`twisted_torsion` -- module orders of the
   twisted chain complex in degrees 0..3 via free differential calculus, and
   the alternating-product torsion class built from them.
+
+Every fibered invariant is read from one twisted complex per (presentation,
+representation), which the representation keeps once it has certified the
+presentation: the presentation-complex boundaries, the three-dimensional
+model (:func:`mapping_torus_boundaries`), the orders Delta_0..Delta_3 and,
+for module `cellular`, each flow map's matrices and zeta function are built
+once, on first use.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .kernel import (
@@ -117,6 +124,19 @@ def fox_derivative(word: Iterable[int], index: int) -> Tuple[Tuple[int, Word], .
     return tuple(terms)
 
 
+def _json_int(value, field: str) -> int:
+    """An integer read from a fixture: floats, booleans and strings are
+    rejected, not truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _json_word(letters, field: str) -> Word:
+    """A freely reduced word read from a fixture, every letter an integer."""
+    return free_reduce(_json_int(letter, field) for letter in letters)
+
+
 def _check_indices(word: Iterable[int], n_generators: int) -> Word:
     w = free_reduce(word)
     for letter in w:
@@ -200,9 +220,10 @@ class SurfacePresentation:
 
     @classmethod
     def from_json(cls, data) -> "SurfacePresentation":
-        return cls(int(data["genus"]), int(data["boundary_count"]),
+        return cls(_json_int(data["genus"], "genus"),
+                   _json_int(data["boundary_count"], "boundary_count"),
                    tuple(data["generators"]),
-                   tuple(free_reduce(r) for r in data["relators"]))
+                   tuple(_json_word(r, "relators") for r in data["relators"]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +275,22 @@ class GeneratorEndomorphism:
         central flip, and (for determinant -1) the generator swap; the
         corresponding generator substitutions are composed in the same order.
         """
-        pres = SurfacePresentation.closed(1)
         det = matrix.det()
         if det not in (1, -1):
             raise ValueError("monodromy matrix must have determinant +1 or -1")
         target = matrix
-        ops: List[Tuple] = []
         tail: List[Tuple] = []
         if det == -1:
             target = matrix @ Mat2(0, 1, 1, 0)
             tail = [("W",)]
-        ops = _sl2_elementary_word(target) + tail
-        endo = cls.identity(pres)
-        for op in ops:
-            endo = endo.compose(_elementary_endo(pres, op))
+        # Composed as in `compose`, on plain words: the witness is checked
+        # once, on the product.
+        images = inverse = ((1,), (2,))
+        for op in _sl2_elementary_word(target) + tail:
+            step, step_inverse = _elementary_images(op)
+            images = tuple(_substitute(images, w) for w in step)
+            inverse = tuple(_substitute(step_inverse, w) for w in inverse)
+        endo = cls(SurfacePresentation.closed(1), images, inverse)
         if endo.abelianization() != ((matrix.a, matrix.b), (matrix.c, matrix.d)):
             raise AssertionError("elementary decomposition lost the matrix")
         return endo.validate()
@@ -361,9 +384,9 @@ class GeneratorEndomorphism:
     @classmethod
     def from_json(cls, pres: SurfacePresentation, data) -> "GeneratorEndomorphism":
         inverse = data.get("inverse_images")
-        return cls(pres, tuple(free_reduce(w) for w in data["images"]),
+        return cls(pres, tuple(_json_word(w, "images") for w in data["images"]),
                    None if inverse is None
-                   else tuple(free_reduce(w) for w in inverse))
+                   else tuple(_json_word(w, "inverse_images") for w in inverse))
 
 
 def _substitute(images: Sequence[Word], word: Iterable[int]) -> Word:
@@ -378,7 +401,8 @@ def _power_word(index: int, q: int) -> Word:
     return (index,) * q if q >= 0 else (-index,) * (-q)
 
 
-def _elementary_endo(pres: SurfacePresentation, op: Tuple) -> GeneratorEndomorphism:
+def _elementary_images(op: Tuple) -> Tuple[Tuple[Word, ...], Tuple[Word, ...]]:
+    """Generator images and inverse images of one elementary torus move."""
     kind = op[0]
     if kind == "S":                       # quarter turn: a -> b, b -> a^-1
         images = ((2,), (-1,))
@@ -397,7 +421,7 @@ def _elementary_endo(pres: SurfacePresentation, op: Tuple) -> GeneratorEndomorph
         inverse = ((1,) + _power_word(2, -op[1]), (2,))
     else:  # pragma: no cover - internal alphabet
         raise AssertionError(f"unknown elementary operation {op!r}")
-    return GeneratorEndomorphism(pres, images, inverse)
+    return images, inverse
 
 
 _S_INVERSE = Mat2(0, 1, -1, 0)
@@ -544,11 +568,12 @@ class MappingTorusPresentation:
         monodromy = GeneratorEndomorphism.from_json(fiber, data["monodromy"])
         return cls(
             generators=tuple(data["generators"]),
-            relators=tuple(free_reduce(r) for r in data["relators"]),
-            fiber_values=tuple(int(v) for v in data["fiber_values"]),
+            relators=tuple(_json_word(r, "relators") for r in data["relators"]),
+            fiber_values=tuple(_json_int(v, "fiber_values")
+                               for v in data["fiber_values"]),
             fiber=fiber,
             monodromy=monodromy,
-            stable_index=int(data["stable_index"]),
+            stable_index=_json_int(data["stable_index"], "stable_index"),
         )
 
 
@@ -700,14 +725,15 @@ class FiniteRepresentation:
         return acc
 
     @cached_property
-    def _certified(self) -> set:
-        """Presentations this representation has passed `validate` for."""
-        return set()
+    def _complexes(self) -> dict:
+        """The parts built so far of the twisted complex of each presentation
+        this representation has passed `validate` for (see `_per_complex`)."""
+        return {}
 
     def validate(self, mt: MappingTorusPresentation) -> "FiniteRepresentation":
         """Check arity, invertibility, relator kills, and finite closure;
         each presentation is certified once per representation."""
-        if mt in self._certified:
+        if mt in self._complexes:
             return self
         if len(self.matrices) != mt.rank:
             raise ValueError("need exactly one matrix per generator")
@@ -733,7 +759,7 @@ class FiniteRepresentation:
                         seen.add(p)
                         fresh.append(p)
             frontier = fresh
-        self._certified.add(mt)
+        self._complexes[mt] = {}
         return self
 
     def conjugate(self, change_of_basis) -> "FiniteRepresentation":
@@ -770,10 +796,10 @@ class FiniteRepresentation:
     @classmethod
     def from_json(cls, data) -> "FiniteRepresentation":
         return cls(
-            int(data["dimension"]),
+            _json_int(data["dimension"], "dimension"),
             tuple(tuple(tuple(parse_scalar(e) for e in row) for row in m)
                   for m in data["matrices"]),
-            int(data.get("order_cap", DEFAULT_ORDER_CAP)))
+            _json_int(data.get("order_cap", DEFAULT_ORDER_CAP), "order_cap"))
 
 
 # ---------------------------------------------------------------------------
@@ -846,37 +872,85 @@ def group_ring_image(mt: MappingTorusPresentation, rep: FiniteRepresentation,
     return _chain_matrix(mt, rep, (chain,), 1).grid_transpose()
 
 
+def _per_complex(build):
+    """Make build(mt, rep, ...) a reader of the twisted complex of mt
+    under rep, which rep keeps (see `FiniteRepresentation.validate`): each
+    part is built once, on first use."""
+    @wraps(build)
+    def reader(mt, rep, *args, **kwargs):
+        parts = rep.validate(mt)._complexes[mt]
+        key = (build, args, tuple(kwargs.items()))
+        if key not in parts:
+            parts[key] = build(mt, rep, *args, **kwargs)
+        return parts[key]
+    return reader
+
+
+@_per_complex
+def _presentation_boundaries(mt: MappingTorusPresentation,
+                             rep: FiniteRepresentation):
+    """(d1, d2) of the presentation complex of mt."""
+    one, two = _presentation_chains(mt.rank, mt.relators)
+    return _chain_matrix(mt, rep, one, 1), _chain_matrix(mt, rep, two, mt.rank)
+
+
 def fox_alexander_matrix(mt: MappingTorusPresentation,
                          rep: FiniteRepresentation) -> PolyMatrix:
     """Block matrix of free-derivative images, one block row per relator and
     one block column per generator; presents the degree-1 twisted module of
     the presentation complex with respect to row-vector coefficients."""
-    rep.validate(mt)
-    _, two = _presentation_chains(mt.rank, mt.relators)
-    return _chain_matrix(mt, rep, two, mt.rank).grid_transpose()
+    return _presentation_boundaries(mt, rep)[1].grid_transpose()
 
 
+@_per_complex
+def mapping_torus_boundaries(mt: MappingTorusPresentation,
+                             rep: FiniteRepresentation):
+    """Boundary matrices (d1, d2, d3) of the three-dimensional cellular chain
+    model of the fibered space over F[t^{+-1}], in the row-vector block
+    convention.  d1 and d2 are the presentation-complex boundaries of the
+    canonical presentation; d3 is the boundary of the flow cell of the fiber
+    2-cell.
+    """
+    canonical = mapping_torus(mt.fiber, mt.monodromy)
+    fiber = canonical.fiber
+    sub = rep.restricted(list(range(1, fiber.rank + 1)) + [mt.stable_index])
+    d1, d2 = _presentation_boundaries(canonical, sub)
+    chains = ()
+    if fiber.boundary_count == 0 and fiber.relators:
+        t = canonical.stable_index
+        phi = canonical.monodromy
+        sign, conj = phi.relator_conjugacy()
+        # The 3-cell is glued along the free identity
+        #     t r t^-1 = C * (conj r^sign conj^-1)
+        # where C collects one flow relator per letter of r.  The fiber
+        # 2-cell therefore receives sign*conj - t, and pushing t through
+        # the letters of r leaves the monodromy image of each Fox
+        # derivative on the flow cell of the matching generator.
+        chains = (((0, sign, conj), (0, -1, (t,)))
+                  + _fox_chain(fiber.relators[0], fiber.rank, 1, phi.apply),)
+    d3 = _chain_matrix(canonical, sub, chains, len(canonical.relators))
+    if d2.cols and d3.cols and not (d2 @ d3).is_zero():
+        raise AssertionError("three-dimensional chain model lost d.d = 0")
+    if d1.cols and d2.cols and not (d1 @ d2).is_zero():
+        raise AssertionError("presentation complex lost d.d = 0")
+    return d1, d2, d3
+
+
+@_per_complex
 def twisted_alexander(mt: MappingTorusPresentation, rep: FiniteRepresentation,
                       n: int) -> LaurentPolynomial:
     """Order of the degree-n twisted homology module, n in 0..3.
 
-    Degrees 0 and 1 come from the presentation complex; degrees 2 and 3 from
-    the three-dimensional cellular model of the fibered space (see module
-    `cellular`).  Returns 0 exactly when the module has positive rank,
-    otherwise a monic-normal representative.
+    Degrees 0 and 1 come from the presentation complex of mt; degrees 2 and
+    3 from the three-dimensional model of the fibered space (see
+    `mapping_torus_boundaries`).  Returns 0 exactly when the module has
+    positive rank, otherwise a monic-normal representative.
     """
     if n not in (0, 1, 2, 3):
         raise ValueError(f"unsupported degree {n}: expected 0, 1, 2, or 3")
-    rep.validate(mt)
-    if rep.dimension == 0:
-        return LaurentPolynomial.one()
     if n < 2:
-        one, two = _presentation_chains(mt.rank, mt.relators)
-        d1 = _chain_matrix(mt, rep, one, 1)
-        if n == 0:
-            return homology_order(d1, None)
-        return homology_order(_chain_matrix(mt, rep, two, mt.rank), d1)
-    from .cellular import mapping_torus_boundaries
+        d1, d2 = _presentation_boundaries(mt, rep)
+        return homology_order(d1, None) if n == 0 else homology_order(d2, d1)
     _, d2, d3 = mapping_torus_boundaries(mt, rep)
     if n == 2:
         return homology_order(d3, d2)

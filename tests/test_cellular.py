@@ -2,9 +2,12 @@
 
 import dataclasses
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from procong import cli, kernel, surfgrp
 from procong.cellular import (
     CellularSelfMap,
     CellularSurface,
@@ -29,11 +32,14 @@ from procong.surfgrp import (
     GeneratorEndomorphism,
     SurfacePresentation,
     mapping_torus,
+    twisted_alexander,
     twisted_torsion,
     word_concat,
     word_inverse,
 )
 from procong.torus import Mat2
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def poly(*coeffs, valuation=0):
@@ -463,6 +469,61 @@ class TestLiftIndependence:
         moved_surface, moved_flow = change_lifts(surface, flow, lifts)
         assert (zeta_from_cellular(moved_surface, moved_flow, rep)
                 == zeta_from_cellular(surface, flow, rep))
+
+
+class TestComputedOnce:
+    """Every invariant of one (presentation, representation) is read from
+    one twisted complex: the orders, the three-dimensional model and the
+    flow matrices are each built once, however many readers ask."""
+
+    @staticmethod
+    def count(monkeypatch, original, keep=lambda *args, **kwargs: True):
+        """Record the calls of `original` through every procong module that
+        holds it."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            if keep(*args, **kwargs):
+                calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "procong" or name.startswith("procong."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    def test_every_reader_shares_one_complex(self, monkeypatch):
+        mt = anosov_bundle()
+        surface, flow = cellular_model(mt)
+        rep = mod2_permutation_rep(mt, Mat2(2, 1, 1, 1))
+        orders = self.count(monkeypatch, kernel.homology_order)
+        # the model rebuilds the canonical presentation once per build
+        models = self.count(monkeypatch, surfgrp.mapping_torus)
+        # one flow build assembles F0, F1 and F2
+        flow_blocks = self.count(
+            monkeypatch, surfgrp._chain_matrix,
+            keep=lambda *args, **kwargs: kwargs.get("strip_degree") == 1)
+        deltas = [twisted_alexander(mt, rep, n) for n in range(4)]
+        torsion = twisted_torsion(mt, rep)
+        cellular = torsion_from_cellular(surface, flow, rep)
+        zeta = zeta_from_cellular(surface, flow, rep)
+        lefschetz = lefschetz_numbers(surface, flow, rep, 5)
+        assert (len(orders), len(models), len(flow_blocks)) == (4, 1, 3)
+        monkeypatch.undo()
+        fresh = mod2_permutation_rep(mt, Mat2(2, 1, 1, 1))
+        assert deltas == [twisted_alexander(mt, fresh, n) for n in range(4)]
+        assert torsion == cellular.homological == twisted_torsion(mt, fresh)
+        assert zeta == zeta_from_cellular(surface, flow, fresh)
+        assert lefschetz == lefschetz_numbers(surface, flow, fresh, 5)
+
+    def test_torsion_subcommand_computes_each_order_once(self, monkeypatch):
+        orders = self.count(monkeypatch, kernel.homology_order)
+        status, report = cli.dispatch(cli.RunConfig(
+            "torsion", (str(FIXTURES / "torus_A211.json"),)))
+        assert status == 0 and "alexander route agrees: yes" in report
+        assert len(orders) == 4
 
 
 class TestTorsionFromCellular:

@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 from procong import cli
+from procong.cellular import cellular_model
 from procong.cli import RunConfig, config_from_args, build_parser, dispatch, main
+from procong.serialize import KIND_CELLULAR, wrap
+from procong.surfgrp import MappingTorusPresentation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -271,6 +274,51 @@ class TestExitCodes:
                               timeout=60)
         assert proc.returncode == 2
         assert "matrix" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    # (path into the fixture, value, field named in the error); each value
+    # truncates to the valid one it replaces
+    NON_INTEGERS = [
+        (("body", "monodromy", "images", 0, 0), 3.7, "images"),
+        (("body", "monodromy", "images", 2, 0), True, "images"),
+        (("body", "monodromy", "inverse_images", 0, 0), 3.7,
+         "inverse_images"),
+        (("body", "monodromy", "inverse_images", 2, 0), True,
+         "inverse_images"),
+        (("body", "stable_index"), 5.9, "stable_index"),
+        (("body", "fiber", "genus"), 2.5, "genus"),
+        (("body", "fiber", "boundary_count"), 0.0, "boundary_count"),
+        (("body", "fiber_values", 4), 1.4, "fiber_values"),
+        (("body", "relators", 1, 0), 5.5, "relators"),
+        (("body", "surface", "boundary_two", 0, 0, 1), 1.5, "boundary_two"),
+        (("body", "surface", "boundary_one", 0, 0, 0), False, "boundary_one"),
+        (("body", "flow", "images", 1, 0, 0, 2, 0), 5.2, "flow images"),
+    ]
+
+    @pytest.mark.parametrize("path, value, field", NON_INTEGERS,
+                             ids=[f"{c[2]}={c[1]!r}" for c in NON_INTEGERS])
+    def test_non_integer_fixture_field_is_an_input_error(self, tmp_path,
+                                                         path, value, field):
+        data = json.loads((FIXTURES / "genus2_finite_order.json").read_text())
+        if path[1] in ("surface", "flow"):
+            mt = MappingTorusPresentation.from_json(data["body"])
+            surface, flow = cellular_model(mt)
+            data = wrap(KIND_CELLULAR, {"surface": surface.to_json(),
+                                        "flow": flow.to_json()})
+        owner = data
+        for step in path[:-1]:
+            owner = owner[step]
+        assert owner[path[-1]] == int(value)
+        owner[path[-1]] = value
+        fixture_path = tmp_path / "fixture.json"
+        fixture_path.write_text(json.dumps(data))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "procong", "alexander",
+                               str(fixture_path)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 2
+        assert f"{field} must be an integer, got {value!r}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("source", ["pure_twist.json",

@@ -2,8 +2,11 @@
 
 `golden_fibered_reports.json` holds the stdout of ``alexander``, ``torsion``,
 ``zeta`` and ``lefschetz`` on two small fixtures under five rank-1
-representations (text mode), plus the JSON mode under ``zeta:4``, and two
-reports on the long-word bundle ``torus_pair_a.json``.  Any change
+representations (text mode), plus the JSON mode under ``zeta:4``, two
+reports on the long-word bundle ``torus_pair_a.json``, and the fibered
+subcommands under ``trivial`` and ``zeta:4`` on fixtures written at test time
+whose presentation is not the canonical mapping torus of its monodromy (see
+`write_generated`).  Any change
 to how the twisted matrices, determinants or series are computed must keep
 these reports identical.  To regenerate (only when a report is meant to
 change, and say why): ``PYTHONPATH=src python tests/test_fibered_golden.py``.
@@ -12,11 +15,18 @@ change, and say why): ``PYTHONPATH=src python tests/test_fibered_golden.py``.
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from procong.cellular import cellular_model
 from procong.cli import main
+from procong.serialize import (KIND_CELLULAR, KIND_MAPPING_TORUS,
+                               load_fixture, save_fixture)
+from procong.surfgrp import (GeneratorEndomorphism, SurfacePresentation,
+                             mapping_torus)
+from test_cellular import change_lifts
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE.parent / "fixtures"
@@ -28,6 +38,39 @@ REPS = ("trivial", "sign", "zeta:4", "zeta:6:5", "zeta:12")
 # relators of 444 and 587 letters: chain assembly on long words
 PAIR_KEYS = ("alexander torus_pair_a.json --rep trivial",
              "lefschetz torus_pair_a.json --rep zeta:4")
+# Written by `write_generated`: Delta_0/Delta_1 are read from a presentation
+# that differs from the canonical one behind Delta_2/Delta_3 and the flow.
+# The cellular route takes a representation of the canonical presentation,
+# so `zeta`, `lefschetz` and `torsion` exit 2 on a fixture with an added
+# generator; `extended_A211.json` is run under `alexander` only.
+GENERATED = {"moved_A211.json": SUBCOMMANDS,
+             "extended_A211.json": ("alexander",),
+             "lifted_genus2.json": SUBCOMMANDS}
+GENERATED_REPS = ("trivial", "zeta:4")
+
+
+def write_generated(directory):
+    """Write the GENERATED fixtures into `directory`.
+
+    `moved_A211.json` presents the torus_A211 bundle after a relator cycle,
+    an inversion and a conjugation; `extended_A211.json` adds a redundant
+    fourth generator to it.  `lifted_genus2.json` is the cellular model of
+    genus2_finite_order with every cell lift re-chosen."""
+    directory = Path(directory)
+    phi = GeneratorEndomorphism.torus_monodromy(
+        load_fixture(FIXTURES / "torus_A211.json").payload)
+    mt = mapping_torus(SurfacePresentation.closed(1), phi)
+    moved = (mt.cycle_relator(0, 1).invert_relator(1)
+             .conjugate_relator(2, (3, 1)))
+    save_fixture(directory / "moved_A211.json", KIND_MAPPING_TORUS,
+                 moved.to_json())
+    save_fixture(directory / "extended_A211.json", KIND_MAPPING_TORUS,
+                 moved.add_generator("x", (1, 3, -2)).to_json())
+    genus2 = load_fixture(FIXTURES / "genus2_finite_order.json").payload
+    lifts = (((1,),), ((2,), (), (3, -4), (1,)), ((4, 3, -4),))
+    surface, flow = change_lifts(*cellular_model(genus2), lifts)
+    save_fixture(directory / "lifted_genus2.json", KIND_CELLULAR,
+                 {"surface": surface.to_json(), "flow": flow.to_json()})
 
 
 def invocations():
@@ -38,21 +81,33 @@ def invocations():
             for rep in REPS:
                 keys.append(f"{sub} {source} --rep {rep}")
             keys.append(f"{sub} {source} --rep zeta:4 --json")
+        for source, subcommands in GENERATED.items():
+            if sub in subcommands:
+                keys += [f"{sub} {source} --rep {rep}"
+                         for rep in GENERATED_REPS]
     return keys + list(PAIR_KEYS)
 
 
-def report(key):
+def report(key, generated_dir):
     sub, source, *rest = key.split()
+    root = Path(generated_dir) if source in GENERATED else FIXTURES
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        status = main([sub, str(FIXTURES / source), *rest])
+        status = main([sub, str(root / source), *rest])
     return status, out.getvalue()
 
 
+@pytest.fixture(scope="module")
+def generated_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("generated")
+    write_generated(directory)
+    return directory
+
+
 @pytest.mark.parametrize("key", invocations())
-def test_report_is_byte_identical(key):
+def test_report_is_byte_identical(key, generated_dir):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    status, out = report(key)
+    status, out = report(key, generated_dir)
     assert status == 0
     assert out == golden[key]
 
@@ -64,10 +119,12 @@ def test_golden_file_covers_every_invocation():
 
 if __name__ == "__main__":
     reports = {}
-    for key in invocations():
-        status, out = report(key)
-        if status != 0:
-            raise SystemExit(f"{key}: exit status {status}")
-        reports[key] = out
+    with tempfile.TemporaryDirectory() as scratch:
+        write_generated(scratch)
+        for key in invocations():
+            status, out = report(key, scratch)
+            if status != 0:
+                raise SystemExit(f"{key}: exit status {status}")
+            reports[key] = out
     GOLDEN.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")

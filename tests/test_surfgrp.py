@@ -354,6 +354,30 @@ class TestGeneratorEndomorphism:
             assert (endo.inverse().abelianization()
                     == ((inverse.a, inverse.b), (inverse.c, inverse.d)))
 
+    def test_torus_monodromy_checks_the_witness_once(self, monkeypatch):
+        checked = []
+        original = GeneratorEndomorphism.__post_init__
+
+        def counted(self):
+            if self.inverse_images is not None:
+                checked.append(self)
+            original(self)
+
+        monkeypatch.setattr(GeneratorEndomorphism, "__post_init__", counted)
+        for m in (Mat2(188, 275, 121, 177), Mat2(1, 1, 1, 0)):
+            checked.clear()
+            endo = GeneratorEndomorphism.torus_monodromy(m)
+            assert checked == [endo]
+        monkeypatch.undo()
+        # the fold equals the composition of the elementary moves
+        m = Mat2(188, 275, 121, 177)
+        reference = GeneratorEndomorphism.identity(TORUS)
+        for op in surfgrp._sl2_elementary_word(m):
+            images, inverse = surfgrp._elementary_images(op)
+            reference = reference.compose(
+                GeneratorEndomorphism(TORUS, images, inverse))
+        assert GeneratorEndomorphism.torus_monodromy(m) == reference
+
     def test_torus_monodromy_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
             GeneratorEndomorphism.torus_monodromy(Mat2(2, 0, 0, 1))
@@ -547,6 +571,16 @@ class TestFiniteRepresentation:
                 ((1, 0), (0, 1))),
             order_cap=123)
         assert FiniteRepresentation.from_json(rep.to_json()) == rep
+
+    @pytest.mark.parametrize("field, value", [("dimension", 2.0),
+                                              ("dimension", True),
+                                              ("order_cap", 123.5)])
+    def test_json_rejects_non_integers(self, field, value):
+        data = FiniteRepresentation(
+            2, (((1, 0), (0, 1)),) * 3, order_cap=123).to_json()
+        data[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FiniteRepresentation.from_json(data)
 
 
 # ---------------------------------------------------------------------------
