@@ -51,23 +51,18 @@ from .surfgrp import (  # noqa: F401  (mapping_torus_boundaries: re-exported)
 )
 
 
-def _json_chain(chain, field: str) -> Chain:
-    """A decorated chain read from a fixture, every number an integer."""
-    return tuple((_json_int(t, field), _json_int(c, field), _json_word(w, field))
-                 for t, c, w in chain)
-
-
-def _freeze_chain(chain, n_targets: int, n_letters: int) -> Chain:
+def _freeze_chain(chain, n_targets: int, n_letters: int, field: str) -> Chain:
+    """A decorated chain with integer targets, coefficients and letters (else
+    ValueError naming `field`), each word freely reduced, all in range."""
     out = []
     for target, coeff, word in chain:
-        target = int(target)
-        coeff = int(coeff)
+        target, coeff = _json_int(target, field), _json_int(coeff, field)
         if not 0 <= target < n_targets:
             raise ValueError(f"chain target {target} out of range")
-        w = free_reduce(word)
-        for letter in w:
-            if abs(letter) > n_letters:
-                raise ValueError(f"decoration letter {letter} out of range")
+        w = _json_word(word, field)
+        if w and max(map(abs, w)) > n_letters:
+            raise ValueError(
+                f"decoration letter {max(w, key=abs)} out of range")
         out.append((target, coeff, w))
     return tuple(out)
 
@@ -97,10 +92,12 @@ class CellularSurface:
         letters = self.presentation.rank
         object.__setattr__(
             self, "boundary_one",
-            tuple(_freeze_chain(c, r0, letters) for c in self.boundary_one))
+            tuple(_freeze_chain(c, r0, letters, "boundary_one")
+                  for c in self.boundary_one))
         object.__setattr__(
             self, "boundary_two",
-            tuple(_freeze_chain(c, r1, letters) for c in self.boundary_two))
+            tuple(_freeze_chain(c, r1, letters, "boundary_two")
+                  for c in self.boundary_two))
         for chain in self.boundary_one + self.boundary_two:
             for _, _, word in chain:
                 if self.presentation.degree(word) != 0:
@@ -129,12 +126,7 @@ class CellularSurface:
     def from_json(cls, data) -> "CellularSurface":
         mt = MappingTorusPresentation.from_json(data["presentation"])
         names = tuple(tuple(n) for n in data["cells"])
-        return cls(
-            mt, names,
-            tuple(_json_chain(chain, "boundary_one")
-                  for chain in data["boundary_one"]),
-            tuple(_json_chain(chain, "boundary_two")
-                  for chain in data["boundary_two"]))
+        return cls(mt, names, data["boundary_one"], data["boundary_two"])
 
 
 @dataclass(frozen=True)
@@ -155,8 +147,9 @@ class CellularSelfMap:
         for n in range(3):
             if len(self.images[n]) != counts[n]:
                 raise ValueError("need one image chain per cell")
-            frozen.append(tuple(_freeze_chain(c, counts[n], letters)
-                                for c in self.images[n]))
+            frozen.append(tuple(
+                _freeze_chain(c, counts[n], letters, "flow images")
+                for c in self.images[n]))
         object.__setattr__(self, "images", tuple(frozen))
         for dim_images in self.images:
             for chain in dim_images:
@@ -171,9 +164,7 @@ class CellularSelfMap:
 
     @classmethod
     def from_json(cls, surface: CellularSurface, data) -> "CellularSelfMap":
-        return cls(surface, tuple(
-            tuple(_json_chain(chain, "flow images") for chain in dim)
-            for dim in data["images"]))
+        return cls(surface, data["images"])
 
 
 @dataclass(frozen=True)

@@ -312,6 +312,8 @@ def render_scalar(value) -> str:
 
 def parse_scalar(text: str):
     """Parse the coefficient-string grammar: "p/q" rationals or "cyc(n):[...]"."""
+    if not isinstance(text, str):
+        raise ValueError(f"scalar must be a string, got {text!r}")
     text = text.strip()
     if text.startswith("cyc("):
         head, _, body = text.partition(":")

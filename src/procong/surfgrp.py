@@ -46,7 +46,7 @@ from .kernel import (
     scalar_is_zero,
     smith_integer,
 )
-from .torus import Mat2
+from .torus import Mat2, rl_runs
 
 Word = Tuple[int, ...]
 # A decorated chain: (target cell index, integer coefficient, group word).
@@ -132,9 +132,11 @@ def _json_int(value, field: str) -> int:
     return value
 
 
-def _json_word(letters, field: str) -> Word:
+def _json_word(letters: Sequence[int], field: str) -> Word:
     """A freely reduced word read from a fixture, every letter an integer."""
-    return free_reduce(_json_int(letter, field) for letter in letters)
+    if not set(map(type, letters)) <= {int}:
+        _json_int(next(x for x in letters if type(x) is not int), field)
+    return free_reduce(letters)
 
 
 def _check_indices(word: Iterable[int], n_generators: int) -> Word:
@@ -271,28 +273,29 @@ class GeneratorEndomorphism:
     def torus_monodromy(cls, matrix: Mat2) -> "GeneratorEndomorphism":
         """Genus-1 monodromy realizing an integer matrix of determinant +-1.
 
-        The matrix is split into elementary shears, the quarter-turn, the
-        central flip, and (for determinant -1) the generator swap; the
-        corresponding generator substitutions are composed in the same order.
+        The determinant-1 part is factored into R/L runs by `torus.rl_runs`;
+        the substitutions of the runs, the central flip for sign -1 and the
+        generator swap for determinant -1 are composed in that order.
         """
         det = matrix.det()
         if det not in (1, -1):
             raise ValueError("monodromy matrix must have determinant +1 or -1")
-        target = matrix
-        tail: List[Tuple] = []
+        sign, moves = rl_runs(matrix if det == 1 else matrix @ Mat2(0, 1, 1, 0))
+        if sign == -1:
+            moves.append(("N", 1))
         if det == -1:
-            target = matrix @ Mat2(0, 1, 1, 0)
-            tail = [("W",)]
+            moves.append(("W", 1))
         # Composed as in `compose`, on plain words: the witness is checked
         # once, on the product.
         images = inverse = ((1,), (2,))
-        for op in _sl2_elementary_word(target) + tail:
-            step, step_inverse = _elementary_images(op)
-            images = tuple(_substitute(images, w) for w in step)
-            inverse = tuple(_substitute(step_inverse, w) for w in inverse)
+        for letter, k in moves:
+            images = tuple(_substitute(images, w)
+                           for w in _torus_move(letter, k))
+            inverse = tuple(_substitute(_torus_move(letter, -k), w)
+                            for w in inverse)
         endo = cls(SurfacePresentation.closed(1), images, inverse)
         if endo.abelianization() != ((matrix.a, matrix.b), (matrix.c, matrix.d)):
-            raise AssertionError("elementary decomposition lost the matrix")
+            raise AssertionError("R/L factorization lost the matrix")
         return endo.validate()
 
     def apply(self, word: Iterable[int]) -> Word:
@@ -383,6 +386,8 @@ class GeneratorEndomorphism:
 
     @classmethod
     def from_json(cls, pres: SurfacePresentation, data) -> "GeneratorEndomorphism":
+        if not isinstance(data, dict):
+            raise ValueError(f"monodromy must be an object, got {data!r}")
         inverse = data.get("inverse_images")
         return cls(pres, tuple(_json_word(w, "images") for w in data["images"]),
                    None if inverse is None
@@ -401,58 +406,14 @@ def _power_word(index: int, q: int) -> Word:
     return (index,) * q if q >= 0 else (-index,) * (-q)
 
 
-def _elementary_images(op: Tuple) -> Tuple[Tuple[Word, ...], Tuple[Word, ...]]:
-    """Generator images and inverse images of one elementary torus move."""
-    kind = op[0]
-    if kind == "S":                       # quarter turn: a -> b, b -> a^-1
-        images = ((2,), (-1,))
-        inverse = ((-2,), (1,))
-    elif kind == "N":                     # central flip: invert both
-        images = ((-1,), (-2,))
-        inverse = images
-    elif kind == "W":                     # swap (determinant -1)
-        images = ((2,), (1,))
-        inverse = images
-    elif kind == "R":                     # b -> a^q b
-        images = ((1,), _power_word(1, op[1]) + (2,))
-        inverse = ((1,), _power_word(1, -op[1]) + (2,))
-    elif kind == "L":                     # a -> a b^q
-        images = ((1,) + _power_word(2, op[1]), (2,))
-        inverse = ((1,) + _power_word(2, -op[1]), (2,))
-    else:  # pragma: no cover - internal alphabet
-        raise AssertionError(f"unknown elementary operation {op!r}")
-    return images, inverse
-
-
-_S_INVERSE = Mat2(0, 1, -1, 0)
-
-
-def _sl2_elementary_word(matrix: Mat2) -> List[Tuple]:
-    """Factor a determinant +1 matrix into S / L^q / R^q / -I letters."""
-    if matrix.det() != 1:
-        raise ValueError("elementary factorization needs determinant +1")
-    cur = matrix
-    ops: List[Tuple] = []
-    for _ in range(4096):
-        if cur.c == 0:
-            break
-        if cur.a == 0 or cur.c // cur.a == 0:
-            ops.append(("S",))
-            cur = _S_INVERSE @ cur
-        else:
-            q = cur.c // cur.a
-            ops.append(("L", q))
-            cur = Mat2(1, 0, -q, 1) @ cur
-    else:  # pragma: no cover - Euclidean descent always terminates
-        raise AssertionError("elementary factorization did not terminate")
-    if cur.a == -1:
-        ops.append(("N",))
-        cur = -cur
-    if not (cur.a == 1 and cur.d == 1 and cur.c == 0):
-        raise AssertionError("factorization left a non-shear remainder")
-    if cur.b != 0:
-        ops.append(("R", cur.b))
-    return ops
+def _torus_move(letter: str, k: int) -> Tuple[Word, ...]:
+    """Generator images of one genus-1 move: R^k, L^k, the central flip N or
+    the swap W; the move (letter, -k) is its inverse."""
+    if letter == "R":                     # b -> a^k b
+        return ((1,), _power_word(1, k) + (2,))
+    if letter == "L":                     # a -> a b^k
+        return ((1,) + _power_word(2, k), (2,))
+    return ((-1,), (-2,)) if letter == "N" else ((2,), (1,))
 
 
 # ---------------------------------------------------------------------------

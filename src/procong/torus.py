@@ -328,33 +328,49 @@ def _cf_reduce_nonnegative(m: Mat2):
     raise AssertionError("continued fraction reduction did not terminate")
 
 
-def rl_word(m: Mat2):
-    """Greedy R/L run peeling of a nonnegative determinant-1 matrix.
+def rl_runs(m: Mat2):
+    """Factor a determinant-1 matrix as sign * R^k1 L^k2 R^k3 ...
 
-    Returns the letter string as a list of "R"/"L"; the empty list for the
-    identity.  Raises if the matrix is not a word in R = [[1,1],[0,1]] and
+    Euclid on the first column (a, c): R^k is peeled off the left while
+    |a| > |c| and L^k otherwise, until c = 0 leaves sign * R^(sign*b).
+    Returns (sign, runs), runs a list of ("R" | "L", k) with k nonzero and
+    alternating letters.  On a nonnegative matrix every k is positive, so the
+    runs spell its word in the free monoid SL(2,N) on R = [[1,1],[0,1]] and
     L = [[1,0],[1,1]].
     """
     a, b, c, d = m.entries()
-    if min(a, b, c, d) < 0 or a * d - b * c != 1:
-        raise ValueError("R/L words require a nonnegative determinant-1 matrix")
-    out = []
-    while (a, b, c, d) != (1, 0, 0, 1):
-        if a >= c and b >= d:
-            k = b // d if c == 0 else min(a // c, b // d)
-            if k < 1:
-                raise AssertionError("run peeling stalled")
+    if a * d - b * c != 1:
+        raise ValueError("R/L runs need a determinant-1 matrix")
+    runs = []
+    if a == 0:                      # then c = +-1, and R^c m has a = 1
+        runs.append(("R", -c))
+        a, b = 1, b + c * d
+    while c:
+        flip = (a < 0) != (c < 0)
+        if abs(a) > abs(c):         # |a - k c| lands in [1, |c|]
+            k = (abs(a) - 1) // abs(c)
+            k = -k if flip else k
             a, b = a - k * c, b - k * d
-            out.extend("R" * k)
-        elif c >= a and d >= b:
-            k = c // a if b == 0 else min(c // a, d // b)
-            if k < 1:
-                raise AssertionError("run peeling stalled")
+            runs.append(("R", k))
+        else:                       # |c - k a| lands in [0, |a|)
+            k = abs(c) // abs(a)
+            k = -k if flip else k
             c, d = c - k * a, d - k * b
-            out.extend("L" * k)
-        else:
-            raise AssertionError("nonnegative matrix escaped the R/L monoid")
-    return out
+            runs.append(("L", k))
+    if b:                           # a = d = sign
+        runs.append(("R", a * b))
+    return a, runs
+
+
+def rl_word(m: Mat2):
+    """The R/L word of a nonnegative determinant-1 matrix, as a list of
+    "R"/"L" letters; the empty list for the identity."""
+    if not m.nonnegative() or m.det() != 1:
+        raise ValueError("R/L words require a nonnegative determinant-1 matrix")
+    sign, runs = rl_runs(m)
+    if sign != 1 or any(k < 1 for _, k in runs):
+        raise AssertionError("nonnegative matrix escaped the R/L monoid")
+    return [letter for letter, k in runs for _ in range(k)]
 
 
 def _word_matrix(letters) -> Mat2:

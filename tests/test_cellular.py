@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -243,6 +244,23 @@ class TestDecorationValidation:
         with pytest.raises(ValueError, match="letter"):
             CellularSurface(mt, (("p",), ("a",), ()),
                             (((0, 1, (9,)),),), ())
+
+    @pytest.mark.parametrize("decoration, value", [((0.9, 1, (1,)), 0.9),
+                                                   ((0, 1.0, (1,)), 1.0),
+                                                   ((0, True, (1,)), True),
+                                                   ((0, 1, (1.5,)), 1.5)])
+    def test_chain_numbers_must_be_integers(self, decoration, value):
+        # int() would truncate each of these to the valid decoration
+        mt = anosov_bundle()
+        with pytest.raises(ValueError, match=re.escape(
+                f"boundary_one must be an integer, got {value!r}")):
+            CellularSurface(mt, (("p",), ("a",), ()),
+                            ((decoration, (0, -1, ())),), ())
+        surface, flow = cellular_model(mt)
+        bad_images = ((((0, 1, (3, 0.9)),),),) + flow.images[1:]
+        with pytest.raises(ValueError,
+                           match="flow images must be an integer, got 0.9"):
+            CellularSelfMap(surface, bad_images)
 
     def test_boundary_decorations_must_have_degree_zero(self):
         mt = anosov_bundle()

@@ -276,6 +276,16 @@ class TestExitCodes:
         assert "matrix" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_non_object_monodromy_is_an_input_error(self, tmp_path, capsys):
+        data = json.loads((FIXTURES / "genus2_finite_order.json").read_text())
+        data["body"]["monodromy"] = []
+        path = tmp_path / "genus2_finite_order.json"
+        path.write_text(json.dumps(data))
+        status, out, err = run(capsys, "alexander", str(path))
+        assert status == 2
+        assert out == ""
+        assert err == "error: monodromy must be an object, got []\n"
+
     # (path into the fixture, value, field named in the error); each value
     # truncates to the valid one it replaces
     NON_INTEGERS = [

@@ -112,6 +112,15 @@ def test_report_is_byte_identical(key, generated_dir):
     assert out == golden[key]
 
 
+def test_pair_b_prints_the_pair_a_report(generated_dir):
+    # A and B have equal trace, so every rank-1 invariant agrees
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    status, out = report("alexander torus_pair_b.json --rep trivial",
+                         generated_dir)
+    assert status == 0
+    assert out == golden["alexander torus_pair_a.json --rep trivial"]
+
+
 def test_golden_file_covers_every_invocation():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(invocations())

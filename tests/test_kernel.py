@@ -132,6 +132,11 @@ class TestCyclotomic:
             value = parse_scalar(text)
             assert parse_scalar(render_scalar(value)) == value
 
+    @pytest.mark.parametrize("value", [3, 1.5, None, ["1"]])
+    def test_non_string_scalar_is_a_value_error(self, value):
+        with pytest.raises(ValueError, match="scalar must be a string"):
+            parse_scalar(value)
+
 
 # ---------------------------------------------------------------------------
 # Laurent polynomial ring

@@ -1,7 +1,9 @@
 """Tests for surface presentations, monodromies, and twisted invariants."""
 
 import dataclasses
+import itertools
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -34,7 +36,7 @@ from procong.surfgrp import (
     _chain_matrix,
     _fox_chain,
 )
-from procong.torus import Mat2
+from procong.torus import Mat2, rl_runs
 
 
 def poly(*coeffs, valuation=0):
@@ -369,14 +371,41 @@ class TestGeneratorEndomorphism:
             endo = GeneratorEndomorphism.torus_monodromy(m)
             assert checked == [endo]
         monkeypatch.undo()
-        # the fold equals the composition of the elementary moves
+        # the fold equals the composition of the R/L run moves
         m = Mat2(188, 275, 121, 177)
+        sign, runs = rl_runs(m)
+        assert sign == 1
         reference = GeneratorEndomorphism.identity(TORUS)
-        for op in surfgrp._sl2_elementary_word(m):
-            images, inverse = surfgrp._elementary_images(op)
-            reference = reference.compose(
-                GeneratorEndomorphism(TORUS, images, inverse))
+        for letter, k in runs:
+            reference = reference.compose(GeneratorEndomorphism(
+                TORUS, surfgrp._torus_move(letter, k),
+                surfgrp._torus_move(letter, -k)))
         assert GeneratorEndomorphism.torus_monodromy(m) == reference
+
+    def test_torus_monodromy_builds_every_small_matrix(self):
+        count = 0
+        for a, b, c, d in itertools.product(range(-10, 11), repeat=4):
+            if a * d - b * c in (1, -1):
+                endo = GeneratorEndomorphism.torus_monodromy(Mat2(a, b, c, d))
+                assert endo.abelianization() == ((a, b), (c, d))
+                count += 1
+        assert count == 2024
+
+    def test_torus_monodromy_of_pair_b(self):
+        # positive runs never cancel: the images are as long as the column
+        # sums, 3213 + 188 = 3401 letters
+        def too_slow(*_):
+            raise TimeoutError("pair B monodromy took over 20 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 20)
+        try:
+            endo = GeneratorEndomorphism.torus_monodromy(
+                Mat2(188, 11, 3025, 177))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [len(w) for w in endo.images] == [3213, 188]
 
     def test_torus_monodromy_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
@@ -580,6 +609,12 @@ class TestFiniteRepresentation:
             2, (((1, 0), (0, 1)),) * 3, order_cap=123).to_json()
         data[field] = value
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FiniteRepresentation.from_json(data)
+
+    def test_json_rejects_non_string_entries(self):
+        data = FiniteRepresentation(1, (((1,),),) * 3).to_json()
+        data["matrices"][0][0][0] = 3
+        with pytest.raises(ValueError, match="scalar must be a string"):
             FiniteRepresentation.from_json(data)
 
 

@@ -16,6 +16,7 @@ from procong.torus import (
     congruence_sweep,
     congruent_conjugate_mod,
     hyperbolic_cyclic_word,
+    rl_runs,
     rl_word,
     sl2_conjugate,
 )
@@ -28,6 +29,14 @@ R = Mat2(1, 1, 0, 1)
 L = Mat2(1, 0, 1, 1)
 S = Mat2(0, -1, 1, 0)
 U6 = Mat2(1, -1, 1, 0)
+
+
+def runs_matrix(sign, runs):
+    """sign * R^k1 L^k2 ... from (letter, exponent) runs."""
+    m = Mat2.identity()
+    for letter, k in runs:
+        m = m @ (R if letter == "R" else L).power(k)
+    return m if sign == 1 else -m
 
 
 def word_matrix(exponents, sign=1):
@@ -113,6 +122,35 @@ class TestRLWords:
 
     def test_identity_is_empty(self):
         assert rl_word(Mat2.identity()) == []
+
+    def test_nonnegative_runs_are_positive_and_multiply_back(self):
+        count = 0
+        for a, b, c in product(range(31), repeat=3):
+            if a == 0 or (1 + b * c) % a or (1 + b * c) // a > 30:
+                continue
+            m = Mat2(a, b, c, (1 + b * c) // a)
+            sign, runs = rl_runs(m)
+            assert sign == 1 and all(k > 0 for _, k in runs)
+            assert runs_matrix(sign, runs) == m
+            count += 1
+        assert count == 1111
+
+    def test_signed_runs_multiply_back(self):
+        for a, b, c, d in product(range(-10, 11), repeat=4):
+            if a * d - b * c == 1:
+                m = Mat2(a, b, c, d)
+                sign, runs = rl_runs(m)
+                assert all(k != 0 for _, k in runs)
+                assert all(x[0] != y[0] for x, y in zip(runs, runs[1:]))
+                assert runs_matrix(sign, runs) == m
+
+    def test_pair_b_runs(self):
+        assert rl_runs(PAIR_B) == (1, [("L", 16), ("R", 11), ("L", 17)])
+        assert rl_word(PAIR_B) == ["L"] * 16 + ["R"] * 11 + ["L"] * 17
+
+    def test_runs_reject_determinant_minus_one(self):
+        with pytest.raises(ValueError):
+            rl_runs(Mat2(0, 1, 1, 0))
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
