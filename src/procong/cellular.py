@@ -39,31 +39,51 @@ from .surfgrp import (  # noqa: F401  (mapping_torus_boundaries: re-exported)
     _chain_matrix,
     _fox_chain,
     _json_int,
-    _json_word,
+    _json_letters,
     _mat_identity,
     _mat_mul,
     _per_complex,
     _presentation_chains,
-    free_reduce,
     mapping_torus,
     mapping_torus_boundaries,
     twisted_alexander,
 )
 
 
-def _freeze_chain(chain, n_targets: int, n_letters: int, field: str) -> Chain:
-    """A decorated chain with integer targets, coefficients and letters (else
-    ValueError naming `field`), each word freely reduced, all in range."""
+def _freeze_chain(chain, mt: MappingTorusPresentation, n_targets: int,
+                  degree: int, field: str) -> Chain:
+    """A decorated chain of paths [word, [[end, target, coeff], ...]] with
+    integer letters, ends, targets and coefficients (else ValueError naming
+    `field`), all in range, ends never decreasing along a path and every
+    term of degree `degree`: one pass per path, words kept as given."""
     out = []
-    for target, coeff, word in chain:
-        target, coeff = _json_int(target, field), _json_int(coeff, field)
-        if not 0 <= target < n_targets:
-            raise ValueError(f"chain target {target} out of range")
-        w = _json_word(word, field)
-        if w and max(map(abs, w)) > n_letters:
-            raise ValueError(
-                f"decoration letter {max(w, key=abs)} out of range")
-        out.append((target, coeff, w))
+    for path in chain:
+        if not (isinstance(path, (list, tuple)) and len(path) == 2
+                and all(isinstance(part, (list, tuple)) for part in path)):
+            raise ValueError(f"{field} path must be [word, [[end, target, "
+                             f"coeff], ...]], got {path!r}")
+        word = _json_letters(path[0], field)
+        if word and (0 in word or max(map(abs, word)) > mt.rank):
+            bad = next(x for x in word if not 0 < abs(x) <= mt.rank)
+            raise ValueError(f"decoration letter {bad} out of range")
+        terms, position, total = [], 0, 0
+        for term in path[1]:
+            if not (isinstance(term, (list, tuple)) and len(term) == 3):
+                raise ValueError(f"{field} term must be [end, target, coeff], "
+                                 f"got {term!r}")
+            end, target, coeff = (_json_int(x, field) for x in term)
+            if not position <= end <= len(word):
+                raise ValueError(f"{field} term end {end} must lie in "
+                                 f"{position}..{len(word)}")
+            if not 0 <= target < n_targets:
+                raise ValueError(f"chain target {target} out of range")
+            total += mt.degree(word[position:end])
+            position = end
+            if total != degree:
+                raise ValueError(
+                    f"{field} decorations must have degree {degree}")
+            terms.append((end, target, coeff))
+        out.append((word, tuple(terms)))
     return tuple(out)
 
 
@@ -89,19 +109,10 @@ class CellularSurface:
                 raise ValueError("cell names must be distinct per dimension")
         if len(self.boundary_one) != r1 or len(self.boundary_two) != r2:
             raise ValueError("need one boundary chain per positive-dim cell")
-        letters = self.presentation.rank
-        object.__setattr__(
-            self, "boundary_one",
-            tuple(_freeze_chain(c, r0, letters, "boundary_one")
-                  for c in self.boundary_one))
-        object.__setattr__(
-            self, "boundary_two",
-            tuple(_freeze_chain(c, r1, letters, "boundary_two")
-                  for c in self.boundary_two))
-        for chain in self.boundary_one + self.boundary_two:
-            for _, _, word in chain:
-                if self.presentation.degree(word) != 0:
-                    raise ValueError("boundary decorations must have degree 0")
+        for field, n_targets in (("boundary_one", r0), ("boundary_two", r1)):
+            object.__setattr__(self, field, tuple(
+                _freeze_chain(c, self.presentation, n_targets, 0, field)
+                for c in getattr(self, field)))
 
     @property
     def cell_counts(self) -> Tuple[int, int, int]:
@@ -115,10 +126,8 @@ class CellularSurface:
     def to_json(self):
         return {
             "cells": [list(names) for names in self.cell_names],
-            "boundary_one": [[[t, c, list(w)] for t, c, w in chain]
-                             for chain in self.boundary_one],
-            "boundary_two": [[[t, c, list(w)] for t, c, w in chain]
-                             for chain in self.boundary_two],
+            "boundary_one": self.boundary_one,
+            "boundary_two": self.boundary_two,
             "presentation": self.presentation.to_json(),
         }
 
@@ -142,25 +151,15 @@ class CellularSelfMap:
 
     def __post_init__(self):
         counts = self.surface.cell_counts
-        letters = self.surface.presentation.rank
-        frozen = []
-        for n in range(3):
-            if len(self.images[n]) != counts[n]:
-                raise ValueError("need one image chain per cell")
-            frozen.append(tuple(
-                _freeze_chain(c, counts[n], letters, "flow images")
-                for c in self.images[n]))
-        object.__setattr__(self, "images", tuple(frozen))
-        for dim_images in self.images:
-            for chain in dim_images:
-                for _, _, word in chain:
-                    if self.surface.presentation.degree(word) != 1:
-                        raise ValueError(
-                            "flow decorations must have degree 1")
+        if [len(dim) for dim in self.images] != list(counts):
+            raise ValueError("need one image chain per cell")
+        object.__setattr__(self, "images", tuple(
+            tuple(_freeze_chain(c, self.surface.presentation, n_targets, 1,
+                                "flow images") for c in dim)
+            for dim, n_targets in zip(self.images, counts)))
 
     def to_json(self):
-        return {"images": [[[[t, c, list(w)] for t, c, w in chain]
-                           for chain in dim] for dim in self.images]}
+        return {"images": self.images}
 
     @classmethod
     def from_json(cls, surface: CellularSurface, data) -> "CellularSelfMap":
@@ -176,12 +175,10 @@ class HomologyAction:
     h2: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "h0",
-                           tuple(tuple(int(e) for e in row) for row in self.h0))
-        object.__setattr__(self, "h1",
-                           tuple(tuple(int(e) for e in row) for row in self.h1))
-        object.__setattr__(self, "h2",
-                           tuple(tuple(int(e) for e in row) for row in self.h2))
+        for field in ("h0", "h1", "h2"):
+            object.__setattr__(self, field, tuple(
+                tuple(_json_int(e, field) for e in row)
+                for row in getattr(self, field)))
         if self.h0 != ((1,),):
             raise ValueError("degree-0 action must be [1]")
         if self.h2 not in (((1,),), ((-1,),)):
@@ -192,7 +189,8 @@ class HomologyAction:
 
     @classmethod
     def from_monodromy_matrix(cls, rows) -> "HomologyAction":
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(tuple(_json_int(e, "monodromy action") for e in row)
+                     for row in rows)
         det = _int_det(rows)
         if det not in (1, -1):
             raise ValueError("monodromy action must be unimodular")
@@ -359,12 +357,13 @@ def cellular_model(mt: MappingTorusPresentation
     surface = CellularSurface(canonical, (names0, names1, names2),
                               boundary_one, boundary_two)
 
-    images0 = (((0, 1, (t,)),),)
-    images1 = tuple(_fox_chain(image, fiber.rank, lift=lambda u: (t,) + u)
+    # t is not a fiber generator, so every Fox term keeps its t prefix
+    images0 = ((((t,), ((1, 0, 1),)),),)
+    images1 = tuple(_fox_chain((t,) + image, fiber.rank)
                     for image in psi.images)
     images2 = ()
     if fiber.relators:
         sign, conj = psi.relator_conjugacy()
-        images2 = (((0, sign, free_reduce((t,) + conj)),),)
+        images2 = ((((t,) + conj, ((1 + len(conj), 0, sign),)),),)
     flow = CellularSelfMap(surface, (images0, images1, images2))
     return surface, flow

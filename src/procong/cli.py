@@ -206,7 +206,10 @@ def _handle_alexander(config: RunConfig):
 def _handle_torsion(config: RunConfig):
     mt, surface, flow = _fibered_input(config)
     rep = _resolve_rep(mt, config.rep)
-    cellular = torsion_from_cellular(surface, flow, rep)
+    # rank-1, so also defined on the model's presentation (mt may have more)
+    cellular_rep = (rep if surface.presentation == mt
+                    else _resolve_rep(surface.presentation, config.rep))
+    cellular = torsion_from_cellular(surface, flow, cellular_rep)
     alexander_route = twisted_torsion(mt, rep)
     if cellular.homological != alexander_route:
         raise ArithmeticError(
@@ -225,8 +228,8 @@ def _handle_torsion(config: RunConfig):
 
 
 def _handle_zeta(config: RunConfig):
-    mt, surface, flow = _fibered_input(config)
-    rep = _resolve_rep(mt, config.rep)
+    _, surface, flow = _fibered_input(config)
+    rep = _resolve_rep(surface.presentation, config.rep)
     terms = config.terms if config.terms is not None else 5
     zeta = zeta_from_cellular(surface, flow, rep)
     rendered = [render_scalar(v)
@@ -240,8 +243,8 @@ def _handle_zeta(config: RunConfig):
 
 
 def _handle_lefschetz(config: RunConfig):
-    mt, surface, flow = _fibered_input(config)
-    rep = _resolve_rep(mt, config.rep)
+    _, surface, flow = _fibered_input(config)
+    rep = _resolve_rep(surface.presentation, config.rep)
     upto = config.upto if config.upto is not None else 10
     values = lefschetz_numbers(surface, flow, rep, upto)
     rendered = [render_scalar(v) for v in values]

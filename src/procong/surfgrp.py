@@ -49,8 +49,10 @@ from .kernel import (
 from .torus import Mat2, rl_runs
 
 Word = Tuple[int, ...]
-# A decorated chain: (target cell index, integer coefficient, group word).
-Chain = Tuple[Tuple[int, int, Word], ...]
+# A decorated chain is a tuple of paths (word, terms): a term (end, target,
+# coeff) puts coeff times word[:end] on the target cell.  Ends never
+# decrease, so one left-to-right walk of the word reads every term.
+Chain = Tuple[Tuple[Word, Tuple[Tuple[int, int, int], ...]], ...]
 
 DEFAULT_ORDER_CAP = 20000
 
@@ -63,7 +65,6 @@ def free_reduce(word: Iterable[int]) -> Word:
     """Freely reduce a word (cancel adjacent inverse pairs)."""
     out: List[int] = []
     for letter in word:
-        letter = int(letter)
         if letter == 0:
             raise ValueError("generator indices are signed and nonzero")
         if out and out[-1] == -letter:
@@ -114,37 +115,35 @@ def fox_derivative(word: Iterable[int], index: int) -> Tuple[Tuple[int, Word], .
         raise ValueError("generator index must be positive")
     # Every prefix of a reduced word is reduced, so each term word is a
     # slice of the reduced word.
-    w = free_reduce(word)
-    terms: List[Tuple[int, Word]] = []
-    for position, letter in enumerate(w):
-        if letter == index:
-            terms.append((1, w[:position]))
-        elif letter == -index:
-            terms.append((-1, w[:position + 1]))
-    return tuple(terms)
+    ((w, terms),) = _fox_chain(free_reduce(word), index)
+    return tuple((coeff, w[:end]) for end, target, coeff in terms
+                 if target == index - 1)
 
 
 def _json_int(value, field: str) -> int:
-    """An integer read from a fixture: floats, booleans and strings are
-    rejected, not truncated."""
+    """An integer, as read from a fixture or given to a constructor: floats,
+    booleans and strings are rejected, not truncated."""
     if type(value) is not int:
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return value
 
 
-def _json_word(letters: Sequence[int], field: str) -> Word:
-    """A freely reduced word read from a fixture, every letter an integer."""
+def _json_letters(letters: Iterable[int], field: str) -> Word:
+    """The letters of a word as a tuple, every one an integer (else
+    ValueError naming `field`); one type check for the whole word."""
+    letters = tuple(letters)
     if not set(map(type, letters)) <= {int}:
         _json_int(next(x for x in letters if type(x) is not int), field)
-    return free_reduce(letters)
+    return letters
 
 
-def _check_indices(word: Iterable[int], n_generators: int) -> Word:
-    w = free_reduce(word)
-    for letter in w:
-        if abs(letter) > n_generators:
-            raise ValueError(
-                f"letter {letter} exceeds generator count {n_generators}")
+def _check_indices(word: Iterable[int], n_generators: int,
+                   field: str = "letter") -> Word:
+    """Freely reduce a word of integer letters in +-1..+-n_generators."""
+    w = free_reduce(_json_letters(word, field))
+    if w and max(map(abs, w)) > n_generators:
+        raise ValueError(f"letter {max(w, key=abs)} exceeds generator count "
+                         f"{n_generators}")
     return w
 
 
@@ -181,7 +180,7 @@ class SurfacePresentation:
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("generator names must be distinct")
         for r in self.relators:
-            if _check_indices(r, len(self.generators)) != tuple(r):
+            if _check_indices(r, self.rank, "relators") != tuple(r):
                 raise ValueError("relators must be freely reduced words")
 
     @classmethod
@@ -225,7 +224,7 @@ class SurfacePresentation:
         return cls(_json_int(data["genus"], "genus"),
                    _json_int(data["boundary_count"], "boundary_count"),
                    tuple(data["generators"]),
-                   tuple(_json_word(r, "relators") for r in data["relators"]))
+                   tuple(map(tuple, data["relators"])))
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +247,13 @@ class GeneratorEndomorphism:
     def __post_init__(self):
         if len(self.images) != self.source.rank:
             raise ValueError("need exactly one image word per generator")
-        reduced = tuple(_check_indices(w, self.source.rank)
+        reduced = tuple(_check_indices(w, self.source.rank, "images")
                         for w in self.images)
         object.__setattr__(self, "images", reduced)
         if self.inverse_images is not None:
-            inv = tuple(_check_indices(w, self.source.rank)
-                        for w in self.inverse_images)
+            inv = tuple(
+                _check_indices(w, self.source.rank, "inverse_images")
+                for w in self.inverse_images)
             if len(inv) != self.source.rank:
                 raise ValueError("inverse witness needs one word per generator")
             object.__setattr__(self, "inverse_images", inv)
@@ -389,9 +389,8 @@ class GeneratorEndomorphism:
         if not isinstance(data, dict):
             raise ValueError(f"monodromy must be an object, got {data!r}")
         inverse = data.get("inverse_images")
-        return cls(pres, tuple(_json_word(w, "images") for w in data["images"]),
-                   None if inverse is None
-                   else tuple(_json_word(w, "inverse_images") for w in inverse))
+        return cls(pres, tuple(data["images"]),
+                   None if inverse is None else tuple(inverse))
 
 
 def _substitute(images: Sequence[Word], word: Iterable[int]) -> Word:
@@ -448,7 +447,7 @@ class MappingTorusPresentation:
             raise ValueError("degree class must evaluate to 1 on the stable letter")
         object.__setattr__(
             self, "relators",
-            tuple(_check_indices(r, n) for r in self.relators))
+            tuple(_check_indices(r, n, "relators") for r in self.relators))
         for r in self.relators:
             if self.degree(r) != 0:
                 raise ValueError("every relator must have degree zero")
@@ -529,7 +528,7 @@ class MappingTorusPresentation:
         monodromy = GeneratorEndomorphism.from_json(fiber, data["monodromy"])
         return cls(
             generators=tuple(data["generators"]),
-            relators=tuple(_json_word(r, "relators") for r in data["relators"]),
+            relators=tuple(data["relators"]),
             fiber_values=tuple(_json_int(v, "fiber_values")
                                for v in data["fiber_values"]),
             fiber=fiber,
@@ -768,19 +767,30 @@ class FiniteRepresentation:
 # ---------------------------------------------------------------------------
 
 def _fox_chain(word: Word, n_generators: int, offset: int = 0,
-               lift=lambda u: u) -> Chain:
-    """All free derivatives of a word as one decorated chain: the term
-    (coeff, u) of d word / d g_j lands on target offset + j - 1 with the
-    decoration lift(u)."""
-    return tuple((offset + j - 1, coeff, lift(u))
-                 for j in range(1, n_generators + 1)
-                 for coeff, u in fox_derivative(word, j))
+               images: Optional[Sequence[Word]] = None) -> Chain:
+    """All free derivatives of a word as one path: the term (coeff, u) of
+    d word / d g_j, for j <= n_generators, lands on target offset + j - 1.
+    With `images`, the path word is the unreduced concatenation of the
+    letters' images, so each term is decorated by the image of u."""
+    path: List[int] = []
+    terms = []
+    for letter in word:
+        j = abs(letter)
+        piece = (letter,) if images is None else (
+            images[j - 1] if letter > 0 else word_inverse(images[j - 1]))
+        if j <= n_generators:
+            end, coeff = ((len(path), 1) if letter > 0
+                          else (len(path) + len(piece), -1))
+            terms.append((end, offset + j - 1, coeff))
+        path.extend(piece)
+    return ((tuple(path), tuple(terms)),)
 
 
 def _presentation_chains(n_generators: int, relators: Sequence[Word]):
     """Boundary chains of a presentation complex with one 0-cell: the 1-cell
     of g bounds g - 1, the 2-cell of r bounds the free derivatives of r."""
-    one = tuple(((0, 1, (j,)), (0, -1, ())) for j in range(1, n_generators + 1))
+    one = tuple((((j,), ((0, 0, -1), (1, 0, 1))),)
+                for j in range(1, n_generators + 1))
     two = tuple(_fox_chain(r, n_generators) for r in relators)
     return one, two
 
@@ -789,37 +799,24 @@ def _chain_matrix(mt: MappingTorusPresentation, rep: FiniteRepresentation,
                   chains: Sequence[Chain], n_targets: int,
                   strip_degree: int = 0) -> PolyMatrix:
     """Twisted matrix of decorated chains, one block column per chain and
-    one block row per target.  A term (target, coeff, w) adds coeff times
-    t^(degree w - strip_degree) times the image of w to its block, which is
-    stored transposed for the row-vector convention."""
+    one block row per target.  Each path is walked once, left to right, and
+    a term (end, target, coeff) adds coeff t^(degree u - strip_degree) times
+    the running image of u = word[:end] to its block, which is stored
+    transposed for the row-vector convention."""
     k = rep.dimension
     grid = [[{} for _ in range(k * len(chains))] for _ in range(k * n_targets)]
-    # Prefix table of this call: node 0 is the empty word and
-    # children[(node, letter)] the node of that prefix followed by letter.
-    # Each node holds the image and the degree of its prefix, so a word
-    # costs one matrix product per prefix not seen before in the call.
-    images = [_mat_identity(k)]
-    degrees = [0]
-    children = {}
-    values = mt.fiber_values
     for source, chain in enumerate(chains):
-        for target, coeff, word in chain:
-            node = 0
-            for letter in word:
-                child = children.get((node, letter))
-                if child is None:
-                    child = children[node, letter] = len(images)
-                    images.append(_mat_mul(images[node], rep.matrix(letter)))
-                    step = values[abs(letter) - 1]
-                    degrees.append(degrees[node]
-                                   + (step if letter > 0 else -step))
-                node = child
-            mat = images[node]
-            exp = degrees[node] - strip_degree
-            for i, row in enumerate(mat):
-                for j, value in enumerate(row):
-                    entry = grid[target * k + j][source * k + i]
-                    entry[exp] = entry.get(exp, 0) + coeff * value
+        for word, terms in chain:
+            mat, degree, position = _mat_identity(k), -strip_degree, 0
+            for end, target, coeff in terms:
+                for letter in word[position:end]:
+                    mat = _mat_mul(mat, rep.matrix(letter))
+                degree += mt.degree(word[position:end])
+                position = end
+                for i, row in enumerate(mat):
+                    for j, value in enumerate(row):
+                        entry = grid[target * k + j][source * k + i]
+                        entry[degree] = entry.get(degree, 0) + coeff * value
     return PolyMatrix(k * n_targets, k * len(chains),
                       [[LaurentPolynomial(e) for e in row] for row in grid])
 
@@ -829,7 +826,8 @@ def group_ring_image(mt: MappingTorusPresentation, rep: FiniteRepresentation,
     """Image of an integer combination of group elements: each word w maps to
     t^(degree w) times its matrix image; results live in k x k Laurent
     matrices."""
-    chain = tuple((0, coeff, word) for coeff, word in combo)
+    chain = tuple((tuple(word), ((len(word), 0, coeff),))
+                  for coeff, word in combo)
     return _chain_matrix(mt, rep, (chain,), 1).grid_transpose()
 
 
@@ -887,8 +885,8 @@ def mapping_torus_boundaries(mt: MappingTorusPresentation,
         # 2-cell therefore receives sign*conj - t, and pushing t through
         # the letters of r leaves the monodromy image of each Fox
         # derivative on the flow cell of the matching generator.
-        chains = (((0, sign, conj), (0, -1, (t,)))
-                  + _fox_chain(fiber.relators[0], fiber.rank, 1, phi.apply),)
+        chains = (((conj, ((len(conj), 0, sign),)), ((t,), ((1, 0, -1),)))
+                  + _fox_chain(fiber.relators[0], fiber.rank, 1, phi.images),)
     d3 = _chain_matrix(canonical, sub, chains, len(canonical.relators))
     if d2.cols and d3.cols and not (d2 @ d3).is_zero():
         raise AssertionError("three-dimensional chain model lost d.d = 0")

@@ -1,6 +1,7 @@
 """Tests for decorated cellular models, flow matrices, zeta, and torsion."""
 
 import dataclasses
+import json
 import random
 import re
 import sys
@@ -107,13 +108,18 @@ def mod2_permutation_rep(mt, matrix):
 
 def change_lifts(surface, flow, lifts):
     """Rebuild the decorated model after replacing each cell lift c by u*c
-    for the degree-0 words u in `lifts` (one tuple of words per dimension)."""
+    for the degree-0 words u in `lifts` (one tuple of words per dimension).
+    Each term's decoration gains its own target's lift, so every term
+    becomes a one-term path."""
 
     def redec(chain, source_word, target_lifts):
-        return tuple(
-            (tgt, coeff,
-             word_concat(source_word, word, word_inverse(target_lifts[tgt])))
-            for tgt, coeff, word in chain)
+        moved = []
+        for word, terms in chain:
+            for end, tgt, coeff in terms:
+                w = word_concat(source_word, word[:end],
+                                word_inverse(target_lifts[tgt]))
+                moved.append((w, ((len(w), tgt, coeff),)))
+        return tuple(moved)
 
     l0, l1, l2 = lifts
     moved_surface = dataclasses.replace(
@@ -147,6 +153,18 @@ class TestHomologyAction:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError, match="unimodular"):
             HomologyAction.from_monodromy_matrix(((2, 0), (0, 1)))
+
+    @pytest.mark.parametrize("entry", [2.9, 2.0, True, "2"])
+    def test_rejects_non_integer_entries(self, entry):
+        # int() would truncate 2.9 to 2, a valid unimodular entry
+        with pytest.raises(ValueError, match=re.escape(
+                f"monodromy action must be an integer, got {entry!r}")):
+            HomologyAction.from_monodromy_matrix(((entry, 1), (1, 1)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"h1 must be an integer, got {entry!r}")):
+            HomologyAction(((1,),), ((entry, 1), (1, 1)), ((1,),))
+        with pytest.raises(ValueError, match="h2 must be an integer"):
+            HomologyAction(((1,),), ((2, 1), (1, 1)), ((entry,),))
 
     def test_degree_constraints(self):
         ident2 = ((1, 0), (0, 1))
@@ -194,24 +212,28 @@ class TestCellularModel:
 
     def test_boundary_decorations_of_explicit_words(self):
         surface, _ = cellular_model(mapping_torus(TORUS, ANOSOV_WORDS))
+        # a path (word, ((end, target, coeff), ...)) puts coeff times
+        # word[:end] on the target: a1 bounds a1 - 1, F0 bounds
+        # (1 - a1 b1 a1^-1) a1 + (a1 - a1 b1 a1^-1 b1^-1) b1
         assert surface.boundary_one == (
-            ((0, 1, (1,)), (0, -1, ())),
-            ((0, 1, (2,)), (0, -1, ())),
+            (((1,), ((0, 0, -1), (1, 0, 1))),),
+            (((2,), ((0, 0, -1), (1, 0, 1))),),
         )
         assert surface.boundary_two == (
-            ((0, 1, ()), (0, -1, (1, 2, -1)),
-             (1, 1, (1,)), (1, -1, (1, 2, -1, -2))),
+            (((1, 2, -1, -2),
+              ((0, 0, 1), (1, 1, 1), (3, 0, -1), (4, 1, -1))),),
         )
 
     def test_flow_decorations_realize_inverse_monodromy(self):
         _, flow = cellular_model(mapping_torus(TORUS, ANOSOV_WORDS))
-        assert flow.images[0] == (((0, 1, (3,)),),)
-        # the inverse substitution is a -> a b^-1, b -> b a^-1 b
+        assert flow.images[0] == ((((3,), ((1, 0, 1),)),),)
+        # the inverse substitution is a -> a b^-1, b -> b a^-1 b; each
+        # image is one path on t times the image word
         assert flow.images[1] == (
-            ((0, 1, (3,)), (1, -1, (3, 1, -2))),
-            ((0, -1, (3, 2, -1)), (1, 1, (3,)), (1, 1, (3, 2, -1))),
+            (((3, 1, -2), ((1, 0, 1), (3, 1, -1))),),
+            (((3, 2, -1, 2), ((1, 1, 1), (3, 0, -1), (3, 1, 1))),),
         )
-        assert flow.images[2] == (((0, 1, (3, 2, -1)),),)
+        assert flow.images[2] == ((((3, 2, -1), ((3, 0, 1),)),),)
 
     def test_bounded_fiber_has_no_two_cells(self):
         free = SurfacePresentation.with_boundary(1, 1)
@@ -227,9 +249,17 @@ class TestCellularModel:
             cellular_model(mapping_torus(TORUS, bare))
 
     def test_json_round_trips(self):
+        # chains pass through as paths [word, [[end, target, coeff], ...]]
         surface, flow = cellular_model(anosov_bundle())
         assert CellularSurface.from_json(surface.to_json()) == surface
         assert CellularSelfMap.from_json(surface, flow.to_json()) == flow
+        surface_json = json.loads(json.dumps(surface.to_json()))
+        flow_json = json.loads(json.dumps(flow.to_json()))
+        assert surface_json["boundary_one"][0] == [[[1], [[0, 0, -1],
+                                                         [1, 0, 1]]]]
+        assert flow_json["images"][2] == [[[[3, 2, -1], [[3, 0, 1]]]]]
+        assert CellularSurface.from_json(surface_json) == surface
+        assert CellularSelfMap.from_json(surface, flow_json) == flow
 
 
 class TestDecorationValidation:
@@ -237,40 +267,65 @@ class TestDecorationValidation:
         mt = anosov_bundle()
         with pytest.raises(ValueError, match="target"):
             CellularSurface(mt, (("p",), ("a", "b"), ()),
-                            (((5, 1, ()),), ()), ())
+                            ((((), ((0, 5, 1),)),), ()), ())
 
     def test_decoration_letters_must_exist(self):
         mt = anosov_bundle()
-        with pytest.raises(ValueError, match="letter"):
-            CellularSurface(mt, (("p",), ("a",), ()),
-                            (((0, 1, (9,)),),), ())
+        for letter in (9, -4, 0):
+            with pytest.raises(ValueError, match=(
+                    f"decoration letter {letter} out of range")):
+                CellularSurface(mt, (("p",), ("a",), ()),
+                                ((((1, letter), ((0, 0, 1),)),),), ())
 
-    @pytest.mark.parametrize("decoration, value", [((0.9, 1, (1,)), 0.9),
-                                                   ((0, 1.0, (1,)), 1.0),
-                                                   ((0, True, (1,)), True),
-                                                   ((0, 1, (1.5,)), 1.5)])
+    @pytest.mark.parametrize("decoration, value", [
+        (((1,), ((0, 0, -1), (1, 0.9, 1))), 0.9),
+        (((1,), ((0, 0, -1), (1, 0, 1.0))), 1.0),
+        (((1,), ((0, 0, -1), (1, 0, True))), True),
+        (((1.5,), ((0, 0, -1), (1, 0, 1))), 1.5),
+        (((1,), ((0, 0, -1), (1.0, 0, 1))), 1.0)])
     def test_chain_numbers_must_be_integers(self, decoration, value):
-        # int() would truncate each of these to the valid decoration
+        # int() would truncate each of these to the valid path
         mt = anosov_bundle()
         with pytest.raises(ValueError, match=re.escape(
                 f"boundary_one must be an integer, got {value!r}")):
-            CellularSurface(mt, (("p",), ("a",), ()),
-                            ((decoration, (0, -1, ())),), ())
+            CellularSurface(mt, (("p",), ("a",), ()), ((decoration,),), ())
         surface, flow = cellular_model(mt)
-        bad_images = ((((0, 1, (3, 0.9)),),),) + flow.images[1:]
+        bad_images = (((((3, 0.9), ((1, 0, 1),)),),),) + flow.images[1:]
         with pytest.raises(ValueError,
                            match="flow images must be an integer, got 0.9"):
             CellularSelfMap(surface, bad_images)
+
+    @pytest.mark.parametrize("terms, message", [
+        (((2, 0, 1),), "boundary_one term end 2 must lie in 0..1"),
+        (((-1, 0, 1),), "boundary_one term end -1 must lie in 0..1"),
+        (((1, 0, 1), (0, 0, -1)), "boundary_one term end 0 must lie in 1..1")])
+    def test_term_ends_lie_on_the_path_in_order(self, terms, message):
+        mt = anosov_bundle()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CellularSurface(mt, (("p",), ("a",), ()),
+                            ((((1,), terms),),), ())
+
+    @pytest.mark.parametrize("path", [
+        [0, 1, [1]], [[1]], [1, [[0, 0, 1]]], [[1], [[0, 0]]],
+        [[1], [[0, 0, 1, 1]]], [[1], [0, 0, 1]]])
+    def test_paths_must_be_word_and_term_triples(self, path):
+        mt = anosov_bundle()
+        with pytest.raises(ValueError, match="^boundary_one (path|term) must"):
+            CellularSurface(mt, (("p",), ("a",), ()), ((path,),), ())
 
     def test_boundary_decorations_must_have_degree_zero(self):
         mt = anosov_bundle()
         with pytest.raises(ValueError, match="degree 0"):
             CellularSurface(mt, (("p",), ("a",), ()),
-                            (((0, 1, (3,)),),), ())
+                            ((((3,), ((1, 0, 1),)),),), ())
+        # every term of a path is checked, not only its last
+        with pytest.raises(ValueError, match="degree 0"):
+            CellularSurface(mt, (("p",), ("a",), ()),
+                            ((((3, -3), ((1, 0, 1), (2, 0, -1))),),), ())
 
     def test_flow_decorations_must_have_degree_one(self):
         surface, flow = cellular_model(anosov_bundle())
-        bad_images = ((((0, 1, ()),),),) + flow.images[1:]
+        bad_images = (((((), ((0, 0, 1),)),),),) + flow.images[1:]
         with pytest.raises(ValueError, match="degree 1"):
             CellularSelfMap(surface, bad_images)
 
@@ -278,7 +333,7 @@ class TestDecorationValidation:
         mt = anosov_bundle()
         with pytest.raises(ValueError, match="distinct"):
             CellularSurface(mt, (("p",), ("a", "a"), ()),
-                            (((0, 1, (1,)), (0, -1, ())),) * 2, ())
+                            ((((1,), ((0, 0, -1), (1, 0, 1))),),) * 2, ())
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +391,8 @@ class TestFlowMatrices:
         mt = mapping_torus(TORUS, ANOSOV_WORDS)
         surface, flow = cellular_model(mt)
         rep = mod2_permutation_rep(mt, Mat2(2, 1, 1, 1))
-        tampered_chain = surface.boundary_two[0][:-1]
+        ((word, terms),) = surface.boundary_two[0]
+        tampered_chain = ((word, terms[:-1]),)
         bad_surface = dataclasses.replace(
             surface, boundary_two=(tampered_chain,))
         bad_flow = CellularSelfMap(bad_surface, flow.images)
@@ -347,8 +403,9 @@ class TestFlowMatrices:
         mt = mapping_torus(TORUS, ANOSOV_WORDS)
         surface, flow = cellular_model(mt)
         rep = mod2_permutation_rep(mt, Mat2(2, 1, 1, 1))
+        ((word, terms),) = flow.images[1][0]
         tampered = (flow.images[0],
-                    (flow.images[1][0][:1], flow.images[1][1]),
+                    (((word, terms[:1]),), flow.images[1][1]),
                     flow.images[2])
         bad_flow = CellularSelfMap(surface, tampered)
         with pytest.raises(ValueError, match="degree 1"):
@@ -358,9 +415,9 @@ class TestFlowMatrices:
         mt = mapping_torus(TORUS, ANOSOV_WORDS)
         surface, flow = cellular_model(mt)
         rep = mod2_permutation_rep(mt, Mat2(2, 1, 1, 1))
-        target, sign, word = flow.images[2][0][0]
+        ((word, ((end, target, sign),)),) = flow.images[2][0]
         tampered = (flow.images[0], flow.images[1],
-                    (((target, -sign, word),),))
+                    (((word, ((end, target, -sign),)),),))
         bad_flow = CellularSelfMap(surface, tampered)
         with pytest.raises(ValueError, match="degree 2"):
             flow_boundary_matrices(surface, bad_flow, rep)

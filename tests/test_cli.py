@@ -300,9 +300,13 @@ class TestExitCodes:
         (("body", "fiber", "boundary_count"), 0.0, "boundary_count"),
         (("body", "fiber_values", 4), 1.4, "fiber_values"),
         (("body", "relators", 1, 0), 5.5, "relators"),
-        (("body", "surface", "boundary_two", 0, 0, 1), 1.5, "boundary_two"),
-        (("body", "surface", "boundary_one", 0, 0, 0), False, "boundary_one"),
-        (("body", "flow", "images", 1, 0, 0, 2, 0), 5.2, "flow images"),
+        # chains are lists of paths [word, [[end, target, coeff], ...]]
+        (("body", "surface", "boundary_two", 0, 0, 1, 0, 2), 1.5,
+         "boundary_two"),
+        (("body", "surface", "boundary_one", 0, 0, 1, 0, 1), False,
+         "boundary_one"),
+        (("body", "flow", "images", 1, 0, 0, 0, 0), 5.2, "flow images"),
+        (("body", "flow", "images", 1, 0, 0, 1, 0, 0), 1.0, "flow images"),
     ]
 
     @pytest.mark.parametrize("path, value, field", NON_INTEGERS,
@@ -313,8 +317,10 @@ class TestExitCodes:
         if path[1] in ("surface", "flow"):
             mt = MappingTorusPresentation.from_json(data["body"])
             surface, flow = cellular_model(mt)
-            data = wrap(KIND_CELLULAR, {"surface": surface.to_json(),
-                                        "flow": flow.to_json()})
+            # the JSON text, as the chains are tuples in memory
+            data = json.loads(json.dumps(wrap(
+                KIND_CELLULAR, {"surface": surface.to_json(),
+                                "flow": flow.to_json()})))
         owner = data
         for step in path[:-1]:
             owner = owner[step]
@@ -330,6 +336,32 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert f"{field} must be an integer, got {value!r}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("field", ["boundary_one", "boundary_two",
+                                       "flow images"])
+    def test_triple_shaped_chain_is_an_input_error(self, tmp_path, capsys,
+                                                   field):
+        # one [target, coeff, word] per term instead of paths
+        def triples(chain):
+            return [[target, coeff, word[:end]]
+                    for word, terms in chain for end, target, coeff in terms]
+
+        data = json.loads((FIXTURES / "genus2_finite_order.json").read_text())
+        surface, flow = cellular_model(
+            MappingTorusPresentation.from_json(data["body"]))
+        body = {"surface": surface.to_json(), "flow": flow.to_json()}
+        if field == "flow images":
+            body["flow"]["images"] = [[triples(c) for c in dim]
+                                      for dim in body["flow"]["images"]]
+        else:
+            body["surface"][field] = [triples(c)
+                                      for c in body["surface"][field]]
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(wrap(KIND_CELLULAR, body)))
+        status, out, err = run(capsys, "zeta", str(path))
+        assert status == 2
+        assert out == ""
+        assert err.startswith(f"error: {field} path must be [word, ")
 
     @pytest.mark.parametrize("source", ["pure_twist.json",
                                         "separating_twist.json"])

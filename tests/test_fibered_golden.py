@@ -3,10 +3,10 @@
 `golden_fibered_reports.json` holds the stdout of ``alexander``, ``torsion``,
 ``zeta`` and ``lefschetz`` on two small fixtures under five rank-1
 representations (text mode), plus the JSON mode under ``zeta:4``, two
-reports on the long-word bundle ``torus_pair_a.json``, and the fibered
-subcommands under ``trivial`` and ``zeta:4`` on fixtures written at test time
-whose presentation is not the canonical mapping torus of its monodromy (see
-`write_generated`).  Any change
+reports on each of the long-word bundles ``torus_pair_a.json`` and
+``torus_pair_b.json``, and the fibered subcommands under ``trivial`` and
+``zeta:4`` on fixtures written at test time whose presentation is not the
+canonical mapping torus of its monodromy (see `write_generated`).  Any change
 to how the twisted matrices, determinants or series are computed must keep
 these reports identical.  To regenerate (only when a report is meant to
 change, and say why): ``PYTHONPATH=src python tests/test_fibered_golden.py``.
@@ -35,16 +35,17 @@ GOLDEN = HERE / "golden_fibered_reports.json"
 SUBCOMMANDS = ("alexander", "torsion", "zeta", "lefschetz")
 SOURCES = ("torus_A211.json", "genus2_finite_order.json")
 REPS = ("trivial", "sign", "zeta:4", "zeta:6:5", "zeta:12")
-# relators of 444 and 587 letters: chain assembly on long words
-PAIR_KEYS = ("alexander torus_pair_a.json --rep trivial",
-             "lefschetz torus_pair_a.json --rep zeta:4")
+# relators of 312 and 455 letters (pair A) and of 3,216 and 191 letters
+# (pair B): chain assembly on long words
+PAIR_KEYS = tuple(f"{key} torus_pair_{pair}.json --rep {rep}"
+                  for pair in "ab"
+                  for key, rep in (("alexander", "trivial"),
+                                   ("lefschetz", "zeta:4")))
 # Written by `write_generated`: Delta_0/Delta_1 are read from a presentation
-# that differs from the canonical one behind Delta_2/Delta_3 and the flow.
-# The cellular route takes a representation of the canonical presentation,
-# so `zeta`, `lefschetz` and `torsion` exit 2 on a fixture with an added
-# generator; `extended_A211.json` is run under `alexander` only.
+# that differs from the canonical one behind Delta_2/Delta_3 and the flow;
+# `extended_A211.json` has one more generator than the canonical one.
 GENERATED = {"moved_A211.json": SUBCOMMANDS,
-             "extended_A211.json": ("alexander",),
+             "extended_A211.json": SUBCOMMANDS,
              "lifted_genus2.json": SUBCOMMANDS}
 GENERATED_REPS = ("trivial", "zeta:4")
 
@@ -114,11 +115,24 @@ def test_report_is_byte_identical(key, generated_dir):
 
 def test_pair_b_prints_the_pair_a_report(generated_dir):
     # A and B have equal trace, so every rank-1 invariant agrees
+    runs = [(sub, rep) for sub in SUBCOMMANDS
+            for rep in ("trivial", "zeta:12")]
+    runs += [("torsion", "sign"), ("torsion", "zeta:4")]
+    for sub, rep in runs:
+        (status_a, out_a), (status_b, out_b) = (
+            report(f"{sub} torus_pair_{pair}.json --rep {rep}", generated_dir)
+            for pair in "ab")
+        assert status_a == status_b == 0 and out_a == out_b, (sub, rep)
+
+
+def test_extended_presentation_prints_the_canonical_report():
+    # the cellular route reads --rep on the canonical presentation, the
+    # Alexander route on the fixture's own: the reports are torus_A211's
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    status, out = report("alexander torus_pair_b.json --rep trivial",
-                         generated_dir)
-    assert status == 0
-    assert out == golden["alexander torus_pair_a.json --rep trivial"]
+    for sub in SUBCOMMANDS:
+        for rep in GENERATED_REPS:
+            assert (golden[f"{sub} extended_A211.json --rep {rep}"]
+                    == golden[f"{sub} torus_A211.json --rep {rep}"])
 
 
 def test_golden_file_covers_every_invocation():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import re
 import signal
 from fractions import Fraction
 
@@ -16,7 +17,9 @@ from procong.kernel import (
     RationalFunction,
     normalize_unit_class,
 )
-from procong import surfgrp
+from procong import cellular, surfgrp
+from procong.cellular import (cellular_model, flow_boundary_matrices,
+                              mapping_torus_boundaries)
 from procong.surfgrp import (
     FiniteRepresentation,
     GeneratorEndomorphism,
@@ -422,6 +425,26 @@ class TestGeneratorEndomorphism:
         with pytest.raises(ValueError):
             GeneratorEndomorphism(TORUS, ((1,),))
 
+    @pytest.mark.parametrize("images", [((1.7,), (2.2,)), ((1,), (True,)),
+                                        ((1, "2"), (2,))])
+    def test_non_integer_letters_are_rejected(self, images):
+        # int() would truncate ((1.7,), (2.2,)) to the identity
+        bad = next(x for w in images for x in w if type(x) is not int)
+        with pytest.raises(ValueError, match=re.escape(
+                f"images must be an integer, got {bad!r}")):
+            GeneratorEndomorphism(TORUS, images)
+        with pytest.raises(ValueError,
+                           match="inverse_images must be an integer"):
+            GeneratorEndomorphism(TORUS, ((1,), (2,)), images)
+        with pytest.raises(ValueError, match="relators must be an integer"):
+            SurfacePresentation(1, 0, ("a1", "b1"), (images[0] + images[1],))
+        mt = mapping_torus(TORUS, ANOSOV_WORDS)
+        with pytest.raises(ValueError, match="relators must be an integer"):
+            dataclasses.replace(mt, relators=mt.relators[:2] + (
+                mt.relators[2][:-1] + (float(mt.relators[2][-1]),),))
+        with pytest.raises(ValueError, match="letter must be an integer"):
+            mt.conjugate_relator(0, (bad,))
+
     def test_json_round_trip(self):
         data = ANOSOV_WORDS.to_json()
         assert GeneratorEndomorphism.from_json(TORUS, data) == ANOSOV_WORDS
@@ -652,17 +675,19 @@ class TestFoxMatrices:
 
 
 def naive_chain_matrix(mt, rep, chains, n_targets, strip_degree=0):
-    """Reference assembly: every term's word evaluated from the identity."""
+    """Reference assembly: every term's prefix word[:end] evaluated from the
+    identity."""
     k = rep.dimension
     grid = [[{} for _ in range(k * len(chains))] for _ in range(k * n_targets)]
     for source, chain in enumerate(chains):
-        for target, coeff, word in chain:
-            mat = rep.evaluate_word(word)
-            exp = mt.degree(word) - strip_degree
-            for i, row in enumerate(mat):
-                for j, value in enumerate(row):
-                    entry = grid[target * k + j][source * k + i]
-                    entry[exp] = entry.get(exp, 0) + coeff * value
+        for word, terms in chain:
+            for end, target, coeff in terms:
+                mat = rep.evaluate_word(word[:end])
+                exp = mt.degree(word[:end]) - strip_degree
+                for i, row in enumerate(mat):
+                    for j, value in enumerate(row):
+                        entry = grid[target * k + j][source * k + i]
+                        entry[exp] = entry.get(exp, 0) + coeff * value
     return PolyMatrix(k * n_targets, k * len(chains),
                       [[LaurentPolynomial(e) for e in row] for row in grid])
 
@@ -685,24 +710,29 @@ def affine_mod2_rep():
 
 
 def random_chains(rng, n_chains, n_targets):
-    """Chains mixing prefixes of one long word, unrelated words, the empty
-    word and inverse letters (words over the 3 letters of the bundle)."""
+    """Chains mixing one long path shared by many terms, short unrelated
+    paths, the empty word, repeated ends and unreduced words with inverse
+    letters (words over the 3 letters of the bundle)."""
     letters = [-3, -2, -1, 1, 2, 3]
     spine = tuple(rng.choice(letters) for _ in range(30))
     chains = []
     for _ in range(n_chains):
         chain = []
-        for _ in range(rng.randrange(8)):
+        for _ in range(rng.randrange(4)):
             kind = rng.randrange(3)
             if kind == 0:
-                word = spine[:rng.randrange(len(spine) + 1)]
+                word, n_terms = spine, rng.randrange(8, 20)
             elif kind == 1:
                 word = tuple(rng.choice(letters)
                              for _ in range(rng.randrange(12)))
+                n_terms = rng.randrange(4)
             else:
-                word = ()
-            chain.append((rng.randrange(n_targets), rng.choice([-2, -1, 1, 3]),
-                          word))
+                word, n_terms = (), rng.randrange(3)
+            ends = sorted(rng.randrange(len(word) + 1)
+                          for _ in range(n_terms))
+            chain.append((word, tuple(
+                (end, rng.randrange(n_targets), rng.choice([-2, -1, 1, 3]))
+                for end in ends)))
         chains.append(tuple(chain))
     return tuple(chains)
 
@@ -744,6 +774,46 @@ class TestChainAssembly:
         monkeypatch.setattr(surfgrp, "_mat_mul", counting)
         _chain_matrix(mt, rep, (_fox_chain(relator, 3),), 3)
         assert 0 < len(calls) <= len(relator)
+
+    def test_pair_b_model_is_linear_in_image_length(self, monkeypatch):
+        # Each flow image of the canonical model is one path on t psi(g):
+        # the chains store the 3,401 letters of the inverse monodromy
+        # images once, plus the 198-letter conjugator of the 2-cell's
+        # image and 10 letters of t's and boundaries (a chain of prefixes
+        # would store about 5.1 million).
+        phi = GeneratorEndomorphism.torus_monodromy(Mat2(188, 11, 3025, 177))
+        mt = mapping_torus(TORUS, phi)
+        surface, flow = cellular_model(mt)
+        psi = phi.inverse()
+        conj = psi.relator_conjugacy()[1]
+        chains = (surface.boundary_one + surface.boundary_two
+                  + flow.images[0] + flow.images[1] + flow.images[2])
+        stored = sum(len(word) for chain in chains for word, _ in chain)
+        assert stored <= sum(map(len, psi.images)) + len(conj) + 10
+        # the flow and d3 assembly cost at most one product per path letter
+        products, letters = [], []
+        product, assemble = surfgrp._mat_mul, surfgrp._chain_matrix
+
+        def counting_product(a, b):
+            products.append(1)
+            return product(a, b)
+
+        def counting_assemble(mt, rep, chains, *args, **kwargs):
+            letters.extend(len(word) for chain in chains for word, _ in chain)
+            monkeypatch.setattr(surfgrp, "_mat_mul", counting_product)
+            try:
+                return assemble(mt, rep, chains, *args, **kwargs)
+            finally:
+                monkeypatch.setattr(surfgrp, "_mat_mul", product)
+
+        monkeypatch.setattr(surfgrp, "_chain_matrix", counting_assemble)
+        monkeypatch.setattr(cellular, "_chain_matrix", counting_assemble)
+        rep = FiniteRepresentation.fibered_character(mt, -1)
+        flow_boundary_matrices(surface, flow, rep)
+        mapping_torus_boundaries(mt, rep)
+        # d3 walks the relator's images, 2 * 3,401 letters, once
+        assert sum(letters) > 2 * sum(map(len, phi.images))
+        assert 0 < len(products) <= sum(letters)
 
 
 class TestTwistedAlexander:
