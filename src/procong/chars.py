@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .kernel import Cyclotomic, as_exact, scalar_conjugate
+from .kernel import Cyclotomic, as_exact, hermitian_dot
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
@@ -86,15 +86,13 @@ class FiniteGroupTable:
             raise ValueError("conjugacy classes must partition the group")
         if self.classes[0] != (0,):
             raise ValueError("class 0 must be the identity class")
+        mult = self.multiplication
+        inverse = [self.inverse(h) for h in range(n)]
         for members in self.classes:
             bag = set(members)
-            for g in members:
-                for h in range(n):
-                    conj = self.multiplication[self.multiplication[h][g]][
-                        self.inverse(h)]
-                    if conj not in bag:
-                        raise ValueError(
-                            "classes must be closed under conjugation")
+            if any(mult[mult[h][g]][inverse[h]] not in bag
+                   for g in members for h in range(n)):
+                raise ValueError("classes must be closed under conjugation")
         if len(self.characters) != self.class_count:
             raise ValueError("need exactly one irreducible character per "
                              "conjugacy class")
@@ -107,13 +105,11 @@ class FiniteGroupTable:
 
     def _assert_orthogonality(self):
         for r, chi in enumerate(self.characters):
+            weighted = [len(members) * value
+                        for members, value in zip(self.classes, chi)]
             for s in range(r, len(self.characters)):
-                psi = self.characters[s]
-                total = 0
-                for j, members in enumerate(self.classes):
-                    total = total + len(members) * chi[j] * scalar_conjugate(psi[j])
                 expected = self.order if r == s else 0
-                if as_exact(total) != expected:
+                if hermitian_dot(self.characters[s], weighted) != expected:
                     raise ValueError(
                         f"character rows {r} and {s} of {self.name} violate "
                         "orthogonality")
@@ -132,14 +128,11 @@ def _cyclic_table(n: int) -> FiniteGroupTable:
     table._assert_structure()
     # Row orthogonality for the root-power table reduces to the difference
     # sums: chi_r(j) * conj(chi_s(j)) = zeta^((r-s) j), so the pairwise
-    # inner products equal sum_j zeta^(d j) with d = r - s mod n.  Checking
-    # those n sums asserts the identical statement while avoiding the
-    # quadratic blow-up of the generic pairwise loop for larger n.
+    # inner products equal sum_j zeta^(d j) = <chi_d, chi_0> with d = r - s
+    # mod n.  Checking those n sums asserts the identical statement while
+    # avoiding the quadratic blow-up of the generic pairwise loop.
     for d in range(n):
-        total = 0
-        for j in range(n):
-            total = total + roots[(d * j) % n]
-        if as_exact(total) != (n if d == 0 else 0):
+        if hermitian_dot(characters[0], characters[d]) != (n if d == 0 else 0):
             raise ValueError(
                 f"cyclic({n}) character rows violate orthogonality")
     if n <= 12:
@@ -277,42 +270,44 @@ def twisted_L_from_orbits(table: OrbitProjectionTable,
                           ) -> Scalar:
     """Twisted Lefschetz number: the index-weighted sum of the class
     function over the orbit classes.  Linear in the class function."""
-    def value(class_id: int) -> Scalar:
-        try:
-            if isinstance(chi, Mapping):
-                return chi[class_id]
-            if class_id >= len(chi):
-                raise IndexError
-            return chi[class_id]
+    total = 0
+    for _, index, class_id in table.rows:
+        try:    # class ids are nonnegative, so a sequence cannot wrap
+            total = total + index * chi[class_id]
         except (KeyError, IndexError):
             raise ValueError(
                 f"class id {class_id} missing from the class function"
             ) from None
-
-    total = 0
-    for _, index, class_id in table.rows:
-        total = total + index * value(class_id)
     return as_exact(total)
 
 
-def class_indicator_L(table: OrbitProjectionTable, group: FiniteGroupTable,
-                      class_id: int) -> int:
-    """Indicator-function twisted Lefschetz number of one conjugacy class,
-    computed both directly and through the orthogonality expansion over the
-    irreducible characters; the two routes must agree exactly."""
-    if not 0 <= class_id < group.class_count:
-        raise ValueError(f"unknown conjugacy class {class_id} of {group.name}")
+def character_L_vector(table: OrbitProjectionTable,
+                       group: FiniteGroupTable) -> Tuple[Scalar, ...]:
+    """L(chi) for every irreducible character chi of the group, in table
+    order."""
     bad = [c for c in table.class_ids() if c >= group.class_count]
     if bad:
         raise ValueError(
             f"orbit table references classes {bad} outside {group.name}")
+    return tuple(twisted_L_from_orbits(table, chi)
+                 for chi in group.characters)
+
+
+def class_indicator_L(table: OrbitProjectionTable, group: FiniteGroupTable,
+                      class_id: int,
+                      character_L: Optional[Sequence[Scalar]] = None) -> int:
+    """Indicator-function twisted Lefschetz number of one conjugacy class,
+    computed both directly and through the orthogonality expansion over the
+    irreducible characters (reading `character_L`, the table's
+    `character_L_vector`); the two routes must agree exactly."""
+    if not 0 <= class_id < group.class_count:
+        raise ValueError(f"unknown conjugacy class {class_id} of {group.name}")
+    if character_L is None:
+        character_L = character_L_vector(table, group)
     direct = sum(index for _, index, c in table.rows if c == class_id)
-    expansion = 0
-    for chi in group.characters:
-        expansion = expansion + scalar_conjugate(chi[class_id]) \
-            * twisted_L_from_orbits(table, chi)
+    column = [chi[class_id] for chi in group.characters]
     expansion = as_exact(Fraction(group.class_size(class_id), group.order)
-                        * expansion)
+                         * hermitian_dot(column, character_L))
     if expansion != direct:
         raise ArithmeticError(
             f"orthogonality expansion disagrees with direct evaluation on "
@@ -321,9 +316,13 @@ def class_indicator_L(table: OrbitProjectionTable, group: FiniteGroupTable,
 
 
 def all_class_indicators(table: OrbitProjectionTable,
-                         group: FiniteGroupTable) -> Tuple[int, ...]:
-    """Indicator-L values for every conjugacy class, both routes checked."""
-    return tuple(class_indicator_L(table, group, c)
+                         group: FiniteGroupTable,
+                         character_L: Optional[Sequence[Scalar]] = None
+                         ) -> Tuple[int, ...]:
+    """Indicator-L values for every class, all from one character_L."""
+    if character_L is None:
+        character_L = character_L_vector(table, group)
+    return tuple(class_indicator_L(table, group, c, character_L)
                  for c in range(group.class_count))
 
 

@@ -23,8 +23,8 @@ from typing import Optional, Tuple
 
 from .cellular import (cellular_model, lefschetz_numbers,
                        torsion_from_cellular, zeta_from_cellular)
-from .chars import (all_class_indicators, builtin_group, nielsen_bound,
-                    twisted_L_from_orbits)
+from .chars import (all_class_indicators, builtin_group, character_L_vector,
+                    nielsen_bound)
 from .kernel import Cyclotomic, render_scalar
 from .ntform import (deviation, dilatation, indexed_orbit_numbers,
                      shearing_from_slopes, split_order)
@@ -308,9 +308,8 @@ def _handle_nt_shear(config: RunConfig):
 
 def _handle_chars_decompose(config: RunConfig):
     group, table, _ = _orbit_projection_input(config)
-    character_L = [twisted_L_from_orbits(table, chi)
-                   for chi in group.characters]
-    indicators = all_class_indicators(table, group)
+    character_L = character_L_vector(table, group)
+    indicators = all_class_indicators(table, group, character_L)
     lines = [f"group: {group.name} (order {group.order}, "
              f"{group.class_count} classes)",
              f"orbit classes: {table.orbit_count}"]

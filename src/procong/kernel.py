@@ -33,13 +33,6 @@ def as_exact(value):
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-def scalar_conjugate(value):
-    """Complex conjugation: identity on rationals, zeta -> zeta^-1 on cyclotomics."""
-    if isinstance(value, Cyclotomic):
-        return value.conjugate()
-    return value
-
-
 def scalar_is_zero(value) -> bool:
     if isinstance(value, Cyclotomic):
         return value.is_zero()
@@ -293,6 +286,32 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"cyc({self.conductor}):{list(self.coeffs)}"
+
+
+def hermitian_dot(xs, ys):
+    """sum(conj(x) * y), exact: cyclotomic products are summed unreduced by
+    exponent mod n, conj(z^i) z^j = z^(j-i), and reduced mod Phi_n once."""
+    rational, conductor, raw = 0, None, None
+    for x, y in zip(xs, ys):
+        x_cyc, y_cyc = isinstance(x, Cyclotomic), isinstance(y, Cyclotomic)
+        if not (x_cyc or y_cyc):
+            rational += x * y
+            continue
+        n = x.conductor if x_cyc else y.conductor
+        if conductor is None:
+            conductor, raw = n, [0] * n
+        if {n, y.conductor if y_cyc else n} != {conductor}:
+            raise ValueError("mixed conductors in one sum")
+        ys_sparse = [(j, b) for j, b in enumerate(y.coeffs if y_cyc else (y,))
+                     if b]
+        for i, a in enumerate(x.coeffs if x_cyc else (x,)):
+            if a:
+                for j, b in ys_sparse:
+                    raw[(j - i) % n] += a * b
+    if raw is None:
+        return as_exact(rational)
+    raw[0] += rational
+    return as_exact(Cyclotomic(conductor, raw))
 
 
 # ---------------------------------------------------------------------------

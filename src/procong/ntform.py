@@ -10,9 +10,9 @@ iterates, indexed orbit counts with Nielsen numbers, decomposition
 graphs and their quotients, and shearing degrees from slope pairs.
 
 All arithmetic is exact.  Stretch factors are algebraic numbers given
-by an integer polynomial together with an isolating rational
-interval; comparisons, powers, and decimal rendering go through
-interval refinement with Sturm counts, never through floats.
+by an integer polynomial together with a rational interval that a Sturm
+count certifies to isolate one root; comparisons, powers, and decimal
+rendering bisect it by sign tests, never through floats.
 """
 
 from __future__ import annotations
@@ -134,9 +134,11 @@ class StretchFactor:
                 "stretch factor interval must satisfy 1 <= low < high")
         sf = _squarefree(_poly(coeffs))
         chain = _sturm_chain(sf)
+        at_low = sf.evaluate(self.low)
         object.__setattr__(self, "_sf", sf)
         object.__setattr__(self, "_chain", chain)
-        if sf.evaluate(self.low) == 0 or sf.evaluate(self.high) == 0:
+        object.__setattr__(self, "_low_positive", at_low > 0)
+        if at_low == 0 or sf.evaluate(self.high) == 0:
             raise DecompositionError(
                 "stretch factor interval endpoints must not be roots")
         if _roots_between(chain, self.low, self.high) != 1:
@@ -145,19 +147,28 @@ class StretchFactor:
 
     # -- interval refinement -----------------------------------------------
 
+    def _halved(self, low: Fraction, high: Fraction):
+        """The half of (low, high) that holds the root, validating nothing:
+        the root is simple, so the squarefree part keeps its sign at
+        `self.low` up to the root.  A midpoint that is the root gives
+        (mid, mid)."""
+        mid = (low + high) / 2
+        value = self._sf.evaluate(mid)
+        if value == 0:
+            return mid, mid
+        return (mid, high) if (value > 0) == self._low_positive else (low, mid)
+
     def refined(self) -> "StretchFactor":
         """Shrink the isolating interval (at least by half)."""
-        low, high, sf = self.low, self.high, self._sf
-        mid = (low + high) / 2
-        if sf.evaluate(mid) == 0:
-            eps = (high - low) / 8
+        low, high = self._halved(self.low, self.high)
+        if low == high:
+            # the midpoint is the root: isolate it again with rational ends
+            mid, eps, sf = low, (self.high - self.low) / 8, self._sf
             while (sf.evaluate(mid - eps) == 0 or sf.evaluate(mid + eps) == 0
                    or _roots_between(self._chain, mid - eps, mid + eps) != 1):
                 eps /= 2
-            return StretchFactor(self.polynomial, mid - eps, mid + eps)
-        if _roots_between(self._chain, low, mid) == 1:
-            return StretchFactor(self.polynomial, low, mid)
-        return StretchFactor(self.polynomial, mid, high)
+            low, high = mid - eps, mid + eps
+        return StretchFactor(self.polynomial, low, high)
 
     def refined_to(self, width: Fraction) -> "StretchFactor":
         out = self
@@ -181,10 +192,10 @@ class StretchFactor:
         """-1, 0, or 1 by the represented real values."""
         if self.algebraic_equal(other):
             return 0
-        a, b = self, other
-        while not (a.high < b.low or b.high < a.low):
-            a, b = a.refined(), b.refined()
-        return -1 if a.high < b.low else 1
+        a, b = (self.low, self.high), (other.low, other.high)
+        while not (a[1] < b[0] or b[1] < a[0]):
+            a, b = self._halved(*a), other._halved(*b)
+        return -1 if a[1] < b[0] else 1
 
     # -- algebra -----------------------------------------------------------
 
@@ -234,10 +245,10 @@ class StretchFactor:
         """Decimal rendering to the given significant digits, certified by
         refining the isolating interval."""
         target = Fraction(1, 10 ** (digits + 2))
-        s = self
-        while s.high - s.low > s.low * target:
-            s = s.refined()
-        mid = (s.low + s.high) / 2
+        low, high = self.low, self.high
+        while high - low > low * target:
+            low, high = self._halved(low, high)
+        mid = (low + high) / 2
         with decimal.localcontext() as ctx:
             ctx.prec = digits
             value = (decimal.Decimal(mid.numerator)

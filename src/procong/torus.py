@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import count, product
 from math import gcd, isqrt
 from typing import Optional, Tuple
 
@@ -95,9 +96,6 @@ class Mat2:
 
     def __sub__(self, other: "Mat2") -> "Mat2":
         return self + (-other)
-
-    def scale(self, k: int) -> "Mat2":
-        return Mat2(k * self.a, k * self.b, k * self.c, k * self.d)
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -464,21 +462,71 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int):
     return (r1 + (r2 - r1) * s % m2 * m1) % (m1 * m2)
 
 
+# Miller-Rabin on the first 13 primes is exact below FACTOR_LIMIT
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+FACTOR_LIMIT = 3317044064679887385961981
+_TRIAL_BOUND = 128
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES, for n without prime factors below
+    _TRIAL_BOUND (so coprime to every base)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1        # n - 1 = 2^s d, d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of a composite n without prime factors below
+    _TRIAL_BOUND: Pollard's rho as Brent (1980) runs it, y -> y^2 + c."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:          # the batch overshot: replay it step by step
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(x - saved, n)
+        if g != n:
+            return g
+
+
 def factorize(n: int):
-    """Prime power factorization as a list of (p, e)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
+    """Prime power factorization as a list of (p, e), p ascending: trial
+    division below _TRIAL_BOUND, then Miller-Rabin and Pollard-Brent."""
+    if n >= FACTOR_LIMIT:
+        raise ValueError(f"modulus {n} is too large to factor: need "
+                         f"modulus < {FACTOR_LIMIT}")
+    counts, d = {}, 2
+    while d < _TRIAL_BOUND and d * d <= n:
+        while n % d == 0:
+            n //= d
+            counts[d] = counts.get(d, 0) + 1
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < _TRIAL_BOUND ** 2 or _is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _pollard_brent(m)
+            stack += [d, m // d]
+    return sorted(counts.items())
 
 
 class CommutationSolver:
@@ -486,9 +534,9 @@ class CommutationSolver:
 
     One integer Smith form of the 4x4 commutation operator describes the
     solution set for every n at once: writing U T V = diag(d_i), the solutions
-    mod n are V y with d_i y_i = 0 mod n.  Unit-determinant solutions are
-    searched prime power by prime power and glued with the Chinese remainder
-    theorem.
+    mod n are V y with d_i y_i = 0 mod n, as (a, b, c, d) int tuples.
+    Unit-determinant solutions are searched once per prime power for the
+    life of the solver and glued with the Chinese remainder theorem.
     """
 
     LEX_SEARCH_CAP = 4096
@@ -501,45 +549,31 @@ class CommutationSolver:
         op = [[columns[j][i] for j in range(4)] for i in range(4)]
         diag, _, v = smith_integer(op)
         self.diag = diag + [0] * (4 - len(diag))
-        self.v_cols = [Mat2(v[0][j], v[1][j], v[2][j], v[3][j]) for j in range(4)]
+        self.v_cols = [tuple(v[i][j] for i in range(4)) for j in range(4)]
+        self._witnesses = {}        # (p, e) -> witness mod p^e, or None
 
-    def _combine(self, coeffs, n: int) -> Mat2:
-        x = Mat2(0, 0, 0, 0)
-        for t_val, col in zip(coeffs, self.v_cols):
-            if t_val:
-                x = x + col.scale(t_val)
-        return x.mod(n)
-
-    def _free_directions(self, q: int):
-        return [i for i in range(4) if gcd(self.diag[i], q) == q]
+    def _combine(self, coeffs, n: int) -> Tuple[int, int, int, int]:
+        return tuple(sum(t * col[i] for t, col in zip(coeffs, self.v_cols)) % n
+                     for i in range(4))
 
     def witness_mod_prime_power(self, p: int, e: int) -> Optional[Mat2]:
         """A solution with determinant a unit mod p^e, or None."""
         q = p ** e
-        free = self._free_directions(q)
-        if not free:
-            return None
+        free = [i for i in range(4) if self.diag[i] % q == 0]
         # the determinant restricted to the free directions is a quadratic
         # form; over F_p with p >= 3 a nonzero form takes a nonzero value on
         # {0,1,2}^free, and for p = 2 the whole cube is only 2^|free| points
         search = range(p) if p == 2 else range(3)
         coords = [0, 0, 0, 0]
-        if self._grid_search(free, search, coords, 0, p):
-            x = self._combine(coords, q)
-            self.verify(x, q)
-            return x
+        for values in product(search, repeat=len(free)):
+            for i, value in zip(free, values):
+                coords[i] = value
+            a, b, c, d = self._combine(coords, p)
+            if (a * d - b * c) % p:
+                x = Mat2(*self._combine(coords, q))
+                self.verify(x, q)
+                return x
         return None
-
-    def _grid_search(self, free, search, coords, idx, p) -> bool:
-        if idx == len(free):
-            det = self._combine(coords, p).det() % p
-            return det != 0
-        for value in search:
-            coords[free[idx]] = value
-            if self._grid_search(free, search, coords, idx + 1, p):
-                return True
-        coords[free[idx]] = 0
-        return False
 
     def witness_mod(self, n: int) -> Optional[Mat2]:
         """Deterministic unit-determinant solution mod n, or None."""
@@ -552,19 +586,18 @@ class CommutationSolver:
         lex = self._lex_least_under_cap(n)
         if lex is not None:
             return lex if isinstance(lex, Mat2) else None
-        parts = []
+        x, modulus = (0, 0, 0, 0), 1
         for p, e in factorize(n):
-            w = self.witness_mod_prime_power(p, e)
+            if (p, e) not in self._witnesses:
+                self._witnesses[p, e] = self.witness_mod_prime_power(p, e)
+            w = self._witnesses[p, e]
             if w is None:
                 return None
-            parts.append((w, p ** e))
-        x, modulus = parts[0]
-        for w, q in parts[1:]:
-            merged = Mat2(*(
-                _crt_pair(x_ent, modulus, w_ent, q)
-                for x_ent, w_ent in zip(x.entries(), w.entries())))
-            x, modulus = merged, modulus * q
-        x = x.mod(n)
+            q = p ** e
+            x = tuple(_crt_pair(x_ent, modulus, w_ent, q)
+                      for x_ent, w_ent in zip(x, w.entries()))
+            modulus *= q
+        x = Mat2(*x).mod(n)
         self.verify(x, n)
         return x
 
@@ -575,29 +608,25 @@ class CommutationSolver:
         exists, or None when the module is too large to enumerate.
         """
         sizes = [gcd(d, n) for d in self.diag]
-        total = 1
-        for s in sizes:
-            total *= max(s, 1)
-        if total > self.LEX_SEARCH_CAP:
+        if sizes[0] * sizes[1] * sizes[2] * sizes[3] > self.LEX_SEARCH_CAP:
             return None
+        # the module is the sum of the multiples of each generator column
+        multiples = [[tuple(k * (n // s) * v % n for v in col)
+                      for k in range(s)]
+                     for s, col in zip(sizes, self.v_cols)]
         best = None
-        steps = [n // max(s, 1) for s in sizes]
-        coords = [0, 0, 0, 0]
-        def rec(idx):
-            nonlocal best
-            if idx == 4:
-                x = self._combine([c * s for c, s in zip(coords, steps)], n)
-                if gcd(x.det(), n) == 1:
-                    if best is None or x.entries() < best.entries():
-                        self.verify(x, n)
-                        best = x
-                return
-            for value in range(max(sizes[idx], 1)):
-                coords[idx] = value
-                rec(idx + 1)
-            coords[idx] = 0
-        rec(0)
-        return best if best is not None else False
+        for (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3), \
+                (a4, b4, c4, d4) in product(*multiples):
+            x = ((a1 + a2 + a3 + a4) % n, (b1 + b2 + b3 + b4) % n,
+                 (c1 + c2 + c3 + c4) % n, (d1 + d2 + d3 + d4) % n)
+            if (best is None or x < best) \
+                    and gcd(x[0] * x[3] - x[1] * x[2], n) == 1:
+                best = x
+        if best is None:
+            return False
+        witness = Mat2(*best)
+        self.verify(witness, n)
+        return witness
 
     def verify(self, x: Mat2, n: int):
         if gcd(x.det(), n) != 1:

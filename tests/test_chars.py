@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from procong import chars
 from procong.chars import (
     CYCLIC_LIMIT,
     FiniteGroupTable,
@@ -24,7 +25,9 @@ from procong.chars import (
     nielsen_bound,
     twisted_L_from_orbits,
 )
+from procong.cli import main
 from procong.kernel import Cyclotomic
+from procong.serialize import KIND_ORBIT_PROJECTION, save_fixture
 
 BUILTIN_NAMES = ("cyclic(1)", "cyclic(2)", "cyclic(3)", "cyclic(6)",
                  "cyclic(12)", "S3", "D4", "Q8")
@@ -350,6 +353,46 @@ class TestClassIndicator:
         table = OrbitProjectionTable((("w", 1, 0), ("v", 1, 2)))
         with pytest.raises(ArithmeticError, match="disagrees"):
             class_indicator_L(table, broken, 2)
+
+    def test_broken_cyclotomic_table_raises_disagreement(self):
+        c5 = builtin_group("cyclic(5)")
+        rows = [list(row) for row in c5.characters]
+        rows[1][2] = c5.characters[1][3]     # zeta^3 where zeta^2 belongs
+        broken = FiniteGroupTable("broken", c5.elements, c5.multiplication,
+                                  c5.classes, 5, tuple(map(tuple, rows)))
+        table = OrbitProjectionTable((("w", 1, 2),))
+        with pytest.raises(ArithmeticError, match="disagrees"):
+            all_class_indicators(table, broken)
+
+    @pytest.mark.parametrize("n", (5, 12, 31))
+    def test_character_L_once_per_table(self, n, monkeypatch, tmp_path,
+                                        capsys):
+        calls = []
+
+        def counting(table, chi):
+            calls.append(chi)
+            return twisted_L_from_orbits(table, chi)
+
+        monkeypatch.setattr(chars, "twisted_L_from_orbits", counting)
+        group = builtin_group(f"cyclic({n})")
+        rng = random.Random(n)
+        rows = [(f"o{j}", rng.choice([-2, -1, 1, 2]), rng.randrange(n))
+                for j in range(6)]
+        table = OrbitProjectionTable(tuple(rows))
+        values = all_class_indicators(table, group)
+        assert len(calls) == n
+        assert values == tuple(sum(i for _, i, c in rows if c == k)
+                               for k in range(n))
+        calls.clear()
+        path = tmp_path / "orbits.json"
+        save_fixture(path, KIND_ORBIT_PROJECTION,
+                     {"group": group.name, "attained": False, "rows": rows})
+        assert main(["chars", "decompose", str(path)]) == 0
+        assert len(calls) == n
+        out = capsys.readouterr().out
+        assert f"L(chi_{n - 1}) = " in out
+        assert f"indicator L, class {rows[0][2]} = {values[rows[0][2]]}" \
+            in out
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_two_routes_agree_on_random_tables(self, name):

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from procong.kernel import (
     Cyclotomic,
+    as_exact,
+    hermitian_dot,
     LaurentPolynomial,
     PolyMatrix,
     RationalFunction,
@@ -136,6 +138,32 @@ class TestCyclotomic:
     def test_non_string_scalar_is_a_value_error(self, value):
         with pytest.raises(ValueError, match="scalar must be a string"):
             parse_scalar(value)
+
+    def test_hermitian_dot_matches_termwise_sum(self):
+        rng = random.Random(3)
+        for n in (1, 2, 5, 12, 31):
+            def scalar():
+                kind = rng.randrange(3)
+                if kind == 0:
+                    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                value = sum(rng.randint(-2, 2) * Cyclotomic.root(n, k)
+                            for k in rng.sample(range(n), min(n, 3)))
+                return value.demote() if kind == 1 else value
+            for _ in range(20):
+                xs = [scalar() for _ in range(rng.randrange(6))]
+                ys = [scalar() for _ in xs]
+                expected = 0
+                for x, y in zip(xs, ys):
+                    conj = x.conjugate() if isinstance(x, Cyclotomic) else x
+                    expected = expected + conj * y
+                got = hermitian_dot(xs, ys)
+                assert got == expected and got == as_exact(expected)
+
+    def test_hermitian_dot_rejects_mixed_conductors(self):
+        with pytest.raises(ValueError, match="mixed conductors"):
+            hermitian_dot([Cyclotomic.root(3)], [Cyclotomic.root(4)])
+        with pytest.raises(ValueError, match="mixed conductors"):
+            hermitian_dot([Cyclotomic.root(3), 1], [1, Cyclotomic.root(5)])
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,25 @@ class TestStretchFactor:
     def test_json_roundtrip(self):
         assert StretchFactor.from_json(PHI.to_json()) == PHI
 
+    def test_approx_ends_at_a_root_midpoint(self):
+        assert StretchFactor((-3, 2), F(1), F(2)).approx(30) == "1.5"
+
+    def test_approx_and_compare_validate_no_new_interval(self, monkeypatch):
+        golden = StretchFactor((-1, -1, 1), F(3, 2), F(2))
+        built = []
+        post_init = StretchFactor.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(StretchFactor, "__post_init__", counting)
+        assert PHI.approx(30) == "2.61803398874989484820458683437"
+        assert golden.compare(PHI) == -1
+        assert StretchFactor((-3, 2), F(1), F(2)).compare(
+            StretchFactor((-8, 5), F(1), F(2))) == -1
+        assert len(built) == 2
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 9), st.integers(2, 10), st.integers(1, 4))
     def test_power_on_split_integer_roots(self, a, b, m):

@@ -1,13 +1,16 @@
 """Tests for exact and mod-n conjugacy of unimodular 2x2 matrices."""
 
 import random
+import signal
 from itertools import product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from procong.cli import main
 from procong.torus import (
+    FACTOR_LIMIT,
     CommutationSolver,
     CongruenceReport,
     Mat2,
@@ -15,6 +18,7 @@ from procong.torus import (
     characteristic_level_bruteforce,
     congruence_sweep,
     congruent_conjugate_mod,
+    factorize,
     hyperbolic_cyclic_word,
     rl_runs,
     rl_word,
@@ -482,3 +486,109 @@ class TestCongruenceSweep:
             for verdict in report.verdicts:
                 if (a.trace() - b.trace()) % verdict.modulus:
                     assert not verdict.conjugate
+
+
+# ---------------------------------------------------------------------------
+# factoring and the solver's module enumeration
+# ---------------------------------------------------------------------------
+
+def trial_division(n):
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n, e = n // d, e + 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return out + ([(n, 1)] if n > 1 else [])
+
+
+class TestFactorize:
+    def test_equals_trial_division_through_20000(self):
+        for n in range(1, 20001):
+            assert factorize(n) == trial_division(n), n
+
+    def test_large_semiprimes_and_prime_powers(self):
+        p, q = 1000000007, 1000000009
+        assert factorize(p * q) == [(p, 1), (q, 1)]
+        assert factorize(12 * p ** 2) == [(2, 2), (3, 1), (p, 2)]
+        # the least strong pseudoprime to the bases 2..37 still factors
+        assert factorize(318665857834031151167461) == [
+            (399165290221, 1), (798330580441, 1)]
+        assert factorize(FACTOR_LIMIT - 1)[-1] == (858557454841, 1)
+
+    def test_modulus_at_the_limit_is_rejected(self):
+        with pytest.raises(ValueError, match="modulus"):
+            factorize(FACTOR_LIMIT)
+
+    def test_congr_at_a_large_semiprime_finishes(self, capsys):
+        def timeout(signum, frame):
+            raise TimeoutError("torus congr at a semiprime took over 5 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            # (10^9 + 7)(10^9 + 9)
+            status = main(["torus", "congr", PAIR_A.to_string(),
+                           PAIR_B.to_string(), "1000000016000000063"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert status == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "GL(2,Z/1000000016000000063): conjugate",
+            "witness mod 1000000016000000063: "
+            "0,1000000016000000062;1000000016000000052,1"]
+
+    def test_congr_beyond_the_limit_is_an_input_error(self, capsys):
+        status = main(["torus", "congr", PAIR_A.to_string(),
+                       PAIR_B.to_string(), str(FACTOR_LIMIT)])
+        assert status == 2
+        assert "modulus" in capsys.readouterr().err
+
+
+def least_unit_solution(a, b, n):
+    """The lexicographically least unit-determinant X over (Z/n)^4 with
+    X A = B X mod n, by enumeration in lexicographic order."""
+    for x in product(range(n), repeat=4):
+        m = Mat2(*x)
+        if gcd(m.det(), n) == 1 \
+                and ((m @ a) - (b @ m)).mod(n) == Mat2(0, 0, 0, 0):
+            return m
+    return None
+
+
+class TestModuleEnumeration:
+    def test_lex_least_witness_through_sixteen(self):
+        rng = random.Random(41)
+        pairs = [(PAIR_A, PAIR_B)]
+        while len(pairs) < 6:
+            a = random_sl2(rng, length=3)
+            x = random_sl2(rng, length=2)
+            pairs.append((a, x @ a @ x.inverse()))
+        for a, b in pairs:
+            solver = CommutationSolver(a, b)
+            solver.LEX_SEARCH_CAP = 16 ** 4      # enumerate every level
+            for n in range(2, 17):
+                assert solver._lex_least_under_cap(n) \
+                    == least_unit_solution(a, b, n), (a, b, n)
+
+    def test_sweep_searches_each_prime_power_once(self, monkeypatch):
+        searched = []
+        search = CommutationSolver.witness_mod_prime_power
+
+        def counting(self, p, e):
+            searched.append((p, e))
+            return search(self, p, e)
+
+        monkeypatch.setattr(CommutationSolver, "witness_mod_prime_power",
+                            counting)
+        report = congruence_sweep(PAIR_A, PAIR_B, 1000)
+        assert report.procongruence_candidate
+        assert len(searched) == len(set(searched))
+        # the module has gcd(11, n)^2 n^2 points, so the levels past the
+        # enumeration cap are 65..1000 and 11, 22, ..., 55, whose prime
+        # powers recur above 64
+        assert set(searched) == {
+            pe for n in range(65, 1001) for pe in trial_division(n)}
