@@ -28,6 +28,7 @@ from .kernel import (
     NormalizedTorsionClass,
     PolyMatrix,
     RationalFunction,
+    charpoly_coefficients,
     log_coefficients,
     normalize_unit_class,
 )
@@ -191,6 +192,8 @@ class HomologyAction:
     def from_monodromy_matrix(cls, rows) -> "HomologyAction":
         rows = tuple(tuple(_json_int(e, "monodromy action") for e in row)
                      for row in rows)
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("monodromy action must be square")
         det = _int_det(rows)
         if det not in (1, -1):
             raise ValueError("monodromy action must be unimodular")
@@ -248,9 +251,11 @@ def zeta_from_cellular(surface: CellularSurface, flow: CellularSelfMap,
 
 
 def _det_one_minus_t(mat: PolyMatrix) -> LaurentPolynomial:
-    n = mat.rows
-    shifted = PolyMatrix.identity(n) - mat.scale(LaurentPolynomial.t_power(1))
-    return shifted.determinant()
+    """det(1 - tF) = sum c_k t^k, where det(xI - F) = sum c_k x^(n-k)."""
+    if any(e.terms.keys() - {0} for row in mat.entries for e in row):
+        raise ValueError("flow matrix entries must be constant")
+    return LaurentPolynomial(enumerate(charpoly_coefficients(
+        tuple(tuple(e.coefficient(0) for e in row) for row in mat.entries))))
 
 
 @_per_complex

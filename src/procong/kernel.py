@@ -913,9 +913,10 @@ def exp_series(l_values, terms: int):
 # ---------------------------------------------------------------------------
 
 class PolyMatrix:
-    """Immutable matrix with LaurentPolynomial entries; supports 0-dim shapes."""
+    """Immutable matrix with LaurentPolynomial entries; supports 0-dim shapes.
+    `_diagonal` keeps the `smith_diagonalize` result once it is computed."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_diagonal")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(tuple(self._lift(e) for e in row) for row in entries)
@@ -924,6 +925,7 @@ class PolyMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_diagonal", None)
 
     @staticmethod
     def _lift(e):
@@ -965,10 +967,20 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        return PolyMatrix.build(
-            self.rows, other.cols,
-            lambda i, j: sum((self.entries[i][k] * other.entries[k][j]
-                              for k in range(self.cols)), LaurentPolynomial.zero()))
+        other_cols = list(zip(*other.entries)) or [()] * other.cols
+        out = []
+        for row in self.entries:
+            out_row = []
+            for col in other_cols:
+                acc = {}
+                for a, b in zip(row, col):
+                    if a and b:
+                        for e1, c1 in a.terms.items():
+                            for e2, c2 in b.terms.items():
+                                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+                out_row.append(LaurentPolynomial(acc))
+            out.append(out_row)
+        return PolyMatrix(self.rows, other.cols, out)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -1042,110 +1054,106 @@ class PolyMatrix:
         return det if sign == 1 else -det
 
 
-def smith_diagonalize(matrix: PolyMatrix):
-    """Diagonalize over F[t] by unimodular row/column operations.
+def charpoly_coefficients(matrix) -> list:
+    """[c_0, ..., c_n] with det(xI - A) = sum c_k x^(n-k), for a square
+    tuple-of-tuples matrix A of exact scalars.
 
-    Returns (diagonal entries as a list, R, R_inv) where the column transform R
-    satisfies: x solves matrix @ x = 0 iff x = R @ y with y supported on the
-    zero columns of the diagonalized matrix.  Row transforms are not tracked.
+    Berkowitz's division-free algorithm (1984): with A[k:, k:] = [[a, R],
+    [C, B]], the vector of A[k:, k:] is the lower-triangular Toeplitz matrix
+    of (1, -a, -RC, -RBC, ...) times the vector of B.  No scalar is divided.
     """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    coeffs = [1]
+    for k in range(n - 1, -1, -1):
+        r_row, block = matrix[k][k + 1:], [row[k + 1:] for row in matrix[k + 1:]]
+        col = [row[k] for row in matrix[k + 1:]]
+        toeplitz = [1, -matrix[k][k]]
+        for step in range(n - k - 1):
+            if step:
+                col = [sum(a * c for a, c in zip(row, col) if a and c)
+                       for row in block]
+            toeplitz.append(-sum(a * c for a, c in zip(r_row, col) if a and c))
+        coeffs = [sum(toeplitz[i - j] * coeffs[j]
+                      for j in range(min(i + 1, len(coeffs))))
+                  for i in range(n - k + 1)]
+    return coeffs
+
+
+def smith_diagonalize(matrix: PolyMatrix) -> tuple:
+    """Nonzero diagonal of `matrix` diagonalized over F[t] by unimodular row
+    and column operations (no transforms are kept).
+
+    Its length is the rank of `matrix`, and its product is the gcd of the
+    maximal nonzero minors up to a unit.  Computed once per matrix and kept
+    on it, so later calls read it back.
+    """
+    if matrix._diagonal is not None:
+        return matrix._diagonal
     rows, cols = matrix.rows, matrix.cols
     m = [list(r) for r in matrix.entries]
-    r_mat = [[LaurentPolynomial.one() if i == j else LaurentPolynomial.zero()
-              for j in range(cols)] for i in range(cols)]
-    r_inv = [[LaurentPolynomial.one() if i == j else LaurentPolynomial.zero()
-              for j in range(cols)] for i in range(cols)]
 
     def col_swap(a, b):
-        for i in range(rows):
-            m[i][a], m[i][b] = m[i][b], m[i][a]
-        for i in range(cols):
-            r_mat[i][a], r_mat[i][b] = r_mat[i][b], r_mat[i][a]
-        r_inv[a], r_inv[b] = r_inv[b], r_inv[a]
+        for r in m:
+            r[a], r[b] = r[b], r[a]
 
-    def col_addmul(dst, src, q):
-        # col_dst += q * col_src ; inverse: subtract on r_inv rows reversed
-        for i in range(rows):
-            m[i][dst] = m[i][dst] + q * m[i][src]
-        for i in range(cols):
-            r_mat[i][dst] = r_mat[i][dst] + q * r_mat[i][src]
-        for j in range(cols):
-            r_inv[src][j] = r_inv[src][j] - q * r_inv[dst][j]
-
-    def col_scale_unit(idx, unit):
-        inv = unit ** (-1)
-        for i in range(rows):
-            m[i][idx] = m[i][idx] * unit
-        for i in range(cols):
-            r_mat[i][idx] = r_mat[i][idx] * unit
-        for j in range(cols):
-            r_inv[idx][j] = r_inv[idx][j] * inv
-
-    def row_swap(a, b):
-        m[a], m[b] = m[b], m[a]
-
-    def row_addmul(dst, src, q):
-        for j in range(cols):
-            m[dst][j] = m[dst][j] + q * m[src][j]
-
-    # clear columns into F[t]
+    # shift each column into F[t] (a unit column scaling)
     for j in range(cols):
-        vals = [m[i][j].valuation for i in range(rows) if not m[i][j].is_zero()]
-        if vals:
+        vals = [r[j].valuation for r in m if r[j]]
+        if vals and min(vals):
             v = min(vals)
-            if v != 0:
-                col_scale_unit(j, LaurentPolynomial.t_power(-v))
+            for r in m:
+                r[j] = r[j].shift(-v)
 
     diag = []
     pr = pc = 0
     while pr < rows and pc < cols:
         # find the nonzero entry of least degree in the remaining block
-        best = None
-        for i in range(pr, rows):
-            for j in range(pc, cols):
-                if not m[i][j].is_zero():
-                    d = m[i][j].degree
-                    if best is None or d < best[0]:
-                        best = (d, i, j)
+        best = min(((m[i][j].degree, i, j) for i in range(pr, rows)
+                    for j in range(pc, cols) if m[i][j]), default=None)
         if best is None:
             break
         _, bi, bj = best
-        if bi != pr:
-            row_swap(pr, bi)
+        m[pr], m[bi] = m[bi], m[pr]
         if bj != pc:
             col_swap(pc, bj)
         reduced = True
         while reduced:
             reduced = False
-            pivot = m[pr][pc]
+            pivot_row = m[pr]
+            pivot = pivot_row[pc]
             for i in range(pr + 1, rows):
-                if not m[i][pc].is_zero():
-                    q, r = m[i][pc].divmod_poly(pivot)
-                    row_addmul(i, pr, -q)
-                    if not r.is_zero():
-                        row_swap(pr, i)
+                row = m[i]
+                if row[pc]:
+                    q, r = row[pc].divmod_poly(pivot)
+                    q = -q
+                    for j in range(pc, cols):
+                        if pivot_row[j]:
+                            row[j] = row[j] + q * pivot_row[j]
+                    if r:
+                        m[pr], m[i] = row, pivot_row
                         reduced = True
                         break
             if reduced:
                 continue
-            pivot = m[pr][pc]
             for j in range(pc + 1, cols):
-                if not m[pr][j].is_zero():
-                    q, r = m[pr][j].divmod_poly(pivot)
-                    col_addmul(j, pc, -q)
-                    if not r.is_zero():
+                if pivot_row[j]:
+                    q, r = pivot_row[j].divmod_poly(pivot)
+                    q = -q
+                    for row in m:
+                        if row[pc]:
+                            row[j] = row[j] + q * row[pc]
+                    if r:
                         col_swap(pc, j)
                         reduced = True
                         break
         diag.append(m[pr][pc])
         pr += 1
         pc += 1
-
-    r_matrix = PolyMatrix(cols, cols, r_mat)
-    r_inverse = PolyMatrix(cols, cols, r_inv)
-    zero_cols = [j for j in range(cols) if j >= len(diag) or diag[j].is_zero()]
-    diag = [d for d in diag if not d.is_zero()]
-    return diag, zero_cols, r_matrix, r_inverse
+    diag = tuple(diag)
+    object.__setattr__(matrix, "_diagonal", diag)
+    return diag
 
 
 def homology_order(boundary_in, boundary_out) -> LaurentPolynomial:
@@ -1156,45 +1164,28 @@ def homology_order(boundary_in, boundary_out) -> LaurentPolynomial:
     (treated as the zero map out of / into a zero module).  Returns 0 exactly
     when the homology module has positive rank; otherwise a representative of
     the module order, in monic-normal form.
+
+    Over the PID F[t^{+-1}], R^n/ker(boundary_out) embeds in a free module,
+    so coker(boundary_in) is the homology plus a free module: the homology
+    has rank n - rank(out) - rank(in), and its order is the product of the
+    nonzero invariant factors of `boundary_in`.
     """
     if boundary_in is None and boundary_out is None:
         raise ValueError("need at least one boundary to size the middle module")
-    if boundary_out is None:
-        boundary_out = PolyMatrix.zero(0, boundary_in.rows)
-    if boundary_in is None:
-        boundary_in = PolyMatrix.zero(boundary_out.cols, 0)
-    if boundary_out.cols != boundary_in.rows:
+    n = boundary_in.rows if boundary_in is not None else boundary_out.cols
+    if boundary_out is not None and boundary_out.cols != n:
         raise ValueError("boundary shapes do not share the middle module")
-    if boundary_out.rows and boundary_in.cols:
-        if not (boundary_out @ boundary_in).is_zero():
+    in_diag = () if boundary_in is None else smith_diagonalize(boundary_in)
+    out_rank = 0
+    if boundary_out is not None and boundary_out.rows:
+        # a zero boundary_in (empty diagonal) meets the chain condition
+        if in_diag and not (boundary_out @ boundary_in).is_zero():
             raise ValueError("chain condition failed: boundary_out . boundary_in != 0")
-
-    n = boundary_in.rows
-    if n == 0:
-        return LaurentPolynomial.one()
-
-    if boundary_out.rows == 0:
-        kernel_dim = n
-        presentation = boundary_in
-    else:
-        diag, zero_cols, r_mat, r_inv = smith_diagonalize(boundary_out)
-        kernel_dim = len(zero_cols)
-        if kernel_dim == 0:
-            return LaurentPolynomial.one()
-        coords = r_inv @ boundary_in
-        nonzero_rows = [i for i in range(n) if i not in set(zero_cols)]
-        if any(not coords.entries[i][j].is_zero()
-               for i in nonzero_rows for j in range(coords.cols)):
-            raise AssertionError("image escaped the kernel coordinates")
-        presentation = coords.submatrix(zero_cols, range(coords.cols))
-
-    if presentation.cols == 0:
-        return LaurentPolynomial.zero() if kernel_dim > 0 else LaurentPolynomial.one()
-    diag, _, _, _ = smith_diagonalize(presentation)
-    if len(diag) < kernel_dim:
+        out_rank = len(smith_diagonalize(boundary_out))
+    if len(in_diag) + out_rank < n:
         return LaurentPolynomial.zero()
     order = LaurentPolynomial.one()
-    for d in diag:
+    for d in in_diag:
         order = order * d
     return order.monic_normal()
 

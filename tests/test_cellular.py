@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from procong import cli, kernel, surfgrp
 from procong.cellular import (
+    _det_one_minus_t,
     CellularSelfMap,
     CellularSurface,
     CellularTorsion,
@@ -24,6 +26,7 @@ from procong.cellular import (
     zeta_from_cellular,
 )
 from procong.kernel import (
+    Cyclotomic,
     LaurentPolynomial,
     PolyMatrix,
     RationalFunction,
@@ -165,6 +168,12 @@ class TestHomologyAction:
             HomologyAction(((1,),), ((entry, 1), (1, 1)), ((1,),))
         with pytest.raises(ValueError, match="h2 must be an integer"):
             HomologyAction(((1,),), ((2, 1), (1, 1)), ((entry,),))
+
+    @pytest.mark.parametrize("rows", [((1, 0), (0,)), ((1,), (0, 1)),
+                                      ((1, 0),)])
+    def test_rejects_non_square_monodromy_matrix(self, rows):
+        with pytest.raises(ValueError, match="monodromy action must be square"):
+            HomologyAction.from_monodromy_matrix(rows)
 
     def test_degree_constraints(self):
         ident2 = ((1, 0), (0, 1))
@@ -593,12 +602,60 @@ class TestComputedOnce:
         assert zeta == zeta_from_cellular(surface, flow, fresh)
         assert lefschetz == lefschetz_numbers(surface, flow, fresh, 5)
 
+    def test_each_boundary_is_eliminated_once(self, monkeypatch):
+        # d1, d2 and d3 each serve two orders; the determinant ratio reads
+        # characteristic polynomials, not the Bareiss determinant
+        mt = anosov_bundle()
+        surface, flow = cellular_model(mt)
+        rep = mod2_permutation_rep(mt, Mat2(2, 1, 1, 1))
+        eliminations = self.count(monkeypatch, kernel.smith_diagonalize,
+                                  keep=lambda m: m._diagonal is None)
+        determinants = []
+        bareiss = PolyMatrix.determinant
+        monkeypatch.setattr(PolyMatrix, "determinant",
+                            lambda m: determinants.append(m) or bareiss(m))
+        deltas = [twisted_alexander(mt, rep, n) for n in range(4)]
+        torsion = twisted_torsion(mt, rep)
+        cellular = torsion_from_cellular(surface, flow, rep)
+        lefschetz_numbers(surface, flow, rep, 5)
+        zeta_from_cellular(surface, flow, rep)
+        assert (len(eliminations), len(determinants)) == (3, 0)
+        assert not any(d.is_zero() for d in deltas)
+        assert torsion == cellular.value
+
     def test_torsion_subcommand_computes_each_order_once(self, monkeypatch):
         orders = self.count(monkeypatch, kernel.homology_order)
         status, report = cli.dispatch(cli.RunConfig(
             "torsion", (str(FIXTURES / "torus_A211.json"),)))
         assert status == 0 and "alexander route agrees: yes" in report
         assert len(orders) == 4
+
+
+class TestDetOneMinusT:
+    """det(1 - tF) from the characteristic polynomial of a constant F equals
+    the Bareiss determinant of I - tF over the Laurent ring."""
+
+    SCALARS = {
+        "Z": st.integers(-3, 3),
+        "Q": st.fractions(-3, 3, max_denominator=4),
+        "Q(zeta12)": st.lists(st.integers(-2, 2), min_size=4, max_size=4).map(
+            lambda c: Cyclotomic(12, c)),
+    }
+
+    @pytest.mark.parametrize("field", sorted(SCALARS))
+    @given(data=st.data())
+    def test_matches_bareiss(self, field, data):
+        n = data.draw(st.integers(0, 6))
+        scalar = st.one_of(st.just(0), self.SCALARS[field])
+        f = const_matrix(data.draw(st.lists(
+            st.lists(scalar, min_size=n, max_size=n), min_size=n, max_size=n)), n)
+        t_f = f.scale(LaurentPolynomial.t_power(1))
+        assert _det_one_minus_t(f) == (PolyMatrix.identity(n) - t_f).determinant()
+
+    def test_rejects_non_constant_entries(self):
+        f = PolyMatrix(2, 2, [[poly(1), poly(0, 1)], [poly(0), poly(2)]])
+        with pytest.raises(ValueError, match="constant"):
+            _det_one_minus_t(f)
 
 
 class TestTorsionFromCellular:

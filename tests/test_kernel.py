@@ -31,6 +31,7 @@ from procong.kernel import (
 
 T = LaurentPolynomial.t_power(1)
 ONE = LaurentPolynomial.one()
+ZERO = LaurentPolynomial.zero()
 
 
 def poly(*coeffs, valuation=0):
@@ -343,6 +344,36 @@ def random_poly_matrix(rng, rows, cols, max_deg=1, span=2):
          for _ in range(cols)] for _ in range(rows)])
 
 
+def unimodular_pair(data, n):
+    """A random unimodular n x n matrix over Q[t^{+-1}] with its inverse:
+    a product of elementary, transposition and monomial-unit factors."""
+    u, u_inv = PolyMatrix.identity(n), PolyMatrix.identity(n)
+    for _ in range(data.draw(st.integers(0, 4))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        kind = data.draw(st.sampled_from(("add", "swap", "unit")))
+        if kind == "add" and i != j:
+            q = data.draw(laurent_polys)
+            step = PolyMatrix.build(n, n, lambda a, b: ONE if a == b else (
+                q if (a, b) == (i, j) else ZERO))
+            back = PolyMatrix.build(n, n, lambda a, b: ONE if a == b else (
+                -q if (a, b) == (i, j) else ZERO))
+        elif kind == "swap":
+            swap = {i: j, j: i}
+            step = back = PolyMatrix.build(
+                n, n, lambda a, b: ONE if swap.get(a, a) == b else ZERO)
+        else:
+            c = data.draw(st.sampled_from((1, -1, 2, Fraction(-1, 3))))
+            e = data.draw(st.integers(-2, 2))
+            unit = LaurentPolynomial.t_power(e, c)
+            step = PolyMatrix.build(n, n, lambda a, b: (
+                unit if a == i else ONE) if a == b else ZERO)
+            back = PolyMatrix.build(n, n, lambda a, b: (
+                unit ** -1 if a == i else ONE) if a == b else ZERO)
+        u, u_inv = u @ step, back @ u_inv
+    assert u @ u_inv == PolyMatrix.identity(n)
+    return u, u_inv
+
+
 class TestPolyMatrix:
     def test_determinant_two_by_two(self):
         m = PolyMatrix(2, 2, [[ONE - T, T], [T, ONE]])
@@ -367,22 +398,62 @@ class TestPolyMatrix:
         assert (m.rows, m.cols) == (2, 3)
 
 
-class TestSmithDiagonalize:
-    def test_transform_bookkeeping(self):
-        rng = random.Random(11)
-        for _ in range(15):
-            m = random_poly_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
-            diag, zero_cols, r_mat, r_inv = smith_diagonalize(m)
-            assert (r_mat @ r_inv) == PolyMatrix.identity(m.cols)
-            # m @ r has the diagonalized column space: columns in zero_cols die
-            prod = m @ r_mat
-            for j in zero_cols:
-                assert all(prod.entries[i][j].is_zero() for i in range(m.rows))
+def minors(m, k):
+    """All k x k minors of m, by the Bareiss determinant."""
+    return [m.submatrix(rows, cols).determinant()
+            for rows in combinations(range(m.rows), k)
+            for cols in combinations(range(m.cols), k)]
 
-    def test_kernel_dimension_matches_rank(self):
+
+@st.composite
+def poly_matrices(draw, rows=None, cols=None):
+    """Matrices (1..4 x 1..4 unless given) with entries a + bt, a and b in
+    -2..2; a product through an inner dimension below the shape makes a
+    rank-deficient one."""
+    rows = rows or draw(st.integers(1, 4))
+    cols = cols or draw(st.integers(1, 4))
+    entries = st.lists(st.integers(-2, 2), min_size=2, max_size=2).map(
+        LaurentPolynomial.from_coefficients)
+
+    def matrix(r, c):
+        return PolyMatrix(r, c, draw(st.lists(
+            st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)))
+
+    inner = draw(st.integers(0, min(rows, cols)))
+    if inner == min(rows, cols):
+        return matrix(rows, cols)
+    return matrix(rows, inner) @ matrix(inner, cols)
+
+
+class TestSmithDiagonalize:
+    @given(poly_matrices())
+    @settings(max_examples=150)
+    def test_transform_bookkeeping(self, m):
+        # the product of the diagonal is the gcd of the rank-size minors,
+        # and the diagonal is kept on the matrix: a second call reads it
+        diag = smith_diagonalize(m)
+        assert all(d.valuation >= 0 for d in diag)
+        g = LaurentPolynomial.zero()
+        for minor in minors(m, len(diag)):
+            g = laurent_gcd(g, minor)
+        product = ONE
+        for d in diag:
+            product = product * d
+        assert product.unit_equal(g)
+        assert smith_diagonalize(m) is diag
+        assert smith_diagonalize(PolyMatrix(m.rows, m.cols, m.entries)) == diag
+
+    @given(poly_matrices())
+    @settings(max_examples=150)
+    def test_kernel_dimension_matches_rank(self, m):
+        # the length is the largest k with a nonzero k x k minor
+        rank = len(smith_diagonalize(m))
+        assert all(d.is_zero() for d in minors(m, rank + 1))
+        assert any(not d.is_zero() for d in minors(m, rank))
+
+    def test_rank_one_example(self):
         m = PolyMatrix(2, 3, [[ONE, T, T * T], [T, T * T, T ** 3]])
-        diag, zero_cols, _, _ = smith_diagonalize(m)
-        assert len(diag) == 1 and len(zero_cols) == 2
+        assert smith_diagonalize(m) == (ONE,)
 
 
 class TestHomologyOrder:
@@ -435,6 +506,26 @@ class TestHomologyOrder:
                 assert order.is_zero()
             else:
                 assert order == g.monic_normal()
+
+    @given(st.data())
+    def test_matches_unimodular_oracle(self, data):
+        # d_out = [0 | I] U^-1 and d_in = U [D; 0] V with U, V unimodular:
+        # the homology is coker(D), of order det D, or 0 when D is singular
+        kept = data.draw(st.integers(1, 3))
+        killed = data.draw(st.integers(0, 2))
+        n = kept + killed
+        d = data.draw(poly_matrices(kept, kept))
+        if data.draw(st.booleans()):
+            # a zero column: the homology has positive rank
+            d = d @ PolyMatrix.build(kept, kept, lambda i, j: ONE
+                                     if i == j < kept - 1 else ZERO)
+        u, u_inv = unimodular_pair(data, n)
+        v, _ = unimodular_pair(data, kept)
+        d_out = PolyMatrix.build(
+            killed, n, lambda i, j: ONE if j == kept + i else ZERO) @ u_inv
+        d_in = u @ PolyMatrix.build(
+            n, kept, lambda i, j: d.entries[i][j] if i < kept else ZERO) @ v
+        assert homology_order(d_in, d_out) == d.determinant().monic_normal()
 
     def test_quotient_with_outgoing_boundary(self):
         # middle module rank 2, outgoing kills one direction, incoming hits
