@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .kernel import Cyclotomic, as_exact, hermitian_dot
+from .kernel import Cyclotomic, as_exact, hermitian_dot, hermitian_products
+from .surfgrp import _json_int
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
@@ -107,9 +108,10 @@ class FiniteGroupTable:
         for r, chi in enumerate(self.characters):
             weighted = [len(members) * value
                         for members, value in zip(self.classes, chi)]
-            for s in range(r, len(self.characters)):
+            products = hermitian_products(self.characters[r:], weighted)
+            for s, product in enumerate(products, r):
                 expected = self.order if r == s else 0
-                if hermitian_dot(self.characters[s], weighted) != expected:
+                if product != expected:
                     raise ValueError(
                         f"character rows {r} and {s} of {self.name} violate "
                         "orthogonality")
@@ -129,10 +131,12 @@ def _cyclic_table(n: int) -> FiniteGroupTable:
     # Row orthogonality for the root-power table reduces to the difference
     # sums: chi_r(j) * conj(chi_s(j)) = zeta^((r-s) j), so the pairwise
     # inner products equal sum_j zeta^(d j) = <chi_d, chi_0> with d = r - s
-    # mod n.  Checking those n sums asserts the identical statement while
-    # avoiding the quadratic blow-up of the generic pairwise loop.
-    for d in range(n):
-        if hermitian_dot(characters[0], characters[d]) != (n if d == 0 else 0):
+    # mod n.  Row d of the batch below is sum_j conj(chi_d(j)), the
+    # conjugate of that sum, so checking the n rows asserts the identical
+    # statement while avoiding the quadratic blow-up of the generic
+    # pairwise loop.
+    for d, total in enumerate(hermitian_products(characters, characters[0])):
+        if total != (n if d == 0 else 0):
             raise ValueError(
                 f"cyclic({n}) character rows violate orthogonality")
     if n <= 12:
@@ -233,12 +237,24 @@ def builtin_group(name: str) -> FiniteGroupTable:
 
 @dataclass(frozen=True)
 class OrbitProjectionTable:
-    """Rows (orbit class id, index, group class id) for one iterate."""
+    """Rows (orbit class id, index, group class id) for one iterate.
+
+    Indices and class ids must be integers; floats and booleans are
+    rejected, not truncated, with an error naming the row."""
 
     rows: Tuple[Tuple[str, int, int], ...]
 
     def __post_init__(self):
-        rows = tuple((str(o), int(i), int(c)) for o, i, c in self.rows)
+        rows = []
+        for k, row in enumerate(self.rows):
+            try:
+                orbit, index, class_id = row
+            except (TypeError, ValueError):
+                raise ValueError(f"rows[{k}] must be [orbit, index, class id], "
+                                 f"got {row!r}") from None
+            rows.append((str(orbit), _json_int(index, f"rows[{k}] index"),
+                         _json_int(class_id, f"rows[{k}] class id")))
+        rows = tuple(rows)
         object.__setattr__(self, "rows", rows)
         seen = set()
         for orbit, index, class_id in rows:
@@ -262,7 +278,9 @@ class OrbitProjectionTable:
 
     @staticmethod
     def from_json(data) -> "OrbitProjectionTable":
-        return OrbitProjectionTable(tuple((o, i, c) for o, i, c in data))
+        if not isinstance(data, list):
+            raise ValueError(f"rows must be a list, got {data!r}")
+        return OrbitProjectionTable(tuple(data))
 
 
 def twisted_L_from_orbits(table: OrbitProjectionTable,
@@ -306,24 +324,39 @@ def class_indicator_L(table: OrbitProjectionTable, group: FiniteGroupTable,
         character_L = character_L_vector(table, group)
     direct = sum(index for _, index, c in table.rows if c == class_id)
     column = [chi[class_id] for chi in group.characters]
-    expansion = as_exact(Fraction(group.class_size(class_id), group.order)
-                         * hermitian_dot(column, character_L))
-    if expansion != direct:
-        raise ArithmeticError(
-            f"orthogonality expansion disagrees with direct evaluation on "
-            f"class {class_id} of {group.name}: broken character table")
-    return direct
+    return _checked_indicator(group, class_id, direct,
+                              hermitian_dot(column, character_L))
 
 
 def all_class_indicators(table: OrbitProjectionTable,
                          group: FiniteGroupTable,
                          character_L: Optional[Sequence[Scalar]] = None
                          ) -> Tuple[int, ...]:
-    """Indicator-L values for every class, all from one character_L."""
+    """Indicator-L values for every class, by both routes of
+    `class_indicator_L`: the expansions of all classes are one batch of
+    Hermitian products with the one character_L."""
     if character_L is None:
         character_L = character_L_vector(table, group)
-    return tuple(class_indicator_L(table, group, c, character_L)
-                 for c in range(group.class_count))
+    direct = {}
+    for _, index, c in table.rows:
+        direct[c] = direct.get(c, 0) + index
+    columns = list(zip(*group.characters))
+    return tuple(
+        _checked_indicator(group, c, direct.get(c, 0), product)
+        for c, product in enumerate(hermitian_products(columns, character_L)))
+
+
+def _checked_indicator(group: FiniteGroupTable, class_id: int, direct: int,
+                       product: Scalar) -> int:
+    """Return the direct indicator value after asserting that the
+    orthogonality expansion |C|/|G| * <column, character_L> equals it."""
+    expansion = as_exact(Fraction(group.class_size(class_id), group.order)
+                         * product)
+    if expansion != direct:
+        raise ArithmeticError(
+            f"orthogonality expansion disagrees with direct evaluation on "
+            f"class {class_id} of {group.name}: broken character table")
+    return direct
 
 
 @dataclass(frozen=True)

@@ -86,33 +86,48 @@ def _power_reduction_table(n: int) -> tuple:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _field(n: int) -> tuple:
+    """(deg Phi_n, the nonzero (i, r) entries of each row of the power
+    reduction table, and the map coeffs -> k of the roots zeta_n^k)."""
+    table = _power_reduction_table(n)
+    sparse = tuple(tuple((i, r) for i, r in enumerate(row) if r)
+                   for row in table)
+    return len(table[0]), sparse, {row: k for k, row in enumerate(table)}
+
+
+_RATIONALS = (int, Fraction)
+_INT_ONLY = {int}
+
+
 class Cyclotomic:
     """An element of Q(zeta_n), stored as a vector modulo Phi_n.
 
     Coefficient entries are ints or Fractions; the vector length is
     phi(n) = deg Phi_n.  Arithmetic never leaves the field and never rounds.
+    An int or Fraction operand of +, -, * and / acts on the coefficient
+    vector directly.
     """
 
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs):
-        table = _power_reduction_table(conductor)
-        deg = len(table[0])
+        deg, sparse, _ = _field(conductor)
         coeffs = list(coeffs)
         if len(coeffs) > deg:
-            # reduce high powers through the table
+            # reduce high powers through the nonzero entries of the table
             reduced = [0] * deg
             for k, c in enumerate(coeffs):
-                if c == 0:
-                    continue
-                for i, r in enumerate(table[k % conductor]):
-                    if r:
+                if c:
+                    for i, r in sparse[k % conductor]:
                         reduced[i] += c * r
             coeffs = reduced
         else:
-            coeffs = coeffs + [0] * (deg - len(coeffs))
+            coeffs += [0] * (deg - len(coeffs))
+        if set(map(type, coeffs)) != _INT_ONLY:
+            coeffs = [c if type(c) is int else as_exact(c) for c in coeffs]
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(as_exact(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __setattr__(self, *args):
         raise AttributeError("Cyclotomic values are immutable")
@@ -123,7 +138,7 @@ class Cyclotomic:
     def root(conductor: int, power: int = 1) -> "Cyclotomic":
         """zeta_n^power."""
         table = _power_reduction_table(conductor)
-        return Cyclotomic(conductor, list(table[power % conductor]))
+        return Cyclotomic(conductor, table[power % conductor])
 
     @staticmethod
     def from_rational(conductor: int, value) -> "Cyclotomic":
@@ -147,23 +162,25 @@ class Cyclotomic:
         return not self.is_zero()
 
     def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.conductor == self.conductor:
-                return other
-            if other.is_rational():
-                return Cyclotomic.from_rational(self.conductor, other.coeffs[0] if other.coeffs else 0)
-            if self.is_rational():
-                return NotImplemented  # handled by reflected op
-            raise ValueError(
-                f"mixed conductors {self.conductor} and {other.conductor}"
-            )
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return Cyclotomic.from_rational(self.conductor, other)
-        return None
+        """A Cyclotomic operand in this field; None for any other type."""
+        if not isinstance(other, Cyclotomic):
+            return None
+        if other.conductor == self.conductor:
+            return other
+        if other.is_rational():
+            return Cyclotomic.from_rational(self.conductor, other.coeffs[0])
+        if self.is_rational():
+            return NotImplemented  # handled by reflected op
+        raise ValueError(
+            f"mixed conductors {self.conductor} and {other.conductor}"
+        )
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, _RATIONALS) and not isinstance(other, bool):
+            return Cyclotomic(self.conductor,
+                              (self.coeffs[0] + other,) + self.coeffs[1:])
         other = self._coerce(other)
         if other is None or other is NotImplemented:
             return NotImplemented
@@ -175,6 +192,9 @@ class Cyclotomic:
         return Cyclotomic(self.conductor, [-a for a in self.coeffs])
 
     def __sub__(self, other):
+        if isinstance(other, _RATIONALS) and not isinstance(other, bool):
+            return Cyclotomic(self.conductor,
+                              (self.coeffs[0] - other,) + self.coeffs[1:])
         other = self._coerce(other)
         if other is None or other is NotImplemented:
             return NotImplemented
@@ -184,18 +204,17 @@ class Cyclotomic:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, _RATIONALS) and not isinstance(other, bool):
+            return Cyclotomic(self.conductor, [a * other for a in self.coeffs])
         other = self._coerce(other)
         if other is None or other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a:
-            return self
-        prod = [0] * (len(a) + len(b) - 1)
+        a = self.coeffs
+        b = [(j, bj) for j, bj in enumerate(other.coeffs) if bj]
+        prod = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj != 0:
+            if ai:
+                for j, bj in b:
                     prod[i + j] += ai * bj
         return Cyclotomic(self.conductor, prod)
 
@@ -222,17 +241,17 @@ class Cyclotomic:
                            for e in range(s1.degree + 1)])
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            if other == 0:
-                raise ZeroDivisionError
-            return self * Fraction(1, 1) / Cyclotomic.from_rational(self.conductor, other)
+        if isinstance(other, _RATIONALS) and not isinstance(other, bool):
+            inverse = scalar_inverse(other)
+            return Cyclotomic(self.conductor,
+                              [a * inverse for a in self.coeffs])
         other = self._coerce(other)
         if other is None or other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return Cyclotomic.from_rational(self.conductor, other) * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -248,25 +267,18 @@ class Cyclotomic:
         return result
 
     def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation: sends zeta_n to zeta_n^{n-1}."""
+        """Complex conjugation: sends zeta_n^k to zeta_n^(n-k)."""
         n = self.conductor
-        table = _power_reduction_table(n)
-        deg = len(table[0])
-        out = [0] * deg
+        raw = [0] * n
         for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            row = table[(k * (n - 1)) % n]
-            for i, r in enumerate(row):
-                if r:
-                    out[i] += c * r
-        return Cyclotomic(n, out)
+            raw[-k % n] = c
+        return Cyclotomic(n, raw)
 
     # -- comparisons / hashing / rendering ---------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.is_rational() and (self.coeffs[0] if self.coeffs else 0) == other
+        if isinstance(other, _RATIONALS) and not isinstance(other, bool):
+            return self.is_rational() and self.coeffs[0] == other
         if isinstance(other, Cyclotomic):
             if other.conductor == self.conductor:
                 return self.coeffs == other.coeffs
@@ -288,30 +300,56 @@ class Cyclotomic:
         return f"cyc({self.conductor}):{list(self.coeffs)}"
 
 
-def hermitian_dot(xs, ys):
-    """sum(conj(x) * y), exact: cyclotomic products are summed unreduced by
-    exponent mod n, conj(z^i) z^j = z^(j-i), and reduced mod Phi_n once."""
-    rational, conductor, raw = 0, None, None
-    for x, y in zip(xs, ys):
-        x_cyc, y_cyc = isinstance(x, Cyclotomic), isinstance(y, Cyclotomic)
-        if not (x_cyc or y_cyc):
-            rational += x * y
-            continue
-        n = x.conductor if x_cyc else y.conductor
-        if conductor is None:
-            conductor, raw = n, [0] * n
-        if {n, y.conductor if y_cyc else n} != {conductor}:
-            raise ValueError("mixed conductors in one sum")
-        ys_sparse = [(j, b) for j, b in enumerate(y.coeffs if y_cyc else (y,))
-                     if b]
-        for i, a in enumerate(x.coeffs if x_cyc else (x,)):
-            if a:
-                for j, b in ys_sparse:
+def _sparse_terms(value):
+    """The nonzero (exponent, coefficient) terms of a scalar in the power
+    basis of its field."""
+    if isinstance(value, Cyclotomic):
+        return [(j, b) for j, b in enumerate(value.coeffs) if b]
+    return [(0, value)] if value else []
+
+
+def hermitian_products(rows, ys):
+    """[sum(conj(x) * y for x, y in zip(row, ys)) for row in rows], exact.
+
+    Each y is sparsified once.  Within a row, cyclotomic products are summed
+    unreduced by exponent mod n, conj(z^i) z^j = z^(j-i), and the sum is
+    reduced mod Phi_n once; a factor x equal to a root of unity z^k only
+    shifts y's exponents by -k.  Rational products add up in Q."""
+    prepared = [(y.conductor if isinstance(y, Cyclotomic) else None, y,
+                 _sparse_terms(y)) for y in ys]
+    sums = []
+    for row in rows:
+        rational, conductor, raw = 0, None, None
+        for x, (m, y, terms) in zip(row, prepared):
+            if isinstance(x, Cyclotomic):
+                n, x_terms = x.conductor, None
+            elif m is None:
+                rational += x * y
+                continue
+            else:
+                n, x_terms = m, ((0, x),)
+            if conductor is None:
+                conductor, raw = n, [0] * n
+                roots = _field(n)[2]
+            if n != conductor or (m is not None and m != conductor):
+                raise ValueError("mixed conductors in one sum")
+            if x_terms is None:
+                k = roots.get(x.coeffs)
+                x_terms = _sparse_terms(x) if k is None else ((k, 1),)
+            for i, a in x_terms:
+                for j, b in terms:
                     raw[(j - i) % n] += a * b
-    if raw is None:
-        return as_exact(rational)
-    raw[0] += rational
-    return as_exact(Cyclotomic(conductor, raw))
+        if raw is None:
+            sums.append(as_exact(rational))
+        else:
+            raw[0] += rational
+            sums.append(as_exact(Cyclotomic(conductor, raw)))
+    return sums
+
+
+def hermitian_dot(xs, ys):
+    """sum(conj(x) * y): the one-row case of `hermitian_products`."""
+    return hermitian_products([xs], ys)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +360,8 @@ def render_scalar(value) -> str:
     """Render an exact scalar as "p/q" or "cyc(n):[c0,c1,...]"."""
     value = as_exact(value)
     if isinstance(value, Cyclotomic):
-        parts = ",".join(render_scalar(c) for c in value.coeffs)
+        parts = ",".join(str(c) if type(c) is int else render_scalar(c)
+                         for c in value.coeffs)
         return f"cyc({value.conductor}):[{parts}]"
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"

@@ -70,8 +70,10 @@ def _decode_nt(body) -> NTDecomposition:
 
 def _decode_orbit_projection(body) -> OrbitProjectionFixture:
     table = OrbitProjectionTable.from_json(body["rows"])
-    return OrbitProjectionFixture(str(body["group"]), table,
-                                  bool(body.get("attained", False)))
+    attained = body.get("attained", False)
+    if type(attained) is not bool:
+        raise ValueError(f"attained must be true or false, got {attained!r}")
+    return OrbitProjectionFixture(str(body["group"]), table, attained)
 
 
 def _decode_orbit_table(body) -> IndexedOrbitTable:

@@ -455,11 +455,14 @@ def sl2_conjugate(a: Mat2, b: Mat2) -> SL2Verdict:
 # conjugacy in GL(2, Z/n)
 # ---------------------------------------------------------------------------
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int):
+def _crt_pair(r1, m1: int, r2, m2: int):
+    """The residues mod m1 m2 that are r1 mod m1 and r2 mod m2, entry by
+    entry over the tuples r1 and r2: one extended Euclid for all of them."""
     g, s, _ = _ext_gcd(m1, m2)
     if g != 1:
         raise ValueError("moduli must be coprime")
-    return (r1 + (r2 - r1) * s % m2 * m1) % (m1 * m2)
+    m = m1 * m2
+    return tuple((a + (b - a) * s % m2 * m1) % m for a, b in zip(r1, r2))
 
 
 # Miller-Rabin on the first 13 primes is exact below FACTOR_LIMIT
@@ -581,7 +584,8 @@ class CommutationSolver:
             return Mat2.identity().mod(1)
         if (self.a.det() - 1) % n or (self.b.det() - 1) % n:
             raise ValueError("matrices must have determinant 1 mod n")
-        if self.a.mod(n) == self.b.mod(n):
+        if not any((p - q) % n for p, q in zip(self.a.entries(),
+                                                 self.b.entries())):
             return Mat2.identity().mod(n)
         lex = self._lex_least_under_cap(n)
         if lex is not None:
@@ -594,10 +598,9 @@ class CommutationSolver:
             if w is None:
                 return None
             q = p ** e
-            x = tuple(_crt_pair(x_ent, modulus, w_ent, q)
-                      for x_ent, w_ent in zip(x, w.entries()))
+            x = _crt_pair(x, modulus, w.entries(), q)
             modulus *= q
-        x = Mat2(*x).mod(n)
+        x = Mat2(*x)
         self.verify(x, n)
         return x
 
@@ -631,7 +634,14 @@ class CommutationSolver:
     def verify(self, x: Mat2, n: int):
         if gcd(x.det(), n) != 1:
             raise AssertionError("witness determinant is not a unit")
-        if ((x @ self.a) - (self.b @ x)).mod(n) != Mat2(0, 0, 0, 0):
+        p, q, r, s = x.entries()
+        a1, b1, c1, d1 = self.a.entries()
+        a2, b2, c2, d2 = self.b.entries()
+        # the four entries of x a - b x
+        if ((p * a1 + q * c1 - a2 * p - b2 * r) % n
+                or (p * b1 + q * d1 - a2 * q - b2 * s) % n
+                or (r * a1 + s * c1 - c2 * p - d2 * r) % n
+                or (r * b1 + s * d1 - c2 * q - d2 * s) % n):
             raise AssertionError("witness does not intertwine the pair")
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procong import chars
+from procong import chars, kernel
 from procong.chars import (
     CYCLIC_LIMIT,
     FiniteGroupTable,
@@ -393,6 +393,35 @@ class TestClassIndicator:
         assert f"L(chi_{n - 1}) = " in out
         assert f"indicator L, class {rows[0][2]} = {values[rows[0][2]]}" \
             in out
+
+    @pytest.mark.parametrize("n", (5, 12, 31))
+    def test_indicators_are_one_batch_of_products(self, n, monkeypatch):
+        group = builtin_group(f"cyclic({n})")
+        rng = random.Random(n)
+        table = OrbitProjectionTable(tuple(
+            (f"o{j}", rng.choice([-2, -1, 1, 2]), rng.randrange(n))
+            for j in range(6)))
+        character_L = chars.character_L_vector(table, group)
+        batches, sparsified = [], []
+        sparse_terms = kernel._sparse_terms
+
+        def counting_products(rows, ys):
+            batches.append(len(rows))
+            return kernel.hermitian_products(rows, ys)
+
+        def counting_terms(value):
+            sparsified.append(value)
+            return sparse_terms(value)
+
+        monkeypatch.setattr(chars, "hermitian_products", counting_products)
+        monkeypatch.setattr(kernel, "_sparse_terms", counting_terms)
+        values = all_class_indicators(table, group, character_L)
+        # one call expands every class; each L(chi) is sparsified once and
+        # the character values, all roots of unity, never are
+        assert batches == [n]
+        assert sparsified == list(character_L)
+        assert values == tuple(sum(i for _, i, c in table.rows if c == k)
+                               for k in range(n))
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_two_routes_agree_on_random_tables(self, name):

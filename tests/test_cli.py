@@ -286,6 +286,37 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: monodromy must be an object, got []\n"
 
+    # (key of the orbit_s3.json body, value, message); each value was
+    # decoded loosely: "no" as attained, floats and booleans truncated
+    LOOSE_ORBIT_FIELDS = [
+        ("attained", "no", "attained must be true or false, got 'no'"),
+        ("rows", [["w", 1.5, 1]],
+         "rows[0] index must be an integer, got 1.5"),
+        ("rows", [["w", True, 1]],
+         "rows[0] index must be an integer, got True"),
+        ("rows", [["w", 2, 1.0]],
+         "rows[0] class id must be an integer, got 1.0"),
+        ("rows", [["v", 1, 0], ["w", 2]],
+         "rows[1] must be [orbit, index, class id], got ['w', 2]"),
+        ("rows", 5, "rows must be a list, got 5"),
+    ]
+
+    @pytest.mark.parametrize("key, value, message", LOOSE_ORBIT_FIELDS,
+                             ids=["attained-string", "index-float",
+                                  "index-bool", "class-id-float",
+                                  "two-entry-row", "rows-int"])
+    @pytest.mark.parametrize("sub", ["bound", "decompose"])
+    def test_loose_orbit_projection_field_is_an_input_error(
+            self, tmp_path, capsys, key, value, message, sub):
+        data = json.loads((FIXTURES / "orbit_s3.json").read_text())
+        data["body"][key] = value
+        path = tmp_path / "orbit_s3.json"
+        path.write_text(json.dumps(data))
+        status, out, err = run(capsys, "chars", sub, str(path))
+        assert status == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     # (path into the fixture, value, field named in the error); each value
     # truncates to the valid one it replaces
     NON_INTEGERS = [

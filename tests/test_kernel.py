@@ -12,6 +12,7 @@ from procong.kernel import (
     Cyclotomic,
     as_exact,
     hermitian_dot,
+    hermitian_products,
     LaurentPolynomial,
     PolyMatrix,
     RationalFunction,
@@ -165,6 +166,91 @@ class TestCyclotomic:
             hermitian_dot([Cyclotomic.root(3)], [Cyclotomic.root(4)])
         with pytest.raises(ValueError, match="mixed conductors"):
             hermitian_dot([Cyclotomic.root(3), 1], [1, Cyclotomic.root(5)])
+        with pytest.raises(ValueError, match="mixed conductors"):
+            hermitian_products([[1, 2], [Cyclotomic.root(4), 1]],
+                               [Cyclotomic.root(3), 1])
+
+    @staticmethod
+    def _random_scalar(rng, n):
+        """A root of unity, a non-root cyclotomic, an int or a Fraction."""
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Cyclotomic.root(n, rng.randrange(n))
+        if kind == 1:
+            return sum((Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        * Cyclotomic.root(n, k)
+                        for k in rng.sample(range(n), min(n, 3))),
+                       Cyclotomic.from_rational(n, rng.randint(-2, 2)))
+        if kind == 2:
+            return rng.randint(-4, 4)
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_hermitian_products_match_termwise_sums(self, n):
+        rng = random.Random(1000 + n)
+        for _ in range(6):
+            width = rng.randrange(7)
+            ys = [self._random_scalar(rng, n) for _ in range(width)]
+            rows = [[self._random_scalar(rng, n) for _ in range(width)]
+                    for _ in range(rng.randrange(1, 5))]
+            got = hermitian_products(rows, ys)
+            assert len(got) == len(rows)
+            for row, value in zip(rows, got):
+                expected = 0
+                for x, y in zip(row, ys):
+                    conj = x.conjugate() if isinstance(x, Cyclotomic) else x
+                    expected = expected + conj * y
+                assert value == expected and value == as_exact(expected)
+                assert type(value) is type(as_exact(expected))
+                assert hermitian_dot(row, ys) == value
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 8, 12, 30))
+    def test_scalar_operands_match_the_generic_route(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            x = self._random_scalar(rng, n)
+            if not isinstance(x, Cyclotomic):
+                x = Cyclotomic.from_rational(n, x)
+            s = rng.choice([rng.randint(-5, 5),
+                            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                            Fraction(6, 3)])
+            lifted = Cyclotomic.from_rational(n, s)
+            pairs = [(x * s, x * lifted), (s * x, lifted * x),
+                     (x + s, x + lifted), (s + x, lifted + x),
+                     (x - s, x - lifted), (s - x, lifted - x)]
+            if s != 0:
+                pairs.append((x / s, x * lifted.inverse()))
+            if not x.is_zero():
+                pairs.append((s / x, lifted * x.inverse()))
+            for fast, generic in pairs:
+                assert isinstance(fast, Cyclotomic)
+                assert fast.conductor == generic.conductor
+                assert fast.coeffs == generic.coeffs
+                assert [type(c) for c in fast.coeffs] \
+                    == [type(c) for c in generic.coeffs]
+        with pytest.raises(ZeroDivisionError):
+            Cyclotomic.root(n) / 0
+
+    @pytest.mark.parametrize("op", ["*", "+", "-", "/", "r*", "r+", "r-"])
+    def test_booleans_are_not_scalar_operands(self, op):
+        z = Cyclotomic.root(5)
+        with pytest.raises(TypeError):
+            {"*": lambda: z * True, "+": lambda: z + True,
+             "-": lambda: z - True, "/": lambda: z / True,
+             "r*": lambda: True * z, "r+": lambda: True + z,
+             "r-": lambda: True - z}[op]()
+
+    def test_integral_fractions_are_stored_as_ints(self):
+        for n in (1, 5, 12):
+            value = Cyclotomic(n, [Fraction(3, 1)])
+            assert value.coeffs[0] == 3 and type(value.coeffs[0]) is int
+            assert render_scalar(Cyclotomic.root(n) * Fraction(4, 2)) \
+                == render_scalar(Cyclotomic.root(n) * 2)
+        # a long vector reduced through the table is canonical too
+        long = Cyclotomic(5, [Fraction(2, 2)] * 6 + [Fraction(1, 2)])
+        assert all(type(c) in (int, Fraction) for c in long.coeffs)
+        assert long == Cyclotomic(5, [1] * 6 + [Fraction(1, 2)])
+        assert type(long.coeffs[2]) is int
 
 
 # ---------------------------------------------------------------------------

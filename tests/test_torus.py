@@ -592,3 +592,24 @@ class TestModuleEnumeration:
         # powers recur above 64
         assert set(searched) == {
             pe for n in range(65, 1001) for pe in trial_division(n)}
+
+    def test_verify_agrees_with_the_matrix_products(self):
+        # verify checks x a - b x = 0 mod n on int entries; the oracle is the
+        # Mat2 product route
+        rng = random.Random(17)
+        for _ in range(300):
+            a = random_sl2(rng, length=3)
+            b = random_sl2(rng, length=3) if rng.random() < 0.5 else a
+            n = rng.randint(2, 40)
+            solver = CommutationSolver(a, b)
+            x = Mat2(*(rng.randrange(n) for _ in range(4)))
+            if rng.random() < 0.3:
+                x = solver.witness_mod(n) or x
+            unit = gcd(x.det(), n) == 1
+            commutes = ((x @ a) - (b @ x)).mod(n) == Mat2(0, 0, 0, 0)
+            if unit and commutes:
+                solver.verify(x, n)
+                continue
+            message = "not a unit" if not unit else "does not intertwine"
+            with pytest.raises(AssertionError, match=message):
+                solver.verify(x, n)
