@@ -28,6 +28,7 @@ from .kernel import (
     NormalizedTorsionClass,
     PolyMatrix,
     RationalFunction,
+    _json_int,
     charpoly_coefficients,
     log_coefficients,
     normalize_unit_class,
@@ -39,7 +40,6 @@ from .surfgrp import (  # noqa: F401  (mapping_torus_boundaries: re-exported)
     MappingTorusPresentation,
     _chain_matrix,
     _fox_chain,
-    _json_int,
     _json_letters,
     _mat_identity,
     _mat_mul,

@@ -20,8 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .kernel import Cyclotomic, as_exact, hermitian_dot, hermitian_products
-from .surfgrp import _json_int
+from .kernel import Cyclotomic, _json_int, as_exact, hermitian_products
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
@@ -314,49 +313,37 @@ def character_L_vector(table: OrbitProjectionTable,
 def class_indicator_L(table: OrbitProjectionTable, group: FiniteGroupTable,
                       class_id: int,
                       character_L: Optional[Sequence[Scalar]] = None) -> int:
-    """Indicator-function twisted Lefschetz number of one conjugacy class,
-    computed both directly and through the orthogonality expansion over the
-    irreducible characters (reading `character_L`, the table's
-    `character_L_vector`); the two routes must agree exactly."""
+    """Indicator-function twisted Lefschetz number of one conjugacy class:
+    its entry of `all_class_indicators`, so both routes are checked."""
     if not 0 <= class_id < group.class_count:
         raise ValueError(f"unknown conjugacy class {class_id} of {group.name}")
-    if character_L is None:
-        character_L = character_L_vector(table, group)
-    direct = sum(index for _, index, c in table.rows if c == class_id)
-    column = [chi[class_id] for chi in group.characters]
-    return _checked_indicator(group, class_id, direct,
-                              hermitian_dot(column, character_L))
+    return all_class_indicators(table, group, character_L)[class_id]
 
 
 def all_class_indicators(table: OrbitProjectionTable,
                          group: FiniteGroupTable,
                          character_L: Optional[Sequence[Scalar]] = None
                          ) -> Tuple[int, ...]:
-    """Indicator-L values for every class, by both routes of
-    `class_indicator_L`: the expansions of all classes are one batch of
-    Hermitian products with the one character_L."""
+    """Indicator-L values for every class, computed both directly and
+    through the orthogonality expansion over the irreducible characters
+    (reading `character_L`, the table's `character_L_vector`); the two
+    routes must agree exactly.  The expansions of all classes are one batch
+    of Hermitian products with the one character_L."""
     if character_L is None:
         character_L = character_L_vector(table, group)
     direct = {}
     for _, index, c in table.rows:
         direct[c] = direct.get(c, 0) + index
+    values = tuple(direct.get(c, 0) for c in range(group.class_count))
     columns = list(zip(*group.characters))
-    return tuple(
-        _checked_indicator(group, c, direct.get(c, 0), product)
-        for c, product in enumerate(hermitian_products(columns, character_L)))
-
-
-def _checked_indicator(group: FiniteGroupTable, class_id: int, direct: int,
-                       product: Scalar) -> int:
-    """Return the direct indicator value after asserting that the
-    orthogonality expansion |C|/|G| * <column, character_L> equals it."""
-    expansion = as_exact(Fraction(group.class_size(class_id), group.order)
-                         * product)
-    if expansion != direct:
-        raise ArithmeticError(
-            f"orthogonality expansion disagrees with direct evaluation on "
-            f"class {class_id} of {group.name}: broken character table")
-    return direct
+    for c, product in enumerate(hermitian_products(columns, character_L)):
+        expansion = as_exact(Fraction(group.class_size(c), group.order)
+                             * product)
+        if expansion != values[c]:
+            raise ArithmeticError(
+                f"orthogonality expansion disagrees with direct evaluation "
+                f"on class {c} of {group.name}: broken character table")
+    return values
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,14 @@ def scalar_inverse(value):
     return as_exact(Fraction(1, 1) / Fraction(value))
 
 
+def _json_int(value, field: str) -> int:
+    """An integer, as read from a fixture or given to a constructor: floats,
+    booleans and strings are rejected, not truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic fields
 # ---------------------------------------------------------------------------

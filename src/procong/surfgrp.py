@@ -37,6 +37,7 @@ from .kernel import (
     NormalizedTorsionClass,
     PolyMatrix,
     RationalFunction,
+    _json_int,
     as_exact,
     homology_order,
     normalize_unit_class,
@@ -118,14 +119,6 @@ def fox_derivative(word: Iterable[int], index: int) -> Tuple[Tuple[int, Word], .
     ((w, terms),) = _fox_chain(free_reduce(word), index)
     return tuple((coeff, w[:end]) for end, target, coeff in terms
                  if target == index - 1)
-
-
-def _json_int(value, field: str) -> int:
-    """An integer, as read from a fixture or given to a constructor: floats,
-    booleans and strings are rejected, not truncated."""
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
 
 
 def _json_letters(letters: Iterable[int], field: str) -> Word:

@@ -434,7 +434,7 @@ class TestClassIndicator:
                 rows.append((f"o{j}", index,
                              rng.randrange(group.class_count)))
             table = OrbitProjectionTable(tuple(rows))
-            # class_indicator_L asserts route agreement internally
+            # all_class_indicators asserts route agreement internally
             values = all_class_indicators(table, group)
             assert sum(values) == sum(index for _, index, _ in table.rows)
 
