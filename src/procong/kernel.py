@@ -44,6 +44,8 @@ def scalar_inverse(value):
         return value.inverse()
     if value == 0:
         raise ZeroDivisionError("scalar inverse of zero")
+    if type(value) is int:
+        return value if value in (1, -1) else Fraction(1, value)
     return as_exact(Fraction(1, 1) / Fraction(value))
 
 
@@ -404,6 +406,19 @@ def _split_top(text):
 # Laurent polynomials
 # ---------------------------------------------------------------------------
 
+def _clean_terms(terms: dict) -> dict:
+    """`terms` without its zero coefficients and with every coefficient in
+    canonical exact form (`as_exact`, which also rejects booleans and
+    non-scalars); ints, the common case, pass unchecked."""
+    clean = {}
+    for e, c in terms.items():
+        if type(c) is not int:
+            c = as_exact(c)
+        if c:
+            clean[e] = c
+    return clean
+
+
 class LaurentPolynomial:
     """Sparse Laurent polynomial over exact scalars.
 
@@ -414,21 +429,21 @@ class LaurentPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = as_exact(c) if not isinstance(c, Cyclotomic) else c.demote()
-                if scalar_is_zero(c):
-                    continue
-                if e in clean:
-                    s = clean[e] + c
-                    if scalar_is_zero(s):
-                        del clean[e]
-                    else:
-                        clean[e] = s
-                else:
-                    clean[e] = c
-        object.__setattr__(self, "terms", clean)
+        if terms and not isinstance(terms, dict):
+            pairs, terms = terms, {}
+            for e, c in pairs:
+                if type(c) is not int:
+                    c = as_exact(c)
+                terms[e] = terms[e] + c if e in terms else c
+        object.__setattr__(self, "terms", _clean_terms(terms or {}))
+
+    @classmethod
+    def _of(cls, terms: dict) -> "LaurentPolynomial":
+        """The polynomial of a dict of exact scalars the kernel computed,
+        without the argument dispatch of `__init__`."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", _clean_terms(terms))
+        return poly
 
     def __setattr__(self, *args):
         raise AttributeError("LaurentPolynomial values are immutable")
@@ -486,17 +501,13 @@ class LaurentPolynomial:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if scalar_is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentPolynomial(out)
+            out[e] = out[e] + c if e in out else c
+        return LaurentPolynomial._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPolynomial({e: -c for e, c in self.terms.items()})
+        return LaurentPolynomial._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -512,15 +523,13 @@ class LaurentPolynomial:
         if other is NotImplemented:
             return NotImplemented
         out = {}
+        others = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            for e2, c2 in others:
                 e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if scalar_is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPolynomial(out)
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
+        return LaurentPolynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -542,7 +551,7 @@ class LaurentPolynomial:
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by t^k."""
-        return LaurentPolynomial({e + k: c for e, c in self.terms.items()})
+        return LaurentPolynomial._of({e + k: c for e, c in self.terms.items()})
 
     def scale(self, c) -> "LaurentPolynomial":
         if scalar_is_zero(c):
@@ -556,15 +565,6 @@ class LaurentPolynomial:
     def reverse(self) -> "LaurentPolynomial":
         """t -> t^{-1}."""
         return LaurentPolynomial({-e: c for e, c in self.terms.items()})
-
-    def evaluate(self, x):
-        total = 0
-        for e, c in self.terms.items():
-            if e >= 0:
-                total = total + c * (x ** e)
-            else:
-                total = total + c * (scalar_inverse(x) ** (-e))
-        return total
 
     def _coerce(self, other):
         if isinstance(other, LaurentPolynomial):
@@ -595,11 +595,11 @@ class LaurentPolynomial:
             for e, c in den.terms.items():
                 e2 = e + rd - dd
                 s = rem.get(e2, 0) - coeff * c
-                if scalar_is_zero(s):
-                    rem.pop(e2, None)
-                else:
+                if s:
                     rem[e2] = s
-        return LaurentPolynomial(q), LaurentPolynomial(rem)
+                else:
+                    rem.pop(e2, None)
+        return LaurentPolynomial._of(q), LaurentPolynomial._of(rem)
 
     def exact_divide(self, den: "LaurentPolynomial") -> "LaurentPolynomial":
         """Division known to be exact in F[t^{+-1}]."""
@@ -1014,19 +1014,22 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        other_cols = list(zip(*other.entries)) or [()] * other.cols
+        # the nonzero entries of each row of `other`, listed once
+        sparse = [[(j, tuple(b.terms.items())) for j, b in enumerate(row) if b]
+                  for row in other.entries]
         out = []
         for row in self.entries:
-            out_row = []
-            for col in other_cols:
-                acc = {}
-                for a, b in zip(row, col):
-                    if a and b:
+            acc = [{} for _ in range(other.cols)]
+            for a, nonzero in zip(row, sparse):
+                if a:
+                    for j, b_terms in nonzero:
+                        entry = acc[j]
                         for e1, c1 in a.terms.items():
-                            for e2, c2 in b.terms.items():
-                                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-                out_row.append(LaurentPolynomial(acc))
-            out.append(out_row)
+                            for e2, c2 in b_terms:
+                                e = e1 + e2
+                                c = c1 * c2
+                                entry[e] = entry[e] + c if e in entry else c
+            out.append([LaurentPolynomial._of(entry) for entry in acc])
         return PolyMatrix(self.rows, other.cols, out)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -1128,6 +1131,19 @@ def charpoly_coefficients(matrix) -> list:
     return coeffs
 
 
+def _minus_product(a: LaurentPolynomial, q: LaurentPolynomial,
+                   b: LaurentPolynomial) -> LaurentPolynomial:
+    """a - q * b, built as one polynomial (a step of an elimination)."""
+    out = dict(a.terms)
+    b_terms = b.terms.items()
+    for e1, c1 in q.terms.items():
+        for e2, c2 in b_terms:
+            e = e1 + e2
+            c = c1 * c2
+            out[e] = out[e] - c if e in out else -c
+    return LaurentPolynomial._of(out)
+
+
 def smith_diagonalize(matrix: PolyMatrix) -> tuple:
     """Nonzero diagonal of `matrix` diagonalized over F[t] by unimodular row
     and column operations (no transforms are kept).
@@ -1174,10 +1190,9 @@ def smith_diagonalize(matrix: PolyMatrix) -> tuple:
                 row = m[i]
                 if row[pc]:
                     q, r = row[pc].divmod_poly(pivot)
-                    q = -q
                     for j in range(pc, cols):
                         if pivot_row[j]:
-                            row[j] = row[j] + q * pivot_row[j]
+                            row[j] = _minus_product(row[j], q, pivot_row[j])
                     if r:
                         m[pr], m[i] = row, pivot_row
                         reduced = True
@@ -1187,10 +1202,9 @@ def smith_diagonalize(matrix: PolyMatrix) -> tuple:
             for j in range(pc + 1, cols):
                 if pivot_row[j]:
                     q, r = pivot_row[j].divmod_poly(pivot)
-                    q = -q
                     for row in m:
                         if row[pc]:
-                            row[j] = row[j] + q * row[pc]
+                            row[j] = _minus_product(row[j], q, row[pc])
                     if r:
                         col_swap(pc, j)
                         reduced = True

@@ -55,22 +55,38 @@ def _squarefree(p: LaurentPolynomial) -> LaurentPolynomial:
     return p.exact_divide(g)
 
 
-def _sturm_chain(p: LaurentPolynomial) -> Tuple[LaurentPolynomial, ...]:
+def _cleared(p: LaurentPolynomial) -> Tuple[int, ...]:
+    """Ascending integer coefficients of p (valuation >= 0) times the
+    positive lcm of their denominators: p up to a positive factor."""
+    coeffs = [Fraction(p.coefficient(e)) for e in range(p.degree + 1)]
+    denom = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (denom // c.denominator) for c in coeffs)
+
+
+def _sign_at(coeffs: Tuple[int, ...], x: Fraction) -> int:
+    """Sign of sum c_i x^i at x = a/b, read off the integer
+    sum c_i a^i b^(d-i) (Horner's rule; b > 0 keeps the sign)."""
+    a, b = x.numerator, x.denominator
+    value, b_power = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        b_power *= b
+        value = value * a + c * b_power
+    return (value > 0) - (value < 0)
+
+
+def _sturm_chain(p: LaurentPolynomial) -> Tuple[Tuple[int, ...], ...]:
+    """The Sturm chain of p, each member cleared of denominators (only
+    the signs of its members are ever read)."""
     chain = [p, _derivative(p)]
     while not chain[-1].is_zero():
         _, r = chain[-2].divmod_poly(chain[-1])
         chain.append(-r)
     chain.pop()
-    return tuple(chain)
+    return tuple(_cleared(q) for q in chain)
 
 
 def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = p.evaluate(x)
-        s = (v > 0) - (v < 0)
-        if s:
-            signs.append(s)
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -134,11 +150,11 @@ class StretchFactor:
                 "stretch factor interval must satisfy 1 <= low < high")
         sf = _squarefree(_poly(coeffs))
         chain = _sturm_chain(sf)
-        at_low = sf.evaluate(self.low)
+        at_low = _sign_at(chain[0], self.low)
         object.__setattr__(self, "_sf", sf)
         object.__setattr__(self, "_chain", chain)
         object.__setattr__(self, "_low_positive", at_low > 0)
-        if at_low == 0 or sf.evaluate(self.high) == 0:
+        if at_low == 0 or _sign_at(chain[0], self.high) == 0:
             raise DecompositionError(
                 "stretch factor interval endpoints must not be roots")
         if _roots_between(chain, self.low, self.high) != 1:
@@ -150,21 +166,21 @@ class StretchFactor:
     def _halved(self, low: Fraction, high: Fraction):
         """The half of (low, high) that holds the root, validating nothing:
         the root is simple, so the squarefree part keeps its sign at
-        `self.low` up to the root.  A midpoint that is the root gives
-        (mid, mid)."""
+        `self.low` up to the root (`self._chain[0]` is that part, cleared
+        of denominators).  A midpoint that is the root gives (mid, mid)."""
         mid = (low + high) / 2
-        value = self._sf.evaluate(mid)
-        if value == 0:
+        sign = _sign_at(self._chain[0], mid)
+        if sign == 0:
             return mid, mid
-        return (mid, high) if (value > 0) == self._low_positive else (low, mid)
+        return (mid, high) if (sign > 0) == self._low_positive else (low, mid)
 
     def refined(self) -> "StretchFactor":
         """Shrink the isolating interval (at least by half)."""
         low, high = self._halved(self.low, self.high)
         if low == high:
             # the midpoint is the root: isolate it again with rational ends
-            mid, eps, sf = low, (self.high - self.low) / 8, self._sf
-            while (sf.evaluate(mid - eps) == 0 or sf.evaluate(mid + eps) == 0
+            mid, eps, sf = low, (self.high - self.low) / 8, self._chain[0]
+            while (_sign_at(sf, mid - eps) == 0 or _sign_at(sf, mid + eps) == 0
                    or _roots_between(self._chain, mid - eps, mid + eps) != 1):
                 eps /= 2
             low, high = mid - eps, mid + eps
@@ -229,12 +245,11 @@ class StretchFactor:
         raised = LaurentPolynomial(
             {n - k: (-1) ** k * new_elem[k] for k in range(n + 1)})
         ints = _integer_coefficients(_squarefree(raised))
-        target = _poly(ints)
-        chain = _sturm_chain(target)
+        chain = _sturm_chain(_poly(ints))
         base = self
         while True:
             low, high = base.low ** m, base.high ** m
-            if (target.evaluate(low) != 0 and target.evaluate(high) != 0
+            if (_sign_at(chain[0], low) != 0 and _sign_at(chain[0], high) != 0
                     and _roots_between(chain, low, high) == 1):
                 return StretchFactor(ints, low, high)
             base = base.refined()

@@ -37,6 +37,7 @@ from .kernel import (
     NormalizedTorsionClass,
     PolyMatrix,
     RationalFunction,
+    _INT_ONLY,
     _json_int,
     as_exact,
     homology_order,
@@ -590,11 +591,22 @@ def _mat_identity(k: int) -> ScalarMatrix:
 
 
 def _mat_mul(a: ScalarMatrix, b: ScalarMatrix) -> ScalarMatrix:
-    k = len(a)
-    return tuple(
-        tuple(as_exact(sum(a[i][l] * b[l][j] for l in range(k)))
-              if k else 0 for j in range(k))
-        for i in range(k))
+    """Exact product of square matrices of one size, in canonical form
+    (`as_exact`).  Each nonzero a[i][l] meets only the nonzero entries of
+    b[l], so a product of monomial matrices costs O(k^2), not k^3."""
+    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * len(row)
+        for x, nonzero in zip(row, sparse):
+            if x:
+                for j, y in nonzero:
+                    # 0 + y would rebuild a cyclotomic y
+                    acc[j] = acc[j] + x * y if acc[j] else x * y
+        if set(map(type, acc)) != _INT_ONLY:
+            acc = map(as_exact, acc)
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _mat_inverse(m: ScalarMatrix) -> ScalarMatrix:
@@ -808,8 +820,11 @@ def _chain_matrix(mt: MappingTorusPresentation, rep: FiniteRepresentation,
                 position = end
                 for i, row in enumerate(mat):
                     for j, value in enumerate(row):
-                        entry = grid[target * k + j][source * k + i]
-                        entry[degree] = entry.get(degree, 0) + coeff * value
+                        if value:
+                            entry = grid[target * k + j][source * k + i]
+                            c = coeff * value
+                            entry[degree] = (entry[degree] + c
+                                             if degree in entry else c)
     return PolyMatrix(k * n_targets, k * len(chains),
                       [[LaurentPolynomial(e) for e in row] for row in grid])
 

@@ -42,6 +42,7 @@ from procong.surfgrp import (
     word_concat,
     word_inverse,
 )
+from procong.serialize import load_fixture
 from procong.torus import Mat2
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -431,6 +432,24 @@ class TestFlowMatrices:
         with pytest.raises(ValueError, match="degree 2"):
             flow_boundary_matrices(surface, bad_flow, rep)
 
+    def test_moved_degree_two_decoration_is_detected(self):
+        # The 2-cell's image keeps its sign and its degree, but its
+        # decoration gains a fiber generator: F2 changes only under a
+        # representation that sees the fiber, and only the degree-2
+        # chain-map check can tell.
+        mt = mapping_torus(TORUS, ANOSOV_WORDS)
+        surface, flow = cellular_model(mt)
+        ((word, ((end, target, sign),)),) = flow.images[2][0]
+        tampered = (flow.images[0], flow.images[1],
+                    ((((1,) + word, ((end + 1, target, sign),)),),))
+        bad_flow = CellularSelfMap(surface, tampered)
+        rep = mod2_permutation_rep(mt, Mat2(2, 1, 1, 1))
+        with pytest.raises(ValueError, match="degree 2"):
+            flow_boundary_matrices(surface, bad_flow, rep)
+        trivial = FiniteRepresentation.trivial(mt)
+        assert (flow_boundary_matrices(surface, bad_flow, trivial)
+                == flow_boundary_matrices(surface, flow, trivial))
+
 
 # ---------------------------------------------------------------------------
 # zeta, torsion, and Lefschetz numbers
@@ -768,6 +787,56 @@ class TestLefschetzNumbers:
             ((m.a, m.b), (m.c, m.d)))
         assert computed != [classical_lefschetz(forward_action, i)
                             for i in range(1, 7)]
+
+
+def affine_rep(matrix, n):
+    """Permutation representation of a torus bundle's group on (Z/n)^2:
+    the fiber generators translate by e1 and e2, the stable letter acts by
+    the monodromy matrix mod n (transposed permutation matrices)."""
+    points = [(x, y) for x in range(n) for y in range(n)]
+    index = {p: i for i, p in enumerate(points)}
+
+    def perm(f):
+        rows = [[0] * len(points) for _ in points]
+        for p in points:
+            rows[index[f(p)]][index[p]] = 1
+        return rows
+
+    return FiniteRepresentation(n * n, (
+        perm(lambda p: ((p[0] + 1) % n, p[1])),
+        perm(lambda p: (p[0], (p[1] + 1) % n)),
+        perm(lambda p: ((matrix.a * p[0] + matrix.b * p[1]) % n,
+                        (matrix.c * p[0] + matrix.d * p[1]) % n))))
+
+
+class TestShapiroOracle:
+    """By Shapiro's lemma the permutation representation on (Z/n)^2
+    computes the invariants of the cover with fiber R^2 / nZ^2 and the
+    same monodromy, which are those of the bundle itself: each invariant
+    under the degree-16 affine representation equals the trivial one."""
+
+    def test_degree_sixteen_affine_matches_trivial(self):
+        a211 = load_fixture(FIXTURES / "torus_A211.json").payload
+        mt = mapping_torus(TORUS, GeneratorEndomorphism.torus_monodromy(a211))
+        surface, flow = cellular_model(mt)
+
+        def invariants(rep):
+            return ([twisted_alexander(mt, rep, n) for n in range(4)],
+                    torsion_from_cellular(surface, flow, rep),
+                    twisted_torsion(mt, rep),
+                    zeta_from_cellular(surface, flow, rep),
+                    lefschetz_numbers(surface, flow, rep, 10))
+
+        affine = affine_rep(a211, 4)
+        assert affine.dimension == 16
+        deltas, by_flow, by_orders, zeta, lefschetz = invariants(affine)
+        want = invariants(FiniteRepresentation.trivial(mt))
+        assert all(d.unit_equal(w) for d, w in zip(deltas, want[0]))
+        assert not any(d.is_zero() for d in deltas)
+        assert by_flow == want[1] and by_flow.acyclic
+        assert by_orders == want[2] == by_flow.value
+        assert zeta == want[3]
+        assert lefschetz == want[4]
 
 
 # ---------------------------------------------------------------------------

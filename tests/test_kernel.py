@@ -324,6 +324,88 @@ class TestLaurentPolynomial:
         assert LaurentPolynomial.from_json(p.to_json()) == p
 
 
+@st.composite
+def polys_over_one_field(draw, count):
+    """`count` polynomials over one field Q(zeta_n), n in {3, 4}, with
+    coefficients given as ints, Fractions (integral ones too) and
+    cyclotomic values (rational and zero ones too)."""
+    n = draw(st.sampled_from((3, 4)))
+    scalars = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.lists(st.integers(-2, 2), min_size=1, max_size=2 * n).map(
+            lambda coeffs: Cyclotomic(n, coeffs)))
+    polys = st.dictionaries(st.integers(-2, 3), scalars, max_size=4).map(
+        LaurentPolynomial)
+    return [draw(polys) for _ in range(count)]
+
+
+def assert_canonical(p):
+    """No zero coefficient, no integral Fraction, no rational Cyclotomic."""
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction, Cyclotomic)
+        assert c != 0
+        assert not (type(c) is Fraction and c.denominator == 1)
+        assert not (type(c) is Cyclotomic and c.is_rational())
+
+
+class TestCanonicalResults:
+    """Results of polynomial arithmetic are built without re-validating
+    their coefficients; they must still come out canonical."""
+
+    @given(polys_over_one_field(3))
+    def test_ring_operations(self, polys):
+        a, b, c = polys
+        for p in polys:
+            assert_canonical(p)
+        for result in (a + b, a - b, -a, a * b, a * b + c, a * b - a * b,
+                       a.shift(3), a.shift(-2), a + 1, Fraction(1, 2) - a):
+            assert_canonical(result)
+        assert (a - b) + b == a
+        assert (a * b).shift(1) == a * b.shift(1)
+
+    @given(polys_over_one_field(2))
+    def test_divmod_poly(self, polys):
+        a, b = polys
+        if not b:
+            return
+        num = a.shift(-a.valuation) if a else a
+        den = b.shift(-b.valuation)
+        q, r = num.divmod_poly(den)
+        assert_canonical(q)
+        assert_canonical(r)
+        assert q * den + r == num
+        assert r.is_zero() or r.degree < den.degree
+
+    @given(polys_over_one_field(8))
+    def test_poly_matrix_product(self, polys):
+        a = PolyMatrix(2, 2, [polys[0:2], polys[2:4]])
+        b = PolyMatrix(2, 2, [polys[4:6], polys[6:8]])
+        product = a @ b
+        for i in range(2):
+            for j in range(2):
+                entry = product.entries[i][j]
+                assert_canonical(entry)
+                assert entry == (a.entries[i][0] * b.entries[0][j]
+                                 + a.entries[i][1] * b.entries[1][j])
+
+    def test_cancellations_are_demoted(self):
+        half = LaurentPolynomial({0: Fraction(1, 2), 1: Cyclotomic.root(4)})
+        total = half + half
+        assert total.terms[0] == 1 and type(total.terms[0]) is int
+        square = LaurentPolynomial.constant(Cyclotomic.root(4)) ** 2
+        assert square.terms == {0: -1} and type(square.terms[0]) is int
+        assert (half - half).terms == {}
+        pairs = LaurentPolynomial([(0, Fraction(1, 2)), (0, Fraction(1, 2))])
+        assert pairs.terms == {0: 1} and type(pairs.terms[0]) is int
+
+    @pytest.mark.parametrize("terms", [{0: True}, {1: False}, [(0, True)],
+                                       {0: 1.5}, {0: "1"}])
+    def test_constructor_still_rejects_non_scalars(self, terms):
+        with pytest.raises(TypeError):
+            LaurentPolynomial(terms)
+
+
 # ---------------------------------------------------------------------------
 # rational functions, series, logs
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from procong.kernel import (
     Cyclotomic,
     LaurentPolynomial,
+    as_exact,
     PolyMatrix,
     RationalFunction,
     normalize_unit_class,
@@ -814,6 +815,78 @@ class TestChainAssembly:
         # d3 walks the relator's images, 2 * 3,401 letters, once
         assert sum(letters) > 2 * sum(map(len, phi.images))
         assert 0 < len(products) <= sum(letters)
+
+
+def dense_mat_mul(a, b):
+    """The dense k^3 product with `as_exact` on every entry, as
+    `surfgrp._mat_mul` computed it before it skipped zeros."""
+    k = len(a)
+    return tuple(
+        tuple(as_exact(sum(a[i][l] * b[l][j] for l in range(k)))
+              if k else 0 for j in range(k))
+        for i in range(k))
+
+
+def random_scalar(rng, field):
+    """A nonzero scalar, not always canonical: Fractions may be integral
+    and cyclotomic values rational."""
+    if field == "int":
+        return rng.choice([-3, -2, -1, 1, 2, 3])
+    if field == "fraction":
+        return Fraction(rng.choice([-4, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    if rng.random() < 0.5:
+        return Cyclotomic.root(12, rng.randrange(12))
+    coeffs = [rng.randint(-1, 1) for _ in range(rng.randint(1, 6))]
+    value = Cyclotomic(12, coeffs)
+    return value if value else Cyclotomic(12, [1])
+
+
+def random_scalar_matrix(rng, k, field, shape):
+    """A k x k matrix that is monomial (one nonzero per row and column),
+    dense, or zero-heavy (each entry nonzero with probability 0.15)."""
+    if shape == "monomial":
+        perm = rng.sample(range(k), k)
+        return tuple(tuple(random_scalar(rng, field) if j == perm[i] else 0
+                           for j in range(k)) for i in range(k))
+    density = 1.0 if shape == "dense" else 0.15
+    return tuple(tuple(random_scalar(rng, field) if rng.random() < density
+                       else 0 for _ in range(k)) for _ in range(k))
+
+
+class TestMatMul:
+    @pytest.mark.parametrize("field", ["int", "fraction", "cyclotomic"])
+    @pytest.mark.parametrize("shape", ["monomial", "dense", "zero_heavy"])
+    def test_matches_the_dense_product(self, field, shape):
+        rng = random.Random(f"{field}:{shape}")
+        for k in (0, 1, 2, 3, 4, 7):
+            for _ in range(6):
+                a = random_scalar_matrix(rng, k, field, shape)
+                b = random_scalar_matrix(rng, k, field, shape)
+                fast, slow = surfgrp._mat_mul(a, b), dense_mat_mul(a, b)
+                assert fast == slow
+                assert [type(e) for row in fast for e in row] == \
+                    [type(as_exact(e)) for row in fast for e in row]
+                assert [type(e) for row in fast for e in row] == \
+                    [type(e) for row in slow for e in row]
+
+    def test_empty_and_scalar_shapes(self):
+        assert surfgrp._mat_mul((), ()) == ()
+        assert surfgrp._mat_mul(((Fraction(2, 3),),),
+                                ((Fraction(3, 2),),)) == ((1,),)
+        assert type(surfgrp._mat_mul(((Fraction(2, 3),),),
+                                     ((Fraction(3, 2),),))[0][0]) is int
+        i = Cyclotomic.root(4)
+        assert surfgrp._mat_mul(((i,),), ((i,),)) == ((-1,),)
+        assert type(surfgrp._mat_mul(((i,),), ((i,),))[0][0]) is int
+        assert surfgrp._mat_mul(((0,),), ((i,),)) == ((0,),)
+
+    def test_cancelling_entries_come_out_as_int_zero(self):
+        a = ((1, 1), (0, 0))
+        b = ((Fraction(1, 2), Cyclotomic.root(3)),
+             (Fraction(-1, 2), -Cyclotomic.root(3)))
+        product = surfgrp._mat_mul(a, b)
+        assert product == ((0, 0), (0, 0))
+        assert all(type(e) is int for row in product for e in row)
 
 
 class TestTwistedAlexander:
