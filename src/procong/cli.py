@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -185,8 +186,28 @@ def _handle_torus_sweep(config: RunConfig):
     return report.render_text(), report.to_json()
 
 
+def _largest_printable_bound(digits: int) -> int:
+    """The largest index bound whose characteristic level lcm(1..n) has at
+    most `digits` decimal digits."""
+    ceiling, level, n = 10 ** digits, 1, 1
+    while math.lcm(level, n + 1) < ceiling:
+        level, n = math.lcm(level, n + 1), n + 1
+    return n
+
+
 def _handle_torus_klevel(config: RunConfig):
     n = _positive_int(config.inputs[0], "level bound")
+    # the report prints the level as a decimal integer, which the interpreter
+    # caps at `digits` digits (0: no cap); lcm(1..n) < 3^n < 10^(0.478 n)
+    # (Hanson, 1972), so only a larger bound can reach the cap
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and 478 * n > 1000 * digits:
+        largest = _largest_printable_bound(digits)
+        if n > largest:
+            raise ValueError(
+                f"level bound must be at most {largest}, got {n}: larger "
+                f"characteristic levels exceed the {digits}-digit limit "
+                f"for printing integers")
     level = characteristic_level(n)
     text = f"characteristic level for index bound {n}: {level}"
     return text, {"bound": n, "characteristic_level": level}

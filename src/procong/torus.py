@@ -9,8 +9,10 @@ Three layers:
   reducing the fixed point into the fundamental domain of the modular group.
 * `congruent_conjugate_mod` decides conjugacy in GL(2,Z/n) by solving the
   linear commutation system X A = B X over Z/n (one integer Smith form, reused
-  for every modulus) and searching the solution module for a unit-determinant
-  point prime power by prime power.
+  for every modulus) and finding a unit-determinant point of the solution
+  module: the lexicographically least one, by an ordered walk over the
+  module's Howell basis, when the module is small, else prime power by prime
+  power.
 * `congruence_sweep` runs the mod-n test over a range of levels and reports
   whether the pair looks procongruently conjugate without being SL(2,Z)
   conjugate.  `characteristic_level` computes the lattice d with
@@ -23,10 +25,11 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import count, product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Optional, Tuple
 
-from .kernel import integer_kernel_basis, smith_integer
+from .kernel import (ext_gcd, howell_form, howell_points,
+                     integer_kernel_basis, smith_integer)
 
 
 class Mat2:
@@ -195,25 +198,11 @@ def _require_unimodular(*mats):
 
 def _complete_to_sl2(p: int, q: int) -> Mat2:
     """Extend the primitive column (p, q) to a matrix in SL(2,Z)."""
-    g, x, y = _ext_gcd(p, q)
+    g, x, y = ext_gcd(p, q)
     if g != 1:
         raise ValueError("column is not primitive")
     # p*x + q*y = 1 -> det [[p, -y], [q, x]] = p*x + q*y = 1
     return Mat2(p, -y, q, x)
-
-
-def _ext_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _parabolic_data(m: Mat2):
@@ -458,7 +447,7 @@ def sl2_conjugate(a: Mat2, b: Mat2) -> SL2Verdict:
 def _crt_pair(r1, m1: int, r2, m2: int):
     """The residues mod m1 m2 that are r1 mod m1 and r2 mod m2, entry by
     entry over the tuples r1 and r2: one extended Euclid for all of them."""
-    g, s, _ = _ext_gcd(m1, m2)
+    g, s, _ = ext_gcd(m1, m2)
     if g != 1:
         raise ValueError("moduli must be coprime")
     m = m1 * m2
@@ -537,9 +526,17 @@ class CommutationSolver:
 
     One integer Smith form of the 4x4 commutation operator describes the
     solution set for every n at once: writing U T V = diag(d_i), the solutions
-    mod n are V y with d_i y_i = 0 mod n, as (a, b, c, d) int tuples.
-    Unit-determinant solutions are searched once per prime power for the
-    life of the solver and glued with the Chinese remainder theorem.
+    mod n are V y with d_i y_i = 0 mod n, as (a, b, c, d) int tuples.  So the
+    module mod n is spanned by the four rows (n / gcd(d_i, n)) v_i, v_i the
+    columns of V, and has prod gcd(d_i, n) points.
+
+    A level whose module has at most LEX_SEARCH_CAP points gets its
+    lexicographically least unit-determinant solution: the Howell basis of
+    the module (`kernel.howell_form`) walks its points in lexicographic
+    order (`kernel.howell_points`), and the walk stops at the first unit.
+    Every other level searches once per prime power for the life of the
+    solver and glues the prime-power witnesses with the Chinese remainder
+    theorem.  Every witness passes `verify`.
     """
 
     LEX_SEARCH_CAP = 4096
@@ -587,9 +584,8 @@ class CommutationSolver:
         if not any((p - q) % n for p, q in zip(self.a.entries(),
                                                  self.b.entries())):
             return Mat2.identity().mod(n)
-        lex = self._lex_least_under_cap(n)
-        if lex is not None:
-            return lex if isinstance(lex, Mat2) else None
+        if prod(gcd(d, n) for d in self.diag) <= self.LEX_SEARCH_CAP:
+            return self._lex_least_under_cap(n)
         x, modulus = (0, 0, 0, 0), 1
         for p, e in factorize(n):
             if (p, e) not in self._witnesses:
@@ -604,32 +600,23 @@ class CommutationSolver:
         self.verify(x, n)
         return x
 
-    def _lex_least_under_cap(self, n: int):
-        """Full enumeration of the solution module when it is small.
+    def _lex_least_under_cap(self, n: int) -> Optional[Mat2]:
+        """The lexicographically least unit-determinant solution mod n, or
+        None when the module holds no unit.
 
-        Returns the lexicographically least unit witness, False if none
-        exists, or None when the module is too large to enumerate.
+        Walks the module in lexicographic order from its Howell basis and
+        stops at the first unit, so it draws every point only when there is
+        no witness; `witness_mod` takes this route for modules of at most
+        LEX_SEARCH_CAP points.
         """
-        sizes = [gcd(d, n) for d in self.diag]
-        if sizes[0] * sizes[1] * sizes[2] * sizes[3] > self.LEX_SEARCH_CAP:
-            return None
-        # the module is the sum of the multiples of each generator column
-        multiples = [[tuple(k * (n // s) * v % n for v in col)
-                      for k in range(s)]
-                     for s, col in zip(sizes, self.v_cols)]
-        best = None
-        for (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3), \
-                (a4, b4, c4, d4) in product(*multiples):
-            x = ((a1 + a2 + a3 + a4) % n, (b1 + b2 + b3 + b4) % n,
-                 (c1 + c2 + c3 + c4) % n, (d1 + d2 + d3 + d4) % n)
-            if (best is None or x < best) \
-                    and gcd(x[0] * x[3] - x[1] * x[2], n) == 1:
-                best = x
-        if best is None:
-            return False
-        witness = Mat2(*best)
-        self.verify(witness, n)
-        return witness
+        rows = [[n // gcd(d, n) * v for v in col]
+                for d, col in zip(self.diag, self.v_cols)]
+        for x in howell_points(howell_form(rows, n), n, 4):
+            if gcd(x[0] * x[3] - x[1] * x[2], n) == 1:
+                witness = Mat2(*x)
+                self.verify(witness, n)
+                return witness
+        return None
 
     def verify(self, x: Mat2, n: int):
         if gcd(x.det(), n) != 1:
@@ -647,7 +634,7 @@ class CommutationSolver:
 
 def congruent_conjugate_mod(a: Mat2, b: Mat2, n: int) -> ModVerdict:
     """Decide conjugacy of a and b in GL(2, Z/n)."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"modulus must be a positive integer, got {n!r}")
     solver = CommutationSolver(a, b)
     witness = solver.witness_mod(n)
@@ -665,16 +652,16 @@ def characteristic_level(n: int) -> int:
     index m intersect in exactly m.Z^2, so the intersection over all m <= n is
     lcm(1..n).Z^2.
     """
-    if n < 1:
-        raise ValueError("level must be a positive integer")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"level must be a positive integer, got {n!r}")
     return reduce(math.lcm, range(1, n + 1), 1)
 
 
 def characteristic_level_bruteforce(n: int) -> int:
     """Direct computation: enumerate all sublattices of index <= n by their
     upper-triangular (Hermite) bases and intersect them."""
-    if n < 1:
-        raise ValueError("level must be a positive integer")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"level must be a positive integer, got {n!r}")
     basis = [[1, 0], [0, 1]]
     for m in range(2, n + 1):
         for a in _divisors(m):
@@ -800,8 +787,9 @@ class CongruenceReport:
 def congruence_sweep(a: Mat2, b: Mat2, max_n: int) -> CongruenceReport:
     """Test GL(2,Z/n) conjugacy for n = 1..max_n and summarize."""
     _require_unimodular(a, b)
-    if max_n < 1:
-        raise ValueError("sweep bound must be a positive integer")
+    if type(max_n) is not int or max_n < 1:
+        raise ValueError(
+            f"sweep bound must be a positive integer, got {max_n!r}")
     solver = CommutationSolver(a, b)
     verdicts = []
     for n in range(1, max_n + 1):

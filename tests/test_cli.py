@@ -2,6 +2,7 @@
 codes, JSON/text agreement, and determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -97,6 +98,23 @@ class TestGoldenReports:
         status, out, _ = run(capsys, "torus", "klevel", "10")
         assert status == 0
         assert out == "characteristic level for index bound 10: 2520\n"
+
+    @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                        != 4300, reason="needs the default 4300-digit cap "
+                                        "on printing integers")
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_klevel_at_the_digit_cap(self, capsys, mode):
+        # lcm(1..9858) has 4297 digits and lcm(1..9859) = 9859 lcm(1..9858)
+        # has 4301
+        status, out, _ = run(capsys, "torus", "klevel", "9858", *mode)
+        assert status == 0
+        level = (json.loads(out)["characteristic_level"] if mode
+                 else int(out.split()[-1]))
+        assert level == math.lcm(*range(1, 9859))
+        status, out, err = run(capsys, "torus", "klevel", "9859", *mode)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: level bound must be at most 9858, got 9859")
 
     def test_alexander_orders_of_the_anosov_torus(self, capsys):
         status, out, _ = run(capsys, "alexander", fixture("torus_A211.json"))

@@ -18,7 +18,10 @@ from procong.kernel import (
     RationalFunction,
     cyclotomic_polynomial,
     exp_series,
+    ext_gcd,
     homology_order,
+    howell_form,
+    howell_points,
     integer_kernel_basis,
     laurent_gcd,
     log_coefficients,
@@ -748,6 +751,106 @@ class TestSmithInteger:
         assert len(basis) == 2
         for vec in basis:
             assert all(sum(r[i] * vec[i] for i in range(3)) == 0 for r in m)
+
+
+# ---------------------------------------------------------------------------
+# modules over Z/n: extended Euclid and the Howell form
+# ---------------------------------------------------------------------------
+
+def brute_span(rows, n, width):
+    """Every Z/n-combination of the rows, by closure under adding multiples."""
+    points = {(0,) * width}
+    for row in rows:
+        points = {tuple((x + k * y) % n for x, y in zip(point, row))
+                  for point in points for k in range(n)}
+    return points
+
+
+def random_generators(rng, n, width):
+    """Up to five rows with entries outside [0, n), sometimes with a zero row
+    and a repeated row."""
+    rows = [[rng.randint(-2 * n, 2 * n) for _ in range(width)]
+            for _ in range(rng.randint(0, 4))]
+    if rows and rng.random() < 0.4:
+        rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+    if rng.random() < 0.4:
+        rows.insert(rng.randrange(len(rows) + 1), [0] * width)
+    return rows
+
+
+def pivot_column(row):
+    return next(c for c, x in enumerate(row) if x)
+
+
+class TestExtGcd:
+    def test_bezout_identity(self):
+        for a in range(-30, 31):
+            for b in range(-30, 31):
+                g, s, t = ext_gcd(a, b)
+                assert g == gcd(a, b)
+                assert s * a + t * b == g
+
+
+class TestHowellForm:
+    CASES = [(n, width, seed) for n in range(1, 13) for width in range(1, 5)
+             for seed in range(4)]
+
+    @pytest.mark.parametrize("n,width,seed", CASES)
+    def test_span_structure_and_walk(self, n, width, seed):
+        rng = random.Random(1000 * n + 10 * width + seed)
+        rows = random_generators(rng, n, width)
+        form = howell_form(rows, n)
+        span = brute_span(rows, n, width)
+        assert brute_span(form, n, width) == span
+        pivots = [pivot_column(row) for row in form]
+        assert pivots == sorted(set(pivots))
+        for i, (row, c) in enumerate(zip(form, pivots)):
+            assert all(0 <= x < n for x in row)
+            assert n % row[c] == 0
+            assert all(above[c] < row[c] for above in form[:i])
+        # the Howell property: the rows with pivot at c or later span every
+        # element of the module that is zero before column c
+        for c in range(width + 1):
+            tail = [row for row, p in zip(form, pivots) if p >= c]
+            assert brute_span(tail, n, width) \
+                == {x for x in span if not any(x[:c])}
+        assert list(howell_points(form, n, width)) == sorted(span)
+
+    @pytest.mark.parametrize("n,width,seed", CASES[::3])
+    def test_canonical_for_the_module(self, n, width, seed):
+        rng = random.Random(7 * n + width + 100 * seed)
+        rows = random_generators(rng, n, width)
+        form = howell_form(rows, n)
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert howell_form(shuffled, n) == form
+        multiples = []
+        for row in rows:
+            k = rng.randint(-3, 3)
+            multiples.append([k * x for x in row])
+        combined = [[sum(x) for x in zip(*rows)]] if rows else []
+        assert howell_form(rows + multiples + combined, n) == form
+        assert howell_form(form, n) == form
+
+    def test_known_form(self):
+        # 4 e1 + 2 e2 over Z/8: the pivot 4 leaves 2 * (4, 2) = (0, 4)
+        assert howell_form([[4, 2]], 8) == ((4, 2), (0, 4))
+        # over Z/9, 3 * (3, 5) = (0, 6) = 2 * (0, 3), and 5 reduces to 2
+        assert howell_form([[3, 5]], 9) == ((3, 2), (0, 3))
+        assert howell_form([[0, 0]], 6) == ()
+        assert howell_form([], 6) == ()
+        assert list(howell_points((), 6, 2)) == [(0, 0)]
+
+    def test_rejects_bad_moduli_and_entries(self):
+        for n in (0, -4, True, 2.0, "6", None):
+            with pytest.raises(ValueError, match="n must be"):
+                howell_form([[1, 2]], n)
+        with pytest.raises(ValueError, match="integers"):
+            howell_form([[1, 2.0]], 6)
+        with pytest.raises(ValueError, match="integers"):
+            howell_form([[1, True]], 6)
+        with pytest.raises(ValueError, match="equal length"):
+            howell_form([[1, 2], [3]], 6)
 
 
 def _det(m):

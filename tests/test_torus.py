@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from procong.cli import main
+from procong.kernel import howell_points
 from procong.torus import (
     FACTOR_LIMIT,
     CommutationSolver,
@@ -361,6 +362,11 @@ class TestCongruentConjugateMod:
         with pytest.raises(ValueError):
             congruent_conjugate_mod(Mat2(2, 0, 0, 1), Mat2.identity(), 3)
 
+    def test_modulus_must_be_an_int(self):
+        for n in (True, False, 2.0, "5", None):
+            with pytest.raises(ValueError, match="modulus"):
+                congruent_conjugate_mod(PAIR_A, PAIR_B, n)
+
     def test_exhaustive_oracle_small_moduli(self):
         rng = random.Random(7)
         for n in (2, 3, 4, 5, 6):
@@ -435,6 +441,13 @@ class TestCharacteristicLevel:
         with pytest.raises(ValueError):
             characteristic_level(0)
 
+    def test_level_must_be_an_int(self):
+        for n in (True, 2.0, "3", None):
+            for compute in (characteristic_level,
+                            characteristic_level_bruteforce):
+                with pytest.raises(ValueError, match="level"):
+                    compute(n)
+
 
 # ---------------------------------------------------------------------------
 # sweeps
@@ -477,6 +490,11 @@ class TestCongruenceSweep:
             congruence_sweep(PAIR_A, PAIR_B, 0)
         with pytest.raises(ValueError):
             congruence_sweep(Mat2(1, 0, 0, 2), Mat2.identity(), 5)
+
+    def test_bound_must_be_an_int(self):
+        for bound in (True, False, 2.0, "5", None):
+            with pytest.raises(ValueError, match="sweep bound"):
+                congruence_sweep(PAIR_A, PAIR_B, bound)
 
     def test_verdicts_never_contradict_trace_invariant(self):
         rng = random.Random(31)
@@ -613,3 +631,91 @@ class TestModuleEnumeration:
             message = "not a unit" if not unit else "does not intertwine"
             with pytest.raises(AssertionError, match=message):
                 solver.verify(x, n)
+
+
+def equal_trace_partner(rng, a):
+    """A determinant-1 matrix with the trace of a that is not conjugate to a
+    in SL(2,Z)."""
+    t = a.trace()
+    while True:
+        x = rng.randint(-6, 6)
+        rest = x * (t - x) - 1          # = y z
+        divisors = [y for y in range(1, abs(rest) + 1) if rest % y == 0]
+        if not divisors:
+            continue
+        y = rng.choice(divisors) * rng.choice([1, -1])
+        b = Mat2(x, y, rest // y, t - x)
+        if not sl2_conjugate(a, b).conjugate:
+            return b
+
+
+def walk_cases():
+    """The classical pair, six SL(2,Z)-conjugate random pairs and six
+    equal-trace pairs that are not conjugate in SL(2,Z)."""
+    rng = random.Random(43)
+    conjugate, separate = [], []
+    while len(conjugate) < 6:
+        a = random_sl2(rng, length=3)
+        x = random_sl2(rng, length=2)
+        conjugate.append((a, x @ a @ x.inverse()))
+    while len(separate) < 6:
+        a = random_sl2(rng, length=3)
+        if abs(a.trace()) > 2:
+            separate.append((a, equal_trace_partner(rng, a)))
+    return [(PAIR_A, PAIR_B)] + conjugate + separate
+
+
+def module_size(solver, n):
+    size = 1
+    for d in solver.diag:
+        size *= gcd(d, n)
+    return size
+
+
+class TestOrderedWalk:
+    @pytest.mark.parametrize("a,b", walk_cases(), ids=(
+        ["classical"] + [f"conjugate{i}" for i in range(6)]
+        + [f"separate{i}" for i in range(6)]))
+    def test_walk_agrees_with_the_prime_power_route(self, a, b):
+        walk = CommutationSolver(a, b)
+        crt = CommutationSolver(a, b)
+        crt.LEX_SEARCH_CAP = 0          # every level by prime powers and CRT
+        compared = 0
+        for n in range(2, 65):
+            if module_size(walk, n) > walk.LEX_SEARCH_CAP or a.mod(n) == b.mod(n):
+                continue
+            mine, theirs = walk.witness_mod(n), crt.witness_mod(n)
+            assert (mine is None) == (theirs is None), (a, b, n)
+            for witness in (mine, theirs):
+                if witness is not None:
+                    walk.verify(witness, n)
+            compared += 1
+        assert compared > 0
+
+    def test_capped_module_without_a_unit(self):
+        found = 0
+        for a, b in walk_cases()[7:] + [(R, Mat2.identity())]:
+            solver = CommutationSolver(a, b)
+            for n in range(2, 8):
+                if module_size(solver, n) > solver.LEX_SEARCH_CAP \
+                        or a.mod(n) == b.mod(n):
+                    continue
+                if solver.witness_mod(n) is None:
+                    assert not congruent_conjugate_mod(a, b, n).conjugate
+                    assert exhaustive_mod_conjugate(a, b, n) is None, (a, b, n)
+                    found += 1
+        assert found > 0
+
+    def test_sweep_draws_few_points(self, monkeypatch):
+        drawn = []
+
+        def counting(*args):
+            for point in howell_points(*args):
+                drawn.append(point)
+                yield point
+
+        monkeypatch.setattr("procong.torus.howell_points", counting)
+        report = congruence_sweep(PAIR_A, PAIR_B, 1000)
+        assert report.procongruence_candidate
+        # the full enumeration of every capped module drew 81,935 points
+        assert 0 < len(drawn) <= 200
