@@ -194,24 +194,10 @@ class HomologyAction:
                      for row in rows)
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("monodromy action must be square")
-        det = _int_det(rows)
+        det = (-1) ** len(rows) * charpoly_coefficients(rows)[-1]
         if det not in (1, -1):
             raise ValueError("monodromy action must be unimodular")
         return cls(((1,),), rows, ((det,),))
-
-
-def _int_det(rows) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in rows[1:])
-        term = rows[0][j] * _int_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
 
 
 def classical_lefschetz(action: HomologyAction, m: int) -> int:

@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="GL(2,Z/n) conjugacy for all n up to a bound")
     sweep.add_argument("matrix_a")
     sweep.add_argument("matrix_b")
-    sweep.add_argument("--max", type=int, default=100,
+    sweep.add_argument("--max", type=int,
                        help="largest modulus (default 100)")
     klevel = tsub.add_parser("klevel", parents=[common],
                              help="characteristic level of an index bound")
@@ -434,10 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub = top.add_parser(name, parents=[common, rep_flag], help=helptext)
         sub.add_argument("fixture")
         if name == "zeta":
-            sub.add_argument("--terms", type=int, default=5,
+            sub.add_argument("--terms", type=int,
                              help="number of Lefschetz numbers (default 5)")
         if name == "lefschetz":
-            sub.add_argument("--upto", type=int, default=10,
+            sub.add_argument("--upto", type=int,
                              help="largest iterate (default 10)")
 
     nt = top.add_parser("nt", help="normal-form decomposition invariants")
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = ntsub.add_parser("analyze", parents=[common],
                                help="split order, stretch, twist, orbit table")
     analyze.add_argument("fixture")
-    analyze.add_argument("--upto", type=int, default=6,
+    analyze.add_argument("--upto", type=int,
                          help="largest iterate (default 6)")
     analyze.add_argument("--approx", action="store_true",
                          help=f"add {APPROX_DIGITS}-digit decimal renderings")

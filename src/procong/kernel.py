@@ -5,11 +5,14 @@ rounding anywhere: scalars are big rationals (`fractions.Fraction`) or elements
 of a cyclotomic field Q(zeta_n) stored as coefficient vectors modulo the n-th
 cyclotomic polynomial.  On top of the scalars sit sparse Laurent polynomials
 F[t^{+-1}], reduced rational functions F(t), the canonical unit-normalized
-torsion classes, Smith-type normal forms over F[t] and over Z, and the formal
+torsion classes, Smith-type normal forms over F[t] and over Z, the formal
 power series plumbing (Taylor expansion, logarithmic coefficient extraction)
-used to turn zeta functions into Lefschetz numbers.  Beside the fields sit
-the integers and Z/n: extended Euclid, the Howell form of a submodule of
-(Z/n)^k and an ordered walk over its points.
+used to turn zeta functions into Lefschetz numbers, and Berkowitz's
+characteristic polynomial, the package's one determinant routine over the
+scalars: det(1 - tF) of flow matrices, the determinant of a homology action
+and the defining polynomial of a stretch factor's powers all come from it.
+Beside the fields sit the integers and Z/n: extended Euclid, the Howell form
+of a submodule of (Z/n)^k and an ordered walk over its points.
 """
 
 from __future__ import annotations
@@ -360,11 +363,6 @@ def hermitian_products(rows, ys):
     return sums
 
 
-def hermitian_dot(xs, ys):
-    """sum(conj(x) * y): the one-row case of `hermitian_products`."""
-    return hermitian_products([xs], ys)[0]
-
-
 # ---------------------------------------------------------------------------
 # scalar parsing / rendering (the JSON grammar's coefficient strings)
 # ---------------------------------------------------------------------------
@@ -560,14 +558,6 @@ class LaurentPolynomial:
         if scalar_is_zero(c):
             return LaurentPolynomial.zero()
         return LaurentPolynomial({e: c * v for e, v in self.terms.items()})
-
-    def substitute_neg(self) -> "LaurentPolynomial":
-        """t -> -t."""
-        return LaurentPolynomial({e: (c if e % 2 == 0 else -c) for e, c in self.terms.items()})
-
-    def reverse(self) -> "LaurentPolynomial":
-        """t -> t^{-1}."""
-        return LaurentPolynomial({-e: c for e, c in self.terms.items()})
 
     def _coerce(self, other):
         if isinstance(other, LaurentPolynomial):
@@ -917,11 +907,6 @@ def normalize_unit_class(f: RationalFunction) -> NormalizedTorsionClass:
 # series plumbing
 # ---------------------------------------------------------------------------
 
-def series_expand(f: RationalFunction, terms: int):
-    """First `terms` Taylor coefficients of f at t = 0 (exact)."""
-    return f.series(terms)
-
-
 def log_coefficients(series, terms: int):
     """Extract L_m = m * [t^m] log(series) for m = 1..terms.
 
@@ -943,19 +928,6 @@ def log_coefficients(series, terms: int):
                     acc = acc - li * a
         out.append(as_exact(acc) if not isinstance(acc, Cyclotomic) else acc.demote())
     return out
-
-
-def exp_series(l_values, terms: int):
-    """Inverse of log_coefficients: coefficients of exp(sum L_m t^m / m)."""
-    coeffs = [1]
-    for m in range(1, terms + 1):
-        acc = 0
-        for i in range(1, m + 1):
-            li = l_values[i - 1] if i - 1 < len(l_values) else 0
-            acc = acc + li * coeffs[m - i]
-        c = Fraction(1, m) * acc if not isinstance(acc, Cyclotomic) else acc / m
-        coeffs.append(as_exact(c) if not isinstance(c, Cyclotomic) else c.demote())
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -1076,10 +1048,6 @@ class PolyMatrix:
 
     def grid_transpose(self) -> "PolyMatrix":
         return PolyMatrix.build(self.cols, self.rows, lambda i, j: self.entries[j][i])
-
-    def submatrix(self, row_idx, col_idx) -> "PolyMatrix":
-        return PolyMatrix(len(row_idx), len(col_idx),
-                          [[self.entries[i][j] for j in col_idx] for i in row_idx])
 
     def determinant(self) -> LaurentPolynomial:
         """Fraction-free Bareiss determinant (exact over the Laurent ring)."""

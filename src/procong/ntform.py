@@ -24,7 +24,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .kernel import LaurentPolynomial, laurent_gcd
+from .kernel import (LaurentPolynomial, _json_int, as_exact,
+                     charpoly_coefficients, laurent_gcd)
 
 
 class DecompositionError(ValueError):
@@ -39,10 +40,6 @@ class OrbitDataIncompleteError(DecompositionError):
 # ---------------------------------------------------------------------------
 # exact univariate polynomial helpers (dense integer/rational coefficients)
 # ---------------------------------------------------------------------------
-
-def _poly(coeffs: Sequence) -> LaurentPolynomial:
-    return LaurentPolynomial.from_coefficients(coeffs)
-
 
 def _derivative(p: LaurentPolynomial) -> LaurentPolynomial:
     return LaurentPolynomial({e - 1: e * c for e, c in p.terms.items() if e})
@@ -95,23 +92,6 @@ def _roots_between(chain, low: Fraction, high: Fraction) -> int:
     return _sign_variations(chain, low) - _sign_variations(chain, high)
 
 
-def _integer_coefficients(p: LaurentPolynomial) -> Tuple[int, ...]:
-    """Primitive integer coefficient tuple (ascending) with positive lead."""
-    deg = p.degree
-    coeffs = [Fraction(p.coefficient(e)) for e in range(deg + 1)]
-    denom = 1
-    for c in coeffs:
-        denom = lcm(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
-
-
 # ---------------------------------------------------------------------------
 # stretch factors: exact algebraic numbers above one
 # ---------------------------------------------------------------------------
@@ -126,7 +106,8 @@ class StretchFactor:
     high: Fraction
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.polynomial)
+        coeffs = tuple(_json_int(c, "stretch polynomial")
+                       for c in self.polynomial)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         shift = 0
@@ -148,7 +129,7 @@ class StretchFactor:
         if not 1 <= self.low < self.high:
             raise DecompositionError(
                 "stretch factor interval must satisfy 1 <= low < high")
-        sf = _squarefree(_poly(coeffs))
+        sf = _squarefree(LaurentPolynomial.from_coefficients(coeffs))
         chain = _sturm_chain(sf)
         at_low = _sign_at(chain[0], self.low)
         object.__setattr__(self, "_sf", sf)
@@ -216,42 +197,31 @@ class StretchFactor:
     # -- algebra -----------------------------------------------------------
 
     def power(self, m: int) -> "StretchFactor":
-        """The exact m-th power, with a fresh defining polynomial."""
+        """The exact m-th power, defined by the squarefree part of
+        det(xI - C^m) for C the companion matrix of the polynomial."""
         if m < 1:
             raise DecompositionError("power exponent must be a positive integer")
         if m == 1:
             return self
-        coeffs = [Fraction(c) for c in self.polynomial]
-        n = len(coeffs) - 1
-        lead = coeffs[-1]
-        monic = [c / lead for c in coeffs]
-        elem = [Fraction(0)] * (n + 1)
-        for k in range(1, n + 1):
-            elem[k] = (-1) ** k * monic[n - k]
-        power_sums = [Fraction(n)] + [Fraction(0)] * (n * m)
-        for k in range(1, n * m + 1):
-            total = Fraction(0)
-            for i in range(1, min(k - 1, n) + 1):
-                total += (-1) ** (i - 1) * elem[i] * power_sums[k - i]
-            if k <= n:
-                total += (-1) ** (k - 1) * k * elem[k]
-            power_sums[k] = total
-        new_elem = [Fraction(1)] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            total = Fraction(0)
-            for i in range(1, k + 1):
-                total += (-1) ** (i - 1) * new_elem[k - i] * power_sums[i * m]
-            new_elem[k] = total / k
-        raised = LaurentPolynomial(
-            {n - k: (-1) ** k * new_elem[k] for k in range(n + 1)})
-        ints = _integer_coefficients(_squarefree(raised))
-        chain = _sturm_chain(_poly(ints))
+        *tail, lead = self.polynomial
+        n = len(tail)
+        last = [as_exact(Fraction(-c, lead)) for c in tail]
+        # C has ones below the diagonal and last column `last` (ints for a
+        # monic polynomial, so the products stay integral), so M C shifts
+        # each row of M left and appends its product with `last`
+        raised = [[int(i == j + 1) for j in range(n - 1)] + [last[i]]
+                  for i in range(n)]
+        for _ in range(m - 1):
+            raised = [row[1:] + [sum(a * b for a, b in zip(row, last) if b)]
+                      for row in raised]
+        chain = _sturm_chain(_squarefree(LaurentPolynomial.from_coefficients(
+            charpoly_coefficients(raised)[::-1])))
         base = self
         while True:
             low, high = base.low ** m, base.high ** m
             if (_sign_at(chain[0], low) != 0 and _sign_at(chain[0], high) != 0
                     and _roots_between(chain, low, high) == 1):
-                return StretchFactor(ints, low, high)
+                return StretchFactor(chain[0], low, high)
             base = base.refined()
 
     # -- rendering ---------------------------------------------------------
@@ -334,6 +304,12 @@ class InteriorOrbit:
     prongs: Optional[int] = None
     rotation: int = 0
 
+    def __post_init__(self):
+        _json_int(self.size, "orbit size")
+        _json_int(self.rotation, "orbit rotation")
+        if self.prongs is not None:
+            _json_int(self.prongs, "orbit prongs")
+
 
 @dataclass(frozen=True)
 class VertexPiece:
@@ -358,9 +334,12 @@ class VertexPiece:
     period: int = 1
 
     def __post_init__(self):
+        _json_int(self.euler, "euler")
+        _json_int(self.period, "period")
         object.__setattr__(self, "circles", tuple(self.circles))
-        object.__setattr__(self, "boundary_singularities",
-                           tuple(int(c) for c in self.boundary_singularities))
+        object.__setattr__(self, "boundary_singularities", tuple(
+            _json_int(c, "boundary_singularities")
+            for c in self.boundary_singularities))
         if self.orbits is not None:
             object.__setattr__(self, "orbits", tuple(self.orbits))
 
@@ -650,20 +629,20 @@ class NTDecomposition:
     @staticmethod
     def from_json(data) -> "NTDecomposition":
         def orbit(o):
-            return InteriorOrbit(o["name"], int(o["size"]),
-                                 o.get("prongs"), int(o.get("rotation", 0)))
+            return InteriorOrbit(o["name"], o["size"], o.get("prongs"),
+                                 o.get("rotation", 0))
 
         pieces = []
         for p in data["pieces"]:
             stretch = p.get("stretch")
             orbits = p.get("orbits")
             pieces.append(VertexPiece(
-                name=p["name"], kind=p["kind"], euler=int(p["euler"]),
+                name=p["name"], kind=p["kind"], euler=p["euler"],
                 circles=tuple(p.get("circles", ())),
                 boundary_singularities=tuple(p.get("boundary_singularities", ())),
                 stretch=None if stretch is None else StretchFactor.from_json(stretch),
                 orbits=None if orbits is None else tuple(orbit(o) for o in orbits),
-                period=int(p.get("period", 1))))
+                period=p.get("period", 1)))
         annuli = []
         for a in data.get("annuli", ()):
             annuli.append(ReductionAnnulus(

@@ -735,13 +735,6 @@ class FiniteRepresentation:
             tuple(_mat_mul(_mat_mul(x, m), x_inv) for m in self.matrices),
             self.order_cap)
 
-    def with_generator(self, word: Iterable[int]) -> "FiniteRepresentation":
-        """Extend by the image of a word (for redundant-generator moves)."""
-        return FiniteRepresentation(
-            self.dimension,
-            self.matrices + (self.evaluate_word(word),),
-            self.order_cap)
-
     def restricted(self, indices: Sequence[int]) -> "FiniteRepresentation":
         if list(indices) == list(range(1, len(self.matrices) + 1)):
             return self
@@ -859,14 +852,6 @@ def _presentation_boundaries(mt: MappingTorusPresentation,
     """(d1, d2) of the presentation complex of mt."""
     one, two = _presentation_chains(mt.rank, mt.relators)
     return _chain_matrix(mt, rep, one, 1), _chain_matrix(mt, rep, two, mt.rank)
-
-
-def fox_alexander_matrix(mt: MappingTorusPresentation,
-                         rep: FiniteRepresentation) -> PolyMatrix:
-    """Block matrix of free-derivative images, one block row per relator and
-    one block column per generator; presents the degree-1 twisted module of
-    the presentation complex with respect to row-vector coefficients."""
-    return _presentation_boundaries(mt, rep)[1].grid_transpose()
 
 
 @_per_complex

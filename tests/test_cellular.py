@@ -158,6 +158,32 @@ class TestHomologyAction:
         with pytest.raises(ValueError, match="unimodular"):
             HomologyAction.from_monodromy_matrix(((2, 0), (0, 1)))
 
+    @staticmethod
+    def _dense_unimodular(n, seed):
+        """A product of random elementary row operations, dense after
+        4 n^2 of them: determinant 1."""
+        rng = random.Random(seed)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(4 * n * n):
+            i, j = rng.sample(range(n), 2)
+            k = rng.choice((-1, 1))
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+        return rows
+
+    def test_accepts_large_unimodular_matrices(self):
+        # a cofactor expansion would take seconds on this size
+        rows = self._dense_unimodular(10, 1)
+        assert all(rows[i][j] for i in range(10) for j in range(10))
+        assert HomologyAction.from_monodromy_matrix(rows).h2 == ((1,),)
+        rows[0], rows[1] = rows[1], rows[0]
+        assert HomologyAction.from_monodromy_matrix(rows).h2 == ((-1,),)
+
+    def test_rejects_large_matrix_of_determinant_two(self):
+        rows = self._dense_unimodular(9, 2)
+        rows[4] = [2 * a for a in rows[4]]
+        with pytest.raises(ValueError, match="unimodular"):
+            HomologyAction.from_monodromy_matrix(rows)
+
     @pytest.mark.parametrize("entry", [2.9, 2.0, True, "2"])
     def test_rejects_non_integer_entries(self, entry):
         # int() would truncate 2.9 to 2, a valid unimodular entry

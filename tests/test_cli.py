@@ -412,6 +412,37 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: {field} path must be [word, ")
 
+    # (path into the two_pa_swap.json body, value, field named in the
+    # error); each float truncates to the valid value it replaces
+    NT_NON_INTEGERS = [
+        (("pieces", 0, "euler"), -1.7, "euler"),
+        (("pieces", 0, "period"), 1.0, "period"),
+        (("pieces", 0, "stretch", "polynomial"), [1.2, -3.9, 1.0],
+         "stretch polynomial"),
+        (("pieces", 0, "orbits", 0, "size"), 2.5, "orbit size"),
+        (("pieces", 0, "orbits", 0, "prongs"), "4", "orbit prongs"),
+        (("pieces", 0, "orbits", 0, "rotation"), 0.5, "orbit rotation"),
+        (("pieces", 0, "boundary_singularities"), [1.9],
+         "boundary_singularities"),
+    ]
+
+    @pytest.mark.parametrize("path, value, field", NT_NON_INTEGERS,
+                             ids=[c[2] for c in NT_NON_INTEGERS])
+    def test_non_integer_nt_field_is_an_input_error(self, tmp_path, capsys,
+                                                    path, value, field):
+        data = json.loads((FIXTURES / "two_pa_swap.json").read_text())
+        owner = data["body"]
+        for step in path[:-1]:
+            owner = owner[step]
+        owner[path[-1]] = value
+        fixture_path = tmp_path / "two_pa_swap.json"
+        fixture_path.write_text(json.dumps(data))
+        status, out, err = run(capsys, "nt", "analyze", str(fixture_path))
+        bad = value[0] if isinstance(value, list) else value
+        assert status == 2
+        assert out == ""
+        assert err == f"error: {field} must be an integer, got {bad!r}\n"
+
     @pytest.mark.parametrize("source", ["pure_twist.json",
                                         "separating_twist.json"])
     def test_library_warning_is_one_plain_stderr_line(self, source):
@@ -457,8 +488,20 @@ class TestRunConfig:
         config = config_from_args(args)
         assert config.subcommand == "zeta"
         assert config.rep == "trivial"
-        assert config.terms == 5
+        assert config.terms is None
         assert config.output == "text"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["torus", "sweep", "2,1;1,1", "1,1;1,2"], ["--max", "100"]),
+        (["zeta", fixture("torus_A211.json")], ["--terms", "5"]),
+        (["lefschetz", fixture("torus_A211.json")], ["--upto", "10"]),
+        (["nt", "analyze", fixture("two_pa_swap.json")], ["--upto", "6"]),
+    ], ids=["max", "terms", "lefschetz-upto", "nt-upto"])
+    def test_omitted_bound_is_the_handler_default(self, capsys, argv, flag):
+        # the parser sets no default, so the handler's is the only one
+        assert getattr(build_parser().parse_args(argv),
+                       flag[0].lstrip("-")) is None
+        assert run(capsys, *argv) == run(capsys, *argv, *flag)
 
     def test_rejects_nonpositive_bounds(self):
         with pytest.raises(ValueError, match="--terms"):

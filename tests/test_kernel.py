@@ -11,13 +11,11 @@ from hypothesis import given, settings, strategies as st
 from procong.kernel import (
     Cyclotomic,
     as_exact,
-    hermitian_dot,
     hermitian_products,
     LaurentPolynomial,
     PolyMatrix,
     RationalFunction,
     cyclotomic_polynomial,
-    exp_series,
     ext_gcd,
     homology_order,
     howell_form,
@@ -28,7 +26,6 @@ from procong.kernel import (
     normalize_unit_class,
     parse_scalar,
     render_scalar,
-    series_expand,
     smith_diagonalize,
     smith_integer,
 )
@@ -161,14 +158,15 @@ class TestCyclotomic:
                 for x, y in zip(xs, ys):
                     conj = x.conjugate() if isinstance(x, Cyclotomic) else x
                     expected = expected + conj * y
-                got = hermitian_dot(xs, ys)
+                got = hermitian_products([xs], ys)[0]
                 assert got == expected and got == as_exact(expected)
 
     def test_hermitian_dot_rejects_mixed_conductors(self):
         with pytest.raises(ValueError, match="mixed conductors"):
-            hermitian_dot([Cyclotomic.root(3)], [Cyclotomic.root(4)])
+            hermitian_products([[Cyclotomic.root(3)]], [Cyclotomic.root(4)])
         with pytest.raises(ValueError, match="mixed conductors"):
-            hermitian_dot([Cyclotomic.root(3), 1], [1, Cyclotomic.root(5)])
+            hermitian_products([[Cyclotomic.root(3), 1]],
+                               [1, Cyclotomic.root(5)])
         with pytest.raises(ValueError, match="mixed conductors"):
             hermitian_products([[1, 2], [Cyclotomic.root(4), 1]],
                                [Cyclotomic.root(3), 1])
@@ -205,7 +203,7 @@ class TestCyclotomic:
                     expected = expected + conj * y
                 assert value == expected and value == as_exact(expected)
                 assert type(value) is type(as_exact(expected))
-                assert hermitian_dot(row, ys) == value
+                assert hermitian_products([row], ys)[0] == value
 
     @pytest.mark.parametrize("n", (1, 2, 3, 5, 8, 12, 30))
     def test_scalar_operands_match_the_generic_route(self, n):
@@ -272,7 +270,6 @@ class TestLaurentPolynomial:
         p = LaurentPolynomial({-2: 1, 1: 3})
         assert p.valuation == -2
         assert (p.shift(2)).valuation == 0
-        assert p.reverse() == LaurentPolynomial({2: 1, -1: 3})
 
     def test_monomial_inverse(self):
         m = LaurentPolynomial.t_power(3, Fraction(2, 5))
@@ -286,10 +283,6 @@ class TestLaurentPolynomial:
         assert q == poly(1, 1, 1)
         with pytest.raises(ValueError):
             poly(1, 1).exact_divide(poly(1, 1, 1))
-
-    def test_substitute_neg(self):
-        p = poly(1, -3, 1)
-        assert p.substitute_neg() == poly(1, 3, 1)
 
     @given(laurent_polys, laurent_polys, laurent_polys)
     def test_ring_axioms(self, a, b, c):
@@ -413,6 +406,17 @@ class TestCanonicalResults:
 # rational functions, series, logs
 # ---------------------------------------------------------------------------
 
+def exp_series(l_values, terms):
+    """Coefficients of exp(sum L_m t^m / m) up to t^terms: the inverse of
+    log_coefficients, kept here as its round-trip oracle."""
+    coeffs = [1]
+    for m in range(1, terms + 1):
+        acc = sum(l_values[i - 1] * coeffs[m - i]
+                  for i in range(1, min(m, len(l_values)) + 1))
+        coeffs.append(as_exact(Fraction(acc, m)))
+    return coeffs
+
+
 class TestRationalFunction:
     def test_reduction(self):
         f = RationalFunction(poly(-1, 0, 0, 1), poly(-1, 1))      # (t^3-1)/(t-1)
@@ -437,20 +441,20 @@ class TestRationalFunction:
     def test_series_known_expansion(self):
         # 1/(1-t) = 1 + t + t^2 + ...
         f = RationalFunction(ONE, ONE - T)
-        assert series_expand(f, 4) == [1, 1, 1, 1]
+        assert f.series(4) == [1, 1, 1, 1]
 
     def test_series_frozen_quadratic_over_square(self):
         f = RationalFunction(poly(1, -3, 1), (ONE - T) * (ONE - T))
-        assert series_expand(f, 5) == [1, -1, -2, -3, -4]
+        assert f.series(5) == [1, -1, -2, -3, -4]
 
     def test_series_pole_rejected(self):
         f = RationalFunction(ONE, T)
         with pytest.raises(ValueError):
-            series_expand(f, 3)
+            f.series(3)
 
     def test_log_coefficients_frozen(self):
         f = RationalFunction(poly(1, -3, 1), (ONE - T) * (ONE - T))
-        series = series_expand(f, 7)
+        series = f.series(7)
         assert log_coefficients(series, 3) == [-1, -5, -16]
 
     def test_log_requires_unit_constant_term(self):
@@ -569,9 +573,14 @@ class TestPolyMatrix:
         assert (m.rows, m.cols) == (2, 3)
 
 
+def submatrix(m, row_idx, col_idx):
+    return PolyMatrix(len(row_idx), len(col_idx),
+                      [[m.entries[i][j] for j in col_idx] for i in row_idx])
+
+
 def minors(m, k):
     """All k x k minors of m, by the Bareiss determinant."""
-    return [m.submatrix(rows, cols).determinant()
+    return [submatrix(m, rows, cols).determinant()
             for rows in combinations(range(m.rows), k)
             for cols in combinations(range(m.cols), k)]
 
@@ -669,7 +678,7 @@ class TestHomologyOrder:
             order = homology_order(m, None)
             minors = []
             for cols in combinations(range(m.cols), n):
-                minors.append(m.submatrix(range(n), cols).determinant())
+                minors.append(submatrix(m, range(n), cols).determinant())
             g = LaurentPolynomial.zero()
             for minor in minors:
                 g = laurent_gcd(g, minor)

@@ -317,6 +317,47 @@ class TestStretchFactor:
         t = s.power(2)
         assert t.algebraic_equal(StretchFactor((-9, 4), F(2), F(3)))
 
+    def test_power_of_non_monic_quadratic(self):
+        # the roots r, 1/r of 2x^2 - 7x + 2 have r + 1/r = 7/2, so
+        # r^m + r^-m is 41/4 for m = 2 and 259/8 for m = 3
+        s = StretchFactor((2, -7, 2), F(3), F(4))
+        square, cube = s.power(2), s.power(3)
+        assert (square.polynomial, square.low, square.high) == (
+            (4, -41, 4), F(9), F(16))
+        assert (cube.polynomial, cube.low, cube.high) == (
+            (8, -259, 8), F(27), F(64))
+
+    # Lehmer's polynomial and x^3 - x - 1: m -> (polynomial, low, high) of
+    # power(m), as the Newton-identity route computed them
+    PINNED_POWERS = [
+        (((-1, -1, 0, 1), F(1), F(2)), {
+            2: ((-1, 1, -2, 1), F(1), F(4)),
+            3: ((-1, 2, -3, 1), F(1), F(8)),
+            4: ((-1, -3, -2, 1), F(1), F(16)),
+            5: ((-1, 4, -5, 1), F(1), F(32)),
+            6: ((-1, -2, -5, 1), F(1), F(64))}),
+        (((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1), F(117, 100), F(118, 100)), {
+            2: ((1, -1, 0, -1, 1, -1, 1, -1, 0, -1, 1),
+                F(13689, 10000), F(3481, 2500)),
+            3: ((1, -2, 0, 2, -1, -1, -1, 2, 0, -2, 1),
+                F(1601613, 1000000), F(205379, 125000)),
+            4: ((1, -1, 0, -1, -3, -1, -3, -1, 0, -1, 1),
+                F(187388721, 100000000), F(12117361, 6250000)),
+            5: ((1, -4, 5, -1, -6, 9, -6, -1, 5, -4, 1),
+                F(21924480357, 10000000000), F(714924299, 312500000)),
+            6: ((1, -4, 6, -10, 13, -13, 13, -10, 6, -4, 1),
+                F(2565164201769, 1000000000000),
+                F(42180533641, 15625000000))}),
+    ]
+
+    @pytest.mark.parametrize("args, powers", PINNED_POWERS,
+                             ids=["cubic", "lehmer"])
+    def test_power_of_higher_degree_is_pinned(self, args, powers):
+        s = StretchFactor(*args)
+        for m, expected in powers.items():
+            p = s.power(m)
+            assert (p.polynomial, p.low, p.high) == expected
+
     def test_power_composition(self):
         assert PHI.power(6).algebraic_equal(PHI.power(2).power(3))
         assert PHI.power(6).polynomial == PHI.power(3).power(2).polynomial

@@ -28,7 +28,6 @@ from procong.surfgrp import (
     SurfacePresentation,
     cyclic_reduce,
     exponent_sum,
-    fox_alexander_matrix,
     fox_derivative,
     free_reduce,
     group_ring_image,
@@ -38,6 +37,7 @@ from procong.surfgrp import (
     word_concat,
     word_inverse,
     _chain_matrix,
+    _presentation_boundaries,
     _fox_chain,
 )
 from procong.torus import Mat2, rl_runs
@@ -606,12 +606,6 @@ class TestFiniteRepresentation:
         restricted = rep.restricted((3, 1))
         assert restricted.matrices == (rep.matrices[2], rep.matrices[0])
 
-    def test_with_generator_appends_word_image(self):
-        mt = anosov_bundle()
-        sign = FiniteRepresentation.fibered_character(mt, -1)
-        extended = sign.with_generator((3, 1, 3))
-        assert extended.matrices[-1] == ((1,),)
-
     def test_dimension_zero_is_allowed(self):
         mt = anosov_bundle()
         empty = FiniteRepresentation(0, ((), (), ()))
@@ -657,7 +651,7 @@ class TestFoxMatrices:
     def test_matrix_of_explicit_monodromy_words(self):
         mt = mapping_torus(TORUS, ANOSOV_WORDS)
         rep = FiniteRepresentation.trivial(mt)
-        fox = fox_alexander_matrix(mt, rep)
+        fox = _presentation_boundaries(mt, rep)[1].grid_transpose()
         assert fox.rows == 3 and fox.cols == 3
         expected = [
             [poly(0), poly(0), poly(0)],
@@ -671,7 +665,7 @@ class TestFoxMatrices:
     def test_dimension_zero_representation_gives_empty_matrix(self):
         mt = anosov_bundle()
         empty = FiniteRepresentation(0, ((), (), ()))
-        fox = fox_alexander_matrix(mt, empty)
+        fox = _presentation_boundaries(mt, empty)[1].grid_transpose()
         assert fox.rows == 0 and fox.cols == 0
 
 
@@ -995,7 +989,10 @@ class TestTwistedAlexander:
                  .invert_relator(2)
                  .conjugate_relator(0, (1, 2))
                  .add_generator("x", (1, 2, -1)))
-        extended = rep.with_generator((1, 2, -1))
+        extended = FiniteRepresentation(
+            rep.dimension,
+            rep.matrices + (rep.evaluate_word((1, 2, -1)),),
+            rep.order_cap)
         for n in range(4):
             assert (twisted_alexander(mt, rep, n)
                     == twisted_alexander(moved, extended, n))
