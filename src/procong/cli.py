@@ -28,7 +28,7 @@ from .chars import (all_class_indicators, builtin_group, character_L_vector,
                     nielsen_bound)
 from .kernel import Cyclotomic, render_scalar
 from .ntform import (deviation, dilatation, indexed_orbit_numbers,
-                     shearing_from_slopes, split_order)
+                     shearing_from_slopes)
 from .serialize import (KIND_CELLULAR, KIND_MAPPING_TORUS, KIND_NT,
                         KIND_ORBIT_PROJECTION, KIND_TORUS, load_fixture)
 from .surfgrp import (FiniteRepresentation, GeneratorEndomorphism,
@@ -282,7 +282,6 @@ def _handle_nt_analyze(config: RunConfig):
                          "decomposition")
     nt = fixture.payload
     upto = config.upto if config.upto is not None else 6
-    order = split_order(nt)
     dil = dilatation(nt)
     dev = deviation(nt)
     table = indexed_orbit_numbers(nt, upto)
@@ -291,15 +290,16 @@ def _handle_nt_analyze(config: RunConfig):
     lines = [f"pieces: {len(nt.pieces)} (pseudo-Anosov {pa}, "
              f"periodic {len(nt.pieces) - pa}); annuli: {len(nt.annuli)}; "
              f"circles: {len(nt.circle_permutation)}",
-             f"split order: {order}"]
+             f"split order: {dil.split_order}"]
     if dil.factor is None:
         lines.append("dilatation: 1")
     else:
         f = dil.factor
         lines.append(f"dilatation: root of {list(f.polynomial)} in "
                      f"[{f.low}, {f.high}]")
-    if config.approx:
-        lines.append(f"dilatation ~ {dil.approx(APPROX_DIGITS)}")
+    approx = dil.approx(APPROX_DIGITS) if config.approx else None
+    if approx is not None:
+        lines.append(f"dilatation ~ {approx}")
     lines.append(f"deviation: {dev}")
     lines.append(" m | N_m | indexed counts")
     for row in table.rows:
@@ -308,12 +308,12 @@ def _handle_nt_analyze(config: RunConfig):
     remainder = ", ".join(table.remainder) if table.remainder else "none"
     lines.append(f"regular-orbit remainder pieces: {remainder}")
 
-    payload = {"split_order": order,
+    payload = {"split_order": dil.split_order,
                "dilatation": dil.to_json(),
                "deviation": str(dev),
                "table": table.to_json()}
-    if config.approx:
-        payload["dilatation_approx"] = dil.approx(APPROX_DIGITS)
+    if approx is not None:
+        payload["dilatation_approx"] = approx
     return "\n".join(lines), payload
 
 

@@ -39,12 +39,6 @@ def as_exact(value):
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-def scalar_is_zero(value) -> bool:
-    if isinstance(value, Cyclotomic):
-        return value.is_zero()
-    return value == 0
-
-
 def scalar_inverse(value):
     if isinstance(value, Cyclotomic):
         return value.inverse()
@@ -61,6 +55,25 @@ def _json_int(value, field: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return value
+
+
+def _json_str(value, field: str) -> str:
+    """A name, as read from a fixture or given to a constructor."""
+    if type(value) is not str:
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def _json_fraction(value, field: str) -> Fraction:
+    """A rational number as read from a fixture: an integer or a string
+    such as "5/2"; floats and booleans are rejected, not rounded."""
+    if type(value) in (int, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{field} must be an integer or a fraction string, "
+                     f"got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +568,7 @@ class LaurentPolynomial:
         return LaurentPolynomial._of({e + k: c for e, c in self.terms.items()})
 
     def scale(self, c) -> "LaurentPolynomial":
-        if scalar_is_zero(c):
+        if not c:
             return LaurentPolynomial.zero()
         return LaurentPolynomial({e: c * v for e, v in self.terms.items()})
 
@@ -637,8 +650,7 @@ class LaurentPolynomial:
         # a constant compares equal to its scalar, so it hashes like it
         if self.terms.keys() <= {0}:
             return hash(self.terms.get(0, 0))
-        return hash(frozenset((e, as_exact(c) if not isinstance(c, Cyclotomic) else c)
-                              for e, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         return f"LaurentPolynomial({self.pretty()})"
@@ -841,12 +853,12 @@ class RationalFunction:
             acc = self.num.coefficient(m)
             for i in range(m):
                 ci = coeffs[i]
-                if not scalar_is_zero(ci):
+                if ci:
                     d = self.den.coefficient(m - i)
-                    if not scalar_is_zero(d):
+                    if d:
                         acc = acc - ci * d
             c = acc * inv0
-            coeffs.append(as_exact(c) if not isinstance(c, Cyclotomic) else c.demote())
+            coeffs.append(as_exact(c))
         return coeffs
 
 
@@ -922,11 +934,11 @@ def log_coefficients(series, terms: int):
         acc = m * series[m]
         for i in range(1, m):
             li = out[i - 1]
-            if not scalar_is_zero(li):
+            if li:
                 a = series[m - i]
-                if not scalar_is_zero(a):
+                if a:
                     acc = acc - li * a
-        out.append(as_exact(acc) if not isinstance(acc, Cyclotomic) else acc.demote())
+        out.append(as_exact(acc))
     return out
 
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .kernel import (LaurentPolynomial, _json_int, as_exact,
-                     charpoly_coefficients, laurent_gcd)
+from .kernel import (LaurentPolynomial, _json_fraction, _json_int, _json_str,
+                     as_exact, charpoly_coefficients, laurent_gcd)
 
 
 class DecompositionError(ValueError):
@@ -246,7 +246,8 @@ class StretchFactor:
 
     @staticmethod
     def from_json(data) -> "StretchFactor":
-        low, high = (Fraction(str(v)) for v in data["interval"])
+        low, high = (_json_fraction(v, "stretch interval")
+                     for v in data["interval"])
         return StretchFactor(tuple(data["polynomial"]), low, high)
 
 
@@ -305,6 +306,7 @@ class InteriorOrbit:
     rotation: int = 0
 
     def __post_init__(self):
+        _json_str(self.name, "orbit name")
         _json_int(self.size, "orbit size")
         _json_int(self.rotation, "orbit rotation")
         if self.prongs is not None:
@@ -334,9 +336,12 @@ class VertexPiece:
     period: int = 1
 
     def __post_init__(self):
+        _json_str(self.name, "piece name")
+        _json_str(self.kind, "piece kind")
         _json_int(self.euler, "euler")
         _json_int(self.period, "period")
-        object.__setattr__(self, "circles", tuple(self.circles))
+        object.__setattr__(self, "circles", tuple(
+            _json_str(c, "circles") for c in self.circles))
         object.__setattr__(self, "boundary_singularities", tuple(
             _json_int(c, "boundary_singularities")
             for c in self.boundary_singularities))
@@ -362,15 +367,18 @@ class ReductionAnnulus:
     orbits: Tuple[InteriorOrbit, ...] = ()
 
     def __post_init__(self):
+        _json_str(self.name, "annulus name")
         object.__setattr__(self, "twist", Fraction(self.twist))
-        object.__setattr__(self, "ends", tuple(self.ends))
+        object.__setattr__(self, "ends", tuple(
+            None if e is None else _json_str(e, "annulus ends")
+            for e in self.ends))
         object.__setattr__(self, "orbits", tuple(self.orbits))
 
 
-def _as_sorted_pairs(mapping) -> Tuple[Tuple[str, str], ...]:
-    if isinstance(mapping, Mapping):
-        return tuple(sorted(mapping.items()))
-    return tuple(sorted(tuple(pair) for pair in mapping))
+def _as_sorted_pairs(mapping, field: str) -> Tuple[Tuple[str, str], ...]:
+    pairs = mapping.items() if isinstance(mapping, Mapping) else mapping
+    return tuple(sorted((_json_str(a, field), _json_str(b, field))
+                        for a, b in pairs))
 
 
 def _orbit(start: str, perm: Mapping[str, str]) -> Tuple[str, ...]:
@@ -405,8 +413,10 @@ class NTDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
         object.__setattr__(self, "annuli", tuple(self.annuli))
-        object.__setattr__(self, "piece_map", _as_sorted_pairs(self.piece_map))
-        object.__setattr__(self, "circle_map", _as_sorted_pairs(self.circle_map))
+        object.__setattr__(self, "piece_map",
+                           _as_sorted_pairs(self.piece_map, "piece_map"))
+        object.__setattr__(self, "circle_map",
+                           _as_sorted_pairs(self.circle_map, "circle_map"))
         self.validate()
 
     # -- lookups -----------------------------------------------------------
@@ -646,7 +656,7 @@ class NTDecomposition:
         annuli = []
         for a in data.get("annuli", ()):
             annuli.append(ReductionAnnulus(
-                name=a["name"], twist=Fraction(str(a["twist"])),
+                name=a["name"], twist=_json_fraction(a["twist"], "twist"),
                 ends=tuple(a["ends"]),
                 orbits=tuple(orbit(o) for o in a.get("orbits", ()))))
         return NTDecomposition(tuple(pieces), tuple(annuli),
@@ -1102,9 +1112,9 @@ class DecompositionGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(sorted(self.elements)))
-        object.__setattr__(self, "d0", _as_sorted_pairs(self.d0))
-        object.__setattr__(self, "d1", _as_sorted_pairs(self.d1))
-        object.__setattr__(self, "kinds", _as_sorted_pairs(self.kinds))
+        object.__setattr__(self, "d0", _as_sorted_pairs(self.d0, "d0"))
+        object.__setattr__(self, "d1", _as_sorted_pairs(self.d1, "d1"))
+        object.__setattr__(self, "kinds", _as_sorted_pairs(self.kinds, "kinds"))
         d0, d1 = dict(self.d0), dict(self.d1)
         elements = set(self.elements)
         kinds = dict(self.kinds)
@@ -1231,8 +1241,8 @@ def shearing_from_slopes(g: Sequence[int], gstar: Sequence[int]
     """Order of the quotient of the rank-two lattice by the sublattice the
     two slopes generate: the absolute determinant when nonzero, or
     "trivial" for parallel slopes."""
-    g = tuple(int(v) for v in g)
-    gstar = tuple(int(v) for v in gstar)
+    g = tuple(_json_int(v, "slope entry") for v in g)
+    gstar = tuple(_json_int(v, "slope entry") for v in gstar)
     if len(g) != 2 or len(gstar) != 2:
         raise ValueError("slopes must be integer pairs")
     if g == (0, 0) or gstar == (0, 0):

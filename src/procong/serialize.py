@@ -54,18 +54,10 @@ def _decode_torus(body) -> Mat2:
     return Mat2.from_string(body["matrix"])
 
 
-def _decode_mapping_torus(body) -> MappingTorusPresentation:
-    return MappingTorusPresentation.from_json(body)
-
-
 def _decode_cellular(body) -> Tuple[CellularSurface, CellularSelfMap]:
     surface = CellularSurface.from_json(body["surface"])
     flow = CellularSelfMap.from_json(surface, body["flow"])
     return surface, flow
-
-
-def _decode_nt(body) -> NTDecomposition:
-    return NTDecomposition.from_json(body)
 
 
 def _decode_orbit_projection(body) -> OrbitProjectionFixture:
@@ -76,17 +68,13 @@ def _decode_orbit_projection(body) -> OrbitProjectionFixture:
     return OrbitProjectionFixture(str(body["group"]), table, attained)
 
 
-def _decode_orbit_table(body) -> IndexedOrbitTable:
-    return IndexedOrbitTable.from_json(body)
-
-
 _DECODERS = {
     KIND_TORUS: _decode_torus,
-    KIND_MAPPING_TORUS: _decode_mapping_torus,
+    KIND_MAPPING_TORUS: MappingTorusPresentation.from_json,
     KIND_CELLULAR: _decode_cellular,
-    KIND_NT: _decode_nt,
+    KIND_NT: NTDecomposition.from_json,
     KIND_ORBIT_PROJECTION: _decode_orbit_projection,
-    KIND_ORBIT_TABLE: _decode_orbit_table,
+    KIND_ORBIT_TABLE: IndexedOrbitTable.from_json,
 }
 
 

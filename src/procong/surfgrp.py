@@ -8,9 +8,11 @@ reduced.  The central objects are:
   surface group presentations;
 * :class:`GeneratorEndomorphism` -- monodromy data given by generator images,
   validated exactly (unimodular on homology, relator preserved up to
-  conjugacy for closed surfaces);
+  conjugacy for closed surfaces), each check once per endomorphism;
 * :func:`mapping_torus` -- the associated fibered-group presentation with a
-  stable letter and its distinguished degree class;
+  stable letter and its distinguished degree class: one canonical
+  presentation per monodromy, which the monodromy keeps, so the CLI, the
+  cellular model and the three-dimensional model read one object;
 * :class:`FiniteRepresentation` -- exact matrix representations with a
   finiteness certificate by closure enumeration;
 * :func:`twisted_alexander` / :func:`twisted_torsion` -- module orders of the
@@ -45,7 +47,6 @@ from .kernel import (
     parse_scalar,
     render_scalar,
     scalar_inverse,
-    scalar_is_zero,
     smith_integer,
 )
 from .torus import Mat2, rl_runs
@@ -336,10 +337,15 @@ class GeneratorEndomorphism:
 
         Exact decision: the image is conjugate to r (or its inverse) if and
         only if their cyclic reductions agree up to rotation.  Raises
-        ValueError when the relator is not preserved.
+        ValueError when the relator is not preserved.  The endomorphism
+        keeps the certificate it finds, so the search runs once.
         """
         if self.source.boundary_count != 0:
             raise ValueError("relator conjugacy only concerns closed surfaces")
+        return self._relator_certificate
+
+    @cached_property
+    def _relator_certificate(self) -> Tuple[int, Word]:
         relator = self.source.relators[0]
         image = self.apply(relator)
         trimmed = list(image)
@@ -363,14 +369,47 @@ class GeneratorEndomorphism:
                          "to a conjugate of itself or its inverse")
 
     def validate(self) -> "GeneratorEndomorphism":
-        """Check the automorphism conditions; return self or raise ValueError."""
-        rows = [list(r) for r in self.abelianization()]
-        diag, _, _ = smith_integer(rows)
-        if not all(d == 1 for d in diag) or len(diag) < self.source.rank:
+        """Check the automorphism conditions; return self or raise ValueError.
+        A passed check is kept and not run again."""
+        if not self._unimodular:
             raise ValueError("generator images are not unimodular on homology")
         if self.source.boundary_count == 0 and self.source.genus >= 1:
             self.relator_conjugacy()
         return self
+
+    @cached_property
+    def _unimodular(self) -> bool:
+        diag, _, _ = smith_integer([list(r) for r in self.abelianization()])
+        return len(diag) >= self.source.rank and all(d == 1 for d in diag)
+
+    @cached_property
+    def _mapping_torus(self) -> "MappingTorusPresentation":
+        """The canonical presentation of `mapping_torus`, built and checked
+        once per monodromy."""
+        self.validate()
+        pres = self.source
+        g = pres.rank
+        name = "t"
+        while name in pres.generators:
+            name += "'"
+        t = g + 1
+        mt = MappingTorusPresentation(
+            generators=pres.generators + (name,),
+            relators=pres.relators + tuple(
+                word_concat((t, j, -t), word_inverse(image))
+                for j, image in enumerate(self.images, 1)),
+            fiber_values=(0,) * g + (1,),
+            fiber=pres, monodromy=self, stable_index=t)
+        rows = [list(r) for r in self.abelianization()]
+        for i in range(g):
+            rows[i][i] -= 1
+        diag, _, _ = smith_integer(rows)
+        nonzero = [d for d in diag if d != 0]
+        predicted = (1 + g - len(nonzero), tuple(d for d in nonzero if d > 1))
+        if mt.abelianization() != predicted:
+            raise AssertionError("abelianization disagrees with the semidirect "
+                                 "block structure")
+        return mt
 
     def to_json(self):
         data = {"images": [list(w) for w in self.images]}
@@ -539,37 +578,12 @@ def mapping_torus(pres: SurfacePresentation,
     relators: the fiber relator (closed case) and t g t^-1 phi(g)^-1 for each
     fiber generator g.  The abelianization is checked against the semidirect
     block structure: cokernel of (A - I) on fiber homology plus one free
-    factor from the stable letter.
+    factor from the stable letter.  `phi` keeps the presentation, so every
+    call for one monodromy returns the same object, built and checked once.
     """
     if phi.source != pres:
         raise ValueError("monodromy must act on the given presentation")
-    phi.validate()
-    g = pres.rank
-    name = "t"
-    while name in pres.generators:
-        name += "'"
-    t = g + 1
-    relators: List[Word] = list(pres.relators)
-    for j in range(1, g + 1):
-        relators.append(word_concat((t, j, -t), word_inverse(phi.images[j - 1])))
-    mt = MappingTorusPresentation(
-        generators=pres.generators + (name,),
-        relators=tuple(relators),
-        fiber_values=(0,) * g + (1,),
-        fiber=pres,
-        monodromy=phi,
-        stable_index=t,
-    )
-    rows = [list(r) for r in phi.abelianization()]
-    for i in range(g):
-        rows[i][i] -= 1
-    diag, _, _ = smith_integer(rows)
-    nonzero = [d for d in diag if d != 0]
-    predicted = (1 + g - len(nonzero), tuple(d for d in nonzero if d > 1))
-    if mt.abelianization() != predicted:
-        raise AssertionError("abelianization disagrees with the semidirect "
-                             "block structure")
-    return mt
+    return phi._mapping_torus
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +629,7 @@ def _mat_inverse(m: ScalarMatrix) -> ScalarMatrix:
     left = [list(row) for row in m]
     right = [list(row) for row in _mat_identity(k)]
     for col in range(k):
-        pivot = next((r for r in range(col, k)
-                      if not scalar_is_zero(left[r][col])), None)
+        pivot = next((r for r in range(col, k) if left[r][col]), None)
         if pivot is None:
             raise ValueError("matrix is singular")
         left[col], left[pivot] = left[pivot], left[col]
@@ -628,7 +641,7 @@ def _mat_inverse(m: ScalarMatrix) -> ScalarMatrix:
             if r == col:
                 continue
             factor = left[r][col]
-            if scalar_is_zero(factor):
+            if not factor:
                 continue
             left[r] = [as_exact(x - factor * y)
                        for x, y in zip(left[r], left[col])]

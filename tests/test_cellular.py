@@ -668,6 +668,49 @@ class TestComputedOnce:
         assert not any(d.is_zero() for d in deltas)
         assert torsion == cellular.value
 
+    @pytest.mark.parametrize("subcommand",
+                             ["alexander", "torsion", "zeta", "lefschetz"])
+    def test_fibered_request_builds_one_presentation(self, monkeypatch,
+                                                     subcommand):
+        built, searches = [], []
+        post_init = surfgrp.MappingTorusPresentation.__post_init__
+        monkeypatch.setattr(surfgrp.MappingTorusPresentation, "__post_init__",
+                            lambda mt: built.append(mt) or post_init(mt))
+        substitute = GeneratorEndomorphism.apply
+
+        def apply(phi, word):
+            # a relator search substitutes the fiber relator once
+            if tuple(word) == phi.source.relators[0]:
+                searches.append(phi)
+            return substitute(phi, word)
+
+        monkeypatch.setattr(GeneratorEndomorphism, "apply", apply)
+        smith = self.count(monkeypatch, kernel.smith_integer)
+        status, _ = cli.dispatch(cli.RunConfig(
+            subcommand, (str(FIXTURES / "torus_pair_a.json"),)))
+        assert status == 0
+        # the monodromy's search and its inverse's (for the flow map); the
+        # Smith forms: unimodularity and the abelianization cross-check
+        assert (len(built), len(searches), len(smith)) == (1, 2, 3)
+
+    def test_each_monodromy_is_checked_once_per_object(self, monkeypatch):
+        pres = SurfacePresentation.closed(1)
+        phi = GeneratorEndomorphism.torus_monodromy(Mat2(2, 1, 1, 1))
+        twin = GeneratorEndomorphism(pres, phi.images, phi.inverse_images)
+        smith = self.count(monkeypatch, kernel.smith_integer)
+        mt = mapping_torus(pres, phi)
+        assert mapping_torus(pres, phi) is mt
+        assert cellular_model(mt)[0].presentation is mt
+        assert phi.relator_conjugacy() is phi.relator_conjugacy()
+        # phi was validated when it was built: the build runs only the
+        # abelianization cross-check; an equal monodromy is checked anew
+        assert len(smith) == 2
+        other = mapping_torus(pres, twin)
+        assert other == mt and other is not mt
+        assert len(smith) == 5
+        with pytest.raises(ValueError, match="given presentation"):
+            mapping_torus(SurfacePresentation.closed(2), phi)
+
     def test_torsion_subcommand_computes_each_order_once(self, monkeypatch):
         orders = self.count(monkeypatch, kernel.homology_order)
         status, report = cli.dispatch(cli.RunConfig(

@@ -13,6 +13,7 @@ import pytest
 from procong import cli
 from procong.cellular import cellular_model
 from procong.cli import RunConfig, config_from_args, build_parser, dispatch, main
+from procong.ntform import Dilatation
 from procong.serialize import KIND_CELLULAR, wrap
 from procong.surfgrp import MappingTorusPresentation
 
@@ -442,6 +443,58 @@ class TestExitCodes:
         assert status == 2
         assert out == ""
         assert err == f"error: {field} must be an integer, got {bad!r}\n"
+
+    # (path into the two_pa_swap.json body, value, the error line); names
+    # must be strings, and rational fields integers or fraction strings
+    NT_WRONG_TYPES = [
+        (("pieces", 0, "name"), 7, "piece name must be a string, got 7"),
+        (("pieces", 0, "kind"), None, "piece kind must be a string, got None"),
+        (("pieces", 0, "circles"), [3], "circles must be a string, got 3"),
+        (("pieces", 0, "orbits", 0, "name"), 1,
+         "orbit name must be a string, got 1"),
+        (("annuli", 0, "name"), ["A"],
+         "annulus name must be a string, got ['A']"),
+        (("annuli", 0, "ends"), ["cP", 2],
+         "annulus ends must be a string, got 2"),
+        (("piece_map", "P"), 0, "piece_map must be a string, got 0"),
+        (("circle_map", "cQ"), False, "circle_map must be a string, got False"),
+        (("pieces", 0, "stretch", "interval"), ["5/2", True],
+         "stretch interval must be an integer or a fraction string, got True"),
+        (("pieces", 1, "stretch", "interval"), [2.5, "3"],
+         "stretch interval must be an integer or a fraction string, got 2.5"),
+        (("annuli", 0, "twist"), 0.5,
+         "twist must be an integer or a fraction string, got 0.5"),
+        (("annuli", 0, "twist"), "1/0",
+         "twist must be an integer or a fraction string, got '1/0'"),
+    ]
+
+    @pytest.mark.parametrize("path, value, message", NT_WRONG_TYPES,
+                             ids=[f"{c[2].split(' must')[0]} {c[1]!r}"
+                                  for c in NT_WRONG_TYPES])
+    def test_wrongly_typed_nt_field_is_an_input_error(self, tmp_path, capsys,
+                                                      path, value, message):
+        data = json.loads((FIXTURES / "two_pa_swap.json").read_text())
+        owner = data["body"]
+        for step in path[:-1]:
+            owner = owner[step]
+        owner[path[-1]] = value
+        fixture_path = tmp_path / "two_pa_swap.json"
+        fixture_path.write_text(json.dumps(data))
+        status, out, err = run(capsys, "nt", "analyze", str(fixture_path))
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
+    def test_approx_renders_the_dilatation_once(self, capsys, monkeypatch):
+        calls = []
+        approx = Dilatation.approx
+        monkeypatch.setattr(Dilatation, "approx",
+                            lambda dil, digits: calls.append(digits)
+                            or approx(dil, digits))
+        for mode in ([], ["--json"]):
+            status, out, _ = run(capsys, "nt", "analyze",
+                                 fixture("two_pa_swap.json"), "--approx",
+                                 *mode)
+            assert status == 0 and "2.61803398874989484820458683437" in out
+        assert calls == [cli.APPROX_DIGITS] * 2
 
     @pytest.mark.parametrize("source", ["pure_twist.json",
                                         "separating_twist.json"])

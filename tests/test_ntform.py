@@ -1183,6 +1183,14 @@ class TestShearing:
         with pytest.raises(ValueError, match="pairs"):
             shearing_from_slopes((1, 0, 0), (1, 2))
 
+    @pytest.mark.parametrize("entry", [1.5, 1.0, True, "1"])
+    def test_non_integer_slope_entries_rejected(self, entry):
+        # int() made (1.5, 0) and (True, 0) both the slope (1, 0)
+        with pytest.raises(ValueError, match="slope entry must be an integer"):
+            shearing_from_slopes((entry, 0), (0, 1))
+        with pytest.raises(ValueError, match="slope entry must be an integer"):
+            shearing_from_slopes((0, 1), (0, entry))
+
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
            st.tuples(st.integers(-9, 9), st.integers(-9, 9)))

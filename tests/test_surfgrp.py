@@ -335,14 +335,19 @@ class TestGeneratorEndomorphism:
 
     def test_non_unimodular_images_fail_validation(self):
         squaring = GeneratorEndomorphism(TORUS, ((1, 1), (2,)))
-        with pytest.raises(ValueError, match="unimodular"):
-            squaring.validate()
+        # a failed check is not remembered as a pass
+        for check in (squaring.validate, squaring.validate,
+                      lambda: mapping_torus(TORUS, squaring)):
+            with pytest.raises(ValueError, match="unimodular"):
+                check()
 
     def test_unimodular_but_relator_breaking_images_fail(self):
         # swapping only one handle pair scrambles the relator
         partial = GeneratorEndomorphism(GENUS2, ((1,), (2,), (4,), (3,)))
-        with pytest.raises(ValueError, match="relator"):
-            partial.validate()
+        for check in (partial.validate, partial.relator_conjugacy,
+                      lambda: mapping_torus(GENUS2, partial)):
+            with pytest.raises(ValueError, match="relator"):
+                check()
 
     def test_torus_monodromy_recovers_matrix(self):
         rng = random.Random(11)
