@@ -10,11 +10,10 @@ Alexander product), checking that they agree.
 
 import argparse
 
-from procong.cellular import (cellular_model, lefschetz_numbers,
-                              torsion_from_cellular, zeta_from_cellular)
-from procong.cli import _fibered_input, _resolve_rep
+from procong.cellular import (lefschetz_numbers, torsion_from_cellular,
+                              zeta_from_cellular)
+from procong.cli import RunConfig, _fibered_input
 from procong.kernel import render_scalar
-from procong.serialize import load_fixture  # noqa: F401  (re-exported hint)
 from procong.surfgrp import twisted_alexander, twisted_torsion
 
 
@@ -28,23 +27,23 @@ def main():
                         help="Lefschetz numbers per representation")
     args = parser.parse_args()
 
-    class _Cfg:
-        inputs = (args.fixture,)
-
-    mt, surface, flow = _fibered_input(_Cfg)
+    bundle = _fibered_input(RunConfig("zeta", (args.fixture,)))
+    mt, surface, flow = bundle.mt, bundle.surface, bundle.flow
     print(f"fixture: {args.fixture}")
     print(f"fiber generators: {mt.fiber.rank}; relators: {len(mt.relators)}")
 
     for label in args.reps:
-        rep = _resolve_rep(mt, label)
+        # rank-1, so defined on mt and on the model's presentation alike
+        rep = bundle.rep(mt, label)
+        cellular_rep = bundle.rep(surface.presentation, label)
         print(f"\n== rep {label} ==")
-        zeta = zeta_from_cellular(surface, flow, rep)
+        zeta = zeta_from_cellular(surface, flow, cellular_rep)
         print(f"zeta = {zeta.pretty()}")
-        values = lefschetz_numbers(surface, flow, rep, args.terms)
+        values = lefschetz_numbers(surface, flow, cellular_rep, args.terms)
         print("L_m  = " + ", ".join(render_scalar(v) for v in values))
         for n in range(4):
             print(f"Delta_{n} = {twisted_alexander(mt, rep, n).pretty()}")
-        cellular = torsion_from_cellular(surface, flow, rep)
+        cellular = torsion_from_cellular(surface, flow, cellular_rep)
         alexander_route = twisted_torsion(mt, rep)
         print(f"torsion (determinant ratio) = {cellular.value.pretty()}"
               f"  [acyclic: {cellular.acyclic}]")

@@ -19,21 +19,23 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .cellular import (cellular_model, lefschetz_numbers,
-                       torsion_from_cellular, zeta_from_cellular)
+from .cellular import (CellularSelfMap, CellularSurface, cellular_model,
+                       lefschetz_numbers, torsion_from_cellular,
+                       zeta_from_cellular)
 from .chars import (all_class_indicators, builtin_group, character_L_vector,
                     nielsen_bound)
 from .kernel import Cyclotomic, render_scalar
 from .ntform import (deviation, dilatation, indexed_orbit_numbers,
                      shearing_from_slopes)
 from .serialize import (KIND_CELLULAR, KIND_MAPPING_TORUS, KIND_NT,
-                        KIND_ORBIT_PROJECTION, KIND_TORUS, load_fixture)
+                        KIND_ORBIT_PROJECTION, KIND_TORUS, load_fixture,
+                        parse_fixture, read_fixture)
 from .surfgrp import (FiniteRepresentation, GeneratorEndomorphism,
-                      SurfacePresentation, mapping_torus, twisted_alexander,
-                      twisted_torsion)
+                      MappingTorusPresentation, SurfacePresentation,
+                      mapping_torus, twisted_alexander, twisted_torsion)
 from .torus import (Mat2, characteristic_level, congruence_sweep,
                     congruent_conjugate_mod, sl2_conjugate)
 
@@ -83,9 +85,44 @@ def _positive_int(text: str, label: str) -> int:
     return value
 
 
-def _fibered_input(config: RunConfig):
-    """Load a fixture and return its fibered model (mt, surface, flow)."""
-    fixture = load_fixture(config.inputs[0])
+@dataclass
+class FiberedBundle:
+    """A fibered fixture compiled once: the mapping torus, its cellular
+    model, and the --rep representations resolved on them.  Each
+    representation keeps its twisted complexes, so the certification, the
+    orders, the flow maps and the zeta function are built once per bundle
+    and representation, however many subcommands read them."""
+
+    mt: MappingTorusPresentation
+    surface: CellularSurface
+    flow: CellularSelfMap
+    reps: dict = field(default_factory=dict)
+
+    def rep(self, presentation: MappingTorusPresentation,
+            label: str) -> FiniteRepresentation:
+        """The representation named by --rep on `presentation` (`mt` or
+        the model's), resolved once."""
+        key = (presentation, label)
+        if key not in self.reps:
+            self.reps[key] = _resolve_rep(presentation, label)
+        return self.reps[key]
+
+
+# The last fibered fixture compiled, as (fixture text, bundle).  One slot,
+# replaced by assigning one tuple: concurrent callers at worst build a
+# bundle twice, and a new fixture frees the old bundle.
+_last_fibered: Tuple[Optional[str], Optional[FiberedBundle]] = (None, None)
+
+
+def _fibered_input(config: RunConfig) -> FiberedBundle:
+    """The fibered model of a fixture, compiled once per fixture text.  The
+    file is read on every call, so an edited file is compiled anew."""
+    global _last_fibered
+    text = read_fixture(config.inputs[0])
+    key, bundle = _last_fibered
+    if key == text:
+        return bundle
+    fixture = parse_fixture(text)
     if fixture.kind == KIND_TORUS:
         pres = SurfacePresentation.closed(1)
         phi = GeneratorEndomorphism.torus_monodromy(fixture.payload)
@@ -100,7 +137,9 @@ def _fibered_input(config: RunConfig):
     else:
         raise ValueError(
             f"fixture kind {fixture.kind!r} carries no fibered model")
-    return mt, surface, flow
+    bundle = FiberedBundle(mt, surface, flow)
+    _last_fibered = (text, bundle)
+    return bundle
 
 
 def _resolve_rep(mt, label: str) -> FiniteRepresentation:
@@ -214,9 +253,9 @@ def _handle_torus_klevel(config: RunConfig):
 
 
 def _handle_alexander(config: RunConfig):
-    mt, _, _ = _fibered_input(config)
-    rep = _resolve_rep(mt, config.rep)
-    orders = [twisted_alexander(mt, rep, n) for n in range(4)]
+    bundle = _fibered_input(config)
+    rep = bundle.rep(bundle.mt, config.rep)
+    orders = [twisted_alexander(bundle.mt, rep, n) for n in range(4)]
     lines = [f"rep: {config.rep}"]
     lines += [f"Delta_{n} = {p.pretty()}" for n, p in enumerate(orders)]
     payload = {"rep": config.rep,
@@ -225,13 +264,13 @@ def _handle_alexander(config: RunConfig):
 
 
 def _handle_torsion(config: RunConfig):
-    mt, surface, flow = _fibered_input(config)
-    rep = _resolve_rep(mt, config.rep)
+    bundle = _fibered_input(config)
+    surface = bundle.surface
     # rank-1, so also defined on the model's presentation (mt may have more)
-    cellular_rep = (rep if surface.presentation == mt
-                    else _resolve_rep(surface.presentation, config.rep))
-    cellular = torsion_from_cellular(surface, flow, cellular_rep)
-    alexander_route = twisted_torsion(mt, rep)
+    cellular = torsion_from_cellular(
+        surface, bundle.flow, bundle.rep(surface.presentation, config.rep))
+    alexander_route = twisted_torsion(bundle.mt,
+                                      bundle.rep(bundle.mt, config.rep))
     if cellular.homological != alexander_route:
         raise ArithmeticError(
             "determinant-ratio torsion disagrees with the Alexander-order "
@@ -249,8 +288,9 @@ def _handle_torsion(config: RunConfig):
 
 
 def _handle_zeta(config: RunConfig):
-    _, surface, flow = _fibered_input(config)
-    rep = _resolve_rep(surface.presentation, config.rep)
+    bundle = _fibered_input(config)
+    surface, flow = bundle.surface, bundle.flow
+    rep = bundle.rep(surface.presentation, config.rep)
     terms = config.terms if config.terms is not None else 5
     zeta = zeta_from_cellular(surface, flow, rep)
     rendered = [render_scalar(v)
@@ -264,10 +304,12 @@ def _handle_zeta(config: RunConfig):
 
 
 def _handle_lefschetz(config: RunConfig):
-    _, surface, flow = _fibered_input(config)
-    rep = _resolve_rep(surface.presentation, config.rep)
+    bundle = _fibered_input(config)
+    surface = bundle.surface
     upto = config.upto if config.upto is not None else 10
-    values = lefschetz_numbers(surface, flow, rep, upto)
+    values = lefschetz_numbers(surface, bundle.flow,
+                               bundle.rep(surface.presentation, config.rep),
+                               upto)
     rendered = [render_scalar(v) for v in values]
     lines = [f"rep: {config.rep}"]
     lines += [f"L_{m} = {v}" for m, v in enumerate(rendered, start=1)]
@@ -377,12 +419,21 @@ _HANDLERS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None,
+                   line=None):
+    """Library warnings reach stderr as one `warning:` line, without the
+    source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def dispatch(config: RunConfig) -> Tuple[int, str]:
     """Route a configuration to its handler and render the report."""
     handler = _HANDLERS.get(config.subcommand)
     if handler is None:
         raise ValueError(f"unknown subcommand {config.subcommand!r}")
-    text, payload = handler(config)
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        text, payload = handler(config)
     if config.output == "json":
         return 0, json.dumps(payload, indent=2, sort_keys=True)
     return 0, text
@@ -490,27 +541,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _print_warning(message, category, filename, lineno, file=None,
-                   line=None):
-    """Library warnings reach stderr as one `warning:` line, without the
-    source location."""
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.showwarning = _print_warning
-        try:
-            config = config_from_args(args)
-            status, report = dispatch(config)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (AssertionError, ArithmeticError) as exc:
-            print(f"internal check failed: {exc}", file=sys.stderr)
-            return 1
+    try:
+        config = config_from_args(args)
+        status, report = dispatch(config)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (AssertionError, ArithmeticError) as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 1
     if report:
         print(report)
     return status

@@ -64,10 +64,19 @@ def _json_str(value, field: str) -> str:
     return value
 
 
+def _json_list(value, field: str):
+    """A list, as read from a fixture or given to a constructor (a tuple):
+    a string is rejected, not split into its characters."""
+    if type(value) not in (list, tuple):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return value
+
+
 def _json_fraction(value, field: str) -> Fraction:
-    """A rational number as read from a fixture: an integer or a string
-    such as "5/2"; floats and booleans are rejected, not rounded."""
-    if type(value) in (int, str):
+    """A rational number, as read from a fixture (an integer or a string
+    such as "5/2") or given to a constructor (also a Fraction); floats and
+    booleans are rejected, not rounded."""
+    if type(value) in (int, str, Fraction):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

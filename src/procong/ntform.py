@@ -24,8 +24,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .kernel import (LaurentPolynomial, _json_fraction, _json_int, _json_str,
-                     as_exact, charpoly_coefficients, laurent_gcd)
+from .kernel import (LaurentPolynomial, _json_fraction, _json_int,
+                     _json_list, _json_str, as_exact, charpoly_coefficients,
+                     laurent_gcd)
 
 
 class DecompositionError(ValueError):
@@ -106,8 +107,8 @@ class StretchFactor:
     high: Fraction
 
     def __post_init__(self):
-        coeffs = tuple(_json_int(c, "stretch polynomial")
-                       for c in self.polynomial)
+        coeffs = tuple(_json_int(c, "stretch polynomial") for c in
+                       _json_list(self.polynomial, "stretch polynomial"))
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         shift = 0
@@ -124,8 +125,10 @@ class StretchFactor:
             content = -content
         coeffs = tuple(c // content for c in coeffs)
         object.__setattr__(self, "polynomial", coeffs)
-        object.__setattr__(self, "low", Fraction(self.low))
-        object.__setattr__(self, "high", Fraction(self.high))
+        object.__setattr__(self, "low",
+                           _json_fraction(self.low, "stretch interval"))
+        object.__setattr__(self, "high",
+                           _json_fraction(self.high, "stretch interval"))
         if not 1 <= self.low < self.high:
             raise DecompositionError(
                 "stretch factor interval must satisfy 1 <= low < high")
@@ -246,9 +249,11 @@ class StretchFactor:
 
     @staticmethod
     def from_json(data) -> "StretchFactor":
-        low, high = (_json_fraction(v, "stretch interval")
-                     for v in data["interval"])
-        return StretchFactor(tuple(data["polynomial"]), low, high)
+        interval = _json_list(data["interval"], "stretch interval")
+        if len(interval) != 2:
+            raise ValueError("stretch interval must have two entries, got "
+                             f"{len(interval)}")
+        return StretchFactor(data["polynomial"], *interval)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,12 +346,15 @@ class VertexPiece:
         _json_int(self.euler, "euler")
         _json_int(self.period, "period")
         object.__setattr__(self, "circles", tuple(
-            _json_str(c, "circles") for c in self.circles))
+            _json_str(c, "circles")
+            for c in _json_list(self.circles, "circles")))
         object.__setattr__(self, "boundary_singularities", tuple(
             _json_int(c, "boundary_singularities")
-            for c in self.boundary_singularities))
+            for c in _json_list(self.boundary_singularities,
+                                "boundary_singularities")))
         if self.orbits is not None:
-            object.__setattr__(self, "orbits", tuple(self.orbits))
+            object.__setattr__(self, "orbits",
+                               tuple(_json_list(self.orbits, "orbits")))
 
     def singular_points(self, circle: str) -> int:
         return self.boundary_singularities[self.circles.index(circle)]
@@ -368,11 +376,12 @@ class ReductionAnnulus:
 
     def __post_init__(self):
         _json_str(self.name, "annulus name")
-        object.__setattr__(self, "twist", Fraction(self.twist))
+        object.__setattr__(self, "twist", _json_fraction(self.twist, "twist"))
         object.__setattr__(self, "ends", tuple(
             None if e is None else _json_str(e, "annulus ends")
-            for e in self.ends))
-        object.__setattr__(self, "orbits", tuple(self.orbits))
+            for e in _json_list(self.ends, "annulus ends")))
+        object.__setattr__(self, "orbits", tuple(
+            _json_list(self.orbits, "annulus orbits")))
 
 
 def _as_sorted_pairs(mapping, field: str) -> Tuple[Tuple[str, str], ...]:
@@ -643,22 +652,23 @@ class NTDecomposition:
                                  o.get("rotation", 0))
 
         pieces = []
-        for p in data["pieces"]:
+        for p in _json_list(data["pieces"], "pieces"):
             stretch = p.get("stretch")
             orbits = p.get("orbits")
             pieces.append(VertexPiece(
                 name=p["name"], kind=p["kind"], euler=p["euler"],
-                circles=tuple(p.get("circles", ())),
-                boundary_singularities=tuple(p.get("boundary_singularities", ())),
+                circles=p.get("circles", ()),
+                boundary_singularities=p.get("boundary_singularities", ()),
                 stretch=None if stretch is None else StretchFactor.from_json(stretch),
-                orbits=None if orbits is None else tuple(orbit(o) for o in orbits),
+                orbits=None if orbits is None else tuple(
+                    orbit(o) for o in _json_list(orbits, "orbits")),
                 period=p.get("period", 1)))
         annuli = []
-        for a in data.get("annuli", ()):
+        for a in _json_list(data.get("annuli", ()), "annuli"):
             annuli.append(ReductionAnnulus(
-                name=a["name"], twist=_json_fraction(a["twist"], "twist"),
-                ends=tuple(a["ends"]),
-                orbits=tuple(orbit(o) for o in a.get("orbits", ()))))
+                name=a["name"], twist=a["twist"], ends=a["ends"],
+                orbits=tuple(orbit(o) for o in _json_list(
+                    a.get("orbits", ()), "annulus orbits"))))
         return NTDecomposition(tuple(pieces), tuple(annuli),
                                data["piece_map"], data["circle_map"])
 

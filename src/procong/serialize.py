@@ -139,6 +139,10 @@ def parse_fixture(text: str) -> Fixture:
     return Fixture(kind, payload)
 
 
+def read_fixture(path) -> str:
+    """The text of the fixture file at `path`, resolved by `resolve_path`."""
+    return resolve_path(str(path)).read_text(encoding="utf-8")
+
+
 def load_fixture(path) -> Fixture:
-    resolved = resolve_path(str(path))
-    return parse_fixture(resolved.read_text(encoding="utf-8"))
+    return parse_fixture(read_fixture(path))

@@ -668,10 +668,9 @@ class TestComputedOnce:
         assert not any(d.is_zero() for d in deltas)
         assert torsion == cellular.value
 
-    @pytest.mark.parametrize("subcommand",
-                             ["alexander", "torsion", "zeta", "lefschetz"])
-    def test_fibered_request_builds_one_presentation(self, monkeypatch,
-                                                     subcommand):
+    def count_builds(self, monkeypatch):
+        """Record the presentations built, the relator searches run and the
+        integer Smith forms computed."""
         built, searches = [], []
         post_init = surfgrp.MappingTorusPresentation.__post_init__
         monkeypatch.setattr(surfgrp.MappingTorusPresentation, "__post_init__",
@@ -685,13 +684,39 @@ class TestComputedOnce:
             return substitute(phi, word)
 
         monkeypatch.setattr(GeneratorEndomorphism, "apply", apply)
-        smith = self.count(monkeypatch, kernel.smith_integer)
+        return built, searches, self.count(monkeypatch, kernel.smith_integer)
+
+    @pytest.mark.parametrize("subcommand",
+                             ["alexander", "torsion", "zeta", "lefschetz"])
+    def test_fibered_request_builds_one_presentation(self, monkeypatch,
+                                                     subcommand):
+        # a cold request: no fixture compiled by an earlier one
+        monkeypatch.setattr(cli, "_last_fibered", (None, None))
+        built, searches, smith = self.count_builds(monkeypatch)
         status, _ = cli.dispatch(cli.RunConfig(
             subcommand, (str(FIXTURES / "torus_pair_a.json"),)))
         assert status == 0
         # the monodromy's search and its inverse's (for the flow map); the
         # Smith forms: unimodularity and the abelianization cross-check
         assert (len(built), len(searches), len(smith)) == (1, 2, 3)
+
+    @pytest.mark.parametrize("subcommand",
+                             ["alexander", "torsion", "zeta", "lefschetz"])
+    def test_later_request_on_the_same_text_builds_nothing(
+            self, monkeypatch, tmp_path, subcommand):
+        # the slot is keyed by the fixture text, not by its path
+        source = FIXTURES / "torus_pair_a.json"
+        copy = tmp_path / "copy.json"
+        copy.write_bytes(source.read_bytes())
+        monkeypatch.setattr(cli, "_last_fibered", (None, None))
+        assert cli.dispatch(cli.RunConfig("alexander", (str(source),)))[0] == 0
+        built, searches, smith = self.count_builds(monkeypatch)
+        orders = self.count(monkeypatch, kernel.homology_order)
+        # --rep trivial: the orders the first request computed are read
+        status, _ = cli.dispatch(cli.RunConfig(subcommand, (str(copy),)))
+        assert status == 0
+        assert (len(built), len(searches), len(smith), len(orders)) == (
+            0, 0, 0, 0)
 
     def test_each_monodromy_is_checked_once_per_object(self, monkeypatch):
         pres = SurfacePresentation.closed(1)
@@ -712,6 +737,7 @@ class TestComputedOnce:
             mapping_torus(SurfacePresentation.closed(2), phi)
 
     def test_torsion_subcommand_computes_each_order_once(self, monkeypatch):
+        monkeypatch.setattr(cli, "_last_fibered", (None, None))
         orders = self.count(monkeypatch, kernel.homology_order)
         status, report = cli.dispatch(cli.RunConfig(
             "torsion", (str(FIXTURES / "torus_A211.json"),)))

@@ -466,6 +466,24 @@ class TestExitCodes:
          "twist must be an integer or a fraction string, got 0.5"),
         (("annuli", 0, "twist"), "1/0",
          "twist must be an integer or a fraction string, got '1/0'"),
+        # lists of the wrong length, and strings where lists belong
+        (("pieces", 0, "stretch", "interval"), ["5/2"],
+         "stretch interval must have two entries, got 1"),
+        (("pieces", 0, "stretch", "interval"), ["5/2", "3", "4"],
+         "stretch interval must have two entries, got 3"),
+        (("pieces", 0, "stretch", "interval"), "5/2 3",
+         "stretch interval must be a list, got '5/2 3'"),
+        (("pieces", 0, "stretch", "polynomial"), "1-31",
+         "stretch polynomial must be a list, got '1-31'"),
+        (("pieces", 0, "circles"), "cP", "circles must be a list, got 'cP'"),
+        (("pieces", 0, "boundary_singularities"), "1",
+         "boundary_singularities must be a list, got '1'"),
+        (("pieces", 0, "orbits"), "o", "orbits must be a list, got 'o'"),
+        (("annuli", 0, "ends"), "cP", "annulus ends must be a list, got 'cP'"),
+        (("annuli", 0, "orbits"), "o",
+         "annulus orbits must be a list, got 'o'"),
+        (("pieces",), "PQ", "pieces must be a list, got 'PQ'"),
+        (("annuli",), "A", "annuli must be a list, got 'A'"),
     ]
 
     @pytest.mark.parametrize("path, value, message", NT_WRONG_TYPES,
@@ -498,22 +516,25 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("source", ["pure_twist.json",
                                         "separating_twist.json"])
-    def test_library_warning_is_one_plain_stderr_line(self, source):
+    def test_library_warning_is_one_plain_stderr_line(self, capsys, source):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-m", "procong", "nt",
                                "analyze", fixture(source)],
                               capture_output=True, text=True, env=env,
                               timeout=60)
         assert proc.returncode == 0
-        with pytest.warns(UserWarning, match="deviation is defined"):
-            _, report = dispatch(config_from_args(
-                build_parser().parse_args(["nt", "analyze", fixture(source)])))
-        assert proc.stdout == report + "\n"
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(
             "warning: deviation is defined to be zero ")
         assert "cli.py" not in proc.stderr and "/" not in proc.stderr
+        # an in-process caller of dispatch gets the same line, once per
+        # request
+        for _ in range(2):
+            _, report = dispatch(config_from_args(
+                build_parser().parse_args(["nt", "analyze", fixture(source)])))
+            assert proc.stdout == report + "\n"
+            assert capsys.readouterr() == ("", proc.stderr)
 
     def test_missing_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -567,6 +588,38 @@ class TestRunConfig:
     def test_dispatch_rejects_unknown_subcommand(self):
         with pytest.raises(ValueError, match="unknown subcommand"):
             dispatch(RunConfig("torus explode"))
+
+
+class TestLastFiberedFixture:
+    """dispatch keeps the last fibered fixture compiled, keyed by the text
+    of the fixture file, which it reads on every request."""
+
+    GOLDEN = json.loads((Path(__file__).resolve().parent
+                         / "golden_fibered_reports.json").read_text())
+
+    @pytest.mark.parametrize("sub, rep", [("alexander", "trivial"),
+                                          ("lefschetz", "zeta:4")])
+    def test_overwritten_fixture_gets_its_own_report(self, capsys, tmp_path,
+                                                     sub, rep):
+        path = tmp_path / "bundle.json"
+        for source in ("torus_A211.json", "torus_pair_a.json",
+                       "torus_A211.json"):
+            path.write_bytes((FIXTURES / source).read_bytes())
+            for _ in range(2):
+                status, out, _ = run(capsys, sub, str(path), "--rep", rep)
+                assert status == 0
+                assert out == self.GOLDEN[f"{sub} {source} --rep {rep}"]
+
+    def test_malformed_fixture_after_a_good_one(self, capsys, tmp_path):
+        assert run(capsys, "zeta", fixture("torus_A211.json"))[0] == 0
+        data = json.loads((FIXTURES / "torus_A211.json").read_text())
+        del data["body"]["matrix"]
+        path = tmp_path / "torus_A211.json"
+        path.write_text(json.dumps(data))
+        status, out, err = run(capsys, "zeta", str(path))
+        assert (status, out) == (2, "")
+        assert err == ("error: malformed torus_monodromy fixture: missing "
+                       "key 'matrix'\n")
 
 
 class TestFixtureRootEnvironment:

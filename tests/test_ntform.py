@@ -286,6 +286,14 @@ class TestStretchFactor:
         with pytest.raises(DecompositionError):
             StretchFactor((1, -3, 1), F(5), F(6))
 
+    @pytest.mark.parametrize("low, high", [(2.5, F(3)), (F(5, 2), 3.0)],
+                             ids=["low", "high"])
+    def test_rejects_float_endpoints(self, low, high):
+        # a float would enter through Fraction(float) as a binary fraction
+        with pytest.raises(ValueError, match="stretch interval must be an "
+                                             "integer or a fraction string"):
+            StretchFactor((1, -3, 1), low, high)
+
     def test_accepts_repeated_root_polynomial(self):
         s = StretchFactor((4, -4, 1), F(3, 2), F(5, 2))
         assert s.algebraic_equal(StretchFactor((-2, 1), F(3, 2), F(3)))
@@ -454,6 +462,26 @@ class TestValidation:
         fields.update(overrides)
         with pytest.raises(DecompositionError, match=message_part):
             NTDecomposition(**fields).validate()
+
+    def test_annulus_twist_must_be_exact(self):
+        with pytest.raises(ValueError, match="twist must be an integer or a "
+                                             "fraction string, got 0.1"):
+            ReductionAnnulus("A", 0.1, ("x", None))
+        assert ReductionAnnulus("A", "1/10", ("x", None)).twist == F(1, 10)
+
+    @pytest.mark.parametrize("field, build", [
+        ("circles", lambda: VertexPiece("P", "periodic", 0, circles="cP")),
+        ("boundary_singularities",
+         lambda: VertexPiece("P", "periodic", 0, boundary_singularities="1")),
+        ("orbits", lambda: VertexPiece("P", "periodic", 0, orbits="o")),
+        ("annulus ends", lambda: ReductionAnnulus("A", 0, "cP")),
+        ("annulus orbits",
+         lambda: ReductionAnnulus("A", 0, ("cP", None), "o")),
+    ], ids=["circles", "boundary_singularities", "orbits", "annulus ends",
+            "annulus orbits"])
+    def test_string_is_not_a_list(self, field, build):
+        with pytest.raises(ValueError, match=f"^{field} must be a list, got"):
+            build()
 
     def test_duplicate_names(self):
         dup = VertexPiece("A", "pseudoAnosov", -1, ("cZ",), (1,), PHI, ())
