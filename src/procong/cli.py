@@ -22,22 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .cellular import (CellularSelfMap, CellularSurface, cellular_model,
-                       lefschetz_numbers, torsion_from_cellular,
-                       zeta_from_cellular)
-from .chars import (all_class_indicators, builtin_group, character_L_vector,
-                    nielsen_bound)
 from .kernel import Cyclotomic, render_scalar
-from .ntform import (deviation, dilatation, indexed_orbit_numbers,
-                     shearing_from_slopes)
-from .serialize import (KIND_CELLULAR, KIND_MAPPING_TORUS, KIND_NT,
-                        KIND_ORBIT_PROJECTION, KIND_TORUS, load_fixture,
-                        parse_fixture, read_fixture)
-from .surfgrp import (FiniteRepresentation, GeneratorEndomorphism,
-                      MappingTorusPresentation, SurfacePresentation,
-                      mapping_torus, twisted_alexander, twisted_torsion)
-from .torus import (Mat2, characteristic_level, congruence_sweep,
-                    congruent_conjugate_mod, sl2_conjugate)
 
 APPROX_DIGITS = 30
 
@@ -72,6 +57,7 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _matrix_pair(config: RunConfig) -> Tuple[Mat2, Mat2]:
+    from .torus import Mat2
     return Mat2.from_string(config.inputs[0]), Mat2.from_string(config.inputs[1])
 
 
@@ -117,6 +103,11 @@ _last_fibered: Tuple[Optional[str], Optional[FiberedBundle]] = (None, None)
 def _fibered_input(config: RunConfig) -> FiberedBundle:
     """The fibered model of a fixture, compiled once per fixture text.  The
     file is read on every call, so an edited file is compiled anew."""
+    from .cellular import cellular_model
+    from .serialize import (KIND_CELLULAR, KIND_MAPPING_TORUS, KIND_TORUS,
+                            parse_fixture, read_fixture)
+    from .surfgrp import (GeneratorEndomorphism, SurfacePresentation,
+                          mapping_torus)
     global _last_fibered
     text = read_fixture(config.inputs[0])
     key, bundle = _last_fibered
@@ -145,6 +136,7 @@ def _fibered_input(config: RunConfig) -> FiberedBundle:
 def _resolve_rep(mt, label: str) -> FiniteRepresentation:
     """Build the rank-1 representation named by --rep: trivial, sign, or
     zeta:n[:k] for the k-th power of a primitive n-th root of unity."""
+    from .surfgrp import FiniteRepresentation
     if label == "trivial":
         return FiniteRepresentation.trivial(mt)
     if label == "sign":
@@ -173,6 +165,8 @@ def _parse_slope(text: str) -> Tuple[int, int]:
 
 
 def _orbit_projection_input(config: RunConfig):
+    from .chars import builtin_group
+    from .serialize import KIND_ORBIT_PROJECTION, load_fixture
     fixture = load_fixture(config.inputs[0])
     if fixture.kind != KIND_ORBIT_PROJECTION:
         raise ValueError(f"fixture kind {fixture.kind!r} is not an orbit "
@@ -195,6 +189,7 @@ def _sl2_lines(verdict) -> list:
 # ---------------------------------------------------------------------------
 
 def _handle_torus_conj(config: RunConfig):
+    from .torus import sl2_conjugate
     a, b = _matrix_pair(config)
     verdict = sl2_conjugate(a, b)
     lines = [f"pair A = {a.to_string()}  B = {b.to_string()}"]
@@ -205,6 +200,7 @@ def _handle_torus_conj(config: RunConfig):
 
 
 def _handle_torus_congr(config: RunConfig):
+    from .torus import congruent_conjugate_mod
     a, b = _matrix_pair(config)
     n = _positive_int(config.inputs[2], "modulus")
     verdict = congruent_conjugate_mod(a, b, n)
@@ -219,6 +215,7 @@ def _handle_torus_congr(config: RunConfig):
 
 
 def _handle_torus_sweep(config: RunConfig):
+    from .torus import congruence_sweep
     a, b = _matrix_pair(config)
     bound = config.max_modulus if config.max_modulus is not None else 100
     report = congruence_sweep(a, b, bound)
@@ -235,6 +232,7 @@ def _largest_printable_bound(digits: int) -> int:
 
 
 def _handle_torus_klevel(config: RunConfig):
+    from .torus import characteristic_level
     n = _positive_int(config.inputs[0], "level bound")
     # the report prints the level as a decimal integer, which the interpreter
     # caps at `digits` digits (0: no cap); lcm(1..n) < 3^n < 10^(0.478 n)
@@ -253,6 +251,7 @@ def _handle_torus_klevel(config: RunConfig):
 
 
 def _handle_alexander(config: RunConfig):
+    from .surfgrp import twisted_alexander
     bundle = _fibered_input(config)
     rep = bundle.rep(bundle.mt, config.rep)
     orders = [twisted_alexander(bundle.mt, rep, n) for n in range(4)]
@@ -264,6 +263,8 @@ def _handle_alexander(config: RunConfig):
 
 
 def _handle_torsion(config: RunConfig):
+    from .cellular import torsion_from_cellular
+    from .surfgrp import twisted_torsion
     bundle = _fibered_input(config)
     surface = bundle.surface
     # rank-1, so also defined on the model's presentation (mt may have more)
@@ -288,6 +289,7 @@ def _handle_torsion(config: RunConfig):
 
 
 def _handle_zeta(config: RunConfig):
+    from .cellular import lefschetz_numbers, zeta_from_cellular
     bundle = _fibered_input(config)
     surface, flow = bundle.surface, bundle.flow
     rep = bundle.rep(surface.presentation, config.rep)
@@ -304,6 +306,7 @@ def _handle_zeta(config: RunConfig):
 
 
 def _handle_lefschetz(config: RunConfig):
+    from .cellular import lefschetz_numbers
     bundle = _fibered_input(config)
     surface = bundle.surface
     upto = config.upto if config.upto is not None else 10
@@ -318,6 +321,8 @@ def _handle_lefschetz(config: RunConfig):
 
 
 def _handle_nt_analyze(config: RunConfig):
+    from .ntform import deviation, dilatation, indexed_orbit_numbers
+    from .serialize import KIND_NT, load_fixture
     fixture = load_fixture(config.inputs[0])
     if fixture.kind != KIND_NT:
         raise ValueError(f"fixture kind {fixture.kind!r} is not a "
@@ -360,6 +365,7 @@ def _handle_nt_analyze(config: RunConfig):
 
 
 def _handle_nt_shear(config: RunConfig):
+    from .ntform import shearing_from_slopes
     first = _parse_slope(config.inputs[0])
     second = _parse_slope(config.inputs[1])
     degree = shearing_from_slopes(first, second)
@@ -370,6 +376,7 @@ def _handle_nt_shear(config: RunConfig):
 
 
 def _handle_chars_decompose(config: RunConfig):
+    from .chars import all_class_indicators, character_L_vector
     group, table, _ = _orbit_projection_input(config)
     character_L = character_L_vector(table, group)
     indicators = all_class_indicators(table, group, character_L)
@@ -388,6 +395,7 @@ def _handle_chars_decompose(config: RunConfig):
 
 
 def _handle_chars_bound(config: RunConfig):
+    from .chars import nielsen_bound
     group, table, attained = _orbit_projection_input(config)
     result = nielsen_bound(table, group, attained=attained)
     lines = [f"group: {group.name}",

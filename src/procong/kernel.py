@@ -72,6 +72,14 @@ def _json_list(value, field: str):
     return value
 
 
+def _json_object(value, field: str) -> dict:
+    """A JSON object, as read from a fixture: a list, string or number is
+    rejected with the field's name, not indexed into."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be an object, got {value!r}")
+    return value
+
+
 def _json_fraction(value, field: str) -> Fraction:
     """A rational number, as read from a fixture (an integer or a string
     such as "5/2") or given to a constructor (also a Fraction); floats and

@@ -25,8 +25,8 @@ from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .kernel import (LaurentPolynomial, _json_fraction, _json_int,
-                     _json_list, _json_str, as_exact, charpoly_coefficients,
-                     laurent_gcd)
+                     _json_list, _json_object, _json_str, as_exact,
+                     charpoly_coefficients, laurent_gcd)
 
 
 class DecompositionError(ValueError):
@@ -249,6 +249,7 @@ class StretchFactor:
 
     @staticmethod
     def from_json(data) -> "StretchFactor":
+        data = _json_object(data, "stretch")
         interval = _json_list(data["interval"], "stretch interval")
         if len(interval) != 2:
             raise ValueError("stretch interval must have two entries, got "
@@ -647,28 +648,33 @@ class NTDecomposition:
 
     @staticmethod
     def from_json(data) -> "NTDecomposition":
-        def orbit(o):
-            return InteriorOrbit(o["name"], o["size"], o.get("prongs"),
-                                 o.get("rotation", 0))
+        def orbits(entries, field):
+            out = []
+            for i, o in enumerate(_json_list(entries, field)):
+                o = _json_object(o, f"{field}[{i}]")
+                out.append(InteriorOrbit(o["name"], o["size"], o.get("prongs"),
+                                         o.get("rotation", 0)))
+            return tuple(out)
 
         pieces = []
-        for p in _json_list(data["pieces"], "pieces"):
+        for i, p in enumerate(_json_list(data["pieces"], "pieces")):
+            p = _json_object(p, f"pieces[{i}]")
             stretch = p.get("stretch")
-            orbits = p.get("orbits")
+            piece_orbits = p.get("orbits")
             pieces.append(VertexPiece(
                 name=p["name"], kind=p["kind"], euler=p["euler"],
                 circles=p.get("circles", ()),
                 boundary_singularities=p.get("boundary_singularities", ()),
                 stretch=None if stretch is None else StretchFactor.from_json(stretch),
-                orbits=None if orbits is None else tuple(
-                    orbit(o) for o in _json_list(orbits, "orbits")),
+                orbits=(None if piece_orbits is None
+                        else orbits(piece_orbits, "orbits")),
                 period=p.get("period", 1)))
         annuli = []
-        for a in _json_list(data.get("annuli", ()), "annuli"):
+        for i, a in enumerate(_json_list(data.get("annuli", ()), "annuli")):
+            a = _json_object(a, f"annuli[{i}]")
             annuli.append(ReductionAnnulus(
                 name=a["name"], twist=a["twist"], ends=a["ends"],
-                orbits=tuple(orbit(o) for o in _json_list(
-                    a.get("orbits", ()), "annulus orbits"))))
+                orbits=orbits(a.get("orbits", ()), "annulus orbits")))
         return NTDecomposition(tuple(pieces), tuple(annuli),
                                data["piece_map"], data["circle_map"])
 

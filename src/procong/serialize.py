@@ -18,6 +18,7 @@ from typing import Any, Tuple
 
 from .cellular import CellularSelfMap, CellularSurface
 from .chars import OrbitProjectionTable
+from .kernel import _json_object
 from .ntform import IndexedOrbitTable, NTDecomposition
 from .surfgrp import MappingTorusPresentation
 from .torus import Mat2
@@ -131,7 +132,7 @@ def parse_fixture(text: str) -> Fixture:
     if "body" not in data:
         raise ValueError("fixture has no body")
     try:
-        payload = decoder(data["body"])
+        payload = decoder(_json_object(data["body"], "body"))
     except (KeyError, TypeError, IndexError) as exc:
         detail = (f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError)
                   else str(exc))

@@ -41,6 +41,9 @@ from .kernel import (
     RationalFunction,
     _INT_ONLY,
     _json_int,
+    _json_list,
+    _json_object,
+    _json_str,
     as_exact,
     homology_order,
     normalize_unit_class,
@@ -132,6 +135,12 @@ def _json_letters(letters: Iterable[int], field: str) -> Word:
     return letters
 
 
+def _json_names(names, field: str) -> Tuple[str, ...]:
+    """Generator names read from a fixture: a list of strings (else
+    ValueError naming `field`)."""
+    return tuple(_json_str(name, field) for name in _json_list(names, field))
+
+
 def _check_indices(word: Iterable[int], n_generators: int,
                    field: str = "letter") -> Word:
     """Freely reduce a word of integer letters in +-1..+-n_generators."""
@@ -218,7 +227,7 @@ class SurfacePresentation:
     def from_json(cls, data) -> "SurfacePresentation":
         return cls(_json_int(data["genus"], "genus"),
                    _json_int(data["boundary_count"], "boundary_count"),
-                   tuple(data["generators"]),
+                   _json_names(data["generators"], "fiber generators"),
                    tuple(map(tuple, data["relators"])))
 
 
@@ -419,8 +428,7 @@ class GeneratorEndomorphism:
 
     @classmethod
     def from_json(cls, pres: SurfacePresentation, data) -> "GeneratorEndomorphism":
-        if not isinstance(data, dict):
-            raise ValueError(f"monodromy must be an object, got {data!r}")
+        data = _json_object(data, "monodromy")
         inverse = data.get("inverse_images")
         return cls(pres, tuple(data["images"]),
                    None if inverse is None else tuple(inverse))
@@ -560,7 +568,7 @@ class MappingTorusPresentation:
         fiber = SurfacePresentation.from_json(data["fiber"])
         monodromy = GeneratorEndomorphism.from_json(fiber, data["monodromy"])
         return cls(
-            generators=tuple(data["generators"]),
+            generators=_json_names(data["generators"], "generators"),
             relators=tuple(data["relators"]),
             fiber_values=tuple(_json_int(v, "fiber_values")
                                for v in data["fiber_values"]),

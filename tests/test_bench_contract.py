@@ -6,7 +6,15 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import procong.cli  # noqa: F401  (imports every module the tracer patches)
+# every module the tracer patches; `cli` imports most of them only on use
+import procong.cellular  # noqa: F401
+import procong.chars  # noqa: F401
+import procong.cli  # noqa: F401
+import procong.kernel  # noqa: F401
+import procong.ntform  # noqa: F401
+import procong.serialize  # noqa: F401
+import procong.surfgrp  # noqa: F401
+import procong.torus  # noqa: F401
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 

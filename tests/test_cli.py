@@ -484,6 +484,14 @@ class TestExitCodes:
          "annulus orbits must be a list, got 'o'"),
         (("pieces",), "PQ", "pieces must be a list, got 'PQ'"),
         (("annuli",), "A", "annuli must be a list, got 'A'"),
+        # scalars and lists where objects belong
+        (("pieces",), [5], "pieces[0] must be an object, got 5"),
+        (("pieces", 1), "Q", "pieces[1] must be an object, got 'Q'"),
+        (("annuli", 0), ["A"], "annuli[0] must be an object, got ['A']"),
+        (("pieces", 0, "orbits", 0), 5, "orbits[0] must be an object, got 5"),
+        (("annuli", 0, "orbits"), [None],
+         "annulus orbits[0] must be an object, got None"),
+        (("pieces", 0, "stretch"), 1.5, "stretch must be an object, got 1.5"),
     ]
 
     @pytest.mark.parametrize("path, value, message", NT_WRONG_TYPES,
@@ -499,6 +507,47 @@ class TestExitCodes:
         fixture_path = tmp_path / "two_pa_swap.json"
         fixture_path.write_text(json.dumps(data))
         status, out, err = run(capsys, "nt", "analyze", str(fixture_path))
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("source, argv", [
+        ("two_pa_swap.json", ["nt", "analyze"]),
+        ("genus2_finite_order.json", ["alexander"]),
+        ("orbit_s3.json", ["chars", "bound"]),
+        ("torus_A211.json", ["zeta"]),
+    ])
+    def test_non_object_fixture_body_is_an_input_error(self, tmp_path, capsys,
+                                                       source, argv):
+        data = json.loads((FIXTURES / source).read_text())
+        data["body"] = [data["body"]]
+        path = tmp_path / source
+        path.write_text(json.dumps(data))
+        status, out, err = run(capsys, *argv, str(path))
+        assert (status, out) == (2, "")
+        assert err.startswith("error: body must be an object, got [{")
+
+    # (path into the genus2_finite_order.json body, value, the error line)
+    GENERATOR_NAMES = [
+        (("generators", 0), [], "generators must be a string, got []"),
+        (("generators", 2), {}, "generators must be a string, got {}"),
+        (("generators",), "a1b1", "generators must be a list, got 'a1b1'"),
+        (("fiber", "generators", 1), 7,
+         "fiber generators must be a string, got 7"),
+        (("fiber", "generators"), "ab",
+         "fiber generators must be a list, got 'ab'"),
+    ]
+
+    @pytest.mark.parametrize("path, value, message", GENERATOR_NAMES,
+                             ids=[c[2] for c in GENERATOR_NAMES])
+    def test_wrongly_typed_generator_name_is_an_input_error(
+            self, tmp_path, capsys, path, value, message):
+        data = json.loads((FIXTURES / "genus2_finite_order.json").read_text())
+        owner = data["body"]
+        for step in path[:-1]:
+            owner = owner[step]
+        owner[path[-1]] = value
+        fixture_path = tmp_path / "genus2_finite_order.json"
+        fixture_path.write_text(json.dumps(data))
+        status, out, err = run(capsys, "alexander", str(fixture_path))
         assert (status, out, err) == (2, "", f"error: {message}\n")
 
     def test_approx_renders_the_dilatation_once(self, capsys, monkeypatch):
@@ -620,6 +669,44 @@ class TestLastFiberedFixture:
         assert (status, out) == (2, "")
         assert err == ("error: malformed torus_monodromy fixture: missing "
                        "key 'matrix'\n")
+
+
+class TestImportFootprint:
+    """A torus or `nt shear` request in a fresh interpreter compiles only
+    the modules it uses: `cli` imports the library modules in the handlers
+    that need them."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "from procong.cli import RunConfig, dispatch\n"
+        "for sub, inputs in json.loads(sys.argv[1]):\n"
+        "    assert dispatch(RunConfig(sub, tuple(inputs)))[0] == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'procong')))\n")
+
+    def loaded_after(self, requests):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT,
+                               json.dumps(requests)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout))
+
+    def test_torus_requests_load_only_kernel_and_torus(self):
+        loaded = self.loaded_after([
+            ["torus conj", ["2,1;1,1", "1,1;1,2"]],
+            ["torus congr", ["2,1;1,1", "1,1;1,2", "6"]],
+            ["torus sweep", ["2,1;1,1", "1,1;1,2"]],
+            ["torus klevel", ["6"]]])
+        # no surfgrp, cellular, ntform, chars or serialize
+        assert loaded == {"procong", "procong.cli", "procong.kernel",
+                          "procong.torus"}
+
+    def test_nt_shear_loads_only_kernel_and_ntform(self):
+        loaded = self.loaded_after([["nt shear", ["1,2", "3,4"]]])
+        assert loaded == {"procong", "procong.cli", "procong.kernel",
+                          "procong.ntform"}
 
 
 class TestFixtureRootEnvironment:

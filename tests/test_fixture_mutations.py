@@ -1,0 +1,92 @@
+"""Deterministic mutation sweep over the shipped fixtures: every malformed
+input exits 0 or 2, never 1 and never with a traceback.
+
+Each fixture that a subcommand reads is mutated at every key and at the
+first three entries of every list of its body, at any depth: the entry is
+dropped, or replaced by each of 5, "x", [], {}, null and 1.5.  Each
+mutant runs through `main` in-process."""
+
+import contextlib
+import copy
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from procong.cli import main
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# the subcommand that reads each fixture kind
+SUBCOMMANDS = {
+    "torus_monodromy": ["alexander"],
+    "mapping_torus": ["alexander"],
+    "nt_decomposition": ["nt", "analyze"],
+    "orbit_projection": ["chars", "decompose"],
+}
+
+DROP = object()
+REPLACEMENTS = (DROP, 5, "x", [], {}, None, 1.5)
+LIST_ENTRIES = 3
+
+
+def _kind(path: Path) -> str:
+    return json.loads(path.read_text())["kind"]
+
+
+SOURCES = sorted(p.name for p in FIXTURES.glob("*.json")
+                 if _kind(p) in SUBCOMMANDS)
+
+
+def locations(node, path=()):
+    """Every key of every object, and the first entries of every list."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node[:LIST_ENTRIES])
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from locations(child, path + (key,))
+
+
+def mutated(body, path, value):
+    body = copy.deepcopy(body)
+    owner = body
+    for step in path[:-1]:
+        owner = owner[step]
+    if value is DROP:
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = value
+    return body
+
+
+def test_every_subcommand_reading_a_fixture_is_covered():
+    assert {_kind(FIXTURES / name) for name in SOURCES} == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_mutated_fixture_exits_zero_or_two(tmp_path, source):
+    data = json.loads((FIXTURES / source).read_text())
+    argv = SUBCOMMANDS[data["kind"]]
+    target = tmp_path / source
+    faults = []
+    for path in locations(data["body"]):
+        for value in REPLACEMENTS:
+            mutant = dict(data, body=mutated(data["body"], path, value))
+            target.write_text(json.dumps(mutant))
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                try:
+                    status = main([*argv, str(target)])
+                except Exception as exc:  # noqa: BLE001  (reported below)
+                    status = f"{type(exc).__name__}: {exc}"
+            if status not in (0, 2) or "Traceback" in stderr.getvalue():
+                change = "drop" if value is DROP else json.dumps(value)
+                faults.append(f"{list(path)} {change}: {status} "
+                              f"{stderr.getvalue().strip()}")
+    assert not faults, "\n".join(faults)
