@@ -15,8 +15,8 @@ from pathlib import Path
 
 from procong.ntform import (Dilatation, StretchFactor,
                             certify_growth_estimate, deviation, dilatation,
-                            dilatation_from_nielsen, geometric_graph,
-                            indexed_orbit_numbers, split_order)
+                            dilatation_from_nielsen, indexed_orbit_numbers,
+                            split_order)
 from procong.serialize import (KIND_NT, KIND_ORBIT_TABLE,
                                default_fixture_root, load_fixture)
 
@@ -32,9 +32,6 @@ def show_decomposition(path, upto):
         dev = deviation(nt)
     print(f"split order {split_order(nt)}, dilatation ~ {dil.approx(12)}, "
           f"deviation {dev}")
-    graph = geometric_graph(nt)
-    print(f"decomposition graph: {len(graph.vertices)} vertices, "
-          f"{len(graph.edges)} edges")
     table = indexed_orbit_numbers(nt, upto)
     for row in table.rows:
         counts = " ".join(f"{i}:{c}" for i, c in row.counts) or "-"

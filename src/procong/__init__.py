@@ -6,7 +6,7 @@ kernel    exact scalars, Laurent polynomials, rational functions, Smith forms
 torus     conjugacy in SL(2,Z) and GL(2,Z/n), congruence sweeps
 surfgrp   surface group presentations, twisted Alexander polynomials, torsion
 cellular  chain-level mapping torus models, zeta functions, Lefschetz numbers
-ntform    canonical-form data, dilatation, fixed point classes, model graphs
+ntform    canonical-form data, dilatation, fixed point classes
 chars     finite group character tables, orbit-class projections
 serialize fixture and result JSON grammar
 cli       the `procong` command line tool

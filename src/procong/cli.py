@@ -176,14 +176,6 @@ def _orbit_projection_input(config: RunConfig):
     return builtin_group(group_name), payload.table, payload.attained
 
 
-def _sl2_lines(verdict) -> list:
-    word = "conjugate" if verdict.conjugate else "not conjugate"
-    lines = [f"SL(2,Z): {word} ({verdict.reason})"]
-    if verdict.witness is not None:
-        lines.append(f"SL(2,Z) witness: {verdict.witness.to_string()}")
-    return lines
-
-
 # ---------------------------------------------------------------------------
 # handlers: each returns (text report, json payload)
 # ---------------------------------------------------------------------------
@@ -192,8 +184,8 @@ def _handle_torus_conj(config: RunConfig):
     from .torus import sl2_conjugate
     a, b = _matrix_pair(config)
     verdict = sl2_conjugate(a, b)
-    lines = [f"pair A = {a.to_string()}  B = {b.to_string()}"]
-    lines += _sl2_lines(verdict)
+    lines = [f"pair A = {a.to_string()}  B = {b.to_string()}",
+             *verdict.lines()]
     payload = {"matrix_a": a.to_string(), "matrix_b": b.to_string(),
                "sl2": verdict.to_json()}
     return "\n".join(lines), payload

@@ -6,8 +6,8 @@ annuli with fractional twist rates, the induced permutation on pieces
 and boundary circles, and declared singularity or marked-point orbits.
 On top of validated fixtures the module computes the split order,
 exact dilatation and deviation, fixed-class index tables for
-iterates, indexed orbit counts with Nielsen numbers, decomposition
-graphs and their quotients, and shearing degrees from slope pairs.
+iterates, indexed orbit counts with Nielsen numbers, and shearing
+degrees from slope pairs.
 
 All arithmetic is exact.  Stretch factors are algebraic numbers given
 by an integer polynomial together with a rational interval that a Sturm
@@ -386,7 +386,15 @@ class ReductionAnnulus:
 
 
 def _as_sorted_pairs(mapping, field: str) -> Tuple[Tuple[str, str], ...]:
-    pairs = mapping.items() if isinstance(mapping, Mapping) else mapping
+    """A map between names, given as an object or as a list of pairs."""
+    if isinstance(mapping, Mapping):
+        pairs = mapping.items()
+    elif type(mapping) in (list, tuple) and all(
+            type(pair) in (list, tuple) and len(pair) == 2 for pair in mapping):
+        pairs = mapping
+    else:
+        raise ValueError(f"{field} must be an object or a list of pairs, "
+                         f"got {mapping!r}")
     return tuple(sorted((_json_str(a, field), _json_str(b, field))
                         for a, b in pairs))
 
@@ -1112,143 +1120,6 @@ def certify_growth_estimate(bracket: GrowthBracket, dil: Dilatation,
 
 
 # ---------------------------------------------------------------------------
-# decomposition graphs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DecompositionGraph:
-    """An abstract directed graph: a finite set with two retractions onto a
-    common vertex subset.  Elements outside the image are the directed
-    edges; `kinds` tags every element with its geometric origin."""
-
-    elements: Tuple[str, ...]
-    d0: Tuple[Tuple[str, str], ...]
-    d1: Tuple[Tuple[str, str], ...]
-    kinds: Tuple[Tuple[str, str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(self.elements)))
-        object.__setattr__(self, "d0", _as_sorted_pairs(self.d0, "d0"))
-        object.__setattr__(self, "d1", _as_sorted_pairs(self.d1, "d1"))
-        object.__setattr__(self, "kinds", _as_sorted_pairs(self.kinds, "kinds"))
-        d0, d1 = dict(self.d0), dict(self.d1)
-        elements = set(self.elements)
-        kinds = dict(self.kinds)
-        for mapping in (d0, d1):
-            if set(mapping) != elements or not set(mapping.values()) <= elements:
-                raise DecompositionError(
-                    "graph retractions must be defined on every element")
-        if set(kinds) != elements:
-            raise DecompositionError("every graph element needs a kind tag")
-        image0 = {d0[e] for e in elements}
-        image1 = {d1[e] for e in elements}
-        if image0 != image1:
-            raise DecompositionError(
-                "the two retractions must share one vertex image")
-        for e in elements:
-            if d0[d0[e]] != d0[e] or d1[d1[e]] != d1[e]:
-                raise DecompositionError("graph maps must be retractions")
-        for v in image0:
-            if d0[v] != v or d1[v] != v:
-                raise DecompositionError(
-                    "vertices must be fixed by both retractions")
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def vertices(self) -> Tuple[str, ...]:
-        image = {v for _, v in self.d0}
-        return tuple(sorted(image))
-
-    @property
-    def edges(self) -> Tuple[str, ...]:
-        image = set(self.vertices)
-        return tuple(e for e in self.elements if e not in image)
-
-    def initial(self, edge: str) -> str:
-        return dict(self.d0)[edge]
-
-    def terminal(self, edge: str) -> str:
-        return dict(self.d1)[edge]
-
-    def kind(self, element: str) -> str:
-        return dict(self.kinds)[element]
-
-    def as_edge_list(self):
-        """(edge, initial vertex, terminal vertex) triples, for export."""
-        return tuple((e, self.initial(e), self.terminal(e))
-                     for e in self.edges)
-
-    def quotient(self, automorphism: Mapping[str, str]) -> "DecompositionGraph":
-        """Quotient by the cyclic group generated by an equivariant graph
-        automorphism, using least orbit representatives."""
-        rep = {}
-        for e in self.elements:
-            if e in rep:
-                continue
-            orbit = _orbit(e, dict(automorphism))
-            least = min(orbit)
-            for member in orbit:
-                rep[member] = least
-        d0, d1 = dict(self.d0), dict(self.d1)
-        kinds = dict(self.kinds)
-        elements = sorted(set(rep.values()))
-        return DecompositionGraph(
-            tuple(elements),
-            tuple((e, rep[d0[e]]) for e in elements),
-            tuple((e, rep[d1[e]]) for e in elements),
-            tuple((e, kinds[e]) for e in elements))
-
-    def to_json(self):
-        return {"elements": list(self.elements),
-                "d0": dict(self.d0), "d1": dict(self.d1),
-                "kinds": dict(self.kinds)}
-
-
-def nt_graph(nt: NTDecomposition) -> DecompositionGraph:
-    """The decomposition graph: pieces and annuli are vertices, every
-    attached boundary circle is a directed edge from its annulus to its
-    vertex piece."""
-    elements, d0, d1, kinds = [], {}, {}, {}
-    for p in nt.pieces:
-        elements.append(p.name)
-        d0[p.name] = d1[p.name] = p.name
-        kinds[p.name] = p.kind
-    for a in nt.annuli:
-        elements.append(a.name)
-        d0[a.name] = d1[a.name] = a.name
-        kinds[a.name] = "annulus"
-    for a in nt.annuli:
-        for end in a.ends:
-            if end is None:
-                continue
-            name = f"end:{end}"
-            elements.append(name)
-            d0[name] = a.name
-            d1[name] = nt.circle_owner(end).name
-            kinds[name] = "end"
-    return DecompositionGraph(tuple(elements), d0, d1, kinds)
-
-
-def graph_automorphism(nt: NTDecomposition) -> dict:
-    """The automorphism induced on the decomposition graph by the map."""
-    pmap = nt.piece_permutation
-    cmap = nt.circle_permutation
-    out = dict(pmap)
-    for a in nt.annuli:
-        for end in a.ends:
-            if end is not None:
-                out[f"end:{end}"] = f"end:{cmap[end]}"
-    return out
-
-
-def geometric_graph(nt: NTDecomposition) -> DecompositionGraph:
-    """The quotient of the decomposition graph by the induced automorphism:
-    one element per orbit of pieces, annuli, and edge ends."""
-    return nt_graph(nt).quotient(graph_automorphism(nt))
-
-
-# ---------------------------------------------------------------------------
 # shearing degrees from slope pairs
 # ---------------------------------------------------------------------------
 
@@ -1265,42 +1136,3 @@ def shearing_from_slopes(g: Sequence[int], gstar: Sequence[int]
         raise ValueError("slope vectors must be nonzero")
     det = g[0] * gstar[1] - g[1] * gstar[0]
     return abs(det) if det else "trivial"
-
-
-# ---------------------------------------------------------------------------
-# relabeling
-# ---------------------------------------------------------------------------
-
-def relabel(nt: NTDecomposition,
-            piece_names: Optional[Mapping[str, str]] = None,
-            circle_names: Optional[Mapping[str, str]] = None,
-            orbit_names: Optional[Mapping[str, str]] = None
-            ) -> NTDecomposition:
-    """Rename pieces, annuli, circles, and interior orbits consistently;
-    the permutations are conjugated by the renaming."""
-    piece_names = dict(piece_names or {})
-    circle_names = dict(circle_names or {})
-    orbit_names = dict(orbit_names or {})
-
-    def pn(name):
-        return piece_names.get(name, name)
-
-    def cn(name):
-        return circle_names.get(name, name)
-
-    def rename_orbits(orbits):
-        if orbits is None:
-            return None
-        return tuple(replace(o, name=orbit_names.get(o.name, o.name))
-                     for o in orbits)
-
-    pieces = tuple(replace(
-        p, name=pn(p.name), circles=tuple(cn(c) for c in p.circles),
-        orbits=rename_orbits(p.orbits)) for p in nt.pieces)
-    annuli = tuple(replace(
-        a, name=pn(a.name),
-        ends=tuple(None if e is None else cn(e) for e in a.ends),
-        orbits=rename_orbits(a.orbits)) for a in nt.annuli)
-    piece_map = {pn(src): pn(dst) for src, dst in nt.piece_map}
-    circle_map = {cn(src): cn(dst) for src, dst in nt.circle_map}
-    return NTDecomposition(pieces, annuli, piece_map, circle_map)

@@ -45,6 +45,7 @@ from .kernel import (
     _json_object,
     _json_str,
     as_exact,
+    charpoly_coefficients,
     homology_order,
     normalize_unit_class,
     parse_scalar,
@@ -141,6 +142,13 @@ def _json_names(names, field: str) -> Tuple[str, ...]:
     return tuple(_json_str(name, field) for name in _json_list(names, field))
 
 
+def _json_words(words, field: str) -> Tuple[Tuple[int, ...], ...]:
+    """Words read from a fixture: a list of lists (else ValueError naming
+    `field` or the entry); the letters are checked by `_check_indices`."""
+    return tuple(tuple(_json_list(w, f"{field}[{i}]"))
+                 for i, w in enumerate(_json_list(words, field)))
+
+
 def _check_indices(word: Iterable[int], n_generators: int,
                    field: str = "letter") -> Word:
     """Freely reduce a word of integer letters in +-1..+-n_generators."""
@@ -228,7 +236,7 @@ class SurfacePresentation:
         return cls(_json_int(data["genus"], "genus"),
                    _json_int(data["boundary_count"], "boundary_count"),
                    _json_names(data["generators"], "fiber generators"),
-                   tuple(map(tuple, data["relators"])))
+                   _json_words(data["relators"], "fiber relators"))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +396,7 @@ class GeneratorEndomorphism:
 
     @cached_property
     def _unimodular(self) -> bool:
-        diag, _, _ = smith_integer([list(r) for r in self.abelianization()])
-        return len(diag) >= self.source.rank and all(d == 1 for d in diag)
+        return abs(charpoly_coefficients(self.abelianization())[-1]) == 1
 
     @cached_property
     def _mapping_torus(self) -> "MappingTorusPresentation":
@@ -430,8 +437,9 @@ class GeneratorEndomorphism:
     def from_json(cls, pres: SurfacePresentation, data) -> "GeneratorEndomorphism":
         data = _json_object(data, "monodromy")
         inverse = data.get("inverse_images")
-        return cls(pres, tuple(data["images"]),
-                   None if inverse is None else tuple(inverse))
+        return cls(pres, _json_words(data["images"], "images"),
+                   None if inverse is None
+                   else _json_words(inverse, "inverse_images"))
 
 
 def _substitute(images: Sequence[Word], word: Iterable[int]) -> Word:
@@ -565,13 +573,15 @@ class MappingTorusPresentation:
 
     @classmethod
     def from_json(cls, data) -> "MappingTorusPresentation":
-        fiber = SurfacePresentation.from_json(data["fiber"])
+        fiber = SurfacePresentation.from_json(
+            _json_object(data["fiber"], "fiber"))
         monodromy = GeneratorEndomorphism.from_json(fiber, data["monodromy"])
         return cls(
             generators=_json_names(data["generators"], "generators"),
-            relators=tuple(data["relators"]),
-            fiber_values=tuple(_json_int(v, "fiber_values")
-                               for v in data["fiber_values"]),
+            relators=_json_words(data["relators"], "relators"),
+            fiber_values=tuple(
+                _json_int(v, "fiber_values")
+                for v in _json_list(data["fiber_values"], "fiber_values")),
             fiber=fiber,
             monodromy=monodromy,
             stable_index=_json_int(data["stable_index"], "stable_index"),

@@ -171,6 +171,14 @@ class SL2Verdict:
             "reason": self.reason,
         }
 
+    def lines(self) -> list:
+        """The verdict's report lines: the answer, then any witness."""
+        word = "conjugate" if self.conjugate else "not conjugate"
+        lines = [f"SL(2,Z): {word} ({self.reason})"]
+        if self.witness is not None:
+            lines.append(f"SL(2,Z) witness: {self.witness.to_string()}")
+        return lines
+
 
 @dataclass(frozen=True)
 class ModVerdict:
@@ -215,31 +223,11 @@ def _parabolic_data(m: Mat2):
     p, q = col[0] // g, col[1] // g
     if p < 0 or (p == 0 and q < 0):
         p, q = -p, -q
-    # solve (n11, n21) = z1 * (p, q), (n12, n22) = z2 * (p, q)
-    def ratio(x, y):
-        if p != 0:
-            if x % p or x // p * q != y:
-                raise AssertionError("rank-1 decomposition failed")
-            return x // p
-        if y % q:
-            raise AssertionError("rank-1 decomposition failed")
-        return y // q
-    z1 = ratio(n11, n21)
-    z2 = ratio(n12, n22)
-    # z = k * (-q, p)
-    if q != 0:
-        if z1 % q:
-            raise AssertionError("twist invariant is not integral")
-        k = -(z1 // q)
-    else:
-        k = z2 // p
-    if (z1, z2) != (-k * q, k * p):
-        raise AssertionError("twist invariant decomposition failed")
     v = _complete_to_sl2(p, q)
     reduced = v.inverse() @ m @ v
-    if reduced != Mat2(eps, k, 0, eps):
+    if (reduced.a, reduced.c, reduced.d) != (eps, 0, eps):
         raise AssertionError("parabolic normal form mismatch")
-    return eps, k, v
+    return eps, reduced.b, v
 
 
 _S = Mat2(0, -1, 1, 0)
@@ -767,11 +755,8 @@ class CongruenceReport:
         lines = [
             f"pair A = {self.matrix_a.to_string()}  B = {self.matrix_b.to_string()}",
             f"note: {self.note}",
-            f"SL(2,Z): {'conjugate' if self.sl2.conjugate else 'not conjugate'}"
-            f" ({self.sl2.reason})",
+            *self.sl2.lines(),
         ]
-        if self.sl2.witness is not None:
-            lines.append(f"SL(2,Z) witness: {self.sl2.witness.to_string()}")
         fails = [v for v in self.verdicts if not v.conjugate]
         lines.append(f"levels tested: 1..{self.max_modulus}; "
                      f"failures: {len(fails)}")

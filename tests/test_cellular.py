@@ -697,8 +697,9 @@ class TestComputedOnce:
             subcommand, (str(FIXTURES / "torus_pair_a.json"),)))
         assert status == 0
         # the monodromy's search and its inverse's (for the flow map); the
-        # Smith forms: unimodularity and the abelianization cross-check
-        assert (len(built), len(searches), len(smith)) == (1, 2, 3)
+        # two Smith forms of the abelianization cross-check (unimodularity
+        # reads the characteristic polynomial)
+        assert (len(built), len(searches), len(smith)) == (1, 2, 2)
 
     @pytest.mark.parametrize("subcommand",
                              ["alexander", "torsion", "zeta", "lefschetz"])
@@ -732,7 +733,7 @@ class TestComputedOnce:
         assert len(smith) == 2
         other = mapping_torus(pres, twin)
         assert other == mt and other is not mt
-        assert len(smith) == 5
+        assert len(smith) == 4
         with pytest.raises(ValueError, match="given presentation"):
             mapping_torus(SurfacePresentation.closed(2), phi)
 

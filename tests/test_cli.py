@@ -492,6 +492,14 @@ class TestExitCodes:
         (("annuli", 0, "orbits"), [None],
          "annulus orbits[0] must be an object, got None"),
         (("pieces", 0, "stretch"), 1.5, "stretch must be an object, got 1.5"),
+        (("piece_map",), 5,
+         "piece_map must be an object or a list of pairs, got 5"),
+        (("piece_map",), "x",
+         "piece_map must be an object or a list of pairs, got 'x'"),
+        (("circle_map",), None,
+         "circle_map must be an object or a list of pairs, got None"),
+        (("circle_map",), 1.5,
+         "circle_map must be an object or a list of pairs, got 1.5"),
     ]
 
     @pytest.mark.parametrize("path, value, message", NT_WRONG_TYPES,
@@ -539,6 +547,41 @@ class TestExitCodes:
     @pytest.mark.parametrize("path, value, message", GENERATOR_NAMES,
                              ids=[c[2] for c in GENERATOR_NAMES])
     def test_wrongly_typed_generator_name_is_an_input_error(
+            self, tmp_path, capsys, path, value, message):
+        data = json.loads((FIXTURES / "genus2_finite_order.json").read_text())
+        owner = data["body"]
+        for step in path[:-1]:
+            owner = owner[step]
+        owner[path[-1]] = value
+        fixture_path = tmp_path / "genus2_finite_order.json"
+        fixture_path.write_text(json.dumps(data))
+        status, out, err = run(capsys, "alexander", str(fixture_path))
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
+    # (path into the genus2_finite_order.json body, value, the error line);
+    # words are lists of letters, and a fixture's word lists are lists
+    WORD_LISTS = [
+        (("fiber",), 5, "fiber must be an object, got 5"),
+        (("fiber", "relators"), None,
+         "fiber relators must be a list, got None"),
+        (("fiber", "relators", 0), 5,
+         "fiber relators[0] must be a list, got 5"),
+        (("fiber_values",), 1.5, "fiber_values must be a list, got 1.5"),
+        (("relators",), 5, "relators must be a list, got 5"),
+        (("relators", 1), None, "relators[1] must be a list, got None"),
+        # an object is not read as the empty word
+        (("relators", 0), {}, "relators[0] must be a list, got {}"),
+        (("monodromy", "images"), 1.5, "images must be a list, got 1.5"),
+        (("monodromy", "images", 0), 5, "images[0] must be a list, got 5"),
+        (("monodromy", "inverse_images"), 5,
+         "inverse_images must be a list, got 5"),
+        (("monodromy", "inverse_images", 2), None,
+         "inverse_images[2] must be a list, got None"),
+    ]
+
+    @pytest.mark.parametrize("path, value, message", WORD_LISTS,
+                             ids=[c[2] for c in WORD_LISTS])
+    def test_wrongly_typed_word_list_is_an_input_error(
             self, tmp_path, capsys, path, value, message):
         data = json.loads((FIXTURES / "genus2_finite_order.json").read_text())
         owner = data["body"]

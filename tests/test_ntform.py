@@ -1,11 +1,12 @@
 """Normal-form calculus: stretch factors, decomposition validation, split
 order, dilatation/deviation, fixed class tables, orbit counts, growth
-certification, decomposition graphs, relabeling invariance, shearing."""
+certification, relabeling invariance, shearing."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from typing import Mapping, Optional
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from procong.ntform import (
     CASE_NAMES,
     DecompositionError,
-    DecompositionGraph,
     Dilatation,
     FixedClassRecord,
     GrowthBracket,
@@ -30,12 +30,8 @@ from procong.ntform import (
     dilatation,
     dilatation_from_nielsen,
     fixed_point_classes,
-    geometric_graph,
-    graph_automorphism,
     indexed_orbit_numbers,
     iterate,
-    nt_graph,
-    relabel,
     shearing_from_slopes,
     split_order,
 )
@@ -76,22 +72,6 @@ def det_power_minus_identity(a, m):
         x = ((x[0][0] * p + x[0][1] * r, x[0][0] * q + x[0][1] * s),
              (x[1][0] * p + x[1][1] * r, x[1][0] * q + x[1][1] * s))
     return abs((x[0][0] - 1) * (x[1][1] - 1) - x[0][1] * x[1][0])
-
-
-def as_multigraph(graph: DecompositionGraph) -> nx.MultiDiGraph:
-    g = nx.MultiDiGraph()
-    for v in graph.vertices:
-        g.add_node(v, kind=graph.kind(v))
-    for edge, src, dst in graph.as_edge_list():
-        g.add_edge(src, dst, kind=graph.kind(edge))
-    return g
-
-
-def graphs_isomorphic(a: DecompositionGraph, b: DecompositionGraph) -> bool:
-    return nx.is_isomorphic(
-        as_multigraph(a), as_multigraph(b),
-        node_match=lambda x, y: x["kind"] == y["kind"],
-        edge_match=lambda x, y: True)
 
 
 def index_multiset(records):
@@ -482,6 +462,18 @@ class TestValidation:
     def test_string_is_not_a_list(self, field, build):
         with pytest.raises(ValueError, match=f"^{field} must be a list, got"):
             build()
+
+    def test_maps_are_objects_or_pair_lists(self):
+        base = make_swap()
+        pairs = NTDecomposition(base.pieces, base.annuli,
+                                [list(p) for p in base.piece_map],
+                                tuple(base.circle_map))
+        assert pairs == base
+        for bad in ("PQ", [("P", "Q", "Q")], [("P", "Q"), "QP"], None):
+            with pytest.raises(ValueError, match="^piece_map must be an "
+                                                 "object or a list of pairs"):
+                NTDecomposition(base.pieces, base.annuli, bad,
+                                dict(base.circle_map))
 
     def test_duplicate_names(self):
         dup = VertexPiece("A", "pseudoAnosov", -1, ("cZ",), (1,), PHI, ())
@@ -1060,76 +1052,43 @@ class TestGrowthEstimates:
 
 
 # ---------------------------------------------------------------------------
-# decomposition graphs
-# ---------------------------------------------------------------------------
-
-class TestGraphs:
-    def test_fixed_pa_with_self_annulus(self):
-        nt = make_single_pa(twist=F(1, 2))
-        g = nt_graph(nt)
-        assert g.vertices == ("P", "T")
-        assert sorted(g.edges) == ["end:x1", "end:x2"]
-        assert g.initial("end:x1") == "T" and g.terminal("end:x1") == "P"
-        # trivial action: the quotient is the same graph
-        assert geometric_graph(nt) == g
-
-    def test_empty_reduction_part(self):
-        g = nt_graph(make_closed_pa(()))
-        assert g.vertices == ("P",) and g.edges == ()
-
-    def test_swap_quotient(self):
-        nt = make_swap()
-        g, q = nt_graph(nt), geometric_graph(nt)
-        assert g.vertices == ("A", "P", "Q")
-        assert sorted(g.edges) == ["end:cP", "end:cQ"]
-        assert q.vertices == ("A", "P") and q.edges == ("end:cP",)
-        assert q.as_edge_list() == (("end:cP", "A", "P"),)
-
-    def test_automorphism(self):
-        auto = graph_automorphism(make_swap())
-        assert auto == {"P": "Q", "Q": "P", "A": "A",
-                        "end:cP": "end:cQ", "end:cQ": "end:cP"}
-
-    def test_star_quotient_sizes(self):
-        nt = make_star()
-        g, q = nt_graph(nt), geometric_graph(nt)
-        assert len(g.vertices) == 7 and len(g.edges) == 6
-        assert len(q.vertices) == 3 and len(q.edges) == 2
-
-    def test_five_cases_multigraph(self):
-        g = as_multigraph(nt_graph(make_five_cases()))
-        assert g.number_of_edges("A2", "P") == 2
-        assert g.number_of_edges("A1", "P") == 1
-        assert g.number_of_edges("A1", "E") == 1
-
-    def test_retraction_law_validation(self):
-        with pytest.raises(DecompositionError, match="retraction"):
-            DecompositionGraph(("a", "b"), {"a": "b", "b": "a"},
-                               {"a": "a", "b": "b"},
-                               {"a": "k", "b": "k"})
-        with pytest.raises(DecompositionError, match="vertex image"):
-            DecompositionGraph(("a", "b"), {"a": "a", "b": "a"},
-                               {"a": "a", "b": "b"},
-                               {"a": "k", "b": "k"})
-        with pytest.raises(DecompositionError, match="every element"):
-            DecompositionGraph(("a", "b"), {"a": "a"},
-                               {"a": "a", "b": "b"},
-                               {"a": "k", "b": "k"})
-
-    def test_kinds_required(self):
-        with pytest.raises(DecompositionError, match="kind"):
-            DecompositionGraph(("a",), {"a": "a"}, {"a": "a"}, {})
-
-    def test_json(self):
-        g = nt_graph(make_swap())
-        data = g.to_json()
-        assert sorted(data["elements"]) == sorted(g.elements)
-        assert data["d0"]["end:cP"] == "A"
-
-
-# ---------------------------------------------------------------------------
 # relabeling invariance
 # ---------------------------------------------------------------------------
+
+def relabel(nt: NTDecomposition,
+            piece_names: Optional[Mapping[str, str]] = None,
+            circle_names: Optional[Mapping[str, str]] = None,
+            orbit_names: Optional[Mapping[str, str]] = None
+            ) -> NTDecomposition:
+    """Rename pieces, annuli, circles, and interior orbits consistently;
+    the permutations are conjugated by the renaming."""
+    piece_names = dict(piece_names or {})
+    circle_names = dict(circle_names or {})
+    orbit_names = dict(orbit_names or {})
+
+    def pn(name):
+        return piece_names.get(name, name)
+
+    def cn(name):
+        return circle_names.get(name, name)
+
+    def rename_orbits(orbits):
+        if orbits is None:
+            return None
+        return tuple(replace(o, name=orbit_names.get(o.name, o.name))
+                     for o in orbits)
+
+    pieces = tuple(replace(
+        p, name=pn(p.name), circles=tuple(cn(c) for c in p.circles),
+        orbits=rename_orbits(p.orbits)) for p in nt.pieces)
+    annuli = tuple(replace(
+        a, name=pn(a.name),
+        ends=tuple(None if e is None else cn(e) for e in a.ends),
+        orbits=rename_orbits(a.orbits)) for a in nt.annuli)
+    piece_map = {pn(src): pn(dst) for src, dst in nt.piece_map}
+    circle_map = {cn(src): cn(dst) for src, dst in nt.circle_map}
+    return NTDecomposition(pieces, annuli, piece_map, circle_map)
+
 
 def random_relabeling(nt, rng):
     pieces = [p.name for p in nt.pieces] + [a.name for a in nt.annuli]
@@ -1166,9 +1125,6 @@ class TestRelabelingInvariance:
             with w.catch_warnings():
                 w.simplefilter("ignore")
                 assert deviation(renamed) == dev
-            assert graphs_isomorphic(nt_graph(renamed), nt_graph(nt))
-            assert graphs_isomorphic(geometric_graph(renamed),
-                                     geometric_graph(nt))
 
     def test_composing_with_fixture_automorphism(self):
         nt = make_swap()
@@ -1176,9 +1132,6 @@ class TestRelabelingInvariance:
         swapped.validate()
         assert indexed_orbit_numbers(swapped, 6).rows == \
             indexed_orbit_numbers(nt, 6).rows
-        assert graphs_isomorphic(nt_graph(swapped), nt_graph(nt))
-        # circle ownership follows the renaming, so the quotient coincides
-        assert geometric_graph(swapped) == geometric_graph(nt)
 
     def test_relabel_moves_everything(self):
         nt = make_five_cases()
