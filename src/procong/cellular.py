@@ -36,7 +36,6 @@ from .kernel import (
 from .surfgrp import (  # noqa: F401  (mapping_torus_boundaries: re-exported)
     Chain,
     FiniteRepresentation,
-    GeneratorEndomorphism,
     MappingTorusPresentation,
     _chain_matrix,
     _fox_chain,
@@ -334,10 +333,7 @@ def cellular_model(mt: MappingTorusPresentation
     canonical = mapping_torus(mt.fiber, mt.monodromy)
     fiber = canonical.fiber
     t = canonical.stable_index
-    if canonical.monodromy.inverse_images is None:
-        raise ValueError("no inverse witness attached to this endomorphism")
-    # the inverse monodromy; its witness was checked with the monodromy
-    psi = GeneratorEndomorphism(fiber, canonical.monodromy.inverse_images)
+    psi = canonical.monodromy.inverse()
 
     names0 = ("p",)
     names1 = fiber.generators

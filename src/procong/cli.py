@@ -87,10 +87,28 @@ class FiberedBundle:
     def rep(self, presentation: MappingTorusPresentation,
             label: str) -> FiniteRepresentation:
         """The representation named by --rep on `presentation` (`mt` or
-        the model's), resolved once."""
+        the model's), resolved once.  Delta_0 and Delta_1 are read from
+        `presentation`, the other invariants from the canonical
+        presentation of its monodromy, so the two must agree on Delta_0
+        and Delta_1 (else ValueError naming the relators)."""
+        from .surfgrp import mapping_torus, twisted_alexander
         key = (presentation, label)
         if key not in self.reps:
-            self.reps[key] = _resolve_rep(presentation, label)
+            rep = _resolve_rep(presentation, label)
+            canonical = mapping_torus(presentation.fiber,
+                                      presentation.monodromy)
+            if presentation != canonical:
+                for n in (0, 1):
+                    own = twisted_alexander(presentation, rep, n)
+                    expected = twisted_alexander(
+                        canonical, self.rep(canonical, label), n)
+                    if own != expected:
+                        raise ValueError(
+                            f"relators do not present the mapping torus of "
+                            f"the monodromy: Delta_{n} = {own.pretty()} "
+                            f"under --rep {label}, but {expected.pretty()} "
+                            f"on the canonical presentation")
+            self.reps[key] = rep
         return self.reps[key]
 
 

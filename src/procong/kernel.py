@@ -1271,20 +1271,19 @@ def ext_gcd(a: int, b: int):
 
 
 def smith_integer(matrix):
-    """Integer Smith form: returns (diag, U, V) with U * M * V diagonal.
+    """Integer Smith form: returns (diag, V) with U * M * V diagonal for
+    some unimodular U, which is not built.
 
     `matrix` is a list of lists of ints; diag is the list of nonnegative
-    diagonal entries (zeros trailing), U and V unimodular.
+    diagonal entries (zeros trailing), V unimodular.
     """
     m = [list(map(int, row)) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def row_op(dst, src, q):
         m[dst] = [a - q * b for a, b in zip(m[dst], m[src])]
-        u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
 
     def col_op(dst, src, q):
         for i in range(rows):
@@ -1292,19 +1291,11 @@ def smith_integer(matrix):
         for i in range(cols):
             v[i][dst] -= q * v[i][src]
 
-    def row_swap(a, b):
-        m[a], m[b] = m[b], m[a]
-        u[a], u[b] = u[b], u[a]
-
     def col_swap(a, b):
         for i in range(rows):
             m[i][a], m[i][b] = m[i][b], m[i][a]
         for i in range(cols):
             v[i][a], v[i][b] = v[i][b], v[i][a]
-
-    def row_negate(idx):
-        m[idx] = [-a for a in m[idx]]
-        u[idx] = [-a for a in u[idx]]
 
     pr = 0
     for pc in range(min(rows, cols)):
@@ -1318,7 +1309,7 @@ def smith_integer(matrix):
         while True:
             i0, j0 = pivot
             if i0 != pr:
-                row_swap(pr, i0)
+                m[pr], m[i0] = m[i0], m[pr]
             if j0 != pr:
                 col_swap(pr, j0)
             done = True
@@ -1327,7 +1318,7 @@ def smith_integer(matrix):
                     q = m[i][pr] // m[pr][pr]
                     row_op(i, pr, q)
                     if m[i][pr] != 0:
-                        row_swap(pr, i)
+                        m[pr], m[i] = m[i], m[pr]
                         done = False
                         break
             if not done:
@@ -1345,7 +1336,7 @@ def smith_integer(matrix):
                 break
             pivot = (pr, pr)
         if m[pr][pr] < 0:
-            row_negate(pr)
+            m[pr] = [-a for a in m[pr]]
         pr += 1
 
     # enforce the divisibility chain d_i | d_{i+1}
@@ -1361,7 +1352,7 @@ def smith_integer(matrix):
                 # now column i has entries (a, b); clear by row reduction
                 while m[i + 1][i] != 0:
                     row_op(i, i + 1, m[i][i] // m[i + 1][i])
-                    row_swap(i, i + 1)
+                    m[i], m[i + 1] = m[i + 1], m[i]
                 # re-clear column/row tails
                 for j in range(k):
                     if j != i and m[i][j] != 0:
@@ -1372,12 +1363,12 @@ def smith_integer(matrix):
                         q = m[r2][i] // m[i][i]
                         row_op(r2, i, q)
                 if m[i][i] < 0:
-                    row_negate(i)
+                    m[i] = [-a for a in m[i]]
                 if m[i + 1][i + 1] < 0:
-                    row_negate(i + 1)
+                    m[i + 1] = [-a for a in m[i + 1]]
                 changed = True
     diag = [m[i][i] for i in range(min(rows, cols))]
-    return diag, u, v
+    return diag, v
 
 
 def integer_kernel_basis(matrix):
@@ -1388,7 +1379,7 @@ def integer_kernel_basis(matrix):
         return []
     if rows == 0:
         return [[int(i == j) for i in range(cols)] for j in range(cols)]
-    diag, _, v = smith_integer(matrix)
+    diag, v = smith_integer(matrix)
     rank = sum(1 for d in diag if d != 0)
     return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
 

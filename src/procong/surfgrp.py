@@ -8,7 +8,9 @@ reduced.  The central objects are:
   surface group presentations;
 * :class:`GeneratorEndomorphism` -- monodromy data given by generator images,
   validated exactly (unimodular on homology, relator preserved up to
-  conjugacy for closed surfaces), each check once per endomorphism;
+  conjugacy for closed surfaces), each check once per endomorphism; an
+  inverse witness is checked on the words of each factor, never on a
+  product of checked factors;
 * :func:`mapping_torus` -- the associated fibered-group presentation with a
   stable letter and its distinguished degree class: one canonical
   presentation per monodromy, which the monodromy keeps, so the CLI, the
@@ -48,8 +50,6 @@ from .kernel import (
     charpoly_coefficients,
     homology_order,
     normalize_unit_class,
-    parse_scalar,
-    render_scalar,
     scalar_inverse,
     smith_integer,
 )
@@ -61,7 +61,7 @@ Word = Tuple[int, ...]
 # decrease, so one left-to-right walk of the word reads every term.
 Chain = Tuple[Tuple[Word, Tuple[Tuple[int, int, int], ...]], ...]
 
-DEFAULT_ORDER_CAP = 20000
+ORDER_CAP = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,10 @@ class GeneratorEndomorphism:
 
     `inverse_images` optionally witnesses invertibility: when present, the
     two substitutions must compose to the identity on every generator, in
-    both orders, at the level of freely reduced words.
+    both orders, at the level of freely reduced words.  Words from outside
+    are checked so on construction; `identity`, `compose`, `power`,
+    `inverse` and `torus_monodromy` build products of checked factors
+    (`_product`), whose witnesses are correct by construction.
     """
 
     source: SurfacePresentation
@@ -278,16 +281,35 @@ class GeneratorEndomorphism:
 
     @classmethod
     def identity(cls, pres: SurfacePresentation) -> "GeneratorEndomorphism":
-        letters = tuple((j,) for j in range(1, pres.rank + 1))
-        return cls(pres, letters, letters)
+        return cls._product(pres, ())
+
+    @classmethod
+    def _product(cls, source: SurfacePresentation,
+                 factors) -> "GeneratorEndomorphism":
+        """f_1 o f_2 o ... o f_k (f_k applied first) of factors given as
+        (images, inverse_images) of endomorphisms that passed the witness
+        check of `__post_init__`.  The composed inverse words invert the
+        product by construction, so it is built without checking again; it
+        has no witness when some factor has none."""
+        images = inverse = tuple((j,) for j in range(1, source.rank + 1))
+        for forward, backward in factors:
+            images = tuple(_substitute(images, w) for w in forward)
+            inverse = (None if inverse is None or backward is None
+                       else tuple(_substitute(backward, w) for w in inverse))
+        endo = object.__new__(cls)
+        for name, value in (("source", source), ("images", images),
+                            ("inverse_images", inverse)):
+            object.__setattr__(endo, name, value)
+        return endo
 
     @classmethod
     def torus_monodromy(cls, matrix: Mat2) -> "GeneratorEndomorphism":
         """Genus-1 monodromy realizing an integer matrix of determinant +-1.
 
         The determinant-1 part is factored into R/L runs by `torus.rl_runs`;
-        the substitutions of the runs, the central flip for sign -1 and the
-        generator swap for determinant -1 are composed in that order.
+        the runs, the central flip for sign -1 and the generator swap for
+        determinant -1 are composed in that order, each a factor that checks
+        its own witness.
         """
         det = matrix.det()
         if det not in (1, -1):
@@ -297,15 +319,11 @@ class GeneratorEndomorphism:
             moves.append(("N", 1))
         if det == -1:
             moves.append(("W", 1))
-        # Composed as in `compose`, on plain words: the witness is checked
-        # once, on the product.
-        images = inverse = ((1,), (2,))
-        for letter, k in moves:
-            images = tuple(_substitute(images, w)
-                           for w in _torus_move(letter, k))
-            inverse = tuple(_substitute(_torus_move(letter, -k), w)
-                            for w in inverse)
-        endo = cls(SurfacePresentation.closed(1), images, inverse)
+        pres = SurfacePresentation.closed(1)
+        factors = [cls(pres, _torus_move(letter, k), _torus_move(letter, -k))
+                   for letter, k in moves]
+        endo = cls._product(pres, [(f.images, f.inverse_images)
+                                   for f in factors])
         if endo.abelianization() != ((matrix.a, matrix.b), (matrix.c, matrix.d)):
             raise AssertionError("R/L factorization lost the matrix")
         return endo.validate()
@@ -317,29 +335,23 @@ class GeneratorEndomorphism:
         """self o inner: apply `inner` first, then `self`."""
         if inner.source != self.source:
             raise ValueError("compose needs endomorphisms of the same group")
-        inverse = None
-        if self.inverse_images is not None and inner.inverse_images is not None:
-            inverse = tuple(
-                _substitute(inner.inverse_images, w)
-                for w in self.inverse_images)
-        return GeneratorEndomorphism(
-            self.source, tuple(self.apply(w) for w in inner.images), inverse)
+        return self._product(self.source,
+                             ((self.images, self.inverse_images),
+                              (inner.images, inner.inverse_images)))
 
     def inverse(self) -> "GeneratorEndomorphism":
         """Inverse substitution; needs the attached witness."""
         if self.inverse_images is None:
-            raise ValueError("no inverse witness attached to this "
-                             "endomorphism")
-        return GeneratorEndomorphism(self.source, self.inverse_images,
-                                     self.images)
+            raise ValueError("no inverse witness: monodromy.inverse_images "
+                             "is missing")
+        return self._product(self.source,
+                             ((self.inverse_images, self.images),))
 
     def power(self, m: int) -> "GeneratorEndomorphism":
         if m < 0:
             raise ValueError("only nonnegative powers are defined here")
-        endo = GeneratorEndomorphism.identity(self.source)
-        for _ in range(m):
-            endo = self.compose(endo)
-        return endo
+        return self._product(self.source,
+                             ((self.images, self.inverse_images),) * m)
 
     def abelianization(self) -> Tuple[Tuple[int, ...], ...]:
         """Row tuples of the induced matrix on H1; column j is the exponent
@@ -419,10 +431,8 @@ class GeneratorEndomorphism:
         rows = [list(r) for r in self.abelianization()]
         for i in range(g):
             rows[i][i] -= 1
-        diag, _, _ = smith_integer(rows)
-        nonzero = [d for d in diag if d != 0]
-        predicted = (1 + g - len(nonzero), tuple(d for d in nonzero if d > 1))
-        if mt.abelianization() != predicted:
+        free_rank, torsion = _abelian_invariants(rows, g)
+        if mt.abelianization() != (free_rank + 1, torsion):
             raise AssertionError("abelianization disagrees with the semidirect "
                                  "block structure")
         return mt
@@ -448,6 +458,13 @@ def _substitute(images: Sequence[Word], word: Iterable[int]) -> Word:
         image = images[abs(letter) - 1]
         pieces.extend(image if letter > 0 else word_inverse(image))
     return free_reduce(pieces)
+
+
+def _abelian_invariants(rows, n_generators: int) -> Tuple[int, Tuple[int, ...]]:
+    """(free rank, invariant factors > 1) of the abelian group on
+    `n_generators` generators with integer relation rows `rows`."""
+    nonzero = [d for d in smith_integer(rows)[0] if d != 0]
+    return (n_generators - len(nonzero), tuple(d for d in nonzero if d > 1))
 
 
 def _power_word(index: int, q: int) -> Word:
@@ -515,13 +532,9 @@ class MappingTorusPresentation:
 
     def abelianization(self) -> Tuple[int, Tuple[int, ...]]:
         """(free rank, torsion invariant factors > 1) of the abelianized group."""
-        rows = [[exponent_sum(r, j + 1) for j in range(self.rank)]
-                for r in self.relators]
-        diag, _, _ = smith_integer(rows)
-        nonzero = [d for d in diag if d != 0]
-        free_rank = self.rank - len(nonzero)
-        torsion = tuple(d for d in nonzero if d > 1)
-        return free_rank, torsion
+        return _abelian_invariants(
+            [[exponent_sum(r, j + 1) for j in range(self.rank)]
+             for r in self.relators], self.rank)
 
     # -- presentation moves (all preserve the presented group) ---------------
 
@@ -672,37 +685,33 @@ def _mat_inverse(m: ScalarMatrix) -> ScalarMatrix:
 class FiniteRepresentation:
     """Exact matrix images for the generators of a fibered presentation.
 
-    `order_cap` bounds the closure enumeration certifying that the generated
+    `ORDER_CAP` bounds the closure enumeration certifying that the generated
     matrix group is finite; exceeding it is an error, not a silent pass.
     """
 
     dimension: int
     matrices: Tuple[ScalarMatrix, ...]
-    order_cap: int = DEFAULT_ORDER_CAP
 
     def __post_init__(self):
         if self.dimension < 0:
             raise ValueError("dimension must be nonnegative")
-        if self.order_cap < 1:
-            raise ValueError("order cap must be positive")
         object.__setattr__(
             self, "matrices",
             tuple(_mat_freeze(m, self.dimension) for m in self.matrices))
 
     @classmethod
-    def trivial(cls, mt: MappingTorusPresentation,
-                order_cap: int = DEFAULT_ORDER_CAP) -> "FiniteRepresentation":
+    def trivial(cls, mt: MappingTorusPresentation) -> "FiniteRepresentation":
         one = ((1,),)
-        return cls(1, tuple(one for _ in mt.generators), order_cap)
+        return cls(1, tuple(one for _ in mt.generators))
 
     @classmethod
-    def fibered_character(cls, mt: MappingTorusPresentation, unit,
-                          order_cap: int = DEFAULT_ORDER_CAP) -> "FiniteRepresentation":
+    def fibered_character(cls, mt: MappingTorusPresentation,
+                          unit) -> "FiniteRepresentation":
         """Rank-1 representation g -> unit^(degree g); the fiber is invisible."""
         mats = tuple(((as_exact(unit) ** v if v >= 0
                        else scalar_inverse(as_exact(unit)) ** (-v),),)
                      for v in mt.fiber_values)
-        return cls(1, mats, order_cap)
+        return cls(1, mats)
 
     @cached_property
     def _inverses(self) -> Tuple[ScalarMatrix, ...]:
@@ -748,10 +757,10 @@ class FiniteRepresentation:
                 for s in step_set:
                     p = _mat_mul(m, s)
                     if p not in seen:
-                        if len(seen) >= self.order_cap:
+                        if len(seen) >= ORDER_CAP:
                             raise ValueError(
                                 "matrix group not certified finite within "
-                                f"cap {self.order_cap}")
+                                f"cap {ORDER_CAP}")
                         seen.add(p)
                         fresh.append(p)
             frontier = fresh
@@ -763,32 +772,14 @@ class FiniteRepresentation:
         x_inv = _mat_inverse(x)
         return FiniteRepresentation(
             self.dimension,
-            tuple(_mat_mul(_mat_mul(x, m), x_inv) for m in self.matrices),
-            self.order_cap)
+            tuple(_mat_mul(_mat_mul(x, m), x_inv) for m in self.matrices))
 
     def restricted(self, indices: Sequence[int]) -> "FiniteRepresentation":
         if list(indices) == list(range(1, len(self.matrices) + 1)):
             return self
         return FiniteRepresentation(
             self.dimension,
-            tuple(self.matrices[i - 1] for i in indices),
-            self.order_cap)
-
-    def to_json(self):
-        return {
-            "dimension": self.dimension,
-            "order_cap": self.order_cap,
-            "matrices": [[[render_scalar(e) for e in row] for row in m]
-                         for m in self.matrices],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "FiniteRepresentation":
-        return cls(
-            _json_int(data["dimension"], "dimension"),
-            tuple(tuple(tuple(parse_scalar(e) for e in row) for row in m)
-                  for m in data["matrices"]),
-            _json_int(data.get("order_cap", DEFAULT_ORDER_CAP), "order_cap"))
+            tuple(self.matrices[i - 1] for i in indices))
 
 
 # ---------------------------------------------------------------------------

@@ -535,7 +535,7 @@ class CommutationSolver:
         basis = [Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0), Mat2(0, 0, 1, 0), Mat2(0, 0, 0, 1)]
         columns = [(e @ a - b @ e).entries() for e in basis]
         op = [[columns[j][i] for j in range(4)] for i in range(4)]
-        diag, _, v = smith_integer(op)
+        diag, v = smith_integer(op)
         self.diag = diag + [0] * (4 - len(diag))
         self.v_cols = [tuple(v[i][j] for i in range(4)) for j in range(4)]
         self._witnesses = {}        # (p, e) -> witness mod p^e, or None

@@ -593,6 +593,41 @@ class TestExitCodes:
         status, out, err = run(capsys, "alexander", str(fixture_path))
         assert (status, out, err) == (2, "", f"error: {message}\n")
 
+    # Each mutant's relators present a group with Delta_1 = 0, which is not
+    # the mapping torus of the fixture's monodromy.
+    PRESENTATION_MUTANTS = {
+        "last-relator-dropped": lambda body: body["relators"].pop(),
+        "relator-reversed": lambda body: body["relators"][1].reverse(),
+        "free-generator": lambda body: (body["generators"].append("x"),
+                                        body["fiber_values"].append(0)),
+    }
+
+    @pytest.mark.parametrize("mutant", list(PRESENTATION_MUTANTS))
+    @pytest.mark.parametrize("sub", ["alexander", "torsion"])
+    def test_relators_of_another_group_are_an_input_error(
+            self, tmp_path, capsys, sub, mutant):
+        data = json.loads((FIXTURES / "genus2_finite_order.json").read_text())
+        self.PRESENTATION_MUTANTS[mutant](data["body"])
+        path = tmp_path / "genus2_finite_order.json"
+        path.write_text(json.dumps(data))
+        status, out, err = run(capsys, sub, str(path))
+        assert (status, out, err) == (
+            2, "", "error: relators do not present the mapping torus of the "
+            "monodromy: Delta_1 = 0 under --rep trivial, but 1 - 2*t^2 + "
+            "t^4 on the canonical presentation\n")
+
+    @pytest.mark.parametrize("sub", ["alexander", "torsion", "zeta",
+                                     "lefschetz"])
+    def test_missing_inverse_witness_names_its_field(self, tmp_path, capsys,
+                                                     sub):
+        data = json.loads((FIXTURES / "genus2_finite_order.json").read_text())
+        del data["body"]["monodromy"]["inverse_images"]
+        path = tmp_path / "genus2_finite_order.json"
+        path.write_text(json.dumps(data))
+        status, out, err = run(capsys, sub, str(path))
+        assert (status, out) == (2, "")
+        assert "monodromy.inverse_images" in err
+
     def test_approx_renders_the_dilatation_once(self, capsys, monkeypatch):
         calls = []
         approx = Dilatation.approx

@@ -721,29 +721,30 @@ class TestHomologyOrder:
 
 class TestSmithInteger:
     def check(self, m):
-        diag, u, v = smith_integer(m)
+        diag, v = smith_integer(m)
         rows, cols = len(m), len(m[0])
-        # unimodularity
-        assert abs(_det(u)) == 1 and abs(_det(v)) == 1
-        # U M V is the diagonal matrix
-        um = [[sum(u[i][k] * m[k][j] for k in range(rows)) for j in range(cols)]
-              for i in range(rows)]
-        umv = [[sum(um[i][k] * v[k][j] for k in range(cols)) for j in range(cols)]
-               for i in range(rows)]
-        for i in range(rows):
-            for j in range(cols):
-                expected = diag[i] if (i == j and i < len(diag)) else 0
-                assert umv[i][j] == expected
-        # divisibility chain
-        chain = [d for d in diag if d != 0]
-        for a, b in zip(chain, chain[1:]):
-            assert b % a == 0
-        assert all(d >= 0 for d in diag)
+        assert abs(_det(v)) == 1
+        # the k-th invariant factor is d_k / d_(k-1), d_k the gcd of the
+        # k x k minors (the determinantal divisors), up to the rank
+        rank, previous = 0, 1
+        for k in range(1, min(rows, cols) + 1):
+            divisor = gcd(*(int(_det([[m[i][j] for j in cs] for i in rs]))
+                            for rs in combinations(range(rows), k)
+                            for cs in combinations(range(cols), k)))
+            if divisor == 0:
+                break
+            assert diag[k - 1] == divisor // previous
+            rank, previous = k, divisor
+        assert all(d == 0 for d in diag[rank:])
+        # the columns of M V past the rank are zero
+        for j in range(rank, cols):
+            assert all(sum(row[k] * v[k][j] for k in range(cols)) == 0
+                       for row in m)
 
     def test_known_forms(self):
-        diag, _, _ = smith_integer([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        diag, _ = smith_integer([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
         assert diag == [2, 2, 156]
-        diag, _, _ = smith_integer([[1, 0], [0, 1]])
+        diag, _ = smith_integer([[1, 0], [0, 1]])
         assert diag == [1, 1]
 
     def test_random_matrices(self):

@@ -6,6 +6,7 @@ import random
 import re
 import signal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +41,10 @@ from procong.surfgrp import (
     _presentation_boundaries,
     _fox_chain,
 )
+from procong.serialize import load_fixture
 from procong.torus import Mat2, rl_runs
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def poly(*coeffs, valuation=0):
@@ -53,6 +57,16 @@ GENUS2 = SurfacePresentation.closed(2)
 # a -> a^2 b, b -> a b with its exact inverse a -> a b^-1, b -> b a^-1 b
 ANOSOV_WORDS = GeneratorEndomorphism(
     TORUS, ((1, 1, 2), (1, 2)), ((1, -2), (2, -1, 2)))
+
+
+def assert_witness_inverts(endo):
+    """The whole-word witness check, as an oracle: each inverse word
+    substituted into the images, and each image into the inverse words,
+    is its generator."""
+    for j in range(1, endo.source.rank + 1):
+        assert endo.apply(endo.inverse_images[j - 1]) == (j,)
+        assert surfgrp._substitute(endo.inverse_images,
+                                   endo.images[j - 1]) == (j,)
 
 
 def anosov_bundle():
@@ -370,16 +384,31 @@ class TestGeneratorEndomorphism:
         original = GeneratorEndomorphism.__post_init__
 
         def counted(self):
-            if self.inverse_images is not None:
-                checked.append(self)
+            checked.append((self.images, self.inverse_images))
             original(self)
 
         monkeypatch.setattr(GeneratorEndomorphism, "__post_init__", counted)
-        for m in (Mat2(188, 275, 121, 177), Mat2(1, 1, 1, 0)):
+        for m in (Mat2(188, 275, 121, 177), Mat2(1, 1, 1, 0),
+                  Mat2(188, 11, 3025, 177), Mat2(-2, -1, -1, -1),
+                  Mat2(1, 2, 1, 1)):
             checked.clear()
             endo = GeneratorEndomorphism.torus_monodromy(m)
-            assert checked == [endo]
+            sign, moves = rl_runs(m if m.det() == 1 else m @ Mat2(0, 1, 1, 0))
+            moves += [("N", 1)] * (sign == -1) + [("W", 1)] * (m.det() == -1)
+            # one short witness check per move; the product is never checked
+            assert checked == [(surfgrp._torus_move(letter, k),
+                                surfgrp._torus_move(letter, -k))
+                               for letter, k in moves]
+        # composite results are built without a check as well
+        checked.clear()
+        ANOSOV_WORDS.compose(ANOSOV_WORDS.inverse()).power(3)
+        GeneratorEndomorphism.identity(TORUS)
+        assert checked == []
         monkeypatch.undo()
+        # a factor with a wrong witness is still rejected when it is built
+        with pytest.raises(ValueError, match="witness"):
+            GeneratorEndomorphism(TORUS, surfgrp._torus_move("R", 3),
+                                  surfgrp._torus_move("R", -2))
         # the fold equals the composition of the R/L run moves
         m = Mat2(188, 275, 121, 177)
         sign, runs = rl_runs(m)
@@ -390,6 +419,41 @@ class TestGeneratorEndomorphism:
                 TORUS, surfgrp._torus_move(letter, k),
                 surfgrp._torus_move(letter, -k)))
         assert GeneratorEndomorphism.torus_monodromy(m) == reference
+
+    def test_shipped_monodromies_pass_the_witness_oracle(self):
+        lengths = {}
+        for name in ("torus_A211", "torus_pair_a", "torus_pair_b"):
+            endo = GeneratorEndomorphism.torus_monodromy(
+                load_fixture(FIXTURES / f"{name}.json").payload)
+            assert_witness_inverts(endo)
+            lengths[name] = (sum(map(len, endo.images)),
+                             sum(map(len, endo.inverse_images)))
+        assert lengths == {"torus_A211": (5, 5), "torus_pair_a": (761, 761),
+                           "torus_pair_b": (3401, 3401)}
+        assert_witness_inverts(load_fixture(
+            FIXTURES / "genus2_finite_order.json").payload.monodromy)
+
+    def test_products_pass_the_witness_oracle(self):
+        genus2 = load_fixture(
+            FIXTURES / "genus2_finite_order.json").payload.monodromy
+        for a, b in ((ANOSOV_WORDS,
+                      GeneratorEndomorphism.torus_monodromy(Mat2(3, -1, 7, -2))),
+                     (GeneratorEndomorphism.torus_monodromy(Mat2(0, 1, 1, 0)),
+                      ANOSOV_WORDS.inverse()),
+                     (genus2, genus2.inverse())):
+            for endo in (a.compose(b), b.compose(a), a.inverse(),
+                         b.inverse(), *(a.power(m) for m in range(6))):
+                assert_witness_inverts(endo)
+                assert endo.validate() is endo
+
+    def test_random_unimodular_monodromies_pass_the_witness_oracle(self):
+        rng = random.Random(20)
+        count = 0
+        while count < 200:
+            m = Mat2(*(rng.randint(-20, 20) for _ in range(4)))
+            if m.det() in (1, -1):
+                count += 1
+                assert_witness_inverts(GeneratorEndomorphism.torus_monodromy(m))
 
     def test_torus_monodromy_builds_every_small_matrix(self):
         count = 0
@@ -594,10 +658,10 @@ class TestFiniteRepresentation:
         with pytest.raises(ValueError, match="singular"):
             degenerate.validate(mt)
 
-    def test_infinite_image_exceeds_cap(self):
+    def test_infinite_image_exceeds_cap(self, monkeypatch):
+        monkeypatch.setattr(surfgrp, "ORDER_CAP", 50)
         mt = anosov_bundle()
-        doubling = FiniteRepresentation(
-            1, (((1,),), ((1,),), ((2,),)), order_cap=50)
+        doubling = FiniteRepresentation(1, (((1,),), ((1,),), ((2,),)))
         with pytest.raises(ValueError, match="cap 50"):
             doubling.validate(mt)
 
@@ -615,30 +679,6 @@ class TestFiniteRepresentation:
         mt = anosov_bundle()
         empty = FiniteRepresentation(0, ((), (), ()))
         empty.validate(mt)
-
-    def test_json_round_trip(self):
-        rep = FiniteRepresentation(
-            2, ((((Fraction(1, 2)), 0), (0, 1)),
-                ((1, 0), (0, Cyclotomic.root(4))),
-                ((1, 0), (0, 1))),
-            order_cap=123)
-        assert FiniteRepresentation.from_json(rep.to_json()) == rep
-
-    @pytest.mark.parametrize("field, value", [("dimension", 2.0),
-                                              ("dimension", True),
-                                              ("order_cap", 123.5)])
-    def test_json_rejects_non_integers(self, field, value):
-        data = FiniteRepresentation(
-            2, (((1, 0), (0, 1)),) * 3, order_cap=123).to_json()
-        data[field] = value
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            FiniteRepresentation.from_json(data)
-
-    def test_json_rejects_non_string_entries(self):
-        data = FiniteRepresentation(1, (((1,),),) * 3).to_json()
-        data["matrices"][0][0][0] = 3
-        with pytest.raises(ValueError, match="scalar must be a string"):
-            FiniteRepresentation.from_json(data)
 
 
 # ---------------------------------------------------------------------------
@@ -996,8 +1036,7 @@ class TestTwistedAlexander:
                  .add_generator("x", (1, 2, -1)))
         extended = FiniteRepresentation(
             rep.dimension,
-            rep.matrices + (rep.evaluate_word((1, 2, -1)),),
-            rep.order_cap)
+            rep.matrices + (rep.evaluate_word((1, 2, -1)),))
         for n in range(4):
             assert (twisted_alexander(mt, rep, n)
                     == twisted_alexander(moved, extended, n))
