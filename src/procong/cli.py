@@ -129,25 +129,28 @@ def _fibered_input(config: RunConfig) -> FiberedBundle:
     global _last_fibered
     text = read_fixture(config.inputs[0])
     key, bundle = _last_fibered
-    if key == text:
-        return bundle
-    fixture = parse_fixture(text)
-    if fixture.kind == KIND_TORUS:
-        pres = SurfacePresentation.closed(1)
-        phi = GeneratorEndomorphism.torus_monodromy(fixture.payload)
-        mt = mapping_torus(pres, phi)
-        surface, flow = cellular_model(mt)
-    elif fixture.kind == KIND_MAPPING_TORUS:
-        mt = fixture.payload
-        surface, flow = cellular_model(mt)
-    elif fixture.kind == KIND_CELLULAR:
-        surface, flow = fixture.payload
-        mt = surface.presentation
-    else:
-        raise ValueError(
-            f"fixture kind {fixture.kind!r} carries no fibered model")
-    bundle = FiberedBundle(mt, surface, flow)
-    _last_fibered = (text, bundle)
+    if key != text:
+        fixture = parse_fixture(text)
+        if fixture.kind == KIND_TORUS:
+            pres = SurfacePresentation.closed(1)
+            phi = GeneratorEndomorphism.torus_monodromy(fixture.payload)
+            mt = mapping_torus(pres, phi)
+            surface, flow = cellular_model(mt)
+        elif fixture.kind == KIND_MAPPING_TORUS:
+            mt = fixture.payload
+            surface, flow = cellular_model(mt)
+        elif fixture.kind == KIND_CELLULAR:
+            surface, flow = fixture.payload
+            mt = surface.presentation
+        else:
+            raise ValueError(
+                f"fixture kind {fixture.kind!r} carries no fibered model")
+        bundle = FiberedBundle(mt, surface, flow)
+        _last_fibered = (text, bundle)
+    # resolving --rep on the fixture's own presentation checks its relators
+    # against the monodromy, whichever subcommand reads the bundle; for a
+    # canonical fixture this is the representation the handlers read
+    bundle.rep(bundle.mt, config.rep)
     return bundle
 
 

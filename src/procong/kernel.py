@@ -1131,6 +1131,9 @@ def charpoly_coefficients(matrix) -> list:
     return coeffs
 
 
+_ZERO = LaurentPolynomial.zero()
+
+
 def _minus_product(a: LaurentPolynomial, q: LaurentPolynomial,
                    b: LaurentPolynomial) -> LaurentPolynomial:
     """a - q * b, built as one polynomial (a step of an elimination)."""
@@ -1144,74 +1147,124 @@ def _minus_product(a: LaurentPolynomial, q: LaurentPolynomial,
     return LaurentPolynomial._of(out)
 
 
+def _laurent_quotient(a: LaurentPolynomial,
+                      b: LaurentPolynomial) -> LaurentPolynomial:
+    """Quotient of a by b in F[t^{+-1}]: both are shifted to valuation 0
+    and divided there, so a - q * b is zero or of smaller span than b."""
+    av, bv = a.valuation, b.valuation
+    q, _ = a.shift(-av).divmod_poly(b.shift(-bv))
+    return q.shift(av - bv)
+
+
+def _subtract_row(rows: dict, cols: dict, i: int, q: LaurentPolynomial,
+                  source: dict) -> None:
+    """rows[i] -= q * source on sparse rows, keeping the column index
+    `cols` {column: rows with a nonzero entry there} in step."""
+    row = rows[i]
+    for j, e in source.items():
+        new = _minus_product(row.get(j, _ZERO), q, e)
+        if new:
+            row[j] = new
+            cols[j].add(i)
+        else:
+            row.pop(j, None)
+            cols[j].discard(i)
+    if not row:
+        del rows[i]
+
+
+def _choose_pivot(rows: dict, cols: dict) -> tuple:
+    """(row, column) of the entry of least span (degree - valuation), ties
+    broken by the Markowitz cost (row nonzeros - 1) * (column nonzeros - 1)
+    and then by the order of the scan.  Units (monomials, span 0) are
+    looked for first, since they are most of the entries."""
+    best = best_cost = None
+    for i, row in rows.items():
+        width = len(row) - 1
+        for j, e in row.items():
+            if len(e.terms) == 1:
+                cost = width * (len(cols[j]) - 1)
+                if best is None or cost < best_cost:
+                    if not cost:
+                        return i, j
+                    best, best_cost = (i, j), cost
+    if best is not None:
+        return best
+    best_key = None
+    for i, row in rows.items():
+        width = len(row) - 1
+        for j, e in row.items():
+            key = (max(e.terms) - min(e.terms),
+                   width * (len(cols[j]) - 1))
+            if best_key is None or key < best_key:
+                best, best_key = (i, j), key
+    return best
+
+
 def smith_diagonalize(matrix: PolyMatrix) -> tuple:
-    """Nonzero diagonal of `matrix` diagonalized over F[t] by unimodular row
-    and column operations (no transforms are kept).
+    """Nonzero diagonal of `matrix` diagonalized over F[t^{+-1}] by unimodular
+    row and column operations (no transforms are kept).
 
     Its length is the rank of `matrix`, and its product is the gcd of the
     maximal nonzero minors up to a unit.  Computed once per matrix and kept
     on it, so later calls read it back.
+
+    One sparse elimination on rows kept as dicts {column: entry}.  Each step
+    takes the pivot `_choose_pivot` names.  A pivot of span 0 is a monomial,
+    hence a unit: its column is cleared from the other rows, its row is
+    dropped and 1 is recorded.  Otherwise a Euclid step divides the other
+    entries of its column by it, and once the column is clear, the entries
+    of its row; the remainders, of smaller span, are left to the next
+    choice, and a pivot alone in its row and column is recorded at
+    valuation 0.  Between two recorded pivots the least span strictly
+    falls, so the elimination ends.
     """
     if matrix._diagonal is not None:
         return matrix._diagonal
-    rows, cols = matrix.rows, matrix.cols
-    m = [list(r) for r in matrix.entries]
-
-    def col_swap(a, b):
-        for r in m:
-            r[a], r[b] = r[b], r[a]
-
-    # shift each column into F[t] (a unit column scaling)
-    for j in range(cols):
-        vals = [r[j].valuation for r in m if r[j]]
-        if vals and min(vals):
-            v = min(vals)
-            for r in m:
-                r[j] = r[j].shift(-v)
-
+    rows, cols = {}, {j: set() for j in range(matrix.cols)}
+    for i, entries in enumerate(matrix.entries):
+        row = {j: e for j, e in enumerate(entries) if e.terms}
+        if row:
+            rows[i] = row
+            for j in row:
+                cols[j].add(i)
+    one = LaurentPolynomial.one()
     diag = []
-    pr = pc = 0
-    while pr < rows and pc < cols:
-        # find the nonzero entry of least degree in the remaining block
-        best = min(((m[i][j].degree, i, j) for i in range(pr, rows)
-                    for j in range(pc, cols) if m[i][j]), default=None)
-        if best is None:
-            break
-        _, bi, bj = best
-        m[pr], m[bi] = m[bi], m[pr]
-        if bj != pc:
-            col_swap(pc, bj)
-        reduced = True
-        while reduced:
-            reduced = False
-            pivot_row = m[pr]
-            pivot = pivot_row[pc]
-            for i in range(pr + 1, rows):
-                row = m[i]
-                if row[pc]:
-                    q, r = row[pc].divmod_poly(pivot)
-                    for j in range(pc, cols):
-                        if pivot_row[j]:
-                            row[j] = _minus_product(row[j], q, pivot_row[j])
-                    if r:
-                        m[pr], m[i] = row, pivot_row
-                        reduced = True
-                        break
-            if reduced:
-                continue
-            for j in range(pc + 1, cols):
-                if pivot_row[j]:
-                    q, r = pivot_row[j].divmod_poly(pivot)
-                    for row in m:
-                        if row[pc]:
-                            row[j] = _minus_product(row[j], q, row[pc])
-                    if r:
-                        col_swap(pc, j)
-                        reduced = True
-                        break
-        diag.append(m[pr][pc])
-        pr += 1
-        pc += 1
+    while rows:
+        p, c = _choose_pivot(rows, cols)
+        pivot_row = rows[p]
+        pivot = pivot_row[c]
+        if len(pivot.terms) == 1:
+            # each row meeting column c loses its entry there and takes a
+            # multiple of the rest of the pivot's row
+            ((e, a),) = pivot.terms.items()
+            inverse = LaurentPolynomial._of({-e: scalar_inverse(a)})
+            del rows[p], pivot_row[c]
+            for j in pivot_row:
+                cols[j].discard(p)
+            for i in cols.pop(c) - {p}:
+                _subtract_row(rows, cols, i, rows[i].pop(c) * inverse,
+                              pivot_row)
+            diag.append(one)
+            continue
+        for i in [i for i in cols[c] if i != p]:
+            _subtract_row(rows, cols, i,
+                          _laurent_quotient(rows[i][c], pivot), pivot_row)
+        if len(cols[c]) > 1:
+            continue
+        # the column is clear, so a column operation changes only the
+        # pivot's row: each entry becomes its remainder
+        for j, e in list(pivot_row.items()):
+            if j != c:
+                r = _minus_product(e, _laurent_quotient(e, pivot), pivot)
+                if r:
+                    pivot_row[j] = r
+                else:
+                    del pivot_row[j]
+                    cols[j].discard(p)
+        if len(pivot_row) == 1:
+            diag.append(pivot.shift(-pivot.valuation))
+            del rows[p], cols[c]
     diag = tuple(diag)
     object.__setattr__(matrix, "_diagonal", diag)
     return diag

@@ -62,6 +62,11 @@ Word = Tuple[int, ...]
 Chain = Tuple[Tuple[Word, Tuple[Tuple[int, int, int], ...]], ...]
 
 ORDER_CAP = 20000
+# The most letters a word composed by `GeneratorEndomorphism._product` may
+# have before free reduction.  The largest such word of a shipped fixture
+# has 6,802 letters (pair B's inverse monodromy), and that of a matrix of
+# the benchmark's pool 152.
+WORD_CAP = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +155,18 @@ def _json_words(words, field: str) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _check_indices(word: Iterable[int], n_generators: int,
-                   field: str = "letter") -> Word:
-    """Freely reduce a word of integer letters in +-1..+-n_generators."""
-    w = free_reduce(_json_letters(word, field))
-    if w and max(map(abs, w)) > n_generators:
-        raise ValueError(f"letter {max(w, key=abs)} exceeds generator count "
-                         f"{n_generators}")
-    return w
+                   field: str = "letter", index: Optional[int] = None) -> Word:
+    """Freely reduce a word of integer letters in +-1..+-n_generators.  A
+    letter that is not an integer names `field`; one out of range names
+    the word, `field[index]`, when it is entry `index` of a list."""
+    letters = _json_letters(word, field)
+    bad = next((x for x in letters if not 0 < abs(x) <= n_generators), None)
+    if bad is not None:
+        reason = (f"letter {bad} exceeds generator count {n_generators}"
+                  if bad else "generator indices are signed and nonzero")
+        raise ValueError(reason if index is None
+                         else f"{field}[{index}]: {reason}")
+    return free_reduce(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +201,8 @@ class SurfacePresentation:
                                  "2*genus + boundary_count - 1")
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("generator names must be distinct")
-        for r in self.relators:
-            if _check_indices(r, self.rank, "relators") != tuple(r):
+        for i, r in enumerate(self.relators):
+            if _check_indices(r, self.rank, "fiber relators", i) != tuple(r):
                 raise ValueError("relators must be freely reduced words")
 
     @classmethod
@@ -262,13 +272,13 @@ class GeneratorEndomorphism:
     def __post_init__(self):
         if len(self.images) != self.source.rank:
             raise ValueError("need exactly one image word per generator")
-        reduced = tuple(_check_indices(w, self.source.rank, "images")
-                        for w in self.images)
+        reduced = tuple(_check_indices(w, self.source.rank, "images", j)
+                        for j, w in enumerate(self.images))
         object.__setattr__(self, "images", reduced)
         if self.inverse_images is not None:
             inv = tuple(
-                _check_indices(w, self.source.rank, "inverse_images")
-                for w in self.inverse_images)
+                _check_indices(w, self.source.rank, "inverse_images", j)
+                for j, w in enumerate(self.inverse_images))
             if len(inv) != self.source.rank:
                 raise ValueError("inverse witness needs one word per generator")
             object.__setattr__(self, "inverse_images", inv)
@@ -291,11 +301,14 @@ class GeneratorEndomorphism:
         check of `__post_init__`.  The composed inverse words invert the
         product by construction, so it is built without checking again; it
         has no witness when some factor has none."""
-        images = inverse = tuple((j,) for j in range(1, source.rank + 1))
+        identity = tuple((j,) for j in range(1, source.rank + 1))
+        factors = iter(factors)
+        # the product of the identity and the first factor is that factor
+        images, inverse = next(factors, (identity, identity))
         for forward, backward in factors:
-            images = tuple(_substitute(images, w) for w in forward)
+            images = _substitute_all(images, forward)
             inverse = (None if inverse is None or backward is None
-                       else tuple(_substitute(backward, w) for w in inverse))
+                       else _substitute_all(backward, inverse))
         endo = object.__new__(cls)
         for name, value in (("source", source), ("images", images),
                             ("inverse_images", inverse)):
@@ -460,6 +473,20 @@ def _substitute(images: Sequence[Word], word: Iterable[int]) -> Word:
     return free_reduce(pieces)
 
 
+def _substitute_all(images: Sequence[Word],
+                    words: Sequence[Word]) -> Tuple[Word, ...]:
+    """`_substitute(images, w)` for each reduced word w; ValueError, before
+    any is built, when one would have more than `WORD_CAP` letters before
+    free reduction."""
+    lengths = [len(image) for image in images]
+    for w in words:
+        letters = sum(lengths[abs(x) - 1] for x in w)
+        if letters > WORD_CAP:
+            raise ValueError(f"a composed word would have {letters} letters, "
+                             f"above the bound of {WORD_CAP}")
+    return tuple(_substitute(images, w) for w in words)
+
+
 def _abelian_invariants(rows, n_generators: int) -> Tuple[int, Tuple[int, ...]]:
     """(free rank, invariant factors > 1) of the abelian group on
     `n_generators` generators with integer relation rows `rows`."""
@@ -513,7 +540,8 @@ class MappingTorusPresentation:
             raise ValueError("degree class must evaluate to 1 on the stable letter")
         object.__setattr__(
             self, "relators",
-            tuple(_check_indices(r, n, "relators") for r in self.relators))
+            tuple(_check_indices(r, n, "relators", i)
+                  for i, r in enumerate(self.relators)))
         for r in self.relators:
             if self.degree(r) != 0:
                 raise ValueError("every relator must have degree zero")

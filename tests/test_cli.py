@@ -603,7 +603,8 @@ class TestExitCodes:
     }
 
     @pytest.mark.parametrize("mutant", list(PRESENTATION_MUTANTS))
-    @pytest.mark.parametrize("sub", ["alexander", "torsion"])
+    @pytest.mark.parametrize("sub", ["alexander", "torsion", "zeta",
+                                     "lefschetz"])
     def test_relators_of_another_group_are_an_input_error(
             self, tmp_path, capsys, sub, mutant):
         data = json.loads((FIXTURES / "genus2_finite_order.json").read_text())

@@ -96,3 +96,48 @@ def test_mutated_fixture_exits_zero_or_two(tmp_path, source):
                 faults.append(f"{list(path)} {change}: {status} "
                               f"{message.strip()}")
     assert not faults, "\n".join(faults)
+
+
+# the word lists of a mapping_torus body: (path to the list, its name in
+# an error, the key of the generators its letters index)
+WORD_LISTS = [
+    (("relators",), "relators", ("generators",)),
+    (("fiber", "relators"), "fiber relators", ("fiber", "generators")),
+    (("monodromy", "images"), "images", ("fiber", "generators")),
+    (("monodromy", "inverse_images"), "inverse_images",
+     ("fiber", "generators")),
+]
+
+
+def _at(body, path):
+    for step in path:
+        body = body[step]
+    return body
+
+
+@pytest.mark.parametrize("source", [name for name in SOURCES if _kind(
+    FIXTURES / name) == "mapping_torus"])
+def test_out_of_range_letter_names_its_word(tmp_path, source):
+    # letters 0, rank + 1 and -(rank + 1) appended to every word
+    data = json.loads((FIXTURES / source).read_text())
+    target = tmp_path / source
+    faults = []
+    for path, name, generators in WORD_LISTS:
+        rank = len(_at(data["body"], generators))
+        for i in range(len(_at(data["body"], path))):
+            for letter in (0, rank + 1, -(rank + 1)):
+                mutant = copy.deepcopy(data)
+                _at(mutant["body"], path)[i].append(letter)
+                target.write_text(json.dumps(mutant))
+                stderr = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(stderr):
+                    status = main(["alexander", str(target)])
+                reason = (f"letter {letter} exceeds generator count {rank}"
+                          if letter else
+                          "generator indices are signed and nonzero")
+                want = f"error: {name}[{i}]: {reason}\n"
+                if (status, stderr.getvalue()) != (2, want):
+                    faults.append(f"{name}[{i}] + {letter}: {status} "
+                                  f"{stderr.getvalue().strip()}")
+    assert not faults, "\n".join(faults)

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from procong import kernel
 from procong.kernel import (
     Cyclotomic,
     as_exact,
@@ -29,6 +31,8 @@ from procong.kernel import (
     smith_diagonalize,
     smith_integer,
 )
+from procong.serialize import load_fixture
+from procong.surfgrp import FiniteRepresentation, twisted_alexander
 
 T = LaurentPolynomial.t_power(1)
 ONE = LaurentPolynomial.one()
@@ -603,6 +607,179 @@ def poly_matrices(draw, rows=None, cols=None):
     if inner == min(rows, cols):
         return matrix(rows, cols)
     return matrix(rows, inner) @ matrix(inner, cols)
+
+
+def dense_diagonalize(matrix):
+    """The dense loop that `smith_diagonalize` ran before its sparse
+    elimination, kept as the oracle: the columns are shifted into F[t], each
+    pivot is a nonzero entry of least degree in the remaining block, and
+    Euclid steps clear its column, then its row."""
+    rows, cols = matrix.rows, matrix.cols
+    m = [list(r) for r in matrix.entries]
+
+    def col_swap(a, b):
+        for r in m:
+            r[a], r[b] = r[b], r[a]
+
+    for j in range(cols):
+        vals = [r[j].valuation for r in m if r[j]]
+        if vals and min(vals):
+            v = min(vals)
+            for r in m:
+                r[j] = r[j].shift(-v)
+
+    diag = []
+    pr = pc = 0
+    while pr < rows and pc < cols:
+        best = min(((m[i][j].degree, i, j) for i in range(pr, rows)
+                    for j in range(pc, cols) if m[i][j]), default=None)
+        if best is None:
+            break
+        _, bi, bj = best
+        m[pr], m[bi] = m[bi], m[pr]
+        if bj != pc:
+            col_swap(pc, bj)
+        reduced = True
+        while reduced:
+            reduced = False
+            pivot_row = m[pr]
+            pivot = pivot_row[pc]
+            for i in range(pr + 1, rows):
+                row = m[i]
+                if row[pc]:
+                    q, r = row[pc].divmod_poly(pivot)
+                    for j in range(pc, cols):
+                        if pivot_row[j]:
+                            row[j] = row[j] - q * pivot_row[j]
+                    if r:
+                        m[pr], m[i] = row, pivot_row
+                        reduced = True
+                        break
+            if reduced:
+                continue
+            for j in range(pc + 1, cols):
+                if pivot_row[j]:
+                    q, r = pivot_row[j].divmod_poly(pivot)
+                    for row in m:
+                        if row[pc]:
+                            row[j] = row[j] - q * row[pc]
+                    if r:
+                        col_swap(pc, j)
+                        reduced = True
+                        break
+        diag.append(m[pr][pc])
+        pr += 1
+        pc += 1
+    return tuple(diag)
+
+
+def poly_product(polys):
+    out = ONE
+    for p in polys:
+        out = out * p
+    return out
+
+
+def assert_matches_oracle(m):
+    diag, want = smith_diagonalize(m), dense_diagonalize(m)
+    assert len(diag) == len(want)
+    assert poly_product(diag).unit_equal(poly_product(want))
+
+
+SCALARS = {
+    "int": st.integers(-3, 3).filter(bool),
+    "fraction": st.fractions(-3, 3, max_denominator=4).filter(bool),
+    "cyclotomic12": st.builds(lambda k, c: Cyclotomic.root(12, k) * c,
+                              st.integers(0, 11), st.integers(1, 2)),
+}
+
+
+@st.composite
+def sparse_matrices(draw, scalars):
+    """Matrices up to 8 x 8, mostly zero and monomial: each entry is 0,
+    +-t^k, c t^k or a + bt; a product through an inner dimension below the
+    shape makes a rank-deficient one."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+    def entry():
+        kind = draw(st.sampled_from(("0", "0", "0", "+-", "+-", "ct", "a+bt")))
+        k = draw(st.integers(-2, 2))
+        if kind == "0":
+            return ZERO
+        if kind == "+-":
+            return LaurentPolynomial.t_power(k, draw(st.sampled_from((1, -1))))
+        if kind == "ct":
+            return LaurentPolynomial.t_power(k, draw(scalars))
+        return LaurentPolynomial({0: draw(scalars), 1: draw(scalars)})
+
+    def matrix(r, c):
+        return PolyMatrix(r, c, [[entry() for _ in range(c)]
+                                 for _ in range(r)])
+
+    inner = draw(st.integers(0, min(rows, cols)))
+    if inner == min(rows, cols):
+        return matrix(rows, cols)
+    return matrix(rows, inner) @ matrix(inner, cols)
+
+
+class TestSparseElimination:
+    """`smith_diagonalize` against the dense oracle: the same rank, and
+    products equal up to a unit."""
+
+    @pytest.mark.parametrize("field", list(SCALARS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_oracle(self, field, data):
+        assert_matches_oracle(data.draw(sparse_matrices(SCALARS[field])))
+
+    def test_matches_dense_oracle_without_monomials(self):
+        # no entry is a unit, so every pivot goes through Euclid steps on
+        # its column and on its row; [[t^2 - 1, t^2 + t]] has gcd t + 1
+        # and [[t - 1, t^2 + 1]] gcd 1
+        gcd_cases = [([[T * T - 1, T * T + T]], ONE + T),
+                     ([[T - 1, T * T + 1]], ONE),
+                     ([[T + 1], [T * T - 1]], ONE + T)]
+        for entries, gcd_ in gcd_cases:
+            m = PolyMatrix(len(entries), len(entries[0]), entries)
+            assert poly_product(smith_diagonalize(m)).unit_equal(gcd_)
+            assert_matches_oracle(m)
+        rng = random.Random(2022)
+        for _ in range(40):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            m = PolyMatrix(rows, cols, [
+                [LaurentPolynomial({e: rng.choice((-2, -1, 1, 3))
+                                    for e in rng.sample(range(-1, 3), 2)})
+                 for _ in range(cols)] for _ in range(rows)])
+            assert all(len(e.terms) > 1 for row in m.entries for e in row)
+            assert_matches_oracle(m)
+
+    def test_genus_two_affine_orders_match_dense_oracle(self, monkeypatch):
+        # degree-16 permutation representation of genus2_finite_order:
+        # the fiber generators translate (Z/2)^4, t swaps the handles
+        fixture = (Path(__file__).resolve().parent.parent / "fixtures"
+                   / "genus2_finite_order.json")
+        mt = load_fixture(fixture).payload
+        points = list(product(range(2), repeat=4))
+        index = {p: i for i, p in enumerate(points)}
+
+        def perm(f):
+            rows = [[0] * 16 for _ in points]
+            for p in points:
+                rows[index[f(p)]][index[p]] = 1
+            return rows
+
+        def affine():
+            return FiniteRepresentation(16, tuple(
+                perm(lambda p, k=k: tuple((x + (i == k)) % 2
+                                          for i, x in enumerate(p)))
+                for k in range(4)) + (
+                perm(lambda p: (p[2], p[3], p[0], p[1])),))
+
+        orders = [twisted_alexander(mt, affine(), n) for n in range(4)]
+        assert orders[1].degree == 34
+        monkeypatch.setattr(kernel, "smith_diagonalize", dense_diagonalize)
+        assert orders == [twisted_alexander(mt, affine(), n)
+                          for n in range(4)]
 
 
 class TestSmithDiagonalize:

@@ -328,6 +328,24 @@ class TestGeneratorEndomorphism:
         with pytest.raises(ValueError):
             ANOSOV_WORDS.power(-1)
 
+    def test_long_composed_words_are_refused(self):
+        # the words of this product would have about 10^13 letters: the
+        # lengths are counted, and the product refused, before any is built
+        def too_slow(*_):
+            raise TimeoutError("the product was not refused within 1 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1)
+        try:
+            phi = GeneratorEndomorphism.torus_monodromy(
+                Mat2(188, 275, 121, 177))
+            with pytest.raises(ValueError, match=(
+                    f"above the bound of {surfgrp.WORD_CAP}$")):
+                phi.compose(phi).power(3)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_relator_conjugacy_certificates(self):
         sign, conj = ANOSOV_WORDS.relator_conjugacy()
         relator = TORUS.relators[0]
