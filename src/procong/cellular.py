@@ -32,6 +32,7 @@ from .kernel import (
     charpoly_coefficients,
     log_coefficients,
     normalize_unit_class,
+    products_cancel,
 )
 from .surfgrp import (  # noqa: F401  (mapping_torus_boundaries: re-exported)
     Chain,
@@ -40,8 +41,9 @@ from .surfgrp import (  # noqa: F401  (mapping_torus_boundaries: re-exported)
     _chain_matrix,
     _fox_chain,
     _json_letters,
-    _mat_identity,
-    _mat_mul,
+    _sparse,
+    _sparse_identity,
+    _sparse_mul,
     _per_complex,
     _presentation_chains,
     mapping_torus,
@@ -205,10 +207,11 @@ def classical_lefschetz(action: HomologyAction, m: int) -> int:
         raise ValueError("iterate count must be at least 1")
     total = 0
     for sign, mat in ((1, action.h0), (-1, action.h1), (1, action.h2)):
-        power = _mat_identity(len(mat))
+        step, power = _sparse(mat), _sparse_identity(len(mat))
         for _ in range(m):
-            power = _mat_mul(power, mat)
-        total += sign * sum(power[i][i] for i in range(len(power)))
+            power = _sparse_mul(power, step)
+        total += sign * sum(e for i, row in enumerate(power)
+                            for j, e in row if i == j)
     return total
 
 
@@ -254,7 +257,7 @@ def _flow(mt: MappingTorusPresentation, rep: FiniteRepresentation,
 
     d1 = _chain_matrix(mt, rep, surface.boundary_one, r0)
     d2 = _chain_matrix(mt, rep, surface.boundary_two, r1)
-    if d1.cols and d2.cols and not (d1 @ d2).is_zero():
+    if d1.cols and d2.cols and not products_cancel((1, d1, d2)):
         raise ValueError("decorated boundaries do not compose to zero")
 
     f0, f1, f2 = [_chain_matrix(mt, rep, flow.images[n], (r0, r1, r2)[n],
@@ -262,10 +265,10 @@ def _flow(mt: MappingTorusPresentation, rep: FiniteRepresentation,
                   for n in range(3)]
     # chain-map condition; restoring the degree-1 twist would multiply
     # both sides by t, which is injective, so it is left out
-    if d1 @ f1 != f0 @ d1:
+    if not products_cancel((1, d1, f1), (-1, f0, d1)):
         raise ValueError("flow chains do not commute with the boundary "
                          "in degree 1")
-    if d2 @ f2 != f1 @ d2:
+    if not products_cancel((1, d2, f2), (-1, f1, d2)):
         raise ValueError("flow chains do not commute with the boundary "
                          "in degree 2")
     numerator = _det_one_minus_t(f1)

@@ -156,7 +156,9 @@ def _fibered_input(config: RunConfig) -> FiberedBundle:
 
 def _resolve_rep(mt, label: str) -> FiniteRepresentation:
     """Build the rank-1 representation named by --rep: trivial, sign, or
-    zeta:n[:k] for the k-th power of a primitive n-th root of unity."""
+    zeta:n[:k] for the k-th power of a primitive n-th root of unity, with
+    n at most the package's conductor bound `chars.CYCLIC_LIMIT`."""
+    from .chars import CYCLIC_LIMIT
     from .surfgrp import FiniteRepresentation
     if label == "trivial":
         return FiniteRepresentation.trivial(mt)
@@ -167,6 +169,9 @@ def _resolve_rep(mt, label: str) -> FiniteRepresentation:
         if len(parts) in (1, 2) and all(p.lstrip("-").isdigit() for p in parts):
             n = int(parts[0])
             k = int(parts[1]) if len(parts) == 2 else 1
+            if n > CYCLIC_LIMIT:
+                raise ValueError(f"--rep zeta:n needs n in 1..{CYCLIC_LIMIT}, "
+                                 f"got {n}")
             if n >= 1:
                 return FiniteRepresentation.fibered_character(
                     mt, Cyclotomic.root(n, k))

@@ -1018,22 +1018,15 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        # the nonzero entries of each row of `other`, listed once
-        sparse = [[(j, tuple(b.terms.items())) for j, b in enumerate(row) if b]
-                  for row in other.entries]
+        right = _nonzero_rows(other)
+        zero = LaurentPolynomial.zero()
         out = []
-        for row in self.entries:
-            acc = [{} for _ in range(other.cols)]
-            for a, nonzero in zip(row, sparse):
-                if a:
-                    for j, b_terms in nonzero:
-                        entry = acc[j]
-                        for e1, c1 in a.terms.items():
-                            for e2, c2 in b_terms:
-                                e = e1 + e2
-                                c = c1 * c2
-                                entry[e] = entry[e] + c if e in entry else c
-            out.append([LaurentPolynomial._of(entry) for entry in acc])
+        for left in _nonzero_rows(self):
+            cells = {}
+            for (j, e), c in _row_product({}, left, right, 1).items():
+                cells.setdefault(j, {})[e] = c
+            out.append([LaurentPolynomial._of(cells[j]) if j in cells else zero
+                        for j in range(other.cols)])
         return PolyMatrix(self.rows, other.cols, out)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -1102,6 +1095,52 @@ class PolyMatrix:
             prev = m[k][k]
         det = m[n - 1][n - 1]
         return det if sign == 1 else -det
+
+
+def _nonzero_rows(matrix: PolyMatrix) -> list:
+    """Each row of `matrix` as the (column, terms) pairs of its nonzero
+    entries, terms as a tuple of (exponent, coeff)."""
+    return [[(j, tuple(e.terms.items())) for j, e in enumerate(row) if e.terms]
+            for row in matrix.entries]
+
+
+def _row_product(acc: dict, left, right, sign: int) -> dict:
+    """Add sign * (left row) . right to acc, a dict {(column, exponent):
+    coeff}; the row and the rows of right as in `_nonzero_rows`.  Only
+    nonzero entries meet, so the work is the number of term products."""
+    for l, a_terms in left:
+        right_row = right[l]
+        if not right_row:
+            continue
+        if sign < 0:
+            a_terms = [(e, -c) for e, c in a_terms]
+        for j, b_terms in right_row:
+            for e1, c1 in a_terms:
+                for e2, c2 in b_terms:
+                    key = (j, e1 + e2)
+                    c = c1 * c2
+                    acc[key] = acc[key] + c if key in acc else c
+    return acc
+
+
+def products_cancel(*terms) -> bool:
+    """Whether the sum of sign * (a @ b) over the (sign, a, b) in `terms`,
+    sign +1 or -1, is the zero matrix.  Each row of the sum is accumulated
+    by `_row_product` and tested on its own: the check stops at the first
+    row that does not cancel and never builds a PolyMatrix."""
+    shapes = {(a.rows, b.cols) for _, a, b in terms}
+    if len(shapes) > 1 or any(a.cols != b.rows for _, a, b in terms):
+        raise ValueError("shape mismatch in matrix product")
+    rights = [(sign, a.entries, _nonzero_rows(b)) for sign, a, b in terms]
+    for i in range(terms[0][1].rows):
+        acc = {}
+        for sign, left, right in rights:
+            _row_product(acc, [(l, tuple(p.terms.items()))
+                               for l, p in enumerate(left[i]) if p.terms],
+                         right, sign)
+        if any(acc.values()):
+            return False
+    return True
 
 
 def charpoly_coefficients(matrix) -> list:
@@ -1293,7 +1332,7 @@ def homology_order(boundary_in, boundary_out) -> LaurentPolynomial:
     out_rank = 0
     if boundary_out is not None and boundary_out.rows:
         # a zero boundary_in (empty diagonal) meets the chain condition
-        if in_diag and not (boundary_out @ boundary_in).is_zero():
+        if in_diag and not products_cancel((1, boundary_out, boundary_in)):
             raise ValueError("chain condition failed: boundary_out . boundary_in != 0")
         out_rank = len(smith_diagonalize(boundary_out))
     if len(in_diag) + out_rank < n:

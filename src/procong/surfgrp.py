@@ -41,7 +41,6 @@ from .kernel import (
     NormalizedTorsionClass,
     PolyMatrix,
     RationalFunction,
-    _INT_ONLY,
     _json_int,
     _json_list,
     _json_object,
@@ -50,6 +49,7 @@ from .kernel import (
     charpoly_coefficients,
     homology_order,
     normalize_unit_class,
+    products_cancel,
     scalar_inverse,
     smith_integer,
 )
@@ -650,6 +650,10 @@ def mapping_torus(pres: SurfacePresentation,
 # ---------------------------------------------------------------------------
 
 ScalarMatrix = Tuple[Tuple[object, ...], ...]
+# A sparse matrix is a tuple of rows, each a tuple of (column, entry) pairs
+# in canonical form: columns ascending, no zero entries, every entry
+# `as_exact`.  Equal matrices therefore have equal, hashable sparse forms.
+SparseMatrix = Tuple[Tuple[Tuple[int, object], ...], ...]
 
 
 def _mat_freeze(rows, dimension: int) -> ScalarMatrix:
@@ -663,22 +667,57 @@ def _mat_identity(k: int) -> ScalarMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
 
-def _mat_mul(a: ScalarMatrix, b: ScalarMatrix) -> ScalarMatrix:
-    """Exact product of square matrices of one size, in canonical form
-    (`as_exact`).  Each nonzero a[i][l] meets only the nonzero entries of
-    b[l], so a product of monomial matrices costs O(k^2), not k^3."""
-    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+def _sparse(m: ScalarMatrix) -> SparseMatrix:
+    """The sparse form of a square matrix of canonical entries."""
+    return tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in m)
+
+
+def _dense(m: SparseMatrix) -> ScalarMatrix:
+    k = len(m)
+    out = []
+    for row in m:
+        dense = [0] * k
+        for j, e in row:
+            dense[j] = e
+        out.append(tuple(dense))
+    return tuple(out)
+
+
+def _sparse_identity(k: int) -> SparseMatrix:
+    return tuple(((i, 1),) for i in range(k))
+
+
+def _sparse_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """Exact product of sparse square matrices of one size, in canonical
+    form.  Each entry a[i][l] meets only the nonzero entries of b[l], so a
+    product of monomial matrices costs O(k) and a dense one O(k^3)."""
     out = []
     for row in a:
-        acc = [0] * len(row)
-        for x, nonzero in zip(row, sparse):
-            if x:
-                for j, y in nonzero:
-                    # 0 + y would rebuild a cyclotomic y
-                    acc[j] = acc[j] + x * y if acc[j] else x * y
-        if set(map(type, acc)) != _INT_ONLY:
-            acc = map(as_exact, acc)
-        out.append(tuple(acc))
+        if len(row) == 1:
+            # a row with one entry scales a row of b; in a field the
+            # products of nonzero entries are nonzero
+            ((l, x),) = row
+            if type(x) is int and x == 1:
+                out.append(b[l])
+                continue
+            scaled = []
+            for j, y in b[l]:
+                c = x * y
+                scaled.append((j, c if type(c) is int else as_exact(c)))
+            out.append(tuple(scaled))
+            continue
+        acc = {}
+        for l, x in row:
+            for j, y in b[l]:
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        entries = []
+        for j in sorted(acc):
+            c = acc[j]
+            if type(c) is not int:
+                c = as_exact(c)
+            if c:
+                entries.append((j, c))
+        out.append(tuple(entries))
     return tuple(out)
 
 
@@ -746,16 +785,51 @@ class FiniteRepresentation:
         """Generator inverses, computed once per representation."""
         return tuple(_mat_inverse(m) for m in self.matrices)
 
+    @cached_property
+    def _letters(self) -> dict:
+        """The sparse image of each letter, generator j at j and its
+        inverse at -j, sparsified once per representation."""
+        letters = {}
+        for j, (m, inverse) in enumerate(zip(self.matrices, self._inverses), 1):
+            letters[j], letters[-j] = _sparse(m), _sparse(inverse)
+        return letters
+
     def matrix(self, letter: int) -> ScalarMatrix:
         if letter > 0:
             return self.matrices[letter - 1]
         return self._inverses[-letter - 1]
 
     def evaluate_word(self, word: Iterable[int]) -> ScalarMatrix:
-        acc = _mat_identity(self.dimension)
+        return _dense(self._evaluate(word))
+
+    def _evaluate(self, word: Iterable[int]) -> SparseMatrix:
+        acc, letters = _sparse_identity(self.dimension), self._letters
         for letter in word:
-            acc = _mat_mul(acc, self.matrix(letter))
+            acc = _sparse_mul(acc, letters[letter])
         return acc
+
+    def _closure(self) -> set:
+        """The sparse forms of the elements of the generated matrix group,
+        enumerated orbit by orbit from the identity; ValueError when there
+        are more than `ORDER_CAP`."""
+        ident = _sparse_identity(self.dimension)
+        seen = {ident}
+        frontier = [ident]
+        steps = tuple(self._letters.values())
+        while frontier:
+            fresh = []
+            for m in frontier:
+                for s in steps:
+                    p = _sparse_mul(m, s)
+                    if p not in seen:
+                        if len(seen) >= ORDER_CAP:
+                            raise ValueError(
+                                "matrix group not certified finite within "
+                                f"cap {ORDER_CAP}")
+                        seen.add(p)
+                        fresh.append(p)
+            frontier = fresh
+        return seen
 
     @cached_property
     def _complexes(self) -> dict:
@@ -770,37 +844,23 @@ class FiniteRepresentation:
             return self
         if len(self.matrices) != mt.rank:
             raise ValueError("need exactly one matrix per generator")
-        ident = _mat_identity(self.dimension)
+        ident = _sparse_identity(self.dimension)
         for r in mt.relators:
             if mt.degree(r) != 0:
                 raise ValueError("relator with nonzero degree cannot die")
-            if self.evaluate_word(r) != ident:
+            if self._evaluate(r) != ident:
                 raise ValueError("representation violates a relator")
-        seen = {ident}
-        frontier = [ident]
-        step_set = self.matrices + self._inverses
-        while frontier:
-            fresh = []
-            for m in frontier:
-                for s in step_set:
-                    p = _mat_mul(m, s)
-                    if p not in seen:
-                        if len(seen) >= ORDER_CAP:
-                            raise ValueError(
-                                "matrix group not certified finite within "
-                                f"cap {ORDER_CAP}")
-                        seen.add(p)
-                        fresh.append(p)
-            frontier = fresh
+        self._closure()
         self._complexes[mt] = {}
         return self
 
     def conjugate(self, change_of_basis) -> "FiniteRepresentation":
         x = _mat_freeze(change_of_basis, self.dimension)
-        x_inv = _mat_inverse(x)
+        left, right = _sparse(x), _sparse(_mat_inverse(x))
         return FiniteRepresentation(
             self.dimension,
-            tuple(_mat_mul(_mat_mul(x, m), x_inv) for m in self.matrices))
+            tuple(_dense(_sparse_mul(_sparse_mul(left, _sparse(m)), right))
+                  for m in self.matrices))
 
     def restricted(self, indices: Sequence[int]) -> "FiniteRepresentation":
         if list(indices) == list(range(1, len(self.matrices) + 1)):
@@ -849,27 +909,35 @@ def _chain_matrix(mt: MappingTorusPresentation, rep: FiniteRepresentation,
     """Twisted matrix of decorated chains, one block column per chain and
     one block row per target.  Each path is walked once, left to right, and
     a term (end, target, coeff) adds coeff t^(degree u - strip_degree) times
-    the running image of u = word[:end] to its block, which is stored
-    transposed for the row-vector convention."""
-    k = rep.dimension
-    grid = [[{} for _ in range(k * len(chains))] for _ in range(k * n_targets)]
+    the nonzero entries of the running image of u = word[:end] to its
+    block, which is stored transposed for the row-vector convention."""
+    k, letters = rep.dimension, rep._letters
+    identity = _sparse_identity(k)
+    # one dict {column: {exponent: coeff}} of the nonzero entries per row
+    grid = [{} for _ in range(k * n_targets)]
     for source, chain in enumerate(chains):
         for word, terms in chain:
-            mat, degree, position = _mat_identity(k), -strip_degree, 0
+            mat, degree, position = identity, -strip_degree, 0
             for end, target, coeff in terms:
                 for letter in word[position:end]:
-                    mat = _mat_mul(mat, rep.matrix(letter))
+                    mat = _sparse_mul(mat, letters[letter])
                 degree += mt.degree(word[position:end])
                 position = end
                 for i, row in enumerate(mat):
-                    for j, value in enumerate(row):
-                        if value:
-                            entry = grid[target * k + j][source * k + i]
-                            c = coeff * value
-                            entry[degree] = (entry[degree] + c
-                                             if degree in entry else c)
-    return PolyMatrix(k * n_targets, k * len(chains),
-                      [[LaurentPolynomial(e) for e in row] for row in grid])
+                    column = source * k + i
+                    for j, value in row:
+                        cells = grid[target * k + j]
+                        entry = cells.get(column)
+                        if entry is None:
+                            entry = cells[column] = {}
+                        c = coeff * value
+                        entry[degree] = (entry[degree] + c
+                                         if degree in entry else c)
+    zero = LaurentPolynomial.zero()
+    n_cols = k * len(chains)
+    return PolyMatrix(k * n_targets, n_cols,
+                      [[LaurentPolynomial._of(cells[j]) if j in cells else zero
+                        for j in range(n_cols)] for cells in grid])
 
 
 def group_ring_image(mt: MappingTorusPresentation, rep: FiniteRepresentation,
@@ -931,9 +999,9 @@ def mapping_torus_boundaries(mt: MappingTorusPresentation,
         chains = (((conj, ((len(conj), 0, sign),)), ((t,), ((1, 0, -1),)))
                   + _fox_chain(fiber.relators[0], fiber.rank, 1, phi.images),)
     d3 = _chain_matrix(canonical, sub, chains, len(canonical.relators))
-    if d2.cols and d3.cols and not (d2 @ d3).is_zero():
+    if d2.cols and d3.cols and not products_cancel((1, d2, d3)):
         raise AssertionError("three-dimensional chain model lost d.d = 0")
-    if d1.cols and d2.cols and not (d1 @ d2).is_zero():
+    if d1.cols and d2.cols and not products_cancel((1, d1, d2)):
         raise AssertionError("presentation complex lost d.d = 0")
     return d1, d2, d3
 

@@ -444,7 +444,8 @@ class TestFlowMatrices:
                     (((word, terms[:1]),), flow.images[1][1]),
                     flow.images[2])
         bad_flow = CellularSelfMap(surface, tampered)
-        with pytest.raises(ValueError, match="degree 1"):
+        with pytest.raises(ValueError, match="^flow chains do not commute "
+                           "with the boundary in degree 1$"):
             flow_boundary_matrices(surface, bad_flow, rep)
 
     def test_broken_chain_map_is_detected_in_degree_two(self):
@@ -455,7 +456,8 @@ class TestFlowMatrices:
         tampered = (flow.images[0], flow.images[1],
                     (((word, ((end, target, -sign),)),),))
         bad_flow = CellularSelfMap(surface, tampered)
-        with pytest.raises(ValueError, match="degree 2"):
+        with pytest.raises(ValueError, match="^flow chains do not commute "
+                           "with the boundary in degree 2$"):
             flow_boundary_matrices(surface, bad_flow, rep)
 
     def test_moved_degree_two_decoration_is_detected(self):
@@ -949,6 +951,40 @@ class TestMappingTorusBoundaries:
         assert (d3.rows, d3.cols) == (3, 1)
         assert (d1 @ d2).is_zero()
         assert (d2 @ d3).is_zero()
+
+    def test_broken_top_cell_is_detected(self, monkeypatch):
+        # d3 is the only chain built with an offset: flip its first term
+        mt = anosov_bundle()
+        fox_chain = surfgrp._fox_chain
+
+        def tampered(word, n_generators, offset=0, images=None):
+            ((path, terms),) = fox_chain(word, n_generators, offset, images)
+            if offset:
+                (end, target, coeff), *rest = terms
+                terms = ((end, target, -coeff), *rest)
+            return ((path, tuple(terms)),)
+
+        monkeypatch.setattr(surfgrp, "_fox_chain", tampered)
+        with pytest.raises(AssertionError, match=re.escape(
+                "three-dimensional chain model lost d.d = 0")):
+            mapping_torus_boundaries(
+                mt, mod2_permutation_rep(mt, Mat2(2, 1, 1, 1)))
+
+    def test_broken_presentation_complex_is_detected(self, monkeypatch):
+        # the 1-cell of the first generator bounds g + 1 instead of g - 1
+        mt = anosov_bundle()
+        chains = surfgrp._presentation_chains
+
+        def tampered(n_generators, relators):
+            one, two = chains(n_generators, relators)
+            ((word, ((end, target, _), *rest)),) = one[0]
+            return (((word, ((end, target, 1), *rest)),),) + one[1:], two
+
+        monkeypatch.setattr(surfgrp, "_presentation_chains", tampered)
+        with pytest.raises(AssertionError, match=re.escape(
+                "presentation complex lost d.d = 0")):
+            mapping_torus_boundaries(
+                mt, mod2_permutation_rep(mt, Mat2(2, 1, 1, 1)))
 
     def test_bounded_fiber_has_no_top_cell(self):
         free = SurfacePresentation.with_boundary(1, 1)

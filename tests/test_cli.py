@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,18 @@ class TestExitCodes:
                              "--rep", "bogus")
         assert status == 2
         assert "unknown representation" in err
+
+    @pytest.mark.parametrize("label", ["zeta:61", "zeta:997:2",
+                                       "zeta:30030"])
+    def test_root_of_unity_order_is_bounded(self, capsys, label):
+        # unbounded, zeta:30030 ran for minutes building its field
+        start = time.perf_counter()
+        status, out, err = run(capsys, "alexander", fixture("torus_A211.json"),
+                               "--rep", label)
+        assert time.perf_counter() - start < 1
+        assert (status, out) == (2, "")
+        n = label.split(":")[1]
+        assert err == f"error: --rep zeta:n needs n in 1..60, got {n}\n"
 
     def test_unknown_group_is_an_input_error(self, capsys):
         status, _, err = run(capsys, "chars", "bound",

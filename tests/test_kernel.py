@@ -1,6 +1,7 @@
 """Tests for exact scalar / polynomial arithmetic and homological orders."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -27,6 +28,7 @@ from procong.kernel import (
     log_coefficients,
     normalize_unit_class,
     parse_scalar,
+    products_cancel,
     render_scalar,
     smith_diagonalize,
     smith_integer,
@@ -782,6 +784,66 @@ class TestSparseElimination:
                           for n in range(4)]
 
 
+@st.composite
+def product_pairs(draw):
+    """(a, b, c, d) with a @ b and c @ d of one shape, from `poly_matrices`;
+    c @ d is a @ b regrouped, or a @ b plus a perturbation, or random."""
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    a = draw(poly_matrices(rows, inner))
+    b = draw(poly_matrices(inner, cols))
+    kind = draw(st.sampled_from(["same", "split", "perturbed", "random"]))
+    if kind == "same":
+        return a, b, a, b
+    if kind == "split":
+        # (a | 0) @ (b ; anything): the same product through a wider middle
+        extra = draw(poly_matrices(inner, cols))
+        return a, b, a.hstack(PolyMatrix.zero(rows, inner)), b.vstack(extra)
+    if kind == "perturbed":
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        bump = PolyMatrix.build(rows, cols, lambda r, c: LaurentPolynomial(
+            {1: 1}) if (r, c) == (i, j) else LaurentPolynomial.zero())
+        return a, b, (a @ b) + bump, PolyMatrix.identity(cols)
+    middle = draw(st.integers(1, 4))
+    return (a, b, draw(poly_matrices(rows, middle)),
+            draw(poly_matrices(middle, cols)))
+
+
+class TestProductsCancel:
+    @given(product_pairs())
+    @settings(max_examples=200)
+    def test_agrees_with_the_product_difference(self, mats):
+        a, b, c, d = mats
+        expected = (a @ b - c @ d).is_zero()
+        assert products_cancel((1, a, b), (-1, c, d)) == expected
+        assert products_cancel((-1, a, b), (1, c, d)) == expected
+        assert products_cancel((1, a, b)) == (a @ b).is_zero()
+
+    def test_shapes_must_agree(self):
+        one = PolyMatrix.identity(1)
+        two = PolyMatrix.identity(2)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            products_cancel((1, one, two))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            products_cancel((1, one, one), (-1, two, two))
+        assert products_cancel((1, PolyMatrix.zero(0, 3),
+                                PolyMatrix.zero(3, 2)))
+        assert products_cancel((1, PolyMatrix.zero(2, 0),
+                                PolyMatrix.zero(0, 2)))
+
+    def test_cancellation_over_fractions_and_cyclotomics(self):
+        z = Cyclotomic.root(12)
+        half = LaurentPolynomial({0: Fraction(1, 2), 1: z})
+        a = PolyMatrix(1, 2, [[half, half]])
+        b = PolyMatrix(2, 1, [[LaurentPolynomial({-1: z})],
+                              [LaurentPolynomial({-1: -z})]])
+        assert products_cancel((1, a, b))
+        same = PolyMatrix(2, 1, [[LaurentPolynomial({-1: z})]] * 2)
+        first = PolyMatrix(2, 1, [[LaurentPolynomial({-1: z})],
+                                  [LaurentPolynomial.zero()]])
+        assert not products_cancel((1, a, same))
+        assert products_cancel((1, a, same), (-1, a.scale(2), first))
+
+
 class TestSmithDiagonalize:
     @given(poly_matrices())
     @settings(max_examples=150)
@@ -835,7 +897,8 @@ class TestHomologyOrder:
     def test_chain_condition_enforced(self):
         bad_out = PolyMatrix(1, 1, [[ONE]])
         bad_in = PolyMatrix(1, 1, [[ONE]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "chain condition failed: boundary_out . boundary_in != 0")):
             homology_order(bad_in, bad_out)
 
     def test_unit_insensitive_to_presentation_choice(self):

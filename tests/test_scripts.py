@@ -28,6 +28,7 @@ def run_script(*argv):
     (("shear_invariance.py", "--trials", "20"),
      "unimodular invariance and scaling law held throughout"),
     (("nt_demo.py", "--upto", "4"), "certified within 1%"),
+    (("large_rep_timings.py", "2"), "all stages finished"),
 ], ids=lambda value: value[0] if isinstance(value, tuple) else None)
 def test_script_runs_and_reports(argv, verdict):
     proc = run_script(*argv)

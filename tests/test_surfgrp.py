@@ -823,13 +823,13 @@ class TestChainAssembly:
         relator = free_reduce(rng.choice([-3, -2, -1, 1, 2, 3])
                               for _ in range(300))
         calls = []
-        product = surfgrp._mat_mul
+        product = surfgrp._sparse_mul
 
         def counting(a, b):
             calls.append(1)
             return product(a, b)
 
-        monkeypatch.setattr(surfgrp, "_mat_mul", counting)
+        monkeypatch.setattr(surfgrp, "_sparse_mul", counting)
         _chain_matrix(mt, rep, (_fox_chain(relator, 3),), 3)
         assert 0 < len(calls) <= len(relator)
 
@@ -850,7 +850,7 @@ class TestChainAssembly:
         assert stored <= sum(map(len, psi.images)) + len(conj) + 10
         # the flow and d3 assembly cost at most one product per path letter
         products, letters = [], []
-        product, assemble = surfgrp._mat_mul, surfgrp._chain_matrix
+        product, assemble = surfgrp._sparse_mul, surfgrp._chain_matrix
 
         def counting_product(a, b):
             products.append(1)
@@ -858,11 +858,11 @@ class TestChainAssembly:
 
         def counting_assemble(mt, rep, chains, *args, **kwargs):
             letters.extend(len(word) for chain in chains for word, _ in chain)
-            monkeypatch.setattr(surfgrp, "_mat_mul", counting_product)
+            monkeypatch.setattr(surfgrp, "_sparse_mul", counting_product)
             try:
                 return assemble(mt, rep, chains, *args, **kwargs)
             finally:
-                monkeypatch.setattr(surfgrp, "_mat_mul", product)
+                monkeypatch.setattr(surfgrp, "_sparse_mul", product)
 
         monkeypatch.setattr(surfgrp, "_chain_matrix", counting_assemble)
         monkeypatch.setattr(cellular, "_chain_matrix", counting_assemble)
@@ -875,8 +875,8 @@ class TestChainAssembly:
 
 
 def dense_mat_mul(a, b):
-    """The dense k^3 product with `as_exact` on every entry, as
-    `surfgrp._mat_mul` computed it before it skipped zeros."""
+    """The dense k^3 product with `as_exact` on every entry: the oracle of
+    the sparse product `surfgrp._sparse_mul`."""
     k = len(a)
     return tuple(
         tuple(as_exact(sum(a[i][l] * b[l][j] for l in range(k)))
@@ -910,6 +910,47 @@ def random_scalar_matrix(rng, k, field, shape):
                        else 0 for _ in range(k)) for _ in range(k))
 
 
+def sparse_product(a, b):
+    """`surfgrp._sparse_mul` of the canonical sparse forms of two dense
+    square matrices, read back densely."""
+    k = len(a)
+    a, b = (surfgrp._sparse(surfgrp._mat_freeze(m, k)) for m in (a, b))
+    return surfgrp._dense(surfgrp._sparse_mul(a, b))
+
+
+def canonical_sparse(m):
+    return surfgrp._sparse(surfgrp._mat_freeze(m, len(m)))
+
+
+SCALARS = {
+    "int": st.integers(-3, 3),
+    "fraction": st.fractions(-3, 3, max_denominator=4),
+    # not always canonical: some of these are rational or zero
+    "cyclotomic": st.lists(st.integers(-1, 1), min_size=1, max_size=6).map(
+        lambda coeffs: Cyclotomic(12, coeffs)),
+}
+
+
+@st.composite
+def scalar_matrices(draw, count=2):
+    """`count` k x k matrices (k in 0..5) over one field, with many zeros or
+    none; when k >= 2 and count >= 2 some row of the first times the
+    second may cancel to zero."""
+    field = draw(st.sampled_from(sorted(SCALARS)))
+    k = draw(st.integers(0, 5))
+    entry = SCALARS[field]
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), entry)
+    mats = [[draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(k)]
+            for _ in range(count)]
+    if k >= 2 and count >= 2 and draw(st.booleans()):
+        # row i of a is (x, x, 0, ...) and b[1] = -b[0]: (a b)[i] = 0
+        i, x = draw(st.integers(0, k - 1)), draw(SCALARS[field])
+        mats[0][i] = [x, x] + [0] * (k - 2)
+        mats[1][1] = [-y for y in mats[1][0]]
+    return [tuple(map(tuple, m)) for m in mats]
+
+
 class TestMatMul:
     @pytest.mark.parametrize("field", ["int", "fraction", "cyclotomic"])
     @pytest.mark.parametrize("shape", ["monomial", "dense", "zero_heavy"])
@@ -919,31 +960,98 @@ class TestMatMul:
             for _ in range(6):
                 a = random_scalar_matrix(rng, k, field, shape)
                 b = random_scalar_matrix(rng, k, field, shape)
-                fast, slow = surfgrp._mat_mul(a, b), dense_mat_mul(a, b)
+                fast, slow = sparse_product(a, b), dense_mat_mul(a, b)
                 assert fast == slow
                 assert [type(e) for row in fast for e in row] == \
                     [type(as_exact(e)) for row in fast for e in row]
                 assert [type(e) for row in fast for e in row] == \
                     [type(e) for row in slow for e in row]
 
+    @given(scalar_matrices())
+    @settings(max_examples=200)
+    def test_sparse_product_matches_dense_oracle(self, mats):
+        a, b = mats
+        product = surfgrp._sparse_mul(canonical_sparse(a), canonical_sparse(b))
+        oracle = dense_mat_mul(a, b)
+        # the product is canonical: columns ascending, no zeros, as_exact
+        assert product == canonical_sparse(oracle)
+        for row in product:
+            assert [j for j, _ in row] == sorted({j for j, _ in row})
+            assert all(e != 0 and type(e) is type(as_exact(e))
+                       for _, e in row)
+        assert surfgrp._dense(product) == oracle
+
+    @given(scalar_matrices(count=3))
+    @settings(max_examples=100)
+    def test_equal_products_have_identical_keys(self, mats):
+        a, b, c = map(canonical_sparse, mats)
+        mul = surfgrp._sparse_mul
+        left, right = mul(mul(a, b), c), mul(a, mul(b, c))
+        assert left == right and hash(left) == hash(right)
+        assert [type(e) for row in left for _, e in row] == \
+            [type(e) for row in right for _, e in row]
+
     def test_empty_and_scalar_shapes(self):
-        assert surfgrp._mat_mul((), ()) == ()
-        assert surfgrp._mat_mul(((Fraction(2, 3),),),
-                                ((Fraction(3, 2),),)) == ((1,),)
-        assert type(surfgrp._mat_mul(((Fraction(2, 3),),),
-                                     ((Fraction(3, 2),),))[0][0]) is int
+        assert surfgrp._sparse_mul((), ()) == ()
+        assert sparse_product(((Fraction(2, 3),),),
+                              ((Fraction(3, 2),),)) == ((1,),)
+        assert type(sparse_product(((Fraction(2, 3),),),
+                                   ((Fraction(3, 2),),))[0][0]) is int
         i = Cyclotomic.root(4)
-        assert surfgrp._mat_mul(((i,),), ((i,),)) == ((-1,),)
-        assert type(surfgrp._mat_mul(((i,),), ((i,),))[0][0]) is int
-        assert surfgrp._mat_mul(((0,),), ((i,),)) == ((0,),)
+        assert sparse_product(((i,),), ((i,),)) == ((-1,),)
+        assert type(sparse_product(((i,),), ((i,),))[0][0]) is int
+        assert sparse_product(((0,),), ((i,),)) == ((0,),)
+        assert surfgrp._sparse_mul(((),), (((0, i),),)) == ((),)
 
     def test_cancelling_entries_come_out_as_int_zero(self):
         a = ((1, 1), (0, 0))
         b = ((Fraction(1, 2), Cyclotomic.root(3)),
              (Fraction(-1, 2), -Cyclotomic.root(3)))
-        product = surfgrp._mat_mul(a, b)
+        assert surfgrp._sparse_mul(canonical_sparse(a),
+                                   canonical_sparse(b)) == ((), ())
+        product = sparse_product(a, b)
         assert product == ((0, 0), (0, 0))
         assert all(type(e) is int for row in product for e in row)
+
+
+def unitriangular(k):
+    """k x k integer matrices, upper times lower unitriangular: invertible
+    and, for k >= 2, never monomial when some entry off the diagonal is
+    nonzero."""
+    off = st.lists(st.integers(-2, 2), min_size=k * k, max_size=k * k)
+
+    def build(pair):
+        up, low = pair
+        u = [[1 if i == j else (up[i * k + j] if j > i else 0)
+              for j in range(k)] for i in range(k)]
+        v = [[1 if i == j else (low[i * k + j] if j < i else 0)
+              for j in range(k)] for i in range(k)]
+        return dense_mat_mul(u, v)
+
+    return st.tuples(off, off).map(build)
+
+
+class TestClosure:
+    def test_monomial_closures_have_the_group_order(self):
+        mt = anosov_bundle()
+        # <a, b> = (Z/2)^2 translations, t of order 3 mod 2: A4
+        assert len(affine_mod2_rep()._closure()) == 12
+        z = FiniteRepresentation.fibered_character(mt, Cyclotomic.root(12, 5))
+        assert len(z._closure()) == 12
+
+    @given(unitriangular(4))
+    @settings(max_examples=25, deadline=None)
+    def test_conjugate_by_a_dense_basis_keeps_the_order(self, basis):
+        # a dense conjugate has full rows; its closure still deduplicates
+        mt = anosov_bundle()
+        rep = affine_mod2_rep()
+        conj = rep.conjugate(basis)
+        assert len(conj._closure()) == len(rep._closure())
+        conj.validate(mt)
+        for word in ((1, 2, -1), (3, -2, 3, 1), ()):
+            assert conj.evaluate_word(word) == dense_mat_mul(
+                dense_mat_mul(basis, rep.evaluate_word(word)),
+                surfgrp._mat_inverse(basis))
 
 
 class TestTwistedAlexander:
