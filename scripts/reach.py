@@ -1,0 +1,159 @@
+"""Count the lines of `src/procong` that no subcommand or workload reaches.
+
+Under `sys.setprofile` the script runs every subcommand on inputs that
+cover its branches: the four fibered subcommands on every shipped fixture
+under the representations trivial, sign, zeta:5 and zeta:8:2, `nt analyze`
+with and without `--approx`, `chars decompose` and `chars bound` under
+every built-in group, `torus conj`, `congr` and `sweep` on hyperbolic,
+elliptic, parabolic and central pairs, `torus klevel` up to a bound
+past the printing cap, `nt shear`, and `zeta` on a bare fixture name;
+each in text and in `--json` form.  It then answers
+one seed-1 batch of each benchmark workload (`perfbench/workloads.py`)
+through the benchmark's own `run.execute`.
+
+It prints, per module, every function whose body was never entered and
+that body's line count, then the total.  A line is counted once: a function
+nested in an unreached function adds nothing.
+
+    PYTHONPATH=src python3 scripts/reach.py
+"""
+
+import ast
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "procong"
+FIXTURES = ROOT / "fixtures"
+
+FIBERED = ("alexander", "torsion", "zeta", "lefschetz")
+REPS = ("trivial", "sign", "zeta:5", "zeta:8:2")
+GROUPS = ("cyclic(1)", "cyclic(2)", "cyclic(6)", "cyclic(60)", "S3", "D4",
+          "Q8")
+# (matrix A, matrix B): hyperbolic, elliptic, parabolic and central pairs
+TORUS_PAIRS = (
+    ("188,275;121,177", "188,11;3025,177"),
+    ("2,1;1,1", "1,1;1,2"),
+    ("0,-1;1,0", "0,1;-1,0"),
+    ("0,-1;1,1", "1,-1;1,0"),
+    ("-1,1;-1,0", "0,1;-1,-1"),
+    ("1,2;0,1", "1,0;-2,1"),
+    ("1,3;0,1", "1,-3;0,1"),
+    ("-1,4;0,-1", "-1,0;4,-1"),
+    ("1,0;0,1", "1,0;0,1"),
+    ("-1,0;0,-1", "-1,0;0,-1"),
+)
+SWEEP_MAX = "60"
+# a prime, and the product of the primes 1000003 and 1000033, which trial
+# division leaves to Pollard's rho
+CONGR_MODULI = ("12", "1000000007", "1000036000099")
+# the last bound's level has too many digits to print
+KLEVEL_BOUNDS = ("1", "10", "60", "3000", "10000")
+SLOPES = (("1,2", "3,4"), ("2,4", "-1,-2"))
+WORKLOADS = ("fibered_long", "fibered_wide", "queries")
+
+
+def cli_runs():
+    """Every argument vector the script passes to `procong.cli.main`:
+    (subcommand and options, positional arguments), each in text and in
+    `--json` form.  The positionals follow `--`, as a matrix or slope may
+    begin with a minus sign."""
+    runs = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        fixture = [str(path)]
+        for sub in FIBERED:
+            runs += [([sub, "--rep", rep], fixture) for rep in REPS]
+        runs += [(["nt", "analyze"], fixture),
+                 (["nt", "analyze", "--approx"], fixture)]
+        runs += [(["chars", sub], fixture) for sub in ("decompose", "bound")]
+        if path.name.startswith("orbit_"):
+            runs += [(["chars", sub, "--group", group], fixture)
+                     for sub in ("decompose", "bound") for group in GROUPS]
+    for pair in TORUS_PAIRS:
+        runs += [(["torus", "conj"], pair),
+                 (["torus", "sweep", "--max", SWEEP_MAX], pair)]
+        runs += [(["torus", "congr"], (*pair, n)) for n in CONGR_MODULI]
+    runs += [(["torus", "klevel"], (n,)) for n in KLEVEL_BOUNDS]
+    runs += [(["nt", "shear"], pair) for pair in SLOPES]
+    # a bare file name is looked up under the fixture root
+    runs.append((["zeta"], ("torus_A211.json",)))
+    return [[*words, *form, "--", *positionals]
+            for words, positionals in runs for form in ([], ["--json"])]
+
+
+def run_everything():
+    from procong import cli
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        for argv in cli_runs():
+            cli.main(argv)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run
+    import workloads
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in WORKLOADS:
+            for request in workloads.build(name, 1, 1.0, Path(scratch), ROOT):
+                with contextlib.redirect_stderr(sink):
+                    run.execute(request)
+
+
+def functions(tree):
+    """(qualified name, first line of its code object, body lines) of every
+    function and method in a module."""
+    out = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([d.lineno for d in child.decorator_list]
+                            + [child.lineno])
+                body = range(child.body[0].lineno, child.end_lineno + 1)
+                out.append((prefix + child.name, first, body))
+                walk(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
+
+    walk(tree, "")
+    return out
+
+
+def main():
+    sys.path.insert(0, str(ROOT / "src"))
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        run_everything()
+    finally:
+        sys.setprofile(None)
+
+    entered = {(str(Path(f).resolve()), line) for f, line in entered}
+    total = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        filename = str(path.resolve())
+        lines, missed = set(), []
+        for name, first, body in functions(tree):
+            if (filename, first) not in entered:
+                new = set(body) - lines
+                lines |= set(body)
+                missed.append((name, len(new)))
+        print(f"{path.stem}: {len(lines)} unreached lines")
+        for name, count in missed:
+            print(f"    {name} ({count})")
+        total += len(lines)
+    print(f"total: {total} unreached lines of function bodies in src/procong")
+
+
+if __name__ == "__main__":
+    main()

@@ -1463,20 +1463,6 @@ def smith_integer(matrix):
     return diag, v
 
 
-def integer_kernel_basis(matrix):
-    """Basis of the integer kernel {x : M x = 0} as a list of column vectors."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[int(i == j) for i in range(cols)] for j in range(cols)]
-    diag, v = smith_integer(matrix)
-    rank = sum(1 for d in diag if d != 0)
-    return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
-
-
-
 # ---------------------------------------------------------------------------
 # modules over Z/n: Howell form
 # ---------------------------------------------------------------------------

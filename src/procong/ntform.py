@@ -11,22 +11,21 @@ degrees from slope pairs.
 
 All arithmetic is exact.  Stretch factors are algebraic numbers given
 by an integer polynomial together with a rational interval that a Sturm
-count certifies to isolate one root; comparisons, powers, and decimal
-rendering bisect it by sign tests, never through floats.
+count certifies to isolate one root; comparisons and decimal rendering
+bisect it by sign tests, never through floats.
 """
 
 from __future__ import annotations
 
 import decimal
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .kernel import (LaurentPolynomial, _json_fraction, _json_int,
-                     _json_list, _json_object, _json_str, as_exact,
-                     charpoly_coefficients, laurent_gcd)
+                     _json_list, _json_object, _json_str, laurent_gcd)
 
 
 class DecompositionError(ValueError):
@@ -170,12 +169,6 @@ class StretchFactor:
             low, high = mid - eps, mid + eps
         return StretchFactor(self.polynomial, low, high)
 
-    def refined_to(self, width: Fraction) -> "StretchFactor":
-        out = self
-        while out.high - out.low > width:
-            out = out.refined()
-        return out
-
     # -- exact comparisons -------------------------------------------------
 
     def algebraic_equal(self, other: "StretchFactor") -> bool:
@@ -196,36 +189,6 @@ class StretchFactor:
         while not (a[1] < b[0] or b[1] < a[0]):
             a, b = self._halved(*a), other._halved(*b)
         return -1 if a[1] < b[0] else 1
-
-    # -- algebra -----------------------------------------------------------
-
-    def power(self, m: int) -> "StretchFactor":
-        """The exact m-th power, defined by the squarefree part of
-        det(xI - C^m) for C the companion matrix of the polynomial."""
-        if m < 1:
-            raise DecompositionError("power exponent must be a positive integer")
-        if m == 1:
-            return self
-        *tail, lead = self.polynomial
-        n = len(tail)
-        last = [as_exact(Fraction(-c, lead)) for c in tail]
-        # C has ones below the diagonal and last column `last` (ints for a
-        # monic polynomial, so the products stay integral), so M C shifts
-        # each row of M left and appends its product with `last`
-        raised = [[int(i == j + 1) for j in range(n - 1)] + [last[i]]
-                  for i in range(n)]
-        for _ in range(m - 1):
-            raised = [row[1:] + [sum(a * b for a, b in zip(row, last) if b)]
-                      for row in raised]
-        chain = _sturm_chain(_squarefree(LaurentPolynomial.from_coefficients(
-            charpoly_coefficients(raised)[::-1])))
-        base = self
-        while True:
-            low, high = base.low ** m, base.high ** m
-            if (_sign_at(chain[0], low) != 0 and _sign_at(chain[0], high) != 0
-                    and _roots_between(chain, low, high) == 1):
-                return StretchFactor(chain[0], low, high)
-            base = base.refined()
 
     # -- rendering ---------------------------------------------------------
 
@@ -273,11 +236,6 @@ class Dilatation:
         return self.factor.algebraic_equal(other.factor)
 
     __hash__ = None
-
-    def power(self, m: int) -> "Dilatation":
-        if self.factor is None:
-            return self
-        return Dilatation(self.factor.power(m), self.split_order)
 
     def approx(self, digits: int = 12) -> str:
         return "1" if self.factor is None else self.factor.approx(digits)
@@ -406,16 +364,6 @@ def _orbit(start: str, perm: Mapping[str, str]) -> Tuple[str, ...]:
         out.append(current)
         current = perm[current]
     return tuple(out)
-
-
-def _power_map(perm: Mapping[str, str], m: int) -> dict:
-    out = {}
-    for key in perm:
-        current = key
-        for _ in range(m):
-            current = perm[current]
-        out[key] = current
-    return out
 
 
 @dataclass(frozen=True)
@@ -731,52 +679,6 @@ def deviation(nt: NTDecomposition) -> Fraction:
     return max((abs(a.twist) for a in nt.annuli), default=Fraction(0))
 
 
-def iterate(nt: NTDecomposition, m: int) -> NTDecomposition:
-    """The decomposition data of the m-th iterate: permutations are raised
-    to the m-th power, stretch factors to the m-th power, twist rates are
-    multiplied by m, and orbit data is re-reduced."""
-    if m < 1:
-        raise DecompositionError("iterate exponent must be a positive integer")
-    pmap = nt.piece_permutation
-    cmap = nt.circle_permutation
-
-    def new_orbits(orbits):
-        if orbits is None:
-            return None
-        out = []
-        for o in orbits:
-            split = gcd(o.size, m)
-            size = o.size // split
-            if o.prongs is None:
-                rotation = 0
-            else:
-                rotation = (o.rotation * (m // split)) % o.prongs
-            if split == 1:
-                out.append(InteriorOrbit(o.name, size, o.prongs, rotation))
-            else:
-                out.extend(InteriorOrbit(f"{o.name}#{k + 1}", size, o.prongs,
-                                         rotation)
-                           for k in range(split))
-        return tuple(out)
-
-    pieces = []
-    for p in nt.pieces:
-        period = p.period
-        if p.kind == PERIODIC:
-            orbit_len = len(_orbit(p.name, pmap))
-            step = m // gcd(orbit_len, m)
-            period = p.period // gcd(p.period, step)
-        pieces.append(replace(
-            p,
-            stretch=None if p.stretch is None else p.stretch.power(m),
-            orbits=new_orbits(p.orbits),
-            period=period))
-    annuli = [replace(a, twist=a.twist * m, orbits=new_orbits(a.orbits))
-              for a in nt.annuli]
-    return NTDecomposition(tuple(pieces), tuple(annuli),
-                           _power_map(pmap, m), _power_map(cmap, m))
-
-
 # ---------------------------------------------------------------------------
 # fixed point classes and indexed orbit counts
 # ---------------------------------------------------------------------------
@@ -1057,66 +959,6 @@ def indexed_orbit_numbers(nt: NTDecomposition, upto: int) -> IndexedOrbitTable:
                         if p.kind == PSEUDO_ANOSOV
                         and len(_orbit(p.name, pmap)) <= upto})
     return IndexedOrbitTable.from_counts(counts, tuple(remainder))
-
-
-# ---------------------------------------------------------------------------
-# growth estimates from Nielsen numbers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GrowthBracket:
-    """Exact rational bracket for max(1, N_m)^(1/m)."""
-
-    iterate: int
-    nielsen: int
-    low: Fraction
-    high: Fraction
-
-
-def dilatation_from_nielsen(table: IndexedOrbitTable,
-                            tolerance: Fraction = Fraction(1, 10 ** 6)
-                            ) -> Tuple[GrowthBracket, ...]:
-    """Rational bracketing intervals for the growth estimates
-    max(1, N_m)^(1/m), one per table row."""
-    if not table.rows:
-        raise DecompositionError("the orbit table has no rows")
-    tolerance = Fraction(tolerance)
-    out = []
-    for row in table.rows:
-        m, n = row.iterate, max(1, row.nielsen)
-        if n == 1:
-            out.append(GrowthBracket(m, row.nielsen, Fraction(1), Fraction(1)))
-            continue
-        low, high = Fraction(1), Fraction(n)
-        while high - low > tolerance:
-            mid = (low + high) / 2
-            if mid ** m <= n:
-                low = mid
-            else:
-                high = mid
-        out.append(GrowthBracket(m, row.nielsen, low, high))
-    return tuple(out)
-
-
-def certify_growth_estimate(bracket: GrowthBracket, dil: Dilatation,
-                            relative: Fraction = Fraction(1, 100)) -> bool:
-    """Exact check whether the bracketed growth estimate lies within the
-    given relative distance of the dilatation."""
-    relative = Fraction(relative)
-    if dil.factor is None:
-        return (bracket.high <= 1 + relative
-                and bracket.low >= 1 - relative)
-    factor = dil.factor
-    for _ in range(256):
-        if (bracket.high <= (1 + relative) * factor.low
-                and bracket.low >= (1 - relative) * factor.high):
-            return True
-        if (bracket.low > (1 + relative) * factor.high
-                or bracket.high < (1 - relative) * factor.low):
-            return False
-        factor = factor.refined()
-    raise ArithmeticError(
-        "growth certification undecided at the available precision")
 
 
 # ---------------------------------------------------------------------------

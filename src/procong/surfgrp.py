@@ -31,7 +31,6 @@ once, on first use.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -95,14 +94,6 @@ def word_concat(*words: Iterable[int]) -> Word:
     for w in words:
         merged.extend(w)
     return free_reduce(merged)
-
-
-def cyclic_reduce(word: Iterable[int]) -> Word:
-    """Cyclically reduce: free reduction plus cancellation across the ends."""
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
 
 
 def exponent_sum(word: Iterable[int], index: int) -> int:
@@ -564,44 +555,6 @@ class MappingTorusPresentation:
             [[exponent_sum(r, j + 1) for j in range(self.rank)]
              for r in self.relators], self.rank)
 
-    # -- presentation moves (all preserve the presented group) ---------------
-
-    def cycle_relator(self, index: int, shift: int) -> "MappingTorusPresentation":
-        r = self.relators[index]
-        if not r:
-            return self
-        shift %= len(r)
-        moved = r[shift:] + r[:shift]
-        return dataclasses.replace(self, relators=self._swap(index, free_reduce(moved)))
-
-    def invert_relator(self, index: int) -> "MappingTorusPresentation":
-        return dataclasses.replace(
-            self, relators=self._swap(index, word_inverse(self.relators[index])))
-
-    def conjugate_relator(self, index: int, word: Iterable[int]) -> "MappingTorusPresentation":
-        w = _check_indices(word, self.rank)
-        moved = word_concat(w, self.relators[index], word_inverse(w))
-        return dataclasses.replace(self, relators=self._swap(index, moved))
-
-    def add_generator(self, name: str, word: Iterable[int]) -> "MappingTorusPresentation":
-        """Adjoin a redundant generator x with defining relator x * word^-1."""
-        if name in self.generators:
-            raise ValueError(f"generator name {name!r} already in use")
-        w = _check_indices(word, self.rank)
-        new_index = self.rank + 1
-        relator = free_reduce((new_index,) + word_inverse(w))
-        return dataclasses.replace(
-            self,
-            generators=self.generators + (name,),
-            fiber_values=self.fiber_values + (self.degree(w),),
-            relators=self.relators + (relator,),
-        )
-
-    def _swap(self, index: int, new_relator: Word) -> Tuple[Word, ...]:
-        relators = list(self.relators)
-        relators[index] = new_relator
-        return tuple(relators)
-
     def to_json(self):
         return {
             "generators": list(self.generators),
@@ -663,10 +616,6 @@ def _mat_freeze(rows, dimension: int) -> ScalarMatrix:
     return frozen
 
 
-def _mat_identity(k: int) -> ScalarMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-
-
 def _sparse(m: ScalarMatrix) -> SparseMatrix:
     """The sparse form of a square matrix of canonical entries."""
     return tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in m)
@@ -721,31 +670,51 @@ def _sparse_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return tuple(out)
 
 
-def _mat_inverse(m: ScalarMatrix) -> ScalarMatrix:
-    """Exact Gauss-Jordan inverse; raises ValueError when singular."""
+def _sparse_inverse(m: SparseMatrix) -> SparseMatrix:
+    """Exact Gauss-Jordan inverse of a sparse square matrix, in canonical
+    form; raises ValueError when singular.  The rows of [m | I] are dicts
+    {column: entry}, and `rows_of[j]` holds the rows with an entry in column
+    j, so each pivot visits only the rows it clears: inverting a monomial
+    matrix costs O(k)."""
     k = len(m)
-    left = [list(row) for row in m]
-    right = [list(row) for row in _mat_identity(k)]
+    left = [dict(row) for row in m]
+    right = [{i: 1} for i in range(k)]
+    rows_of = [set() for _ in range(k)]
+    for i, row in enumerate(m):
+        for j, _ in row:
+            rows_of[j].add(i)
+    pivots, used = [], set()
     for col in range(k):
-        pivot = next((r for r in range(col, k) if left[r][col]), None)
-        if pivot is None:
+        candidates = rows_of[col] - used
+        if not candidates:
             raise ValueError("matrix is singular")
-        left[col], left[pivot] = left[pivot], left[col]
-        right[col], right[pivot] = right[pivot], right[col]
-        inv = scalar_inverse(left[col][col])
-        left[col] = [as_exact(e * inv) for e in left[col]]
-        right[col] = [as_exact(e * inv) for e in right[col]]
-        for r in range(k):
-            if r == col:
-                continue
-            factor = left[r][col]
-            if not factor:
-                continue
-            left[r] = [as_exact(x - factor * y)
-                       for x, y in zip(left[r], left[col])]
-            right[r] = [as_exact(x - factor * y)
-                        for x, y in zip(right[r], right[col])]
-    return tuple(tuple(row) for row in right)
+        p = min(candidates)
+        pivots.append(p)
+        used.add(p)
+        inv = scalar_inverse(left[p][col])
+        if not (type(inv) is int and inv == 1):
+            left[p] = {j: as_exact(e * inv) for j, e in left[p].items()}
+            right[p] = {j: as_exact(e * inv) for j, e in right[p].items()}
+        for r in rows_of[col] - {p}:
+            factor, row = left[r][col], left[r]
+            for j, e in left[p].items():
+                c = as_exact(row.get(j, 0) - factor * e)
+                if c:
+                    row[j] = c
+                    rows_of[j].add(r)
+                elif j in row:
+                    del row[j]
+                    rows_of[j].discard(r)
+            row = right[r]
+            for j, e in right[p].items():
+                c = as_exact(row.get(j, 0) - factor * e)
+                if c:
+                    row[j] = c
+                elif j in row:
+                    del row[j]
+    # row operations took [m | I] to [P | E] with P the permutation matrix
+    # of `pivots`, so row col of the inverse P^-1 E is row pivots[col] of E
+    return tuple(tuple(sorted(right[p].items())) for p in pivots)
 
 
 @dataclass(frozen=True)
@@ -781,23 +750,17 @@ class FiniteRepresentation:
         return cls(1, mats)
 
     @cached_property
-    def _inverses(self) -> Tuple[ScalarMatrix, ...]:
-        """Generator inverses, computed once per representation."""
-        return tuple(_mat_inverse(m) for m in self.matrices)
-
-    @cached_property
     def _letters(self) -> dict:
         """The sparse image of each letter, generator j at j and its
-        inverse at -j, sparsified once per representation."""
+        inverse at -j, built once per representation."""
         letters = {}
-        for j, (m, inverse) in enumerate(zip(self.matrices, self._inverses), 1):
-            letters[j], letters[-j] = _sparse(m), _sparse(inverse)
+        for j, m in enumerate(self.matrices, 1):
+            letters[j] = _sparse(m)
+            letters[-j] = _sparse_inverse(letters[j])
         return letters
 
     def matrix(self, letter: int) -> ScalarMatrix:
-        if letter > 0:
-            return self.matrices[letter - 1]
-        return self._inverses[-letter - 1]
+        return _dense(self._letters[letter])
 
     def evaluate_word(self, word: Iterable[int]) -> ScalarMatrix:
         return _dense(self._evaluate(word))
@@ -853,14 +816,6 @@ class FiniteRepresentation:
         self._closure()
         self._complexes[mt] = {}
         return self
-
-    def conjugate(self, change_of_basis) -> "FiniteRepresentation":
-        x = _mat_freeze(change_of_basis, self.dimension)
-        left, right = _sparse(x), _sparse(_mat_inverse(x))
-        return FiniteRepresentation(
-            self.dimension,
-            tuple(_dense(_sparse_mul(_sparse_mul(left, _sparse(m)), right))
-                  for m in self.matrices))
 
     def restricted(self, indices: Sequence[int]) -> "FiniteRepresentation":
         if list(indices) == list(range(1, len(self.matrices) + 1)):

@@ -28,8 +28,7 @@ from itertools import count, product
 from math import gcd, isqrt, prod
 from typing import Optional, Tuple
 
-from .kernel import (ext_gcd, howell_form, howell_points,
-                     integer_kernel_basis, smith_integer)
+from .kernel import ext_gcd, howell_form, howell_points, smith_integer
 
 
 class Mat2:
@@ -643,65 +642,6 @@ def characteristic_level(n: int) -> int:
     if type(n) is not int or n < 1:
         raise ValueError(f"level must be a positive integer, got {n!r}")
     return reduce(math.lcm, range(1, n + 1), 1)
-
-
-def characteristic_level_bruteforce(n: int) -> int:
-    """Direct computation: enumerate all sublattices of index <= n by their
-    upper-triangular (Hermite) bases and intersect them."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"level must be a positive integer, got {n!r}")
-    basis = [[1, 0], [0, 1]]
-    for m in range(2, n + 1):
-        for a in _divisors(m):
-            d = m // a
-            for b in range(a):
-                sub = [[a, b], [0, d]]
-                basis = _lattice_intersect(basis, sub)
-    if basis[0][1] != 0 or basis[1][0] != 0 or basis[0][0] != basis[1][1]:
-        raise AssertionError("intersection lattice is not a scaled copy of Z^2")
-    return abs(basis[0][0])
-
-
-def _divisors(m: int):
-    return [d for d in range(1, m + 1) if m % d == 0]
-
-
-def _lattice_intersect(b1, b2):
-    """Intersect two full-rank sublattices of Z^2 given by column bases."""
-    stacked = [[b1[0][0], b1[0][1], -b2[0][0], -b2[0][1]],
-               [b1[1][0], b1[1][1], -b2[1][0], -b2[1][1]]]
-    kernel = integer_kernel_basis(stacked)
-    vectors = []
-    for k in kernel:
-        u1, u2 = k[0], k[1]
-        vectors.append([b1[0][0] * u1 + b1[0][1] * u2,
-                        b1[1][0] * u1 + b1[1][1] * u2])
-    return _hermite_columns(vectors)
-
-
-def _hermite_columns(vectors):
-    """Column Hermite form [[a, b], [0, d]] of the lattice the vectors span."""
-    cols = [list(v) for v in vectors if any(v)]
-    # clear the second row down to a single pivot column by column operations
-    while sum(1 for c in cols if c[1] != 0) > 1:
-        nz = sorted((c for c in cols if c[1] != 0), key=lambda c: abs(c[1]))
-        pivot = nz[0]
-        for c in nz[1:]:
-            q = c[1] // pivot[1]
-            c[0] -= q * pivot[0]
-            c[1] -= q * pivot[1]
-    second = next((c for c in cols if c[1] != 0), None)
-    firsts = [c[0] for c in cols if c[1] == 0]
-    a = 0
-    for x in firsts:
-        a = gcd(a, abs(x))
-    if second is None or a == 0:
-        raise AssertionError("lattice intersection lost rank")
-    b, d = second
-    if d < 0:
-        b, d = -b, -d
-    b %= a
-    return [[a, b], [0, d]]
 
 
 # ---------------------------------------------------------------------------

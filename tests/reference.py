@@ -1,0 +1,376 @@
+"""Reference code that only the tests read.
+
+No subcommand, fixture or benchmark workload reaches these functions, so
+they live beside the tests instead of in `procong`.  Some are oracles the
+library is checked against (the brute-force characteristic level, the dense
+Gauss-Jordan inverse); the others build test inputs and expected values
+(exact powers and iterates of normal forms, growth brackets from Nielsen
+numbers, presentation moves, changes of basis).
+
+Importing the module attaches the moved methods to their classes
+(`StretchFactor.power` and `refined_to`, `Dilatation.power`, the relator
+moves of `MappingTorusPresentation` and `FiniteRepresentation.conjugate`),
+so a test calls them as methods.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from math import gcd
+from typing import Iterable, Mapping, Tuple
+
+from procong.kernel import (LaurentPolynomial, as_exact,
+                            charpoly_coefficients, scalar_inverse,
+                            smith_integer)
+from procong.ntform import (PERIODIC, DecompositionError, Dilatation,
+                            IndexedOrbitTable, InteriorOrbit, NTDecomposition,
+                            StretchFactor, _orbit, _roots_between, _sign_at,
+                            _squarefree, _sturm_chain)
+from procong.surfgrp import (FiniteRepresentation, MappingTorusPresentation,
+                             Word, _check_indices, _dense, _mat_freeze,
+                             _sparse, _sparse_mul, free_reduce, word_concat,
+                             word_inverse)
+
+# ---------------------------------------------------------------------------
+# lattices: the characteristic level by brute force
+# ---------------------------------------------------------------------------
+
+
+def integer_kernel_basis(matrix):
+    """Basis of the integer kernel {x : M x = 0} as a list of column vectors."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    if cols == 0:
+        return []
+    if rows == 0:
+        return [[int(i == j) for i in range(cols)] for j in range(cols)]
+    diag, v = smith_integer(matrix)
+    rank = sum(1 for d in diag if d != 0)
+    return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
+
+
+def characteristic_level_bruteforce(n: int) -> int:
+    """Direct computation: enumerate all sublattices of index <= n by their
+    upper-triangular (Hermite) bases and intersect them."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"level must be a positive integer, got {n!r}")
+    basis = [[1, 0], [0, 1]]
+    for m in range(2, n + 1):
+        for a in _divisors(m):
+            d = m // a
+            for b in range(a):
+                sub = [[a, b], [0, d]]
+                basis = _lattice_intersect(basis, sub)
+    if basis[0][1] != 0 or basis[1][0] != 0 or basis[0][0] != basis[1][1]:
+        raise AssertionError("intersection lattice is not a scaled copy of Z^2")
+    return abs(basis[0][0])
+
+
+def _divisors(m: int):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def _lattice_intersect(b1, b2):
+    """Intersect two full-rank sublattices of Z^2 given by column bases."""
+    stacked = [[b1[0][0], b1[0][1], -b2[0][0], -b2[0][1]],
+               [b1[1][0], b1[1][1], -b2[1][0], -b2[1][1]]]
+    kernel = integer_kernel_basis(stacked)
+    vectors = []
+    for k in kernel:
+        u1, u2 = k[0], k[1]
+        vectors.append([b1[0][0] * u1 + b1[0][1] * u2,
+                        b1[1][0] * u1 + b1[1][1] * u2])
+    return _hermite_columns(vectors)
+
+
+def _hermite_columns(vectors):
+    """Column Hermite form [[a, b], [0, d]] of the lattice the vectors span."""
+    cols = [list(v) for v in vectors if any(v)]
+    # clear the second row down to a single pivot column by column operations
+    while sum(1 for c in cols if c[1] != 0) > 1:
+        nz = sorted((c for c in cols if c[1] != 0), key=lambda c: abs(c[1]))
+        pivot = nz[0]
+        for c in nz[1:]:
+            q = c[1] // pivot[1]
+            c[0] -= q * pivot[0]
+            c[1] -= q * pivot[1]
+    second = next((c for c in cols if c[1] != 0), None)
+    firsts = [c[0] for c in cols if c[1] == 0]
+    a = 0
+    for x in firsts:
+        a = gcd(a, abs(x))
+    if second is None or a == 0:
+        raise AssertionError("lattice intersection lost rank")
+    b, d = second
+    if d < 0:
+        b, d = -b, -d
+    b %= a
+    return [[a, b], [0, d]]
+
+
+# ---------------------------------------------------------------------------
+# normal forms: exact powers, iterates and growth brackets
+# ---------------------------------------------------------------------------
+
+
+def refined_to(stretch: StretchFactor, width: Fraction) -> StretchFactor:
+    out = stretch
+    while out.high - out.low > width:
+        out = out.refined()
+    return out
+
+
+def stretch_power(stretch: StretchFactor, m: int) -> StretchFactor:
+    """The exact m-th power, defined by the squarefree part of
+    det(xI - C^m) for C the companion matrix of the polynomial."""
+    if m < 1:
+        raise DecompositionError("power exponent must be a positive integer")
+    if m == 1:
+        return stretch
+    *tail, lead = stretch.polynomial
+    n = len(tail)
+    last = [as_exact(Fraction(-c, lead)) for c in tail]
+    # C has ones below the diagonal and last column `last` (ints for a
+    # monic polynomial, so the products stay integral), so M C shifts
+    # each row of M left and appends its product with `last`
+    raised = [[int(i == j + 1) for j in range(n - 1)] + [last[i]]
+              for i in range(n)]
+    for _ in range(m - 1):
+        raised = [row[1:] + [sum(a * b for a, b in zip(row, last) if b)]
+                  for row in raised]
+    chain = _sturm_chain(_squarefree(LaurentPolynomial.from_coefficients(
+        charpoly_coefficients(raised)[::-1])))
+    base = stretch
+    while True:
+        low, high = base.low ** m, base.high ** m
+        if (_sign_at(chain[0], low) != 0 and _sign_at(chain[0], high) != 0
+                and _roots_between(chain, low, high) == 1):
+            return StretchFactor(chain[0], low, high)
+        base = base.refined()
+
+
+def dilatation_power(dil: Dilatation, m: int) -> Dilatation:
+    if dil.factor is None:
+        return dil
+    return Dilatation(stretch_power(dil.factor, m), dil.split_order)
+
+
+def _power_map(perm: Mapping[str, str], m: int) -> dict:
+    out = {}
+    for key in perm:
+        current = key
+        for _ in range(m):
+            current = perm[current]
+        out[key] = current
+    return out
+
+
+def iterate(nt: NTDecomposition, m: int) -> NTDecomposition:
+    """The decomposition data of the m-th iterate: permutations are raised
+    to the m-th power, stretch factors to the m-th power, twist rates are
+    multiplied by m, and orbit data is re-reduced."""
+    if m < 1:
+        raise DecompositionError("iterate exponent must be a positive integer")
+    pmap = nt.piece_permutation
+    cmap = nt.circle_permutation
+
+    def new_orbits(orbits):
+        if orbits is None:
+            return None
+        out = []
+        for o in orbits:
+            split = gcd(o.size, m)
+            size = o.size // split
+            if o.prongs is None:
+                rotation = 0
+            else:
+                rotation = (o.rotation * (m // split)) % o.prongs
+            if split == 1:
+                out.append(InteriorOrbit(o.name, size, o.prongs, rotation))
+            else:
+                out.extend(InteriorOrbit(f"{o.name}#{k + 1}", size, o.prongs,
+                                         rotation)
+                           for k in range(split))
+        return tuple(out)
+
+    pieces = []
+    for p in nt.pieces:
+        period = p.period
+        if p.kind == PERIODIC:
+            orbit_len = len(_orbit(p.name, pmap))
+            step = m // gcd(orbit_len, m)
+            period = p.period // gcd(p.period, step)
+        pieces.append(replace(
+            p,
+            stretch=None if p.stretch is None else stretch_power(p.stretch, m),
+            orbits=new_orbits(p.orbits),
+            period=period))
+    annuli = [replace(a, twist=a.twist * m, orbits=new_orbits(a.orbits))
+              for a in nt.annuli]
+    return NTDecomposition(tuple(pieces), tuple(annuli),
+                           _power_map(pmap, m), _power_map(cmap, m))
+
+
+@dataclass(frozen=True)
+class GrowthBracket:
+    """Exact rational bracket for max(1, N_m)^(1/m)."""
+
+    iterate: int
+    nielsen: int
+    low: Fraction
+    high: Fraction
+
+
+def dilatation_from_nielsen(table: IndexedOrbitTable,
+                            tolerance: Fraction = Fraction(1, 10 ** 6)
+                            ) -> Tuple[GrowthBracket, ...]:
+    """Rational bracketing intervals for the growth estimates
+    max(1, N_m)^(1/m), one per table row."""
+    if not table.rows:
+        raise DecompositionError("the orbit table has no rows")
+    tolerance = Fraction(tolerance)
+    out = []
+    for row in table.rows:
+        m, n = row.iterate, max(1, row.nielsen)
+        if n == 1:
+            out.append(GrowthBracket(m, row.nielsen, Fraction(1), Fraction(1)))
+            continue
+        low, high = Fraction(1), Fraction(n)
+        while high - low > tolerance:
+            mid = (low + high) / 2
+            if mid ** m <= n:
+                low = mid
+            else:
+                high = mid
+        out.append(GrowthBracket(m, row.nielsen, low, high))
+    return tuple(out)
+
+
+def certify_growth_estimate(bracket: GrowthBracket, dil: Dilatation,
+                            relative: Fraction = Fraction(1, 100)) -> bool:
+    """Exact check whether the bracketed growth estimate lies within the
+    given relative distance of the dilatation."""
+    relative = Fraction(relative)
+    if dil.factor is None:
+        return (bracket.high <= 1 + relative
+                and bracket.low >= 1 - relative)
+    factor = dil.factor
+    for _ in range(256):
+        if (bracket.high <= (1 + relative) * factor.low
+                and bracket.low >= (1 - relative) * factor.high):
+            return True
+        if (bracket.low > (1 + relative) * factor.high
+                or bracket.high < (1 - relative) * factor.low):
+            return False
+        factor = factor.refined()
+    raise ArithmeticError(
+        "growth certification undecided at the available precision")
+
+
+# ---------------------------------------------------------------------------
+# words, presentation moves and changes of basis
+# ---------------------------------------------------------------------------
+
+
+def cyclic_reduce(word: Iterable[int]) -> Word:
+    """Cyclically reduce: free reduction plus cancellation across the ends."""
+    w = list(free_reduce(word))
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return tuple(w)
+
+
+def _swap(mt: MappingTorusPresentation, index: int,
+          new_relator: Word) -> Tuple[Word, ...]:
+    relators = list(mt.relators)
+    relators[index] = new_relator
+    return tuple(relators)
+
+
+def cycle_relator(mt: MappingTorusPresentation, index: int,
+                  shift: int) -> MappingTorusPresentation:
+    r = mt.relators[index]
+    if not r:
+        return mt
+    shift %= len(r)
+    moved = r[shift:] + r[:shift]
+    return replace(mt, relators=_swap(mt, index, free_reduce(moved)))
+
+
+def invert_relator(mt: MappingTorusPresentation,
+                   index: int) -> MappingTorusPresentation:
+    return replace(
+        mt, relators=_swap(mt, index, word_inverse(mt.relators[index])))
+
+
+def conjugate_relator(mt: MappingTorusPresentation, index: int,
+                      word: Iterable[int]) -> MappingTorusPresentation:
+    w = _check_indices(word, mt.rank)
+    moved = word_concat(w, mt.relators[index], word_inverse(w))
+    return replace(mt, relators=_swap(mt, index, moved))
+
+
+def add_generator(mt: MappingTorusPresentation, name: str,
+                  word: Iterable[int]) -> MappingTorusPresentation:
+    """Adjoin a redundant generator x with defining relator x * word^-1."""
+    if name in mt.generators:
+        raise ValueError(f"generator name {name!r} already in use")
+    w = _check_indices(word, mt.rank)
+    new_index = mt.rank + 1
+    relator = free_reduce((new_index,) + word_inverse(w))
+    return replace(
+        mt,
+        generators=mt.generators + (name,),
+        fiber_values=mt.fiber_values + (mt.degree(w),),
+        relators=mt.relators + (relator,),
+    )
+
+
+def mat_inverse(m):
+    """Dense exact Gauss-Jordan inverse of a square matrix of scalars;
+    ValueError when singular."""
+    k = len(m)
+    left = [list(row) for row in m]
+    right = [[int(i == j) for j in range(k)] for i in range(k)]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if left[r][col]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        left[col], left[pivot] = left[pivot], left[col]
+        right[col], right[pivot] = right[pivot], right[col]
+        inv = scalar_inverse(left[col][col])
+        left[col] = [as_exact(e * inv) for e in left[col]]
+        right[col] = [as_exact(e * inv) for e in right[col]]
+        for r in range(k):
+            if r == col:
+                continue
+            factor = left[r][col]
+            if not factor:
+                continue
+            left[r] = [as_exact(x - factor * y)
+                       for x, y in zip(left[r], left[col])]
+            right[r] = [as_exact(x - factor * y)
+                        for x, y in zip(right[r], right[col])]
+    return tuple(tuple(row) for row in right)
+
+
+def conjugate(rep: FiniteRepresentation,
+              change_of_basis) -> FiniteRepresentation:
+    """The representation X M X^-1 for the change of basis X."""
+    x = _mat_freeze(change_of_basis, rep.dimension)
+    left, right = _sparse(x), _sparse(mat_inverse(x))
+    return FiniteRepresentation(
+        rep.dimension,
+        tuple(_dense(_sparse_mul(_sparse_mul(left, _sparse(m)), right))
+              for m in rep.matrices))
+
+
+StretchFactor.power = stretch_power
+StretchFactor.refined_to = refined_to
+Dilatation.power = dilatation_power
+MappingTorusPresentation.cycle_relator = cycle_relator
+MappingTorusPresentation.invert_relator = invert_relator
+MappingTorusPresentation.conjugate_relator = conjugate_relator
+MappingTorusPresentation.add_generator = add_generator
+FiniteRepresentation.conjugate = conjugate

@@ -18,16 +18,17 @@ from procong.cellular import (HomologyAction, cellular_model,
 from procong.chars import (OrbitProjectionTable, all_class_indicators,
                            builtin_group, nielsen_bound)
 from procong.kernel import LaurentPolynomial, normalize_unit_class
-from procong.ntform import (Dilatation, StretchFactor, certify_growth_estimate,
-                            deviation, dilatation, dilatation_from_nielsen,
+from procong.ntform import (Dilatation, StretchFactor, deviation, dilatation,
                             fixed_point_classes, indexed_orbit_numbers,
-                            iterate, shearing_from_slopes)
+                            shearing_from_slopes)
 from procong.serialize import load_fixture
 from procong.surfgrp import (FiniteRepresentation, GeneratorEndomorphism,
                              SurfacePresentation, mapping_torus,
                              twisted_alexander, twisted_torsion)
-from procong.torus import (Mat2, characteristic_level,
-                           characteristic_level_bruteforce, congruence_sweep)
+from procong.torus import Mat2, characteristic_level, congruence_sweep
+from reference import (certify_growth_estimate,
+                       characteristic_level_bruteforce,
+                       dilatation_from_nielsen, iterate)
 from test_ntform import random_relabeling, relabel
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -44,6 +44,7 @@ from procong.surfgrp import (
 )
 from procong.serialize import load_fixture
 from procong.torus import Mat2
+import reference  # noqa: F401  (attaches FiniteRepresentation.conjugate)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

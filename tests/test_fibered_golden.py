@@ -26,6 +26,7 @@ from procong.serialize import (KIND_CELLULAR, KIND_MAPPING_TORUS,
                                load_fixture, save_fixture)
 from procong.surfgrp import (GeneratorEndomorphism, SurfacePresentation,
                              mapping_torus)
+import reference  # noqa: F401  (attaches the relator moves)
 from test_cellular import change_lifts
 
 HERE = Path(__file__).resolve().parent

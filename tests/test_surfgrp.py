@@ -27,7 +27,6 @@ from procong.surfgrp import (
     GeneratorEndomorphism,
     MappingTorusPresentation,
     SurfacePresentation,
-    cyclic_reduce,
     exponent_sum,
     fox_derivative,
     free_reduce,
@@ -43,6 +42,7 @@ from procong.surfgrp import (
 )
 from procong.serialize import load_fixture
 from procong.torus import Mat2, rl_runs
+from reference import cyclic_reduce, mat_inverse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -1014,6 +1014,41 @@ class TestMatMul:
         assert all(type(e) is int for row in product for e in row)
 
 
+class TestSparseInverse:
+    @pytest.mark.parametrize("field", ["int", "fraction", "cyclotomic"])
+    @pytest.mark.parametrize("shape", ["monomial", "dense", "zero_heavy"])
+    def test_matches_the_dense_inverse(self, field, shape):
+        rng = random.Random(f"inverse:{field}:{shape}")
+        invertible = 0
+        for k in (0, 1, 2, 3, 4, 7):
+            for _ in range(6):
+                m = random_scalar_matrix(rng, k, field, shape)
+                try:
+                    oracle = mat_inverse(m)
+                except ValueError:
+                    with pytest.raises(ValueError, match="matrix is singular"):
+                        surfgrp._sparse_inverse(canonical_sparse(m))
+                    continue
+                inverse = surfgrp._sparse_inverse(canonical_sparse(m))
+                assert inverse == canonical_sparse(oracle)
+                assert [type(e) for row in inverse for _, e in row] == \
+                    [type(e) for row in canonical_sparse(oracle) for _, e in row]
+                assert surfgrp._sparse_mul(canonical_sparse(m), inverse) \
+                    == surfgrp._sparse_identity(k)
+                invertible += 1
+        assert invertible >= 6
+
+    def test_singular_matrices_raise(self):
+        for m in (((0,),), ((1, 2), (2, 4)),
+                  ((1, 0, 0), (0, 0, 0), (0, 0, 1)),
+                  ((Cyclotomic.root(3), 1),
+                   (Cyclotomic.root(3, 2), Cyclotomic.root(3)))):
+            for invert in (mat_inverse, lambda m: surfgrp._sparse_inverse(
+                    canonical_sparse(m))):
+                with pytest.raises(ValueError, match="matrix is singular"):
+                    invert(m)
+
+
 def unitriangular(k):
     """k x k integer matrices, upper times lower unitriangular: invertible
     and, for k >= 2, never monomial when some entry off the diagonal is
@@ -1051,7 +1086,7 @@ class TestClosure:
         for word in ((1, 2, -1), (3, -2, 3, 1), ()):
             assert conj.evaluate_word(word) == dense_mat_mul(
                 dense_mat_mul(basis, rep.evaluate_word(word)),
-                surfgrp._mat_inverse(basis))
+                mat_inverse(basis))
 
 
 class TestTwistedAlexander:

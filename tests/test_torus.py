@@ -16,7 +16,6 @@ from procong.torus import (
     CongruenceReport,
     Mat2,
     characteristic_level,
-    characteristic_level_bruteforce,
     congruence_sweep,
     congruent_conjugate_mod,
     factorize,
@@ -25,6 +24,7 @@ from procong.torus import (
     rl_word,
     sl2_conjugate,
 )
+from reference import characteristic_level_bruteforce
 
 # the classical pair: congruently conjugate at every level, yet not conjugate
 PAIR_A = Mat2(188, 275, 121, 177)
