@@ -12,8 +12,9 @@ one seed-1 batch of each benchmark workload (`perfbench/workloads.py`)
 through the benchmark's own `run.execute`.
 
 It prints, per module, every function whose body was never entered and
-that body's line count, then the total.  A line is counted once: a function
-nested in an unreached function adds nothing.
+that body's line count, then the total and the line count of
+`src/procong/*.py` (as `wc -l` counts it).  A line is counted once: a
+function nested in an unreached function adds nothing.
 
     PYTHONPATH=src python3 scripts/reach.py
 """
@@ -59,8 +60,7 @@ WORKLOADS = ("fibered_long", "fibered_wide", "queries")
 def cli_runs():
     """Every argument vector the script passes to `procong.cli.main`:
     (subcommand and options, positional arguments), each in text and in
-    `--json` form.  The positionals follow `--`, as a matrix or slope may
-    begin with a minus sign."""
+    `--json` form."""
     runs = []
     for path in sorted(FIXTURES.glob("*.json")):
         fixture = [str(path)]
@@ -80,7 +80,7 @@ def cli_runs():
     runs += [(["nt", "shear"], pair) for pair in SLOPES]
     # a bare file name is looked up under the fixture root
     runs.append((["zeta"], ("torus_A211.json",)))
-    return [[*words, *form, "--", *positionals]
+    return [[*words, *form, *positionals]
             for words, positionals in runs for form in ([], ["--json"])]
 
 
@@ -138,9 +138,11 @@ def main():
         sys.setprofile(None)
 
     entered = {(str(Path(f).resolve()), line) for f, line in entered}
-    total = 0
+    total = size = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        source = path.read_text(encoding="utf-8")
+        size += source.count("\n")
+        tree = ast.parse(source)
         filename = str(path.resolve())
         lines, missed = set(), []
         for name, first, body in functions(tree):
@@ -152,7 +154,8 @@ def main():
         for name, count in missed:
             print(f"    {name} ({count})")
         total += len(lines)
-    print(f"total: {total} unreached lines of function bodies in src/procong")
+    print(f"total: {total} unreached lines of function bodies in src/procong, "
+          f"which has {size:,} lines")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,14 @@
 """Finite-group character machinery for orbit-class counting bounds.
 
-A finite group ships as a verified table: elements, multiplication,
-conjugacy classes, and the irreducible complex character table over a
-cyclotomic field.  Orbit projection tables record how periodic orbit
-classes land in the group's conjugacy classes together with their
-indices; from these the module computes twisted Lefschetz numbers
-against arbitrary class functions, per-class indicator values by two
-independent routes (direct evaluation and the orthogonality expansion,
-asserted equal), and the resulting lower bound on the Nielsen number,
-optionally refined to exact indexed counts when the caller asserts the
-bound is attained.
+A finite group ships as a verified table: multiplication, conjugacy
+classes, and the irreducible complex character table over a cyclotomic
+field.  Orbit projection tables record how periodic orbit classes land
+in the group's conjugacy classes together with their indices; from these
+the module computes twisted Lefschetz numbers against arbitrary class
+functions, per-class indicator values by two independent routes (direct
+evaluation and the orthogonality expansion, asserted equal), and the
+resulting lower bound on the Nielsen number, optionally refined to exact
+indexed counts when the caller asserts the bound is attained.
 """
 
 from __future__ import annotations
@@ -35,13 +34,13 @@ CYCLIC_LIMIT = 60
 class FiniteGroupTable:
     """A finite group with its exact irreducible character table.
 
-    Element 0 is the identity and class 0 is its singleton class.
+    Elements are the indices of the multiplication rows; element 0 is the
+    identity and class 0 is its singleton class.
     Characters are stored per conjugacy class, with values in the
     cyclotomic field of the declared conductor.
     """
 
     name: str
-    elements: Tuple[str, ...]
     multiplication: Tuple[Tuple[int, ...], ...]
     classes: Tuple[Tuple[int, ...], ...]
     conductor: int
@@ -49,7 +48,7 @@ class FiniteGroupTable:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.multiplication)
 
     @property
     def class_count(self) -> int:
@@ -117,15 +116,14 @@ class FiniteGroupTable:
 
 
 def _cyclic_table(n: int) -> FiniteGroupTable:
-    elements = tuple(str(k) for k in range(n))
     multiplication = tuple(tuple((i + j) % n for j in range(n))
                            for i in range(n))
     classes = tuple((k,) for k in range(n))
     roots = [as_exact(Cyclotomic.root(n, k)) if n > 1 else 1 for k in range(n)]
     characters = tuple(tuple(roots[(r * j) % n] for j in range(n))
                        for r in range(n))
-    table = FiniteGroupTable(f"cyclic({n})", elements, multiplication,
-                             classes, n, characters)
+    table = FiniteGroupTable(f"cyclic({n})", multiplication, classes, n,
+                             characters)
     table._assert_structure()
     # Row orthogonality for the root-power table reduces to the difference
     # sums: chi_r(j) * conj(chi_s(j)) = zeta^((r-s) j), so the pairwise
@@ -143,66 +141,32 @@ def _cyclic_table(n: int) -> FiniteGroupTable:
     return table
 
 
-def _symmetric3_table() -> FiniteGroupTable:
-    perms = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1))
-    names = ("e", "(01)", "(12)", "(02)", "(012)", "(021)")
-    index = {p: i for i, p in enumerate(perms)}
-    multiplication = tuple(
-        tuple(index[tuple(p[q[x]] for x in range(3))] for q in perms)
-        for p in perms)
-    classes = ((0,), (1, 2, 3), (4, 5))
-    characters = ((1, 1, 1), (1, -1, 1), (2, 0, -1))
-    return FiniteGroupTable("S3", names, multiplication, classes, 1,
-                            characters).verify()
-
-
-def _dihedral4_table() -> FiniteGroupTable:
-    # elements r^a s^f indexed a + 4f
-    names = ("e", "r", "r2", "r3", "s", "rs", "r2s", "r3s")
-
-    def mul(x, y):
-        a1, f1 = x % 4, x // 4
-        a2, f2 = y % 4, y // 4
-        a = (a1 + (a2 if f1 == 0 else -a2)) % 4
-        return a + 4 * ((f1 + f2) % 2)
-
-    multiplication = tuple(tuple(mul(x, y) for y in range(8))
-                           for x in range(8))
-    classes = ((0,), (2,), (1, 3), (4, 6), (5, 7))
-    characters = ((1, 1, 1, 1, 1),
-                  (1, 1, 1, -1, -1),
-                  (1, 1, -1, 1, -1),
-                  (1, 1, -1, -1, 1),
-                  (2, -2, 0, 0, 0))
-    return FiniteGroupTable("D4", names, multiplication, classes, 1,
-                            characters).verify()
-
-
-def _quaternion8_table() -> FiniteGroupTable:
-    # elements (unit, sign) indexed 2*unit + sign, units 1, i, j, k
-    names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-    unit_mul = {
-        (0, 0): (0, 0), (0, 1): (1, 0), (0, 2): (2, 0), (0, 3): (3, 0),
-        (1, 0): (1, 0), (1, 1): (0, 1), (1, 2): (3, 0), (1, 3): (2, 1),
-        (2, 0): (2, 0), (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, 0),
-        (3, 0): (3, 0), (3, 1): (2, 0), (3, 2): (1, 1), (3, 3): (0, 1),
-    }
-
-    def mul(x, y):
-        u1, s1 = x // 2, x % 2
-        u2, s2 = y // 2, y % 2
-        u, flip = unit_mul[(u1, u2)]
-        return 2 * u + (s1 ^ s2 ^ flip)
-
-    multiplication = tuple(tuple(mul(x, y) for y in range(8))
-                           for x in range(8))
-    classes = ((0,), (1,), (2, 3), (4, 5), (6, 7))
-    characters = ((1, 1, 1, 1, 1),
-                  (1, 1, 1, -1, -1),
-                  (1, 1, -1, 1, -1),
-                  (1, 1, -1, -1, 1),
-                  (2, -2, 0, 0, 0))
-    return FiniteGroupTable("Q8", names, multiplication, classes, 1,
+def _permutation_table(name: str, generators, representatives,
+                       characters) -> FiniteGroupTable:
+    """The verified table of the group generated by permutations (tuples
+    of point images): the closure is enumerated breadth-first from the
+    identity, and class c is the conjugation orbit of representatives[c],
+    a word of generator indices."""
+    elements = [tuple(range(len(generators[0])))]
+    index = {elements[0]: 0}
+    for p in elements:      # grows while it is read
+        for g in generators:
+            q = tuple(p[x] for x in g)
+            if q not in index:
+                index[q] = len(elements)
+                elements.append(q)
+    multiplication = tuple(tuple(index[tuple(p[x] for x in q)]
+                                 for q in elements) for p in elements)
+    inverse = [row.index(0) for row in multiplication]
+    classes = []
+    for word in representatives:
+        g = 0
+        for letter in word:
+            g = multiplication[g][index[generators[letter]]]
+        classes.append(tuple(sorted({
+            multiplication[multiplication[h][g]][inverse[h]]
+            for h in range(len(elements))})))
+    return FiniteGroupTable(name, multiplication, tuple(classes), 1,
                             characters).verify()
 
 
@@ -212,7 +176,7 @@ _CYCLIC_NAME = re.compile(r"cyclic\((\d+)\)\Z")
 @lru_cache(maxsize=None)
 def builtin_group(name: str) -> FiniteGroupTable:
     """A verified built-in group table: cyclic(n) for 1 <= n <= 60, or one
-    of the hardcoded tables S3, D4, Q8."""
+    of the permutation groups S3, D4, Q8."""
     match = _CYCLIC_NAME.match(name)
     if match:
         n = int(match.group(1))
@@ -220,14 +184,29 @@ def builtin_group(name: str) -> FiniteGroupTable:
             raise ValueError(
                 f"cyclic order must lie in 1..{CYCLIC_LIMIT}, got {n}")
         return _cyclic_table(n)
-    if name == "S3":
-        return _symmetric3_table()
-    if name == "D4":
-        return _dihedral4_table()
-    if name == "Q8":
-        return _quaternion8_table()
-    raise ValueError(f"unknown group {name!r}: expected cyclic(n), S3, D4, "
-                     "or Q8")
+    # D4 and Q8 share this table; only their multiplications differ
+    order8 = ((1, 1, 1, 1, 1),
+              (1, 1, 1, -1, -1),
+              (1, 1, -1, 1, -1),
+              (1, 1, -1, -1, 1),
+              (2, -2, 0, 0, 0))
+    groups = {
+        # a transposition and a 3-cycle; classes e, (01), (012)
+        "S3": (((1, 0, 2), (1, 2, 0)), ((), (0,), (1,)),
+               ((1, 1, 1), (1, -1, 1), (2, 0, -1))),
+        # rotation r and reflection s of a square's vertices 0..3;
+        # classes e, r^2, r, s, rs
+        "D4": (((1, 2, 3, 0), (0, 3, 2, 1)), ((), (0, 0), (0,), (1,), (0, 1)),
+               order8),
+        # left multiplication by i and j on 1, -1, i, -i, j, -j, k, -k;
+        # classes 1, -1, i, j, k
+        "Q8": (((2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)),
+               ((), (0, 0), (0,), (1,), (0, 1)), order8),
+    }
+    if name not in groups:
+        raise ValueError(f"unknown group {name!r}: expected cyclic(n), S3, "
+                         "D4, or Q8")
+    return _permutation_table(name, *groups[name])
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -530,6 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
                              help="shearing degree of two integer slopes")
     shear.add_argument("slope_a")
     shear.add_argument("slope_b")
+    # A matrix or slope may begin with a minus sign.  argparse reads an
+    # argument that matches a parser's negative-number pattern as a
+    # positional, so these parsers widen it to any "-" and a digit.
+    for sub in (conj, congr, sweep, shear):
+        sub._negative_number_matcher = re.compile(r"-\d")
 
     chars = top.add_parser("chars", help="character projections of orbit data")
     csub = chars.add_subparsers(dest="subcommand", required=True)

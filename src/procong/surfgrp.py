@@ -759,9 +759,6 @@ class FiniteRepresentation:
             letters[-j] = _sparse_inverse(letters[j])
         return letters
 
-    def matrix(self, letter: int) -> ScalarMatrix:
-        return _dense(self._letters[letter])
-
     def evaluate_word(self, word: Iterable[int]) -> ScalarMatrix:
         return _dense(self._evaluate(word))
 

@@ -1,6 +1,6 @@
 """Tests for finite-group character tables and orbit-class counting bounds.
 
-The hardcoded group tables are checked against oracles computed directly
+The built-in group tables are checked against oracles computed directly
 from the multiplication tables: brute-force conjugacy classes, class-sum
 structure constants (central characters must be an exact eigensystem of
 the class algebra), and both orthogonality relations.
@@ -180,6 +180,44 @@ class TestSpecificTables:
         assert g.degrees() == (1, 1, 2)
         assert g.characters[2] == (2, 0, -1)
 
+    # per class id: (size, order of its elements, character column)
+    @pytest.mark.parametrize("name, expected", [
+        ("S3", [(1, 1, (1, 1, 2)), (3, 2, (1, -1, 0)), (2, 3, (1, 1, -1))]),
+        ("D4", [(1, 1, (1, 1, 1, 1, 2)), (1, 2, (1, 1, 1, 1, -2)),
+                (2, 4, (1, 1, -1, -1, 0)), (2, 2, (1, -1, 1, -1, 0)),
+                (2, 2, (1, -1, -1, 1, 0))]),
+        ("Q8", [(1, 1, (1, 1, 1, 1, 2)), (1, 2, (1, 1, 1, 1, -2)),
+                (2, 4, (1, 1, -1, -1, 0)), (2, 4, (1, -1, 1, -1, 0)),
+                (2, 4, (1, -1, -1, 1, 0))]),
+    ])
+    def test_class_ids_keep_their_sizes_and_columns(self, name, expected):
+        g = builtin_group(name)
+
+        def element_order(x):
+            power, k = x, 1
+            while power != 0:
+                power, k = g.multiplication[power][x], k + 1
+            return k
+
+        columns = list(zip(*g.characters))
+        got = []
+        for c, members in enumerate(g.classes):
+            orders = {element_order(x) for x in members}
+            assert len(orders) == 1
+            got.append((len(members), orders.pop(), columns[c]))
+        assert got == expected
+
+    # S3 with the 3-cycle class left out, or its representative replaced
+    @pytest.mark.parametrize("representatives", [((), (0,)),
+                                                 ((), (0,), (0,))])
+    def test_missing_class_representative_fails_verification(
+            self, representatives):
+        with pytest.raises(ValueError,
+                           match="conjugacy classes must partition the group"):
+            chars._permutation_table("broken", ((1, 0, 2), (1, 2, 0)),
+                                     representatives,
+                                     ((1, 1, 1), (1, -1, 1), (2, 0, -1)))
+
     def test_dihedral_and_quaternion_are_not_isomorphic_tables(self):
         d4, q8 = builtin_group("D4"), builtin_group("Q8")
         # same character tables, different multiplication: count involutions
@@ -205,7 +243,7 @@ class TestSpecificTables:
 
     def test_broken_table_fails_verification(self):
         s3 = builtin_group("S3")
-        broken = FiniteGroupTable("broken", s3.elements, s3.multiplication,
+        broken = FiniteGroupTable("broken", s3.multiplication,
                                   s3.classes, 1,
                                   ((1, 1, 1), (1, -1, 1), (2, 0, 1)))
         with pytest.raises(ValueError, match="orthogonality"):
@@ -213,7 +251,7 @@ class TestSpecificTables:
 
     def test_misassigned_classes_fail_verification(self):
         s3 = builtin_group("S3")
-        broken = FiniteGroupTable("broken", s3.elements, s3.multiplication,
+        broken = FiniteGroupTable("broken", s3.multiplication,
                                   ((0,), (1, 2, 4), (3, 5)), 1, s3.characters)
         with pytest.raises(ValueError, match="closed under conjugation"):
             broken.verify()
@@ -345,7 +383,7 @@ class TestClassIndicator:
 
     def test_broken_character_table_raises_disagreement(self):
         s3 = builtin_group("S3")
-        broken = FiniteGroupTable("broken", s3.elements, s3.multiplication,
+        broken = FiniteGroupTable("broken", s3.multiplication,
                                   s3.classes, 1,
                                   ((1, 1, 1), (1, -1, 1), (2, 0, 1)))
         # the tampered column stays self-consistent, so the mismatch needs a
@@ -358,7 +396,7 @@ class TestClassIndicator:
         c5 = builtin_group("cyclic(5)")
         rows = [list(row) for row in c5.characters]
         rows[1][2] = c5.characters[1][3]     # zeta^3 where zeta^2 belongs
-        broken = FiniteGroupTable("broken", c5.elements, c5.multiplication,
+        broken = FiniteGroupTable("broken", c5.multiplication,
                                   c5.classes, 5, tuple(map(tuple, rows)))
         table = OrbitProjectionTable((("w", 1, 2),))
         with pytest.raises(ArithmeticError, match="disagrees"):

@@ -206,6 +206,28 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
+# matrices and slopes that begin with a minus sign
+# ---------------------------------------------------------------------------
+
+class TestNegativeArguments:
+    @pytest.mark.parametrize("words, positionals", [
+        (("torus", "conj"), ("-1,1;-1,0", "0,1;-1,-1")),
+        (("torus", "conj"), ("-1,0;0,-1", "-1,0;0,-1")),
+        (("torus", "congr"), ("-1,1;-1,0", "0,1;-1,-1", "12")),
+        (("torus", "sweep", "--max", "10"), ("-1,1;-1,0", "0,1;-1,-1")),
+        (("nt", "shear"), ("-1,2", "3,4")),
+        (("nt", "shear"), ("2,4", "-1,-2")),
+    ])
+    @pytest.mark.parametrize("form", [(), ("--json",)])
+    def test_same_report_as_after_double_dash(self, capsys, words,
+                                               positionals, form):
+        status, out, err = run(capsys, *words, *form, *positionals)
+        assert (status, err) == (0, "")
+        assert (status, out, err) == run(capsys, *words, *form, "--",
+                                         *positionals)
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
 

@@ -656,7 +656,7 @@ class TestFiniteRepresentation:
         mt = anosov_bundle()
         rep = FiniteRepresentation(
             1, (((1,),), ((1,),), ((Fraction(1, 2),),)))
-        assert rep.matrix(-3) == ((2,),)
+        assert rep.evaluate_word((-3,)) == ((2,),)
         assert rep.evaluate_word((3, -3)) == ((1,),)
 
     def test_validate_needs_one_matrix_per_generator(self):
