@@ -11,10 +11,11 @@ each in text and in `--json` form.  It then answers
 one seed-1 batch of each benchmark workload (`perfbench/workloads.py`)
 through the benchmark's own `run.execute`.
 
-It prints, per module, every function whose body was never entered and
-that body's line count, then the total and the line count of
-`src/procong/*.py` (as `wc -l` counts it).  A line is counted once: a
-function nested in an unreached function adds nothing.
+It prints, per module, its unreached lines and its line count, then
+every function whose body was never entered with that body's line count;
+last the total and the line count of `src/procong/*.py`.  Line counts
+are as `wc -l` counts them.  A line is counted once: a function nested
+in an unreached function adds nothing.
 
     PYTHONPATH=src python3 scripts/reach.py
 """
@@ -141,7 +142,8 @@ def main():
     total = size = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        size += source.count("\n")
+        lines_in_module = source.count("\n")
+        size += lines_in_module
         tree = ast.parse(source)
         filename = str(path.resolve())
         lines, missed = set(), []
@@ -150,7 +152,8 @@ def main():
                 new = set(body) - lines
                 lines |= set(body)
                 missed.append((name, len(new)))
-        print(f"{path.stem}: {len(lines)} unreached lines")
+        print(f"{path.stem}: {len(lines)} unreached lines of "
+              f"{lines_in_module}")
         for name, count in missed:
             print(f"    {name} ({count})")
         total += len(lines)

@@ -9,8 +9,8 @@ torsion classes, Smith-type normal forms over F[t] and over Z, the formal
 power series plumbing (Taylor expansion, logarithmic coefficient extraction)
 used to turn zeta functions into Lefschetz numbers, and Berkowitz's
 characteristic polynomial, the package's one determinant routine over the
-scalars: det(1 - tF) of flow matrices, the determinant of a homology action
-and the defining polynomial of a stretch factor's powers all come from it.
+scalars: det(1 - tF) of flow matrices and the determinant of a homology
+action both come from it.
 Beside the fields sit the integers and Z/n: extended Euclid, the Howell form
 of a submodule of (Z/n)^k and an ordered walk over its points.
 """

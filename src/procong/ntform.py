@@ -366,10 +366,22 @@ def _orbit(start: str, perm: Mapping[str, str]) -> Tuple[str, ...]:
     return tuple(out)
 
 
+def _orbit_table(names, perm: Mapping[str, str]) -> dict:
+    """Each name's orbit under perm, led by the member that comes first in
+    `names` (the orbit's leader)."""
+    table = {}
+    for name in names:
+        if name not in table:
+            orbit = _orbit(name, perm)
+            table.update(dict.fromkeys(orbit, orbit))
+    return table
+
+
 @dataclass(frozen=True)
 class NTDecomposition:
     """A Nielsen-Thurston decomposition fixture: vertex pieces, reduction
-    annuli, and the induced permutations on pieces and boundary circles."""
+    annuli, and the induced permutations on pieces and boundary circles.
+    Validation keeps the lookup and orbit tables every consumer reads."""
 
     pieces: Tuple[VertexPiece, ...]
     annuli: Tuple[ReductionAnnulus, ...]
@@ -396,41 +408,23 @@ class NTDecomposition:
         return dict(self.circle_map)
 
     def piece(self, name: str) -> VertexPiece:
-        for p in self.pieces:
-            if p.name == name:
-                return p
-        raise KeyError(name)
+        return self._pieces[name]
 
     def annulus(self, name: str) -> ReductionAnnulus:
-        for a in self.annuli:
-            if a.name == name:
-                return a
-        raise KeyError(name)
-
-    def circle_owner(self, circle: str) -> VertexPiece:
-        for p in self.pieces:
-            if circle in p.circles:
-                return p
-        raise KeyError(circle)
-
-    def attached_annulus(self, circle: str) -> Optional[ReductionAnnulus]:
-        for a in self.annuli:
-            if circle in a.ends:
-                return a
-        return None
+        return self._annuli[name]
 
     # -- validation --------------------------------------------------------
 
     def validate(self) -> "NTDecomposition":
         """Raise DecompositionError unless the data is consistent; return
         self.  Construction calls this, so every instance is valid."""
-        piece_names = [p.name for p in self.pieces]
-        annulus_names = [a.name for a in self.annuli]
-        all_names = piece_names + annulus_names
-        if len(set(all_names)) != len(all_names):
+        pieces = {p.name: p for p in self.pieces}
+        annuli = {a.name: a for a in self.annuli}
+        all_names = [*pieces, *annuli]
+        if len(set(all_names)) != len(self.pieces) + len(self.annuli):
             raise DecompositionError("piece and annulus names must be distinct")
 
-        circles = {}
+        owners = {}
         for p in self.pieces:
             if p.kind not in (PERIODIC, PSEUDO_ANOSOV):
                 raise DecompositionError(
@@ -442,10 +436,10 @@ class NTDecomposition:
             if p.period < 1:
                 raise DecompositionError("piece period must be positive")
             for c in p.circles:
-                if c in circles:
+                if c in owners:
                     raise DecompositionError(
                         f"boundary circle {c} belongs to more than one piece")
-                circles[c] = p
+                owners[c] = p
             if p.kind == PSEUDO_ANOSOV:
                 if p.stretch is None:
                     raise DecompositionError(
@@ -477,14 +471,14 @@ class NTDecomposition:
             for end in a.ends:
                 if end is None:
                     continue
-                if end not in circles:
+                if end not in owners:
                     raise DecompositionError(
                         f"annulus {a.name} attaches to unknown circle {end}")
                 if end in attached:
                     raise DecompositionError(
                         f"circle {end} is claimed by more than one annulus end")
-                attached[end] = a.name
-            kinds = tuple(None if end is None else circles[end].kind
+                attached[end] = a
+            kinds = tuple(None if end is None else owners[end].kind
                           for end in a.ends)
             if PSEUDO_ANOSOV not in kinds and a.twist == 0:
                 raise DecompositionError(
@@ -497,12 +491,17 @@ class NTDecomposition:
         if sorted(pmap) != sorted(all_names) or sorted(pmap.values()) != sorted(all_names):
             raise DecompositionError(
                 "the piece map must permute the piece and annulus names")
-        if sorted(cmap) != sorted(circles) or sorted(cmap.values()) != sorted(circles):
+        if sorted(cmap) != sorted(owners) or sorted(cmap.values()) != sorted(owners):
             raise DecompositionError(
                 "the circle map must permute the boundary circles")
+        orbits = _orbit_table(all_names, pmap)
+        circle_orbits = _orbit_table(owners, cmap)
 
         for p in self.pieces:
-            image = self.piece(pmap[p.name])
+            if pmap[p.name] not in pieces:
+                raise DecompositionError(
+                    f"piece_map sends piece {p.name} to annulus {pmap[p.name]}")
+            image = pieces[pmap[p.name]]
             if image.kind != p.kind or image.euler != p.euler \
                     or image.period != p.period:
                 raise DecompositionError(
@@ -522,7 +521,7 @@ class NTDecomposition:
                             "boundary singularity counts must agree along "
                             "circle orbits")
         for a in self.annuli:
-            image = self.annulus(pmap[a.name])
+            image = annuli[pmap[a.name]]
             if a.twist != image.twist:
                 raise DecompositionError(
                     "twist rates must agree along annulus orbits")
@@ -535,7 +534,7 @@ class NTDecomposition:
         orbit_names = set()
         for host in list(self.pieces) + list(self.annuli):
             hosted = host.orbits or ()
-            host_orbit = len(_orbit(host.name, pmap))
+            host_orbit = len(orbits[host.name])
             for o in hosted:
                 if o.name in orbit_names:
                     raise DecompositionError(
@@ -570,6 +569,11 @@ class NTDecomposition:
                             raise DecompositionError(
                                 f"interior orbit {o.name} outlives the period "
                                 "of its periodic piece")
+        for attr, table in (("_pieces", pieces), ("_annuli", annuli),
+                            ("_owners", owners), ("_attached", attached),
+                            ("_orbits", orbits),
+                            ("_circle_orbits", circle_orbits)):
+            object.__setattr__(self, attr, table)
         return self
 
     # -- serialization -----------------------------------------------------
@@ -642,23 +646,18 @@ class NTDecomposition:
 def split_order(nt: NTDecomposition) -> int:
     """Smallest power whose iterate fixes every periodic piece and every
     boundary circle of the pseudo-Anosov part."""
-    pmap = nt.piece_permutation
-    cmap = nt.circle_permutation
-    d = 1
-    for p in nt.pieces:
-        d = lcm(d, len(_orbit(p.name, pmap)))
-        if p.kind == PSEUDO_ANOSOV:
-            for c in p.circles:
-                d = lcm(d, len(_orbit(c, cmap)))
-    return d
+    return lcm(*(len(nt._orbits[p.name]) for p in nt.pieces),
+               *(len(nt._circle_orbits[c]) for p in nt.pieces
+                 if p.kind == PSEUDO_ANOSOV for c in p.circles))
 
 
 def dilatation(nt: NTDecomposition) -> Dilatation:
     """Maximal stretch factor over the pseudo-Anosov pieces (one if there
-    are none), bundled with the split order."""
+    are none), bundled with the split order.  Stretch factors agree along
+    piece orbits, so only orbit leaders are compared."""
     best: Optional[StretchFactor] = None
     for p in nt.pieces:
-        if p.kind != PSEUDO_ANOSOV:
+        if p.kind != PSEUDO_ANOSOV or nt._orbits[p.name][0] != p.name:
             continue
         if best is None or p.stretch.compare(best) > 0:
             best = p.stretch
@@ -727,47 +726,38 @@ class _ClassFamily:
 
 
 def _essential_families(nt: NTDecomposition, m: int):
-    pmap = nt.piece_permutation
-    cmap = nt.circle_permutation
-    piece_orbit = {p.name: _orbit(p.name, pmap) for p in nt.pieces}
-    annulus_orbit = {a.name: _orbit(a.name, pmap) for a in nt.annuli}
-    circle_orbit_len = {}
-    for p in nt.pieces:
-        for c in p.circles:
-            circle_orbit_len[c] = len(_orbit(c, cmap))
+    """The orbits of essential fixed classes of the m-th iterate.  Each
+    orbit of pieces, annuli or circles is visited once, at its leader."""
+    orbits, circle_orbits = nt._orbits, nt._circle_orbits
 
     def annulus_fixed(a: ReductionAnnulus) -> bool:
-        if m % len(annulus_orbit[a.name]):
-            return False
-        return all(end is None or m % circle_orbit_len[end] == 0
-                   for end in a.ends)
+        return m % len(orbits[a.name]) == 0 and all(
+            end is None or m % len(circle_orbits[end]) == 0 for end in a.ends)
 
     def pointwise_fixed(p: VertexPiece) -> bool:
-        return p.kind == PERIODIC and m % (len(piece_orbit[p.name]) * p.period) == 0
+        return p.kind == PERIODIC and m % (len(orbits[p.name]) * p.period) == 0
+
+    def owners(a: ReductionAnnulus):
+        return [None if e is None else nt._owners[e] for e in a.ends]
 
     families = []
     absorbed = set()
 
     # crown hyperbolic subsurfaces: pointwise fixed periodic pieces plus
     # their adjacent annuli that restrict to the identity at this iterate
-    seen = set()
     for p in nt.pieces:
-        if p.kind != PERIODIC or p.name in seen:
-            continue
-        orbit = piece_orbit[p.name]
-        seen.update(orbit)
-        if not pointwise_fixed(p):
+        orbit = orbits[p.name]
+        if orbit[0] != p.name or not pointwise_fixed(p):
             continue
         crown = 0
         joined = []
         for a in nt.annuli:
             if not (annulus_fixed(a) and a.twist * m == 0):
                 continue
-            ends = [None if e is None else nt.circle_owner(e) for e in a.ends]
-            if not any(owner is not None and owner.name == p.name
-                       for owner in ends):
+            ends = owners(a)
+            if not any(owner is p for owner in ends):
                 continue
-            absorbed.update(annulus_orbit[a.name])
+            absorbed.update(orbits[a.name])
             joined.append(a.name)
             for end, owner in zip(a.ends, ends):
                 if owner is not None and owner.kind == PSEUDO_ANOSOV:
@@ -779,43 +769,32 @@ def _essential_families(nt: NTDecomposition, m: int):
 
     # reduction annuli at integral twist: crown annuli between two
     # pseudo-Anosov pieces, or crown circles on their pseudo-Anosov side
-    seen = set()
     for a in nt.annuli:
-        if a.name in seen:
+        orbit = orbits[a.name]
+        if (orbit[0] != a.name or a.name in absorbed or not annulus_fixed(a)
+                or (a.twist * m).denominator != 1):
             continue
-        orbit = annulus_orbit[a.name]
-        seen.update(orbit)
-        if a.name in absorbed or not annulus_fixed(a):
-            continue
-        if (a.twist * m).denominator != 1:
-            continue
-        owners = [None if e is None else nt.circle_owner(e) for e in a.ends]
-        kinds = [None if o is None else o.kind for o in owners]
+        ends = owners(a)
+        kinds = [None if o is None else o.kind for o in ends]
         if kinds.count(PSEUDO_ANOSOV) == 2:
             total = sum(owner.singular_points(end)
-                        for end, owner in zip(a.ends, owners))
+                        for end, owner in zip(a.ends, ends))
             families.append(_ClassFamily(
                 4, -total, len(orbit), f"reduction annulus {a.name}"))
         elif PSEUDO_ANOSOV in kinds:
             side = kinds.index(PSEUDO_ANOSOV)
             circle = a.ends[side]
-            count = owners[side].singular_points(circle)
+            count = ends[side].singular_points(circle)
             families.append(_ClassFamily(
                 3, -count, len(orbit), f"boundary circle {circle}"))
 
     # crown circles on the ambient boundary of the pseudo-Anosov part
-    seen = set()
     for p in nt.pieces:
         if p.kind != PSEUDO_ANOSOV:
             continue
         for c in p.circles:
-            if c in seen:
-                continue
-            orbit = _orbit(c, cmap)
-            seen.update(orbit)
-            if nt.attached_annulus(c) is not None:
-                continue
-            if m % len(orbit):
+            orbit = circle_orbits[c]
+            if orbit[0] != c or c in nt._attached or m % len(orbit):
                 continue
             families.append(_ClassFamily(
                 3, -p.singular_points(c), len(orbit), f"boundary circle {c}"))
@@ -842,15 +821,11 @@ def _essential_families(nt: NTDecomposition, m: int):
 
     # completeness: a fixed pseudo-Anosov piece without declared interior
     # orbit data cannot be tabulated faithfully
-    seen = set()
     for p in nt.pieces:
-        if p.kind != PSEUDO_ANOSOV or p.name in seen:
+        orbit = orbits[p.name]
+        if p.kind != PSEUDO_ANOSOV or orbit[0] != p.name or m % len(orbit):
             continue
-        orbit = piece_orbit[p.name]
-        seen.update(orbit)
-        if m % len(orbit):
-            continue
-        if all(nt.piece(name).orbits is None for name in orbit):
+        if all(nt._pieces[name].orbits is None for name in orbit):
             raise OrbitDataIncompleteError(
                 f"pseudo-Anosov piece {p.name} is fixed by iterate {m} but "
                 "its interior orbit data is undeclared")
@@ -954,10 +929,9 @@ def indexed_orbit_numbers(nt: NTDecomposition, upto: int) -> IndexedOrbitTable:
         for family in _essential_families(nt, m):
             row[family.index] = row.get(family.index, 0) + 1
         counts[m] = row
-    pmap = nt.piece_permutation
-    remainder = sorted({min(_orbit(p.name, pmap)) for p in nt.pieces
-                        if p.kind == PSEUDO_ANOSOV
-                        and len(_orbit(p.name, pmap)) <= upto})
+    leading = [nt._orbits[p.name] for p in nt.pieces
+               if p.kind == PSEUDO_ANOSOV and nt._orbits[p.name][0] == p.name]
+    remainder = sorted(min(orbit) for orbit in leading if len(orbit) <= upto)
     return IndexedOrbitTable.from_counts(counts, tuple(remainder))
 
 

@@ -552,6 +552,16 @@ class TestExitCodes:
         status, out, err = run(capsys, "nt", "analyze", str(fixture_path))
         assert (status, out, err) == (2, "", f"error: {message}\n")
 
+    def test_piece_sent_to_an_annulus_is_an_input_error(self, tmp_path,
+                                                         capsys):
+        data = json.loads((FIXTURES / "two_pa_swap.json").read_text())
+        data["body"]["piece_map"] = {"P": "A", "A": "Q", "Q": "P"}
+        fixture_path = tmp_path / "two_pa_swap.json"
+        fixture_path.write_text(json.dumps(data))
+        status, out, err = run(capsys, "nt", "analyze", str(fixture_path))
+        assert (status, out, err) == (
+            2, "", "error: piece_map sends piece P to annulus A\n")
+
     @pytest.mark.parametrize("source, argv", [
         ("two_pa_swap.json", ["nt", "analyze"]),
         ("genus2_finite_order.json", ["alexander"]),

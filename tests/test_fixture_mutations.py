@@ -4,12 +4,14 @@ message names the field instead of repeating Python's own type error.
 
 Each fixture that a subcommand reads is mutated at every key and at the
 first three entries of every list of its body, at any depth: the entry is
-dropped, or replaced by each of 5, "x", [], {}, null and 1.5.  Each
-mutant runs through `main` in-process."""
+dropped, or replaced by each of 5, "x", [], {}, null and 1.5.  The maps
+of a decomposition are also mutated by swapping the targets of two keys.
+Each mutant runs through `main` in-process."""
 
 import contextlib
 import copy
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -68,6 +70,18 @@ def mutated(body, path, value):
     return body
 
 
+def run_main(argv):
+    """(exit status, or the exception `main` raised; stderr) of one run."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            status = main(argv)
+        except Exception as exc:  # noqa: BLE001  (reported by the caller)
+            status = f"{type(exc).__name__}: {exc}"
+    return status, stderr.getvalue()
+
+
 def test_every_subcommand_reading_a_fixture_is_covered():
     assert {_kind(FIXTURES / name) for name in SOURCES} == set(SUBCOMMANDS)
 
@@ -82,18 +96,32 @@ def test_mutated_fixture_exits_zero_or_two(tmp_path, source):
         for value in REPLACEMENTS:
             mutant = dict(data, body=mutated(data["body"], path, value))
             target.write_text(json.dumps(mutant))
-            stderr = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(stderr):
-                try:
-                    status = main([*argv, str(target)])
-                except Exception as exc:  # noqa: BLE001  (reported below)
-                    status = f"{type(exc).__name__}: {exc}"
-            message = stderr.getvalue()
+            status, message = run_main([*argv, str(target)])
             if status not in (0, 2) or "Traceback" in message or any(
                     phrase in message for phrase in NAMELESS):
                 change = "drop" if value is DROP else json.dumps(value)
                 faults.append(f"{list(path)} {change}: {status} "
+                              f"{message.strip()}")
+    assert not faults, "\n".join(faults)
+
+
+@pytest.mark.parametrize("source", [name for name in SOURCES if _kind(
+    FIXTURES / name) == "nt_decomposition"])
+def test_transposed_map_targets_exit_zero_or_two(tmp_path, source):
+    # each map stays a permutation, so no mutant misses a key
+    data = json.loads((FIXTURES / source).read_text())
+    target = tmp_path / source
+    faults = []
+    for field in ("piece_map", "circle_map"):
+        mapping = data["body"][field]
+        for a, b in itertools.combinations(sorted(mapping), 2):
+            mutant = copy.deepcopy(data)
+            swapped = mutant["body"][field]
+            swapped[a], swapped[b] = mapping[b], mapping[a]
+            target.write_text(json.dumps(mutant))
+            status, message = run_main(["nt", "analyze", str(target)])
+            if status not in (0, 2) or "missing key" in message:
+                faults.append(f"{field} {a} <-> {b}: {status} "
                               f"{message.strip()}")
     assert not faults, "\n".join(faults)
 
@@ -129,15 +157,12 @@ def test_out_of_range_letter_names_its_word(tmp_path, source):
                 mutant = copy.deepcopy(data)
                 _at(mutant["body"], path)[i].append(letter)
                 target.write_text(json.dumps(mutant))
-                stderr = io.StringIO()
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(stderr):
-                    status = main(["alexander", str(target)])
+                status, message = run_main(["alexander", str(target)])
                 reason = (f"letter {letter} exceeds generator count {rank}"
                           if letter else
                           "generator indices are signed and nonzero")
                 want = f"error: {name}[{i}]: {reason}\n"
-                if (status, stderr.getvalue()) != (2, want):
+                if (status, message) != (2, want):
                     faults.append(f"{name}[{i}] + {letter}: {status} "
-                                  f"{stderr.getvalue().strip()}")
+                                  f"{message.strip()}")
     assert not faults, "\n".join(faults)

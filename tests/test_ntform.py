@@ -5,6 +5,7 @@ certification, relabeling invariance, shearing."""
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from typing import Mapping, Optional
 
 import pytest
@@ -31,8 +32,11 @@ from procong.ntform import (
     shearing_from_slopes,
     split_order,
 )
+from procong.serialize import load_fixture
 from reference import (certify_growth_estimate, dilatation_from_nielsen,
                        iterate)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 F = Fraction
 
@@ -560,6 +564,10 @@ class TestValidation:
     def test_circle_map_not_permutation(self):
         self._expect("must permute", circle_map={"cP": "cP", "cQ": "cP"})
 
+    def test_piece_sent_to_an_annulus(self):
+        self._expect("^piece_map sends piece P to annulus A$",
+                     piece_map={"P": "A", "A": "Q", "Q": "P"})
+
     def test_kind_preserved_along_orbit(self):
         with pytest.raises(DecompositionError, match="kind, Euler"):
             NTDecomposition(
@@ -840,6 +848,24 @@ class TestFixedPointClasses:
     def test_five_cases_m6(self):
         recs = fixed_point_classes(make_five_cases(), 6)
         assert index_multiset(recs) == [(2, -2), (3, -2), (4, -2), (5, -3)]
+
+    @pytest.mark.parametrize("pieces, annuli, piece, circle", [
+        ((0, 1, 2, 3), (0, 1, 2), "E1", "b1"),
+        ((0, 2, 1, 3), (0, 1, 2), "E2", "b1"),
+        ((0, 2, 1, 3), (1, 0, 2), "E2", "b2"),
+    ], ids=["declared", "E2 first", "E2 and A2 first"])
+    def test_orbit_carrier_is_its_first_declared_member(self, pieces, annuli,
+                                                        piece, circle):
+        # a class orbit is named after the member of its piece or annulus
+        # orbit that the fixture declares first
+        nt = load_fixture(FIXTURES / "star_rotation.json").payload
+        nt = replace(nt, pieces=tuple(nt.pieces[i] for i in pieces),
+                     annuli=tuple(nt.annuli[i] for i in annuli))
+        classes = [f"(class {j} of 3)" for j in (1, 2, 3)]
+        assert tuple((r.case, r.carrier, r.index)
+                     for r in fixed_point_classes(nt, 3)) == tuple(
+            [(5, f"periodic piece {piece} {c}", -1) for c in classes]
+            + [(3, f"boundary circle {circle} {c}", -1) for c in classes])
 
     def test_four_prongs_unrotated(self):
         nt = make_closed_pa((InteriorOrbit("s", 1, 4, 0),))
