@@ -131,7 +131,9 @@ def _cyclic_table(n: int) -> FiniteGroupTable:
     # mod n.  Row d of the batch below is sum_j conj(chi_d(j)), the
     # conjugate of that sum, so checking the n rows asserts the identical
     # statement while avoiding the quadratic blow-up of the generic
-    # pairwise loop.
+    # pairwise loop.  The n^2 entries share the n values in `roots`, so
+    # each root's exponent is looked up once, here, and every later sum
+    # over the table (twisted L, the indicator batch) adds by exponent.
     for d, total in enumerate(hermitian_products(characters, characters[0])):
         if total != (n if d == 0 else 0):
             raise ValueError(
@@ -265,16 +267,46 @@ def twisted_L_from_orbits(table: OrbitProjectionTable,
                           chi: Union[Sequence[Scalar], Mapping[int, Scalar]]
                           ) -> Scalar:
     """Twisted Lefschetz number: the index-weighted sum of the class
-    function over the orbit classes.  Linear in the class function."""
-    total = 0
+    function over the orbit classes.  Linear in the class function.
+
+    The sum is kept unreduced by exponent mod n, as the `hermitian_products`
+    rows are: a value zeta_n^k only adds its index at exponent k, and the
+    result is reduced mod Phi_n once.  As in a plain running sum, rational
+    values of any conductor mix freely, and a value of another conductor
+    than the sum so far raises unless one of the two is rational."""
+    rational, conductor, raw = 0, None, None
     for _, index, class_id in table.rows:
         try:    # class ids are nonnegative, so a sequence cannot wrap
-            total = total + index * chi[class_id]
+            value = chi[class_id]
         except (KeyError, IndexError):
             raise ValueError(
                 f"class id {class_id} missing from the class function"
             ) from None
-    return as_exact(total)
+        if not isinstance(value, Cyclotomic):
+            rational = rational + index * value
+            continue
+        if value.conductor != conductor:
+            if value.is_rational():
+                rational = rational + index * value.coeffs[0]
+                continue
+            if raw is not None:     # the sum so far must be rational
+                so_far = Cyclotomic(conductor, raw)
+                if not so_far.is_rational():
+                    raise ValueError(f"mixed conductors {conductor} and "
+                                     f"{value.conductor}")
+                rational = rational + so_far.coeffs[0]
+            conductor, raw = value.conductor, [0] * value.conductor
+        k = value.root_exponent()
+        if k is not None:
+            raw[k] += index
+        else:
+            for j, c in enumerate(value.coeffs):
+                if c:
+                    raw[j] += index * c
+    if raw is None:
+        return as_exact(rational)
+    raw[0] += rational
+    return as_exact(Cyclotomic(conductor, raw))
 
 
 def character_L_vector(table: OrbitProjectionTable,

@@ -14,7 +14,6 @@ arguments, validation failures), 1 on internal assertion failures.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
@@ -470,7 +469,11 @@ def dispatch(config: RunConfig) -> Tuple[int, str]:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
+    # argparse is imported here, not at module level: `dispatch` never
+    # parses, and the import would cost every in-process caller
+    import argparse
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit the machine-readable report")
@@ -552,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def config_from_args(args: "argparse.Namespace") -> RunConfig:
     subcommand = args.command
     if getattr(args, "subcommand", None):
         subcommand += f" {args.subcommand}"

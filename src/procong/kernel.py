@@ -142,6 +142,11 @@ def _field(n: int) -> tuple:
     return len(table[0]), sparse, {row: k for k, row in enumerate(table)}
 
 
+def _lookup_root(n: int, coeffs: tuple) -> int | None:
+    """k with coeffs the vector of zeta_n^k, or None."""
+    return _field(n)[2].get(coeffs)
+
+
 _RATIONALS = (int, Fraction)
 _INT_ONLY = {int}
 
@@ -155,7 +160,7 @@ class Cyclotomic:
     vector directly.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "coeffs", "_root")
 
     def __init__(self, conductor: int, coeffs):
         deg, sparse, _ = _field(conductor)
@@ -192,6 +197,16 @@ class Cyclotomic:
 
     # -- basic structure ---------------------------------------------------
 
+    def root_exponent(self) -> int | None:
+        """k with self == zeta_n^k for the conductor n, or None when the
+        value is no such root; looked up once per value."""
+        try:
+            return self._root
+        except AttributeError:
+            k = _lookup_root(self.conductor, self.coeffs)
+            object.__setattr__(self, "_root", k)
+            return k
+
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -208,15 +223,18 @@ class Cyclotomic:
         return not self.is_zero()
 
     def _coerce(self, other):
-        """A Cyclotomic operand in this field; None for any other type."""
+        """(self, other) in one field; None when other is no Cyclotomic.
+        A rational value joins the field of the other operand."""
         if not isinstance(other, Cyclotomic):
             return None
         if other.conductor == self.conductor:
-            return other
+            return self, other
         if other.is_rational():
-            return Cyclotomic.from_rational(self.conductor, other.coeffs[0])
+            return self, Cyclotomic.from_rational(self.conductor,
+                                                  other.coeffs[0])
         if self.is_rational():
-            return NotImplemented  # handled by reflected op
+            return Cyclotomic.from_rational(other.conductor,
+                                            self.coeffs[0]), other
         raise ValueError(
             f"mixed conductors {self.conductor} and {other.conductor}"
         )
@@ -227,10 +245,11 @@ class Cyclotomic:
         if isinstance(other, _RATIONALS) and not isinstance(other, bool):
             return Cyclotomic(self.conductor,
                               (self.coeffs[0] + other,) + self.coeffs[1:])
-        other = self._coerce(other)
-        if other is None or other is NotImplemented:
+        pair = self._coerce(other)
+        if pair is None:
             return NotImplemented
-        return Cyclotomic(self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        x, y = pair
+        return Cyclotomic(x.conductor, [a + b for a, b in zip(x.coeffs, y.coeffs)])
 
     __radd__ = __add__
 
@@ -241,10 +260,11 @@ class Cyclotomic:
         if isinstance(other, _RATIONALS) and not isinstance(other, bool):
             return Cyclotomic(self.conductor,
                               (self.coeffs[0] - other,) + self.coeffs[1:])
-        other = self._coerce(other)
-        if other is None or other is NotImplemented:
+        pair = self._coerce(other)
+        if pair is None:
             return NotImplemented
-        return Cyclotomic(self.conductor, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        x, y = pair
+        return Cyclotomic(x.conductor, [a - b for a, b in zip(x.coeffs, y.coeffs)])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -252,17 +272,18 @@ class Cyclotomic:
     def __mul__(self, other):
         if isinstance(other, _RATIONALS) and not isinstance(other, bool):
             return Cyclotomic(self.conductor, [a * other for a in self.coeffs])
-        other = self._coerce(other)
-        if other is None or other is NotImplemented:
+        pair = self._coerce(other)
+        if pair is None:
             return NotImplemented
-        a = self.coeffs
-        b = [(j, bj) for j, bj in enumerate(other.coeffs) if bj]
+        x, y = pair
+        a = x.coeffs
+        b = [(j, bj) for j, bj in enumerate(y.coeffs) if bj]
         prod = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in b:
                     prod[i + j] += ai * bj
-        return Cyclotomic(self.conductor, prod)
+        return Cyclotomic(x.conductor, prod)
 
     __rmul__ = __mul__
 
@@ -291,10 +312,11 @@ class Cyclotomic:
             inverse = scalar_inverse(other)
             return Cyclotomic(self.conductor,
                               [a * inverse for a in self.coeffs])
-        other = self._coerce(other)
-        if other is None or other is NotImplemented:
+        pair = self._coerce(other)
+        if pair is None:
             return NotImplemented
-        return self * other.inverse()
+        x, y = pair
+        return x * y.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -359,8 +381,10 @@ def hermitian_products(rows, ys):
 
     Each y is sparsified once.  Within a row, cyclotomic products are summed
     unreduced by exponent mod n, conj(z^i) z^j = z^(j-i), and the sum is
-    reduced mod Phi_n once; a factor x equal to a root of unity z^k only
-    shifts y's exponents by -k.  Rational products add up in Q."""
+    reduced mod Phi_n once.  A factor x equal to a root of unity z^k, found
+    by its cached `root_exponent`, only shifts y's exponents by -k; as
+    0 <= j, k < n, the list index j - k wraps like j - k mod n.  Rational
+    products add up in Q."""
     prepared = [(y.conductor if isinstance(y, Cyclotomic) else None, y,
                  _sparse_terms(y)) for y in ys]
     sums = []
@@ -368,23 +392,25 @@ def hermitian_products(rows, ys):
         rational, conductor, raw = 0, None, None
         for x, (m, y, terms) in zip(row, prepared):
             if isinstance(x, Cyclotomic):
-                n, x_terms = x.conductor, None
+                n, k = x.conductor, x.root_exponent()
             elif m is None:
                 rational += x * y
                 continue
             else:
-                n, x_terms = m, ((0, x),)
+                n, k = m, None
             if conductor is None:
                 conductor, raw = n, [0] * n
-                roots = _field(n)[2]
             if n != conductor or (m is not None and m != conductor):
                 raise ValueError("mixed conductors in one sum")
-            if x_terms is None:
-                k = roots.get(x.coeffs)
-                x_terms = _sparse_terms(x) if k is None else ((k, 1),)
+            if k is not None:
+                for j, b in terms:
+                    raw[j - k] += b
+                continue
+            x_terms = (_sparse_terms(x) if isinstance(x, Cyclotomic)
+                       else ((0, x),))
             for i, a in x_terms:
                 for j, b in terms:
-                    raw[(j - i) % n] += a * b
+                    raw[j - i] += a * b
         if raw is None:
             sums.append(as_exact(rational))
         else:

@@ -353,8 +353,12 @@ def _as_sorted_pairs(mapping, field: str) -> Tuple[Tuple[str, str], ...]:
     else:
         raise ValueError(f"{field} must be an object or a list of pairs, "
                          f"got {mapping!r}")
-    return tuple(sorted((_json_str(a, field), _json_str(b, field))
-                        for a, b in pairs))
+    pairs = tuple(sorted((_json_str(a, field), _json_str(b, field))
+                         for a, b in pairs))
+    for (a, _), (b, _) in zip(pairs, pairs[1:]):
+        if a == b:
+            raise ValueError(f"{field} maps {a} more than once")
+    return pairs
 
 
 def _orbit(start: str, perm: Mapping[str, str]) -> Tuple[str, ...]:

@@ -26,7 +26,7 @@ from procong.chars import (
     twisted_L_from_orbits,
 )
 from procong.cli import main
-from procong.kernel import Cyclotomic
+from procong.kernel import Cyclotomic, as_exact
 from procong.serialize import KIND_ORBIT_PROJECTION, save_fixture
 
 BUILTIN_NAMES = ("cyclic(1)", "cyclic(2)", "cyclic(3)", "cyclic(6)",
@@ -348,6 +348,121 @@ class TestTwistedL:
                  + b * twisted_L_from_orbits(table, psi))
         assert left == right
 
+    def test_sum_cancelling_to_a_rational_may_change_conductor(self):
+        # 1 + zeta_3 + zeta_3^2 = 0, so zeta_5 joins a rational sum; once
+        # the sum is not rational, a value of another conductor is refused
+        cube, fifth = Cyclotomic.root(3), Cyclotomic.root(5)
+        table = OrbitProjectionTable(tuple(
+            (f"o{c}", 1, c) for c in range(4)))
+        chi = (Cyclotomic.root(3, 0), cube, cube * cube, fifth)
+        assert twisted_L_from_orbits(table, chi) == fifth
+        with pytest.raises(ValueError, match="mixed conductors 3 and 5"):
+            twisted_L_from_orbits(table, (1, cube, cube, fifth))
+
+
+def _plain_twisted_L(table, chi):
+    """The index-weighted sum added one term at a time."""
+    total = 0
+    for _, index, class_id in table.rows:
+        try:
+            value = chi[class_id]
+        except (KeyError, IndexError):
+            raise ValueError(
+                f"class id {class_id} missing from the class function"
+            ) from None
+        total = total + index * value
+    return as_exact(total)
+
+
+def _outcome(function, *args):
+    """The exact rendering of a result, or the message of its ValueError."""
+    try:
+        return repr(function(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestSumsByRootExponent:
+    """`twisted_L_from_orbits` and `hermitian_products` sum roots of unity
+    by exponent; both must equal the plain term-by-term sums."""
+
+    @staticmethod
+    def scalars(n, others):
+        """Roots of unity (some demoted), other cyclotomics, ints and
+        Fractions of conductor n; with `others`, also roots and undemoted
+        rationals of those conductors."""
+        small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        deg = len(Cyclotomic.root(n).coeffs)
+        kinds = [
+            st.integers(0, n - 1).map(lambda k: Cyclotomic.root(n, k)),
+            st.integers(0, n - 1).map(
+                lambda k: as_exact(Cyclotomic.root(n, k))),
+            st.lists(small, min_size=deg, max_size=deg).map(
+                lambda c: Cyclotomic(n, c)),
+            st.integers(-3, 3),
+            small,
+        ]
+        if others:
+            kinds += [
+                st.sampled_from(others).flatmap(lambda m: st.integers(
+                    0, m - 1).map(lambda k: Cyclotomic.root(m, k))),
+                st.sampled_from(others).flatmap(lambda m: st.integers(
+                    -2, 2).map(lambda c: Cyclotomic.from_rational(m, c))),
+            ]
+        return st.one_of(kinds)
+
+    @given(st.data())
+    def test_twisted_L_is_the_plain_sum(self, data):
+        n = data.draw(st.sampled_from((1, 3, 4, 5, 12)), "n")
+        mixed = data.draw(st.booleans(), "mixed")
+        others = [m for m in (3, 4, 5) if m != n] if mixed else []
+        k = data.draw(st.integers(1, 5), "classes")
+        values = data.draw(st.lists(self.scalars(n, others),
+                                    min_size=k, max_size=k), "chi")
+        if mixed:   # at least one root of another conductor
+            m = data.draw(st.sampled_from(others), "m")
+            values[data.draw(st.integers(0, k - 1))] = Cyclotomic.root(
+                m, data.draw(st.integers(1, m - 1)))
+        # with `missing`, the rows may name a class the function lacks
+        missing = data.draw(st.booleans(), "missing")
+        if data.draw(st.booleans(), "mapping"):
+            chi = {c: v for c, v in enumerate(values)
+                   if not missing or data.draw(st.booleans())}
+        else:
+            chi = tuple(values)
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(-4, 4).filter(bool),
+                      st.integers(0, k if missing else k - 1)),
+            min_size=1, max_size=8), "rows")
+        table = OrbitProjectionTable(
+            tuple((f"o{j}", i, c) for j, (i, c) in enumerate(rows)))
+        assert _outcome(twisted_L_from_orbits, table, chi) \
+            == _outcome(_plain_twisted_L, table, chi)
+
+    @given(st.data())
+    def test_hermitian_products_are_the_plain_sums(self, data):
+        n = data.draw(st.sampled_from((1, 3, 4, 5, 12)), "n")
+        mixed = data.draw(st.booleans(), "mixed")
+        others = [m for m in (3, 4, 5) if m != n] if mixed else []
+        width = data.draw(st.integers(0, 5), "width")
+        entries = st.lists(self.scalars(n, others), min_size=width,
+                           max_size=width)
+        ys = data.draw(entries, "ys")
+        rows = data.draw(st.lists(entries, min_size=1, max_size=4), "rows")
+        if any(len({v.conductor for x, y in zip(row, ys) for v in (x, y)
+                    if isinstance(v, Cyclotomic)}) > 1 for row in rows):
+            with pytest.raises(ValueError, match="mixed conductors in one sum"):
+                kernel.hermitian_products(rows, ys)
+            return
+        expected = []
+        for row in rows:
+            total = 0
+            for x, y in zip(row, ys):
+                total = total + conj(x) * y
+            expected.append(repr(as_exact(total)))
+        assert [repr(v) for v in kernel.hermitian_products(rows, ys)] \
+            == expected
+
 
 # ---------------------------------------------------------------------------
 # class indicators: two routes must agree
@@ -460,6 +575,25 @@ class TestClassIndicator:
         assert sparsified == list(character_L)
         assert values == tuple(sum(i for _, i, c in table.rows if c == k)
                                for k in range(n))
+
+    def test_each_root_is_looked_up_once(self, monkeypatch):
+        lookups = []
+        lookup = kernel._lookup_root
+
+        def counting(n, coeffs):
+            lookups.append(coeffs)
+            return lookup(n, coeffs)
+
+        monkeypatch.setattr(kernel, "_lookup_root", counting)
+        # the build checks n^2 entries but holds n - 1 distinct roots; the
+        # other one, zeta^0, is the int 1
+        group = chars._cyclic_table(31)
+        assert len(lookups) == len(set(lookups)) == 30
+        table = OrbitProjectionTable((("o", 1, 3), ("p", -2, 7)))
+        first = all_class_indicators(table, group)
+        lookups.clear()
+        assert all_class_indicators(table, group) == first
+        assert lookups == []
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_two_routes_agree_on_random_tables(self, name):

@@ -562,6 +562,22 @@ class TestExitCodes:
         assert (status, out, err) == (
             2, "", "error: piece_map sends piece P to annulus A\n")
 
+    @pytest.mark.parametrize("field, pairs, name", [
+        ("piece_map", [["P", "P"], ["P", "Q"], ["Q", "P"], ["A", "A"]], "P"),
+        ("piece_map", [["A", "A"], ["P", "Q"], ["Q", "P"], ["A", "A"]], "A"),
+        ("circle_map", [["cP", "cQ"], ["cQ", "cP"], ["cQ", "cQ"]], "cQ"),
+    ])
+    def test_map_repeating_a_source_name_is_an_input_error(
+            self, tmp_path, capsys, field, pairs, name):
+        # a list of pairs is read as a map: one target per source name
+        data = json.loads((FIXTURES / "two_pa_swap.json").read_text())
+        data["body"][field] = pairs
+        fixture_path = tmp_path / "two_pa_swap.json"
+        fixture_path.write_text(json.dumps(data))
+        status, out, err = run(capsys, "nt", "analyze", str(fixture_path))
+        assert (status, out, err) == (
+            2, "", f"error: {field} maps {name} more than once\n")
+
     @pytest.mark.parametrize("source, argv", [
         ("two_pa_swap.json", ["nt", "analyze"]),
         ("genus2_finite_order.json", ["alexander"]),
@@ -831,6 +847,49 @@ class TestImportFootprint:
         loaded = self.loaded_after([["nt shear", ["1,2", "3,4"]]])
         assert loaded == {"procong", "procong.cli", "procong.kernel",
                           "procong.ntform"}
+
+    # every subcommand with inputs that parse; a fixture that does not
+    # exist makes its handler return 2, but a parse error raises SystemExit
+    ARGVS = [
+        ["torus", "conj", "2,1;1,1", "1,1;1,2"],
+        ["torus", "congr", "2,1;1,1", "1,1;1,2", "6", "--json"],
+        ["torus", "sweep", "2,1;1,1", "1,1;1,2", "--max", "5"],
+        ["torus", "klevel", "6"],
+        ["alexander", "missing.json", "--rep", "sign"],
+        ["torsion", "missing.json"],
+        ["zeta", "missing.json", "--terms", "2"],
+        ["lefschetz", "missing.json", "--upto", "2"],
+        ["nt", "analyze", "missing.json", "--upto", "3", "--approx"],
+        ["nt", "shear", "1,2", "-3,4"],
+        ["chars", "decompose", "missing.json", "--group", "S3"],
+        ["chars", "bound", "missing.json"],
+    ]
+
+    def test_dispatch_leaves_argparse_unloaded_and_main_parses(self, tmp_path):
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from procong.cli import RunConfig, _HANDLERS, dispatch, main\n"
+            "assert dispatch(RunConfig('torus conj', ('2,1;1,1', "
+            "'1,1;1,2')))[0] == 0\n"
+            "loaded = 'argparse' in sys.modules\n"
+            "statuses = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "            contextlib.redirect_stderr(io.StringIO()):\n"
+            "        statuses.append(main(argv))\n"
+            "print(json.dumps([loaded, statuses, sorted(_HANDLERS)]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script,
+                               json.dumps(self.ARGVS)],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded, statuses, handlers = json.loads(proc.stdout)
+        assert loaded is False
+        assert statuses == [0, 0, 0, 0, 2, 2, 2, 2, 2, 0, 2, 2]
+        assert sorted(" ".join(argv[:2]) if argv[0] in ("torus", "nt",
+                                                         "chars")
+                      else argv[0] for argv in self.ARGVS) == handlers
 
 
 class TestFixtureRootEnvironment:

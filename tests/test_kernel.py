@@ -137,6 +137,46 @@ class TestCyclotomic:
         z = Cyclotomic.root(n)
         assert Cyclotomic.root(n, a) * Cyclotomic.root(n, b) == Cyclotomic.root(n, a + b)
 
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 6, 12, 31, 59))
+    def test_root_exponent_of_every_root(self, n):
+        z = Cyclotomic.root(n)
+        for k in range(n):
+            root = Cyclotomic.root(n, k)
+            assert root.root_exponent() == k
+            # the same value built by arithmetic finds the same exponent
+            assert (z ** k).root_exponent() == k
+            assert Cyclotomic.root(n, k - n).root_exponent() == k
+        assert (2 * z).root_exponent() is None
+        assert (1 + z).root_exponent() is None
+        assert Cyclotomic.from_rational(n, 2).root_exponent() is None
+        assert Cyclotomic.from_rational(n, 0).root_exponent() is None
+
+    def test_root_exponent_leaves_value_equality_and_hash(self):
+        z = Cyclotomic.root(12, 5)
+        twin = Cyclotomic.root(12, 5)
+        one = Cyclotomic.from_rational(7, 1)
+        before = (hash(z), hash(one))
+        assert z.root_exponent() == 5 and one.root_exponent() == 0
+        assert (hash(z), hash(one)) == before == (hash(twin), hash(1))
+        assert z == twin and one == 1 and one == Cyclotomic.root(3, 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            z._root = 4
+        assert z.root_exponent() == 5
+
+    def test_root_exponent_looks_up_once_per_value(self, monkeypatch):
+        lookups = []
+        lookup = kernel._lookup_root
+
+        def counting(n, coeffs):
+            lookups.append((n, coeffs))
+            return lookup(n, coeffs)
+
+        monkeypatch.setattr(kernel, "_lookup_root", counting)
+        z, w = Cyclotomic.root(31, 3), 1 + Cyclotomic.root(31, 3)
+        assert [z.root_exponent() for _ in range(3)] == [3, 3, 3]
+        assert [w.root_exponent() for _ in range(3)] == [None] * 3
+        assert lookups == [(31, z.coeffs), (31, w.coeffs)]
+
     def test_scalar_string_round_trip(self):
         for text in ("3", "-7", "2/3", "cyc(6):[1/2,-1/3]", "cyc(5):[0,1,0,0]"):
             value = parse_scalar(text)
@@ -176,6 +216,18 @@ class TestCyclotomic:
         with pytest.raises(ValueError, match="mixed conductors"):
             hermitian_products([[1, 2], [Cyclotomic.root(4), 1]],
                                [Cyclotomic.root(3), 1])
+
+    def test_rational_value_joins_the_other_operands_field(self):
+        # the rational operand may come first: both are Cyclotomic, so
+        # Python tries no reflected method
+        two, z = Cyclotomic.from_rational(3, 2), Cyclotomic.root(5)
+        for left, right, expected in [
+                (two + z, z + two, z + 2), (two - z, -(z - two), 2 - z),
+                (two * z, z * two, 2 * z), (two / z, 2 / z, 2 / z)]:
+            assert left == right == expected
+            assert left.conductor == 5
+        with pytest.raises(ValueError, match="mixed conductors 3 and 5"):
+            Cyclotomic.root(3) + z
 
     @staticmethod
     def _random_scalar(rng, n):
