@@ -29,6 +29,8 @@ from .kernel import (
     PolyMatrix,
     RationalFunction,
     _json_int,
+    _json_list,
+    _json_str,
     charpoly_coefficients,
     log_coefficients,
     normalize_unit_class,
@@ -39,6 +41,7 @@ from .surfgrp import (  # noqa: F401  (mapping_torus_boundaries: re-exported)
     FiniteRepresentation,
     MappingTorusPresentation,
     _chain_matrix,
+    _dense,
     _fox_chain,
     _json_letters,
     _sparse,
@@ -105,10 +108,15 @@ class CellularSurface:
     boundary_two: Tuple[Chain, ...]
 
     def __post_init__(self):
-        r0, r1, r2 = (len(names) for names in self.cell_names)
-        for names in self.cell_names:
-            if len(set(names)) != len(names):
-                raise ValueError("cell names must be distinct per dimension")
+        names = tuple(tuple(_json_str(n, "cells name")
+                            for n in _json_list(dim, "cells"))
+                      for dim in _json_list(self.cell_names, "cells"))
+        if len(names) != 3:
+            raise ValueError(f"cells must have 3 dimensions, got {len(names)}")
+        object.__setattr__(self, "cell_names", names)
+        r0, r1, r2 = map(len, names)
+        if any(len(set(dim)) != len(dim) for dim in names):
+            raise ValueError("cell names must be distinct per dimension")
         if len(self.boundary_one) != r1 or len(self.boundary_two) != r2:
             raise ValueError("need one boundary chain per positive-dim cell")
         for field, n_targets in (("boundary_one", r0), ("boundary_two", r1)):
@@ -136,8 +144,8 @@ class CellularSurface:
     @classmethod
     def from_json(cls, data) -> "CellularSurface":
         mt = MappingTorusPresentation.from_json(data["presentation"])
-        names = tuple(tuple(n) for n in data["cells"])
-        return cls(mt, names, data["boundary_one"], data["boundary_two"])
+        return cls(mt, data["cells"], data["boundary_one"],
+                   data["boundary_two"])
 
 
 @dataclass(frozen=True)
@@ -239,11 +247,12 @@ def zeta_from_cellular(surface: CellularSurface, flow: CellularSelfMap,
 
 
 def _det_one_minus_t(mat: PolyMatrix) -> LaurentPolynomial:
-    """det(1 - tF) = sum c_k t^k, where det(xI - F) = sum c_k x^(n-k)."""
-    if any(e.terms.keys() - {0} for row in mat.entries for e in row):
+    """det(1 - tF) = sum c_k t^k, where det(xI - F) = sum c_k x^(n-k), for
+    a square F; Berkowitz is dense, so F's nonzero entries fill a copy."""
+    if any(e.terms.keys() != {0} for row in mat.sparse for _, e in row):
         raise ValueError("flow matrix entries must be constant")
-    return LaurentPolynomial(enumerate(charpoly_coefficients(
-        tuple(tuple(e.coefficient(0) for e in row) for row in mat.entries))))
+    return LaurentPolynomial(enumerate(charpoly_coefficients(_dense(
+        [[(j, e.terms[0]) for j, e in row] for row in mat.sparse]))))
 
 
 @_per_complex

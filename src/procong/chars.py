@@ -19,7 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .kernel import Cyclotomic, _json_int, as_exact, hermitian_products
+from .kernel import (Cyclotomic, _json_int, _json_list, _json_str, as_exact,
+                     hermitian_products)
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
@@ -226,18 +227,18 @@ class OrbitProjectionTable:
 
     def __post_init__(self):
         rows = []
-        for k, row in enumerate(self.rows):
+        for k, row in enumerate(_json_list(self.rows, "rows")):
             try:
                 orbit, index, class_id = row
             except (TypeError, ValueError):
                 raise ValueError(f"rows[{k}] must be [orbit, index, class id], "
                                  f"got {row!r}") from None
-            rows.append((str(orbit), _json_int(index, f"rows[{k}] index"),
+            rows.append((_json_str(orbit, f"rows[{k}] orbit"),
+                         _json_int(index, f"rows[{k}] index"),
                          _json_int(class_id, f"rows[{k}] class id")))
-        rows = tuple(rows)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(rows))
         seen = set()
-        for orbit, index, class_id in rows:
+        for orbit, index, class_id in self.rows:
             if orbit in seen:
                 raise ValueError(f"orbit class {orbit} appears twice")
             seen.add(orbit)
@@ -258,9 +259,7 @@ class OrbitProjectionTable:
 
     @staticmethod
     def from_json(data) -> "OrbitProjectionTable":
-        if not isinstance(data, list):
-            raise ValueError(f"rows must be a list, got {data!r}")
-        return OrbitProjectionTable(tuple(data))
+        return OrbitProjectionTable(data)
 
 
 def twisted_L_from_orbits(table: OrbitProjectionTable,

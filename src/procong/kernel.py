@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 
 # ---------------------------------------------------------------------------
@@ -989,125 +989,133 @@ def log_coefficients(series, terms: int):
 # polynomial matrices over F[t^{+-1}]
 # ---------------------------------------------------------------------------
 
+# A sparse matrix is a tuple of rows, each a tuple of (column, entry) pairs
+# in canonical form: columns ascending, no zero entries.  Equal matrices
+# therefore have equal, hashable sparse forms.  Scalar matrices (module
+# `surfgrp`) hold `as_exact` scalars, `PolyMatrix` LaurentPolynomials.
+SparseMatrix = tuple[tuple[tuple[int, object], ...], ...]
+
+_ZERO = LaurentPolynomial.zero()
+_ONES = ((0, LaurentPolynomial.one()), (1, LaurentPolynomial.one()))
+
+
+def _sparse_row(cells: dict) -> tuple:
+    """The canonical sparse row of a dict {column: {exponent: coeff}}."""
+    row = ((j, LaurentPolynomial._of(cells[j])) for j in sorted(cells))
+    return tuple((j, p) for j, p in row if p.terms)
+
+
 class PolyMatrix:
     """Immutable matrix with LaurentPolynomial entries; supports 0-dim shapes.
+    `sparse` holds its nonzero entries, in canonical `SparseMatrix` rows,
+    which the constructor takes as they are; `build` takes any entries.
     `_diagonal` keeps the `smith_diagonalize` result once it is computed."""
 
-    __slots__ = ("rows", "cols", "entries", "_diagonal")
+    __slots__ = ("rows", "cols", "sparse", "_diagonal")
 
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(tuple(self._lift(e) for e in row) for row in entries)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("entry grid does not match declared shape")
+    def __init__(self, rows: int, cols: int, sparse: SparseMatrix):
+        if len(sparse) != rows:
+            raise ValueError("sparse rows do not match declared shape")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "sparse", tuple(sparse))
         object.__setattr__(self, "_diagonal", None)
-
-    @staticmethod
-    def _lift(e):
-        if isinstance(e, LaurentPolynomial):
-            return e
-        return LaurentPolynomial.constant(e)
 
     def __setattr__(self, *args):
         raise AttributeError("PolyMatrix values are immutable")
 
     @staticmethod
     def build(rows, cols, fn) -> "PolyMatrix":
-        return PolyMatrix(rows, cols, [[fn(i, j) for j in range(cols)] for i in range(rows)])
+        """Entry fn(i, j), a LaurentPolynomial or a scalar, at (i, j)."""
+        return PolyMatrix(rows, cols, [
+            _sparse_row({j: (_ZERO + fn(i, j)).terms for j in range(cols)})
+            for i in range(rows)])
 
     @staticmethod
     def zero(rows, cols) -> "PolyMatrix":
-        z = LaurentPolynomial.zero()
-        return PolyMatrix(rows, cols, [[z] * cols for _ in range(rows)])
+        return PolyMatrix(rows, cols, ((),) * rows)
 
     @staticmethod
     def identity(n) -> "PolyMatrix":
-        return PolyMatrix.build(n, n, lambda i, j: LaurentPolynomial.one()
-                                if i == j else LaurentPolynomial.zero())
+        return PolyMatrix.build(n, n, lambda i, j: int(i == j))
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self.sparse) == (other.rows, other.cols, other.sparse)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.sparse))
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols})"
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.sparse)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        right = _nonzero_rows(other)
-        zero = LaurentPolynomial.zero()
-        out = []
-        for left in _nonzero_rows(self):
-            cells = {}
-            for (j, e), c in _row_product({}, left, right, 1).items():
-                cells.setdefault(j, {})[e] = c
-            out.append([LaurentPolynomial._of(cells[j]) if j in cells else zero
-                        for j in range(other.cols)])
-        return PolyMatrix(self.rows, other.cols, out)
+        return PolyMatrix(self.rows, other.cols, [
+            _sparse_row(_row_product({}, left, other.sparse, 1))
+            for left in self.sparse])
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
-        return PolyMatrix.build(self.rows, self.cols,
-                                lambda i, j: self.entries[i][j] + other.entries[i][j])
+        # row i of the sum is (1, 1) times the two-row matrix of the rows i
+        return PolyMatrix(self.rows, self.cols, [
+            _sparse_row(_row_product({}, _ONES, pair, 1))
+            for pair in zip(self.sparse, other.sparse)])
 
     def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix.build(self.rows, self.cols, lambda i, j: -self.entries[i][j])
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, p) -> "PolyMatrix":
-        p = self._lift(p)
-        return PolyMatrix.build(self.rows, self.cols, lambda i, j: p * self.entries[i][j])
+        return PolyMatrix(self.rows, self.cols, [
+            _sparse_row({j: (e * p).terms for j, e in row})
+            for row in self.sparse])
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return PolyMatrix(self.rows, self.cols + other.cols,
-                          [list(a) + list(b) for a, b in zip(self.entries, other.entries)])
+        return PolyMatrix(self.rows, self.cols + other.cols, [
+            a + tuple((j + self.cols, e) for j, e in b)
+            for a, b in zip(self.sparse, other.sparse)])
 
     def vstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
         return PolyMatrix(self.rows + other.rows, self.cols,
-                          list(self.entries) + list(other.entries))
+                          self.sparse + other.sparse)
 
     @staticmethod
     def from_blocks(grid) -> "PolyMatrix":
         """Assemble from a 2-dim grid of PolyMatrix blocks."""
-        rows = None
-        for block_row in grid:
-            acc = None
-            for block in block_row:
-                acc = block if acc is None else acc.hstack(block)
-            rows = acc if rows is None else rows.vstack(acc)
-        return rows
+        return reduce(PolyMatrix.vstack,
+                      [reduce(PolyMatrix.hstack, row) for row in grid])
 
     def grid_transpose(self) -> "PolyMatrix":
-        return PolyMatrix.build(self.cols, self.rows, lambda i, j: self.entries[j][i])
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for j, e in row:
+                out[j].append((i, e))
+        return PolyMatrix(self.cols, self.rows, list(map(tuple, out)))
 
     def determinant(self) -> LaurentPolynomial:
-        """Fraction-free Bareiss determinant (exact over the Laurent ring)."""
+        """Fraction-free Bareiss determinant (exact over the Laurent ring),
+        on a dense working copy."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        if n == 0:
-            return LaurentPolynomial.one()
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = LaurentPolynomial.one()
-        for k in range(n - 1):
+        m = [[row.get(j, _ZERO) for j in range(n)]
+             for row in map(dict, self.sparse)]
+        sign, prev = 1, LaurentPolynomial.one()
+        # step n - 1 only checks its pivot; prev ends as the determinant
+        for k in range(n):
             if m[k][k].is_zero():
                 pivot_row = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
                 if pivot_row is None:
@@ -1119,33 +1127,27 @@ class PolyMatrix:
                     num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                     m[i][j] = num.exact_divide(prev)
             prev = m[k][k]
-        det = m[n - 1][n - 1]
-        return det if sign == 1 else -det
+        return prev if sign == 1 else -prev
 
 
-def _nonzero_rows(matrix: PolyMatrix) -> list:
-    """Each row of `matrix` as the (column, terms) pairs of its nonzero
-    entries, terms as a tuple of (exponent, coeff)."""
-    return [[(j, tuple(e.terms.items())) for j, e in enumerate(row) if e.terms]
-            for row in matrix.entries]
-
-
-def _row_product(acc: dict, left, right, sign: int) -> dict:
-    """Add sign * (left row) . right to acc, a dict {(column, exponent):
-    coeff}; the row and the rows of right as in `_nonzero_rows`.  Only
-    nonzero entries meet, so the work is the number of term products."""
-    for l, a_terms in left:
-        right_row = right[l]
-        if not right_row:
-            continue
+def _row_product(acc: dict, left, right: SparseMatrix, sign: int) -> dict:
+    """Add sign * (left row) . right to acc, a dict {column: {exponent:
+    coeff}}; left is a sparse row and right a sparse matrix.  Only nonzero
+    entries meet, so the work is the number of term products."""
+    for l, a in left:
+        a_terms = a.terms.items()
         if sign < 0:
             a_terms = [(e, -c) for e, c in a_terms]
-        for j, b_terms in right_row:
+        for j, b in right[l]:
+            cell = acc.get(j)
+            if cell is None:
+                cell = acc[j] = {}
+            b_terms = b.terms.items()
             for e1, c1 in a_terms:
                 for e2, c2 in b_terms:
-                    key = (j, e1 + e2)
+                    e = e1 + e2
                     c = c1 * c2
-                    acc[key] = acc[key] + c if key in acc else c
+                    cell[e] = cell[e] + c if e in cell else c
     return acc
 
 
@@ -1157,14 +1159,11 @@ def products_cancel(*terms) -> bool:
     shapes = {(a.rows, b.cols) for _, a, b in terms}
     if len(shapes) > 1 or any(a.cols != b.rows for _, a, b in terms):
         raise ValueError("shape mismatch in matrix product")
-    rights = [(sign, a.entries, _nonzero_rows(b)) for sign, a, b in terms]
     for i in range(terms[0][1].rows):
         acc = {}
-        for sign, left, right in rights:
-            _row_product(acc, [(l, tuple(p.terms.items()))
-                               for l, p in enumerate(left[i]) if p.terms],
-                         right, sign)
-        if any(acc.values()):
+        for sign, a, b in terms:
+            _row_product(acc, a.sparse[i], b.sparse, sign)
+        if any(c for cell in acc.values() for c in cell.values()):
             return False
     return True
 
@@ -1194,9 +1193,6 @@ def charpoly_coefficients(matrix) -> list:
                       for j in range(min(i + 1, len(coeffs))))
                   for i in range(n - k + 1)]
     return coeffs
-
-
-_ZERO = LaurentPolynomial.zero()
 
 
 def _minus_product(a: LaurentPolynomial, q: LaurentPolynomial,
@@ -1287,11 +1283,10 @@ def smith_diagonalize(matrix: PolyMatrix) -> tuple:
     if matrix._diagonal is not None:
         return matrix._diagonal
     rows, cols = {}, {j: set() for j in range(matrix.cols)}
-    for i, entries in enumerate(matrix.entries):
-        row = {j: e for j, e in enumerate(entries) if e.terms}
+    for i, row in enumerate(matrix.sparse):
         if row:
-            rows[i] = row
-            for j in row:
+            rows[i] = dict(row)
+            for j, _ in row:
                 cols[j].add(i)
     one = LaurentPolynomial.one()
     diag = []

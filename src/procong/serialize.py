@@ -18,7 +18,7 @@ from typing import Any, Tuple
 
 from .cellular import CellularSelfMap, CellularSurface
 from .chars import OrbitProjectionTable
-from .kernel import _json_object
+from .kernel import _json_object, _json_str
 from .ntform import IndexedOrbitTable, NTDecomposition
 from .surfgrp import MappingTorusPresentation
 from .torus import Mat2
@@ -66,7 +66,8 @@ def _decode_orbit_projection(body) -> OrbitProjectionFixture:
     attained = body.get("attained", False)
     if type(attained) is not bool:
         raise ValueError(f"attained must be true or false, got {attained!r}")
-    return OrbitProjectionFixture(str(body["group"]), table, attained)
+    return OrbitProjectionFixture(_json_str(body["group"], "group"), table,
+                                  attained)
 
 
 _DECODERS = {

@@ -40,10 +40,12 @@ from .kernel import (
     NormalizedTorsionClass,
     PolyMatrix,
     RationalFunction,
+    SparseMatrix,
     _json_int,
     _json_list,
     _json_object,
     _json_str,
+    _sparse_row,
     as_exact,
     charpoly_coefficients,
     homology_order,
@@ -603,10 +605,6 @@ def mapping_torus(pres: SurfacePresentation,
 # ---------------------------------------------------------------------------
 
 ScalarMatrix = Tuple[Tuple[object, ...], ...]
-# A sparse matrix is a tuple of rows, each a tuple of (column, entry) pairs
-# in canonical form: columns ascending, no zero entries, every entry
-# `as_exact`.  Equal matrices therefore have equal, hashable sparse forms.
-SparseMatrix = Tuple[Tuple[Tuple[int, object], ...], ...]
 
 
 def _mat_freeze(rows, dimension: int) -> ScalarMatrix:
@@ -885,11 +883,8 @@ def _chain_matrix(mt: MappingTorusPresentation, rep: FiniteRepresentation,
                         c = coeff * value
                         entry[degree] = (entry[degree] + c
                                          if degree in entry else c)
-    zero = LaurentPolynomial.zero()
-    n_cols = k * len(chains)
-    return PolyMatrix(k * n_targets, n_cols,
-                      [[LaurentPolynomial._of(cells[j]) if j in cells else zero
-                        for j in range(n_cols)] for cells in grid])
+    return PolyMatrix(k * n_targets, k * len(chains),
+                      tuple(map(_sparse_row, grid)))
 
 
 def group_ring_image(mt: MappingTorusPresentation, rep: FiniteRepresentation,

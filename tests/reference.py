@@ -3,9 +3,11 @@
 No subcommand, fixture or benchmark workload reaches these functions, so
 they live beside the tests instead of in `procong`.  Some are oracles the
 library is checked against (the brute-force characteristic level, the dense
-Gauss-Jordan inverse); the others build test inputs and expected values
-(exact powers and iterates of normal forms, growth brackets from Nielsen
-numbers, presentation moves, changes of basis).
+Gauss-Jordan inverse, dense polynomial-matrix arithmetic); the others
+build test inputs and expected values (exact powers and iterates of normal
+forms, growth brackets from Nielsen numbers, presentation moves, changes of
+basis, polynomial matrices from and to dense grids, the degree-16 affine
+representation of the genus-2 fixture).
 
 Importing the module attaches the moved methods to their classes
 (`StretchFactor.power` and `refined_to`, `Dilatation.power`, the relator
@@ -17,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import permutations, product
 from math import gcd
 from typing import Iterable, Mapping, Tuple
 
-from procong.kernel import (LaurentPolynomial, as_exact,
+from procong.kernel import (LaurentPolynomial, PolyMatrix, as_exact,
                             charpoly_coefficients, scalar_inverse,
                             smith_integer)
 from procong.ntform import (PERIODIC, DecompositionError, Dilatation,
@@ -353,6 +356,90 @@ def mat_inverse(m):
             right[r] = [as_exact(x - factor * y)
                         for x, y in zip(right[r], right[col])]
     return tuple(tuple(row) for row in right)
+
+
+# ---------------------------------------------------------------------------
+# polynomial matrices as dense grids
+# ---------------------------------------------------------------------------
+
+ZERO = LaurentPolynomial.zero()
+
+
+def poly_matrix(rows: int, cols: int, grid) -> PolyMatrix:
+    """The PolyMatrix of a dense rows x cols grid of entries (polynomials
+    or scalars), built through `PolyMatrix.build`."""
+    grid = [list(row) for row in grid]
+    if len(grid) != rows or any(len(row) != cols for row in grid):
+        raise ValueError("entry grid does not match declared shape")
+    return PolyMatrix.build(rows, cols, lambda i, j: grid[i][j])
+
+
+def dense_entries(m: PolyMatrix) -> tuple:
+    """The entries of m as a dense grid (a tuple of row tuples), zeros
+    included."""
+    grid = [[ZERO] * m.cols for _ in range(m.rows)]
+    for i, row in enumerate(m.sparse):
+        for j, e in row:
+            grid[i][j] = e
+    return tuple(map(tuple, grid))
+
+
+def canonical_rows(m: PolyMatrix) -> bool:
+    """Whether m stores exactly its nonzero entries: one tuple per row, of
+    (column, entry) pairs with columns ascending and in range, and every
+    entry a nonzero LaurentPolynomial."""
+    return type(m.sparse) is tuple and len(m.sparse) == m.rows and all(
+        type(row) is tuple
+        and [j for j, _ in row] == sorted({j for j, _ in row})
+        and all(0 <= j < m.cols and type(e) is LaurentPolynomial and e.terms
+                for j, e in row)
+        for row in m.sparse)
+
+
+def dense_product(a, b, cols: int) -> tuple:
+    """The product of dense grids a (n x k) and b (k x cols)."""
+    return tuple(tuple(sum((row[l] * b[l][j] for l in range(len(b))), ZERO)
+                       for j in range(cols)) for row in a)
+
+
+def dense_map(f, *grids) -> tuple:
+    """f applied entry by entry to grids of one shape."""
+    return tuple(tuple(map(f, *rows)) for rows in zip(*grids))
+
+
+def dense_transpose(a, cols: int) -> tuple:
+    return tuple(tuple(row[j] for row in a) for j in range(cols))
+
+
+def leibniz_determinant(a) -> LaurentPolynomial:
+    """The determinant of a square dense grid as a sum over permutations."""
+    total = ZERO
+    for perm in permutations(range(len(a))):
+        sign = (-1) ** sum(p > q for i, p in enumerate(perm)
+                           for q in perm[i + 1:])
+        term = LaurentPolynomial.constant(sign)
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        total = total + term
+    return total
+
+
+def genus2_affine_rep() -> FiniteRepresentation:
+    """The degree-16 permutation representation of genus2_finite_order: the
+    fiber generators translate (Z/2)^4 by the unit vectors, the stable
+    letter swaps the handles (transposed permutation matrices)."""
+    points = list(product(range(2), repeat=4))
+    index = {p: i for i, p in enumerate(points)}
+
+    def perm(f):
+        rows = [[0] * 16 for _ in points]
+        for p in points:
+            rows[index[f(p)]][index[p]] = 1
+        return rows
+
+    return FiniteRepresentation(16, tuple(
+        perm(lambda p, k=k: tuple((x + (i == k)) % 2 for i, x in enumerate(p)))
+        for k in range(4)) + (perm(lambda p: (p[2], p[3], p[0], p[1])),))
 
 
 def conjugate(rep: FiniteRepresentation,

@@ -45,6 +45,7 @@ from procong.surfgrp import (
 from procong.serialize import load_fixture
 from procong.torus import Mat2
 import reference  # noqa: F401  (attaches FiniteRepresentation.conjugate)
+from reference import poly_matrix
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -365,6 +366,19 @@ class TestDecorationValidation:
         bad_images = (((((), ((0, 0, 1),)),),),) + flow.images[1:]
         with pytest.raises(ValueError, match="degree 1"):
             CellularSelfMap(surface, bad_images)
+
+    @pytest.mark.parametrize("cells, message", [
+        ((("p",), "a", ()), "cells must be a list, got 'a'"),
+        ("pa", "cells must be a list, got 'pa'"),
+        ((("p",), (1,), ()), "cells name must be a string, got 1"),
+        ((("p",), ("a",), (None,)), "cells name must be a string, got None"),
+        ((("p",), ("a",)), "cells must have 3 dimensions, got 2")])
+    def test_cell_names_are_lists_of_strings(self, cells, message):
+        # "a" would split into its characters and 1 and None pass as names
+        mt = anosov_bundle()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CellularSurface(mt, cells,
+                            ((((1,), ((0, 0, -1), (1, 0, 1))),),), ())
 
     def test_cell_names_must_be_distinct(self):
         mt = anosov_bundle()
@@ -771,7 +785,7 @@ class TestDetOneMinusT:
         assert _det_one_minus_t(f) == (PolyMatrix.identity(n) - t_f).determinant()
 
     def test_rejects_non_constant_entries(self):
-        f = PolyMatrix(2, 2, [[poly(1), poly(0, 1)], [poly(0), poly(2)]])
+        f = poly_matrix(2, 2, [[poly(1), poly(0, 1)], [poly(0), poly(2)]])
         with pytest.raises(ValueError, match="constant"):
             _det_one_minus_t(f)
 
@@ -936,6 +950,45 @@ class TestShapiroOracle:
         assert by_orders == want[2] == by_flow.value
         assert zeta == want[3]
         assert lefschetz == want[4]
+
+
+class TestSparseFiberedPath:
+    """The twisted matrices of the fibered path are assembled as sparse
+    rows and never as a dense grid."""
+
+    # Delta_0..Delta_3 of genus2_finite_order under the degree-16 affine
+    # representation, as computed before matrices were stored sparse
+    DELTAS = ((-1, 1),
+              (1, 6, 1, -64, -104, 272, 792, -448, -3108, -728, 7644, 5824,
+               -12376, -16016, 12584, 27456, -5434, -32604, -5434, 27456,
+               12584, -16016, -12376, 5824, 7644, -728, -3108, -448, 792,
+               272, -104, -64, 1, 6, 1),
+              (-1, 1),
+              (1,))
+    ZETA = (1, 8, 16, -40, -200, -88, 816, 1272, -1380, -4760, -496, 9592,
+            7304, -11000, -16720, 5016, 21318, 5016, -16720, -11000, 7304,
+            9592, -496, -4760, -1380, 1272, 816, -88, -200, -40, 16, 8, 1)
+
+    def test_matrices_store_only_their_nonzero_entries(self, monkeypatch):
+        builds = []
+        build = PolyMatrix.build
+        monkeypatch.setattr(PolyMatrix, "build", staticmethod(
+            lambda *args: builds.append(args) or build(*args)))
+        surface, flow = cellular_model(
+            load_fixture(FIXTURES / "genus2_finite_order.json").payload)
+        mt, rep = surface.presentation, reference.genus2_affine_rep()
+        deltas = [twisted_alexander(mt, rep, n) for n in range(4)]
+        zeta = zeta_from_cellular(surface, flow, rep)
+        matrices = (surfgrp._presentation_boundaries(mt, rep)
+                    + mapping_torus_boundaries(mt, rep)
+                    + flow_boundary_matrices(surface, flow, rep))
+        assert builds == []
+        assert all(reference.canonical_rows(m) for m in matrices)
+        assert [m.rows for m in matrices] == [16, 80, 16, 80, 80, 16, 64, 16]
+        assert deltas == [LaurentPolynomial.from_coefficients(c)
+                          for c in self.DELTAS]
+        assert zeta == RationalFunction(
+            LaurentPolynomial.from_coefficients(self.ZETA))
 
 
 # ---------------------------------------------------------------------------

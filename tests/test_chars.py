@@ -7,6 +7,7 @@ the class algebra), and both orthogonality relations.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,15 @@ class TestOrbitProjectionTable:
     def test_negative_class_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             OrbitProjectionTable((("o", 1, -1),))
+
+    @pytest.mark.parametrize("rows, message", [
+        (((None, 2, 1),), "rows[0] orbit must be a string, got None"),
+        (((1, 1, 0), ("1", 2, 1)), "rows[0] orbit must be a string, got 1"),
+        ("o21", "rows must be a list, got 'o21'")])
+    def test_orbit_names_are_strings(self, rows, message):
+        # str() made None the orbit "None" and 1 a duplicate of "1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OrbitProjectionTable(rows)
 
     def test_class_ids_are_sorted_and_unique(self):
         table = OrbitProjectionTable((("a", 1, 3), ("b", 1, 0), ("c", 1, 3)))

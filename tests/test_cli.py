@@ -15,8 +15,9 @@ from procong import cli
 from procong.cellular import cellular_model
 from procong.cli import RunConfig, config_from_args, build_parser, dispatch, main
 from procong.ntform import Dilatation
-from procong.serialize import KIND_CELLULAR, wrap
-from procong.surfgrp import MappingTorusPresentation
+from procong.serialize import KIND_CELLULAR, load_fixture, wrap
+from procong.surfgrp import (GeneratorEndomorphism, MappingTorusPresentation,
+                             SurfacePresentation, mapping_torus)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -353,12 +354,17 @@ class TestExitCodes:
         ("rows", [["v", 1, 0], ["w", 2]],
          "rows[1] must be [orbit, index, class id], got ['w', 2]"),
         ("rows", 5, "rows must be a list, got 5"),
+        ("rows", [[None, 2, 1]], "rows[0] orbit must be a string, got None"),
+        ("rows", [[1, 1, 0], ["1", 2, 1]],
+         "rows[0] orbit must be a string, got 1"),
+        ("group", ["S3"], "group must be a string, got ['S3']"),
     ]
 
     @pytest.mark.parametrize("key, value, message", LOOSE_ORBIT_FIELDS,
                              ids=["attained-string", "index-float",
                                   "index-bool", "class-id-float",
-                                  "two-entry-row", "rows-int"])
+                                  "two-entry-row", "rows-int", "orbit-null",
+                                  "orbit-int", "group-list"])
     @pytest.mark.parametrize("sub", ["bound", "decompose"])
     def test_loose_orbit_projection_field_is_an_input_error(
             self, tmp_path, capsys, key, value, message, sub):
@@ -370,6 +376,36 @@ class TestExitCodes:
         assert status == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    # "cells" values of a cellular_flow fixture of the torus_A211 model,
+    # with the error line; each was accepted before: a string split into
+    # its characters, numbers and null as names
+    LOOSE_CELLS = [
+        ([["p"], "ab", ["F0"]], "cells must be a list, got 'ab'"),
+        ("pab", "cells must be a list, got 'pab'"),
+        ([["p"], [1, 2], ["F0"]], "cells name must be a string, got 1"),
+        ([["p"], ["a1", "b1"], [None]],
+         "cells name must be a string, got None"),
+        ([["p"], ["a1", "b1"]], "cells must have 3 dimensions, got 2"),
+    ]
+
+    @pytest.mark.parametrize("cells, message", LOOSE_CELLS,
+                             ids=["string-dimension", "string", "numbers",
+                                  "null", "two-dimensions"])
+    def test_loose_cell_names_are_an_input_error(self, tmp_path, capsys,
+                                                 cells, message):
+        matrix = load_fixture(fixture("torus_A211.json")).payload
+        surface, flow = cellular_model(mapping_torus(
+            SurfacePresentation.closed(1),
+            GeneratorEndomorphism.torus_monodromy(matrix)))
+        body = json.loads(json.dumps({"surface": surface.to_json(),
+                                      "flow": flow.to_json()}))
+        assert body["surface"]["cells"] == [["p"], ["a1", "b1"], ["F0"]]
+        body["surface"]["cells"] = cells
+        path = tmp_path / "torus_A211_model.json"
+        path.write_text(json.dumps(wrap(KIND_CELLULAR, body)))
+        status, out, err = run(capsys, "zeta", str(path))
+        assert (status, out, err) == (2, "", f"error: {message}\n")
 
     # (path into the fixture, value, field named in the error); each value
     # truncates to the valid one it replaces

@@ -3,7 +3,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 
@@ -33,8 +33,11 @@ from procong.kernel import (
     smith_integer,
 )
 from procong.serialize import load_fixture
-from procong.surfgrp import FiniteRepresentation, twisted_alexander
-from reference import integer_kernel_basis
+from procong.surfgrp import twisted_alexander
+from reference import (canonical_rows, dense_entries, dense_map, dense_product,
+                       dense_transpose, genus2_affine_rep,
+                       integer_kernel_basis, leibniz_determinant,
+                       poly_matrix)
 
 T = LaurentPolynomial.t_power(1)
 ONE = LaurentPolynomial.one()
@@ -433,15 +436,15 @@ class TestCanonicalResults:
 
     @given(polys_over_one_field(8))
     def test_poly_matrix_product(self, polys):
-        a = PolyMatrix(2, 2, [polys[0:2], polys[2:4]])
-        b = PolyMatrix(2, 2, [polys[4:6], polys[6:8]])
-        product = a @ b
+        a = poly_matrix(2, 2, [polys[0:2], polys[2:4]])
+        b = poly_matrix(2, 2, [polys[4:6], polys[6:8]])
+        product = dense_entries(a @ b)
+        a, b = dense_entries(a), dense_entries(b)
         for i in range(2):
             for j in range(2):
-                entry = product.entries[i][j]
+                entry = product[i][j]
                 assert_canonical(entry)
-                assert entry == (a.entries[i][0] * b.entries[0][j]
-                                 + a.entries[i][1] * b.entries[1][j])
+                assert entry == (a[i][0] * b[0][j] + a[i][1] * b[1][j])
 
     def test_cancellations_are_demoted(self):
         half = LaurentPolynomial({0: Fraction(1, 2), 1: Cyclotomic.root(4)})
@@ -572,7 +575,7 @@ class TestNormalizedTorsionClass:
 # ---------------------------------------------------------------------------
 
 def random_poly_matrix(rng, rows, cols, max_deg=1, span=2):
-    return PolyMatrix(rows, cols, [
+    return poly_matrix(rows, cols, [
         [LaurentPolynomial({e: rng.randint(-span, span) for e in range(max_deg + 1)})
          for _ in range(cols)] for _ in range(rows)])
 
@@ -609,7 +612,7 @@ def unimodular_pair(data, n):
 
 class TestPolyMatrix:
     def test_determinant_two_by_two(self):
-        m = PolyMatrix(2, 2, [[ONE - T, T], [T, ONE]])
+        m = poly_matrix(2, 2, [[ONE - T, T], [T, ONE]])
         assert m.determinant() == (ONE - T) - T * T
 
     def test_determinant_multiplicative(self):
@@ -631,9 +634,79 @@ class TestPolyMatrix:
         assert (m.rows, m.cols) == (2, 3)
 
 
+def assert_canonical_rows(m):
+    assert canonical_rows(m)
+    for row in m.sparse:
+        for _, e in row:
+            assert_canonical(e)
+
+
+@st.composite
+def grids(draw, rows, cols):
+    """A dense rows x cols grid, about half of its entries zero."""
+    entry = st.one_of(st.just(ZERO), st.dictionaries(
+        st.integers(-1, 2), small_rationals, min_size=1, max_size=3).map(
+            LaurentPolynomial))
+    return tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows))
+
+
+class TestSparseRows:
+    """Every PolyMatrix operation equals the dense computation of
+    `reference` and leaves canonical rows, on shapes with 0 rows or 0
+    columns and on sums and products that cancel."""
+
+    @given(data=st.data())
+    def test_operations_match_the_dense_reference(self, data):
+        r, k, c = (data.draw(st.integers(0, 3)) for _ in range(3))
+        ga, gb, gc = (data.draw(grids(*shape))
+                      for shape in ((r, k), (k, c), (r, k)))
+        a, b, other = (poly_matrix(*shape, g) for shape, g in
+                       (((r, k), ga), ((k, c), gb), ((r, k), gc)))
+        p = data.draw(st.one_of(small_rationals, laurent_polys))
+        zeros = tuple((ZERO,) * c for _ in range(r))
+        cases = {
+            "build": (a, ga),
+            "@": (a @ b, dense_product(ga, gb, c)),
+            "+": (a + other, dense_map(lambda x, y: x + y, ga, gc)),
+            "-": (a - other, dense_map(lambda x, y: x - y, ga, gc)),
+            "negation": (-a, dense_map(lambda x: -x, ga)),
+            "scale": (a.scale(p), dense_map(lambda x: x * p, ga)),
+            "hstack": (a.hstack(other),
+                       tuple(x + y for x, y in zip(ga, gc))),
+            "vstack": (a.vstack(other), ga + gc),
+            "from_blocks": (PolyMatrix.from_blocks([[a, other], [other, a]]),
+                            tuple(x + y for x, y in zip(ga, gc))
+                            + tuple(y + x for x, y in zip(ga, gc))),
+            "grid_transpose": (a.grid_transpose(), dense_transpose(ga, k)),
+            "a - a": (a - a, dense_map(lambda x: ZERO, ga)),
+            "(a | a) @ (b ; -b)": (a.hstack(a) @ b.vstack(-b), zeros),
+        }
+        for name, (m, grid) in cases.items():
+            assert_canonical_rows(m)
+            assert dense_entries(m) == grid, name
+        assert (a @ b).is_zero() == (dense_product(ga, gb, c) == zeros)
+        # equal entries, however reached, give equal matrices and hashes
+        assert (a == other) == (ga == gc)
+        for same in ((a + other) - other, a.grid_transpose().grid_transpose(),
+                     PolyMatrix(r, k, a.sparse), a.scale(1)):
+            assert same == a and hash(same) == hash(a)
+        assert a != PolyMatrix.zero(r, k + 1)
+        assert a != PolyMatrix.zero(r + 1, k)
+
+    @given(data=st.data())
+    def test_determinant_matches_the_leibniz_sum(self, data):
+        n = data.draw(st.integers(0, 4))
+        grid = data.draw(grids(n, n))
+        if n > 1 and data.draw(st.booleans()):
+            grid = (grid[1],) + grid[1:]          # a repeated row: det 0
+        assert (poly_matrix(n, n, grid).determinant()
+                == leibniz_determinant(grid))
+
+
 def submatrix(m, row_idx, col_idx):
-    return PolyMatrix(len(row_idx), len(col_idx),
-                      [[m.entries[i][j] for j in col_idx] for i in row_idx])
+    entries = dense_entries(m)
+    return poly_matrix(len(row_idx), len(col_idx),
+                       [[entries[i][j] for j in col_idx] for i in row_idx])
 
 
 def minors(m, k):
@@ -654,7 +727,7 @@ def poly_matrices(draw, rows=None, cols=None):
         LaurentPolynomial.from_coefficients)
 
     def matrix(r, c):
-        return PolyMatrix(r, c, draw(st.lists(
+        return poly_matrix(r, c, draw(st.lists(
             st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)))
 
     inner = draw(st.integers(0, min(rows, cols)))
@@ -669,7 +742,7 @@ def dense_diagonalize(matrix):
     pivot is a nonzero entry of least degree in the remaining block, and
     Euclid steps clear its column, then its row."""
     rows, cols = matrix.rows, matrix.cols
-    m = [list(r) for r in matrix.entries]
+    m = [list(r) for r in dense_entries(matrix)]
 
     def col_swap(a, b):
         for r in m:
@@ -767,8 +840,8 @@ def sparse_matrices(draw, scalars):
         return LaurentPolynomial({0: draw(scalars), 1: draw(scalars)})
 
     def matrix(r, c):
-        return PolyMatrix(r, c, [[entry() for _ in range(c)]
-                                 for _ in range(r)])
+        return poly_matrix(r, c, [[entry() for _ in range(c)]
+                                  for _ in range(r)])
 
     inner = draw(st.integers(0, min(rows, cols)))
     if inner == min(rows, cols):
@@ -794,17 +867,18 @@ class TestSparseElimination:
                      ([[T - 1, T * T + 1]], ONE),
                      ([[T + 1], [T * T - 1]], ONE + T)]
         for entries, gcd_ in gcd_cases:
-            m = PolyMatrix(len(entries), len(entries[0]), entries)
+            m = poly_matrix(len(entries), len(entries[0]), entries)
             assert poly_product(smith_diagonalize(m)).unit_equal(gcd_)
             assert_matches_oracle(m)
         rng = random.Random(2022)
         for _ in range(40):
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-            m = PolyMatrix(rows, cols, [
+            m = poly_matrix(rows, cols, [
                 [LaurentPolynomial({e: rng.choice((-2, -1, 1, 3))
-                                    for e in rng.sample(range(-1, 3), 2)})
+                                     for e in rng.sample(range(-1, 3), 2)})
                  for _ in range(cols)] for _ in range(rows)])
-            assert all(len(e.terms) > 1 for row in m.entries for e in row)
+            assert all(len(e.terms) > 1
+                       for row in dense_entries(m) for e in row)
             assert_matches_oracle(m)
 
     def test_genus_two_affine_orders_match_dense_oracle(self, monkeypatch):
@@ -813,26 +887,11 @@ class TestSparseElimination:
         fixture = (Path(__file__).resolve().parent.parent / "fixtures"
                    / "genus2_finite_order.json")
         mt = load_fixture(fixture).payload
-        points = list(product(range(2), repeat=4))
-        index = {p: i for i, p in enumerate(points)}
-
-        def perm(f):
-            rows = [[0] * 16 for _ in points]
-            for p in points:
-                rows[index[f(p)]][index[p]] = 1
-            return rows
-
-        def affine():
-            return FiniteRepresentation(16, tuple(
-                perm(lambda p, k=k: tuple((x + (i == k)) % 2
-                                          for i, x in enumerate(p)))
-                for k in range(4)) + (
-                perm(lambda p: (p[2], p[3], p[0], p[1])),))
-
-        orders = [twisted_alexander(mt, affine(), n) for n in range(4)]
+        orders = [twisted_alexander(mt, genus2_affine_rep(), n)
+                  for n in range(4)]
         assert orders[1].degree == 34
         monkeypatch.setattr(kernel, "smith_diagonalize", dense_diagonalize)
-        assert orders == [twisted_alexander(mt, affine(), n)
+        assert orders == [twisted_alexander(mt, genus2_affine_rep(), n)
                           for n in range(4)]
 
 
@@ -885,13 +944,13 @@ class TestProductsCancel:
     def test_cancellation_over_fractions_and_cyclotomics(self):
         z = Cyclotomic.root(12)
         half = LaurentPolynomial({0: Fraction(1, 2), 1: z})
-        a = PolyMatrix(1, 2, [[half, half]])
-        b = PolyMatrix(2, 1, [[LaurentPolynomial({-1: z})],
-                              [LaurentPolynomial({-1: -z})]])
+        a = poly_matrix(1, 2, [[half, half]])
+        b = poly_matrix(2, 1, [[LaurentPolynomial({-1: z})],
+                               [LaurentPolynomial({-1: -z})]])
         assert products_cancel((1, a, b))
-        same = PolyMatrix(2, 1, [[LaurentPolynomial({-1: z})]] * 2)
-        first = PolyMatrix(2, 1, [[LaurentPolynomial({-1: z})],
-                                  [LaurentPolynomial.zero()]])
+        same = poly_matrix(2, 1, [[LaurentPolynomial({-1: z})]] * 2)
+        first = poly_matrix(2, 1, [[LaurentPolynomial({-1: z})],
+                                   [LaurentPolynomial.zero()]])
         assert not products_cancel((1, a, same))
         assert products_cancel((1, a, same), (-1, a.scale(2), first))
 
@@ -912,7 +971,7 @@ class TestSmithDiagonalize:
             product = product * d
         assert product.unit_equal(g)
         assert smith_diagonalize(m) is diag
-        assert smith_diagonalize(PolyMatrix(m.rows, m.cols, m.entries)) == diag
+        assert smith_diagonalize(PolyMatrix(m.rows, m.cols, m.sparse)) == diag
 
     @given(poly_matrices())
     @settings(max_examples=150)
@@ -923,13 +982,13 @@ class TestSmithDiagonalize:
         assert any(not d.is_zero() for d in minors(m, rank))
 
     def test_rank_one_example(self):
-        m = PolyMatrix(2, 3, [[ONE, T, T * T], [T, T * T, T ** 3]])
+        m = poly_matrix(2, 3, [[ONE, T, T * T], [T, T * T, T ** 3]])
         assert smith_diagonalize(m) == (ONE,)
 
 
 class TestHomologyOrder:
     def test_cokernel_of_single_entry(self):
-        m_in = PolyMatrix(1, 1, [[T - 2]])
+        m_in = poly_matrix(1, 1, [[T - 2]])
         assert homology_order(m_in, None) == (T - 2).monic_normal()
 
     def test_free_rank_gives_zero(self):
@@ -938,8 +997,8 @@ class TestHomologyOrder:
         assert homology_order(z_in, z_out).is_zero()
 
     def test_diagonal_presentation(self):
-        m = PolyMatrix(2, 2, [[T - 1, LaurentPolynomial.zero()],
-                              [LaurentPolynomial.zero(), T - 3]])
+        m = poly_matrix(2, 2, [[T - 1, LaurentPolynomial.zero()],
+                               [LaurentPolynomial.zero(), T - 3]])
         expected = ((T - 1) * (T - 3)).monic_normal()
         assert homology_order(m, None) == expected
 
@@ -947,18 +1006,18 @@ class TestHomologyOrder:
         assert homology_order(PolyMatrix.zero(0, 0), None) == ONE
 
     def test_chain_condition_enforced(self):
-        bad_out = PolyMatrix(1, 1, [[ONE]])
-        bad_in = PolyMatrix(1, 1, [[ONE]])
+        bad_out = poly_matrix(1, 1, [[ONE]])
+        bad_in = poly_matrix(1, 1, [[ONE]])
         with pytest.raises(ValueError, match=re.escape(
                 "chain condition failed: boundary_out . boundary_in != 0")):
             homology_order(bad_in, bad_out)
 
     def test_unit_insensitive_to_presentation_choice(self):
         # the same module presented two ways must give unit-equal orders
-        a = PolyMatrix(2, 2, [[T - 1, LaurentPolynomial.zero()],
-                              [LaurentPolynomial.zero(), T - 1]])
-        b = PolyMatrix(2, 2, [[T - 1, T - 1],
-                              [LaurentPolynomial.zero(), T - 1]])
+        a = poly_matrix(2, 2, [[T - 1, LaurentPolynomial.zero()],
+                               [LaurentPolynomial.zero(), T - 1]])
+        b = poly_matrix(2, 2, [[T - 1, T - 1],
+                               [LaurentPolynomial.zero(), T - 1]])
         assert homology_order(a, None) == homology_order(b, None)
 
     def test_matches_minor_gcd_oracle(self):
@@ -995,15 +1054,16 @@ class TestHomologyOrder:
         v, _ = unimodular_pair(data, kept)
         d_out = PolyMatrix.build(
             killed, n, lambda i, j: ONE if j == kept + i else ZERO) @ u_inv
+        entries = dense_entries(d)
         d_in = u @ PolyMatrix.build(
-            n, kept, lambda i, j: d.entries[i][j] if i < kept else ZERO) @ v
+            n, kept, lambda i, j: entries[i][j] if i < kept else ZERO) @ v
         assert homology_order(d_in, d_out) == d.determinant().monic_normal()
 
     def test_quotient_with_outgoing_boundary(self):
         # middle module rank 2, outgoing kills one direction, incoming hits
         # the kernel direction with multiplier (t - 5)
-        b_out = PolyMatrix(1, 2, [[LaurentPolynomial.zero(), ONE]])
-        b_in = PolyMatrix(2, 1, [[T - 5], [LaurentPolynomial.zero()]])
+        b_out = poly_matrix(1, 2, [[LaurentPolynomial.zero(), ONE]])
+        b_in = poly_matrix(2, 1, [[T - 5], [LaurentPolynomial.zero()]])
         assert homology_order(b_in, b_out) == (T - 5).monic_normal()
 
 
