@@ -9,10 +9,7 @@ stage, in this order, each reading what the earlier ones built:
 certification of the representation (relator kills and the closure
 enumeration), Delta_0..Delta_3 and the cellular zeta function.
 
-    PYTHONPATH=src python3 scripts/large_rep_timings.py 2 3 --skip-zeta
-
-Under affine:3 the genus-2 zeta takes minutes (dense Berkowitz on its
-324 x 324 flow matrix); `--skip-zeta` leaves the zeta out.
+    PYTHONPATH=src python3 scripts/large_rep_timings.py 2 3
 """
 
 import argparse
@@ -63,8 +60,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("n", nargs="*", type=int, default=[2],
                         help="moduli of the affine representations")
-    parser.add_argument("--skip-zeta", action="store_true",
-                        help="leave out the cellular zeta function")
     args = parser.parse_args()
 
     for path in FIXTURES:
@@ -76,9 +71,8 @@ def main():
             stages = [("certify", lambda: rep.validate(mt))]
             stages += [(f"Delta_{d}", lambda d=d: twisted_alexander(mt, rep, d))
                        for d in range(4)]
-            if not args.skip_zeta:
-                stages.append(
-                    ("zeta", lambda: zeta_from_cellular(surface, flow, rep)))
+            stages.append(
+                ("zeta", lambda: zeta_from_cellular(surface, flow, rep)))
             times = ", ".join(f"{name} {timed(stage):.3f} s"
                               for name, stage in stages)
             print(f"{path.split('/')[-1][:-5]} affine:{n} "

@@ -41,7 +41,6 @@ from .surfgrp import (  # noqa: F401  (mapping_torus_boundaries: re-exported)
     FiniteRepresentation,
     MappingTorusPresentation,
     _chain_matrix,
-    _dense,
     _fox_chain,
     _json_letters,
     _sparse,
@@ -203,7 +202,7 @@ class HomologyAction:
                      for row in rows)
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("monodromy action must be square")
-        det = (-1) ** len(rows) * charpoly_coefficients(rows)[-1]
+        det = (-1) ** len(rows) * charpoly_coefficients(_sparse(rows))[-1]
         if det not in (1, -1):
             raise ValueError("monodromy action must be unimodular")
         return cls(((1,),), rows, ((det,),))
@@ -248,11 +247,11 @@ def zeta_from_cellular(surface: CellularSurface, flow: CellularSelfMap,
 
 def _det_one_minus_t(mat: PolyMatrix) -> LaurentPolynomial:
     """det(1 - tF) = sum c_k t^k, where det(xI - F) = sum c_k x^(n-k), for
-    a square F; Berkowitz is dense, so F's nonzero entries fill a copy."""
+    a square F; Berkowitz reads the constant terms of F's stored rows."""
     if any(e.terms.keys() != {0} for row in mat.sparse for _, e in row):
         raise ValueError("flow matrix entries must be constant")
-    return LaurentPolynomial(enumerate(charpoly_coefficients(_dense(
-        [[(j, e.terms[0]) for j, e in row] for row in mat.sparse]))))
+    return LaurentPolynomial(enumerate(charpoly_coefficients(
+        [[(j, e.terms[0]) for j, e in row] for row in mat.sparse])))
 
 
 @_per_complex

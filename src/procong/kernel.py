@@ -8,8 +8,8 @@ F[t^{+-1}], reduced rational functions F(t), the canonical unit-normalized
 torsion classes, Smith-type normal forms over F[t] and over Z, the formal
 power series plumbing (Taylor expansion, logarithmic coefficient extraction)
 used to turn zeta functions into Lefschetz numbers, and Berkowitz's
-characteristic polynomial, the package's one determinant routine over the
-scalars: det(1 - tF) of flow matrices and the determinant of a homology
+characteristic polynomial on sparse rows, the one determinant routine over
+the scalars: det(1 - tF) of flow matrices and the determinant of a homology
 action both come from it.
 Beside the fields sit the integers and Z/n: extended Euclid, the Howell form
 of a submodule of (Z/n)^k and an ordered walk over its points.
@@ -1168,30 +1168,44 @@ def products_cancel(*terms) -> bool:
     return True
 
 
-def charpoly_coefficients(matrix) -> list:
+def charpoly_coefficients(rows: SparseMatrix) -> list:
     """[c_0, ..., c_n] with det(xI - A) = sum c_k x^(n-k), for a square
-    tuple-of-tuples matrix A of exact scalars.
+    matrix A of exact scalars given as its n sparse rows; a column index
+    of n or more raises ValueError.
 
     Berkowitz's division-free algorithm (1984): with A[k:, k:] = [[a, R],
     [C, B]], the vector of A[k:, k:] is the lower-triangular Toeplitz matrix
     of (1, -a, -RC, -RBC, ...) times the vector of B.  No scalar is divided.
+    Each B^i C is a dict of its nonzero entries, pushed through B's columns
+    until it empties, and the Toeplitz product skips the entries that no
+    product reached, so a monomial A costs O(n^2).
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("characteristic polynomial of a non-square matrix")
+    n = len(rows)
+    columns = [[] for _ in range(n)]  # (row, entry) of the rows below k
     coeffs = [1]
     for k in range(n - 1, -1, -1):
-        r_row, block = matrix[k][k + 1:], [row[k + 1:] for row in matrix[k + 1:]]
-        col = [row[k] for row in matrix[k + 1:]]
-        toeplitz = [1, -matrix[k][k]]
-        for step in range(n - k - 1):
-            if step:
-                col = [sum(a * c for a, c in zip(row, col) if a and c)
-                       for row in block]
-            toeplitz.append(-sum(a * c for a, c in zip(r_row, col) if a and c))
-        coeffs = [sum(toeplitz[i - j] * coeffs[j]
-                      for j in range(min(i + 1, len(coeffs))))
-                  for i in range(n - k + 1)]
+        if rows[k] and rows[k][-1][0] >= n:
+            raise ValueError("characteristic polynomial of a non-square matrix")
+        r_row = {j: e for j, e in rows[k] if j >= k}
+        toeplitz = [(0, 1), (1, -r_row.pop(k, 0))]
+        vec = dict(columns[k])
+        for m in range(2, n - k + 1):
+            if not vec:
+                break
+            products = [r_row[l] * c for l, c in vec.items() if l in r_row]
+            if products:
+                toeplitz.append((m, -sum(products)))
+            if m < n - k:
+                pushed = {}
+                for l, c in vec.items():
+                    for i, a in columns[l]:
+                        pushed[i] = pushed[i] + a * c if i in pushed else a * c
+                vec = {i: e for i, e in pushed.items() if e}
+        for j, e in rows[k]:
+            columns[j].append((k, e))
+        # the old coeffs has n - k entries
+        coeffs = [sum(t * coeffs[i - m] for m, t in toeplitz
+                      if 0 <= i - m < n - k) for i in range(n - k + 1)]
     return coeffs
 
 

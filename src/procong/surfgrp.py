@@ -414,7 +414,8 @@ class GeneratorEndomorphism:
 
     @cached_property
     def _unimodular(self) -> bool:
-        return abs(charpoly_coefficients(self.abelianization())[-1]) == 1
+        return abs(charpoly_coefficients(
+            _sparse(self.abelianization()))[-1]) == 1
 
     @cached_property
     def _mapping_torus(self) -> "MappingTorusPresentation":
@@ -619,17 +620,6 @@ def _sparse(m: ScalarMatrix) -> SparseMatrix:
     return tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in m)
 
 
-def _dense(m: SparseMatrix) -> ScalarMatrix:
-    k = len(m)
-    out = []
-    for row in m:
-        dense = [0] * k
-        for j, e in row:
-            dense[j] = e
-        out.append(tuple(dense))
-    return tuple(out)
-
-
 def _sparse_identity(k: int) -> SparseMatrix:
     return tuple(((i, 1),) for i in range(k))
 
@@ -757,10 +747,7 @@ class FiniteRepresentation:
             letters[-j] = _sparse_inverse(letters[j])
         return letters
 
-    def evaluate_word(self, word: Iterable[int]) -> ScalarMatrix:
-        return _dense(self._evaluate(word))
-
-    def _evaluate(self, word: Iterable[int]) -> SparseMatrix:
+    def evaluate_word(self, word: Iterable[int]) -> SparseMatrix:
         acc, letters = _sparse_identity(self.dimension), self._letters
         for letter in word:
             acc = _sparse_mul(acc, letters[letter])
@@ -806,7 +793,7 @@ class FiniteRepresentation:
         for r in mt.relators:
             if mt.degree(r) != 0:
                 raise ValueError("relator with nonzero degree cannot die")
-            if self._evaluate(r) != ident:
+            if self.evaluate_word(r) != ident:
                 raise ValueError("representation violates a relator")
         self._closure()
         self._complexes[mt] = {}

@@ -3,11 +3,12 @@
 No subcommand, fixture or benchmark workload reaches these functions, so
 they live beside the tests instead of in `procong`.  Some are oracles the
 library is checked against (the brute-force characteristic level, the dense
-Gauss-Jordan inverse, dense polynomial-matrix arithmetic); the others
-build test inputs and expected values (exact powers and iterates of normal
-forms, growth brackets from Nielsen numbers, presentation moves, changes of
-basis, polynomial matrices from and to dense grids, the degree-16 affine
-representation of the genus-2 fixture).
+Gauss-Jordan inverse, dense Berkowitz, the cycle product of a monomial
+matrix, dense polynomial-matrix arithmetic); the others build test inputs
+and expected values (exact powers and iterates of normal forms, growth
+brackets from Nielsen numbers, presentation moves, changes of basis, dense
+copies of sparse scalar matrices, polynomial matrices from and to dense
+grids, the affine representations of the genus-2 fixture).
 
 Importing the module attaches the moved methods to their classes
 (`StretchFactor.power` and `refined_to`, `Dilatation.power`, the relator
@@ -23,15 +24,14 @@ from itertools import permutations, product
 from math import gcd
 from typing import Iterable, Mapping, Tuple
 
-from procong.kernel import (LaurentPolynomial, PolyMatrix, as_exact,
-                            charpoly_coefficients, scalar_inverse,
-                            smith_integer)
+from procong.kernel import (LaurentPolynomial, PolyMatrix, SparseMatrix,
+                            as_exact, scalar_inverse, smith_integer)
 from procong.ntform import (PERIODIC, DecompositionError, Dilatation,
                             IndexedOrbitTable, InteriorOrbit, NTDecomposition,
                             StretchFactor, _orbit, _roots_between, _sign_at,
                             _squarefree, _sturm_chain)
 from procong.surfgrp import (FiniteRepresentation, MappingTorusPresentation,
-                             Word, _check_indices, _dense, _mat_freeze,
+                             ScalarMatrix, Word, _check_indices, _mat_freeze,
                              _sparse, _sparse_mul, free_reduce, word_concat,
                              word_inverse)
 
@@ -143,7 +143,7 @@ def stretch_power(stretch: StretchFactor, m: int) -> StretchFactor:
         raised = [row[1:] + [sum(a * b for a, b in zip(row, last) if b)]
                   for row in raised]
     chain = _sturm_chain(_squarefree(LaurentPolynomial.from_coefficients(
-        charpoly_coefficients(raised)[::-1])))
+        dense_charpoly(raised)[::-1])))
     base = stretch
     while True:
         low, high = base.low ** m, base.high ** m
@@ -359,6 +359,79 @@ def mat_inverse(m):
 
 
 # ---------------------------------------------------------------------------
+# scalar matrices: dense copies and characteristic polynomials
+# ---------------------------------------------------------------------------
+
+
+def dense(m: SparseMatrix) -> ScalarMatrix:
+    """The dense square matrix of sparse rows, zeros filled in."""
+    k = len(m)
+    out = []
+    for row in m:
+        grid_row = [0] * k
+        for j, e in row:
+            grid_row[j] = e
+        out.append(tuple(grid_row))
+    return tuple(out)
+
+
+def dense_charpoly(matrix) -> list:
+    """[c_0, ..., c_n] with det(xI - A) = sum c_k x^(n-k), for a square
+    tuple-of-tuples matrix A of exact scalars.
+
+    Berkowitz's division-free algorithm (1984): with A[k:, k:] = [[a, R],
+    [C, B]], the vector of A[k:, k:] is the lower-triangular Toeplitz matrix
+    of (1, -a, -RC, -RBC, ...) times the vector of B.  No scalar is divided.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    coeffs = [1]
+    for k in range(n - 1, -1, -1):
+        r_row, block = matrix[k][k + 1:], [row[k + 1:] for row in matrix[k + 1:]]
+        col = [row[k] for row in matrix[k + 1:]]
+        toeplitz = [1, -matrix[k][k]]
+        for step in range(n - k - 1):
+            if step:
+                col = [sum(a * c for a, c in zip(row, col) if a and c)
+                       for row in block]
+            toeplitz.append(-sum(a * c for a, c in zip(r_row, col) if a and c))
+        coeffs = [sum(toeplitz[i - j] * coeffs[j]
+                      for j in range(min(i + 1, len(coeffs))))
+                  for i in range(n - k + 1)]
+    return coeffs
+
+
+def monomial_charpoly(rows: SparseMatrix) -> list:
+    """[c_0, ..., c_n] with det(xI - F) = sum c_k x^(n-k), for a monomial
+    F (one nonzero entry in each row and each column) given as sparse
+    rows: the product, over the cycles of F's pattern, of x^l minus the
+    product of the cycle's l entries.  ValueError when F is not monomial."""
+    step = {}
+    for i, row in enumerate(rows):
+        if len(row) != 1:
+            raise ValueError(f"row {i} of a monomial matrix has {len(row)} "
+                             "entries")
+        step[i] = row[0]
+    if sorted(j for j, _ in step.values()) != list(range(len(rows))):
+        raise ValueError("columns of a monomial matrix repeat")
+    coeffs, seen = [1], set()
+    for start in range(len(rows)):
+        if start in seen:
+            continue
+        length, weight, i = 0, 1, start
+        while i not in seen:
+            seen.add(i)
+            i, entry = step[i]
+            length, weight = length + 1, weight * entry
+        factor = [1] + [0] * (length - 1) + [-weight]
+        coeffs = [sum(coeffs[j] * factor[d - j]
+                      for j in range(len(coeffs)) if 0 <= d - j <= length)
+                  for d in range(len(coeffs) + length)]
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
 # polynomial matrices as dense grids
 # ---------------------------------------------------------------------------
 
@@ -424,21 +497,21 @@ def leibniz_determinant(a) -> LaurentPolynomial:
     return total
 
 
-def genus2_affine_rep() -> FiniteRepresentation:
-    """The degree-16 permutation representation of genus2_finite_order: the
-    fiber generators translate (Z/2)^4 by the unit vectors, the stable
-    letter swaps the handles (transposed permutation matrices)."""
-    points = list(product(range(2), repeat=4))
+def genus2_affine_rep(n: int = 2) -> FiniteRepresentation:
+    """affine:n of genus2_finite_order, the permutation representation of
+    degree n^4: the fiber generators translate (Z/n)^4 by the unit vectors,
+    the stable letter swaps the handles (transposed permutation matrices)."""
+    points = list(product(range(n), repeat=4))
     index = {p: i for i, p in enumerate(points)}
 
     def perm(f):
-        rows = [[0] * 16 for _ in points]
+        rows = [[0] * len(points) for _ in points]
         for p in points:
             rows[index[f(p)]][index[p]] = 1
         return rows
 
-    return FiniteRepresentation(16, tuple(
-        perm(lambda p, k=k: tuple((x + (i == k)) % 2 for i, x in enumerate(p)))
+    return FiniteRepresentation(len(points), tuple(
+        perm(lambda p, k=k: tuple((x + (i == k)) % n for i, x in enumerate(p)))
         for k in range(4)) + (perm(lambda p: (p[2], p[3], p[0], p[1])),))
 
 
@@ -449,7 +522,7 @@ def conjugate(rep: FiniteRepresentation,
     left, right = _sparse(x), _sparse(mat_inverse(x))
     return FiniteRepresentation(
         rep.dimension,
-        tuple(_dense(_sparse_mul(_sparse_mul(left, _sparse(m)), right))
+        tuple(dense(_sparse_mul(_sparse_mul(left, _sparse(m)), right))
               for m in rep.matrices))
 
 

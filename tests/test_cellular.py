@@ -991,6 +991,24 @@ class TestSparseFiberedPath:
             LaurentPolynomial.from_coefficients(self.ZETA))
 
 
+class TestMonomialFlowZeta:
+    """Under affine:2 and affine:3 the flow matrices of genus2_finite_order
+    are monomial, so each det(xI - F) is a product over the cycles of F's
+    pattern: a route to the zeta function that runs no Berkowitz."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zeta_matches_the_cycle_product(self, n):
+        surface, flow = cellular_model(
+            load_fixture(FIXTURES / "genus2_finite_order.json").payload)
+        rep = reference.genus2_affine_rep(n)
+        assert rep.dimension == n ** 4
+        f0, f1, f2 = (LaurentPolynomial(enumerate(reference.monomial_charpoly(
+            [[(j, e.terms[0]) for j, e in row] for row in f.sparse])))
+            for f in flow_boundary_matrices(surface, flow, rep))
+        assert zeta_from_cellular(surface, flow, rep) == RationalFunction(
+            f1, f0 * f2)
+
+
 # ---------------------------------------------------------------------------
 # the three-dimensional boundary stack
 # ---------------------------------------------------------------------------

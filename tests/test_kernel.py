@@ -18,6 +18,7 @@ from procong.kernel import (
     LaurentPolynomial,
     PolyMatrix,
     RationalFunction,
+    charpoly_coefficients,
     cyclotomic_polynomial,
     ext_gcd,
     homology_order,
@@ -34,8 +35,9 @@ from procong.kernel import (
 )
 from procong.serialize import load_fixture
 from procong.surfgrp import twisted_alexander
-from reference import (canonical_rows, dense_entries, dense_map, dense_product,
-                       dense_transpose, genus2_affine_rep,
+from reference import (canonical_rows, dense, dense_charpoly, dense_entries,
+                       dense_map, dense_product, dense_transpose,
+                       genus2_affine_rep,
                        integer_kernel_basis, leibniz_determinant,
                        poly_matrix)
 
@@ -1065,6 +1067,66 @@ class TestHomologyOrder:
         b_out = poly_matrix(1, 2, [[LaurentPolynomial.zero(), ONE]])
         b_in = poly_matrix(2, 1, [[T - 5], [LaurentPolynomial.zero()]])
         assert homology_order(b_in, b_out) == (T - 5).monic_normal()
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomials
+# ---------------------------------------------------------------------------
+
+@st.composite
+def charpoly_matrices(draw):
+    """A square matrix of size 0..12 over Z, Q or Q(zeta_n), as canonical
+    sparse rows, in one of five patterns: some rows empty and the others
+    full, the diagonal only, a permutation, a monomial matrix, or full."""
+    field = draw(st.sampled_from(["Z", "Q", "Q(zeta_n)"]))
+    if field == "Z":
+        scalar = st.integers(-3, 3)
+    elif field == "Q":
+        scalar = st.fractions(-3, 3, max_denominator=4).map(as_exact)
+    else:
+        n = draw(st.sampled_from([3, 5, 12]))
+        scalar = st.lists(st.integers(-1, 1), min_size=1, max_size=n).map(
+            lambda c: as_exact(Cyclotomic(n, c)))
+    size = draw(st.integers(0, 12))
+    pattern = draw(st.sampled_from(
+        ["empty rows", "diagonal", "permutation", "monomial", "full"]))
+    perm = draw(st.permutations(range(size)))
+    grid = [[0] * size for _ in range(size)]
+    for i in range(size):
+        if pattern == "empty rows" and draw(st.booleans()):
+            continue
+        for j in range(size):
+            if pattern == "diagonal" and i == j or pattern in (
+                    "full", "empty rows"):
+                grid[i][j] = draw(scalar)
+            elif pattern in ("permutation", "monomial") and j == perm[i]:
+                grid[i][j] = 1 if pattern == "permutation" else draw(scalar)
+    return tuple(tuple((j, e) for j, e in enumerate(row) if e)
+                 for row in grid)
+
+
+class TestCharpolyCoefficients:
+    @given(charpoly_matrices())
+    def test_matches_the_dense_oracle(self, rows):
+        coeffs = charpoly_coefficients(rows)
+        oracle = dense_charpoly(dense(rows))
+        assert coeffs == oracle
+        assert list(map(type, coeffs)) == list(map(type, oracle))
+
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Cyclotomic.root(12)])
+    def test_products_that_cancel_keep_their_type(self, x):
+        # R C = x - x is a zero of x's type, which the dense routine
+        # carries into c_2 and c_3
+        rows = (((1, x), (2, -x)), ((0, 1),), ((0, 1),))
+        coeffs = charpoly_coefficients(rows)
+        assert coeffs == dense_charpoly(dense(rows)) == [1, 0, 0, 0]
+        assert list(map(type, coeffs)) == [int, int, type(x), type(x)]
+
+    @pytest.mark.parametrize("rows", [(((1, 1),),),
+                                      (((0, 1),), ((0, 2), (2, 1)))])
+    def test_column_out_of_range_raises(self, rows):
+        with pytest.raises(ValueError, match="non-square"):
+            charpoly_coefficients(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ SOURCE_LINES = sum(path.read_text(encoding="utf-8").count("\n")
                    for path in (ROOT / "src" / "procong").glob("*.py"))
 
 SMOKE_CASES = [
-    (("large_rep_timings.py", "2"), "all stages finished"),
+    (("large_rep_timings.py", "3"), "all stages finished"),
     (("reach.py",), "unreached lines of function bodies in src/procong, "
                     f"which has {SOURCE_LINES:,} lines\n"),
 ]
