@@ -789,6 +789,14 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def _of(cls, num, den) -> "RationalFunction":
+        """num / den, already canonical, without `__init__`'s reduction."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
+
     def __setattr__(self, *args):
         raise AttributeError("RationalFunction values are immutable")
 
@@ -951,8 +959,9 @@ def normalize_unit_class(f: RationalFunction) -> NormalizedTorsionClass:
     lead = f.num.coefficient(v)
     den0 = f.den.coefficient(0)
     c = lead * scalar_inverse(den0)          # value of t^{-v} f at 0
-    unit = LaurentPolynomial({v: c})
-    rep = RationalFunction(f.num.exact_divide(unit), f.den)
+    # a monomial quotient of a reduced fraction stays reduced
+    rep = RationalFunction._of(
+        f.num.exact_divide(LaurentPolynomial({v: c})), f.den)
     if rep.num.coefficient(0) * scalar_inverse(rep.den.coefficient(0)) != 1:
         raise AssertionError("unit normalization failed to reach value 1")
     return NormalizedTorsionClass(rep)
@@ -1353,6 +1362,9 @@ def homology_order(boundary_in, boundary_out) -> LaurentPolynomial:
     when the homology module has positive rank; otherwise a representative of
     the module order, in monic-normal form.
 
+    Precondition: boundary_out . boundary_in = 0.  The builder of the
+    complex checks it; this function only reads the boundaries.
+
     Over the PID F[t^{+-1}], R^n/ker(boundary_out) embeds in a free module,
     so coker(boundary_in) is the homology plus a free module: the homology
     has rank n - rank(out) - rank(in), and its order is the product of the
@@ -1366,9 +1378,6 @@ def homology_order(boundary_in, boundary_out) -> LaurentPolynomial:
     in_diag = () if boundary_in is None else smith_diagonalize(boundary_in)
     out_rank = 0
     if boundary_out is not None and boundary_out.rows:
-        # a zero boundary_in (empty diagonal) meets the chain condition
-        if in_diag and not products_cancel((1, boundary_out, boundary_in)):
-            raise ValueError("chain condition failed: boundary_out . boundary_in != 0")
         out_rank = len(smith_diagonalize(boundary_out))
     if len(in_diag) + out_rank < n:
         return LaurentPolynomial.zero()
@@ -1466,35 +1475,19 @@ def smith_integer(matrix):
             m[pr] = [-a for a in m[pr]]
         pr += 1
 
-    # enforce the divisibility chain d_i | d_{i+1}
-    k = pr
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a, b = m[i][i], m[i + 1][i + 1]
-            if a and b and b % a != 0:
-                # fold entry b into row i via standard gcd trick
-                col_op(i, i + 1, -1)       # col_i -= -1 * col_{i+1}: adds col i+1
-                # now column i has entries (a, b); clear by row reduction
-                while m[i + 1][i] != 0:
-                    row_op(i, i + 1, m[i][i] // m[i + 1][i])
-                    m[i], m[i + 1] = m[i + 1], m[i]
-                # re-clear column/row tails
-                for j in range(k):
-                    if j != i and m[i][j] != 0:
-                        q = m[i][j] // m[i][i]
-                        col_op(j, i, q)
-                for r2 in range(k):
-                    if r2 != i and m[r2][i] != 0:
-                        q = m[r2][i] // m[i][i]
-                        row_op(r2, i, q)
-                if m[i][i] < 0:
-                    m[i] = [-a for a in m[i]]
-                if m[i + 1][i + 1] < 0:
-                    m[i + 1] = [-a for a in m[i + 1]]
-                changed = True
+    # the divisibility chain d_i | d_j: one ext_gcd step per pair that
+    # breaks it puts (gcd, lcm) on the diagonal by a unimodular change of
+    # columns i and j of V
     diag = [m[i][i] for i in range(min(rows, cols))]
+    for i in range(pr):
+        for j in range(i + 1, pr):
+            a, b = diag[i], diag[j]
+            if b % a:
+                g, s, t = ext_gcd(a, b)
+                diag[i], diag[j] = g, a * b // g
+                for row in v:
+                    x, y = row[i], row[j]
+                    row[i], row[j] = s * x + t * y, (a * y - b * x) // g
     return diag, v
 
 

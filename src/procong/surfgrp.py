@@ -901,9 +901,13 @@ def _per_complex(build):
 @_per_complex
 def _presentation_boundaries(mt: MappingTorusPresentation,
                              rep: FiniteRepresentation):
-    """(d1, d2) of the presentation complex of mt."""
+    """(d1, d2) of the presentation complex of mt, checked for d1 d2 = 0."""
     one, two = _presentation_chains(mt.rank, mt.relators)
-    return _chain_matrix(mt, rep, one, 1), _chain_matrix(mt, rep, two, mt.rank)
+    d1 = _chain_matrix(mt, rep, one, 1)
+    d2 = _chain_matrix(mt, rep, two, mt.rank)
+    if d1.cols and d2.cols and not products_cancel((1, d1, d2)):
+        raise AssertionError("presentation complex lost d.d = 0")
+    return d1, d2
 
 
 @_per_complex
@@ -912,8 +916,8 @@ def mapping_torus_boundaries(mt: MappingTorusPresentation,
     """Boundary matrices (d1, d2, d3) of the three-dimensional cellular chain
     model of the fibered space over F[t^{+-1}], in the row-vector block
     convention.  d1 and d2 are the presentation-complex boundaries of the
-    canonical presentation; d3 is the boundary of the flow cell of the fiber
-    2-cell.
+    canonical presentation, checked where they are built; d3 is the boundary
+    of the flow cell of the fiber 2-cell, checked here for d2 d3 = 0.
     """
     canonical = mapping_torus(mt.fiber, mt.monodromy)
     fiber = canonical.fiber
@@ -935,8 +939,6 @@ def mapping_torus_boundaries(mt: MappingTorusPresentation,
     d3 = _chain_matrix(canonical, sub, chains, len(canonical.relators))
     if d2.cols and d3.cols and not products_cancel((1, d2, d3)):
         raise AssertionError("three-dimensional chain model lost d.d = 0")
-    if d1.cols and d2.cols and not products_cancel((1, d1, d2)):
-        raise AssertionError("presentation complex lost d.d = 0")
     return d1, d2, d3
 
 

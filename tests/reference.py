@@ -8,7 +8,7 @@ matrix, dense polynomial-matrix arithmetic); the others build test inputs
 and expected values (exact powers and iterates of normal forms, growth
 brackets from Nielsen numbers, presentation moves, changes of basis, dense
 copies of sparse scalar matrices, polynomial matrices from and to dense
-grids, the affine representations of the genus-2 fixture).
+grids, the affine representations of closed-fiber bundles).
 
 Importing the module attaches the moved methods to their classes
 (`StretchFactor.power` and `refined_to`, `Dilatation.power`, the relator
@@ -497,11 +497,15 @@ def leibniz_determinant(a) -> LaurentPolynomial:
     return total
 
 
-def genus2_affine_rep(n: int = 2) -> FiniteRepresentation:
-    """affine:n of genus2_finite_order, the permutation representation of
-    degree n^4: the fiber generators translate (Z/n)^4 by the unit vectors,
-    the stable letter swaps the handles (transposed permutation matrices)."""
-    points = list(product(range(n), repeat=4))
+def affine_rep(mt: MappingTorusPresentation, n: int) -> FiniteRepresentation:
+    """affine:n of the canonical presentation `mt` of a closed-fiber mapping
+    torus: the permutation representation on the points of (Z/n)^(2g) in
+    which the fiber generators translate by the unit vectors and the stable
+    letter acts by the monodromy's matrix on H1 of the fiber (transposed
+    permutation matrices, the convention in which the relators die)."""
+    rank = mt.fiber.rank
+    action = mt.monodromy.abelianization()
+    points = list(product(range(n), repeat=rank))
     index = {p: i for i, p in enumerate(points)}
 
     def perm(f):
@@ -510,9 +514,16 @@ def genus2_affine_rep(n: int = 2) -> FiniteRepresentation:
             rows[index[f(p)]][index[p]] = 1
         return rows
 
+    def translate(k):
+        return perm(lambda p: tuple((x + (i == k)) % n
+                                    for i, x in enumerate(p)))
+
+    def monodromy(p):
+        return tuple(sum(a * x for a, x in zip(row, p)) % n for row in action)
+
     return FiniteRepresentation(len(points), tuple(
-        perm(lambda p, k=k: tuple((x + (i == k)) % n for i, x in enumerate(p)))
-        for k in range(4)) + (perm(lambda p: (p[2], p[3], p[0], p[1])),))
+        perm(monodromy) if j == mt.stable_index else translate(j - 1)
+        for j in range(1, mt.rank + 1)))
 
 
 def conjugate(rep: FiniteRepresentation,

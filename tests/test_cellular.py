@@ -645,6 +645,8 @@ class TestComputedOnce:
         surface, flow = cellular_model(mt)
         rep = mod2_permutation_rep(mt, Mat2(2, 1, 1, 1))
         orders = self.count(monkeypatch, kernel.homology_order)
+        # d1 d2 and d2 d3 by their builders, three by the flow's
+        checks = self.count(monkeypatch, kernel.products_cancel)
         # the model rebuilds the canonical presentation once per build
         models = self.count(monkeypatch, surfgrp.mapping_torus)
         # one flow build assembles F0, F1 and F2
@@ -656,7 +658,8 @@ class TestComputedOnce:
         cellular = torsion_from_cellular(surface, flow, rep)
         zeta = zeta_from_cellular(surface, flow, rep)
         lefschetz = lefschetz_numbers(surface, flow, rep, 5)
-        assert (len(orders), len(models), len(flow_blocks)) == (4, 1, 3)
+        assert (len(orders), len(models), len(flow_blocks),
+                len(checks)) == (4, 1, 3, 5)
         monkeypatch.undo()
         fresh = mod2_permutation_rep(mt, Mat2(2, 1, 1, 1))
         assert deltas == [twisted_alexander(mt, fresh, n) for n in range(4)]
@@ -902,26 +905,6 @@ class TestLefschetzNumbers:
                             for i in range(1, 7)]
 
 
-def affine_rep(matrix, n):
-    """Permutation representation of a torus bundle's group on (Z/n)^2:
-    the fiber generators translate by e1 and e2, the stable letter acts by
-    the monodromy matrix mod n (transposed permutation matrices)."""
-    points = [(x, y) for x in range(n) for y in range(n)]
-    index = {p: i for i, p in enumerate(points)}
-
-    def perm(f):
-        rows = [[0] * len(points) for _ in points]
-        for p in points:
-            rows[index[f(p)]][index[p]] = 1
-        return rows
-
-    return FiniteRepresentation(n * n, (
-        perm(lambda p: ((p[0] + 1) % n, p[1])),
-        perm(lambda p: (p[0], (p[1] + 1) % n)),
-        perm(lambda p: ((matrix.a * p[0] + matrix.b * p[1]) % n,
-                        (matrix.c * p[0] + matrix.d * p[1]) % n))))
-
-
 class TestShapiroOracle:
     """By Shapiro's lemma the permutation representation on (Z/n)^2
     computes the invariants of the cover with fiber R^2 / nZ^2 and the
@@ -940,7 +923,7 @@ class TestShapiroOracle:
                     zeta_from_cellular(surface, flow, rep),
                     lefschetz_numbers(surface, flow, rep, 10))
 
-        affine = affine_rep(a211, 4)
+        affine = reference.affine_rep(mt, 4)
         assert affine.dimension == 16
         deltas, by_flow, by_orders, zeta, lefschetz = invariants(affine)
         want = invariants(FiniteRepresentation.trivial(mt))
@@ -976,7 +959,8 @@ class TestSparseFiberedPath:
             lambda *args: builds.append(args) or build(*args)))
         surface, flow = cellular_model(
             load_fixture(FIXTURES / "genus2_finite_order.json").payload)
-        mt, rep = surface.presentation, reference.genus2_affine_rep()
+        mt = surface.presentation
+        rep = reference.affine_rep(mt, 2)
         deltas = [twisted_alexander(mt, rep, n) for n in range(4)]
         zeta = zeta_from_cellular(surface, flow, rep)
         matrices = (surfgrp._presentation_boundaries(mt, rep)
@@ -1000,7 +984,7 @@ class TestMonomialFlowZeta:
     def test_zeta_matches_the_cycle_product(self, n):
         surface, flow = cellular_model(
             load_fixture(FIXTURES / "genus2_finite_order.json").payload)
-        rep = reference.genus2_affine_rep(n)
+        rep = reference.affine_rep(surface.presentation, n)
         assert rep.dimension == n ** 4
         f0, f1, f2 = (LaurentPolynomial(enumerate(reference.monomial_charpoly(
             [[(j, e.terms[0]) for j, e in row] for row in f.sparse])))
@@ -1042,9 +1026,10 @@ class TestMappingTorusBoundaries:
             mapping_torus_boundaries(
                 mt, mod2_permutation_rep(mt, Mat2(2, 1, 1, 1)))
 
-    def test_broken_presentation_complex_is_detected(self, monkeypatch):
-        # the 1-cell of the first generator bounds g + 1 instead of g - 1
-        mt = anosov_bundle()
+    @staticmethod
+    def break_presentation_complex(monkeypatch):
+        """Make the 1-cell of the first generator bound g + 1 instead of
+        g - 1 in every presentation complex built from now on."""
         chains = surfgrp._presentation_chains
 
         def tampered(n_generators, relators):
@@ -1053,10 +1038,36 @@ class TestMappingTorusBoundaries:
             return (((word, ((end, target, 1), *rest)),),) + one[1:], two
 
         monkeypatch.setattr(surfgrp, "_presentation_chains", tampered)
+
+    def test_broken_presentation_complex_is_detected(self, monkeypatch):
+        mt = anosov_bundle()
+        self.break_presentation_complex(monkeypatch)
         with pytest.raises(AssertionError, match=re.escape(
                 "presentation complex lost d.d = 0")):
             mapping_torus_boundaries(
                 mt, mod2_permutation_rep(mt, Mat2(2, 1, 1, 1)))
+
+    @pytest.mark.parametrize("move", [
+        lambda mt: mt,
+        lambda mt: mt.cycle_relator(1, 2),
+    ], ids=["canonical", "cycled"])
+    def test_broken_presentation_complex_fails_before_elimination(
+            self, monkeypatch, move):
+        # Delta_1 alone reads the presentation complex, whose builder owns
+        # d1 d2 = 0: it raises before any Smith form, on the canonical
+        # presentation and on a non-canonical one, which the
+        # three-dimensional model never reads
+        mt = move(anosov_bundle())
+        rep = mod2_permutation_rep(mt, Mat2(2, 1, 1, 1))
+        self.break_presentation_complex(monkeypatch)
+        eliminations = []
+        smith = kernel.smith_diagonalize
+        monkeypatch.setattr(kernel, "smith_diagonalize",
+                            lambda m: eliminations.append(m) or smith(m))
+        with pytest.raises(AssertionError, match=re.escape(
+                "presentation complex lost d.d = 0")):
+            twisted_alexander(mt, rep, 1)
+        assert eliminations == []
 
     def test_bounded_fiber_has_no_top_cell(self):
         free = SurfacePresentation.with_boundary(1, 1)

@@ -41,8 +41,8 @@ from procong.surfgrp import (
 )
 from procong.serialize import load_fixture
 from procong.torus import Mat2, rl_runs
-from reference import (cyclic_reduce, dense, dense_entries, mat_inverse,
-                       poly_matrix)
+from reference import (affine_rep, cyclic_reduce, dense, dense_entries,
+                       mat_inverse, poly_matrix)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -748,23 +748,6 @@ def naive_chain_matrix(mt, rep, chains, n_targets, strip_degree=0):
                        [[LaurentPolynomial(e) for e in row] for row in grid])
 
 
-def affine_mod2_rep():
-    """Degree-4 permutation representation of the Anosov bundle's group:
-    a and b translate (Z/2)^2 by e1 and e2, t acts by [[2,1],[1,1]] mod 2."""
-    points = [(x, y) for x in range(2) for y in range(2)]
-
-    def perm(f):
-        rows = [[0] * 4 for _ in points]
-        for i, p in enumerate(points):
-            rows[points.index(f(p))][i] = 1
-        return rows
-
-    return FiniteRepresentation(4, (
-        perm(lambda p: ((p[0] + 1) % 2, p[1])),
-        perm(lambda p: (p[0], (p[1] + 1) % 2)),
-        perm(lambda p: ((2 * p[0] + p[1]) % 2, (p[0] + p[1]) % 2))))
-
-
 def random_chains(rng, n_chains, n_targets):
     """Chains mixing one long path shared by many terms, short unrelated
     paths, the empty word, repeated ends and unreduced words with inverse
@@ -798,7 +781,7 @@ class TestChainAssembly:
         FiniteRepresentation(1, (((Cyclotomic.root(12, 1),),),
                                  ((Cyclotomic.root(12, 5),),),
                                  ((Cyclotomic.root(12, 2),),))),
-        affine_mod2_rep(),
+        affine_rep(anosov_bundle(), 2),
     ], ids=["cyclotomic", "affine4"])
     def test_prefix_table_matches_naive_assembly(self, rep):
         mt = anosov_bundle()
@@ -816,7 +799,7 @@ class TestChainAssembly:
     def test_fox_chain_costs_at_most_one_product_per_letter(self,
                                                             monkeypatch):
         mt = anosov_bundle()
-        rep = affine_mod2_rep()
+        rep = affine_rep(mt, 2)
         rng = random.Random(587)
         relator = free_reduce(rng.choice([-3, -2, -1, 1, 2, 3])
                               for _ in range(300))
@@ -1068,7 +1051,7 @@ class TestClosure:
     def test_monomial_closures_have_the_group_order(self):
         mt = anosov_bundle()
         # <a, b> = (Z/2)^2 translations, t of order 3 mod 2: A4
-        assert len(affine_mod2_rep()._closure()) == 12
+        assert len(affine_rep(mt, 2)._closure()) == 12
         z = FiniteRepresentation.fibered_character(mt, Cyclotomic.root(12, 5))
         assert len(z._closure()) == 12
 
@@ -1077,7 +1060,7 @@ class TestClosure:
     def test_conjugate_by_a_dense_basis_keeps_the_order(self, basis):
         # a dense conjugate has full rows; its closure still deduplicates
         mt = anosov_bundle()
-        rep = affine_mod2_rep()
+        rep = affine_rep(mt, 2)
         conj = rep.conjugate(basis)
         assert len(conj._closure()) == len(rep._closure())
         conj.validate(mt)
