@@ -8,6 +8,16 @@ digits obtained by interval refinement.  ``--json`` switches the report to
 a machine-readable form encoding the same values.  Identical inputs yield
 byte-identical reports.
 
+Every fixture-reading subcommand (``alexander``, ``torsion``, ``zeta``,
+``lefschetz``, ``nt analyze``, ``chars``) reads its fixture file on every
+call and looks its text up in one cache of compiled fixtures: fibered
+bundles, validated decompositions and orbit projection tables.  The cache
+is keyed by the text, so an edited file is compiled anew; it holds
+``COMPILED_SLOTS`` (8) texts and evicts the least recently used; a text
+that fails to decode or validate is never stored.  A decomposition keeps
+its orbit-count rows and a stretch factor its decimal renderings, so those
+are derived once per process (see ``ntform``).
+
 Exit status: 0 on success, 2 on input errors (unreadable fixtures, bad
 arguments, validation failures), 1 on internal assertion failures.
 """
@@ -18,7 +28,9 @@ import json
 import math
 import re
 import sys
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -112,41 +124,70 @@ class FiberedBundle:
         return self.reps[key]
 
 
-# The last fibered fixture compiled, as (fixture text, bundle).  One slot,
-# replaced by assigning one tuple: concurrent callers at worst build a
-# bundle twice, and a new fixture frees the old bundle.
-_last_fibered: Tuple[Optional[str], Optional[FiberedBundle]] = (None, None)
+# Compiled fixtures by fixture text, least recently used first.  The lock
+# guards the dict only: concurrent callers at worst compile a text twice.
+COMPILED_SLOTS = 8
+_compiled: "OrderedDict[str, Tuple[str, object]]" = OrderedDict()
+_compiled_lock = threading.Lock()
+
+
+def _compile(fixture: Fixture):
+    """The compiled payload of a decoded fixture: a FiberedBundle for the
+    fibered kinds, the validated payload for the others."""
+    from .cellular import cellular_model
+    from .serialize import KIND_CELLULAR, KIND_MAPPING_TORUS, KIND_TORUS
+    from .surfgrp import (GeneratorEndomorphism, SurfacePresentation,
+                          mapping_torus)
+    if fixture.kind == KIND_TORUS:
+        pres = SurfacePresentation.closed(1)
+        phi = GeneratorEndomorphism.torus_monodromy(fixture.payload)
+        mt = mapping_torus(pres, phi)
+        return FiberedBundle(mt, *cellular_model(mt))
+    if fixture.kind == KIND_MAPPING_TORUS:
+        return FiberedBundle(fixture.payload, *cellular_model(fixture.payload))
+    if fixture.kind == KIND_CELLULAR:
+        surface, flow = fixture.payload
+        return FiberedBundle(surface.presentation, surface, flow)
+    return fixture.payload
+
+
+def _compiled_input(config: RunConfig, kinds: Tuple[str, ...], role: str):
+    """The compiled payload of the fixture file config.inputs[0], which
+    must be of one of `kinds` (else ValueError: "fixture kind ... {role}").
+
+    The file is read on every call and its text is the key, so a copy at
+    another path shares the entry and an edited file is compiled anew.  The
+    cache holds COMPILED_SLOTS texts and evicts the least recently used.
+    A text that fails to decode, to validate, to compile or to match
+    `kinds` is never stored, so it fails again on every call."""
+    from .serialize import parse_fixture, read_fixture
+    text = read_fixture(config.inputs[0])
+    with _compiled_lock:
+        entry = _compiled.get(text)
+        if entry is not None:
+            _compiled.move_to_end(text)
+    if entry is None:
+        fixture = parse_fixture(text)
+        if fixture.kind not in kinds:
+            raise ValueError(f"fixture kind {fixture.kind!r} {role}")
+        entry = (fixture.kind, _compile(fixture))
+        with _compiled_lock:
+            _compiled[text] = entry
+            if len(_compiled) > COMPILED_SLOTS:
+                _compiled.popitem(last=False)
+    kind, payload = entry
+    if kind not in kinds:
+        raise ValueError(f"fixture kind {kind!r} {role}")
+    return payload
 
 
 def _fibered_input(config: RunConfig) -> FiberedBundle:
-    """The fibered model of a fixture, compiled once per fixture text.  The
-    file is read on every call, so an edited file is compiled anew."""
-    from .cellular import cellular_model
-    from .serialize import (KIND_CELLULAR, KIND_MAPPING_TORUS, KIND_TORUS,
-                            parse_fixture, read_fixture)
-    from .surfgrp import (GeneratorEndomorphism, SurfacePresentation,
-                          mapping_torus)
-    global _last_fibered
-    text = read_fixture(config.inputs[0])
-    key, bundle = _last_fibered
-    if key != text:
-        fixture = parse_fixture(text)
-        if fixture.kind == KIND_TORUS:
-            pres = SurfacePresentation.closed(1)
-            phi = GeneratorEndomorphism.torus_monodromy(fixture.payload)
-            mt = mapping_torus(pres, phi)
-            surface, flow = cellular_model(mt)
-        elif fixture.kind == KIND_MAPPING_TORUS:
-            mt = fixture.payload
-            surface, flow = cellular_model(mt)
-        elif fixture.kind == KIND_CELLULAR:
-            surface, flow = fixture.payload
-            mt = surface.presentation
-        else:
-            raise ValueError(
-                f"fixture kind {fixture.kind!r} carries no fibered model")
-        bundle = FiberedBundle(mt, surface, flow)
-        _last_fibered = (text, bundle)
+    """The fibered model of a fixture, compiled once per fixture text (see
+    `_compiled_input`), with --rep resolved on it."""
+    from .serialize import KIND_CELLULAR, KIND_MAPPING_TORUS, KIND_TORUS
+    bundle = _compiled_input(
+        config, (KIND_TORUS, KIND_MAPPING_TORUS, KIND_CELLULAR),
+        "carries no fibered model")
     # resolving --rep on the fixture's own presentation checks its relators
     # against the monodromy, whichever subcommand reads the bundle; for a
     # canonical fixture this is the representation the handlers read
@@ -192,12 +233,9 @@ def _parse_slope(text: str) -> Tuple[int, int]:
 
 def _orbit_projection_input(config: RunConfig):
     from .chars import builtin_group
-    from .serialize import KIND_ORBIT_PROJECTION, load_fixture
-    fixture = load_fixture(config.inputs[0])
-    if fixture.kind != KIND_ORBIT_PROJECTION:
-        raise ValueError(f"fixture kind {fixture.kind!r} is not an orbit "
-                         "projection table")
-    payload = fixture.payload
+    from .serialize import KIND_ORBIT_PROJECTION
+    payload = _compiled_input(config, (KIND_ORBIT_PROJECTION,),
+                              "is not an orbit projection table")
     group_name = config.group or payload.group
     return builtin_group(group_name), payload.table, payload.attained
 
@@ -340,12 +378,8 @@ def _handle_lefschetz(config: RunConfig):
 
 def _handle_nt_analyze(config: RunConfig):
     from .ntform import deviation, dilatation, indexed_orbit_numbers
-    from .serialize import KIND_NT, load_fixture
-    fixture = load_fixture(config.inputs[0])
-    if fixture.kind != KIND_NT:
-        raise ValueError(f"fixture kind {fixture.kind!r} is not a "
-                         "decomposition")
-    nt = fixture.payload
+    from .serialize import KIND_NT
+    nt = _compiled_input(config, (KIND_NT,), "is not a decomposition")
     upto = config.upto if config.upto is not None else 6
     dil = dilatation(nt)
     dev = deviation(nt)

@@ -12,7 +12,9 @@ degrees from slope pairs.
 All arithmetic is exact.  Stretch factors are algebraic numbers given
 by an integer polynomial together with a rational interval that a Sturm
 count certifies to isolate one root; comparisons and decimal rendering
-bisect it by sign tests, never through floats.
+bisect it by sign tests, never through floats.  A stretch factor keeps
+each decimal rendering, and a decomposition the orbit-count rows of one
+period of its iterates, so neither is derived twice.
 """
 
 from __future__ import annotations
@@ -137,6 +139,8 @@ class StretchFactor:
         object.__setattr__(self, "_sf", sf)
         object.__setattr__(self, "_chain", chain)
         object.__setattr__(self, "_low_positive", at_low > 0)
+        # digits -> the rendering `approx` certified
+        object.__setattr__(self, "_renderings", {})
         if at_low == 0 or _sign_at(chain[0], self.high) == 0:
             raise DecompositionError(
                 "stretch factor interval endpoints must not be roots")
@@ -194,17 +198,20 @@ class StretchFactor:
 
     def approx(self, digits: int = 12) -> str:
         """Decimal rendering to the given significant digits, certified by
-        refining the isolating interval."""
-        target = Fraction(1, 10 ** (digits + 2))
-        low, high = self.low, self.high
-        while high - low > low * target:
-            low, high = self._halved(low, high)
-        mid = (low + high) / 2
-        with decimal.localcontext() as ctx:
-            ctx.prec = digits
-            value = (decimal.Decimal(mid.numerator)
-                     / decimal.Decimal(mid.denominator))
-        return str(value)
+        refining the isolating interval once per digit count: the factor
+        keeps each rendering."""
+        if digits not in self._renderings:
+            target = Fraction(1, 10 ** (digits + 2))
+            low, high = self.low, self.high
+            while high - low > low * target:
+                low, high = self._halved(low, high)
+            mid = (low + high) / 2
+            with decimal.localcontext() as ctx:
+                ctx.prec = digits
+                value = (decimal.Decimal(mid.numerator)
+                         / decimal.Decimal(mid.denominator))
+            self._renderings[digits] = str(value)
+        return self._renderings[digits]
 
     def to_json(self):
         return {"polynomial": list(self.polynomial),
@@ -385,7 +392,9 @@ def _orbit_table(names, perm: Mapping[str, str]) -> dict:
 class NTDecomposition:
     """A Nielsen-Thurston decomposition fixture: vertex pieces, reduction
     annuli, and the induced permutations on pieces and boundary circles.
-    Validation keeps the lookup and orbit tables every consumer reads."""
+    Validation keeps the lookup and orbit tables every consumer reads, and
+    the period of the orbit-count rows (`_row_period`); the rows computed
+    so far are kept too (see `indexed_orbit_numbers`)."""
 
     pieces: Tuple[VertexPiece, ...]
     annuli: Tuple[ReductionAnnulus, ...]
@@ -578,6 +587,9 @@ class NTDecomposition:
                             ("_orbits", orbits),
                             ("_circle_orbits", circle_orbits)):
             object.__setattr__(self, attr, table)
+        object.__setattr__(self, "_row_period", _row_period(self))
+        # iterate r -> its orbit-count row, filled by indexed_orbit_numbers
+        object.__setattr__(self, "_rows", {})
         return self
 
     # -- serialization -----------------------------------------------------
@@ -641,6 +653,23 @@ class NTDecomposition:
                 orbits=orbits(a.get("orbits", ()), "annulus orbits")))
         return NTDecomposition(tuple(pieces), tuple(annuli),
                                data["piece_map"], data["circle_map"])
+
+
+def _row_period(nt: NTDecomposition) -> int:
+    """A period of the essential class families in the iterate m: the lcm
+    of every modulus `_essential_families` reads m by.  Those are each
+    piece's orbit length times its period (pointwise fixed pieces, fixed
+    pseudo-Anosov pieces), each circle orbit length and each annulus orbit
+    length (fixed circles and annuli), the denominator of each twist (whole
+    twists at m), and each interior orbit's size, times its prong count
+    when it has one (fixed points, and the prong rotation of m / size)."""
+    return lcm(*(len(nt._orbits[p.name]) * p.period for p in nt.pieces),
+               *(len(orbit) for orbit in nt._circle_orbits.values()),
+               *(len(nt._orbits[a.name]) for a in nt.annuli),
+               *(a.twist.denominator for a in nt.annuli),
+               *(o.size * (o.prongs or 1)
+                 for host in (*nt.pieces, *nt.annuli)
+                 for o in host.orbits or ()))
 
 
 # ---------------------------------------------------------------------------
@@ -924,15 +953,20 @@ class IndexedOrbitTable:
 
 def indexed_orbit_numbers(nt: NTDecomposition, upto: int) -> IndexedOrbitTable:
     """Orbit-class counts by index and Nielsen numbers for all iterates up
-    to the bound; each orbit of fixed classes counts once."""
+    to the bound; each orbit of fixed classes counts once.  The rows repeat
+    with the period P of `_row_period`, so iterate m reads row
+    ((m - 1) mod P) + 1.  Only rows 1..min(upto, P) are computed, in order,
+    each once per decomposition, which keeps them."""
     if upto < 1:
         raise DecompositionError("the iterate bound must be a positive integer")
-    counts = {}
-    for m in range(1, upto + 1):
-        row = {}
-        for family in _essential_families(nt, m):
-            row[family.index] = row.get(family.index, 0) + 1
-        counts[m] = row
+    period, rows = nt._row_period, nt._rows
+    for r in range(1, min(upto, period) + 1):
+        if r not in rows:
+            row = {}
+            for family in _essential_families(nt, r):
+                row[family.index] = row.get(family.index, 0) + 1
+            rows[r] = row
+    counts = {m: rows[(m - 1) % period + 1] for m in range(1, upto + 1)}
     leading = [nt._orbits[p.name] for p in nt.pieces
                if p.kind == PSEUDO_ANOSOV and nt._orbits[p.name][0] == p.name]
     remainder = sorted(min(orbit) for orbit in leading if len(orbit) <= upto)

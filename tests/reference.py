@@ -4,11 +4,12 @@ No subcommand, fixture or benchmark workload reaches these functions, so
 they live beside the tests instead of in `procong`.  Some are oracles the
 library is checked against (the brute-force characteristic level, the dense
 Gauss-Jordan inverse, dense Berkowitz, the cycle product of a monomial
-matrix, dense polynomial-matrix arithmetic); the others build test inputs
-and expected values (exact powers and iterates of normal forms, growth
-brackets from Nielsen numbers, presentation moves, changes of basis, dense
-copies of sparse scalar matrices, polynomial matrices from and to dense
-grids, the affine representations of closed-fiber bundles).
+matrix, dense polynomial-matrix arithmetic, the orbit-count table computed
+iterate by iterate); the others build test inputs and expected values
+(exact powers and iterates of normal forms, growth brackets from Nielsen
+numbers, presentation moves, changes of basis, dense copies of sparse
+scalar matrices, polynomial matrices from and to dense grids, the affine
+representations of closed-fiber bundles).
 
 Importing the module attaches the moved methods to their classes
 (`StretchFactor.power` and `refined_to`, `Dilatation.power`, the relator
@@ -26,10 +27,11 @@ from typing import Iterable, Mapping, Tuple
 
 from procong.kernel import (LaurentPolynomial, PolyMatrix, SparseMatrix,
                             as_exact, scalar_inverse, smith_integer)
-from procong.ntform import (PERIODIC, DecompositionError, Dilatation,
-                            IndexedOrbitTable, InteriorOrbit, NTDecomposition,
-                            StretchFactor, _orbit, _roots_between, _sign_at,
-                            _squarefree, _sturm_chain)
+from procong.ntform import (PERIODIC, PSEUDO_ANOSOV, DecompositionError,
+                            Dilatation, IndexedOrbitTable, InteriorOrbit,
+                            NTDecomposition, StretchFactor,
+                            _essential_families, _orbit, _roots_between,
+                            _sign_at, _squarefree, _sturm_chain)
 from procong.surfgrp import (FiniteRepresentation, MappingTorusPresentation,
                              ScalarMatrix, Word, _check_indices, _mat_freeze,
                              _sparse, _sparse_mul, free_reduce, word_concat,
@@ -213,6 +215,22 @@ def iterate(nt: NTDecomposition, m: int) -> NTDecomposition:
               for a in nt.annuli]
     return NTDecomposition(tuple(pieces), tuple(annuli),
                            _power_map(pmap, m), _power_map(cmap, m))
+
+
+def orbit_numbers_by_iterate(nt: NTDecomposition,
+                             upto: int) -> IndexedOrbitTable:
+    """`indexed_orbit_numbers` without its row period: every iterate's row
+    from its own essential families."""
+    counts = {}
+    for m in range(1, upto + 1):
+        row = {}
+        for family in _essential_families(nt, m):
+            row[family.index] = row.get(family.index, 0) + 1
+        counts[m] = row
+    leading = [nt._orbits[p.name] for p in nt.pieces
+               if p.kind == PSEUDO_ANOSOV and nt._orbits[p.name][0] == p.name]
+    remainder = sorted(min(orbit) for orbit in leading if len(orbit) <= upto)
+    return IndexedOrbitTable.from_counts(counts, tuple(remainder))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 import random
 import re
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -711,7 +712,7 @@ class TestComputedOnce:
     def test_fibered_request_builds_one_presentation(self, monkeypatch,
                                                      subcommand):
         # a cold request: no fixture compiled by an earlier one
-        monkeypatch.setattr(cli, "_last_fibered", (None, None))
+        monkeypatch.setattr(cli, "_compiled", OrderedDict())
         built, searches, smith = self.count_builds(monkeypatch)
         status, _ = cli.dispatch(cli.RunConfig(
             subcommand, (str(FIXTURES / "torus_pair_a.json"),)))
@@ -725,11 +726,11 @@ class TestComputedOnce:
                              ["alexander", "torsion", "zeta", "lefschetz"])
     def test_later_request_on_the_same_text_builds_nothing(
             self, monkeypatch, tmp_path, subcommand):
-        # the slot is keyed by the fixture text, not by its path
+        # the cache is keyed by the fixture text, not by its path
         source = FIXTURES / "torus_pair_a.json"
         copy = tmp_path / "copy.json"
         copy.write_bytes(source.read_bytes())
-        monkeypatch.setattr(cli, "_last_fibered", (None, None))
+        monkeypatch.setattr(cli, "_compiled", OrderedDict())
         assert cli.dispatch(cli.RunConfig("alexander", (str(source),)))[0] == 0
         built, searches, smith = self.count_builds(monkeypatch)
         orders = self.count(monkeypatch, kernel.homology_order)
@@ -758,7 +759,7 @@ class TestComputedOnce:
             mapping_torus(SurfacePresentation.closed(2), phi)
 
     def test_torsion_subcommand_computes_each_order_once(self, monkeypatch):
-        monkeypatch.setattr(cli, "_last_fibered", (None, None))
+        monkeypatch.setattr(cli, "_compiled", OrderedDict())
         orders = self.count(monkeypatch, kernel.homology_order)
         status, report = cli.dispatch(cli.RunConfig(
             "torsion", (str(FIXTURES / "torus_A211.json"),)))

@@ -6,15 +6,17 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
-from procong import cli
+from procong import cli, serialize
 from procong.cellular import cellular_model
 from procong.cli import RunConfig, config_from_args, build_parser, dispatch, main
-from procong.ntform import Dilatation
+from procong.ntform import Dilatation, NTDecomposition
 from procong.serialize import KIND_CELLULAR, load_fixture, wrap
 from procong.surfgrp import (GeneratorEndomorphism, MappingTorusPresentation,
                              SurfacePresentation, mapping_torus)
@@ -816,7 +818,7 @@ class TestRunConfig:
 
 
 class TestLastFiberedFixture:
-    """dispatch keeps the last fibered fixture compiled, keyed by the text
+    """dispatch keeps the fibered fixtures it compiled, keyed by the text
     of the fixture file, which it reads on every request."""
 
     GOLDEN = json.loads((Path(__file__).resolve().parent
@@ -845,6 +847,163 @@ class TestLastFiberedFixture:
         assert (status, out) == (2, "")
         assert err == ("error: malformed torus_monodromy fixture: missing "
                        "key 'matrix'\n")
+
+
+class TestCompiledFixtureCache:
+    """Every fixture-reading handler goes through one cache of compiled
+    fixtures: keyed by the fixture text, COMPILED_SLOTS entries, the least
+    recently used evicted, and nothing stored for a text that fails."""
+
+    QUERY_GOLDEN = json.loads((Path(__file__).resolve().parent
+                               / "golden_query_reports.json").read_text())
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(cli, "_compiled", OrderedDict())
+
+    @staticmethod
+    def count_decodes(monkeypatch):
+        """Record the texts decoded and the decompositions validated."""
+        decodes, validations = [], []
+        parse = serialize.parse_fixture
+        monkeypatch.setattr(serialize, "parse_fixture",
+                            lambda text: decodes.append(text) or parse(text))
+        validate = NTDecomposition.validate
+        monkeypatch.setattr(NTDecomposition, "validate",
+                            lambda nt: validations.append(nt) or validate(nt))
+        return decodes, validations
+
+    @pytest.mark.parametrize("argv", [
+        ("nt", "analyze", "two_pa_swap.json", "--upto", "12"),
+        ("nt", "analyze", "five_cases.json", "--approx", "--json"),
+        ("chars", "decompose", "orbit_s3.json"),
+        ("chars", "bound", "orbit_cyclic2.json", "--json"),
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_copy_at_another_path_is_not_decoded(self, capsys, monkeypatch,
+                                                 tmp_path, argv):
+        words = list(argv)
+        source = FIXTURES / argv[2]
+        first = run(capsys, *words[:2], str(source), *words[3:])
+        assert first[0] == 0
+        copy = tmp_path / "copy.json"
+        copy.write_bytes(source.read_bytes())
+        decodes, validations = self.count_decodes(monkeypatch)
+        assert run(capsys, *words[:2], str(copy), *words[3:]) == first
+        assert (decodes, validations) == ([], [])
+
+    def test_edited_file_is_decoded_again(self, capsys, monkeypatch,
+                                          tmp_path):
+        path = tmp_path / "decomposition.json"
+        decodes, validations = self.count_decodes(monkeypatch)
+        for source in ("two_pa_swap.json", "five_cases.json",
+                       "two_pa_swap.json"):
+            path.write_bytes((FIXTURES / source).read_bytes())
+            status, out, _ = run(capsys, "nt", "analyze", str(path),
+                                 "--approx")
+            assert status == 0
+            assert out == self.QUERY_GOLDEN[f"nt analyze {source} --approx"]
+        # the third text is the first one's, still compiled
+        assert (len(decodes), len(validations)) == (2, 2)
+
+    @pytest.mark.parametrize("argv, edit", [
+        (("nt", "analyze"), lambda data: "{"),
+        (("nt", "analyze"),
+         lambda data: data["body"]["pieces"][0].update(euler=1) or data),
+        (("alexander",), lambda data: data),
+        (("chars", "bound"), lambda data: data),
+    ], ids=["syntax", "validation", "fibered kind", "projection kind"])
+    def test_failing_fixture_exits_two_on_every_call(
+            self, capsys, monkeypatch, tmp_path, argv, edit):
+        data = edit(json.loads((FIXTURES / "two_pa_swap.json").read_text()))
+        path = tmp_path / "bad.json"
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+        decodes, _ = self.count_decodes(monkeypatch)
+        errors = set()
+        for _ in range(3):
+            status, out, err = run(capsys, *argv, str(path))
+            assert (status, out) == (2, "") and err.startswith("error: ")
+            errors.add(err)
+        assert len(errors) == 1 and len(decodes) == 3
+        assert not cli._compiled
+
+    def test_ninth_text_evicts_the_least_recently_used(self, capsys,
+                                                       monkeypatch, tmp_path):
+        # trailing blanks make distinct texts of one decomposition
+        source = (FIXTURES / "star_rotation.json").read_text()
+        paths = []
+        for k in range(cli.COMPILED_SLOTS + 1):
+            paths.append(tmp_path / f"star{k}.json")
+            paths[-1].write_text(source + " " * k)
+
+        def analyze(path):
+            status, out, _ = run(capsys, "nt", "analyze", str(path))
+            assert status == 0
+            return out
+
+        golden = analyze(paths[0])
+        for path in paths[1:-1]:
+            assert analyze(path) == golden
+        # the first text becomes the most recently used, the second the least
+        assert analyze(paths[0]) == golden
+        decodes, _ = self.count_decodes(monkeypatch)
+        assert analyze(paths[-1]) == golden
+        assert len(cli._compiled) == cli.COMPILED_SLOTS
+        assert len(decodes) == 1
+        assert analyze(paths[0]) == golden and len(decodes) == 1
+        assert analyze(paths[1]) == golden and len(decodes) == 2
+
+    def test_concurrent_requests_share_the_cache(self, tmp_path):
+        # more threads than cores and more texts than slots, switching
+        # often: every report is still the golden one, and the cache never
+        # holds more than its slots
+        paths = []
+        for k in range(cli.COMPILED_SLOTS + 4):
+            source = ("two_pa_swap.json", "five_cases.json")[k % 2]
+            paths.append((source, tmp_path / f"nt{k}.json"))
+            paths[-1][1].write_text((FIXTURES / source).read_text()
+                                    + " " * k)
+        failures, sizes = [], []
+
+        def worker(offset):
+            for i in range(3 * len(paths)):
+                source, path = paths[(i + offset) % len(paths)]
+                # the table past the row period, or the kept rendering
+                argv = ("--upto", "30") if i % 2 else ("--approx",)
+                # the handler, not dispatch: dispatch swaps the process's
+                # warning hooks, which threads would restore out of order
+                report, _ = cli._handle_nt_analyze(config_from_args(
+                    build_parser().parse_args(
+                        ["nt", "analyze", str(path), *argv])))
+                key = " ".join(("nt analyze", source, *argv))
+                if report + "\n" != self.QUERY_GOLDEN[key]:
+                    failures.append(key)
+                with cli._compiled_lock:
+                    sizes.append(len(cli._compiled))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == [] and len(sizes) == 4 * 3 * len(paths)
+        assert max(sizes) <= cli.COMPILED_SLOTS
+
+    def test_deviation_warning_is_printed_on_every_call(self, capsys):
+        for _ in range(3):
+            status, out, err = run(capsys, "nt", "analyze",
+                                   fixture("pure_twist.json"), "--upto", "30")
+            assert status == 0
+            assert out == self.QUERY_GOLDEN["nt analyze pure_twist.json "
+                                            "--upto 30"]
+            assert err.startswith("warning: deviation is defined to be zero ")
+            assert err.count("\n") == 1
 
 
 class TestImportFootprint:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from procong import ntform
 from procong.ntform import (
     CASE_NAMES,
     DecompositionError,
@@ -34,7 +35,7 @@ from procong.ntform import (
 )
 from procong.serialize import load_fixture
 from reference import (certify_growth_estimate, dilatation_from_nielsen,
-                       iterate)
+                       iterate, orbit_numbers_by_iterate)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -375,6 +376,19 @@ class TestStretchFactor:
 
     def test_json_roundtrip(self):
         assert StretchFactor.from_json(PHI.to_json()) == PHI
+
+    def test_rendering_is_kept_per_digit_count(self, monkeypatch):
+        stretch = phi_squared_interval()
+        halvings = []
+        halved = StretchFactor._halved
+        monkeypatch.setattr(StretchFactor, "_halved",
+                            lambda sf, low, high: halvings.append(low)
+                            or halved(sf, low, high))
+        assert stretch.approx(30) == "2.61803398874989484820458683437"
+        bisected = len(halvings)
+        assert stretch.approx(30) == "2.61803398874989484820458683437"
+        assert len(halvings) == bisected > 0
+        assert stretch.approx(12) == "2.61803398875" and len(halvings) > bisected
 
     def test_approx_ends_at_a_root_midpoint(self):
         assert StretchFactor((-3, 2), F(1), F(2)).approx(30) == "1.5"
@@ -1018,6 +1032,111 @@ class TestIndexedOrbitNumbers:
             assert orbits <= classes
             if classes:
                 assert orbits >= 1
+
+
+class TestOrbitRowPeriod:
+    """indexed_orbit_numbers computes rows 1..min(upto, P) once per
+    decomposition and repeats them with period P; the oracle computes every
+    iterate's row from its own essential families."""
+
+    # shipped decomposition -> P
+    PERIODS = {"two_pa_swap": 8, "five_cases": 6, "star_rotation": 3,
+               "separating_twist": 1, "pure_twist": 2}
+
+    @staticmethod
+    def shipped(name):
+        return load_fixture(FIXTURES / f"{name}.json").payload
+
+    def decompositions(self):
+        rng = random.Random(20261019)
+        for name in sorted(self.PERIODS):
+            nt = self.shipped(name)
+            yield name, nt
+            yield f"{name} relabeled", relabel(nt, *random_relabeling(nt, rng))
+
+    @staticmethod
+    def count_families(monkeypatch):
+        calls = []
+        families = ntform._essential_families
+        monkeypatch.setattr(ntform, "_essential_families",
+                            lambda nt, m: calls.append(m) or families(nt, m))
+        return calls
+
+    def test_tables_match_the_oracle_at_every_bound(self):
+        for label, nt in self.decompositions():
+            for upto in range(1, 61):
+                assert indexed_orbit_numbers(nt, upto) == \
+                    orbit_numbers_by_iterate(nt, upto), (label, upto)
+
+    def test_tables_match_the_oracle_in_any_order(self):
+        for label, nt in self.decompositions():
+            for upto in (30, 6, 45, 1):
+                assert indexed_orbit_numbers(nt, upto) == \
+                    orbit_numbers_by_iterate(nt, upto), (label, upto)
+
+    @pytest.mark.parametrize("factory", ALL_FIXTURES)
+    def test_built_decompositions_match_the_oracle(self, factory):
+        nt = factory()
+        for upto in (7, 24, 3):
+            assert indexed_orbit_numbers(nt, upto) == \
+                orbit_numbers_by_iterate(nt, upto)
+
+    @pytest.mark.parametrize("name", sorted(PERIODS))
+    def test_each_row_is_computed_once(self, monkeypatch, name):
+        nt = self.shipped(name)
+        assert nt._row_period == self.PERIODS[name]
+        calls = self.count_families(monkeypatch)
+        for upto in (30, 6, 45, 1, 60):
+            indexed_orbit_numbers(nt, upto)
+        assert calls == list(range(1, self.PERIODS[name] + 1))
+
+    def test_short_bound_computes_only_its_rows(self, monkeypatch):
+        nt = self.shipped("two_pa_swap")
+        calls = self.count_families(monkeypatch)
+        indexed_orbit_numbers(nt, 3)
+        indexed_orbit_numbers(nt, 5)
+        assert calls == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("nt, period", [
+        # a fixed pA piece and fixed circles: only the 1/5 twist sets P
+        (make_single_pa(twist="1/5"), 5),
+        # a closed fixed pA piece: only the 3-prong fixed orbit sets P
+        (make_closed_pa((InteriorOrbit("s", 1, 3, 1),)), 3),
+        # a fixed pA piece that swaps its two boundary circles
+        (NTDecomposition((VertexPiece("P", "pseudoAnosov", -2, ("x1", "x2"),
+                                      (1, 1), PHI, orbits=()),),
+                         (), {"P": "P"}, {"x1": "x2", "x2": "x1"}), 2),
+    ], ids=["twist denominator", "size times prongs", "circle orbit"])
+    def test_one_term_sets_the_period(self, nt, period):
+        assert nt._row_period == period
+        # P is prime and row P differs from row 1, so no smaller period
+        rows = orbit_numbers_by_iterate(nt, 3 * period).rows
+        assert rows[period - 1].counts != rows[0].counts
+        assert indexed_orbit_numbers(nt, 3 * period) == \
+            orbit_numbers_by_iterate(nt, 3 * period)
+
+    @pytest.mark.parametrize("build, first", [
+        (lambda: NTDecomposition((bad_piece(make_closed_pa(()).pieces[0],
+                                            orbits=None),),
+                                 (), {"P": "P"}, {}), 1),
+        (lambda: NTDecomposition(
+            tuple(bad_piece(p, orbits=None) for p in make_swap().pieces),
+            make_swap().annuli, dict(make_swap().piece_map),
+            dict(make_swap().circle_map)), 2),
+    ], ids=["fixed piece", "swapped pieces"])
+    def test_incomplete_data_fails_at_the_same_iterate(self, build, first):
+        nt = build()
+        for upto in (1, 2, 5, 1, 9):
+            if upto < first:
+                assert indexed_orbit_numbers(nt, upto) == \
+                    orbit_numbers_by_iterate(nt, upto)
+                continue
+            with pytest.raises(OrbitDataIncompleteError) as expected:
+                orbit_numbers_by_iterate(nt, upto)
+            with pytest.raises(OrbitDataIncompleteError) as raised:
+                indexed_orbit_numbers(nt, upto)
+            assert str(raised.value) == str(expected.value)
+            assert f"iterate {first} " in str(raised.value)
 
 
 # ---------------------------------------------------------------------------

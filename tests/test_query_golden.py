@@ -4,11 +4,14 @@
 on the classical pair and on a pair conjugate in SL(2,Z), of ``chars
 decompose`` and ``chars bound`` on the two shipped orbit projection tables
 and on seeded ``cyclic(31)``, ``cyclic(48)`` and ``cyclic(59)`` tables
-written at test time (see `write_generated`), and of ``nt analyze --approx``
-on the three pseudo-Anosov decompositions, each in text and ``--json`` mode.
+written at test time (see `write_generated`), of ``nt analyze --approx``
+on the three pseudo-Anosov decompositions and of ``nt analyze --upto 30`` on
+all five shipped decompositions, each in text and ``--json`` mode.
 Any change to how witnesses, character sums or stretch-factor intervals are
-computed must keep these reports identical.  To regenerate (only when a
-report is meant to change, and say why):
+computed must keep these reports identical.  One test replays every report
+of both golden files through one process, twice, in a seeded shuffled
+order, so no state kept between requests may change a report.  To
+regenerate (only when a report is meant to change, and say why):
 ``PYTHONPATH=src python tests/test_query_golden.py``.
 """
 
@@ -17,10 +20,13 @@ import io
 import json
 import random
 import tempfile
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
+import test_fibered_golden as fibered
+from procong import cli
 from procong.cli import main
 from procong.serialize import KIND_ORBIT_PROJECTION, save_fixture
 
@@ -35,6 +41,8 @@ ORBIT_SOURCES = ("orbit_cyclic2.json", "orbit_s3.json")
 # cyclic order -> orbit rows of the table written at test time
 GENERATED = {31: 7, 48: 12, 59: 5}
 NT_SOURCES = ("two_pa_swap.json", "five_cases.json", "star_rotation.json")
+# every shipped decomposition, past each one's orbit-row period
+NT_TABLE_SOURCES = NT_SOURCES + ("separating_twist.json", "pure_twist.json")
 MODES = ((), ("--json",))
 
 
@@ -64,6 +72,8 @@ def invocations():
                  for source in sources for mode in MODES]
     keys += [" ".join(("nt", "analyze", source, "--approx") + mode)
              for source in NT_SOURCES for mode in MODES]
+    keys += [" ".join(("nt", "analyze", source, "--upto", "30") + mode)
+             for source in NT_TABLE_SOURCES for mode in MODES]
     return keys
 
 
@@ -93,6 +103,29 @@ def test_report_is_byte_identical(key, generated_dir):
     status, out = report(key, generated_dir)
     assert status == 0
     assert out == golden[key]
+
+
+def test_every_golden_report_replays_in_one_process(monkeypatch,
+                                                    tmp_path_factory):
+    # both golden files twice over, shuffled, from a cold cache: more texts
+    # than the cache holds, so entries are evicted and compiled again, and
+    # each decomposition's kept rows serve bounds in any order
+    monkeypatch.setattr(cli, "_compiled", OrderedDict())
+    query_dir = tmp_path_factory.mktemp("query")
+    fibered_dir = tmp_path_factory.mktemp("fibered")
+    write_generated(query_dir)
+    fibered.write_generated(fibered_dir)
+    golden = {}
+    for path, report_of, directory in (
+            (fibered.GOLDEN, fibered.report, fibered_dir),
+            (GOLDEN, report, query_dir)):
+        for key, out in json.loads(path.read_text(encoding="utf-8")).items():
+            golden[report_of, directory, key] = out
+    runs = sorted(golden, key=lambda run: run[2]) * 2
+    random.Random(20261019).shuffle(runs)
+    for run in runs:
+        report_of, directory, key = run
+        assert report_of(key, directory) == (0, golden[run]), key
 
 
 def test_golden_file_covers_every_invocation():
