@@ -63,7 +63,7 @@ def main():
     args = parser.parse_args()
 
     for path in FIXTURES:
-        bundle = _fibered_input(RunConfig("zeta", (path,)))
+        bundle, _ = _fibered_input(RunConfig("zeta", (path,)))
         surface, flow = bundle.surface, bundle.flow
         mt = surface.presentation
         for n in args.n:

@@ -85,43 +85,43 @@ def _positive_int(text: str, label: str) -> int:
 
 @dataclass
 class FiberedBundle:
-    """A fibered fixture compiled once: the mapping torus, its cellular
-    model, and the --rep representations resolved on them.  Each
-    representation keeps its twisted complexes, so the certification, the
-    orders, the flow maps and the zeta function are built once per bundle
-    and representation, however many subcommands read them."""
+    """A fibered fixture compiled once: its cellular model, whose
+    presentation every fibered subcommand reads, the fixture's own
+    presentation, and the --rep representations resolved on the model's
+    presentation.  Each representation keeps its twisted complexes, so the
+    certification, the orders, the flow maps and the zeta function are
+    built once per bundle and label, however many subcommands read them."""
 
-    mt: MappingTorusPresentation
     surface: CellularSurface
     flow: CellularSelfMap
+    own: MappingTorusPresentation
     reps: dict = field(default_factory=dict)
 
-    def rep(self, presentation: MappingTorusPresentation,
-            label: str) -> FiniteRepresentation:
-        """The representation named by --rep on `presentation` (`mt` or
-        the model's), resolved once.  Delta_0 and Delta_1 are read from
-        `presentation`, the other invariants from the canonical
-        presentation of its monodromy, so the two must agree on Delta_0
-        and Delta_1 (else ValueError naming the relators)."""
+    def rep(self, label: str) -> FiniteRepresentation:
+        """The representation named by --rep on the model's presentation,
+        resolved once per label.  When the fixture's own presentation is
+        not the canonical one of its monodromy, the two must agree on
+        Delta_0 and Delta_1 under the label (else ValueError naming the
+        relators); one of them is the model's."""
         from .surfgrp import mapping_torus, twisted_alexander
-        key = (presentation, label)
-        if key not in self.reps:
-            rep = _resolve_rep(presentation, label)
-            canonical = mapping_torus(presentation.fiber,
-                                      presentation.monodromy)
-            if presentation != canonical:
+        if label not in self.reps:
+            model = self.surface.presentation
+            rep = _resolve_rep(model, label)
+            canonical = mapping_torus(model.fiber, model.monodromy)
+            if self.own != canonical:
+                pair = [(p, rep if p is model else _resolve_rep(p, label))
+                        for p in (self.own, canonical)]
                 for n in (0, 1):
-                    own = twisted_alexander(presentation, rep, n)
-                    expected = twisted_alexander(
-                        canonical, self.rep(canonical, label), n)
+                    own, expected = (twisted_alexander(p, r, n)
+                                     for p, r in pair)
                     if own != expected:
                         raise ValueError(
                             f"relators do not present the mapping torus of "
                             f"the monodromy: Delta_{n} = {own.pretty()} "
                             f"under --rep {label}, but {expected.pretty()} "
                             f"on the canonical presentation")
-            self.reps[key] = rep
-        return self.reps[key]
+            self.reps[label] = rep
+        return self.reps[label]
 
 
 # Compiled fixtures by fixture text, least recently used first.  The lock
@@ -142,12 +142,12 @@ def _compile(fixture: Fixture):
         pres = SurfacePresentation.closed(1)
         phi = GeneratorEndomorphism.torus_monodromy(fixture.payload)
         mt = mapping_torus(pres, phi)
-        return FiberedBundle(mt, *cellular_model(mt))
+        return FiberedBundle(*cellular_model(mt), mt)
     if fixture.kind == KIND_MAPPING_TORUS:
-        return FiberedBundle(fixture.payload, *cellular_model(fixture.payload))
+        return FiberedBundle(*cellular_model(fixture.payload), fixture.payload)
     if fixture.kind == KIND_CELLULAR:
         surface, flow = fixture.payload
-        return FiberedBundle(surface.presentation, surface, flow)
+        return FiberedBundle(surface, flow, surface.presentation)
     return fixture.payload
 
 
@@ -181,18 +181,16 @@ def _compiled_input(config: RunConfig, kinds: Tuple[str, ...], role: str):
     return payload
 
 
-def _fibered_input(config: RunConfig) -> FiberedBundle:
+def _fibered_input(config: RunConfig
+                   ) -> Tuple[FiberedBundle, FiniteRepresentation]:
     """The fibered model of a fixture, compiled once per fixture text (see
-    `_compiled_input`), with --rep resolved on it."""
+    `_compiled_input`), and the --rep representation on the model's
+    presentation, from which every fibered invariant is read."""
     from .serialize import KIND_CELLULAR, KIND_MAPPING_TORUS, KIND_TORUS
     bundle = _compiled_input(
         config, (KIND_TORUS, KIND_MAPPING_TORUS, KIND_CELLULAR),
         "carries no fibered model")
-    # resolving --rep on the fixture's own presentation checks its relators
-    # against the monodromy, whichever subcommand reads the bundle; for a
-    # canonical fixture this is the representation the handlers read
-    bundle.rep(bundle.mt, config.rep)
-    return bundle
+    return bundle, bundle.rep(config.rep)
 
 
 def _resolve_rep(mt, label: str) -> FiniteRepresentation:
@@ -308,9 +306,9 @@ def _handle_torus_klevel(config: RunConfig):
 
 def _handle_alexander(config: RunConfig):
     from .surfgrp import twisted_alexander
-    bundle = _fibered_input(config)
-    rep = bundle.rep(bundle.mt, config.rep)
-    orders = [twisted_alexander(bundle.mt, rep, n) for n in range(4)]
+    bundle, rep = _fibered_input(config)
+    orders = [twisted_alexander(bundle.surface.presentation, rep, n)
+              for n in range(4)]
     lines = [f"rep: {config.rep}"]
     lines += [f"Delta_{n} = {p.pretty()}" for n, p in enumerate(orders)]
     payload = {"rep": config.rep,
@@ -321,13 +319,10 @@ def _handle_alexander(config: RunConfig):
 def _handle_torsion(config: RunConfig):
     from .cellular import torsion_from_cellular
     from .surfgrp import twisted_torsion
-    bundle = _fibered_input(config)
+    bundle, rep = _fibered_input(config)
     surface = bundle.surface
-    # rank-1, so also defined on the model's presentation (mt may have more)
-    cellular = torsion_from_cellular(
-        surface, bundle.flow, bundle.rep(surface.presentation, config.rep))
-    alexander_route = twisted_torsion(bundle.mt,
-                                      bundle.rep(bundle.mt, config.rep))
+    cellular = torsion_from_cellular(surface, bundle.flow, rep)
+    alexander_route = twisted_torsion(surface.presentation, rep)
     if cellular.homological != alexander_route:
         raise ArithmeticError(
             "determinant-ratio torsion disagrees with the Alexander-order "
@@ -346,9 +341,8 @@ def _handle_torsion(config: RunConfig):
 
 def _handle_zeta(config: RunConfig):
     from .cellular import lefschetz_numbers, zeta_from_cellular
-    bundle = _fibered_input(config)
+    bundle, rep = _fibered_input(config)
     surface, flow = bundle.surface, bundle.flow
-    rep = bundle.rep(surface.presentation, config.rep)
     terms = config.terms if config.terms is not None else 5
     zeta = zeta_from_cellular(surface, flow, rep)
     rendered = [render_scalar(v)
@@ -363,12 +357,9 @@ def _handle_zeta(config: RunConfig):
 
 def _handle_lefschetz(config: RunConfig):
     from .cellular import lefschetz_numbers
-    bundle = _fibered_input(config)
-    surface = bundle.surface
+    bundle, rep = _fibered_input(config)
     upto = config.upto if config.upto is not None else 10
-    values = lefschetz_numbers(surface, bundle.flow,
-                               bundle.rep(surface.presentation, config.rep),
-                               upto)
+    values = lefschetz_numbers(bundle.surface, bundle.flow, rep, upto)
     rendered = [render_scalar(v) for v in values]
     lines = [f"rep: {config.rep}"]
     lines += [f"L_{m} = {v}" for m, v in enumerate(rendered, start=1)]

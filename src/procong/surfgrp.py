@@ -514,7 +514,9 @@ class MappingTorusPresentation:
     letter; `fiber_values` records the degree class, which evaluates to 1 on
     the stable letter and to 0 on fiber generators.  Relators are the fiber
     relator (closed case) plus one commutation relator per fiber generator:
-    t g t^-1 image(g)^-1.
+    t g t^-1 image(g)^-1.  Each fiber generator is named once among the
+    generators, other than the stable letter: the canonical presentation of
+    the monodromy is matched to this one by name.
     """
 
     generators: Tuple[str, ...]
@@ -539,6 +541,12 @@ class MappingTorusPresentation:
         for r in self.relators:
             if self.degree(r) != 0:
                 raise ValueError("every relator must have degree zero")
+        stable = self.generators[self.stable_index - 1]
+        for name in self.fiber.generators:
+            if self.generators.count(name) != 1 or name == stable:
+                raise ValueError(f"generators must name fiber generator "
+                                 f"{name!r} once, other than the stable "
+                                 f"letter")
 
     @property
     def rank(self) -> int:
@@ -791,8 +799,6 @@ class FiniteRepresentation:
             raise ValueError("need exactly one matrix per generator")
         ident = _sparse_identity(self.dimension)
         for r in mt.relators:
-            if mt.degree(r) != 0:
-                raise ValueError("relator with nonzero degree cannot die")
             if self.evaluate_word(r) != ident:
                 raise ValueError("representation violates a relator")
         self._closure()
@@ -917,11 +923,14 @@ def mapping_torus_boundaries(mt: MappingTorusPresentation,
     model of the fibered space over F[t^{+-1}], in the row-vector block
     convention.  d1 and d2 are the presentation-complex boundaries of the
     canonical presentation, checked where they are built; d3 is the boundary
-    of the flow cell of the fiber 2-cell, checked here for d2 d3 = 0.
+    of the flow cell of the fiber 2-cell, checked here for d2 d3 = 0.  Each
+    canonical fiber generator reads the image of the generator of mt with
+    its name, and the canonical stable letter that of mt's stable letter.
     """
     canonical = mapping_torus(mt.fiber, mt.monodromy)
     fiber = canonical.fiber
-    sub = rep.restricted(list(range(1, fiber.rank + 1)) + [mt.stable_index])
+    sub = rep.restricted([mt.generators.index(name) + 1
+                          for name in fiber.generators] + [mt.stable_index])
     d1, d2 = _presentation_boundaries(canonical, sub)
     chains = ()
     if fiber.boundary_count == 0 and fiber.relators:

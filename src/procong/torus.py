@@ -564,8 +564,6 @@ class CommutationSolver:
 
     def witness_mod(self, n: int) -> Optional[Mat2]:
         """Deterministic unit-determinant solution mod n, or None."""
-        if n == 1:
-            return Mat2.identity().mod(1)
         if (self.a.det() - 1) % n or (self.b.det() - 1) % n:
             raise ValueError("matrices must have determinant 1 mod n")
         if not any((p - q) % n for p, q in zip(self.a.entries(),

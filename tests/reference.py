@@ -7,13 +7,14 @@ Gauss-Jordan inverse, dense Berkowitz, the cycle product of a monomial
 matrix, dense polynomial-matrix arithmetic, the orbit-count table computed
 iterate by iterate); the others build test inputs and expected values
 (exact powers and iterates of normal forms, growth brackets from Nielsen
-numbers, presentation moves, changes of basis, dense copies of sparse
+numbers, presentation moves and generator orders, changes of basis, dense copies of sparse
 scalar matrices, polynomial matrices from and to dense grids, the affine
 representations of closed-fiber bundles).
 
 Importing the module attaches the moved methods to their classes
 (`StretchFactor.power` and `refined_to`, `Dilatation.power`, the relator
-moves of `MappingTorusPresentation` and `FiniteRepresentation.conjugate`),
+moves and `permute_generators` of `MappingTorusPresentation` and
+`FiniteRepresentation.conjugate`),
 so a test calls them as methods.
 """
 
@@ -348,6 +349,24 @@ def add_generator(mt: MappingTorusPresentation, name: str,
     )
 
 
+def permute_generators(mt: MappingTorusPresentation,
+                       order: Iterable[int]) -> MappingTorusPresentation:
+    """The same group with its generators listed in `order`, the old index
+    of each new generator: names, degree values, relator letters and the
+    stable index follow their generators."""
+    order = tuple(order)
+    if sorted(order) != list(range(1, mt.rank + 1)):
+        raise ValueError(f"order must be a permutation of 1..{mt.rank}")
+    new = {old: j for j, old in enumerate(order, 1)}
+    return replace(
+        mt,
+        generators=tuple(mt.generators[i - 1] for i in order),
+        fiber_values=tuple(mt.fiber_values[i - 1] for i in order),
+        relators=tuple(tuple(new[x] if x > 0 else -new[-x] for x in r)
+                       for r in mt.relators),
+        stable_index=new[mt.stable_index])
+
+
 def mat_inverse(m):
     """Dense exact Gauss-Jordan inverse of a square matrix of scalars;
     ValueError when singular."""
@@ -562,4 +581,5 @@ MappingTorusPresentation.cycle_relator = cycle_relator
 MappingTorusPresentation.invert_relator = invert_relator
 MappingTorusPresentation.conjugate_relator = conjugate_relator
 MappingTorusPresentation.add_generator = add_generator
+MappingTorusPresentation.permute_generators = permute_generators
 FiniteRepresentation.conjugate = conjugate

@@ -740,6 +740,34 @@ class TestComputedOnce:
         assert (len(built), len(searches), len(smith), len(orders)) == (
             0, 0, 0, 0)
 
+    @pytest.mark.parametrize("source, work", [
+        # the canonical presentation: d1, d2, d3 and the flow's five
+        ("torus_pair_a.json", (8, 4, 1)),
+        # its relators are checked on Delta_0/Delta_1 under their own
+        # representation, which adds two boundaries, two orders and one
+        # closure; Delta_2/Delta_3 are read only on the canonical one
+        ("moved_A211.json", (10, 6, 2)),
+    ])
+    def test_fibered_subcommands_share_one_representation(
+            self, monkeypatch, tmp_path, source, work):
+        from test_fibered_golden import write_generated
+        write_generated(tmp_path)
+        path = FIXTURES / source
+        if not path.is_file():
+            path = tmp_path / source
+        monkeypatch.setattr(cli, "_compiled", OrderedDict())
+        chains = self.count(monkeypatch, surfgrp._chain_matrix)
+        orders = self.count(monkeypatch, kernel.homology_order)
+        closures = []
+        closure = FiniteRepresentation._closure
+        monkeypatch.setattr(FiniteRepresentation, "_closure",
+                            lambda rep: closures.append(rep) or closure(rep))
+        for sub in ("alexander", "torsion", "zeta", "lefschetz"):
+            status, _ = cli.dispatch(cli.RunConfig(sub, (str(path),),
+                                                   rep="zeta:4"))
+            assert status == 0
+        assert (len(chains), len(orders), len(closures)) == work
+
     def test_each_monodromy_is_checked_once_per_object(self, monkeypatch):
         pres = SurfacePresentation.closed(1)
         phi = GeneratorEndomorphism.torus_monodromy(Mat2(2, 1, 1, 1))

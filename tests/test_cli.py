@@ -716,6 +716,33 @@ class TestExitCodes:
             "monodromy: Delta_1 = 0 under --rep trivial, but 1 - 2*t^2 + "
             "t^4 on the canonical presentation\n")
 
+    # each mutant of the genus2_finite_order body is refused when its
+    # presentation is built, before any representation is resolved
+    PRESENTATION_REFUSALS = {
+        "renamed-fiber-generator": (
+            lambda body: body["generators"].__setitem__(0, "x"),
+            "generators must name fiber generator 'a1' once, other than "
+            "the stable letter"),
+        "stable-letter-named-b2": (
+            lambda body: body["generators"].__setitem__(4, "b2"),
+            "generators must name fiber generator 'b2' once, other than "
+            "the stable letter"),
+        "relator-of-degree-one": (
+            lambda body: body["relators"][1].append(5),
+            "every relator must have degree zero"),
+    }
+
+    @pytest.mark.parametrize("mutant", list(PRESENTATION_REFUSALS))
+    def test_refused_presentation_is_an_input_error(self, tmp_path, capsys,
+                                                    mutant):
+        mutate, message = self.PRESENTATION_REFUSALS[mutant]
+        data = json.loads((FIXTURES / "genus2_finite_order.json").read_text())
+        mutate(data["body"])
+        path = tmp_path / "genus2_finite_order.json"
+        path.write_text(json.dumps(data))
+        status, out, err = run(capsys, "alexander", str(path))
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("sub", ["alexander", "torsion", "zeta",
                                      "lefschetz"])
     def test_missing_inverse_witness_names_its_field(self, tmp_path, capsys,

@@ -42,13 +42,23 @@ PAIR_KEYS = tuple(f"{key} torus_pair_{pair}.json --rep {rep}"
                   for pair in "ab"
                   for key, rep in (("alexander", "trivial"),
                                    ("lefschetz", "zeta:4")))
-# Written by `write_generated`: Delta_0/Delta_1 are read from a presentation
-# that differs from the canonical one behind Delta_2/Delta_3 and the flow;
-# `extended_A211.json` has one more generator than the canonical one.
+# Written by `write_generated`.  The two mapping_torus fixtures present the
+# torus_A211 bundle by other relators than the canonical ones, and
+# `extended_A211.json` by one more generator: every invariant is read from
+# the canonical presentation, and the fixture's own relators are checked
+# against it on Delta_0/Delta_1.  `lifted_genus2.json` keeps the canonical
+# presentation under re-chosen cell lifts.
 GENERATED = {"moved_A211.json": SUBCOMMANDS,
              "extended_A211.json": SUBCOMMANDS,
              "lifted_genus2.json": SUBCOMMANDS}
 GENERATED_REPS = ("trivial", "zeta:4")
+# Also written by `write_generated`, and not in the golden file: the
+# canonical torus_A211 presentation with its generators listed in another
+# order (the old index of each new generator), which must print the
+# torus_A211.json reports under REORDERED_REPS.
+REORDERED = {"t_first_A211.json": (3, 1, 2),
+             "swapped_A211.json": (2, 1, 3)}
+REORDERED_REPS = ("trivial", "sign", "zeta:4", "zeta:12")
 
 
 def write_generated(directory):
@@ -57,11 +67,15 @@ def write_generated(directory):
     `moved_A211.json` presents the torus_A211 bundle after a relator cycle,
     an inversion and a conjugation; `extended_A211.json` adds a redundant
     fourth generator to it.  `lifted_genus2.json` is the cellular model of
-    genus2_finite_order with every cell lift re-chosen."""
+    genus2_finite_order with every cell lift re-chosen.  The REORDERED
+    fixtures list the generators of torus_A211 in another order."""
     directory = Path(directory)
     phi = GeneratorEndomorphism.torus_monodromy(
         load_fixture(FIXTURES / "torus_A211.json").payload)
     mt = mapping_torus(SurfacePresentation.closed(1), phi)
+    for name, order in REORDERED.items():
+        save_fixture(directory / name, KIND_MAPPING_TORUS,
+                     mt.permute_generators(order).to_json())
     moved = (mt.cycle_relator(0, 1).invert_relator(1)
              .conjugate_relator(2, (3, 1)))
     save_fixture(directory / "moved_A211.json", KIND_MAPPING_TORUS,
@@ -92,7 +106,7 @@ def invocations():
 
 def report(key, generated_dir):
     sub, source, *rest = key.split()
-    root = Path(generated_dir) if source in GENERATED else FIXTURES
+    root = FIXTURES if (FIXTURES / source).is_file() else Path(generated_dir)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = main([sub, str(root / source), *rest])
@@ -126,9 +140,20 @@ def test_pair_b_prints_the_pair_a_report(generated_dir):
         assert status_a == status_b == 0 and out_a == out_b, (sub, rep)
 
 
+@pytest.mark.parametrize("source", list(REORDERED))
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_reordered_generators_print_the_canonical_report(sub, source,
+                                                         generated_dir):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for rep in REORDERED_REPS:
+        status, out = report(f"{sub} {source} --rep {rep}", generated_dir)
+        assert (status, out) == (
+            0, golden[f"{sub} torus_A211.json --rep {rep}"]), rep
+
+
 def test_extended_presentation_prints_the_canonical_report():
-    # the cellular route reads --rep on the canonical presentation, the
-    # Alexander route on the fixture's own: the reports are torus_A211's
+    # every invariant is read from the canonical presentation, and the
+    # fixture's own relators are only checked: the reports are torus_A211's
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     for sub in SUBCOMMANDS:
         for rep in GENERATED_REPS:

@@ -592,8 +592,24 @@ class TestMappingTorus:
 
     def test_relators_must_have_degree_zero(self):
         mt = anosov_bundle()
-        with pytest.raises(ValueError, match="degree"):
+        with pytest.raises(ValueError,
+                           match="^every relator must have degree zero$"):
             dataclasses.replace(mt, relators=mt.relators + ((3,),))
+
+    @pytest.mark.parametrize("generators, name", [
+        (("x", "b1", "t"), "a1"),        # missing
+        (("a1", "a1", "t"), "a1"),       # twice
+        (("b1", "t", "a1"), "a1"),       # as the stable letter
+        (("a1", "x", "b1"), "b1"),
+    ])
+    def test_generators_name_each_fiber_generator_once(self, generators,
+                                                       name):
+        # the canonical presentation is matched to this one by name
+        mt = anosov_bundle()
+        message = (f"generators must name fiber generator '{name}' once, "
+                   "other than the stable letter")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(mt, generators=generators)
 
     def test_presentation_moves_preserve_abelianization(self):
         mt = anosov_bundle()
@@ -1068,6 +1084,46 @@ class TestClosure:
             assert dense(conj.evaluate_word(word)) == dense_mat_mul(
                 dense_mat_mul(basis, dense(rep.evaluate_word(word))),
                 mat_inverse(basis))
+
+
+class TestGeneratorOrder:
+    """Delta_0..Delta_3 of a presentation do not depend on the order in
+    which it lists its generators: the canonical presentation behind
+    Delta_2 and Delta_3 reads each generator's image by name."""
+
+    @staticmethod
+    def orders(matrix, order, n):
+        """Delta_0..Delta_3 under affine:n of the canonical presentation of
+        `matrix` and of its copy with the generators listed in `order`."""
+        phi = GeneratorEndomorphism.torus_monodromy(Mat2.from_string(matrix))
+        mt = mapping_torus(TORUS, phi)
+        rep = affine_rep(mt, n)
+        moved, moved_rep = mt.permute_generators(order), rep.restricted(order)
+        return ([twisted_alexander(mt, rep, d) for d in range(4)],
+                [twisted_alexander(moved, moved_rep, d) for d in range(4)])
+
+    def test_stable_letter_first(self):
+        canonical, moved = self.orders("3,2;4,3", (3, 1, 2), 2)
+        assert moved[2] == canonical[2] == poly(-1, 1)
+        assert moved == canonical
+
+    def test_fiber_generators_swapped(self):
+        canonical, moved = self.orders("2,1;1,1", (2, 1, 3), 2)
+        assert moved == canonical
+
+    @pytest.mark.parametrize("order", itertools.permutations((1, 2, 3)))
+    def test_every_order_of_the_anosov_bundle(self, order):
+        canonical, moved = self.orders("2,1;1,1", order, 3)
+        assert moved == canonical
+
+    def test_permutation_moves_names_letters_and_stable_index(self):
+        mt = anosov_bundle()
+        moved = mt.permute_generators((3, 1, 2))
+        assert moved.generators == ("t", "a1", "b1")
+        assert moved.fiber_values == (1, 0, 0)
+        assert moved.stable_index == 1
+        assert moved.relators[1] == (1, 2, -1, -3, -2, -2)
+        assert moved.abelianization() == mt.abelianization()
 
 
 class TestTwistedAlexander:

@@ -348,6 +348,12 @@ class TestCongruentConjugateMod:
         assert gcd(w.det(), 5) == 1
         assert exhaustive_mod_conjugate(PAIR_A, PAIR_B, 5) is not None
 
+    def test_every_pair_is_conjugate_mod_one(self):
+        # not conjugate mod 2, yet every matrix is 0,0;0,0 mod 1
+        v = congruent_conjugate_mod(Mat2(1, 1, 0, 1), Mat2.identity(), 1)
+        assert v.conjugate
+        assert v.witness == Mat2(0, 0, 0, 0)
+
     def test_parabolic_vs_identity_mod_two(self):
         v = congruent_conjugate_mod(Mat2(1, 1, 0, 1), Mat2.identity(), 2)
         assert not v.conjugate
