@@ -24,7 +24,6 @@ arguments, validation failures), 1 on internal assertion failures.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
@@ -32,9 +31,8 @@ import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Tuple
-
-from .kernel import Cyclotomic, render_scalar
 
 APPROX_DIGITS = 30
 
@@ -198,6 +196,7 @@ def _resolve_rep(mt, label: str) -> FiniteRepresentation:
     zeta:n[:k] for the k-th power of a primitive n-th root of unity, with
     n at most the package's conductor bound `chars.CYCLIC_LIMIT`."""
     from .chars import CYCLIC_LIMIT
+    from .kernel import Cyclotomic
     from .surfgrp import FiniteRepresentation
     if label == "trivial":
         return FiniteRepresentation.trivial(mt)
@@ -341,6 +340,7 @@ def _handle_torsion(config: RunConfig):
 
 def _handle_zeta(config: RunConfig):
     from .cellular import lefschetz_numbers, zeta_from_cellular
+    from .kernel import render_scalar
     bundle, rep = _fibered_input(config)
     surface, flow = bundle.surface, bundle.flow
     terms = config.terms if config.terms is not None else 5
@@ -357,6 +357,7 @@ def _handle_zeta(config: RunConfig):
 
 def _handle_lefschetz(config: RunConfig):
     from .cellular import lefschetz_numbers
+    from .kernel import render_scalar
     bundle, rep = _fibered_input(config)
     upto = config.upto if config.upto is not None else 10
     values = lefschetz_numbers(bundle.surface, bundle.flow, rep, upto)
@@ -420,6 +421,7 @@ def _handle_nt_shear(config: RunConfig):
 
 def _handle_chars_decompose(config: RunConfig):
     from .chars import all_class_indicators, character_L_vector
+    from .kernel import render_scalar
     group, table, _ = _orbit_projection_input(config)
     character_L = character_L_vector(table, group)
     indicators = all_class_indicators(table, group, character_L)
@@ -477,6 +479,58 @@ def _print_warning(message, category, filename, lineno, file=None,
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _json_report(payload) -> str:
+    """The payload as `json.dumps(payload, indent=2, sort_keys=True)` writes
+    it, in one pass: `indent` sends `json.dumps` to its pure-Python encoder.
+    A payload holds dicts with string keys, lists, tuples, strings, ints,
+    booleans and None; anything else is a TypeError."""
+    chunks = []
+    _write_json(payload, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_json(value, newline: str, emit) -> None:
+    """Emit the JSON text of `value`, whose opening line ends in `newline`
+    (a line break and the indentation of that line)."""
+    if isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            emit(separator)
+            _write_json(item, inner, emit)
+            separator = "," + inner
+        emit(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be strings, got {key!r}")
+            emit(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, emit)
+            separator = "," + inner
+        emit(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not "
+                        f"JSON serializable")
+
+
 def dispatch(config: RunConfig) -> Tuple[int, str]:
     """Route a configuration to its handler and render the report."""
     handler = _HANDLERS.get(config.subcommand)
@@ -486,7 +540,7 @@ def dispatch(config: RunConfig) -> Tuple[int, str]:
         warnings.showwarning = _print_warning
         text, payload = handler(config)
     if config.output == "json":
-        return 0, json.dumps(payload, indent=2, sort_keys=True)
+        return 0, _json_report(payload)
     return 0, text
 
 

@@ -52,8 +52,8 @@ from .kernel import (
     normalize_unit_class,
     products_cancel,
     scalar_inverse,
-    smith_integer,
 )
+from .lattice import smith_integer
 from .torus import Mat2, rl_runs
 
 Word = Tuple[int, ...]
@@ -785,6 +785,13 @@ class FiniteRepresentation:
         return seen
 
     @cached_property
+    def _order(self) -> int:
+        """The order of the generated matrix group, enumerated once per
+        representation: the closure depends only on the matrices.  A group
+        over `ORDER_CAP` stores nothing, so it raises on every call."""
+        return len(self._closure())
+
+    @cached_property
     def _complexes(self) -> dict:
         """The parts built so far of the twisted complex of each presentation
         this representation has passed `validate` for (see `_per_complex`)."""
@@ -801,7 +808,7 @@ class FiniteRepresentation:
         for r in mt.relators:
             if self.evaluate_word(r) != ident:
                 raise ValueError("representation violates a relator")
-        self._closure()
+        self._order  # the finite closure, certified once per representation
         self._complexes[mt] = {}
         return self
 

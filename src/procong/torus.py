@@ -28,7 +28,7 @@ from itertools import count, product
 from math import gcd, isqrt, prod
 from typing import Optional, Tuple
 
-from .kernel import ext_gcd, howell_form, howell_points, smith_integer
+from .lattice import ext_gcd, howell_form, howell_points, smith_integer
 
 
 class Mat2:
@@ -519,8 +519,8 @@ class CommutationSolver:
 
     A level whose module has at most LEX_SEARCH_CAP points gets its
     lexicographically least unit-determinant solution: the Howell basis of
-    the module (`kernel.howell_form`) walks its points in lexicographic
-    order (`kernel.howell_points`), and the walk stops at the first unit.
+    the module (`lattice.howell_form`) walks its points in lexicographic
+    order (`lattice.howell_points`), and the walk stops at the first unit.
     Every other level searches once per prime power for the life of the
     solver and glues the prime-power witnesses with the Chinese remainder
     theorem.  Every witness passes `verify`.

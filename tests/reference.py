@@ -27,7 +27,8 @@ from math import gcd
 from typing import Iterable, Mapping, Tuple
 
 from procong.kernel import (LaurentPolynomial, PolyMatrix, SparseMatrix,
-                            as_exact, scalar_inverse, smith_integer)
+                            as_exact, scalar_inverse)
+from procong.lattice import smith_integer
 from procong.ntform import (PERIODIC, PSEUDO_ANOSOV, DecompositionError,
                             Dilatation, IndexedOrbitTable, InteriorOrbit,
                             NTDecomposition, StretchFactor,

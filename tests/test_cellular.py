@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from procong import cli, kernel, surfgrp
+from procong import cli, kernel, lattice, surfgrp
 from procong.cellular import (
     _det_one_minus_t,
     CellularSelfMap,
@@ -43,7 +43,7 @@ from procong.surfgrp import (
     word_concat,
     word_inverse,
 )
-from procong.serialize import load_fixture
+from procong.serialize import KIND_CELLULAR, load_fixture, save_fixture
 from procong.torus import Mat2
 import reference  # noqa: F401  (attaches FiniteRepresentation.conjugate)
 from reference import poly_matrix
@@ -705,7 +705,7 @@ class TestComputedOnce:
             return substitute(phi, word)
 
         monkeypatch.setattr(GeneratorEndomorphism, "apply", apply)
-        return built, searches, self.count(monkeypatch, kernel.smith_integer)
+        return built, searches, self.count(monkeypatch, lattice.smith_integer)
 
     @pytest.mark.parametrize("subcommand",
                              ["alexander", "torsion", "zeta", "lefschetz"])
@@ -768,11 +768,39 @@ class TestComputedOnce:
             assert status == 0
         assert (len(chains), len(orders), len(closures)) == work
 
+    def test_each_representation_enumerates_its_closure_once(
+            self, monkeypatch, tmp_path):
+        # the torus_A211 model with its surface presented by moved relators:
+        # the model's representation is certified on the moved presentation
+        # and on the canonical one, and the canonical check builds a second
+        # representation of the same value
+        from test_fibered_golden import write_generated
+        write_generated(tmp_path)
+        moved = load_fixture(tmp_path / "moved_A211.json").payload
+        surface, flow = cellular_model(mapping_torus(moved.fiber,
+                                                     moved.monodromy))
+        path = tmp_path / "moved_cellular.json"
+        save_fixture(path, KIND_CELLULAR,
+                     {"surface": dict(surface.to_json(),
+                                      presentation=moved.to_json()),
+                      "flow": flow.to_json()})
+        monkeypatch.setattr(cli, "_compiled", OrderedDict())
+        closures = []
+        closure = FiniteRepresentation._closure
+        monkeypatch.setattr(FiniteRepresentation, "_closure",
+                            lambda rep: closures.append(rep) or closure(rep))
+        for sub in ("alexander", "torsion", "zeta", "lefschetz"):
+            status, _ = cli.dispatch(cli.RunConfig(sub, (str(path),),
+                                                   rep="zeta:4"))
+            assert status == 0
+        assert len(closures) == 2
+        assert closures[0] == closures[1] and closures[0] is not closures[1]
+
     def test_each_monodromy_is_checked_once_per_object(self, monkeypatch):
         pres = SurfacePresentation.closed(1)
         phi = GeneratorEndomorphism.torus_monodromy(Mat2(2, 1, 1, 1))
         twin = GeneratorEndomorphism(pres, phi.images, phi.inverse_images)
-        smith = self.count(monkeypatch, kernel.smith_integer)
+        smith = self.count(monkeypatch, lattice.smith_integer)
         mt = mapping_torus(pres, phi)
         assert mapping_torus(pres, phi) is mt
         assert cellular_model(mt)[0].presentation is mt

@@ -9,9 +9,11 @@ import sys
 import threading
 import time
 from collections import OrderedDict
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from procong import cli, serialize
 from procong.cellular import cellular_model
@@ -1044,7 +1046,8 @@ class TestImportFootprint:
         "for sub, inputs in json.loads(sys.argv[1]):\n"
         "    assert dispatch(RunConfig(sub, tuple(inputs)))[0] == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m.split('.')[0] == 'procong')))\n")
+        "                        if m.split('.')[0] in ('procong',\n"
+        "                                               'fractions'))))\n")
 
     def loaded_after(self, requests):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -1055,20 +1058,21 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
         return set(json.loads(proc.stdout))
 
-    def test_torus_requests_load_only_kernel_and_torus(self):
+    def test_torus_requests_load_only_lattice_and_torus(self):
         loaded = self.loaded_after([
             ["torus conj", ["2,1;1,1", "1,1;1,2"]],
             ["torus congr", ["2,1;1,1", "1,1;1,2", "6"]],
             ["torus sweep", ["2,1;1,1", "1,1;1,2"]],
             ["torus klevel", ["6"]]])
-        # no surfgrp, cellular, ntform, chars or serialize
-        assert loaded == {"procong", "procong.cli", "procong.kernel",
+        # no kernel, surfgrp, cellular, ntform, chars or serialize, and no
+        # `fractions`, which only kernel's scalars need
+        assert loaded == {"procong", "procong.cli", "procong.lattice",
                           "procong.torus"}
 
     def test_nt_shear_loads_only_kernel_and_ntform(self):
         loaded = self.loaded_after([["nt shear", ["1,2", "3,4"]]])
-        assert loaded == {"procong", "procong.cli", "procong.kernel",
-                          "procong.ntform"}
+        assert loaded == {"fractions", "procong", "procong.cli",
+                          "procong.kernel", "procong.ntform"}
 
     # every subcommand with inputs that parse; a fixture that does not
     # exist makes its handler return 2, but a parse error raises SystemExit
@@ -1131,3 +1135,86 @@ class TestFixtureRootEnvironment:
         # zeta:2 sends the stable letter to -1: same values as the sign rep
         assert "zeta = (1 + 3*t + t^2) / (1 + 2*t + t^2)" in out
         assert "L_1..L_3 = 1, -5, 16" in out
+
+
+class TestJsonReport:
+    """`dispatch` writes a --json report with `cli._json_report`, which
+    must print what `json.dumps(payload, indent=2, sort_keys=True)` does."""
+
+    @staticmethod
+    def oracle(payload):
+        return json.dumps(payload, indent=2, sort_keys=True)
+
+    # the subcommands no golden file covers
+    EXTRA_ARGVS = [
+        ["torus", "conj", PAIR_A, PAIR_B],
+        ["torus", "conj", "2,1;1,1", "1,1;1,2"],
+        ["torus", "conj", "0,-1;1,0", "0,1;-1,0"],
+        ["torus", "congr", PAIR_A, PAIR_B, "12"],
+        ["torus", "congr", "2,1;1,1", "1,1;1,2", "6"],
+        ["torus", "klevel", "12"],
+        ["nt", "shear", "1,2", "-3,4"],
+    ]
+
+    @staticmethod
+    def golden_argvs(directory):
+        """Every argv of both golden files, with fixture paths resolved and
+        without --json, which does not change the payload."""
+        import test_fibered_golden
+        import test_query_golden
+        test_fibered_golden.write_generated(directory)
+        test_query_golden.write_generated(directory)
+        keys = set()
+        for golden in (test_fibered_golden.GOLDEN, test_query_golden.GOLDEN):
+            keys |= {key.replace(" --json", "")
+                     for key in json.loads(golden.read_text(encoding="utf-8"))}
+        argvs = []
+        for key in sorted(keys):
+            argv = key.split()
+            for i, word in enumerate(argv):
+                if word.endswith(".json"):
+                    shipped = (FIXTURES / word).is_file()
+                    argv[i] = str((FIXTURES if shipped else directory) / word)
+            argvs.append(argv)
+        return argvs
+
+    def test_every_handler_payload_matches_json_dumps(self, monkeypatch,
+                                                      tmp_path):
+        payloads = []
+        write = cli._json_report
+        monkeypatch.setattr(cli, "_json_report",
+                            lambda payload: payloads.append(payload)
+                            or write(payload))
+        parser = build_parser()
+        handled = set()
+        for argv in self.golden_argvs(tmp_path) + self.EXTRA_ARGVS:
+            config = config_from_args(parser.parse_args(argv + ["--json"]))
+            status, report = dispatch(config)
+            assert status == 0
+            assert report == self.oracle(payloads[-1]), argv
+            handled.add(config.subcommand)
+        assert handled == set(cli._HANDLERS)
+
+    TREES = st.recursive(
+        st.none() | st.booleans() | st.integers()
+        | st.integers(-10 ** 40, 10 ** 40) | st.text(),
+        lambda children: (st.lists(children)
+                          | st.lists(children).map(tuple)
+                          | st.dictionaries(st.text(), children)),
+        max_leaves=40)
+
+    @given(TREES)
+    def test_drawn_trees_match_json_dumps(self, tree):
+        assert cli._json_report(tree) == self.oracle(tree)
+
+    def test_escapes_and_empty_containers(self):
+        tree = {"": [], "a": {}, "\u00e9\n\"\\": ["\U0001f600", "\t\x00"],
+                "b": [[], {}, ()], "n": [-(10 ** 30), 0, True, False, None]}
+        assert cli._json_report(tree) == self.oracle(tree)
+
+    @pytest.mark.parametrize("payload", [
+        1.5, Fraction(1, 2), {1: "a"}, {"a": [0.5]}, [{"b": Fraction(3)}],
+        {("a",): 1}])
+    def test_anything_else_is_a_type_error(self, payload):
+        with pytest.raises(TypeError):
+            cli._json_report(payload)

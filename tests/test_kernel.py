@@ -20,10 +20,7 @@ from procong.kernel import (
     RationalFunction,
     charpoly_coefficients,
     cyclotomic_polynomial,
-    ext_gcd,
     homology_order,
-    howell_form,
-    howell_points,
     laurent_gcd,
     log_coefficients,
     normalize_unit_class,
@@ -31,8 +28,8 @@ from procong.kernel import (
     products_cancel,
     render_scalar,
     smith_diagonalize,
-    smith_integer,
 )
+from procong.lattice import ext_gcd, howell_form, howell_points, smith_integer
 from procong.serialize import load_fixture
 from procong.surfgrp import twisted_alexander
 from reference import (affine_rep, canonical_rows, dense, dense_charpoly,

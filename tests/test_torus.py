@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from procong.cli import main
-from procong.kernel import howell_points
+from procong.lattice import howell_points
 from procong.torus import (
     FACTOR_LIMIT,
     CommutationSolver,
