@@ -12,9 +12,10 @@ Every fixture-reading subcommand (``alexander``, ``torsion``, ``zeta``,
 ``lefschetz``, ``nt analyze``, ``chars``) reads its fixture file on every
 call and looks its text up in one cache of compiled fixtures: fibered
 bundles, validated decompositions and orbit projection tables.  The cache
-is keyed by the text, so an edited file is compiled anew; it holds
-``COMPILED_SLOTS`` (8) texts and evicts the least recently used; a text
-that fails to decode or validate is never stored.  A decomposition keeps
+is keyed by the text, so an edited file is compiled anew; it is one
+``functools.lru_cache`` of ``COMPILED_SLOTS`` (8) texts, which evicts the
+least recently used; a text that fails to decode or validate raises
+inside it, so it is never stored.  A decomposition keeps
 its orbit-count rows and a stretch factor its decimal renderings, so those
 are derived once per process (see ``ntform``).
 
@@ -24,12 +25,11 @@ arguments, validation failures), 1 on internal assertion failures.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Tuple
@@ -122,20 +122,27 @@ class FiberedBundle:
         return self.reps[label]
 
 
-# Compiled fixtures by fixture text, least recently used first.  The lock
-# guards the dict only: concurrent callers at worst compile a text twice.
 COMPILED_SLOTS = 8
-_compiled: "OrderedDict[str, Tuple[str, object]]" = OrderedDict()
-_compiled_lock = threading.Lock()
 
 
-def _compile(fixture: Fixture):
-    """The compiled payload of a decoded fixture: a FiberedBundle for the
-    fibered kinds, the validated payload for the others."""
+@functools.lru_cache(maxsize=COMPILED_SLOTS)
+def _compiled(text: str, kinds: Tuple[str, ...], role: str):
+    """The compiled payload of a fixture text, which must be of one of
+    `kinds` (else ValueError: "fixture kind ... {role}"): a FiberedBundle
+    for the fibered kinds, the validated payload for the others.
+
+    The cache holds COMPILED_SLOTS texts and evicts the least recently
+    used; concurrent callers at worst compile a text twice.  A text that
+    fails to decode, to validate, to compile or to match `kinds` raises, so
+    it is never stored and fails again on every call."""
     from .cellular import cellular_model
-    from .serialize import KIND_CELLULAR, KIND_MAPPING_TORUS, KIND_TORUS
+    from .serialize import (KIND_CELLULAR, KIND_MAPPING_TORUS, KIND_TORUS,
+                            parse_fixture)
     from .surfgrp import (GeneratorEndomorphism, SurfacePresentation,
                           mapping_torus)
+    fixture = parse_fixture(text)
+    if fixture.kind not in kinds:
+        raise ValueError(f"fixture kind {fixture.kind!r} {role}")
     if fixture.kind == KIND_TORUS:
         pres = SurfacePresentation.closed(1)
         phi = GeneratorEndomorphism.torus_monodromy(fixture.payload)
@@ -150,33 +157,12 @@ def _compile(fixture: Fixture):
 
 
 def _compiled_input(config: RunConfig, kinds: Tuple[str, ...], role: str):
-    """The compiled payload of the fixture file config.inputs[0], which
-    must be of one of `kinds` (else ValueError: "fixture kind ... {role}").
-
-    The file is read on every call and its text is the key, so a copy at
-    another path shares the entry and an edited file is compiled anew.  The
-    cache holds COMPILED_SLOTS texts and evicts the least recently used.
-    A text that fails to decode, to validate, to compile or to match
-    `kinds` is never stored, so it fails again on every call."""
-    from .serialize import parse_fixture, read_fixture
-    text = read_fixture(config.inputs[0])
-    with _compiled_lock:
-        entry = _compiled.get(text)
-        if entry is not None:
-            _compiled.move_to_end(text)
-    if entry is None:
-        fixture = parse_fixture(text)
-        if fixture.kind not in kinds:
-            raise ValueError(f"fixture kind {fixture.kind!r} {role}")
-        entry = (fixture.kind, _compile(fixture))
-        with _compiled_lock:
-            _compiled[text] = entry
-            if len(_compiled) > COMPILED_SLOTS:
-                _compiled.popitem(last=False)
-    kind, payload = entry
-    if kind not in kinds:
-        raise ValueError(f"fixture kind {kind!r} {role}")
-    return payload
+    """The compiled payload (see `_compiled`) of the fixture file
+    config.inputs[0].  The file is read on every call and its text is the
+    key, so a copy at another path shares the entry and an edited file is
+    compiled anew."""
+    from .serialize import read_fixture
+    return _compiled(read_fixture(config.inputs[0]), kinds, role)
 
 
 def _fibered_input(config: RunConfig

@@ -890,7 +890,16 @@ class OrbitRow:
     nielsen: int
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(sorted(tuple(c) for c in self.counts)))
+        _json_int(self.iterate, "iterate")
+        _json_int(self.nielsen, "nielsen")
+        counts = []
+        for k, pair in enumerate(_json_list(self.counts, "counts")):
+            if len(_json_list(pair, f"counts[{k}]")) != 2:
+                raise ValueError(f"counts[{k}] must be [index, count], "
+                                 f"got {pair!r}")
+            counts.append((_json_int(pair[0], f"counts[{k}] index"),
+                           _json_int(pair[1], f"counts[{k}] count")))
+        object.__setattr__(self, "counts", tuple(sorted(counts)))
         if any(i == 0 for i, _ in self.counts):
             raise DecompositionError("orbit tables only keep nonzero indices")
         if any(c < 0 for _, c in self.counts):
@@ -914,7 +923,9 @@ class IndexedOrbitTable:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "remainder", tuple(self.remainder))
+        object.__setattr__(self, "remainder", tuple(
+            _json_str(name, "remainder")
+            for name in _json_list(self.remainder, "remainder")))
 
     def row(self, m: int) -> OrbitRow:
         for r in self.rows:
@@ -945,10 +956,11 @@ class IndexedOrbitTable:
 
     @staticmethod
     def from_json(data) -> "IndexedOrbitTable":
-        rows = tuple(OrbitRow(r["iterate"],
-                              tuple(tuple(pair) for pair in r["counts"]),
-                              r["nielsen"]) for r in data["rows"])
-        return IndexedOrbitTable(rows, tuple(data.get("remainder", ())))
+        rows = []
+        for k, r in enumerate(_json_list(data["rows"], "rows")):
+            r = _json_object(r, f"rows[{k}]")
+            rows.append(OrbitRow(r["iterate"], r["counts"], r["nielsen"]))
+        return IndexedOrbitTable(tuple(rows), data.get("remainder", ()))
 
 
 def indexed_orbit_numbers(nt: NTDecomposition, upto: int) -> IndexedOrbitTable:

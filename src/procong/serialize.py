@@ -120,6 +120,9 @@ def parse_fixture(text: str) -> Fixture:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"fixture is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("fixture nests its JSON values too deeply to "
+                         "decode") from None
     if not isinstance(data, dict):
         raise ValueError("fixture must be a JSON object")
     schema = data.get("schema")
@@ -127,7 +130,7 @@ def parse_fixture(text: str) -> Fixture:
         raise ValueError(f"unsupported fixture schema {schema!r}: "
                          f"expected {SCHEMA_ID!r}")
     kind = data.get("kind")
-    decoder = _DECODERS.get(kind)
+    decoder = _DECODERS.get(kind) if type(kind) is str else None
     if decoder is None:
         raise ValueError(f"unknown fixture kind {kind!r}")
     if "body" not in data:

@@ -66,7 +66,8 @@ ORDER_CAP = 20000
 # The most letters a word composed by `GeneratorEndomorphism._product` may
 # have before free reduction.  The largest such word of a shipped fixture
 # has 6,802 letters (pair B's inverse monodromy), and that of a matrix of
-# the benchmark's pool 152.
+# the benchmark's pool 152.  `torus_monodromy` refuses a matrix whose R/L
+# runs have more letters, before it builds a word.
 WORD_CAP = 1_000_000
 
 
@@ -315,12 +316,16 @@ class GeneratorEndomorphism:
         The determinant-1 part is factored into R/L runs by `torus.rl_runs`;
         the runs, the central flip for sign -1 and the generator swap for
         determinant -1 are composed in that order, each a factor that checks
-        its own witness.
+        its own witness.  Runs of more than `WORD_CAP` letters in all are
+        refused (ValueError) before any word is built.
         """
         det = matrix.det()
         if det not in (1, -1):
             raise ValueError("monodromy matrix must have determinant +1 or -1")
         sign, moves = rl_runs(matrix if det == 1 else matrix @ Mat2(0, 1, 1, 0))
+        if sum(abs(k) for _, k in moves) > WORD_CAP:
+            raise ValueError(f"the R/L runs of the monodromy matrix have more "
+                             f"than {WORD_CAP} letters, the bound on a word")
         if sign == -1:
             moves.append(("N", 1))
         if det == -1:

@@ -149,10 +149,6 @@ class Mat2:
         return f"Mat2({self.a},{self.b};{self.c},{self.d})"
 
 
-R_LETTER = Mat2(1, 1, 0, 1)
-L_LETTER = Mat2(1, 0, 1, 1)
-
-
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
@@ -336,54 +332,42 @@ def rl_runs(m: Mat2):
     return a, runs
 
 
-def rl_word(m: Mat2):
-    """The R/L word of a nonnegative determinant-1 matrix, as a list of
-    "R"/"L" letters; the empty list for the identity."""
-    if not m.nonnegative() or m.det() != 1:
-        raise ValueError("R/L words require a nonnegative determinant-1 matrix")
-    sign, runs = rl_runs(m)
-    if sign != 1 or any(k < 1 for _, k in runs):
-        raise AssertionError("nonnegative matrix escaped the R/L monoid")
-    return [letter for letter, k in runs for _ in range(k)]
-
-
-def _word_matrix(letters) -> Mat2:
+def _runs_matrix(runs) -> Mat2:
+    """The product of (letter, k) runs: R^k = [[1,k],[0,1]] and
+    L^k = [[1,0],[k,1]]."""
     m = Mat2.identity()
-    for letter in letters:
-        m = m @ (R_LETTER if letter == "R" else L_LETTER)
+    for letter, k in runs:
+        m = m @ (Mat2(1, k, 0, 1) if letter == "R" else Mat2(1, 0, k, 1))
     return m
-
-
-def _least_rotation(letters):
-    """Index of the lexicographically least rotation of a letter list."""
-    n = len(letters)
-    doubled = letters + letters
-    best = 0
-    for i in range(1, n):
-        for j in range(n):
-            x, y = doubled[i + j], doubled[best + j]
-            if x != y:
-                if x < y:
-                    best = i
-                break
-    return best
 
 
 def hyperbolic_cyclic_word(m: Mat2):
     """Canonical cyclic R/L word of a |trace| > 2 unimodular matrix.
 
-    Returns (word, v) where word is the canonical letter tuple and v in
-    SL(2,Z) conjugates sign(trace) * m onto the word's matrix.
+    Returns (runs, v).  The runs (("L", k1), ("R", k2), ...), every k >= 1
+    and the letters alternating around the cycle, spell the least rotation
+    of the cyclic letter word, the first least one when the word is
+    periodic.  v in SL(2,Z) conjugates sign(trace) * m onto their matrix.
     """
     sign = 1 if m.trace() > 0 else -1
     base = m if sign == 1 else -m
     v, reduced = _cf_reduce_nonnegative(base)
-    letters = rl_word(reduced)
-    shift = _least_rotation(letters)
-    prefix = _word_matrix(letters[:shift])
-    canonical = tuple(letters[shift:] + letters[:shift])
-    v_total = v @ prefix
-    if v_total.inverse() @ base @ v_total != _word_matrix(canonical):
+    one, runs = rl_runs(reduced)
+    if one != 1 or any(k < 1 for _, k in runs):
+        raise AssertionError("nonnegative matrix escaped the R/L monoid")
+    # the cycle's runs, each at its first letter in `runs`: the last run
+    # absorbs the first when they share a letter, so cyclic[i] starts where
+    # runs[head + i] does
+    head = int(runs[0][0] == runs[-1][0])
+    cyclic = runs[head:-1] + [(runs[-1][0], runs[-1][1] + head * runs[0][1])]
+    # a least letter rotation starts at an L run, and two of those compare
+    # letter by letter as their run lengths (-L, R, -L, R, ...) compare
+    start = min((i for i, (letter, _) in enumerate(cyclic) if letter == "L"),
+                key=lambda i: [k if letter == "R" else -k
+                               for letter, k in cyclic[i:] + cyclic[:i]])
+    canonical = tuple(cyclic[start:] + cyclic[:start])
+    v_total = v @ _runs_matrix(runs[:head + start])
+    if v_total.inverse() @ base @ v_total != _runs_matrix(canonical):
         raise AssertionError("cyclic word reduction lost the conjugator")
     return canonical, v_total
 

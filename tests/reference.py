@@ -3,7 +3,8 @@
 No subcommand, fixture or benchmark workload reaches these functions, so
 they live beside the tests instead of in `procong`.  Some are oracles the
 library is checked against (the brute-force characteristic level, the dense
-Gauss-Jordan inverse, dense Berkowitz, the cycle product of a monomial
+Gauss-Jordan inverse, dense Berkowitz, the least rotation of a cyclic R/L
+word letter by letter, the cycle product of a monomial
 matrix, dense polynomial-matrix arithmetic, the orbit-count table computed
 iterate by iterate); the others build test inputs and expected values
 (exact powers and iterates of normal forms, growth brackets from Nielsen
@@ -38,6 +39,7 @@ from procong.surfgrp import (FiniteRepresentation, MappingTorusPresentation,
                              ScalarMatrix, Word, _check_indices, _mat_freeze,
                              _sparse, _sparse_mul, free_reduce, word_concat,
                              word_inverse)
+from procong.torus import Mat2
 
 # ---------------------------------------------------------------------------
 # lattices: the characteristic level by brute force
@@ -114,6 +116,50 @@ def _hermite_columns(vectors):
         b, d = -b, -d
     b %= a
     return [[a, b], [0, d]]
+
+
+# ---------------------------------------------------------------------------
+# SL(2,Z): the cyclic R/L word letter by letter
+# ---------------------------------------------------------------------------
+
+
+def least_rotation(letters) -> int:
+    """Index of the lexicographically least rotation of a letter list, the
+    first one when several are equal."""
+    n = len(letters)
+    doubled = letters + letters
+    best = 0
+    for i in range(1, n):
+        for j in range(n):
+            x, y = doubled[i + j], doubled[best + j]
+            if x != y:
+                if x < y:
+                    best = i
+                break
+    return best
+
+
+def letter_cyclic_word(m: Mat2):
+    """(letters, prefix) for a nonnegative determinant-1 matrix m of trace
+    > 2: its R/L letters, peeled one at a time off the left, rotated to
+    their least rotation, and the product of the letters rotated past,
+    which conjugates m onto the rotation's matrix."""
+    r, l = Mat2(1, 1, 0, 1), Mat2(1, 0, 1, 1)
+    letters, rest = [], m
+    while rest != Mat2.identity():
+        if rest.a >= rest.c and rest.b >= rest.d:
+            letters.append("R")
+            rest = r.inverse() @ rest
+        else:
+            letters.append("L")
+            rest = l.inverse() @ rest
+        if not rest.nonnegative():
+            raise AssertionError("peeled a letter off a matrix outside SL(2,N)")
+    shift = least_rotation(letters)
+    prefix = Mat2.identity()
+    for letter in letters[:shift]:
+        prefix = prefix @ (r if letter == "R" else l)
+    return tuple(letters[shift:] + letters[:shift]), prefix
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import json
 import random
 import re
 import sys
-from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -712,7 +711,7 @@ class TestComputedOnce:
     def test_fibered_request_builds_one_presentation(self, monkeypatch,
                                                      subcommand):
         # a cold request: no fixture compiled by an earlier one
-        monkeypatch.setattr(cli, "_compiled", OrderedDict())
+        cli._compiled.cache_clear()
         built, searches, smith = self.count_builds(monkeypatch)
         status, _ = cli.dispatch(cli.RunConfig(
             subcommand, (str(FIXTURES / "torus_pair_a.json"),)))
@@ -730,7 +729,7 @@ class TestComputedOnce:
         source = FIXTURES / "torus_pair_a.json"
         copy = tmp_path / "copy.json"
         copy.write_bytes(source.read_bytes())
-        monkeypatch.setattr(cli, "_compiled", OrderedDict())
+        cli._compiled.cache_clear()
         assert cli.dispatch(cli.RunConfig("alexander", (str(source),)))[0] == 0
         built, searches, smith = self.count_builds(monkeypatch)
         orders = self.count(monkeypatch, kernel.homology_order)
@@ -755,7 +754,7 @@ class TestComputedOnce:
         path = FIXTURES / source
         if not path.is_file():
             path = tmp_path / source
-        monkeypatch.setattr(cli, "_compiled", OrderedDict())
+        cli._compiled.cache_clear()
         chains = self.count(monkeypatch, surfgrp._chain_matrix)
         orders = self.count(monkeypatch, kernel.homology_order)
         closures = []
@@ -784,7 +783,7 @@ class TestComputedOnce:
                      {"surface": dict(surface.to_json(),
                                       presentation=moved.to_json()),
                       "flow": flow.to_json()})
-        monkeypatch.setattr(cli, "_compiled", OrderedDict())
+        cli._compiled.cache_clear()
         closures = []
         closure = FiniteRepresentation._closure
         monkeypatch.setattr(FiniteRepresentation, "_closure",
@@ -815,7 +814,7 @@ class TestComputedOnce:
             mapping_torus(SurfacePresentation.closed(2), phi)
 
     def test_torsion_subcommand_computes_each_order_once(self, monkeypatch):
-        monkeypatch.setattr(cli, "_compiled", OrderedDict())
+        cli._compiled.cache_clear()
         orders = self.count(monkeypatch, kernel.homology_order)
         status, report = cli.dispatch(cli.RunConfig(
             "torsion", (str(FIXTURES / "torus_A211.json"),)))

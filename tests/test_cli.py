@@ -8,14 +8,13 @@ import subprocess
 import sys
 import threading
 import time
-from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from procong import cli, serialize
+from procong import cli, serialize, surfgrp
 from procong.cellular import cellular_model
 from procong.cli import RunConfig, config_from_args, build_parser, dispatch, main
 from procong.ntform import Dilatation, NTDecomposition
@@ -334,6 +333,38 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "matrix" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("entry", [10 ** 30, surfgrp.WORD_CAP + 1])
+    def test_torus_monodromy_past_the_word_cap_is_an_input_error(
+            self, tmp_path, capsys, monkeypatch, entry):
+        # (k,1;-1,0) = R^-(k-1) L^-1 R has k + 1 run letters; at k = 10^30
+        # the first run's word did not fit an index (exit 1)
+        def move(*_):
+            raise AssertionError("a word was built")
+
+        monkeypatch.setattr(surfgrp, "_torus_move", move)
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(wrap("torus_monodromy",
+                                        {"matrix": f"{entry},1;-1,0"})))
+        status, out, err = run(capsys, "alexander", str(path))
+        assert (status, out) == (2, "")
+        assert err == (f"error: the R/L runs of the monodromy matrix have "
+                       f"more than {surfgrp.WORD_CAP} letters, the bound on "
+                       f"a word\n")
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,
+        '{"schema": "procong-fixtures/1", "kind": "nt_decomposition", '
+        '"body": ' + '{"a": ' * 100_000,
+    ], ids=["list", "body"])
+    def test_deeply_nested_fixture_is_an_input_error(self, tmp_path, capsys,
+                                                     text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        status, out, err = run(capsys, "nt", "analyze", str(path))
+        assert (status, out) == (2, "")
+        assert err == ("error: fixture nests its JSON values too deeply to "
+                       "decode\n")
 
     def test_non_object_monodromy_is_an_input_error(self, tmp_path, capsys):
         data = json.loads((FIXTURES / "genus2_finite_order.json").read_text())
@@ -887,8 +918,8 @@ class TestCompiledFixtureCache:
                                / "golden_query_reports.json").read_text())
 
     @pytest.fixture(autouse=True)
-    def cold(self, monkeypatch):
-        monkeypatch.setattr(cli, "_compiled", OrderedDict())
+    def cold(self):
+        cli._compiled.cache_clear()
 
     @staticmethod
     def count_decodes(monkeypatch):
@@ -953,7 +984,7 @@ class TestCompiledFixtureCache:
             assert (status, out) == (2, "") and err.startswith("error: ")
             errors.add(err)
         assert len(errors) == 1 and len(decodes) == 3
-        assert not cli._compiled
+        assert cli._compiled.cache_info().currsize == 0
 
     def test_ninth_text_evicts_the_least_recently_used(self, capsys,
                                                        monkeypatch, tmp_path):
@@ -976,7 +1007,7 @@ class TestCompiledFixtureCache:
         assert analyze(paths[0]) == golden
         decodes, _ = self.count_decodes(monkeypatch)
         assert analyze(paths[-1]) == golden
-        assert len(cli._compiled) == cli.COMPILED_SLOTS
+        assert cli._compiled.cache_info().currsize == cli.COMPILED_SLOTS
         assert len(decodes) == 1
         assert analyze(paths[0]) == golden and len(decodes) == 1
         assert analyze(paths[1]) == golden and len(decodes) == 2
@@ -1006,8 +1037,7 @@ class TestCompiledFixtureCache:
                 key = " ".join(("nt analyze", source, *argv))
                 if report + "\n" != self.QUERY_GOLDEN[key]:
                     failures.append(key)
-                with cli._compiled_lock:
-                    sizes.append(len(cli._compiled))
+                sizes.append(cli._compiled.cache_info().currsize)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -3,8 +3,9 @@ input exits 0 or 2, never 1 and never with a traceback, and an exit-2
 message names the field instead of repeating Python's own type error.
 
 Each fixture that a subcommand reads is mutated at every key and at the
-first three entries of every list of its body, at any depth: the entry is
-dropped, or replaced by each of 5, "x", [], {}, null and 1.5.  The maps
+first three entries of every list, at any depth, of the whole file: the
+envelope's `schema`, `kind` and `body` and everything in the body.  The
+entry is dropped, or replaced by each of 5, "x", [], {}, null and 1.5.  The maps
 of a decomposition are also mutated by swapping the targets of two keys.
 Each mutant runs through `main` in-process."""
 
@@ -92,10 +93,9 @@ def test_mutated_fixture_exits_zero_or_two(tmp_path, source):
     argv = SUBCOMMANDS[data["kind"]]
     target = tmp_path / source
     faults = []
-    for path in locations(data["body"]):
+    for path in locations(data):
         for value in REPLACEMENTS:
-            mutant = dict(data, body=mutated(data["body"], path, value))
-            target.write_text(json.dumps(mutant))
+            target.write_text(json.dumps(mutated(data, path, value)))
             status, message = run_main([*argv, str(target)])
             if status not in (0, 2) or "Traceback" in message or any(
                     phrase in message for phrase in NAMELESS):

@@ -20,7 +20,6 @@ import io
 import json
 import random
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -105,12 +104,11 @@ def test_report_is_byte_identical(key, generated_dir):
     assert out == golden[key]
 
 
-def test_every_golden_report_replays_in_one_process(monkeypatch,
-                                                    tmp_path_factory):
+def test_every_golden_report_replays_in_one_process(tmp_path_factory):
     # both golden files twice over, shuffled, from a cold cache: more texts
     # than the cache holds, so entries are evicted and compiled again, and
     # each decomposition's kept rows serve bounds in any order
-    monkeypatch.setattr(cli, "_compiled", OrderedDict())
+    cli._compiled.cache_clear()
     query_dir = tmp_path_factory.mktemp("query")
     fibered_dir = tmp_path_factory.mktemp("fibered")
     write_generated(query_dir)

@@ -1,6 +1,7 @@
 """Tests for the versioned fixture grammar and path resolution."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -74,9 +75,12 @@ class TestGrammarErrors:
             parse_fixture(bad)
 
     def test_rejects_unknown_kind(self):
-        bad = json.dumps({"schema": SCHEMA_ID, "kind": "mystery", "body": {}})
-        with pytest.raises(ValueError, match="unknown fixture kind"):
-            parse_fixture(bad)
+        # a list or an object is not looked up, so it raises no TypeError
+        for kind in ("mystery", 5, [], {}, ["torus_monodromy"]):
+            bad = json.dumps({"schema": SCHEMA_ID, "kind": kind, "body": {}})
+            with pytest.raises(ValueError, match=(
+                    f"^unknown fixture kind {re.escape(repr(kind))}$")):
+                parse_fixture(bad)
 
     def test_rejects_missing_body(self):
         bad = json.dumps({"schema": SCHEMA_ID, "kind": "torus_monodromy"})
@@ -87,6 +91,12 @@ class TestGrammarErrors:
         with pytest.raises(ValueError, match="not valid JSON"):
             parse_fixture("{nope")
 
+    def test_rejects_deep_nesting(self):
+        # json.loads raises RecursionError, not JSONDecodeError
+        with pytest.raises(ValueError, match="nests its JSON values too "
+                                             "deeply"):
+            parse_fixture("[" * 100_000 + "]" * 100_000)
+
     def test_rejects_non_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             parse_fixture("[1, 2]")
@@ -94,6 +104,39 @@ class TestGrammarErrors:
     def test_wrap_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown fixture kind"):
             wrap("mystery", {})
+
+
+# (edit of the anosov_orbit_table.json body, the error); each value was
+# decoded loosely: floats and booleans kept, a string split into letters
+LOOSE_ORBIT_TABLE_FIELDS = [
+    (lambda body: body["rows"][0].update(iterate=1.5),
+     "iterate must be an integer, got 1.5"),
+    (lambda body: body["rows"][0].update(nielsen=True),
+     "nielsen must be an integer, got True"),
+    (lambda body: body["rows"][0].update(counts=[[-1, 1.0]]),
+     "counts[0] count must be an integer, got 1.0"),
+    (lambda body: body["rows"][0].update(counts=[["-1", 1]]),
+     "counts[0] index must be an integer, got '-1'"),
+    (lambda body: body["rows"][0].update(counts=[[-1, 1, 0]]),
+     "counts[0] must be [index, count], got [-1, 1, 0]"),
+    (lambda body: body["rows"][0].update(counts="x"),
+     "counts must be a list, got 'x'"),
+    (lambda body: body.update(remainder="ab"),
+     "remainder must be a list, got 'ab'"),
+    (lambda body: body.update(remainder=[7]),
+     "remainder must be a string, got 7"),
+    (lambda body: body.update(rows={}), "rows must be a list, got {}"),
+    (lambda body: body["rows"].insert(1, 5), "rows[1] must be an object, got 5"),
+]
+
+
+@pytest.mark.parametrize("edit, message", LOOSE_ORBIT_TABLE_FIELDS,
+                         ids=[m for _, m in LOOSE_ORBIT_TABLE_FIELDS])
+def test_loose_orbit_table_field_is_rejected(edit, message):
+    data = json.loads((FIXTURES / "anosov_orbit_table.json").read_text())
+    edit(data["body"])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_fixture(json.dumps(data))
 
 
 class TestPathResolution:

@@ -21,10 +21,9 @@ from procong.torus import (
     factorize,
     hyperbolic_cyclic_word,
     rl_runs,
-    rl_word,
     sl2_conjugate,
 )
-from reference import characteristic_level_bruteforce
+from reference import characteristic_level_bruteforce, letter_cyclic_word
 
 # the classical pair: congruently conjugate at every level, yet not conjugate
 PAIR_A = Mat2(188, 275, 121, 177)
@@ -53,6 +52,14 @@ def word_matrix(exponents, sign=1):
         m = m @ base.power(e)
         use_r = not use_r
     return m if sign == 1 else -m
+
+
+def cyclic_letters(word):
+    """The letters of a canonical cyclic word, which must be runs of
+    positive length whose letters alternate around the cycle."""
+    assert all(k >= 1 for _, k in word)
+    assert all(x != y for (x, _), (y, _) in zip(word, word[1:] + word[:1]))
+    return tuple(letter for letter, k in word for _ in range(k))
 
 
 def random_sl2(rng, length=4, span=3):
@@ -118,15 +125,11 @@ class TestRLWords:
         rng = random.Random(3)
         for _ in range(50):
             exps = [rng.randint(1, 5) for _ in range(rng.randint(1, 5))]
-            m = word_matrix(exps)
-            letters = rl_word(m)
-            rebuilt = Mat2.identity()
-            for letter in letters:
-                rebuilt = rebuilt @ (R if letter == "R" else L)
-            assert rebuilt == m
+            runs = [("RL"[i % 2], e) for i, e in enumerate(exps)]
+            assert rl_runs(word_matrix(exps)) == (1, runs)
 
     def test_identity_is_empty(self):
-        assert rl_word(Mat2.identity()) == []
+        assert rl_runs(Mat2.identity()) == (1, [])
 
     def test_nonnegative_runs_are_positive_and_multiply_back(self):
         count = 0
@@ -151,15 +154,10 @@ class TestRLWords:
 
     def test_pair_b_runs(self):
         assert rl_runs(PAIR_B) == (1, [("L", 16), ("R", 11), ("L", 17)])
-        assert rl_word(PAIR_B) == ["L"] * 16 + ["R"] * 11 + ["L"] * 17
 
     def test_runs_reject_determinant_minus_one(self):
         with pytest.raises(ValueError):
             rl_runs(Mat2(0, 1, 1, 0))
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            rl_word(Mat2(2, -1, 1, 0))
 
     def test_cyclic_word_invariant_under_conjugation(self):
         rng = random.Random(9)
@@ -173,10 +171,38 @@ class TestRLWords:
 
     def test_cyclic_word_reduction_conjugator(self):
         word, v = hyperbolic_cyclic_word(PAIR_A)
-        target = Mat2.identity()
-        for letter in word:
-            target = target @ (R if letter == "R" else L)
-        assert v.inverse() @ PAIR_A @ v == target
+        assert word == (("L", 4), ("R", 6), ("L", 2), ("R", 2), ("L", 1),
+                        ("R", 1))
+        assert v.inverse() @ PAIR_A @ v == runs_matrix(1, word)
+
+    def test_pair_b_word_joins_its_end_runs(self):
+        # rl_runs reads L^16 R^11 L^17: the two L runs meet around the cycle
+        assert hyperbolic_cyclic_word(PAIR_B)[0] == (("L", 33), ("R", 11))
+
+    def test_runs_spell_the_least_letter_rotation(self):
+        # the oracle peels and rotates single letters; for a nonnegative
+        # matrix the conjugator is the product of the letters rotated past
+        count = 0
+        for a, b, c in product(range(31), repeat=3):
+            if a == 0 or (1 + b * c) % a or (1 + b * c) // a > 30:
+                continue
+            m = Mat2(a, b, c, (1 + b * c) // a)
+            if m.trace() > 2:
+                word, v = hyperbolic_cyclic_word(m)
+                assert (cyclic_letters(word), v) == letter_cyclic_word(m)
+                count += 1
+        assert count == 1050
+
+    def test_runs_of_random_conjugates(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            exps = [rng.randint(1, 4) for _ in range(2 * rng.randint(1, 3))]
+            m = word_matrix(exps).power(rng.randint(1, 3))
+            x = random_sl2(rng, length=rng.randint(0, 4))
+            conj = x @ m @ x.inverse()
+            word, v = hyperbolic_cyclic_word(rng.choice([conj, -conj]))
+            assert cyclic_letters(word) == letter_cyclic_word(m)[0]
+            assert v.inverse() @ conj @ v == runs_matrix(1, word)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +295,29 @@ class TestSL2Conjugate:
             assert v.conjugate
             assert v.witness @ a @ v.witness.inverse() == b
             assert v.witness.det() == 1
+
+    def test_trace_ten_to_the_thirty(self):
+        # the word L^(k-2) R is read as two runs, never as k - 1 letters
+        def timeout(signum, frame):
+            raise TimeoutError("a trace-10^30 pair took over 5 s")
+
+        k = 10 ** 30
+        a, x = Mat2(k, 1, -1, 0), Mat2(2, 1, 1, 1)
+        b = x @ a @ x.inverse()
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            word = hyperbolic_cyclic_word(b)[0]
+            verdict = sl2_conjugate(a, b)
+            mirror = sl2_conjugate(a, Mat2(0, -1, 1, k))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert word == (("L", k - 2), ("R", 1))
+        assert verdict.conjugate
+        assert verdict.witness @ a @ verdict.witness.inverse() == b
+        assert (mirror.conjugate, mirror.reason) == (
+            False, "inequivalent cyclic R/L words")
 
     def test_mirror_words_not_identified(self):
         # R^2 L and L^2 R are GL(2,Z)-conjugate (transpose swap) but not
