@@ -5,11 +5,11 @@ cover its branches: the four fibered subcommands on every shipped fixture
 under the representations trivial, sign, zeta:5 and zeta:8:2, `nt analyze`
 with and without `--approx`, `chars decompose` and `chars bound` under
 every built-in group, `torus conj`, `congr` and `sweep` on hyperbolic,
-elliptic, parabolic and central pairs, `torus klevel` up to a bound
-past the printing cap, `nt shear`, and `zeta` on a bare fixture name;
-each in text and in `--json` form.  It then answers
-one seed-1 batch of each benchmark workload (`perfbench/workloads.py`)
-through the benchmark's own `run.execute`.
+elliptic, parabolic and central pairs and on a pair of different traces,
+`torus klevel` up to a bound past the printing cap, `nt shear`, and `zeta`
+on a bare fixture name; each in text and in `--json` form.  It then
+answers one seed-1 batch of each benchmark workload
+(`perfbench/workloads.py`) through the benchmark's own `run.execute`.
 
 It prints, per module, its unreached lines and its line count, then
 every function whose body was never entered with that body's line count;
@@ -35,7 +35,8 @@ FIBERED = ("alexander", "torsion", "zeta", "lefschetz")
 REPS = ("trivial", "sign", "zeta:5", "zeta:8:2")
 GROUPS = ("cyclic(1)", "cyclic(2)", "cyclic(6)", "cyclic(60)", "S3", "D4",
           "Q8")
-# (matrix A, matrix B): hyperbolic, elliptic, parabolic and central pairs
+# (matrix A, matrix B): hyperbolic, elliptic, parabolic and central pairs,
+# then a pair of traces 3 and 2, which no level n >= 2 conjugates
 TORUS_PAIRS = (
     ("188,275;121,177", "188,11;3025,177"),
     ("2,1;1,1", "1,1;1,2"),
@@ -47,6 +48,7 @@ TORUS_PAIRS = (
     ("-1,4;0,-1", "-1,0;4,-1"),
     ("1,0;0,1", "1,0;0,1"),
     ("-1,0;0,-1", "-1,0;0,-1"),
+    ("2,1;1,1", "1,1;0,1"),
 )
 SWEEP_MAX = "60"
 # a prime, and the product of the primes 1000003 and 1000033, which trial

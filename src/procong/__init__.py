@@ -3,7 +3,7 @@
 Modules
 -------
 kernel    exact scalars, Laurent polynomials, rational functions, F[t] Smith forms
-lattice   integer Smith forms, extended Euclid, Howell forms over Z/n
+lattice   integer Smith forms, extended Euclid
 torus     conjugacy in SL(2,Z) and GL(2,Z/n), congruence sweeps
 surfgrp   surface group presentations, twisted Alexander polynomials, torsion
 cellular  chain-level mapping torus models, zeta functions, Lefschetz numbers

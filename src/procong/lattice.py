@@ -1,15 +1,13 @@
-"""Integer and Z/n linear algebra.
+"""Integer linear algebra.
 
-The integer Smith form (the diagonal and the column transform), the one
-extended Euclid `ext_gcd`, the Howell basis of a submodule of (Z/n)^k and
-an ordered walk over its points.  Nothing here touches the exact fields of
+The integer Smith form (the diagonal and the column transform), from which
+`torus` reads the solution module of X A = B X over every Z/n, and the one
+extended Euclid `ext_gcd`.  Nothing here touches the exact fields of
 `kernel`, so a request that decides conjugacy of 2x2 integer matrices
 imports this module alone.
 """
 
 from __future__ import annotations
-
-import math
 
 
 # ---------------------------------------------------------------------------
@@ -115,96 +113,3 @@ def smith_integer(matrix):
                     row[i], row[j] = s * x + t * y, (a * y - b * x) // g
     return diag, v
 
-
-# ---------------------------------------------------------------------------
-# modules over Z/n: Howell form
-# ---------------------------------------------------------------------------
-
-def howell_form(rows, n: int):
-    """The Howell basis of the Z/n-submodule spanned by integer rows.
-
-    Returns the nonzero rows as tuples with entries in [0, n), their pivots
-    (first nonzero entries) in strictly increasing columns.  Each pivot
-    divides n, the entries above a pivot are reduced below it, and the rows
-    whose pivot is at column c or later span every element of the module
-    that is zero before column c (Howell, 1986).  The basis depends only on
-    the module, not on the generating rows.
-    """
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    work = []
-    for row in rows:
-        if any(type(x) is not int for x in row):
-            raise ValueError(f"rows must hold integers, got {list(row)!r}")
-        work.append([x % n for x in row])
-    width = len(work[0]) if work else 0
-    if any(len(row) != width for row in work):
-        raise ValueError("rows must have equal length")
-    basis = []
-    for c in range(width):
-        pivot, rest = None, []
-        for row in work:
-            if not row[c]:
-                if any(row):
-                    rest.append(row)
-            elif pivot is None:
-                pivot = row
-            else:
-                # a determinant-1 step puts gcd(a, b) on the pivot and
-                # clears column c of the other row
-                a, b = pivot[c], row[c]
-                g, s, t = ext_gcd(a, b)
-                a, b = a // g, b // g
-                pivot, row = ([(s * x + t * y) % n for x, y in zip(pivot, row)],
-                              [(a * y - b * x) % n for x, y in zip(pivot, row)])
-                if any(row):
-                    rest.append(row)
-        if pivot is None:
-            continue
-        # scale by a unit so the pivot becomes g = gcd(pivot, n); then
-        # (n/g) * pivot row is zero through column c and joins the rest,
-        # which is what the Howell property asks of the rows below
-        g = math.gcd(pivot[c], n)
-        m = n // g
-        inverse = pow(pivot[c] // g, -1, m)
-        unit = next(u for u in range(inverse, n, m) if math.gcd(u, n) == 1)
-        pivot = [unit * x % n for x in pivot]
-        annihilated = [m * x % n for x in pivot]
-        if any(annihilated):
-            rest.append(annihilated)
-        basis.append(pivot)
-        work = rest
-    for i, row in enumerate(basis):
-        c = next(j for j, x in enumerate(row) if x)
-        for j in range(i):
-            q = basis[j][c] // row[c]
-            if q:
-                basis[j] = [(x - q * y) % n for x, y in zip(basis[j], row)]
-    return tuple(tuple(row) for row in basis)
-
-
-def howell_points(basis, n: int, width: int):
-    """Every point of the module a Howell basis spans, once each, in
-    increasing lexicographic order of tuples in [0, n)^width.
-
-    By the Howell property the points with a given prefix before a pivot
-    column c take at c exactly one coset of the pivot, each value once, so
-    walking the cosets upwards row by row is the lexicographic order; a
-    caller that looks for the least point with some property stops at the
-    first one.
-    """
-    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
-
-    def walk(i, point):
-        if i == len(basis):
-            yield point
-            return
-        row, c = basis[i], pivots[i]
-        p = row[c]
-        steps, shift = n // p, point[c] // p
-        for j in range(steps):
-            k = (j - shift) % steps
-            yield from walk(i + 1, tuple((x + k * y) % n
-                                         for x, y in zip(point, row)))
-
-    return walk(0, (0,) * width)

@@ -923,6 +923,13 @@ class IndexedOrbitTable:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
+        seen = set()
+        for k, r in enumerate(self.rows):
+            if r.iterate < 1 or r.iterate in seen:
+                raise DecompositionError(
+                    f"rows[{k}] iterate must be positive and not repeat an "
+                    f"earlier row's, got {r.iterate}")
+            seen.add(r.iterate)
         object.__setattr__(self, "remainder", tuple(
             _json_str(name, "remainder")
             for name in _json_list(self.remainder, "remainder")))

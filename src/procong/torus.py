@@ -10,9 +10,9 @@ Three layers:
 * `congruent_conjugate_mod` decides conjugacy in GL(2,Z/n) by solving the
   linear commutation system X A = B X over Z/n (one integer Smith form, reused
   for every modulus) and finding a unit-determinant point of the solution
-  module: the lexicographically least one, by an ordered walk over the
-  module's Howell basis, when the module is small, else prime power by prime
-  power.
+  module prime power by prime power, glued by the Chinese remainder theorem;
+  a pair whose traces differ mod n is not conjugate there, and is answered
+  without factoring n.
 * `congruence_sweep` runs the mod-n test over a range of levels and reports
   whether the pair looks procongruently conjugate without being SL(2,Z)
   conjugate.  `characteristic_level` computes the lattice d with
@@ -22,13 +22,14 @@ Three layers:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import count, product
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from typing import Optional, Tuple
 
-from .lattice import ext_gcd, howell_form, howell_points, smith_integer
+from .lattice import ext_gcd, smith_integer
 
 
 class Mat2:
@@ -62,16 +63,24 @@ class Mat2:
     @staticmethod
     def from_string(text: str) -> "Mat2":
         """Parse the CLI matrix format "a,b;c,d"."""
+        shape = f"matrix must look like 'a,b;c,d', got {text!r}"
         try:
-            row_parts = text.strip().split(";")
-            if len(row_parts) != 2:
-                raise ValueError
-            rows = [[int(x) for x in part.split(",")] for part in row_parts]
-            if any(len(r) != 2 for r in rows):
-                raise ValueError
-        except (ValueError, AttributeError):
-            raise ValueError(f"matrix must look like 'a,b;c,d', got {text!r}") from None
-        return Mat2.from_rows(rows)
+            rows = [part.split(",") for part in text.strip().split(";")]
+        except AttributeError:
+            raise ValueError(shape) from None
+        if len(rows) != 2 or any(len(r) != 2 for r in rows):
+            raise ValueError(shape)
+        limit = sys.get_int_max_str_digits()
+        for x in rows[0] + rows[1]:
+            digits = x.strip().lstrip("+-").replace("_", "")
+            if 0 < limit < len(digits) and digits.isdecimal():
+                raise ValueError(
+                    f"matrix entries must have at most {limit} digits (the "
+                    f"interpreter's limit), got {text[:20]!r}...")
+        try:
+            return Mat2.from_rows([[int(x) for x in r] for r in rows])
+        except ValueError:
+            raise ValueError(shape) from None
 
     def to_string(self) -> str:
         return f"{self.a},{self.b};{self.c},{self.d}"
@@ -501,16 +510,12 @@ class CommutationSolver:
     module mod n is spanned by the four rows (n / gcd(d_i, n)) v_i, v_i the
     columns of V, and has prod gcd(d_i, n) points.
 
-    A level whose module has at most LEX_SEARCH_CAP points gets its
-    lexicographically least unit-determinant solution: the Howell basis of
-    the module (`lattice.howell_form`) walks its points in lexicographic
-    order (`lattice.howell_points`), and the walk stops at the first unit.
-    Every other level searches once per prime power for the life of the
+    A level n answers without a search when A = B mod n (the identity) or
+    when tr A != tr B mod n (no unit conjugates one into the other).  Every
+    other level searches once per prime power of n for the life of the
     solver and glues the prime-power witnesses with the Chinese remainder
     theorem.  Every witness passes `verify`.
     """
-
-    LEX_SEARCH_CAP = 4096
 
     def __init__(self, a: Mat2, b: Mat2):
         self.a = a
@@ -553,8 +558,8 @@ class CommutationSolver:
         if not any((p - q) % n for p, q in zip(self.a.entries(),
                                                  self.b.entries())):
             return Mat2.identity().mod(n)
-        if prod(gcd(d, n) for d in self.diag) <= self.LEX_SEARCH_CAP:
-            return self._lex_least_under_cap(n)
+        if (self.a.trace() - self.b.trace()) % n:
+            return None
         x, modulus = (0, 0, 0, 0), 1
         for p, e in factorize(n):
             if (p, e) not in self._witnesses:
@@ -568,24 +573,6 @@ class CommutationSolver:
         x = Mat2(*x)
         self.verify(x, n)
         return x
-
-    def _lex_least_under_cap(self, n: int) -> Optional[Mat2]:
-        """The lexicographically least unit-determinant solution mod n, or
-        None when the module holds no unit.
-
-        Walks the module in lexicographic order from its Howell basis and
-        stops at the first unit, so it draws every point only when there is
-        no witness; `witness_mod` takes this route for modules of at most
-        LEX_SEARCH_CAP points.
-        """
-        rows = [[n // gcd(d, n) * v for v in col]
-                for d, col in zip(self.diag, self.v_cols)]
-        for x in howell_points(howell_form(rows, n), n, 4):
-            if gcd(x[0] * x[3] - x[1] * x[2], n) == 1:
-                witness = Mat2(*x)
-                self.verify(witness, n)
-                return witness
-        return None
 
     def verify(self, x: Mat2, n: int):
         if gcd(x.det(), n) != 1:

@@ -4,7 +4,9 @@ No subcommand, fixture or benchmark workload reaches these functions, so
 they live beside the tests instead of in `procong`.  Some are oracles the
 library is checked against (the brute-force characteristic level, the dense
 Gauss-Jordan inverse, dense Berkowitz, the least rotation of a cyclic R/L
-word letter by letter, the cycle product of a monomial
+word letter by letter, the least unit-determinant solution of X A = B X
+mod n by a lexicographic walk over the Howell basis of the solution
+module, the cycle product of a monomial
 matrix, dense polynomial-matrix arithmetic, the orbit-count table computed
 iterate by iterate); the others build test inputs and expected values
 (exact powers and iterates of normal forms, growth brackets from Nielsen
@@ -29,7 +31,7 @@ from typing import Iterable, Mapping, Tuple
 
 from procong.kernel import (LaurentPolynomial, PolyMatrix, SparseMatrix,
                             as_exact, scalar_inverse)
-from procong.lattice import smith_integer
+from procong.lattice import ext_gcd, smith_integer
 from procong.ntform import (PERIODIC, PSEUDO_ANOSOV, DecompositionError,
                             Dilatation, IndexedOrbitTable, InteriorOrbit,
                             NTDecomposition, StretchFactor,
@@ -39,7 +41,7 @@ from procong.surfgrp import (FiniteRepresentation, MappingTorusPresentation,
                              ScalarMatrix, Word, _check_indices, _mat_freeze,
                              _sparse, _sparse_mul, free_reduce, word_concat,
                              word_inverse)
-from procong.torus import Mat2
+from procong.torus import CommutationSolver, Mat2
 
 # ---------------------------------------------------------------------------
 # lattices: the characteristic level by brute force
@@ -160,6 +162,113 @@ def letter_cyclic_word(m: Mat2):
     for letter in letters[:shift]:
         prefix = prefix @ (r if letter == "R" else l)
     return tuple(letters[shift:] + letters[:shift]), prefix
+
+
+# ---------------------------------------------------------------------------
+# GL(2,Z/n): the least unit solution by a walk over the Howell basis
+# ---------------------------------------------------------------------------
+
+
+def howell_form(rows, n: int):
+    """The Howell basis of the Z/n-submodule spanned by integer rows.
+
+    Returns the nonzero rows as tuples with entries in [0, n), their pivots
+    (first nonzero entries) in strictly increasing columns.  Each pivot
+    divides n, the entries above a pivot are reduced below it, and the rows
+    whose pivot is at column c or later span every element of the module
+    that is zero before column c (Howell, 1986).  The basis depends only on
+    the module, not on the generating rows.
+    """
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    work = []
+    for row in rows:
+        if any(type(x) is not int for x in row):
+            raise ValueError(f"rows must hold integers, got {list(row)!r}")
+        work.append([x % n for x in row])
+    width = len(work[0]) if work else 0
+    if any(len(row) != width for row in work):
+        raise ValueError("rows must have equal length")
+    basis = []
+    for c in range(width):
+        pivot, rest = None, []
+        for row in work:
+            if not row[c]:
+                if any(row):
+                    rest.append(row)
+            elif pivot is None:
+                pivot = row
+            else:
+                # a determinant-1 step puts gcd(a, b) on the pivot and
+                # clears column c of the other row
+                a, b = pivot[c], row[c]
+                g, s, t = ext_gcd(a, b)
+                a, b = a // g, b // g
+                pivot, row = ([(s * x + t * y) % n for x, y in zip(pivot, row)],
+                              [(a * y - b * x) % n for x, y in zip(pivot, row)])
+                if any(row):
+                    rest.append(row)
+        if pivot is None:
+            continue
+        # scale by a unit so the pivot becomes g = gcd(pivot, n); then
+        # (n/g) * pivot row is zero through column c and joins the rest,
+        # which is what the Howell property asks of the rows below
+        g = gcd(pivot[c], n)
+        m = n // g
+        inverse = pow(pivot[c] // g, -1, m)
+        unit = next(u for u in range(inverse, n, m) if gcd(u, n) == 1)
+        pivot = [unit * x % n for x in pivot]
+        annihilated = [m * x % n for x in pivot]
+        if any(annihilated):
+            rest.append(annihilated)
+        basis.append(pivot)
+        work = rest
+    for i, row in enumerate(basis):
+        c = next(j for j, x in enumerate(row) if x)
+        for j in range(i):
+            q = basis[j][c] // row[c]
+            if q:
+                basis[j] = [(x - q * y) % n for x, y in zip(basis[j], row)]
+    return tuple(tuple(row) for row in basis)
+
+
+def howell_points(basis, n: int, width: int):
+    """Every point of the module a Howell basis spans, once each, in
+    increasing lexicographic order of tuples in [0, n)^width.
+
+    By the Howell property the points with a given prefix before a pivot
+    column c take at c exactly one coset of the pivot, each value once, so
+    walking the cosets upwards row by row is the lexicographic order.
+    """
+    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+
+    def walk(i, point):
+        if i == len(basis):
+            yield point
+            return
+        row, c = basis[i], pivots[i]
+        p = row[c]
+        steps, shift = n // p, point[c] // p
+        for j in range(steps):
+            k = (j - shift) % steps
+            yield from walk(i + 1, tuple((x + k * y) % n
+                                         for x, y in zip(point, row)))
+
+    return walk(0, (0,) * width)
+
+
+def least_unit_by_walk(solver: CommutationSolver, n: int):
+    """The lexicographically least unit-determinant solution of the
+    solver's X A = B X mod n, or None: the module's points are walked in
+    lexicographic order from its Howell basis up to the first unit, a route
+    that shares nothing with the solver's prime-power search but the Smith
+    form.  It draws every point of the module when there is no unit."""
+    rows = [[n // gcd(d, n) * v for v in col]
+            for d, col in zip(solver.diag, solver.v_cols)]
+    for x in howell_points(howell_form(rows, n), n, 4):
+        if gcd(x[0] * x[3] - x[1] * x[2], n) == 1:
+            return Mat2(*x)
+    return None
 
 
 # ---------------------------------------------------------------------------

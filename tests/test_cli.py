@@ -334,6 +334,35 @@ class TestExitCodes:
         assert "matrix" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                        != 4300, reason="needs the default 4300-digit cap "
+                                        "on reading integers")
+    def test_matrix_entry_past_the_digit_cap_is_an_input_error(
+            self, tmp_path, capsys):
+        # int() refused the entry, and the error was the format message
+        # with the whole 5,000-digit input in it
+        entry = "1" * 5000
+        message = ("error: matrix entries must have at most 4300 digits (the "
+                   "interpreter's limit), got '11111111111111111111'...\n")
+        status, out, err = run(capsys, "torus", "conj", f"{entry},1;0,1",
+                               "1,0;0,1")
+        assert (status, out, err) == (2, "", message)
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(wrap("torus_monodromy",
+                                        {"matrix": f"{entry},1;-1,0"})))
+        status, out, err = run(capsys, "zeta", str(path))
+        assert (status, out, err) == (2, "", message)
+
+    def test_orbit_table_with_a_repeated_iterate_is_an_input_error(
+            self, tmp_path, capsys):
+        data = json.loads((FIXTURES / "anosov_orbit_table.json").read_text())
+        data["body"]["rows"][1]["iterate"] = 1
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(data))
+        status, out, err = run(capsys, "nt", "analyze", str(path))
+        assert (status, out) == (2, "")
+        assert err.startswith("error: rows[1] iterate must be positive")
+
     @pytest.mark.parametrize("entry", [10 ** 30, surfgrp.WORD_CAP + 1])
     def test_torus_monodromy_past_the_word_cap_is_an_input_error(
             self, tmp_path, capsys, monkeypatch, entry):

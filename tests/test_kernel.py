@@ -29,13 +29,13 @@ from procong.kernel import (
     render_scalar,
     smith_diagonalize,
 )
-from procong.lattice import ext_gcd, howell_form, howell_points, smith_integer
+from procong.lattice import ext_gcd, smith_integer
 from procong.serialize import load_fixture
 from procong.surfgrp import twisted_alexander
 from reference import (affine_rep, canonical_rows, dense, dense_charpoly,
                        dense_entries, dense_map, dense_product,
-                       dense_transpose, integer_kernel_basis,
-                       leibniz_determinant, poly_matrix)
+                       dense_transpose, howell_form, howell_points,
+                       integer_kernel_basis, leibniz_determinant, poly_matrix)
 
 T = LaurentPolynomial.t_power(1)
 ONE = LaurentPolynomial.one()
@@ -1207,6 +1207,9 @@ class TestExtGcd:
 
 
 class TestHowellForm:
+    """The Howell form and walk of `reference`, the test-side oracle for
+    GL(2,Z/n) verdicts (`test_torus.TestOrderedWalk`)."""
+
     CASES = [(n, width, seed) for n in range(1, 13) for width in range(1, 5)
              for seed in range(4)]
 

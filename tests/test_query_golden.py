@@ -7,8 +7,11 @@ and on seeded ``cyclic(31)``, ``cyclic(48)`` and ``cyclic(59)`` tables
 written at test time (see `write_generated`), of ``nt analyze --approx``
 on the three pseudo-Anosov decompositions and of ``nt analyze --upto 30`` on
 all five shipped decompositions, each in text and ``--json`` mode.
-Any change to how witnesses, character sums or stretch-factor intervals are
-computed must keep these reports identical.  One test replays every report
+A sweep's witness at each level is the one `CommutationSolver.witness_mod`
+glues by CRT from its prime-power witnesses, and every level's verdict is
+pinned to the committed one by a test of its own.  Any change to how
+character sums or stretch-factor intervals are computed must keep these
+reports identical.  One test replays every report
 of both golden files through one process, twice, in a seeded shuffled
 order, so no state kept between requests may change a report.  To
 regenerate (only when a report is meant to change, and say why):
@@ -28,6 +31,7 @@ import test_fibered_golden as fibered
 from procong import cli
 from procong.cli import main
 from procong.serialize import KIND_ORBIT_PROJECTION, save_fixture
+from procong.torus import CommutationSolver, Mat2, congruence_sweep
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE.parent / "fixtures"
@@ -102,6 +106,24 @@ def test_report_is_byte_identical(key, generated_dir):
     status, out = report(key, generated_dir)
     assert status == 0
     assert out == golden[key]
+
+
+@pytest.mark.parametrize("a,b", SWEEP_PAIRS, ids=["classical", "conjugate"])
+def test_sweep_verdicts_match_the_golden_levels(a, b):
+    # a witness may change with the search that finds it, a verdict may not;
+    # every committed witness still intertwines the pair with a unit
+    key = " ".join(("torus", "sweep", a, b, "--max", "1000", "--json"))
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    levels = json.loads(golden[key])["levels"]
+    a, b = Mat2.from_string(a), Mat2.from_string(b)
+    report = congruence_sweep(a, b, 1000)
+    assert [level["modulus"] for level in levels] == list(range(1, 1001))
+    assert [v.modulus for v in report.verdicts
+            if v.conjugate != levels[v.modulus - 1]["conjugate"]] == []
+    solver = CommutationSolver(a, b)
+    for level in levels:
+        if level["witness"] is not None:
+            solver.verify(Mat2.from_string(level["witness"]), level["modulus"])
 
 
 def test_every_golden_report_replays_in_one_process(tmp_path_factory):

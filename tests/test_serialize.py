@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from procong.ntform import NTDecomposition
+from procong.ntform import DecompositionError, NTDecomposition
 from procong.serialize import (SCHEMA_ID, Fixture, OrbitProjectionFixture,
                                default_fixture_root, dumps, load_fixture,
                                parse_fixture, resolve_path, save_fixture,
@@ -136,6 +136,30 @@ def test_loose_orbit_table_field_is_rejected(edit, message):
     data = json.loads((FIXTURES / "anosov_orbit_table.json").read_text())
     edit(data["body"])
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_fixture(json.dumps(data))
+
+
+# (edit of the anosov_orbit_table.json body, the error); each table was
+# built, and `nielsen(m)` read the first row of iterate m
+BAD_ORBIT_TABLE_ITERATES = [
+    (lambda body: body["rows"][1].update(iterate=1),
+     "rows[1] iterate must be positive and not repeat an earlier row's, "
+     "got 1"),
+    (lambda body: body["rows"][0].update(iterate=0),
+     "rows[0] iterate must be positive and not repeat an earlier row's, "
+     "got 0"),
+    (lambda body: body["rows"][2].update(iterate=-4),
+     "rows[2] iterate must be positive and not repeat an earlier row's, "
+     "got -4"),
+]
+
+
+@pytest.mark.parametrize("edit, message", BAD_ORBIT_TABLE_ITERATES,
+                         ids=["repeated", "zero", "negative"])
+def test_orbit_table_iterates_are_positive_and_distinct(edit, message):
+    data = json.loads((FIXTURES / "anosov_orbit_table.json").read_text())
+    edit(data["body"])
+    with pytest.raises(DecompositionError, match=f"^{re.escape(message)}$"):
         parse_fixture(json.dumps(data))
 
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from procong.cli import main
-from procong.lattice import howell_points
 from procong.torus import (
     FACTOR_LIMIT,
     CommutationSolver,
@@ -23,7 +22,8 @@ from procong.torus import (
     rl_runs,
     sl2_conjugate,
 )
-from reference import characteristic_level_bruteforce, letter_cyclic_word
+from reference import (characteristic_level_bruteforce, least_unit_by_walk,
+                       letter_cyclic_word)
 
 # the classical pair: congruently conjugate at every level, yet not conjugate
 PAIR_A = Mat2(188, 275, 121, 177)
@@ -435,23 +435,22 @@ class TestCongruentConjugateMod:
                     assert ((w @ a) - (b @ w)).mod(n) == Mat2(0, 0, 0, 0)
                     assert gcd(w.det() % n, n) == 1
 
-    def test_lex_least_witness_small_moduli(self):
-        rng = random.Random(13)
-        checked = 0
-        while checked < 10:
-            n = rng.choice([2, 3, 4, 5])
-            a = random_sl2(rng, length=3)
-            x = random_sl2(rng, length=2)
-            b = x @ a @ x.inverse()
-            if a.mod(n) == b.mod(n):
-                continue
-            verdict = congruent_conjugate_mod(a, b, n)
-            assert verdict.conjugate
-            candidates = [y for y in gl2_elements(n)
-                          if ((y @ a) - (b @ y)).mod(n) == Mat2(0, 0, 0, 0)]
-            least = min(candidates, key=lambda m: m.entries())
-            assert verdict.witness == least
-            checked += 1
+    def test_walk_cases_match_exhaustive_search(self):
+        # the parabolic R against the identity, and a pair whose traces
+        # differ, which the trace test answers at every level
+        found = 0
+        extra = [(R, Mat2.identity()), (Mat2(2, 1, 1, 1), R)]
+        for a, b in walk_cases() + extra:
+            solver = CommutationSolver(a, b)
+            for n in range(2, 11):
+                witness = solver.witness_mod(n)
+                oracle = exhaustive_mod_conjugate(a, b, n)
+                assert (witness is None) == (oracle is None), (a, b, n)
+                if witness is None:
+                    found += 1
+                else:
+                    solver.verify(witness, n)
+        assert found > 0
 
     def test_divisor_projection(self):
         rng = random.Random(19)
@@ -620,33 +619,21 @@ class TestFactorize:
         assert status == 2
         assert "modulus" in capsys.readouterr().err
 
+    def test_congr_of_unequal_traces_never_factors(self, capsys, monkeypatch):
+        # traces 3 and 2: no level n >= 2 divides their difference, so the
+        # trace test answers even beyond FACTOR_LIMIT
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) was called")
 
-def least_unit_solution(a, b, n):
-    """The lexicographically least unit-determinant X over (Z/n)^4 with
-    X A = B X mod n, by enumeration in lexicographic order."""
-    for x in product(range(n), repeat=4):
-        m = Mat2(*x)
-        if gcd(m.det(), n) == 1 \
-                and ((m @ a) - (b @ m)).mod(n) == Mat2(0, 0, 0, 0):
-            return m
-    return None
+        monkeypatch.setattr("procong.torus.factorize", refuse)
+        for n in (FACTOR_LIMIT, 10 ** 40 + 1):
+            status = main(["torus", "congr", "2,1;1,1", "1,1;0,1", str(n)])
+            assert status == 0
+            assert capsys.readouterr().out.splitlines()[1:] == [
+                f"GL(2,Z/{n}): not conjugate"]
 
 
 class TestModuleEnumeration:
-    def test_lex_least_witness_through_sixteen(self):
-        rng = random.Random(41)
-        pairs = [(PAIR_A, PAIR_B)]
-        while len(pairs) < 6:
-            a = random_sl2(rng, length=3)
-            x = random_sl2(rng, length=2)
-            pairs.append((a, x @ a @ x.inverse()))
-        for a, b in pairs:
-            solver = CommutationSolver(a, b)
-            solver.LEX_SEARCH_CAP = 16 ** 4      # enumerate every level
-            for n in range(2, 17):
-                assert solver._lex_least_under_cap(n) \
-                    == least_unit_solution(a, b, n), (a, b, n)
-
     def test_sweep_searches_each_prime_power_once(self, monkeypatch):
         searched = []
         search = CommutationSolver.witness_mod_prime_power
@@ -660,11 +647,10 @@ class TestModuleEnumeration:
         report = congruence_sweep(PAIR_A, PAIR_B, 1000)
         assert report.procongruence_candidate
         assert len(searched) == len(set(searched))
-        # the module has gcd(11, n)^2 n^2 points, so the levels past the
-        # enumeration cap are 65..1000 and 11, 22, ..., 55, whose prime
-        # powers recur above 64
+        # every level searches its prime powers, except those dividing 264,
+        # where A = B mod n; their prime powers recur at other levels
         assert set(searched) == {
-            pe for n in range(65, 1001) for pe in trial_division(n)}
+            pe for n in range(2, 1001) for pe in trial_division(n)}
 
     def test_verify_agrees_with_the_matrix_products(self):
         # verify checks x a - b x = 0 mod n on int entries; the oracle is the
@@ -727,50 +713,25 @@ def module_size(solver, n):
     return size
 
 
+WALK_CAP = 4096     # the largest module the walk oracle is run on
+
+
 class TestOrderedWalk:
     @pytest.mark.parametrize("a,b", walk_cases(), ids=(
         ["classical"] + [f"conjugate{i}" for i in range(6)]
         + [f"separate{i}" for i in range(6)]))
     def test_walk_agrees_with_the_prime_power_route(self, a, b):
-        walk = CommutationSolver(a, b)
-        crt = CommutationSolver(a, b)
-        crt.LEX_SEARCH_CAP = 0          # every level by prime powers and CRT
+        # the least unit found by walking the module's Howell basis
+        # (tests/reference.py) against the solver's prime-power witness
+        solver = CommutationSolver(a, b)
         compared = 0
         for n in range(2, 65):
-            if module_size(walk, n) > walk.LEX_SEARCH_CAP or a.mod(n) == b.mod(n):
+            if module_size(solver, n) > WALK_CAP or a.mod(n) == b.mod(n):
                 continue
-            mine, theirs = walk.witness_mod(n), crt.witness_mod(n)
-            assert (mine is None) == (theirs is None), (a, b, n)
-            for witness in (mine, theirs):
+            mine, least = solver.witness_mod(n), least_unit_by_walk(solver, n)
+            assert (mine is None) == (least is None), (a, b, n)
+            for witness in (mine, least):
                 if witness is not None:
-                    walk.verify(witness, n)
+                    solver.verify(witness, n)
             compared += 1
         assert compared > 0
-
-    def test_capped_module_without_a_unit(self):
-        found = 0
-        for a, b in walk_cases()[7:] + [(R, Mat2.identity())]:
-            solver = CommutationSolver(a, b)
-            for n in range(2, 8):
-                if module_size(solver, n) > solver.LEX_SEARCH_CAP \
-                        or a.mod(n) == b.mod(n):
-                    continue
-                if solver.witness_mod(n) is None:
-                    assert not congruent_conjugate_mod(a, b, n).conjugate
-                    assert exhaustive_mod_conjugate(a, b, n) is None, (a, b, n)
-                    found += 1
-        assert found > 0
-
-    def test_sweep_draws_few_points(self, monkeypatch):
-        drawn = []
-
-        def counting(*args):
-            for point in howell_points(*args):
-                drawn.append(point)
-                yield point
-
-        monkeypatch.setattr("procong.torus.howell_points", counting)
-        report = congruence_sweep(PAIR_A, PAIR_B, 1000)
-        assert report.procongruence_candidate
-        # the full enumeration of every capped module drew 81,935 points
-        assert 0 < len(drawn) <= 200
