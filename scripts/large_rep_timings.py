@@ -6,8 +6,10 @@ generators translate by the unit vectors and the stable letter acts by the
 monodromy's matrix on H1 of the fiber.  On `torus_A211` (degree n^2) and
 `genus2_finite_order` (degree n^4) it prints the in-process seconds of each
 stage, in this order, each reading what the earlier ones built:
-certification of the representation (relator kills and the closure
-enumeration), Delta_0..Delta_3 and the cellular zeta function.
+certification of the representation (the closure enumeration, which lists
+the generated group and in it the inverse of each generator image, then
+the relator kills), printed with the order of the group it certified,
+Delta_0..Delta_3 and the cellular zeta function.
 
     PYTHONPATH=src python3 scripts/large_rep_timings.py 2 3
 """
@@ -73,10 +75,10 @@ def main():
                        for d in range(4)]
             stages.append(
                 ("zeta", lambda: zeta_from_cellular(surface, flow, rep)))
-            times = ", ".join(f"{name} {timed(stage):.3f} s"
-                              for name, stage in stages)
+            times = [f"{name} {timed(stage):.3f} s" for name, stage in stages]
+            times[0] += f" (group order {rep._listing[1]})"
             print(f"{path.split('/')[-1][:-5]} affine:{n} "
-                  f"(degree {rep.dimension}): {times}")
+                  f"(degree {rep.dimension}): {', '.join(times)}")
     print("all stages finished")
 
 

@@ -1,8 +1,12 @@
 """Count the lines of `src/procong` that no subcommand or workload reaches.
 
-Under `sys.setprofile` the script runs every subcommand on inputs that
-cover its branches: the four fibered subcommands on every shipped fixture
-under the representations trivial, sign, zeta:5 and zeta:8:2, `nt analyze`
+Before profiling, the script writes two fixtures into a temporary
+directory: the cellular model of `torus_A211` as a `cellular_flow`
+fixture, and the mapping torus of 2,1;1,1 on the once-punctured torus as
+a `mapping_torus` fixture.  Under `sys.setprofile` it then runs every
+subcommand on inputs that cover its branches: the four fibered
+subcommands on every shipped fixture and on the two written ones under
+the representations trivial, sign, zeta:5 and zeta:8:2, `nt analyze`
 with and without `--approx`, `chars decompose` and `chars bound` under
 every built-in group, `torus conj`, `congr` and `sweep` on hyperbolic,
 elliptic, parabolic and central pairs and on a pair of different traces,
@@ -60,11 +64,41 @@ SLOPES = (("1,2", "3,4"), ("2,4", "-1,-2"))
 WORKLOADS = ("fibered_long", "fibered_wide", "queries")
 
 
-def cli_runs():
+def write_fixtures(directory: Path):
+    """Write a `cellular_flow` fixture of the `torus_A211` model and a
+    `mapping_torus` fixture with a bounded fiber into `directory`; return
+    their paths."""
+    from procong.cellular import cellular_model
+    from procong.serialize import (KIND_CELLULAR, KIND_MAPPING_TORUS,
+                                   load_fixture, save_fixture)
+    from procong.surfgrp import (GeneratorEndomorphism, SurfacePresentation,
+                                 mapping_torus)
+    from procong.torus import Mat2
+    matrix = load_fixture(FIXTURES / "torus_A211.json").payload
+    phi = GeneratorEndomorphism.torus_monodromy(matrix)
+    surface, flow = cellular_model(
+        mapping_torus(SurfacePresentation.closed(1), phi))
+    cellular = directory / "cellular_A211.json"
+    save_fixture(cellular, KIND_CELLULAR,
+                 {"surface": surface.to_json(), "flow": flow.to_json()})
+    free = SurfacePresentation.with_boundary(1, 1)
+    knot = GeneratorEndomorphism.torus_monodromy(Mat2(2, 1, 1, 1))
+    bounded = directory / "bounded_211.json"
+    save_fixture(bounded, KIND_MAPPING_TORUS, mapping_torus(
+        free, GeneratorEndomorphism(free, knot.images,
+                                    knot.inverse_images)).to_json())
+    return [cellular, bounded]
+
+
+def cli_runs(written=()):
     """Every argument vector the script passes to `procong.cli.main`:
     (subcommand and options, positional arguments), each in text and in
-    `--json` form."""
+    `--json` form; the fibered subcommands also run on the `written`
+    fixture paths."""
     runs = []
+    for path in written:
+        runs += [([sub, "--rep", rep], [str(path)])
+                 for sub in FIBERED for rep in REPS]
     for path in sorted(FIXTURES.glob("*.json")):
         fixture = [str(path)]
         for sub in FIBERED:
@@ -87,11 +121,11 @@ def cli_runs():
             for words, positionals in runs for form in ([], ["--json"])]
 
 
-def run_everything():
+def run_everything(written):
     from procong import cli
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        for argv in cli_runs():
+        for argv in cli_runs(written):
             cli.main(argv)
     sys.path.insert(0, str(ROOT / "perfbench"))
     import run
@@ -134,11 +168,17 @@ def main():
             code = frame.f_code
             entered.add((code.co_filename, code.co_firstlineno))
 
-    sys.setprofile(profile)
-    try:
-        run_everything()
-    finally:
-        sys.setprofile(None)
+    with tempfile.TemporaryDirectory() as directory:
+        written = write_fixtures(Path(directory))
+        # the profiled run imports the package afresh, so the calls made
+        # at import time count as they did without the written fixtures
+        for name in [n for n in sys.modules if n.split(".")[0] == "procong"]:
+            del sys.modules[name]
+        sys.setprofile(profile)
+        try:
+            run_everything(written)
+        finally:
+            sys.setprofile(None)
 
     entered = {(str(Path(f).resolve()), line) for f, line in entered}
     total = size = 0

@@ -85,14 +85,17 @@ def _positive_int(text: str, label: str) -> int:
 class FiberedBundle:
     """A fibered fixture compiled once: its cellular model, whose
     presentation every fibered subcommand reads, the fixture's own
-    presentation, and the --rep representations resolved on the model's
-    presentation.  Each representation keeps its twisted complexes, so the
-    certification, the orders, the flow maps and the zeta function are
-    built once per bundle and label, however many subcommands read them."""
+    presentation, whether the flow came from the fixture rather than from
+    `cellular_model`, and the --rep representations resolved on the
+    model's presentation.  Each representation keeps its twisted
+    complexes, so the certification, the orders, the flow maps and the
+    zeta function are built once per bundle and label, however many
+    subcommands read them."""
 
     surface: CellularSurface
     flow: CellularSelfMap
     own: MappingTorusPresentation
+    given_flow: bool = False
     reps: dict = field(default_factory=dict)
 
     def rep(self, label: str) -> FiniteRepresentation:
@@ -100,24 +103,40 @@ class FiberedBundle:
         resolved once per label.  When the fixture's own presentation is
         not the canonical one of its monodromy, the two must agree on
         Delta_0 and Delta_1 under the label (else ValueError naming the
-        relators); one of them is the model's."""
+        relators); one of them is the model's.  A given flow must have the
+        zeta function of the canonical model's flow under the label (else
+        ValueError naming the flow): the zeta function is an invariant of
+        the monodromy, which the chain-map checks of a rank-1 label cannot
+        see."""
+        from .cellular import cellular_model, zeta_from_cellular
         from .surfgrp import mapping_torus, twisted_alexander
         if label not in self.reps:
             model = self.surface.presentation
             rep = _resolve_rep(model, label)
             canonical = mapping_torus(model.fiber, model.monodromy)
+            on_canonical = (rep if canonical == model
+                            else _resolve_rep(canonical, label))
             if self.own != canonical:
-                pair = [(p, rep if p is model else _resolve_rep(p, label))
-                        for p in (self.own, canonical)]
+                own = (self.own, rep if self.own == model
+                       else _resolve_rep(self.own, label))
                 for n in (0, 1):
-                    own, expected = (twisted_alexander(p, r, n)
-                                     for p, r in pair)
-                    if own != expected:
+                    given, expected = (twisted_alexander(p, r, n) for p, r
+                                       in (own, (canonical, on_canonical)))
+                    if given != expected:
                         raise ValueError(
                             f"relators do not present the mapping torus of "
-                            f"the monodromy: Delta_{n} = {own.pretty()} "
+                            f"the monodromy: Delta_{n} = {given.pretty()} "
                             f"under --rep {label}, but {expected.pretty()} "
                             f"on the canonical presentation")
+            if self.given_flow:
+                given = zeta_from_cellular(self.surface, self.flow, rep)
+                expected = zeta_from_cellular(*cellular_model(canonical),
+                                              on_canonical)
+                if given != expected:
+                    raise ValueError(
+                        f"flow does not follow the monodromy: zeta = "
+                        f"{given.pretty()} under --rep {label}, but "
+                        f"{expected.pretty()} for the canonical model")
             self.reps[label] = rep
         return self.reps[label]
 
@@ -152,7 +171,8 @@ def _compiled(text: str, kinds: Tuple[str, ...], role: str):
         return FiberedBundle(*cellular_model(fixture.payload), fixture.payload)
     if fixture.kind == KIND_CELLULAR:
         surface, flow = fixture.payload
-        return FiberedBundle(surface, flow, surface.presentation)
+        return FiberedBundle(surface, flow, surface.presentation,
+                             given_flow=True)
     return fixture.payload
 
 

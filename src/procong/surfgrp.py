@@ -16,7 +16,8 @@ reduced.  The central objects are:
   presentation per monodromy, which the monodromy keeps, so the CLI, the
   cellular model and the three-dimensional model read one object;
 * :class:`FiniteRepresentation` -- exact matrix representations with a
-  finiteness certificate by closure enumeration;
+  finiteness certificate by closure enumeration, which also lists the
+  inverse of each generator image;
 * :func:`twisted_alexander` / :func:`twisted_torsion` -- module orders of the
   twisted chain complex in degrees 0..3 via free differential calculus, and
   the alternating-product torsion class built from them.
@@ -671,59 +672,15 @@ def _sparse_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return tuple(out)
 
 
-def _sparse_inverse(m: SparseMatrix) -> SparseMatrix:
-    """Exact Gauss-Jordan inverse of a sparse square matrix, in canonical
-    form; raises ValueError when singular.  The rows of [m | I] are dicts
-    {column: entry}, and `rows_of[j]` holds the rows with an entry in column
-    j, so each pivot visits only the rows it clears: inverting a monomial
-    matrix costs O(k)."""
-    k = len(m)
-    left = [dict(row) for row in m]
-    right = [{i: 1} for i in range(k)]
-    rows_of = [set() for _ in range(k)]
-    for i, row in enumerate(m):
-        for j, _ in row:
-            rows_of[j].add(i)
-    pivots, used = [], set()
-    for col in range(k):
-        candidates = rows_of[col] - used
-        if not candidates:
-            raise ValueError("matrix is singular")
-        p = min(candidates)
-        pivots.append(p)
-        used.add(p)
-        inv = scalar_inverse(left[p][col])
-        if not (type(inv) is int and inv == 1):
-            left[p] = {j: as_exact(e * inv) for j, e in left[p].items()}
-            right[p] = {j: as_exact(e * inv) for j, e in right[p].items()}
-        for r in rows_of[col] - {p}:
-            factor, row = left[r][col], left[r]
-            for j, e in left[p].items():
-                c = as_exact(row.get(j, 0) - factor * e)
-                if c:
-                    row[j] = c
-                    rows_of[j].add(r)
-                elif j in row:
-                    del row[j]
-                    rows_of[j].discard(r)
-            row = right[r]
-            for j, e in right[p].items():
-                c = as_exact(row.get(j, 0) - factor * e)
-                if c:
-                    row[j] = c
-                elif j in row:
-                    del row[j]
-    # row operations took [m | I] to [P | E] with P the permutation matrix
-    # of `pivots`, so row col of the inverse P^-1 E is row pivots[col] of E
-    return tuple(tuple(sorted(right[p].items())) for p in pivots)
-
-
 @dataclass(frozen=True)
 class FiniteRepresentation:
     """Exact matrix images for the generators of a fibered presentation.
 
     `ORDER_CAP` bounds the closure enumeration certifying that the generated
     matrix group is finite; exceeding it is an error, not a silent pass.
+    The inverse of each generator image is read from that enumeration, so
+    evaluating any word, not only `validate`, raises on a generated group
+    that is infinite or has a singular generator.
     """
 
     dimension: int
@@ -750,34 +707,29 @@ class FiniteRepresentation:
                      for v in mt.fiber_values)
         return cls(1, mats)
 
-    @cached_property
-    def _letters(self) -> dict:
-        """The sparse image of each letter, generator j at j and its
-        inverse at -j, built once per representation."""
-        letters = {}
-        for j, m in enumerate(self.matrices, 1):
-            letters[j] = _sparse(m)
-            letters[-j] = _sparse_inverse(letters[j])
-        return letters
-
     def evaluate_word(self, word: Iterable[int]) -> SparseMatrix:
         acc, letters = _sparse_identity(self.dimension), self._letters
         for letter in word:
             acc = _sparse_mul(acc, letters[letter])
         return acc
 
-    def _closure(self) -> set:
-        """The sparse forms of the elements of the generated matrix group,
-        enumerated orbit by orbit from the identity; ValueError when there
-        are more than `ORDER_CAP`."""
+    def _closure(self) -> Tuple[dict, int]:
+        """List the generated matrix group orbit by orbit from the identity,
+        stepping by the generator images only, and return the sparse image
+        of each letter (generator j at j, its inverse at -j) and the group
+        order.  The inverse of generator j is the listed m with m g_j = 1:
+        in a finite group it is a power of g_j.  ValueError when there are
+        more than `ORDER_CAP` elements, or when some generator has no
+        inverse among them (it is singular)."""
         ident = _sparse_identity(self.dimension)
         seen = {ident}
         frontier = [ident]
-        steps = tuple(self._letters.values())
+        steps = tuple((j, _sparse(m)) for j, m in enumerate(self.matrices, 1))
+        letters = dict(steps)
         while frontier:
             fresh = []
             for m in frontier:
-                for s in steps:
+                for j, s in steps:
                     p = _sparse_mul(m, s)
                     if p not in seen:
                         if len(seen) >= ORDER_CAP:
@@ -786,15 +738,25 @@ class FiniteRepresentation:
                                 f"cap {ORDER_CAP}")
                         seen.add(p)
                         fresh.append(p)
+                    elif p == ident:
+                        letters[-j] = m
             frontier = fresh
-        return seen
+        if len(letters) < 2 * len(steps):
+            raise ValueError("matrix is singular")
+        return letters, len(seen)
 
     @cached_property
-    def _order(self) -> int:
-        """The order of the generated matrix group, enumerated once per
-        representation: the closure depends only on the matrices.  A group
-        over `ORDER_CAP` stores nothing, so it raises on every call."""
-        return len(self._closure())
+    def _listing(self) -> Tuple[dict, int]:
+        """The letter images and the group order of `_closure`, listed once
+        per representation: the closure depends only on the matrices.  A
+        group over `ORDER_CAP` stores nothing, so it raises on every call."""
+        return self._closure()
+
+    @property
+    def _letters(self) -> dict:
+        """The sparse image of each letter, generator j at j and its
+        inverse at -j."""
+        return self._listing[0]
 
     @cached_property
     def _complexes(self) -> dict:
@@ -803,17 +765,17 @@ class FiniteRepresentation:
         return {}
 
     def validate(self, mt: MappingTorusPresentation) -> "FiniteRepresentation":
-        """Check arity, invertibility, relator kills, and finite closure;
+        """Check arity, finite closure, invertibility and relator kills;
         each presentation is certified once per representation."""
         if mt in self._complexes:
             return self
         if len(self.matrices) != mt.rank:
             raise ValueError("need exactly one matrix per generator")
+        self._listing  # the finite closure, listed once per representation
         ident = _sparse_identity(self.dimension)
         for r in mt.relators:
             if self.evaluate_word(r) != ident:
                 raise ValueError("representation violates a relator")
-        self._order  # the finite closure, certified once per representation
         self._complexes[mt] = {}
         return self
 

@@ -21,6 +21,7 @@ from procong.ntform import Dilatation, NTDecomposition
 from procong.serialize import KIND_CELLULAR, load_fixture, wrap
 from procong.surfgrp import (GeneratorEndomorphism, MappingTorusPresentation,
                              SurfacePresentation, mapping_torus)
+from procong.torus import Mat2
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -813,6 +814,48 @@ class TestExitCodes:
         del data["body"]["monodromy"]["inverse_images"]
         path = tmp_path / "genus2_finite_order.json"
         path.write_text(json.dumps(data))
+        status, out, err = run(capsys, sub, str(path))
+        assert (status, out) == (2, "")
+        assert "monodromy.inverse_images" in err
+
+    @staticmethod
+    def torus_model(matrix):
+        return cellular_model(mapping_torus(
+            SurfacePresentation.closed(1),
+            GeneratorEndomorphism.torus_monodromy(matrix)))
+
+    @pytest.mark.parametrize("sub", ["alexander", "torsion", "zeta",
+                                     "lefschetz"])
+    @pytest.mark.parametrize("rep", ["trivial", "zeta:5"])
+    def test_flow_of_another_monodromy_is_an_input_error(self, tmp_path,
+                                                         capsys, sub, rep):
+        # the surface of the 2,1;1,1 model carrying the flow of the 3,1;2,1
+        # model passes every chain-map check under a rank-1 representation
+        surface, _ = self.torus_model(Mat2(2, 1, 1, 1))
+        _, other = self.torus_model(Mat2(3, 1, 2, 1))
+        path = tmp_path / "mismatched_flow.json"
+        serialize.save_fixture(path, KIND_CELLULAR,
+                               {"surface": surface.to_json(),
+                                "flow": other.to_json()})
+        status, out, err = run(capsys, sub, str(path), "--rep", rep)
+        assert (status, out) == (2, "")
+        assert err.startswith("error: flow does not follow the monodromy: ")
+        if rep == "trivial":
+            assert err.endswith(
+                "zeta = (1 - 4*t + t^2) / (1 - 2*t + t^2) under --rep "
+                "trivial, but (1 - 3*t + t^2) / (1 - 2*t + t^2) for the "
+                "canonical model\n")
+
+    @pytest.mark.parametrize("sub", ["alexander", "torsion", "zeta",
+                                     "lefschetz"])
+    def test_given_flow_needs_the_inverse_witness(self, tmp_path, capsys,
+                                                  sub):
+        # the canonical model the flow is checked against needs it
+        surface, flow = self.torus_model(Mat2(2, 1, 1, 1))
+        body = {"surface": surface.to_json(), "flow": flow.to_json()}
+        del body["surface"]["presentation"]["monodromy"]["inverse_images"]
+        path = tmp_path / "no_witness.json"
+        serialize.save_fixture(path, KIND_CELLULAR, body)
         status, out, err = run(capsys, sub, str(path))
         assert (status, out) == (2, "")
         assert "monodromy.inverse_images" in err

@@ -669,11 +669,22 @@ class TestFiniteRepresentation:
         assert dense(rep.evaluate_word((-3,))) == ((z ** 3,),)
 
     def test_negative_letters_invert(self):
-        mt = anosov_bundle()
-        rep = FiniteRepresentation(
-            1, (((1,),), ((1,),), ((Fraction(1, 2),),)))
-        assert dense(rep.evaluate_word((-3,))) == ((2,),)
+        z = Cyclotomic.root(8, 3)
+        rep = FiniteRepresentation(1, (((1,),), ((1,),), ((z,),)))
+        assert dense(rep.evaluate_word((-3,))) == ((Cyclotomic.root(8, 5),),)
         assert dense(rep.evaluate_word((3, -3))) == ((1,),)
+        assert dense(rep.evaluate_word((-3,) * 8)) == ((1,),)
+
+    def test_word_under_an_infinite_order_generator_exceeds_cap(
+            self, monkeypatch):
+        # the inverse of 1/2 is no product of the generators: the word is
+        # refused before any relator check
+        monkeypatch.setattr(surfgrp, "ORDER_CAP", 50)
+        halving = FiniteRepresentation(
+            1, (((1,),), ((1,),), ((Fraction(1, 2),),)))
+        for word in ((-3,), (1, 2)):
+            with pytest.raises(ValueError, match="cap 50"):
+                halving.evaluate_word(word)
 
     def test_validate_needs_one_matrix_per_generator(self):
         mt = anosov_bundle()
@@ -819,6 +830,7 @@ class TestChainAssembly:
         rng = random.Random(587)
         relator = free_reduce(rng.choice([-3, -2, -1, 1, 2, 3])
                               for _ in range(300))
+        rep._letters  # the closure's products are not chain products
         calls = []
         product = surfgrp._sparse_mul
 
@@ -1011,41 +1023,6 @@ class TestMatMul:
         assert all(type(e) is int for row in product for e in row)
 
 
-class TestSparseInverse:
-    @pytest.mark.parametrize("field", ["int", "fraction", "cyclotomic"])
-    @pytest.mark.parametrize("shape", ["monomial", "dense", "zero_heavy"])
-    def test_matches_the_dense_inverse(self, field, shape):
-        rng = random.Random(f"inverse:{field}:{shape}")
-        invertible = 0
-        for k in (0, 1, 2, 3, 4, 7):
-            for _ in range(6):
-                m = random_scalar_matrix(rng, k, field, shape)
-                try:
-                    oracle = mat_inverse(m)
-                except ValueError:
-                    with pytest.raises(ValueError, match="matrix is singular"):
-                        surfgrp._sparse_inverse(canonical_sparse(m))
-                    continue
-                inverse = surfgrp._sparse_inverse(canonical_sparse(m))
-                assert inverse == canonical_sparse(oracle)
-                assert [type(e) for row in inverse for _, e in row] == \
-                    [type(e) for row in canonical_sparse(oracle) for _, e in row]
-                assert surfgrp._sparse_mul(canonical_sparse(m), inverse) \
-                    == surfgrp._sparse_identity(k)
-                invertible += 1
-        assert invertible >= 6
-
-    def test_singular_matrices_raise(self):
-        for m in (((0,),), ((1, 2), (2, 4)),
-                  ((1, 0, 0), (0, 0, 0), (0, 0, 1)),
-                  ((Cyclotomic.root(3), 1),
-                   (Cyclotomic.root(3, 2), Cyclotomic.root(3)))):
-            for invert in (mat_inverse, lambda m: surfgrp._sparse_inverse(
-                    canonical_sparse(m))):
-                with pytest.raises(ValueError, match="matrix is singular"):
-                    invert(m)
-
-
 def unitriangular(k):
     """k x k integer matrices, upper times lower unitriangular: invertible
     and, for k >= 2, never monomial when some entry off the diagonal is
@@ -1063,13 +1040,93 @@ def unitriangular(k):
     return st.tuples(off, off).map(build)
 
 
+W3 = Cyclotomic.root(3)
+
+
+def basis(diagonal, off):
+    """The 4 x 4 change of basis with the given diagonal and the entries
+    `off` {(i, j): x} off it."""
+    return tuple(tuple(diagonal[i] if i == j else off.get((i, j), 0)
+                       for j in range(4)) for i in range(4))
+
+
+# (shape, field) -> a basis conjugating affine:2 of the Anosov bundle:
+# conjugating its permutation matrices by a diagonal basis keeps them
+# monomial, and by one off-diagonal entry leaves most entries zero; an
+# entry 2 or w = zeta_3 in the basis puts Fraction or cyclotomic entries
+# into the conjugates
+BASES = {
+    ("monomial", "int"): basis((1, 1, 1, 1), {}),
+    ("monomial", "fraction"): basis((2, 1, 1, 1), {}),
+    ("monomial", "cyclotomic"): basis((W3, 1, 1, 1), {}),
+    ("zero_heavy", "int"): basis((1, 1, 1, 1), {(0, 1): 1}),
+    ("zero_heavy", "fraction"): basis((2, 1, 1, 1), {(0, 1): 1}),
+    ("zero_heavy", "cyclotomic"): basis((1, 1, 1, 1), {(0, 1): W3}),
+    ("dense", "int"): ((1, 1, 1, 1), (1, 2, 2, 2), (1, 2, 3, 3),
+                       (1, 2, 3, 4)),
+    ("dense", "fraction"): basis((2, 1, 1, 1),
+                                 {(0, 1): 1, (1, 2): 1, (2, 3): 1}),
+    ("dense", "cyclotomic"): basis((1, 1, 1, 1), {(0, 1): W3, (1, 2): W3,
+                                                  (2, 3): W3, (3, 0): W3}),
+}
+FIELDS = {"int": int, "fraction": Fraction, "cyclotomic": Cyclotomic}
+
+
+def check_inverses(rep):
+    """Each letter -j of the closure listing is the sparse form of the
+    dense Gauss-Jordan inverse of generator j, entry types included."""
+    letters = rep._letters
+    for j, m in enumerate(rep.matrices, 1):
+        oracle = canonical_sparse(mat_inverse(m))
+        assert letters[-j] == oracle
+        assert [type(e) for row in letters[-j] for _, e in row] == \
+            [type(e) for row in oracle for _, e in row]
+        assert surfgrp._sparse_mul(letters[j], letters[-j]) == \
+            surfgrp._sparse_identity(rep.dimension)
+
+
+class TestSparseInverse:
+    """The inverse of every generator image is read from the closure
+    listing, which steps by the generator images only."""
+
+    @pytest.mark.parametrize("field", ["int", "fraction", "cyclotomic"])
+    @pytest.mark.parametrize("shape", ["monomial", "dense", "zero_heavy"])
+    def test_matches_the_dense_inverse(self, field, shape):
+        rep = affine_rep(anosov_bundle(), 2).conjugate(BASES[shape, field])
+        rows = [row for m in rep.matrices for row in canonical_sparse(m)]
+        most = max(map(len, rows))
+        assert most == 1 if shape == "monomial" else most > 1
+        if shape == "dense":
+            assert sum(map(len, rows)) > 2 * len(rows)
+        assert FIELDS[field] in {type(e) for row in rows for _, e in row}
+        check_inverses(rep)
+        assert rep._listing[1] == 12
+
+    def test_singular_matrices_raise(self):
+        for m in (((0,),), ((1, 2), (2, 4)),
+                  ((1, 0, 0), (0, 0, 0), (0, 0, 1)),
+                  ((Cyclotomic.root(3), 1),
+                   (Cyclotomic.root(3, 2), Cyclotomic.root(3)))):
+            with pytest.raises(ValueError, match="matrix is singular"):
+                mat_inverse(m)
+        # idempotents generate finite monoids, with no inverse in them
+        for m in (((0,),), ((1, 0, 0), (0, 0, 0), (0, 0, 1)),
+                  ((1, 1), (0, 0))):
+            k = len(m)
+            one = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+            rep = FiniteRepresentation(k, (one, m))
+            with pytest.raises(ValueError, match="matrix is singular"):
+                rep.evaluate_word((1,))
+
+
 class TestClosure:
     def test_monomial_closures_have_the_group_order(self):
         mt = anosov_bundle()
         # <a, b> = (Z/2)^2 translations, t of order 3 mod 2: A4
-        assert len(affine_rep(mt, 2)._closure()) == 12
+        assert affine_rep(mt, 2)._listing[1] == 12
         z = FiniteRepresentation.fibered_character(mt, Cyclotomic.root(12, 5))
-        assert len(z._closure()) == 12
+        assert z._listing[1] == 12
+        check_inverses(z)
 
     @given(unitriangular(4))
     @settings(max_examples=25, deadline=None)
@@ -1078,7 +1135,8 @@ class TestClosure:
         mt = anosov_bundle()
         rep = affine_rep(mt, 2)
         conj = rep.conjugate(basis)
-        assert len(conj._closure()) == len(rep._closure())
+        assert conj._listing[1] == rep._listing[1]
+        check_inverses(conj)
         conj.validate(mt)
         for word in ((1, 2, -1), (3, -2, 3, 1), ()):
             assert dense(conj.evaluate_word(word)) == dense_mat_mul(
@@ -1300,3 +1358,84 @@ class TestTwistedTorsion:
         empty = FiniteRepresentation(0, ((), (), ()))
         assert twisted_torsion(mt, empty) == normalize_unit_class(
             RationalFunction.one())
+
+
+def bounded_bundle(matrix):
+    """The mapping torus of the monodromy of `matrix` on the once-punctured
+    torus: the free fiber on a, b with the images and inverse images of
+    `torus_monodromy`."""
+    phi = GeneratorEndomorphism.torus_monodromy(Mat2.from_string(matrix))
+    free = SurfacePresentation.with_boundary(1, 1)
+    return mapping_torus(
+        free, GeneratorEndomorphism(free, phi.images, phi.inverse_images))
+
+
+class TestBoundedFiber:
+    """Knot complements fibered by the once-punctured torus: the
+    figure-eight (2,1;1,1) and the trefoil (1,1;-1,0)."""
+
+    FIGURE_EIGHT, TREFOIL = "2,1;1,1", "1,1;-1,0"
+
+    @staticmethod
+    def invariants(mt, rep):
+        surface, flow = cellular_model(mt)
+        return ([twisted_alexander(mt, rep, n) for n in range(4)],
+                twisted_torsion(mt, rep),
+                cellular.torsion_from_cellular(surface, flow, rep).homological,
+                cellular.lefschetz_numbers(surface, flow, rep, 5))
+
+    def test_figure_eight_complement(self):
+        mt = bounded_bundle(self.FIGURE_EIGHT)
+        deltas, torsion, cellular_torsion, lefschetz = self.invariants(
+            mt, FiniteRepresentation.trivial(mt))
+        assert deltas == [poly(-1, 1), poly(1, -3, 1), poly(1), poly(1)]
+        expected = normalize_unit_class(
+            RationalFunction(poly(1, -3, 1), poly(1, -1)))
+        assert torsion == cellular_torsion == expected
+        # L_m = 1 - tr(A^m)
+        a, power, traces = Mat2(2, 1, 1, 1), Mat2(1, 0, 0, 1), []
+        for _ in range(5):
+            power = power @ a
+            traces.append(1 - (power.a + power.d))
+        assert lefschetz == traces == [-2, -6, -17, -46, -122]
+
+    def test_trefoil_complement(self):
+        mt = bounded_bundle(self.TREFOIL)
+        deltas, _, _, lefschetz = self.invariants(
+            mt, FiniteRepresentation.trivial(mt))
+        assert deltas[1] == poly(1, -1, 1)
+        assert lefschetz == [0, 2, 3, 2, 0]
+
+    @pytest.mark.parametrize("matrix", [FIGURE_EIGHT, TREFOIL])
+    def test_affine_delta_one_is_the_trivial_one_times_t_cubed_minus_one(
+            self, matrix):
+        mt = bounded_bundle(matrix)
+        rep = affine_rep(mt, 2)
+        assert rep.dimension == 4 and rep._listing[1] == 12
+        check_inverses(rep)
+        trivial = twisted_alexander(mt, FiniteRepresentation.trivial(mt), 1)
+        assert twisted_alexander(mt, rep, 1) == (
+            trivial * poly(-1, 0, 0, 1)).monic_normal()
+
+    @pytest.mark.parametrize("unit", [1, Cyclotomic.root(4)],
+                             ids=["trivial", "zeta4"])
+    def test_classical_pair_agrees(self, unit):
+        pair = [bounded_bundle(m) for m in ("23,143;55,342", "1,11;33,364")]
+        a, b = (self.invariants(mt, FiniteRepresentation.fibered_character(
+            mt, unit)) for mt in pair)
+        assert a == b
+
+    @pytest.mark.parametrize("matrix, report", [
+        (FIGURE_EIGHT, "zeta = (1 - 3*t + t^2) / (1 - t)\n"
+                       "L_1..L_5 = -2, -6, -17, -46, -122\n"),
+        (TREFOIL, "zeta = (1 - t + t^2) / (1 - t)\n"
+                  "L_1..L_5 = 0, 2, 3, 2, 0\n"),
+    ])
+    def test_zeta_subcommand_on_a_saved_fixture(self, tmp_path, capsys,
+                                                matrix, report):
+        from procong import cli
+        from procong.serialize import KIND_MAPPING_TORUS, save_fixture
+        path = tmp_path / "bounded.json"
+        save_fixture(path, KIND_MAPPING_TORUS, bounded_bundle(matrix).to_json())
+        assert cli.main(["zeta", str(path)]) == 0
+        assert capsys.readouterr().out == "rep: trivial\n" + report
