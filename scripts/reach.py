@@ -15,11 +15,20 @@ on a bare fixture name; each in text and in `--json` form.  It then
 answers one seed-1 batch of each benchmark workload
 (`perfbench/workloads.py`) through the benchmark's own `run.execute`.
 
-It prints, per module, its unreached lines and its line count, then
-every function whose body was never entered with that body's line count;
-last the total and the line count of `src/procong/*.py`.  Line counts
-are as `wc -l` counts them.  A line is counted once: a function nested
-in an unreached function adds nothing.
+It prints, per module, its unreached lines, its line count and how many
+of the unreached lines the benchmark pins, then every function whose
+body was never entered with that body's line count; last the total and
+the line count of `src/procong/*.py`.  Line counts are as `wc -l` counts
+them.  A line is counted once: a function nested in an unreached
+function adds nothing.
+
+A function is marked "(pinned by perfbench)" when the benchmark would
+break without it: `perfbench/tracer.py` lists it in `TARGETS`, or
+`perfbench/oracles.py` or `perfbench/run.py` names it.  A method counts
+as named when the script names its class and either reads the method off
+that class, reads an attribute of its name off anything else (an
+instance), or the method is `__init__` or `__post_init__`.  The other
+unreached functions are free to delete without touching the benchmark.
 
     PYTHONPATH=src python3 scripts/reach.py
 """
@@ -34,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "procong"
 FIXTURES = ROOT / "fixtures"
+PERFBENCH = ROOT / "perfbench"
 
 FIBERED = ("alexander", "torsion", "zeta", "lefschetz")
 REPS = ("trivial", "sign", "zeta:5", "zeta:8:2")
@@ -159,6 +169,46 @@ def functions(tree):
     return out
 
 
+def bench_pins(classes):
+    """A test `pinned(module, name)` of whether the benchmark pins the
+    function `name` (qualified as `functions` qualifies it) of `module`;
+    `classes` are the class names of the package."""
+    tracer = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    targets = {(module, path) for node in tracer.body
+               if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "TARGETS"
+                       for t in node.targets)
+               for module, path, _ in ast.literal_eval(node.value)}
+    names, on_class, on_instance = set(), set(), set()
+    for script in ("oracles.py", "run.py"):
+        tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+                owner = getattr(node.value, "id",
+                                getattr(node.value, "attr", None))
+                if owner in classes:
+                    on_class.add((owner, node.attr))
+                else:
+                    on_instance.add(node.attr)
+
+    def pinned(module, name):
+        if (module, name) in targets:
+            return True
+        outer, *inner = name.split(".")
+        if outer not in classes or not inner:
+            return outer in names
+        return outer in names and (
+            (outer, inner[0]) in on_class or inner[0] in on_instance
+            or inner[0] in ("__init__", "__post_init__"))
+
+    return pinned
+
+
 def main():
     sys.path.insert(0, str(ROOT / "src"))
     entered = set()
@@ -181,23 +231,30 @@ def main():
             sys.setprofile(None)
 
     entered = {(str(Path(f).resolve()), line) for f, line in entered}
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    pinned = bench_pins({node.name for tree in trees.values()
+                         for node in ast.walk(tree)
+                         if isinstance(node, ast.ClassDef)})
     total = size = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
+    for path, source in sources.items():
         lines_in_module = source.count("\n")
         size += lines_in_module
-        tree = ast.parse(source)
         filename = str(path.resolve())
-        lines, missed = set(), []
-        for name, first, body in functions(tree):
+        lines, missed, held = set(), [], 0
+        for name, first, body in functions(trees[path]):
             if (filename, first) not in entered:
                 new = set(body) - lines
                 lines |= set(body)
-                missed.append((name, len(new)))
+                pin = pinned(path.stem, name)
+                held += len(new) if pin else 0
+                missed.append((name, len(new), pin))
         print(f"{path.stem}: {len(lines)} unreached lines of "
-              f"{lines_in_module}")
-        for name, count in missed:
-            print(f"    {name} ({count})")
+              f"{lines_in_module}, {held} pinned by perfbench")
+        for name, count, pin in missed:
+            print(f"    {name} ({count})"
+                  + (" (pinned by perfbench)" if pin else ""))
         total += len(lines)
     print(f"total: {total} unreached lines of function bodies in src/procong, "
           f"which has {size:,} lines")

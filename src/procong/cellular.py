@@ -30,6 +30,7 @@ from .kernel import (
     RationalFunction,
     _json_int,
     _json_list,
+    _json_object,
     _json_str,
     charpoly_coefficients,
     log_coefficients,
@@ -61,7 +62,7 @@ def _freeze_chain(chain, mt: MappingTorusPresentation, n_targets: int,
     `field`), all in range, ends never decreasing along a path and every
     term of degree `degree`: one pass per path, words kept as given."""
     out = []
-    for path in chain:
+    for path in _json_list(chain, field):
         if not (isinstance(path, (list, tuple)) and len(path) == 2
                 and all(isinstance(part, (list, tuple)) for part in path)):
             raise ValueError(f"{field} path must be [word, [[end, target, "
@@ -116,7 +117,8 @@ class CellularSurface:
         r0, r1, r2 = map(len, names)
         if any(len(set(dim)) != len(dim) for dim in names):
             raise ValueError("cell names must be distinct per dimension")
-        if len(self.boundary_one) != r1 or len(self.boundary_two) != r2:
+        if (len(_json_list(self.boundary_one, "boundary_one")) != r1
+                or len(_json_list(self.boundary_two, "boundary_two")) != r2):
             raise ValueError("need one boundary chain per positive-dim cell")
         for field, n_targets in (("boundary_one", r0), ("boundary_two", r1)):
             object.__setattr__(self, field, tuple(
@@ -126,11 +128,6 @@ class CellularSurface:
     @property
     def cell_counts(self) -> Tuple[int, int, int]:
         return tuple(len(names) for names in self.cell_names)
-
-    @property
-    def euler_characteristic(self) -> int:
-        r0, r1, r2 = self.cell_counts
-        return r0 - r1 + r2
 
     def to_json(self):
         return {
@@ -142,7 +139,9 @@ class CellularSurface:
 
     @classmethod
     def from_json(cls, data) -> "CellularSurface":
-        mt = MappingTorusPresentation.from_json(data["presentation"])
+        data = _json_object(data, "surface")
+        mt = MappingTorusPresentation.from_json(
+            _json_object(data["presentation"], "presentation"))
         return cls(mt, data["cells"], data["boundary_one"],
                    data["boundary_two"])
 
@@ -160,19 +159,21 @@ class CellularSelfMap:
 
     def __post_init__(self):
         counts = self.surface.cell_counts
-        if [len(dim) for dim in self.images] != list(counts):
+        images = [_json_list(dim, "flow images")
+                  for dim in _json_list(self.images, "flow images")]
+        if list(map(len, images)) != list(counts):
             raise ValueError("need one image chain per cell")
         object.__setattr__(self, "images", tuple(
             tuple(_freeze_chain(c, self.surface.presentation, n_targets, 1,
                                 "flow images") for c in dim)
-            for dim, n_targets in zip(self.images, counts)))
+            for dim, n_targets in zip(images, counts)))
 
     def to_json(self):
         return {"images": self.images}
 
     @classmethod
     def from_json(cls, surface: CellularSurface, data) -> "CellularSelfMap":
-        return cls(surface, data["images"])
+        return cls(surface, _json_object(data, "flow")["images"])
 
 
 @dataclass(frozen=True)

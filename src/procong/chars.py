@@ -62,9 +62,6 @@ class FiniteGroupTable:
         row = self.multiplication[element]
         return row.index(0)
 
-    def degrees(self) -> Tuple[int, ...]:
-        return tuple(int(row[0]) for row in self.characters)
-
     # -- verification ------------------------------------------------------
 
     def verify(self) -> "FiniteGroupTable":
@@ -363,9 +360,6 @@ class NielsenBound:
 
     bound: int
     indexed_counts: Optional[Tuple[Tuple[int, int], ...]] = None
-
-    def counts(self) -> dict:
-        return dict(self.indexed_counts or ())
 
 
 def nielsen_bound(table: OrbitProjectionTable, group: FiniteGroupTable,

@@ -200,7 +200,9 @@ def _fibered_input(config: RunConfig
 def _resolve_rep(mt, label: str) -> FiniteRepresentation:
     """Build the rank-1 representation named by --rep: trivial, sign, or
     zeta:n[:k] for the k-th power of a primitive n-th root of unity, with
-    n at most the package's conductor bound `chars.CYCLIC_LIMIT`."""
+    n at most the package's conductor bound `chars.CYCLIC_LIMIT`.  The
+    root is built in its least conductor n / gcd(n, k), so every label of
+    one root gives one report."""
     from .chars import CYCLIC_LIMIT
     from .kernel import Cyclotomic
     from .surfgrp import FiniteRepresentation
@@ -208,17 +210,20 @@ def _resolve_rep(mt, label: str) -> FiniteRepresentation:
         return FiniteRepresentation.trivial(mt)
     if label == "sign":
         return FiniteRepresentation.fibered_character(mt, -1)
-    if label.startswith("zeta:"):
-        parts = label.split(":")[1:]
-        if len(parts) in (1, 2) and all(p.lstrip("-").isdigit() for p in parts):
-            n = int(parts[0])
-            k = int(parts[1]) if len(parts) == 2 else 1
-            if n > CYCLIC_LIMIT:
-                raise ValueError(f"--rep zeta:n needs n in 1..{CYCLIC_LIMIT}, "
-                                 f"got {n}")
-            if n >= 1:
-                return FiniteRepresentation.fibered_character(
-                    mt, Cyclotomic.root(n, k))
+    match = re.fullmatch(r"zeta:(-?[0-9]+)(?::(-?[0-9]+))?", label)
+    if match:
+        try:
+            n, k = int(match[1]), int(match[2] or 1)
+        except ValueError:  # more digits than the interpreter converts
+            match = None
+    if match:
+        if n > CYCLIC_LIMIT:
+            raise ValueError(f"--rep zeta:n needs n in 1..{CYCLIC_LIMIT}, "
+                             f"got {n}")
+        if n >= 1:
+            g = math.gcd(n, k)
+            return FiniteRepresentation.fibered_character(
+                mt, Cyclotomic.root(n // g, k // g))
     raise ValueError(f"unknown representation {label!r}: expected trivial, "
                      "sign, or zeta:n[:k]")
 

@@ -3,14 +3,16 @@
 Every computation in this package runs over characteristic-zero fields with no
 rounding anywhere: scalars are big rationals (`fractions.Fraction`) or elements
 of a cyclotomic field Q(zeta_n) stored as coefficient vectors modulo the n-th
-cyclotomic polynomial.  On top of the scalars sit sparse Laurent polynomials
-F[t^{+-1}], reduced rational functions F(t), the canonical unit-normalized
-torsion classes, Smith-type normal forms over F[t], the formal
-power series plumbing (Taylor expansion, logarithmic coefficient extraction)
-used to turn zeta functions into Lefschetz numbers, and Berkowitz's
-characteristic polynomial on sparse rows, the one determinant routine over
-the scalars: det(1 - tF) of flow matrices and the determinant of a homology
-action both come from it.
+cyclotomic polynomial.  `Cyclotomic` has no division: `scalar_inverse` is
+the one inverse of a scalar.  On top of the scalars sit sparse Laurent
+polynomials F[t^{+-1}]; rational functions F(t), canonical reduced fractions
+that are built, compared, hashed, rendered and expanded as series, with no
+field arithmetic; the canonical unit-normalized torsion classes, Smith-type
+normal forms over F[t], the formal power series plumbing (Taylor expansion,
+logarithmic coefficient extraction) used to turn zeta functions into
+Lefschetz numbers, and Berkowitz's characteristic polynomial on sparse rows,
+the one determinant routine over the scalars: det(1 - tF) of flow matrices
+and the determinant of a homology action both come from it.
 """
 
 from __future__ import annotations
@@ -304,20 +306,6 @@ class Cyclotomic:
                           [s1.coefficient(e) * const
                            for e in range(s1.degree + 1)])
 
-    def __truediv__(self, other):
-        if isinstance(other, _RATIONALS) and not isinstance(other, bool):
-            inverse = scalar_inverse(other)
-            return Cyclotomic(self.conductor,
-                              [a * inverse for a in self.coeffs])
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        x, y = pair
-        return x * y.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
@@ -330,14 +318,6 @@ class Cyclotomic:
             base = base * base
             e >>= 1
         return result
-
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation: sends zeta_n^k to zeta_n^(n-k)."""
-        n = self.conductor
-        raw = [0] * n
-        for k, c in enumerate(self.coeffs):
-            raw[-k % n] = c
-        return Cyclotomic(n, raw)
 
     # -- comparisons / hashing / rendering ---------------------------------
 
@@ -811,7 +791,7 @@ class RationalFunction:
     def __bool__(self):
         return not self.is_zero()
 
-    # -- field operations --------------------------------------------------
+    # -- comparisons / hashing / rendering ---------------------------------
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
@@ -820,46 +800,6 @@ class RationalFunction:
             return RationalFunction(other if isinstance(other, LaurentPolynomial)
                                     else LaurentPolynomial.constant(other))
         return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -85,9 +85,6 @@ class Mat2:
     def to_string(self) -> str:
         return f"{self.a},{self.b};{self.c},{self.d}"
 
-    def rows(self):
-        return [[self.a, self.b], [self.c, self.d]]
-
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "Mat2") -> "Mat2":

@@ -2,7 +2,9 @@
 
 No subcommand, fixture or benchmark workload reaches these functions, so
 they live beside the tests instead of in `procong`.  Some are oracles the
-library is checked against (the brute-force characteristic level, the dense
+library is checked against (the brute-force characteristic level, complex
+conjugation of cyclotomic scalars, behind the Hermitian products and the
+character orthogonality relations, the dense
 Gauss-Jordan inverse, dense Berkowitz, the least rotation of a cyclic R/L
 word letter by letter, the least unit-determinant solution of X A = B X
 mod n by a lexicographic walk over the Howell basis of the solution
@@ -29,8 +31,8 @@ from itertools import permutations, product
 from math import gcd
 from typing import Iterable, Mapping, Tuple
 
-from procong.kernel import (LaurentPolynomial, PolyMatrix, SparseMatrix,
-                            as_exact, scalar_inverse)
+from procong.kernel import (Cyclotomic, LaurentPolynomial, PolyMatrix,
+                            SparseMatrix, as_exact, scalar_inverse)
 from procong.lattice import ext_gcd, smith_integer
 from procong.ntform import (PERIODIC, PSEUDO_ANOSOV, DecompositionError,
                             Dilatation, IndexedOrbitTable, InteriorOrbit,
@@ -549,6 +551,23 @@ def mat_inverse(m):
             right[r] = [as_exact(x - factor * y)
                         for x, y in zip(right[r], right[col])]
     return tuple(tuple(row) for row in right)
+
+
+# ---------------------------------------------------------------------------
+# scalars: complex conjugation
+# ---------------------------------------------------------------------------
+
+
+def complex_conjugate(value):
+    """Complex conjugate of an exact scalar: zeta_n^k goes to zeta_n^(n-k),
+    and a rational is its own conjugate."""
+    if not isinstance(value, Cyclotomic):
+        return value
+    n = value.conductor
+    raw = [0] * n
+    for k, c in enumerate(value.coeffs):
+        raw[-k % n] = c
+    return Cyclotomic(n, raw)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,8 @@ def test_primary_03_lefschetz_numbers_match_classical():
         mt, surface, flow = fibered_model(matrix)
         rep = FiniteRepresentation.trivial(mt)
         twisted = lefschetz_numbers(surface, flow, rep, 20)
-        action = HomologyAction.from_monodromy_matrix(matrix.rows())
+        action = HomologyAction.from_monodromy_matrix(
+            [[matrix.a, matrix.b], [matrix.c, matrix.d]])
         classical = [classical_lefschetz(action, m) for m in range(1, 21)]
         assert twisted == classical, matrix.to_string()
     print("[PRIMARY 3] PASS: zeta-derived Lefschetz numbers equal the "

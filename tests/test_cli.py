@@ -187,6 +187,34 @@ class TestGoldenReports:
         assert status == 0
         assert "group: cyclic(4)" in out
 
+    # labels of one root of unity, the first non-primitive
+    SAME_ROOT = [("zeta:8:2", "zeta:4"), ("zeta:12:3", "zeta:4"),
+                 ("zeta:8:-2", "zeta:4:3"), ("zeta:10:4", "zeta:5:2")]
+
+    @pytest.mark.parametrize("label, reduced", SAME_ROOT)
+    @pytest.mark.parametrize("sub", ["alexander", "torsion", "zeta",
+                                     "lefschetz"])
+    def test_labels_of_one_root_print_one_report(self, capsys, sub, label,
+                                                 reduced):
+        path = fixture("torus_A211.json")
+        _, out, _ = run(capsys, sub, path, "--rep", label)
+        _, want, _ = run(capsys, sub, path, "--rep", reduced)
+        assert out.startswith(f"rep: {label}\n")
+        assert out.split("\n", 1)[1] == want.split("\n", 1)[1]
+        _, out, _ = run(capsys, sub, path, "--rep", label, "--json")
+        _, want, _ = run(capsys, sub, path, "--rep", reduced, "--json")
+        out, want = json.loads(out), json.loads(want)
+        assert out.pop("rep") == label
+        assert want.pop("rep") == reduced
+        assert out == want
+
+    def test_non_primitive_root_prints_its_least_conductor(self, capsys):
+        status, out, _ = run(capsys, "zeta", fixture("torus_A211.json"),
+                             "--rep", "zeta:8:2")
+        assert status == 0
+        assert out.splitlines()[1].startswith(
+            "zeta = (1 + (cyc(4):[0,-3])*t - t^2) / ")
+
 
 # ---------------------------------------------------------------------------
 # determinism and encoding agreement
@@ -265,6 +293,19 @@ class TestExitCodes:
         assert (status, out) == (2, "")
         n = label.split(":")[1]
         assert err == f"error: --rep zeta:n needs n in 1..60, got {n}\n"
+
+    # '²' and '٤' pass `str.isdigit`: int() refused the first with its own
+    # message and read the second as 4; 5,000 digits pass the interpreter's
+    # limit for int()
+    @pytest.mark.parametrize("label", ["zeta:²", "zeta:٤", "zeta:8:²",
+                                       "zeta:--5", "zeta:5:" + "1" * 5000],
+                             ids=["superscript", "arabic-indic", "power",
+                                  "double-minus", "5000-digits"])
+    def test_non_ascii_digit_rep_is_unknown(self, capsys, label):
+        status, out, err = run(capsys, "zeta", fixture("torus_A211.json"),
+                               "--rep", label)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: unknown representation {label!r}")
 
     def test_unknown_group_is_an_input_error(self, capsys):
         status, _, err = run(capsys, "chars", "bound",

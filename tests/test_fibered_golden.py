@@ -8,7 +8,9 @@ reports on each of the long-word bundles ``torus_pair_a.json`` and
 ``zeta:4`` on fixtures written at test time whose presentation is not the
 canonical mapping torus of its monodromy (see `write_generated`).  Any change
 to how the twisted matrices, determinants or series are computed must keep
-these reports identical.  To regenerate (only when a report is meant to
+these reports identical.  The rank-1 representations are also checked
+against the trivial invariants with t replaced by u t (see
+`test_every_rep_is_the_trivial_invariant_at_u_t`).  To regenerate (only when a report is meant to
 change, and say why): ``PYTHONPATH=src python tests/test_fibered_golden.py``.
 """
 
@@ -20,12 +22,15 @@ from pathlib import Path
 
 import pytest
 
-from procong.cellular import cellular_model
-from procong.cli import main
+from procong.cellular import (cellular_model, lefschetz_numbers,
+                              zeta_from_cellular)
+from procong.cli import RunConfig, _fibered_input, main
+from procong.kernel import (Cyclotomic, LaurentPolynomial, RationalFunction,
+                            as_exact)
 from procong.serialize import (KIND_CELLULAR, KIND_MAPPING_TORUS,
                                load_fixture, save_fixture)
 from procong.surfgrp import (GeneratorEndomorphism, SurfacePresentation,
-                             mapping_torus)
+                             mapping_torus, twisted_alexander)
 import reference  # noqa: F401  (attaches the relator moves)
 from test_cellular import change_lifts
 
@@ -138,6 +143,43 @@ def test_pair_b_prints_the_pair_a_report(generated_dir):
             report(f"{sub} torus_pair_{pair}.json --rep {rep}", generated_dir)
             for pair in "ab")
         assert status_a == status_b == 0 and out_a == out_b, (sub, rep)
+
+
+# each label with the root u it sends t to
+DEGREE_REPS = (("sign", Cyclotomic.root(2)), ("zeta:5", Cyclotomic.root(5)),
+               ("zeta:12", Cyclotomic.root(12)),
+               ("zeta:6:5", Cyclotomic.root(6, 5)))
+
+
+def at_u_t(p: LaurentPolynomial, u) -> LaurentPolynomial:
+    """p(u t): the coefficient of t^e scaled by u^e."""
+    return LaurentPolynomial({e: as_exact(c * u ** e)
+                              for e, c in p.terms.items()})
+
+
+@pytest.mark.parametrize("label, u", DEGREE_REPS,
+                         ids=[label for label, _ in DEGREE_REPS])
+@pytest.mark.parametrize("source", ["torus_A211.json",
+                                    "genus2_finite_order.json",
+                                    "torus_pair_a.json"])
+def test_every_rep_is_the_trivial_invariant_at_u_t(source, label, u):
+    # every --rep sends g to u^(degree g), so its twisted complex is the
+    # untwisted one with t replaced by u t: an oracle that shares nothing
+    # with the cyclotomic elimination
+    path = str(FIXTURES / source)
+    bundle, trivial = _fibered_input(RunConfig("zeta", (path,)))
+    _, rep = _fibered_input(RunConfig("zeta", (path,), rep=label))
+    surface, flow = bundle.surface, bundle.flow
+    mt = surface.presentation
+    for n in range(4):
+        assert twisted_alexander(mt, rep, n) == at_u_t(
+            twisted_alexander(mt, trivial, n), u).monic_normal(), n
+    zeta = zeta_from_cellular(surface, flow, trivial)
+    assert zeta_from_cellular(surface, flow, rep) == RationalFunction(
+        at_u_t(zeta.num, u), at_u_t(zeta.den, u))
+    plain = lefschetz_numbers(surface, flow, trivial, 6)
+    assert lefschetz_numbers(surface, flow, rep, 6) == [
+        u ** m * value for m, value in enumerate(plain, 1)]
 
 
 @pytest.mark.parametrize("source", list(REORDERED))

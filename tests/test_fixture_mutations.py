@@ -1,6 +1,8 @@
 """Deterministic mutation sweep over the shipped fixtures: every malformed
 input exits 0 or 2, never 1 and never with a traceback, and an exit-2
-message names the field instead of repeating Python's own type error.
+message names the field instead of repeating Python's own type error.  The
+cellular model of `torus_A211`, written as a `cellular_flow` fixture, is
+swept the same way, as no shipped fixture has that kind.
 
 Each fixture that a subcommand reads is mutated at every key and at the
 first three entries of every list, at any depth, of the whole file: the
@@ -18,7 +20,11 @@ from pathlib import Path
 
 import pytest
 
+from procong.cellular import cellular_model
 from procong.cli import main
+from procong.serialize import KIND_CELLULAR, load_fixture, wrap
+from procong.surfgrp import (GeneratorEndomorphism, SurfacePresentation,
+                             mapping_torus)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -33,9 +39,10 @@ SUBCOMMANDS = {
 DROP = object()
 REPLACEMENTS = (DROP, 5, "x", [], {}, None, 1.5)
 LIST_ENTRIES = 3
-# Python's wording when a decoder indexes or iterates an unchecked value
+# Python's wording when a decoder indexes, iterates or measures an
+# unchecked value
 NAMELESS = ("object is not iterable", "object is not subscriptable",
-            "values to unpack")
+            "values to unpack", "has no len()")
 
 
 def _kind(path: Path) -> str:
@@ -87,11 +94,9 @@ def test_every_subcommand_reading_a_fixture_is_covered():
     assert {_kind(FIXTURES / name) for name in SOURCES} == set(SUBCOMMANDS)
 
 
-@pytest.mark.parametrize("source", SOURCES)
-def test_mutated_fixture_exits_zero_or_two(tmp_path, source):
-    data = json.loads((FIXTURES / source).read_text())
-    argv = SUBCOMMANDS[data["kind"]]
-    target = tmp_path / source
+def sweep_faults(data, argv, target: Path):
+    """Each mutant of `data`, written to `target` and run under `argv`, that
+    exits other than 0 or 2 or prints a traceback or a nameless message."""
     faults = []
     for path in locations(data):
         for value in REPLACEMENTS:
@@ -102,6 +107,27 @@ def test_mutated_fixture_exits_zero_or_two(tmp_path, source):
                 change = "drop" if value is DROP else json.dumps(value)
                 faults.append(f"{list(path)} {change}: {status} "
                               f"{message.strip()}")
+    return faults
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_mutated_fixture_exits_zero_or_two(tmp_path, source):
+    data = json.loads((FIXTURES / source).read_text())
+    faults = sweep_faults(data, SUBCOMMANDS[data["kind"]], tmp_path / source)
+    assert not faults, "\n".join(faults)
+
+
+def test_mutated_cellular_flow_fixture_exits_zero_or_two(tmp_path):
+    # no shipped fixture is a cellular_flow, so the torus_A211 model is
+    # written here as one
+    matrix = load_fixture(FIXTURES / "torus_A211.json").payload
+    surface, flow = cellular_model(mapping_torus(
+        SurfacePresentation.closed(1),
+        GeneratorEndomorphism.torus_monodromy(matrix)))
+    data = json.loads(json.dumps(wrap(
+        KIND_CELLULAR, {"surface": surface.to_json(),
+                        "flow": flow.to_json()})))
+    faults = sweep_faults(data, ["alexander"], tmp_path / "cellular.json")
     assert not faults, "\n".join(faults)
 
 

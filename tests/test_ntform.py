@@ -33,7 +33,8 @@ from procong.ntform import (
     shearing_from_slopes,
     split_order,
 )
-from procong.serialize import load_fixture
+from procong.cli import main
+from procong.serialize import KIND_NT, load_fixture, save_fixture
 from reference import (certify_growth_estimate, dilatation_from_nielsen,
                        iterate, orbit_numbers_by_iterate)
 
@@ -743,6 +744,31 @@ class TestDilDev:
              VertexPiece("Q", "pseudoAnosov", -1, (), (), bigger, ())),
             (), {"P": "P", "Q": "Q"}, {})
         assert dilatation(nt).factor.algebraic_equal(bigger)
+
+    @staticmethod
+    def make_two_fixed_pa(order):
+        """Two fixed pA pieces, P with stretch (3 + sqrt 5)/2 and Q with
+        1 + sqrt 2, joined by a twist-free annulus, listed in `order`."""
+        stretch = {"P": PHI, "Q": StretchFactor((-1, -2, 1), F(2), F(5, 2))}
+        pieces = {name: VertexPiece(name, "pseudoAnosov", -1, (f"c{name}",),
+                                    (1,), stretch[name], orbits=())
+                  for name in "PQ"}
+        return NTDecomposition(
+            tuple(pieces[name] for name in order),
+            (ReductionAnnulus("A", F(0), ("cP", "cQ")),),
+            {"P": "P", "Q": "Q", "A": "A"}, {"cP": "cP", "cQ": "cQ"})
+
+    @pytest.mark.parametrize("order", ["PQ", "QP"])
+    def test_two_orbits_keep_the_larger_factor(self, tmp_path, capsys,
+                                               order):
+        # the intervals [2, 5/2] and [5/2, 3] touch, so they are refined
+        nt = self.make_two_fixed_pa(order)
+        assert dilatation(nt) == Dilatation(PHI, 1)
+        path = tmp_path / "two_orbits.json"
+        save_fixture(path, KIND_NT, nt.to_json())
+        assert main(["nt", "analyze", str(path)]) == 0
+        assert "dilatation: root of [1, -3, 1] in [5/2, 3]\n" \
+            in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 subprocess with small arguments, exits 0 and prints its verdict, and
 ``make_fixtures.py`` reproduces the shipped fixtures."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -52,6 +53,29 @@ def test_make_fixtures_reproduces_the_shipped_files(tmp_path):
     assert written == sorted(p.name for p in FIXTURES.iterdir())
     for name in written:
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
+
+
+def test_reach_marks_what_the_benchmark_pins():
+    spec = importlib.util.spec_from_file_location(
+        "reach", ROOT / "scripts" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    pinned = reach.bench_pins({"HomologyAction", "LaurentPolynomial",
+                               "PolyMatrix", "RationalFunction",
+                               "SurfacePresentation"})
+    # a tracer target, names that perfbench/oracles.py imports or reads,
+    # and a constructor hook of a class it names
+    for module, name in [("kernel", "PolyMatrix.determinant"),
+                         ("kernel", "parse_scalar"),
+                         ("kernel", "LaurentPolynomial.unit_equal"),
+                         ("kernel", "LaurentPolynomial.from_json"),
+                         ("cellular", "HomologyAction.__post_init__")]:
+        assert pinned(module, name), name
+    # the oracles read `one` off LaurentPolynomial, not off RationalFunction
+    for module, name in [("kernel", "RationalFunction.one"),
+                         ("kernel", "LaurentPolynomial.__pow__"),
+                         ("surfgrp", "SurfacePresentation.with_boundary")]:
+        assert not pinned(module, name), name
 
 
 def test_every_script_runs_here():
