@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import re
 import sys
 import warnings
@@ -500,20 +501,18 @@ def _json_report(payload) -> str:
     return "".join(chunks)
 
 
+_KEY_PREFIXES = {}      # JSON key -> its encoded '"key": '
+
+
 def _write_json(value, newline: str, emit) -> None:
     """Emit the JSON text of `value`, whose opening line ends in `newline`
     (a line break and the indentation of that line)."""
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         emit(encode_basestring_ascii(value))
-    elif value is None:
-        emit("null")
-    elif value is True:
-        emit("true")
-    elif value is False:
-        emit("false")
-    elif isinstance(value, int):
+    elif kind is int:
         emit(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         if not value:
             emit("[]")
             return
@@ -524,19 +523,38 @@ def _write_json(value, newline: str, emit) -> None:
             _write_json(item, inner, emit)
             separator = "," + inner
         emit(newline + "]")
-    elif isinstance(value, dict):
+    elif kind is dict:
         if not value:
             emit("{}")
             return
         inner = newline + "  "
         separator = "{" + inner
         for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {key!r}")
-            emit(separator + encode_basestring_ascii(key) + ": ")
+            prefix = _KEY_PREFIXES.get(key)
+            if prefix is None:
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON keys must be strings, got {key!r}")
+                prefix = encode_basestring_ascii(key) + ": "
+                _KEY_PREFIXES[key] = prefix
+            emit(separator + prefix)
             _write_json(value[key], inner, emit)
             separator = "," + inner
         emit(newline + "}")
+    # None, the booleans, and subclasses, written as their base type
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        _write_json(list(value), newline, emit)
+    elif isinstance(value, dict):
+        _write_json(dict(value), newline, emit)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not "
                         f"JSON serializable")
@@ -679,7 +697,15 @@ def main(argv=None) -> int:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
     if report:
-        print(report)
+        try:
+            print(report, flush=True)
+        except BrokenPipeError:
+            # the reader has gone, which is no failure of ours; stdout now
+            # points at the null device, so the interpreter's final flush of
+            # what is still buffered stays quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return status
 
 

@@ -13,10 +13,12 @@ Three layers:
   module prime power by prime power, glued by the Chinese remainder theorem;
   a pair whose traces differ mod n is not conjugate there, and is answered
   without factoring n.
-* `congruence_sweep` runs the mod-n test over a range of levels and reports
-  whether the pair looks procongruently conjugate without being SL(2,Z)
-  conjugate.  `characteristic_level` computes the lattice d with
-  d.Z^2 = (intersection of all subgroups of Z^2 of index <= n).
+* `congruence_sweep` tests every level 1..N in one pass, gluing each
+  level's smallest prime power (read off one sieve) onto its cofactor's
+  residue by one CRT step, and reports whether the pair looks procongruently
+  conjugate without being SL(2,Z) conjugate.  `characteristic_level`
+  computes the lattice d with d.Z^2 = (intersection of all subgroups of Z^2
+  of index <= n).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import count, product
 from math import gcd, isqrt
+from operator import mul, sub
 from typing import Optional, Tuple
 
 from .lattice import ext_gcd, smith_integer
@@ -423,11 +426,8 @@ def sl2_conjugate(a: Mat2, b: Mat2) -> SL2Verdict:
 
 def _crt_pair(r1, m1: int, r2, m2: int):
     """The residues mod m1 m2 that are r1 mod m1 and r2 mod m2, entry by
-    entry over the tuples r1 and r2: one extended Euclid for all of them."""
-    g, s, _ = ext_gcd(m1, m2)
-    if g != 1:
-        raise ValueError("moduli must be coprime")
-    m = m1 * m2
+    entry over the tuples r1 and r2: one modular inverse for all of them."""
+    s, m = pow(m1, -1, m2), m1 * m2         # ValueError unless coprime
     return tuple((a + (b - a) * s % m2 * m1) % m for a, b in zip(r1, r2))
 
 
@@ -509,9 +509,10 @@ class CommutationSolver:
 
     A level n answers without a search when A = B mod n (the identity) or
     when tr A != tr B mod n (no unit conjugates one into the other).  Every
-    other level searches once per prime power of n for the life of the
-    solver and glues the prime-power witnesses with the Chinese remainder
-    theorem.  Every witness passes `verify`.
+    other level glues its prime-power witnesses, p ascending, by CRT and
+    fails at the first one missing; each is searched once per solver.  A
+    sweep glues the least prime power q of n onto the residue of n/q, one
+    CRT step per level.  Every witness passes `verify`.
     """
 
     def __init__(self, a: Mat2, b: Mat2):
@@ -523,53 +524,63 @@ class CommutationSolver:
         diag, v = smith_integer(op)
         self.diag = diag + [0] * (4 - len(diag))
         self.v_cols = [tuple(v[i][j] for i in range(4)) for j in range(4)]
+        # A = B mod n iff n divides every entry of A - B, so iff n | _equal
+        self._equal = reduce(gcd, map(sub, a.entries(), b.entries()), 0)
+        self._trace_gap = a.trace() - b.trace()
         self._witnesses = {}        # (p, e) -> witness mod p^e, or None
-
-    def _combine(self, coeffs, n: int) -> Tuple[int, int, int, int]:
-        return tuple(sum(t * col[i] for t, col in zip(coeffs, self.v_cols)) % n
-                     for i in range(4))
 
     def witness_mod_prime_power(self, p: int, e: int) -> Optional[Mat2]:
         """A solution with determinant a unit mod p^e, or None."""
         q = p ** e
-        free = [i for i in range(4) if self.diag[i] % q == 0]
+        free = [col for col, d in zip(self.v_cols, self.diag) if d % q == 0]
+        rows = [[col[i] for col in free] for i in range(4)]     # by entry
         # the determinant restricted to the free directions is a quadratic
         # form; over F_p with p >= 3 a nonzero form takes a nonzero value on
         # {0,1,2}^free, and for p = 2 the whole cube is only 2^|free| points
         search = range(p) if p == 2 else range(3)
-        coords = [0, 0, 0, 0]
-        for values in product(search, repeat=len(free)):
-            for i, value in zip(free, values):
-                coords[i] = value
-            a, b, c, d = self._combine(coords, p)
+        for values in product(search, repeat=len(rows[0])):
+            a, b, c, d = (sum(map(mul, values, row)) for row in rows)
             if (a * d - b * c) % p:
-                x = Mat2(*self._combine(coords, q))
+                x = Mat2(a % q, b % q, c % q, d % q)
                 self.verify(x, q)
                 return x
         return None
 
-    def witness_mod(self, n: int) -> Optional[Mat2]:
-        """Deterministic unit-determinant solution mod n, or None."""
-        if (self.a.det() - 1) % n or (self.b.det() - 1) % n:
-            raise ValueError("matrices must have determinant 1 mod n")
-        if not any((p - q) % n for p, q in zip(self.a.entries(),
-                                                 self.b.entries())):
-            return Mat2.identity().mod(n)
-        if (self.a.trace() - self.b.trace()) % n:
-            return None
+    def _prime_power(self, p: int, e: int) -> Optional[Mat2]:
+        if (p, e) not in self._witnesses:
+            self._witnesses[p, e] = self.witness_mod_prime_power(p, e)
+        return self._witnesses[p, e]
+
+    def _glue_factors(self, n: int):
+        """The witness residue mod n glued from n's factorization, or None."""
         x, modulus = (0, 0, 0, 0), 1
         for p, e in factorize(n):
-            if (p, e) not in self._witnesses:
-                self._witnesses[p, e] = self.witness_mod_prime_power(p, e)
-            w = self._witnesses[p, e]
+            w = self._prime_power(p, e)
             if w is None:
                 return None
             q = p ** e
             x = _crt_pair(x, modulus, w.entries(), q)
             modulus *= q
-        x = Mat2(*x)
-        self.verify(x, n)
         return x
+
+    def _decide(self, n: int, glue) -> Optional[Mat2]:
+        """The witness mod n: the identity when A = B mod n, None when the
+        traces differ mod n, else the residue `glue(n)` (None or verified)."""
+        if self._equal % n == 0:
+            return Mat2.identity().mod(n)
+        if self._trace_gap % n:
+            return None
+        x = glue(n)
+        if x is not None:
+            x = Mat2(*x)
+            self.verify(x, n)
+        return x
+
+    def witness_mod(self, n: int) -> Optional[Mat2]:
+        """Deterministic unit-determinant solution mod n, or None."""
+        if (self.a.det() - 1) % n or (self.b.det() - 1) % n:
+            raise ValueError("matrices must have determinant 1 mod n")
+        return self._decide(n, self._glue_factors)
 
     def verify(self, x: Mat2, n: int):
         if gcd(x.det(), n) != 1:
@@ -682,8 +693,25 @@ def congruence_sweep(a: Mat2, b: Mat2, max_n: int) -> CongruenceReport:
         raise ValueError(
             f"sweep bound must be a positive integer, got {max_n!r}")
     solver = CommutationSolver(a, b)
+    # least[n]: n's smallest prime factor.  Each p <= sqrt(N), descending,
+    # marks its multiples from p^2, so n keeps its least divisor > 1
+    least = list(range(max_n + 1))
+    for p in range(isqrt(max_n), 1, -1):
+        least[p * p::p] = [p] * len(range(p * p, max_n + 1, p))
+    glued = {1: (0, 0, 0, 0)}           # n -> witness residue mod n, or None
+
+    def glue(n):
+        if n not in glued:
+            p, q, e = least[n], least[n], 1
+            while n // q % p == 0:
+                q, e = q * p, e + 1
+            w = solver._prime_power(p, e)
+            rest = w and glue(n // q)
+            glued[n] = rest and _crt_pair(w.entries(), q, rest, n // q)
+        return glued[n]
+
     verdicts = []
     for n in range(1, max_n + 1):
-        witness = solver.witness_mod(n)
+        witness = solver._decide(n, glue)
         verdicts.append(ModVerdict(n, witness is not None, witness))
     return CongruenceReport(a, b, max_n, tuple(verdicts), sl2_conjugate(a, b))

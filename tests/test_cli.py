@@ -362,6 +362,25 @@ class TestExitCodes:
         assert f"missing key {drop[-1]!r}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_closed_output_pipe_exits_quietly(self):
+        # the report (some 850 kB) outgrows the pipe's buffer, so the write
+        # meets the closed pipe
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "procong", "lefschetz", "--upto", "2000",
+             str(FIXTURES / "torus_A211.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline() == b"rep: trivial\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert err == b""
+
     def test_non_string_torus_matrix_is_an_input_error(self, tmp_path):
         data = json.loads((FIXTURES / "torus_A211.json").read_text())
         data["body"]["matrix"] = 5

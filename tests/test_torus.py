@@ -644,6 +644,9 @@ class TestModuleEnumeration:
 
         monkeypatch.setattr(CommutationSolver, "witness_mod_prime_power",
                             counting)
+        factored = []
+        monkeypatch.setattr("procong.torus.factorize",
+                            lambda n: factored.append(n) or trial_division(n))
         report = congruence_sweep(PAIR_A, PAIR_B, 1000)
         assert report.procongruence_candidate
         assert len(searched) == len(set(searched))
@@ -651,6 +654,47 @@ class TestModuleEnumeration:
         # where A = B mod n; their prime powers recur at other levels
         assert set(searched) == {
             pe for n in range(2, 1001) for pe in trial_division(n)}
+        # the sweep reads every level's prime powers off its sieve
+        assert factored == []
+        # and searches what the one-level route searches: for traces 3 and
+        # 4, which differ mod every q, nothing
+        for a, b in ((PAIR_A, PAIR_B), (Mat2(2, 1, 1, 1), Mat2(3, 1, 2, 1))):
+            searched.clear()
+            congruence_sweep(a, b, 400)
+            swept = set(searched)
+            searched.clear()
+            solver = CommutationSolver(a, b)
+            for n in range(1, 401):
+                solver.witness_mod(n)
+            assert swept == set(searched)
+        assert swept == set()
+
+    def test_sweep_equals_the_one_level_route(self):
+        # four kinds of pair: conjugate in SL(2,Z), of equal trace but not
+        # conjugate, of traces that differ mod small primes (by a multiple
+        # of 6, so the levels dividing the gap still search), and the
+        # classical pair, where A = B mod 264
+        rng = random.Random(59)
+        pairs = [(PAIR_A, PAIR_B)]
+        for _ in range(2):
+            a, x = random_sl2(rng, length=3), random_sl2(rng, length=2)
+            pairs.append((a, x @ a @ x.inverse()))
+        while len(pairs) < 5:
+            a = random_sl2(rng, length=3)
+            if abs(a.trace()) > 2:
+                pairs.append((a, equal_trace_partner(rng, a)))
+        while len(pairs) < 7:
+            a, b = random_sl2(rng, length=3), random_sl2(rng, length=3)
+            if a.trace() != b.trace() and (a.trace() - b.trace()) % 6 == 0:
+                pairs.append((a, b))
+        for a, b in pairs:
+            report = congruence_sweep(a, b, 300)
+            for n, verdict in enumerate(report.verdicts, start=1):
+                witness = CommutationSolver(a, b).witness_mod(n)
+                assert verdict.modulus == n
+                assert verdict.conjugate == (witness is not None), (a, b, n)
+                assert verdict.to_json()["witness"] == (
+                    witness and witness.to_string()), (a, b, n)
 
     def test_verify_agrees_with_the_matrix_products(self):
         # verify checks x a - b x = 0 mod n on int entries; the oracle is the
