@@ -27,7 +27,7 @@ break without it: `perfbench/tracer.py` lists it in `TARGETS`, or
 `perfbench/oracles.py` or `perfbench/run.py` names it.  A method counts
 as named when the script names its class and either reads the method off
 that class, reads an attribute of its name off anything else (an
-instance), or the method is `__init__` or `__post_init__`.  The other
+instance), or the method is `__init__`.  The other
 unreached functions are free to delete without touching the benchmark.
 
     PYTHONPATH=src python3 scripts/reach.py
@@ -204,7 +204,7 @@ def bench_pins(classes):
             return outer in names
         return outer in names and (
             (outer, inner[0]) in on_class or inner[0] in on_instance
-            or inner[0] in ("__init__", "__post_init__"))
+            or inner[0] == "__init__")
 
     return pinned
 

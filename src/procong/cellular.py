@@ -20,7 +20,6 @@ independent of that choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from .kernel import (
@@ -37,6 +36,7 @@ from .kernel import (
     normalize_unit_class,
     products_cancel,
 )
+from .record import Record
 from .surfgrp import (  # noqa: F401  (mapping_torus_boundaries: re-exported)
     Chain,
     FiniteRepresentation,
@@ -92,8 +92,7 @@ def _freeze_chain(chain, mt: MappingTorusPresentation, n_targets: int,
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CellularSurface:
+class CellularSurface(Record):
     """Cell structure of the fiber with decorated incidence data.
 
     `boundary_one[j]` is the decorated chain of 0-cells bounding 1-cell j;
@@ -102,28 +101,27 @@ class CellularSurface:
     must have degree 0.
     """
 
-    presentation: MappingTorusPresentation
-    cell_names: Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]
-    boundary_one: Tuple[Chain, ...]
-    boundary_two: Tuple[Chain, ...]
-
-    def __post_init__(self):
+    def __init__(self, presentation: MappingTorusPresentation,
+                 cell_names: Tuple[Tuple[str, ...], ...],
+                 boundary_one: Tuple[Chain, ...],
+                 boundary_two: Tuple[Chain, ...]):
         names = tuple(tuple(_json_str(n, "cells name")
                             for n in _json_list(dim, "cells"))
-                      for dim in _json_list(self.cell_names, "cells"))
+                      for dim in _json_list(cell_names, "cells"))
         if len(names) != 3:
             raise ValueError(f"cells must have 3 dimensions, got {len(names)}")
-        object.__setattr__(self, "cell_names", names)
         r0, r1, r2 = map(len, names)
         if any(len(set(dim)) != len(dim) for dim in names):
             raise ValueError("cell names must be distinct per dimension")
-        if (len(_json_list(self.boundary_one, "boundary_one")) != r1
-                or len(_json_list(self.boundary_two, "boundary_two")) != r2):
+        if (len(_json_list(boundary_one, "boundary_one")) != r1
+                or len(_json_list(boundary_two, "boundary_two")) != r2):
             raise ValueError("need one boundary chain per positive-dim cell")
-        for field, n_targets in (("boundary_one", r0), ("boundary_two", r1)):
-            object.__setattr__(self, field, tuple(
-                _freeze_chain(c, self.presentation, n_targets, 0, field)
-                for c in getattr(self, field)))
+        one = tuple(_freeze_chain(c, presentation, r0, 0, "boundary_one")
+                    for c in boundary_one)
+        two = tuple(_freeze_chain(c, presentation, r1, 0, "boundary_two")
+                    for c in boundary_two)
+        self.__dict__.update(presentation=presentation, cell_names=names,
+                             boundary_one=one, boundary_two=two)
 
     @property
     def cell_counts(self) -> Tuple[int, int, int]:
@@ -146,25 +144,22 @@ class CellularSurface:
                    data["boundary_two"])
 
 
-@dataclass(frozen=True)
-class CellularSelfMap:
+class CellularSelfMap(Record):
     """Flow-return images of the fiber cells.
 
     `images[n][j]` is the decorated chain (over dimension-n cells) covered by
     the flow of the j-th n-cell; every decoration must have degree 1.
     """
 
-    surface: CellularSurface
-    images: Tuple[Tuple[Chain, ...], Tuple[Chain, ...], Tuple[Chain, ...]]
-
-    def __post_init__(self):
-        counts = self.surface.cell_counts
+    def __init__(self, surface: CellularSurface,
+                 images: Tuple[Tuple[Chain, ...], ...]):
+        counts = surface.cell_counts
         images = [_json_list(dim, "flow images")
-                  for dim in _json_list(self.images, "flow images")]
+                  for dim in _json_list(images, "flow images")]
         if list(map(len, images)) != list(counts):
             raise ValueError("need one image chain per cell")
-        object.__setattr__(self, "images", tuple(
-            tuple(_freeze_chain(c, self.surface.presentation, n_targets, 1,
+        self.__dict__.update(surface=surface, images=tuple(
+            tuple(_freeze_chain(c, surface.presentation, n_targets, 1,
                                 "flow images") for c in dim)
             for dim, n_targets in zip(images, counts)))
 
@@ -176,26 +171,23 @@ class CellularSelfMap:
         return cls(surface, _json_object(data, "flow")["images"])
 
 
-@dataclass(frozen=True)
-class HomologyAction:
+class HomologyAction(Record):
     """Induced integer matrices on fiber homology in degrees 0, 1, 2."""
 
-    h0: Tuple[Tuple[int, ...], ...]
-    h1: Tuple[Tuple[int, ...], ...]
-    h2: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for field in ("h0", "h1", "h2"):
-            object.__setattr__(self, field, tuple(
-                tuple(_json_int(e, field) for e in row)
-                for row in getattr(self, field)))
-        if self.h0 != ((1,),):
+    def __init__(self, h0: Tuple[Tuple[int, ...], ...],
+                 h1: Tuple[Tuple[int, ...], ...],
+                 h2: Tuple[Tuple[int, ...], ...]):
+        h0, h1, h2 = (tuple(tuple(_json_int(e, field) for e in row)
+                            for row in rows)
+                      for field, rows in (("h0", h0), ("h1", h1), ("h2", h2)))
+        if h0 != ((1,),):
             raise ValueError("degree-0 action must be [1]")
-        if self.h2 not in (((1,),), ((-1,),)):
+        if h2 not in (((1,),), ((-1,),)):
             raise ValueError("degree-2 action must be [1] or [-1]")
-        n = len(self.h1)
-        if any(len(row) != n for row in self.h1):
+        n = len(h1)
+        if any(len(row) != n for row in h1):
             raise ValueError("degree-1 action must be square")
+        self.__dict__.update(h0=h0, h1=h1, h2=h2)
 
     @classmethod
     def from_monodromy_matrix(cls, rows) -> "HomologyAction":
@@ -289,8 +281,7 @@ def _flow(mt: MappingTorusPresentation, rep: FiniteRepresentation,
     return (f0, f1, f2), zeta
 
 
-@dataclass(frozen=True)
-class CellularTorsion:
+class CellularTorsion(Record):
     """Result of the cellular torsion expression.
 
     `value` is the normalized class of the determinant-ratio formula;
@@ -299,8 +290,8 @@ class CellularTorsion:
     and the zero class otherwise.
     """
 
-    value: NormalizedTorsionClass
-    acyclic: bool
+    def __init__(self, value: NormalizedTorsionClass, acyclic: bool):
+        self.__dict__.update(value=value, acyclic=acyclic)
 
     @property
     def homological(self) -> NormalizedTorsionClass:
@@ -321,13 +312,22 @@ def torsion_from_cellular(surface: CellularSurface, flow: CellularSelfMap,
     return CellularTorsion(value, acyclic)
 
 
+# the most Lefschetz numbers one call computes: the series and its
+# logarithm take time quadratic in the count
+LEFSCHETZ_LIMIT = 2000
+
+
 def lefschetz_numbers(surface: CellularSurface, flow: CellularSelfMap,
                       rep: FiniteRepresentation, upto: int):
-    """Exact twisted Lefschetz numbers L_1..L_upto, read off from the
-    logarithmic derivative of the zeta function."""
-    zeta = zeta_from_cellular(surface, flow, rep)
+    """Exact twisted Lefschetz numbers L_1..L_upto (upto at most
+    `LEFSCHETZ_LIMIT`), read off from the logarithmic derivative of the
+    zeta function."""
     if upto < 1:
         raise ValueError("need at least one Lefschetz number")
+    if upto > LEFSCHETZ_LIMIT:
+        raise ValueError(
+            f"at most {LEFSCHETZ_LIMIT} Lefschetz numbers, got {upto}")
+    zeta = zeta_from_cellular(surface, flow, rep)
     return log_coefficients(zeta.series(upto + 1), upto)
 
 

@@ -14,13 +14,13 @@ indexed counts when the caller asserts the bound is attained.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .kernel import (Cyclotomic, _json_int, _json_list, _json_str, as_exact,
                      hermitian_products)
+from .record import Record
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
@@ -31,8 +31,7 @@ CYCLIC_LIMIT = 60
 # group tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteGroupTable:
+class FiniteGroupTable(Record):
     """A finite group with its exact irreducible character table.
 
     Elements are the indices of the multiplication rows; element 0 is the
@@ -41,11 +40,12 @@ class FiniteGroupTable:
     cyclotomic field of the declared conductor.
     """
 
-    name: str
-    multiplication: Tuple[Tuple[int, ...], ...]
-    classes: Tuple[Tuple[int, ...], ...]
-    conductor: int
-    characters: Tuple[Tuple[Scalar, ...], ...]
+    def __init__(self, name: str, multiplication: Tuple[Tuple[int, ...], ...],
+                 classes: Tuple[Tuple[int, ...], ...], conductor: int,
+                 characters: Tuple[Tuple[Scalar, ...], ...]):
+        self.__dict__.update(name=name, multiplication=multiplication,
+                             classes=classes, conductor=conductor,
+                             characters=characters)
 
     @property
     def order(self) -> int:
@@ -213,29 +213,25 @@ def builtin_group(name: str) -> FiniteGroupTable:
 # orbit projection tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitProjectionTable:
+class OrbitProjectionTable(Record):
     """Rows (orbit class id, index, group class id) for one iterate.
 
     Indices and class ids must be integers; floats and booleans are
     rejected, not truncated, with an error naming the row."""
 
-    rows: Tuple[Tuple[str, int, int], ...]
-
-    def __post_init__(self):
-        rows = []
-        for k, row in enumerate(_json_list(self.rows, "rows")):
+    def __init__(self, rows: Tuple[Tuple[str, int, int], ...]):
+        checked = []
+        for k, row in enumerate(_json_list(rows, "rows")):
             try:
                 orbit, index, class_id = row
             except (TypeError, ValueError):
                 raise ValueError(f"rows[{k}] must be [orbit, index, class id], "
                                  f"got {row!r}") from None
-            rows.append((_json_str(orbit, f"rows[{k}] orbit"),
-                         _json_int(index, f"rows[{k}] index"),
-                         _json_int(class_id, f"rows[{k}] class id")))
-        object.__setattr__(self, "rows", tuple(rows))
+            checked.append((_json_str(orbit, f"rows[{k}] orbit"),
+                            _json_int(index, f"rows[{k}] index"),
+                            _json_int(class_id, f"rows[{k}] class id")))
         seen = set()
-        for orbit, index, class_id in self.rows:
+        for orbit, index, class_id in checked:
             if orbit in seen:
                 raise ValueError(f"orbit class {orbit} appears twice")
             seen.add(orbit)
@@ -243,6 +239,7 @@ class OrbitProjectionTable:
                 raise ValueError("orbit class indices must be nonzero")
             if class_id < 0:
                 raise ValueError("group class ids must be nonnegative")
+        self.__dict__.update(rows=tuple(checked))
 
     @property
     def orbit_count(self) -> int:
@@ -353,13 +350,13 @@ def all_class_indicators(table: OrbitProjectionTable,
     return values
 
 
-@dataclass(frozen=True)
-class NielsenBound:
+class NielsenBound(Record):
     """Lower bound for the Nielsen number, with exact per-index counts when
     the caller asserts the bound is attained."""
 
-    bound: int
-    indexed_counts: Optional[Tuple[Tuple[int, int], ...]] = None
+    def __init__(self, bound: int,
+                 indexed_counts: Optional[Tuple[Tuple[int, int], ...]] = None):
+        self.__dict__.update(bound=bound, indexed_counts=indexed_counts)
 
 
 def nielsen_bound(table: OrbitProjectionTable, group: FiniteGroupTable,

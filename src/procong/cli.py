@@ -31,36 +31,53 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Tuple
+
+from .record import Record
 
 APPROX_DIGITS = 30
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One dispatchable invocation of the driver."""
+class RunConfig(Record):
+    """One dispatchable invocation of the driver.  A bound flag must be
+    positive and at most the limit of the computation it bounds (see
+    `_flag_limit`), so no request starts on a size it cannot finish."""
 
-    subcommand: str
-    inputs: Tuple[str, ...] = ()
-    max_modulus: Optional[int] = None
-    terms: Optional[int] = None
-    upto: Optional[int] = None
-    rep: str = "trivial"
-    group: Optional[str] = None
-    approx: bool = False
-    output: str = "text"
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        for label, bound in (("--max", self.max_modulus),
-                             ("--terms", self.terms),
-                             ("--upto", self.upto)):
-            if bound is not None and bound < 1:
+    def __init__(self, subcommand: str, inputs: Tuple[str, ...] = (),
+                 max_modulus: Optional[int] = None,
+                 terms: Optional[int] = None, upto: Optional[int] = None,
+                 rep: str = "trivial", group: Optional[str] = None,
+                 approx: bool = False, output: str = "text"):
+        for label, bound in (("--max", max_modulus), ("--terms", terms),
+                             ("--upto", upto)):
+            if bound is None:
+                continue
+            if bound < 1:
                 raise ValueError(f"{label} must be a positive integer")
-        if self.output not in ("text", "json"):
-            raise ValueError(f"unknown output mode {self.output!r}")
+            limit = _flag_limit(label, subcommand)
+            if bound > limit:
+                raise ValueError(f"{label} must be at most {limit}")
+        if output not in ("text", "json"):
+            raise ValueError(f"unknown output mode {output!r}")
+        self.__dict__.update(
+            subcommand=subcommand, inputs=tuple(inputs),
+            max_modulus=max_modulus, terms=terms, upto=upto, rep=rep,
+            group=group, approx=approx, output=output)
+
+
+def _flag_limit(label: str, subcommand: str) -> int:
+    """The largest value of a bound flag: `torus.SWEEP_LIMIT` for --max,
+    `cellular.LEFSCHETZ_LIMIT` for --terms and for the --upto of
+    lefschetz, and `ntform.ITERATE_LIMIT` for the --upto of nt analyze."""
+    if label == "--max":
+        from .torus import SWEEP_LIMIT
+        return SWEEP_LIMIT
+    if label == "--terms" or subcommand == "lefschetz":
+        from .cellular import LEFSCHETZ_LIMIT
+        return LEFSCHETZ_LIMIT
+    from .ntform import ITERATE_LIMIT
+    return ITERATE_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +99,7 @@ def _positive_int(text: str, label: str) -> int:
     return value
 
 
-@dataclass
-class FiberedBundle:
+class FiberedBundle(Record):
     """A fibered fixture compiled once: its cellular model, whose
     presentation every fibered subcommand reads, the fixture's own
     presentation, whether the flow came from the fixture rather than from
@@ -91,13 +107,19 @@ class FiberedBundle:
     model's presentation.  Each representation keeps its twisted
     complexes, so the certification, the orders, the flow maps and the
     zeta function are built once per bundle and label, however many
-    subcommands read them."""
+    subcommands read them.  Unlike other records it is mutable and
+    unhashable."""
 
-    surface: CellularSurface
-    flow: CellularSelfMap
-    own: MappingTorusPresentation
-    given_flow: bool = False
-    reps: dict = field(default_factory=dict)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, surface: CellularSurface, flow: CellularSelfMap,
+                 own: MappingTorusPresentation, given_flow: bool = False,
+                 reps: Optional[dict] = None):
+        self.__dict__.update(surface=surface, flow=flow, own=own,
+                             given_flow=given_flow,
+                             reps={} if reps is None else reps)
 
     def rep(self, label: str) -> FiniteRepresentation:
         """The representation named by --rep on the model's presentation,

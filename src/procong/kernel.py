@@ -96,17 +96,42 @@ def _json_fraction(value, field: str) -> Fraction:
 # cyclotomic fields
 # ---------------------------------------------------------------------------
 
+def _mobius(n: int) -> int:
+    """The Moebius function of n >= 1, by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficients (little-endian) of the n-th cyclotomic polynomial."""
+    """Coefficients (little-endian) of the n-th cyclotomic polynomial: the
+    product of (x^d - 1)^mu(n/d) over the divisors d of n (Moebius
+    inversion of x^n - 1 = prod_{d | n} Phi_d), on integer lists.  The
+    factors of exponent 1 are multiplied first, so each division by a
+    factor of exponent -1 is exact."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    poly = LaurentPolynomial({0: -1, n: 1})          # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = poly.exact_divide(
-                LaurentPolynomial.from_coefficients(cyclotomic_polynomial(d)))
-    return tuple(poly.coefficient(e) for e in range(poly.degree + 1))
+    exponents = [(d, _mobius(n // d)) for d in range(1, n + 1) if n % d == 0]
+    poly = [1]
+    for d, mu in exponents:
+        if mu == 1:         # p x^d - p
+            poly = [0] * d + poly
+            for i in range(len(poly) - d):
+                poly[i] -= poly[i + d]
+    for d, mu in exponents:
+        if mu == -1:        # q with q x^d - q = p: q_i = q_(i-d) - p_i
+            quotient = []
+            for i in range(len(poly) - d):
+                quotient.append((quotient[i - d] if i >= d else 0) - poly[i])
+            poly = quotient
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

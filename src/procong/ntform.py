@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import decimal
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .kernel import (LaurentPolynomial, _json_fraction, _json_int,
                      _json_list, _json_object, _json_str, laurent_gcd)
+from .record import Record
 
 
 class DecompositionError(ValueError):
@@ -98,18 +98,14 @@ def _roots_between(chain, low: Fraction, high: Fraction) -> int:
 # stretch factors: exact algebraic numbers above one
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StretchFactor:
+class StretchFactor(Record):
     """An algebraic number above one, held as an integer polynomial with an
     isolating rational interval containing exactly one root."""
 
-    polynomial: Tuple[int, ...]
-    low: Fraction
-    high: Fraction
-
-    def __post_init__(self):
+    def __init__(self, polynomial: Tuple[int, ...], low: Fraction,
+                 high: Fraction):
         coeffs = tuple(_json_int(c, "stretch polynomial") for c in
-                       _json_list(self.polynomial, "stretch polynomial"))
+                       _json_list(polynomial, "stretch polynomial"))
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         shift = 0
@@ -125,28 +121,24 @@ class StretchFactor:
         if coeffs[-1] < 0:
             content = -content
         coeffs = tuple(c // content for c in coeffs)
-        object.__setattr__(self, "polynomial", coeffs)
-        object.__setattr__(self, "low",
-                           _json_fraction(self.low, "stretch interval"))
-        object.__setattr__(self, "high",
-                           _json_fraction(self.high, "stretch interval"))
-        if not 1 <= self.low < self.high:
+        low = _json_fraction(low, "stretch interval")
+        high = _json_fraction(high, "stretch interval")
+        if not 1 <= low < high:
             raise DecompositionError(
                 "stretch factor interval must satisfy 1 <= low < high")
         sf = _squarefree(LaurentPolynomial.from_coefficients(coeffs))
         chain = _sturm_chain(sf)
-        at_low = _sign_at(chain[0], self.low)
-        object.__setattr__(self, "_sf", sf)
-        object.__setattr__(self, "_chain", chain)
-        object.__setattr__(self, "_low_positive", at_low > 0)
-        # digits -> the rendering `approx` certified
-        object.__setattr__(self, "_renderings", {})
-        if at_low == 0 or _sign_at(chain[0], self.high) == 0:
+        at_low = _sign_at(chain[0], low)
+        if at_low == 0 or _sign_at(chain[0], high) == 0:
             raise DecompositionError(
                 "stretch factor interval endpoints must not be roots")
-        if _roots_between(chain, self.low, self.high) != 1:
+        if _roots_between(chain, low, high) != 1:
             raise DecompositionError(
                 "stretch factor interval must isolate exactly one root")
+        # _renderings: digits -> the rendering `approx` certified
+        self.__dict__.update(polynomial=coeffs, low=low, high=high, _sf=sf,
+                             _chain=chain, _low_positive=at_low > 0,
+                             _renderings={})
 
     # -- interval refinement -----------------------------------------------
 
@@ -227,13 +219,14 @@ class StretchFactor:
         return StretchFactor(data["polynomial"], *interval)
 
 
-@dataclass(frozen=True, eq=False)
-class Dilatation:
+class Dilatation(Record):
     """Maximal per-application stretch of the pseudo-Anosov part (the value
-    one is encoded by a missing factor), together with the split order."""
+    one is encoded by a missing factor), together with the split order.
+    Two dilatations are equal when their factors are the same real number;
+    the split order takes no part."""
 
-    factor: Optional[StretchFactor]
-    split_order: int
+    def __init__(self, factor: Optional[StretchFactor], split_order: int):
+        self.__dict__.update(factor=factor, split_order=split_order)
 
     def __eq__(self, other):
         if not isinstance(other, Dilatation):
@@ -260,8 +253,7 @@ PERIODIC = "periodic"
 PSEUDO_ANOSOV = "pseudoAnosov"
 
 
-@dataclass(frozen=True)
-class InteriorOrbit:
+class InteriorOrbit(Record):
     """A declared orbit of interior points.
 
     With a prong count the points are singularities (or marked regular
@@ -271,21 +263,18 @@ class InteriorOrbit:
     first-return map and always carry index one.
     """
 
-    name: str
-    size: int
-    prongs: Optional[int] = None
-    rotation: int = 0
-
-    def __post_init__(self):
-        _json_str(self.name, "orbit name")
-        _json_int(self.size, "orbit size")
-        _json_int(self.rotation, "orbit rotation")
-        if self.prongs is not None:
-            _json_int(self.prongs, "orbit prongs")
+    def __init__(self, name: str, size: int, prongs: Optional[int] = None,
+                 rotation: int = 0):
+        _json_str(name, "orbit name")
+        _json_int(size, "orbit size")
+        _json_int(rotation, "orbit rotation")
+        if prongs is not None:
+            _json_int(prongs, "orbit prongs")
+        self.__dict__.update(name=name, size=size, prongs=prongs,
+                             rotation=rotation)
 
 
-@dataclass(frozen=True)
-class VertexPiece:
+class VertexPiece(Record):
     """A periodic or pseudo-Anosov piece.
 
     `circles` lists the piece's boundary circles; a circle not claimed by
@@ -297,37 +286,34 @@ class VertexPiece:
     periodic piece.
     """
 
-    name: str
-    kind: str
-    euler: int
-    circles: Tuple[str, ...] = ()
-    boundary_singularities: Tuple[int, ...] = ()
-    stretch: Optional[StretchFactor] = None
-    orbits: Optional[Tuple[InteriorOrbit, ...]] = None
-    period: int = 1
-
-    def __post_init__(self):
-        _json_str(self.name, "piece name")
-        _json_str(self.kind, "piece kind")
-        _json_int(self.euler, "euler")
-        _json_int(self.period, "period")
-        object.__setattr__(self, "circles", tuple(
-            _json_str(c, "circles")
-            for c in _json_list(self.circles, "circles")))
-        object.__setattr__(self, "boundary_singularities", tuple(
-            _json_int(c, "boundary_singularities")
-            for c in _json_list(self.boundary_singularities,
-                                "boundary_singularities")))
-        if self.orbits is not None:
-            object.__setattr__(self, "orbits",
-                               tuple(_json_list(self.orbits, "orbits")))
+    def __init__(self, name: str, kind: str, euler: int,
+                 circles: Tuple[str, ...] = (),
+                 boundary_singularities: Tuple[int, ...] = (),
+                 stretch: Optional[StretchFactor] = None,
+                 orbits: Optional[Tuple[InteriorOrbit, ...]] = None,
+                 period: int = 1):
+        _json_str(name, "piece name")
+        _json_str(kind, "piece kind")
+        _json_int(euler, "euler")
+        _json_int(period, "period")
+        self.__dict__.update(
+            name=name, kind=kind, euler=euler,
+            circles=tuple(_json_str(c, "circles")
+                          for c in _json_list(circles, "circles")),
+            boundary_singularities=tuple(
+                _json_int(c, "boundary_singularities")
+                for c in _json_list(boundary_singularities,
+                                    "boundary_singularities")),
+            stretch=stretch,
+            orbits=(None if orbits is None
+                    else tuple(_json_list(orbits, "orbits"))),
+            period=period)
 
     def singular_points(self, circle: str) -> int:
         return self.boundary_singularities[self.circles.index(circle)]
 
 
-@dataclass(frozen=True)
-class ReductionAnnulus:
+class ReductionAnnulus(Record):
     """A reduction annulus with its per-application fractional twist rate.
 
     Each entry of `ends` is the boundary circle of a vertex piece the
@@ -335,19 +321,15 @@ class ReductionAnnulus:
     ambient surface.
     """
 
-    name: str
-    twist: Fraction
-    ends: Tuple[Optional[str], Optional[str]]
-    orbits: Tuple[InteriorOrbit, ...] = ()
-
-    def __post_init__(self):
-        _json_str(self.name, "annulus name")
-        object.__setattr__(self, "twist", _json_fraction(self.twist, "twist"))
-        object.__setattr__(self, "ends", tuple(
-            None if e is None else _json_str(e, "annulus ends")
-            for e in _json_list(self.ends, "annulus ends")))
-        object.__setattr__(self, "orbits", tuple(
-            _json_list(self.orbits, "annulus orbits")))
+    def __init__(self, name: str, twist: Fraction,
+                 ends: Tuple[Optional[str], Optional[str]],
+                 orbits: Tuple[InteriorOrbit, ...] = ()):
+        _json_str(name, "annulus name")
+        self.__dict__.update(
+            name=name, twist=_json_fraction(twist, "twist"),
+            ends=tuple(None if e is None else _json_str(e, "annulus ends")
+                       for e in _json_list(ends, "annulus ends")),
+            orbits=tuple(_json_list(orbits, "annulus orbits")))
 
 
 def _as_sorted_pairs(mapping, field: str) -> Tuple[Tuple[str, str], ...]:
@@ -388,26 +370,21 @@ def _orbit_table(names, perm: Mapping[str, str]) -> dict:
     return table
 
 
-@dataclass(frozen=True)
-class NTDecomposition:
+class NTDecomposition(Record):
     """A Nielsen-Thurston decomposition fixture: vertex pieces, reduction
     annuli, and the induced permutations on pieces and boundary circles.
     Validation keeps the lookup and orbit tables every consumer reads, and
     the period of the orbit-count rows (`_row_period`); the rows computed
     so far are kept too (see `indexed_orbit_numbers`)."""
 
-    pieces: Tuple[VertexPiece, ...]
-    annuli: Tuple[ReductionAnnulus, ...]
-    piece_map: Tuple[Tuple[str, str], ...]
-    circle_map: Tuple[Tuple[str, str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        object.__setattr__(self, "annuli", tuple(self.annuli))
-        object.__setattr__(self, "piece_map",
-                           _as_sorted_pairs(self.piece_map, "piece_map"))
-        object.__setattr__(self, "circle_map",
-                           _as_sorted_pairs(self.circle_map, "circle_map"))
+    def __init__(self, pieces: Tuple[VertexPiece, ...],
+                 annuli: Tuple[ReductionAnnulus, ...],
+                 piece_map: Tuple[Tuple[str, str], ...],
+                 circle_map: Tuple[Tuple[str, str], ...]):
+        self.__dict__.update(
+            pieces=tuple(pieces), annuli=tuple(annuli),
+            piece_map=_as_sorted_pairs(piece_map, "piece_map"),
+            circle_map=_as_sorted_pairs(circle_map, "circle_map"))
         self.validate()
 
     # -- lookups -----------------------------------------------------------
@@ -582,14 +559,12 @@ class NTDecomposition:
                             raise DecompositionError(
                                 f"interior orbit {o.name} outlives the period "
                                 "of its periodic piece")
-        for attr, table in (("_pieces", pieces), ("_annuli", annuli),
-                            ("_owners", owners), ("_attached", attached),
-                            ("_orbits", orbits),
-                            ("_circle_orbits", circle_orbits)):
-            object.__setattr__(self, attr, table)
-        object.__setattr__(self, "_row_period", _row_period(self))
-        # iterate r -> its orbit-count row, filled by indexed_orbit_numbers
-        object.__setattr__(self, "_rows", {})
+        self.__dict__.update(_pieces=pieces, _annuli=annuli, _owners=owners,
+                             _attached=attached, _orbits=orbits,
+                             _circle_orbits=circle_orbits)
+        # _rows: iterate r -> its orbit-count row, filled by
+        # indexed_orbit_numbers
+        self.__dict__.update(_row_period=_row_period(self), _rows={})
         return self
 
     # -- serialization -----------------------------------------------------
@@ -724,38 +699,32 @@ CASE_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class FixedClassRecord:
+class FixedClassRecord(Record):
     """One essential fixed class of the m-th iterate with its index."""
 
-    iterate: int
-    case: int
-    carrier: str
-    index: int
-
-    def __post_init__(self):
-        legal = {1: self.index == 1,
-                 2: self.index == 1 or self.index <= -1,
-                 3: self.index <= -1,
-                 4: self.index <= -2,
-                 5: self.index <= -1}
-        if self.case not in legal:
-            raise DecompositionError(f"unknown fixed class case {self.case}")
-        if not legal[self.case]:
+    def __init__(self, iterate: int, case: int, carrier: str, index: int):
+        legal = {1: index == 1,
+                 2: index == 1 or index <= -1,
+                 3: index <= -1,
+                 4: index <= -2,
+                 5: index <= -1}
+        if case not in legal:
+            raise DecompositionError(f"unknown fixed class case {case}")
+        if not legal[case]:
             raise DecompositionError(
-                f"index {self.index} is outside the legal range of case "
-                f"{self.case} ({CASE_NAMES[self.case]})")
+                f"index {index} is outside the legal range of case "
+                f"{case} ({CASE_NAMES[case]})")
+        self.__dict__.update(iterate=iterate, case=case, carrier=carrier,
+                             index=index)
 
 
-@dataclass(frozen=True)
-class _ClassFamily:
+class _ClassFamily(Record):
     """One orbit of fixed classes: `classes` equal-index classes permuted
     transitively by the map."""
 
-    case: int
-    index: int
-    classes: int
-    carrier: str
+    def __init__(self, case: int, index: int, classes: int, carrier: str):
+        self.__dict__.update(case=case, index=index, classes=classes,
+                             carrier=carrier)
 
 
 def _essential_families(nt: NTDecomposition, m: int):
@@ -880,59 +849,53 @@ def fixed_point_classes(nt: NTDecomposition, m: int) -> Tuple[FixedClassRecord, 
     return tuple(records)
 
 
-@dataclass(frozen=True)
-class OrbitRow:
+class OrbitRow(Record):
     """Indexed orbit counts for one iterate: pairs (index, count) plus the
     Nielsen number."""
 
-    iterate: int
-    counts: Tuple[Tuple[int, int], ...]
-    nielsen: int
-
-    def __post_init__(self):
-        _json_int(self.iterate, "iterate")
-        _json_int(self.nielsen, "nielsen")
-        counts = []
-        for k, pair in enumerate(_json_list(self.counts, "counts")):
+    def __init__(self, iterate: int, counts: Tuple[Tuple[int, int], ...],
+                 nielsen: int):
+        _json_int(iterate, "iterate")
+        _json_int(nielsen, "nielsen")
+        pairs = []
+        for k, pair in enumerate(_json_list(counts, "counts")):
             if len(_json_list(pair, f"counts[{k}]")) != 2:
                 raise ValueError(f"counts[{k}] must be [index, count], "
                                  f"got {pair!r}")
-            counts.append((_json_int(pair[0], f"counts[{k}] index"),
-                           _json_int(pair[1], f"counts[{k}] count")))
-        object.__setattr__(self, "counts", tuple(sorted(counts)))
-        if any(i == 0 for i, _ in self.counts):
+            pairs.append((_json_int(pair[0], f"counts[{k}] index"),
+                          _json_int(pair[1], f"counts[{k}] count")))
+        counts = tuple(sorted(pairs))
+        if any(i == 0 for i, _ in counts):
             raise DecompositionError("orbit tables only keep nonzero indices")
-        if any(c < 0 for _, c in self.counts):
+        if any(c < 0 for _, c in counts):
             raise DecompositionError("orbit counts must be nonnegative")
-        if self.nielsen != sum(c for _, c in self.counts):
+        if nielsen != sum(c for _, c in counts):
             raise DecompositionError(
                 "the Nielsen number must equal the sum of the indexed counts")
+        self.__dict__.update(iterate=iterate, counts=counts, nielsen=nielsen)
 
     def count(self, index: int) -> int:
         return dict(self.counts).get(index, 0)
 
 
-@dataclass(frozen=True)
-class IndexedOrbitTable:
+class IndexedOrbitTable(Record):
     """Indexed orbit counts for all iterates up to a bound.  `remainder`
     names the pieces whose interior regular orbits beyond the declared data
     are model-dependent."""
 
-    rows: Tuple[OrbitRow, ...]
-    remainder: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
+    def __init__(self, rows: Tuple[OrbitRow, ...],
+                 remainder: Tuple[str, ...] = ()):
+        rows = tuple(rows)
         seen = set()
-        for k, r in enumerate(self.rows):
+        for k, r in enumerate(rows):
             if r.iterate < 1 or r.iterate in seen:
                 raise DecompositionError(
                     f"rows[{k}] iterate must be positive and not repeat an "
                     f"earlier row's, got {r.iterate}")
             seen.add(r.iterate)
-        object.__setattr__(self, "remainder", tuple(
+        self.__dict__.update(rows=rows, remainder=tuple(
             _json_str(name, "remainder")
-            for name in _json_list(self.remainder, "remainder")))
+            for name in _json_list(remainder, "remainder")))
 
     def row(self, m: int) -> OrbitRow:
         for r in self.rows:
@@ -970,14 +933,22 @@ class IndexedOrbitTable:
         return IndexedOrbitTable(tuple(rows), data.get("remainder", ()))
 
 
+# the largest iterate bound of an indexed orbit table
+ITERATE_LIMIT = 10_000
+
+
 def indexed_orbit_numbers(nt: NTDecomposition, upto: int) -> IndexedOrbitTable:
     """Orbit-class counts by index and Nielsen numbers for all iterates up
     to the bound; each orbit of fixed classes counts once.  The rows repeat
     with the period P of `_row_period`, so iterate m reads row
     ((m - 1) mod P) + 1.  Only rows 1..min(upto, P) are computed, in order,
-    each once per decomposition, which keeps them."""
+    each once per decomposition, which keeps them.  The bound is at most
+    `ITERATE_LIMIT`: the table holds a row per iterate."""
     if upto < 1:
         raise DecompositionError("the iterate bound must be a positive integer")
+    if upto > ITERATE_LIMIT:
+        raise DecompositionError(
+            f"the iterate bound must be at most {ITERATE_LIMIT}, got {upto}")
     period, rows = nt._row_period, nt._rows
     for r in range(1, min(upto, period) + 1):
         if r not in rows:

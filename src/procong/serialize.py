@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Tuple
 
@@ -20,6 +19,7 @@ from .cellular import CellularSelfMap, CellularSurface
 from .chars import OrbitProjectionTable
 from .kernel import _json_object, _json_str
 from .ntform import IndexedOrbitTable, NTDecomposition
+from .record import Record
 from .surfgrp import MappingTorusPresentation
 from .torus import Mat2
 
@@ -34,21 +34,19 @@ KIND_ORBIT_PROJECTION = "orbit_projection"
 KIND_ORBIT_TABLE = "indexed_orbit_table"
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
     """A decoded fixture: its grammar kind plus the live payload."""
 
-    kind: str
-    payload: Any
+    def __init__(self, kind: str, payload: Any):
+        self.__dict__.update(kind=kind, payload=payload)
 
 
-@dataclass(frozen=True)
-class OrbitProjectionFixture:
+class OrbitProjectionFixture(Record):
     """Orbit projection rows with their group name and attainment claim."""
 
-    group: str
-    table: OrbitProjectionTable
-    attained: bool
+    def __init__(self, group: str, table: OrbitProjectionTable,
+                 attained: bool):
+        self.__dict__.update(group=group, table=table, attained=attained)
 
 
 def _decode_torus(body) -> Mat2:

@@ -32,7 +32,6 @@ once, on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -55,6 +54,7 @@ from .kernel import (
     scalar_inverse,
 )
 from .lattice import smith_integer
+from .record import Record
 from .torus import Mat2, rl_runs
 
 Word = Tuple[int, ...]
@@ -168,8 +168,7 @@ def _check_indices(word: Iterable[int], n_generators: int,
 # surface presentations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfacePresentation:
+class SurfacePresentation(Record):
     """Presentation of a surface group.
 
     Closed surfaces carry 2*genus generators and the single product-of-
@@ -177,28 +176,27 @@ class SurfacePresentation:
     2*genus + boundary_count - 1.
     """
 
-    genus: int
-    boundary_count: int
-    generators: Tuple[str, ...]
-    relators: Tuple[Word, ...]
-
-    def __post_init__(self):
-        if self.genus < 0 or self.boundary_count < 0:
+    def __init__(self, genus: int, boundary_count: int,
+                 generators: Tuple[str, ...], relators: Tuple[Word, ...]):
+        if genus < 0 or boundary_count < 0:
             raise ValueError("genus and boundary count must be nonnegative")
-        if self.boundary_count == 0:
-            if len(self.generators) != 2 * self.genus or len(self.relators) != 1:
+        if boundary_count == 0:
+            if len(generators) != 2 * genus or len(relators) != 1:
                 raise ValueError("closed surface needs 2*genus generators "
                                  "and exactly one relator")
         else:
-            expected = 2 * self.genus + self.boundary_count - 1
-            if len(self.generators) != expected or self.relators:
+            expected = 2 * genus + boundary_count - 1
+            if len(generators) != expected or relators:
                 raise ValueError("bounded surface group is free of rank "
                                  "2*genus + boundary_count - 1")
-        if len(set(self.generators)) != len(self.generators):
+        if len(set(generators)) != len(generators):
             raise ValueError("generator names must be distinct")
-        for i, r in enumerate(self.relators):
-            if _check_indices(r, self.rank, "fiber relators", i) != tuple(r):
+        for i, r in enumerate(relators):
+            reduced = _check_indices(r, len(generators), "fiber relators", i)
+            if reduced != tuple(r):
                 raise ValueError("relators must be freely reduced words")
+        self.__dict__.update(genus=genus, boundary_count=boundary_count,
+                             generators=generators, relators=relators)
 
     @classmethod
     def closed(cls, genus: int) -> "SurfacePresentation":
@@ -248,8 +246,7 @@ class SurfacePresentation:
 # monodromy endomorphisms on generators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorEndomorphism:
+class GeneratorEndomorphism(Record):
     """A self-map of a surface group given by generator images.
 
     `inverse_images` optionally witnesses invertibility: when present, the
@@ -260,29 +257,26 @@ class GeneratorEndomorphism:
     (`_product`), whose witnesses are correct by construction.
     """
 
-    source: SurfacePresentation
-    images: Tuple[Word, ...]
-    inverse_images: Optional[Tuple[Word, ...]] = None
-
-    def __post_init__(self):
-        if len(self.images) != self.source.rank:
+    def __init__(self, source: SurfacePresentation, images: Tuple[Word, ...],
+                 inverse_images: Optional[Tuple[Word, ...]] = None):
+        if len(images) != source.rank:
             raise ValueError("need exactly one image word per generator")
-        reduced = tuple(_check_indices(w, self.source.rank, "images", j)
-                        for j, w in enumerate(self.images))
-        object.__setattr__(self, "images", reduced)
-        if self.inverse_images is not None:
-            inv = tuple(
-                _check_indices(w, self.source.rank, "inverse_images", j)
-                for j, w in enumerate(self.inverse_images))
-            if len(inv) != self.source.rank:
+        images = tuple(_check_indices(w, source.rank, "images", j)
+                       for j, w in enumerate(images))
+        if inverse_images is not None:
+            inverse_images = tuple(
+                _check_indices(w, source.rank, "inverse_images", j)
+                for j, w in enumerate(inverse_images))
+            if len(inverse_images) != source.rank:
                 raise ValueError("inverse witness needs one word per generator")
-            object.__setattr__(self, "inverse_images", inv)
-            for j in range(1, self.source.rank + 1):
-                forward = self.apply(inv[j - 1])
-                backward = _substitute(inv, self.images[j - 1])
-                if forward != (j,) or backward != (j,):
-                    raise ValueError("inverse witness does not invert the "
-                                     "generator images")
+        self.__dict__.update(source=source, images=images,
+                             inverse_images=inverse_images)
+        for j, word in enumerate(inverse_images or (), 1):
+            forward = self.apply(word)
+            backward = _substitute(inverse_images, images[j - 1])
+            if forward != (j,) or backward != (j,):
+                raise ValueError("inverse witness does not invert the "
+                                 "generator images")
 
     @classmethod
     def identity(cls, pres: SurfacePresentation) -> "GeneratorEndomorphism":
@@ -293,7 +287,7 @@ class GeneratorEndomorphism:
                  factors) -> "GeneratorEndomorphism":
         """f_1 o f_2 o ... o f_k (f_k applied first) of factors given as
         (images, inverse_images) of endomorphisms that passed the witness
-        check of `__post_init__`.  The composed inverse words invert the
+        check of `__init__`.  The composed inverse words invert the
         product by construction, so it is built without checking again; it
         has no witness when some factor has none."""
         identity = tuple((j,) for j in range(1, source.rank + 1))
@@ -305,9 +299,8 @@ class GeneratorEndomorphism:
             inverse = (None if inverse is None or backward is None
                        else _substitute_all(backward, inverse))
         endo = object.__new__(cls)
-        for name, value in (("source", source), ("images", images),
-                            ("inverse_images", inverse)):
-            object.__setattr__(endo, name, value)
+        endo.__dict__.update(source=source, images=images,
+                             inverse_images=inverse)
         return endo
 
     @classmethod
@@ -512,8 +505,7 @@ def _torus_move(letter: str, k: int) -> Tuple[Word, ...]:
 # the fibered presentation with stable letter
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MappingTorusPresentation:
+class MappingTorusPresentation(Record):
     """Group presentation of a fibered 3-complex with distinguished degree map.
 
     Generators are the fiber generators followed (initially) by the stable
@@ -525,31 +517,27 @@ class MappingTorusPresentation:
     the monodromy is matched to this one by name.
     """
 
-    generators: Tuple[str, ...]
-    relators: Tuple[Word, ...]
-    fiber_values: Tuple[int, ...]
-    fiber: SurfacePresentation
-    monodromy: GeneratorEndomorphism
-    stable_index: int
-
-    def __post_init__(self):
-        n = len(self.generators)
-        if len(self.fiber_values) != n:
+    def __init__(self, generators: Tuple[str, ...], relators: Tuple[Word, ...],
+                 fiber_values: Tuple[int, ...], fiber: SurfacePresentation,
+                 monodromy: GeneratorEndomorphism, stable_index: int):
+        n = len(generators)
+        if len(fiber_values) != n:
             raise ValueError("need one degree value per generator")
-        if not (1 <= self.stable_index <= n):
+        if not (1 <= stable_index <= n):
             raise ValueError("stable letter index out of range")
-        if self.fiber_values[self.stable_index - 1] != 1:
+        if fiber_values[stable_index - 1] != 1:
             raise ValueError("degree class must evaluate to 1 on the stable letter")
-        object.__setattr__(
-            self, "relators",
-            tuple(_check_indices(r, n, "relators", i)
-                  for i, r in enumerate(self.relators)))
-        for r in self.relators:
+        relators = tuple(_check_indices(r, n, "relators", i)
+                         for i, r in enumerate(relators))
+        self.__dict__.update(generators=generators, relators=relators,
+                             fiber_values=fiber_values, fiber=fiber,
+                             monodromy=monodromy, stable_index=stable_index)
+        for r in relators:
             if self.degree(r) != 0:
                 raise ValueError("every relator must have degree zero")
-        stable = self.generators[self.stable_index - 1]
-        for name in self.fiber.generators:
-            if self.generators.count(name) != 1 or name == stable:
+        stable = generators[stable_index - 1]
+        for name in fiber.generators:
+            if generators.count(name) != 1 or name == stable:
                 raise ValueError(f"generators must name fiber generator "
                                  f"{name!r} once, other than the stable "
                                  f"letter")
@@ -672,8 +660,7 @@ def _sparse_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FiniteRepresentation:
+class FiniteRepresentation(Record):
     """Exact matrix images for the generators of a fibered presentation.
 
     `ORDER_CAP` bounds the closure enumeration certifying that the generated
@@ -683,15 +670,11 @@ class FiniteRepresentation:
     that is infinite or has a singular generator.
     """
 
-    dimension: int
-    matrices: Tuple[ScalarMatrix, ...]
-
-    def __post_init__(self):
-        if self.dimension < 0:
+    def __init__(self, dimension: int, matrices: Tuple[ScalarMatrix, ...]):
+        if dimension < 0:
             raise ValueError("dimension must be nonnegative")
-        object.__setattr__(
-            self, "matrices",
-            tuple(_mat_freeze(m, self.dimension) for m in self.matrices))
+        self.__dict__.update(dimension=dimension, matrices=tuple(
+            _mat_freeze(m, dimension) for m in matrices))
 
     @classmethod
     def trivial(cls, mt: MappingTorusPresentation) -> "FiniteRepresentation":

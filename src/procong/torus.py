@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import reduce
 from itertools import count, product
 from math import gcd, isqrt
@@ -33,6 +32,7 @@ from operator import mul, sub
 from typing import Optional, Tuple
 
 from .lattice import ext_gcd, smith_integer
+from .record import Record
 
 
 class Mat2:
@@ -162,11 +162,10 @@ class Mat2:
 # verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SL2Verdict:
-    conjugate: bool
-    witness: Optional[Mat2]
-    reason: str
+class SL2Verdict(Record):
+    def __init__(self, conjugate: bool, witness: Optional[Mat2], reason: str):
+        self.__dict__.update(conjugate=conjugate, witness=witness,
+                             reason=reason)
 
     def to_json(self):
         return {
@@ -184,11 +183,10 @@ class SL2Verdict:
         return lines
 
 
-@dataclass(frozen=True)
-class ModVerdict:
-    modulus: int
-    conjugate: bool
-    witness: Optional[Mat2]
+class ModVerdict(Record):
+    def __init__(self, modulus: int, conjugate: bool, witness: Optional[Mat2]):
+        self.__dict__.update(modulus=modulus, conjugate=conjugate,
+                             witness=witness)
 
     def to_json(self):
         return {
@@ -435,6 +433,8 @@ def _crt_pair(r1, m1: int, r2, m2: int):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 FACTOR_LIMIT = 3317044064679887385961981
 _TRIAL_BOUND = 128
+# the largest sweep bound: a sweep keeps a sieve entry and a verdict per level
+SWEEP_LIMIT = 100_000
 
 
 def _is_prime(n: int) -> bool:
@@ -631,14 +631,13 @@ REPORT_NOTE = ("levels test conjugacy on the quotients (Z/n)^2; these are "
                "tower, so a full pass carries the same information")
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    matrix_a: Mat2
-    matrix_b: Mat2
-    max_modulus: int
-    verdicts: Tuple[ModVerdict, ...]
-    sl2: SL2Verdict
-    note: str = REPORT_NOTE
+class CongruenceReport(Record):
+    def __init__(self, matrix_a: Mat2, matrix_b: Mat2, max_modulus: int,
+                 verdicts: Tuple[ModVerdict, ...], sl2: SL2Verdict,
+                 note: str = REPORT_NOTE):
+        self.__dict__.update(matrix_a=matrix_a, matrix_b=matrix_b,
+                             max_modulus=max_modulus, verdicts=verdicts,
+                             sl2=sl2, note=note)
 
     @property
     def all_levels_pass(self) -> bool:
@@ -687,11 +686,14 @@ class CongruenceReport:
 
 
 def congruence_sweep(a: Mat2, b: Mat2, max_n: int) -> CongruenceReport:
-    """Test GL(2,Z/n) conjugacy for n = 1..max_n and summarize."""
+    """Test GL(2,Z/n) conjugacy for n = 1..max_n and summarize; max_n is
+    at most `SWEEP_LIMIT`."""
     _require_unimodular(a, b)
     if type(max_n) is not int or max_n < 1:
         raise ValueError(
             f"sweep bound must be a positive integer, got {max_n!r}")
+    if max_n > SWEEP_LIMIT:
+        raise ValueError(f"sweep bound must be at most {SWEEP_LIMIT}")
     solver = CommutationSolver(a, b)
     # least[n]: n's smallest prime factor.  Each p <= sqrt(N), descending,
     # marks its multiples from p^2, so n keeps its least divisor > 1

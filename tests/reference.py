@@ -11,8 +11,9 @@ mod n by a lexicographic walk over the Howell basis of the solution
 module, the cycle product of a monomial
 matrix, dense polynomial-matrix arithmetic, the orbit-count table computed
 iterate by iterate); the others build test inputs and expected values
-(exact powers and iterates of normal forms, growth brackets from Nielsen
-numbers, presentation moves and generator orders, changes of basis, dense copies of sparse
+(copies of records with changed fields, exact powers and iterates of
+normal forms, growth brackets from Nielsen numbers, presentation moves
+and generator orders, changes of basis, dense copies of sparse
 scalar matrices, polynomial matrices from and to dense grids, the affine
 representations of closed-fiber bundles).
 
@@ -25,7 +26,7 @@ so a test calls them as methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
@@ -44,6 +45,18 @@ from procong.surfgrp import (FiniteRepresentation, MappingTorusPresentation,
                              _sparse, _sparse_mul, free_reduce, word_concat,
                              word_inverse)
 from procong.torus import CommutationSolver, Mat2
+
+# ---------------------------------------------------------------------------
+# records: a copy with some fields changed
+# ---------------------------------------------------------------------------
+
+
+def replace(record, **changes):
+    """A copy of a library record with the named fields changed, rebuilt
+    through its public constructor, so every check of the constructor runs
+    again; an unknown field name is a TypeError."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
 
 # ---------------------------------------------------------------------------
 # lattices: the characteristic level by brute force

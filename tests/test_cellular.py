@@ -1,6 +1,5 @@
 """Tests for decorated cellular models, flow matrices, zeta, and torsion."""
 
-import dataclasses
 import json
 import random
 import re
@@ -10,13 +9,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from procong import cli, kernel, lattice, surfgrp
+from procong import cellular, cli, kernel, lattice, surfgrp
 from procong.cellular import (
     _det_one_minus_t,
     CellularSelfMap,
     CellularSurface,
     CellularTorsion,
     HomologyAction,
+    LEFSCHETZ_LIMIT,
     cellular_model,
     classical_lefschetz,
     flow_boundary_matrices,
@@ -45,7 +45,7 @@ from procong.surfgrp import (
 from procong.serialize import KIND_CELLULAR, load_fixture, save_fixture
 from procong.torus import Mat2
 import reference  # noqa: F401  (attaches FiniteRepresentation.conjugate)
-from reference import poly_matrix
+from reference import poly_matrix, replace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -128,7 +128,7 @@ def change_lifts(surface, flow, lifts):
         return tuple(moved)
 
     l0, l1, l2 = lifts
-    moved_surface = dataclasses.replace(
+    moved_surface = replace(
         surface,
         boundary_one=tuple(redec(chain, l1[j], l0)
                            for j, chain in enumerate(surface.boundary_one)),
@@ -445,7 +445,7 @@ class TestFlowMatrices:
         rep = mod2_permutation_rep(mt, Mat2(2, 1, 1, 1))
         ((word, terms),) = surface.boundary_two[0]
         tampered_chain = ((word, terms[:-1]),)
-        bad_surface = dataclasses.replace(
+        bad_surface = replace(
             surface, boundary_two=(tampered_chain,))
         bad_flow = CellularSelfMap(bad_surface, flow.images)
         with pytest.raises(ValueError, match="compose to zero"):
@@ -693,9 +693,14 @@ class TestComputedOnce:
         """Record the presentations built, the relator searches run and the
         integer Smith forms computed."""
         built, searches = [], []
-        post_init = surfgrp.MappingTorusPresentation.__post_init__
-        monkeypatch.setattr(surfgrp.MappingTorusPresentation, "__post_init__",
-                            lambda mt: built.append(mt) or post_init(mt))
+        init = surfgrp.MappingTorusPresentation.__init__
+
+        def counted(mt, *args, **kwargs):
+            built.append(mt)
+            init(mt, *args, **kwargs)
+
+        monkeypatch.setattr(surfgrp.MappingTorusPresentation, "__init__",
+                            counted)
         substitute = GeneratorEndomorphism.apply
 
         def apply(phi, word):
@@ -921,6 +926,15 @@ class TestLefschetzNumbers:
         rep = FiniteRepresentation.trivial(mt)
         with pytest.raises(ValueError):
             lefschetz_numbers(surface, flow, rep, 0)
+
+    @pytest.mark.parametrize("upto", [LEFSCHETZ_LIMIT + 1, 10 ** 30])
+    def test_count_past_the_limit_builds_no_zeta(self, monkeypatch, upto):
+        mt = anosov_bundle()
+        surface, flow = cellular_model(mt)
+        rep = FiniteRepresentation.trivial(mt)
+        monkeypatch.setattr(cellular, "zeta_from_cellular", None)
+        with pytest.raises(ValueError, match=f"at most {LEFSCHETZ_LIMIT}"):
+            lefschetz_numbers(surface, flow, rep, upto)
 
     def test_matches_classical_traces_for_random_monodromies(self):
         rng = random.Random(23)

@@ -14,14 +14,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from procong import cli, serialize, surfgrp
-from procong.cellular import cellular_model
+from procong import cellular, cli, ntform, serialize, surfgrp, torus
+from procong.cellular import LEFSCHETZ_LIMIT, cellular_model
 from procong.cli import RunConfig, config_from_args, build_parser, dispatch, main
-from procong.ntform import Dilatation, NTDecomposition
+from procong.ntform import ITERATE_LIMIT, Dilatation, NTDecomposition
 from procong.serialize import KIND_CELLULAR, load_fixture, wrap
 from procong.surfgrp import (GeneratorEndomorphism, MappingTorusPresentation,
                              SurfacePresentation, mapping_torus)
-from procong.torus import Mat2
+from procong.torus import SWEEP_LIMIT, Mat2
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -324,6 +324,37 @@ class TestExitCodes:
                              "--max", "0")
         assert status == 2
         assert "--max" in err
+
+    @pytest.mark.parametrize("argv, flag, limit", [
+        (("torus", "sweep", PAIR_A, PAIR_B), "--max", SWEEP_LIMIT),
+        (("zeta", fixture("torus_A211.json")), "--terms", LEFSCHETZ_LIMIT),
+        (("lefschetz", fixture("torus_A211.json")), "--upto",
+         LEFSCHETZ_LIMIT),
+        (("nt", "analyze", fixture("two_pa_swap.json")), "--upto",
+         ITERATE_LIMIT),
+    ])
+    @pytest.mark.parametrize("excess", [1, 10 ** 30])
+    def test_bound_past_its_limit_is_refused_before_any_work(
+            self, capsys, monkeypatch, argv, flag, limit, excess):
+        built = []
+        for module, name in ((cli, "_compiled"), (torus, "congruence_sweep"),
+                             (cellular, "lefschetz_numbers"),
+                             (ntform, "indexed_orbit_numbers")):
+            monkeypatch.setattr(module, name,
+                                lambda *args: built.append(args))
+        status, out, err = run(capsys, *argv, flag, str(limit + excess))
+        assert (status, out) == (2, "")
+        assert f"{flag} must be at most {limit}" in err
+        assert built == []
+
+    @pytest.mark.parametrize("subcommand, field, limit", [
+        ("torus sweep", "max_modulus", SWEEP_LIMIT),
+        ("zeta", "terms", LEFSCHETZ_LIMIT),
+        ("lefschetz", "upto", LEFSCHETZ_LIMIT),
+        ("nt analyze", "upto", ITERATE_LIMIT)])
+    def test_bound_at_its_limit_is_accepted(self, subcommand, field, limit):
+        config = RunConfig(subcommand, ("x",), **{field: limit})
+        assert getattr(config, field) == limit
 
     def test_zero_modulus_is_an_input_error(self, capsys):
         status, _, err = run(capsys, "torus", "congr", PAIR_A, PAIR_B, "0")
@@ -1200,7 +1231,8 @@ class TestCompiledFixtureCache:
 class TestImportFootprint:
     """A torus or `nt shear` request in a fresh interpreter compiles only
     the modules it uses: `cli` imports the library modules in the handlers
-    that need them."""
+    that need them.  No request loads `dataclasses` or `inspect`: the
+    library's records build on `procong.record`."""
 
     SCRIPT = (
         "import json, sys\n"
@@ -1208,8 +1240,9 @@ class TestImportFootprint:
         "for sub, inputs in json.loads(sys.argv[1]):\n"
         "    assert dispatch(RunConfig(sub, tuple(inputs)))[0] == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m.split('.')[0] in ('procong',\n"
-        "                                               'fractions'))))\n")
+        "                        if m.split('.')[0] in (\n"
+        "                            'procong', 'fractions', 'dataclasses',\n"
+        "                            'inspect'))))\n")
 
     def loaded_after(self, requests):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -1229,12 +1262,23 @@ class TestImportFootprint:
         # no kernel, surfgrp, cellular, ntform, chars or serialize, and no
         # `fractions`, which only kernel's scalars need
         assert loaded == {"procong", "procong.cli", "procong.lattice",
-                          "procong.torus"}
+                          "procong.record", "procong.torus"}
 
     def test_nt_shear_loads_only_kernel_and_ntform(self):
         loaded = self.loaded_after([["nt shear", ["1,2", "3,4"]]])
         assert loaded == {"fractions", "procong", "procong.cli",
-                          "procong.kernel", "procong.ntform"}
+                          "procong.kernel", "procong.ntform",
+                          "procong.record"}
+
+    def test_fibered_request_loads_no_dataclasses_or_inspect(self):
+        # `serialize` imports every payload type, so every module loads
+        loaded = self.loaded_after(
+            [["alexander", [fixture("torus_A211.json")]]])
+        assert loaded == {"fractions", "procong", "procong.cellular",
+                          "procong.chars", "procong.cli", "procong.kernel",
+                          "procong.lattice", "procong.ntform",
+                          "procong.record", "procong.serialize",
+                          "procong.surfgrp", "procong.torus"}
 
     # every subcommand with inputs that parse; a fixture that does not
     # exist makes its handler return 2, but a parse error raises SystemExit

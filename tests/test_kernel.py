@@ -104,6 +104,16 @@ class TestCyclotomic:
         assert phi == coeffs
         assert all(type(c) is int for c in phi)
 
+    def test_cyclotomic_polynomials_multiply_to_x_n_minus_one(self):
+        # prod_{d | n} Phi_d = x^n - 1, multiplied out as Laurent polynomials
+        for n in range(1, 121):
+            product = LaurentPolynomial.one()
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    product = product * LaurentPolynomial.from_coefficients(
+                        cyclotomic_polynomial(d))
+            assert product == LaurentPolynomial({0: -1, n: 1}), n
+
     @pytest.mark.parametrize("n", range(1, 31))
     def test_inverse_of_seeded_elements(self, n):
         rng = random.Random(n)

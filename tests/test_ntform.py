@@ -3,7 +3,6 @@ order, dilatation/deviation, fixed class tables, orbit counts, growth
 certification, relabeling invariance, shearing."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 from procong import ntform
 from procong.ntform import (
     CASE_NAMES,
+    ITERATE_LIMIT,
     DecompositionError,
     Dilatation,
     FixedClassRecord,
@@ -36,7 +36,7 @@ from procong.ntform import (
 from procong.cli import main
 from procong.serialize import KIND_NT, load_fixture, save_fixture
 from reference import (certify_growth_estimate, dilatation_from_nielsen,
-                       iterate, orbit_numbers_by_iterate)
+                       iterate, orbit_numbers_by_iterate, replace)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -397,13 +397,13 @@ class TestStretchFactor:
     def test_approx_and_compare_validate_no_new_interval(self, monkeypatch):
         golden = StretchFactor((-1, -1, 1), F(3, 2), F(2))
         built = []
-        post_init = StretchFactor.__post_init__
+        init = StretchFactor.__init__
 
-        def counting(self):
+        def counting(self, *args, **kwargs):
             built.append(self)
-            post_init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(StretchFactor, "__post_init__", counting)
+        monkeypatch.setattr(StretchFactor, "__init__", counting)
         assert PHI.approx(30) == "2.61803398874989484820458683437"
         assert golden.compare(PHI) == -1
         assert StretchFactor((-3, 2), F(1), F(2)).compare(
@@ -669,7 +669,6 @@ class TestValidation:
 
 
 def bad_piece(piece, **overrides):
-    from dataclasses import replace
     return replace(piece, **overrides)
 
 
@@ -1115,6 +1114,15 @@ class TestOrbitRowPeriod:
         for upto in (30, 6, 45, 1, 60):
             indexed_orbit_numbers(nt, upto)
         assert calls == list(range(1, self.PERIODS[name] + 1))
+
+    @pytest.mark.parametrize("upto", [ITERATE_LIMIT + 1, 10 ** 30])
+    def test_bound_past_the_limit_computes_no_row(self, monkeypatch, upto):
+        nt = self.shipped("two_pa_swap")
+        calls = self.count_families(monkeypatch)
+        with pytest.raises(DecompositionError,
+                           match=f"at most {ITERATE_LIMIT}"):
+            indexed_orbit_numbers(nt, upto)
+        assert calls == []
 
     def test_short_bound_computes_only_its_rows(self, monkeypatch):
         nt = self.shipped("two_pa_swap")

@@ -69,7 +69,7 @@ def test_reach_marks_what_the_benchmark_pins():
                          ("kernel", "parse_scalar"),
                          ("kernel", "LaurentPolynomial.unit_equal"),
                          ("kernel", "LaurentPolynomial.from_json"),
-                         ("cellular", "HomologyAction.__post_init__")]:
+                         ("cellular", "HomologyAction.__init__")]:
         assert pinned(module, name), name
     # the oracles read `one` off LaurentPolynomial, not off RationalFunction
     for module, name in [("kernel", "RationalFunction.one"),

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from procong.cli import main
 from procong.torus import (
     FACTOR_LIMIT,
+    SWEEP_LIMIT,
     CommutationSolver,
     CongruenceReport,
     Mat2,
@@ -518,6 +519,13 @@ class TestCongruenceSweep:
         report = congruence_sweep(Mat2(2, 1, 1, 1), Mat2(3, 1, 2, 1), 10)
         assert report.first_failure == 2
         assert not report.procongruence_candidate
+
+    @pytest.mark.parametrize("bound", [SWEEP_LIMIT + 1, 10 ** 30])
+    def test_bound_past_the_limit_builds_no_sieve(self, monkeypatch, bound):
+        # refused before the solver or the sieve of `bound` entries exists
+        monkeypatch.setattr(CommutationSolver, "__init__", None)
+        with pytest.raises(ValueError, match=f"at most {SWEEP_LIMIT}"):
+            congruence_sweep(PAIR_A, PAIR_B, bound)
 
     def test_classical_pair_short_sweep(self):
         report = congruence_sweep(PAIR_A, PAIR_B, 60)
