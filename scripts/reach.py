@@ -1,12 +1,11 @@
 """Count the lines of `src/procong` that no subcommand or workload reaches.
 
-Before profiling, the script writes two fixtures into a temporary
-directory: the cellular model of `torus_A211` as a `cellular_flow`
-fixture, and the mapping torus of 2,1;1,1 on the once-punctured torus as
-a `mapping_torus` fixture.  Under `sys.setprofile` it then runs every
+Before profiling, the script writes one fixture into a temporary
+directory: the mapping torus of 2,1;1,1 on the once-punctured torus as a
+`mapping_torus` fixture.  Under `sys.setprofile` it then runs every
 subcommand on inputs that cover its branches: the four fibered
-subcommands on every shipped fixture and on the two written ones under
-the representations trivial, sign, zeta:5 and zeta:8:2, `nt analyze`
+subcommands on every shipped fixture and on the written one under the
+representations trivial, sign, zeta:5 and zeta:8:2, `nt analyze`
 with and without `--approx`, `chars decompose` and `chars bound` under
 every built-in group, `torus conj`, `congr` and `sweep` on hyperbolic,
 elliptic, parabolic and central pairs and on a pair of different traces,
@@ -75,29 +74,19 @@ WORKLOADS = ("fibered_long", "fibered_wide", "queries")
 
 
 def write_fixtures(directory: Path):
-    """Write a `cellular_flow` fixture of the `torus_A211` model and a
-    `mapping_torus` fixture with a bounded fiber into `directory`; return
-    their paths."""
-    from procong.cellular import cellular_model
-    from procong.serialize import (KIND_CELLULAR, KIND_MAPPING_TORUS,
-                                   load_fixture, save_fixture)
+    """Write a `mapping_torus` fixture with a bounded fiber into
+    `directory`; return the list of its path."""
+    from procong.serialize import KIND_MAPPING_TORUS, save_fixture
     from procong.surfgrp import (GeneratorEndomorphism, SurfacePresentation,
                                  mapping_torus)
     from procong.torus import Mat2
-    matrix = load_fixture(FIXTURES / "torus_A211.json").payload
-    phi = GeneratorEndomorphism.torus_monodromy(matrix)
-    surface, flow = cellular_model(
-        mapping_torus(SurfacePresentation.closed(1), phi))
-    cellular = directory / "cellular_A211.json"
-    save_fixture(cellular, KIND_CELLULAR,
-                 {"surface": surface.to_json(), "flow": flow.to_json()})
     free = SurfacePresentation.with_boundary(1, 1)
     knot = GeneratorEndomorphism.torus_monodromy(Mat2(2, 1, 1, 1))
     bounded = directory / "bounded_211.json"
     save_fixture(bounded, KIND_MAPPING_TORUS, mapping_torus(
         free, GeneratorEndomorphism(free, knot.images,
                                     knot.inverse_images)).to_json())
-    return [cellular, bounded]
+    return [bounded]
 
 
 def cli_runs(written=()):

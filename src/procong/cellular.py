@@ -28,9 +28,6 @@ from .kernel import (
     PolyMatrix,
     RationalFunction,
     _json_int,
-    _json_list,
-    _json_object,
-    _json_str,
     charpoly_coefficients,
     log_coefficients,
     normalize_unit_class,
@@ -43,7 +40,6 @@ from .surfgrp import (  # noqa: F401  (mapping_torus_boundaries: re-exported)
     MappingTorusPresentation,
     _chain_matrix,
     _fox_chain,
-    _json_letters,
     _sparse,
     _sparse_identity,
     _sparse_mul,
@@ -55,120 +51,39 @@ from .surfgrp import (  # noqa: F401  (mapping_torus_boundaries: re-exported)
 )
 
 
-def _freeze_chain(chain, mt: MappingTorusPresentation, n_targets: int,
-                  degree: int, field: str) -> Chain:
-    """A decorated chain of paths [word, [[end, target, coeff], ...]] with
-    integer letters, ends, targets and coefficients (else ValueError naming
-    `field`), all in range, ends never decreasing along a path and every
-    term of degree `degree`: one pass per path, words kept as given."""
-    out = []
-    for path in _json_list(chain, field):
-        if not (isinstance(path, (list, tuple)) and len(path) == 2
-                and all(isinstance(part, (list, tuple)) for part in path)):
-            raise ValueError(f"{field} path must be [word, [[end, target, "
-                             f"coeff], ...]], got {path!r}")
-        word = _json_letters(path[0], field)
-        if word and (0 in word or max(map(abs, word)) > mt.rank):
-            bad = next(x for x in word if not 0 < abs(x) <= mt.rank)
-            raise ValueError(f"decoration letter {bad} out of range")
-        terms, position, total = [], 0, 0
-        for term in path[1]:
-            if not (isinstance(term, (list, tuple)) and len(term) == 3):
-                raise ValueError(f"{field} term must be [end, target, coeff], "
-                                 f"got {term!r}")
-            end, target, coeff = (_json_int(x, field) for x in term)
-            if not position <= end <= len(word):
-                raise ValueError(f"{field} term end {end} must lie in "
-                                 f"{position}..{len(word)}")
-            if not 0 <= target < n_targets:
-                raise ValueError(f"chain target {target} out of range")
-            total += mt.degree(word[position:end])
-            position = end
-            if total != degree:
-                raise ValueError(
-                    f"{field} decorations must have degree {degree}")
-            terms.append((end, target, coeff))
-        out.append((word, tuple(terms)))
-    return tuple(out)
-
-
 class CellularSurface(Record):
     """Cell structure of the fiber with decorated incidence data.
 
     `boundary_one[j]` is the decorated chain of 0-cells bounding 1-cell j;
     `boundary_two[j]` the chain of 1-cells bounding 2-cell j.  Decorations
-    are words over the generators of the ambient fibered presentation and
-    must have degree 0.
+    are words over the generators of the ambient fibered presentation, of
+    degree 0.  `cellular_model` builds it, and the flow checks it (d.d = 0).
     """
 
     def __init__(self, presentation: MappingTorusPresentation,
                  cell_names: Tuple[Tuple[str, ...], ...],
                  boundary_one: Tuple[Chain, ...],
                  boundary_two: Tuple[Chain, ...]):
-        names = tuple(tuple(_json_str(n, "cells name")
-                            for n in _json_list(dim, "cells"))
-                      for dim in _json_list(cell_names, "cells"))
-        if len(names) != 3:
-            raise ValueError(f"cells must have 3 dimensions, got {len(names)}")
-        r0, r1, r2 = map(len, names)
-        if any(len(set(dim)) != len(dim) for dim in names):
-            raise ValueError("cell names must be distinct per dimension")
-        if (len(_json_list(boundary_one, "boundary_one")) != r1
-                or len(_json_list(boundary_two, "boundary_two")) != r2):
-            raise ValueError("need one boundary chain per positive-dim cell")
-        one = tuple(_freeze_chain(c, presentation, r0, 0, "boundary_one")
-                    for c in boundary_one)
-        two = tuple(_freeze_chain(c, presentation, r1, 0, "boundary_two")
-                    for c in boundary_two)
-        self.__dict__.update(presentation=presentation, cell_names=names,
-                             boundary_one=one, boundary_two=two)
+        self.__dict__.update(presentation=presentation, cell_names=cell_names,
+                             boundary_one=boundary_one,
+                             boundary_two=boundary_two)
 
     @property
     def cell_counts(self) -> Tuple[int, int, int]:
         return tuple(len(names) for names in self.cell_names)
-
-    def to_json(self):
-        return {
-            "cells": [list(names) for names in self.cell_names],
-            "boundary_one": self.boundary_one,
-            "boundary_two": self.boundary_two,
-            "presentation": self.presentation.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "CellularSurface":
-        data = _json_object(data, "surface")
-        mt = MappingTorusPresentation.from_json(
-            _json_object(data["presentation"], "presentation"))
-        return cls(mt, data["cells"], data["boundary_one"],
-                   data["boundary_two"])
 
 
 class CellularSelfMap(Record):
     """Flow-return images of the fiber cells.
 
     `images[n][j]` is the decorated chain (over dimension-n cells) covered by
-    the flow of the j-th n-cell; every decoration must have degree 1.
+    the flow of the j-th n-cell; every decoration has degree 1.
+    `cellular_model` builds it, and the flow checks it (chain map).
     """
 
     def __init__(self, surface: CellularSurface,
                  images: Tuple[Tuple[Chain, ...], ...]):
-        counts = surface.cell_counts
-        images = [_json_list(dim, "flow images")
-                  for dim in _json_list(images, "flow images")]
-        if list(map(len, images)) != list(counts):
-            raise ValueError("need one image chain per cell")
-        self.__dict__.update(surface=surface, images=tuple(
-            tuple(_freeze_chain(c, surface.presentation, n_targets, 1,
-                                "flow images") for c in dim)
-            for dim, n_targets in zip(images, counts)))
-
-    def to_json(self):
-        return {"images": self.images}
-
-    @classmethod
-    def from_json(cls, surface: CellularSurface, data) -> "CellularSelfMap":
-        return cls(surface, _json_object(data, "flow")["images"])
+        self.__dict__.update(surface=surface, images=images)
 
 
 class HomologyAction(Record):

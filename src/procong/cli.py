@@ -100,66 +100,44 @@ def _positive_int(text: str, label: str) -> int:
 
 
 class FiberedBundle(Record):
-    """A fibered fixture compiled once: its cellular model, whose
-    presentation every fibered subcommand reads, the fixture's own
-    presentation, whether the flow came from the fixture rather than from
-    `cellular_model`, and the --rep representations resolved on the
-    model's presentation.  Each representation keeps its twisted
-    complexes, so the certification, the orders, the flow maps and the
-    zeta function are built once per bundle and label, however many
-    subcommands read them.  Unlike other records it is mutable and
-    unhashable."""
+    """A fibered fixture compiled once: its cellular model, built by
+    `cellular_model` on the canonical presentation of the monodromy, which
+    every fibered subcommand reads, the fixture's own presentation, and the
+    --rep representations resolved on the model's presentation.  Each
+    representation keeps its twisted complexes, so the certification, the
+    orders, the flow maps and the zeta function are built once per bundle
+    and label, however many subcommands read them.  Unlike other records
+    it is mutable and unhashable."""
 
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(self, surface: CellularSurface, flow: CellularSelfMap,
-                 own: MappingTorusPresentation, given_flow: bool = False,
-                 reps: Optional[dict] = None):
+                 own: MappingTorusPresentation, reps: Optional[dict] = None):
         self.__dict__.update(surface=surface, flow=flow, own=own,
-                             given_flow=given_flow,
                              reps={} if reps is None else reps)
 
     def rep(self, label: str) -> FiniteRepresentation:
         """The representation named by --rep on the model's presentation,
         resolved once per label.  When the fixture's own presentation is
-        not the canonical one of its monodromy, the two must agree on
-        Delta_0 and Delta_1 under the label (else ValueError naming the
-        relators); one of them is the model's.  A given flow must have the
-        zeta function of the canonical model's flow under the label (else
-        ValueError naming the flow): the zeta function is an invariant of
-        the monodromy, which the chain-map checks of a rank-1 label cannot
-        see."""
-        from .cellular import cellular_model, zeta_from_cellular
-        from .surfgrp import mapping_torus, twisted_alexander
+        not the model's, the two must agree on Delta_0 and Delta_1 under
+        the label (else ValueError naming the relators)."""
+        from .surfgrp import twisted_alexander
         if label not in self.reps:
             model = self.surface.presentation
             rep = _resolve_rep(model, label)
-            canonical = mapping_torus(model.fiber, model.monodromy)
-            on_canonical = (rep if canonical == model
-                            else _resolve_rep(canonical, label))
-            if self.own != canonical:
-                own = (self.own, rep if self.own == model
-                       else _resolve_rep(self.own, label))
+            if self.own != model:
+                own = _resolve_rep(self.own, label)
                 for n in (0, 1):
                     given, expected = (twisted_alexander(p, r, n) for p, r
-                                       in (own, (canonical, on_canonical)))
+                                       in ((self.own, own), (model, rep)))
                     if given != expected:
                         raise ValueError(
                             f"relators do not present the mapping torus of "
                             f"the monodromy: Delta_{n} = {given.pretty()} "
                             f"under --rep {label}, but {expected.pretty()} "
                             f"on the canonical presentation")
-            if self.given_flow:
-                given = zeta_from_cellular(self.surface, self.flow, rep)
-                expected = zeta_from_cellular(*cellular_model(canonical),
-                                              on_canonical)
-                if given != expected:
-                    raise ValueError(
-                        f"flow does not follow the monodromy: zeta = "
-                        f"{given.pretty()} under --rep {label}, but "
-                        f"{expected.pretty()} for the canonical model")
             self.reps[label] = rep
         return self.reps[label]
 
@@ -177,26 +155,20 @@ def _compiled(text: str, kinds: Tuple[str, ...], role: str):
     used; concurrent callers at worst compile a text twice.  A text that
     fails to decode, to validate, to compile or to match `kinds` raises, so
     it is never stored and fails again on every call."""
-    from .cellular import cellular_model
-    from .serialize import (KIND_CELLULAR, KIND_MAPPING_TORUS, KIND_TORUS,
-                            parse_fixture)
-    from .surfgrp import (GeneratorEndomorphism, SurfacePresentation,
-                          mapping_torus)
+    from .serialize import KIND_MAPPING_TORUS, KIND_TORUS, parse_fixture
     fixture = parse_fixture(text)
     if fixture.kind not in kinds:
         raise ValueError(f"fixture kind {fixture.kind!r} {role}")
+    if fixture.kind not in (KIND_TORUS, KIND_MAPPING_TORUS):
+        return fixture.payload
+    from .cellular import cellular_model
+    from .surfgrp import (GeneratorEndomorphism, SurfacePresentation,
+                          mapping_torus)
+    mt = fixture.payload
     if fixture.kind == KIND_TORUS:
-        pres = SurfacePresentation.closed(1)
-        phi = GeneratorEndomorphism.torus_monodromy(fixture.payload)
-        mt = mapping_torus(pres, phi)
-        return FiberedBundle(*cellular_model(mt), mt)
-    if fixture.kind == KIND_MAPPING_TORUS:
-        return FiberedBundle(*cellular_model(fixture.payload), fixture.payload)
-    if fixture.kind == KIND_CELLULAR:
-        surface, flow = fixture.payload
-        return FiberedBundle(surface, flow, surface.presentation,
-                             given_flow=True)
-    return fixture.payload
+        mt = mapping_torus(SurfacePresentation.closed(1),
+                           GeneratorEndomorphism.torus_monodromy(mt))
+    return FiberedBundle(*cellular_model(mt), mt)
 
 
 def _compiled_input(config: RunConfig, kinds: Tuple[str, ...], role: str):
@@ -213,10 +185,9 @@ def _fibered_input(config: RunConfig
     """The fibered model of a fixture, compiled once per fixture text (see
     `_compiled_input`), and the --rep representation on the model's
     presentation, from which every fibered invariant is read."""
-    from .serialize import KIND_CELLULAR, KIND_MAPPING_TORUS, KIND_TORUS
-    bundle = _compiled_input(
-        config, (KIND_TORUS, KIND_MAPPING_TORUS, KIND_CELLULAR),
-        "carries no fibered model")
+    from .serialize import KIND_MAPPING_TORUS, KIND_TORUS
+    bundle = _compiled_input(config, (KIND_TORUS, KIND_MAPPING_TORUS),
+                             "carries no fibered model")
     return bundle, bundle.rep(config.rep)
 
 
@@ -372,15 +343,33 @@ def _handle_torsion(config: RunConfig):
     return "\n".join(lines), payload
 
 
-def _handle_zeta(config: RunConfig):
-    from .cellular import lefschetz_numbers, zeta_from_cellular
+def _rendered_lefschetz(bundle: FiberedBundle, rep: FiniteRepresentation,
+                        count: int, label: str):
+    """L_1..L_count of the bundle under rep, each rendered by
+    `render_scalar`; a number with more digits than the interpreter prints
+    is a ValueError naming the flag `label` that set `count` and the
+    largest count whose numbers all print."""
+    from .cellular import lefschetz_numbers
     from .kernel import render_scalar
+    values = lefschetz_numbers(bundle.surface, bundle.flow, rep, count)
+    rendered = []
+    for m, value in enumerate(values, start=1):
+        try:
+            rendered.append(render_scalar(value))
+        except ValueError:  # more digits than the interpreter converts
+            raise ValueError(
+                f"{label} must be at most {m - 1} for this fixture: L_{m} "
+                f"exceeds the {sys.get_int_max_str_digits()}-digit limit "
+                f"for printing integers") from None
+    return rendered
+
+
+def _handle_zeta(config: RunConfig):
+    from .cellular import zeta_from_cellular
     bundle, rep = _fibered_input(config)
-    surface, flow = bundle.surface, bundle.flow
     terms = config.terms if config.terms is not None else 5
-    zeta = zeta_from_cellular(surface, flow, rep)
-    rendered = [render_scalar(v)
-                for v in lefschetz_numbers(surface, flow, rep, terms)]
+    zeta = zeta_from_cellular(bundle.surface, bundle.flow, rep)
+    rendered = _rendered_lefschetz(bundle, rep, terms, "--terms")
     lines = [f"rep: {config.rep}",
              f"zeta = {zeta.pretty()}",
              f"L_1..L_{terms} = " + ", ".join(rendered)]
@@ -390,12 +379,9 @@ def _handle_zeta(config: RunConfig):
 
 
 def _handle_lefschetz(config: RunConfig):
-    from .cellular import lefschetz_numbers
-    from .kernel import render_scalar
     bundle, rep = _fibered_input(config)
     upto = config.upto if config.upto is not None else 10
-    values = lefschetz_numbers(bundle.surface, bundle.flow, rep, upto)
-    rendered = [render_scalar(v) for v in values]
+    rendered = _rendered_lefschetz(bundle, rep, upto, "--upto")
     lines = [f"rep: {config.rep}"]
     lines += [f"L_{m} = {v}" for m, v in enumerate(rendered, start=1)]
     payload = {"rep": config.rep, "lefschetz": rendered}

@@ -13,9 +13,8 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Tuple
+from typing import Any
 
-from .cellular import CellularSelfMap, CellularSurface
 from .chars import OrbitProjectionTable
 from .kernel import _json_object, _json_str
 from .ntform import IndexedOrbitTable, NTDecomposition
@@ -28,7 +27,6 @@ FIXTURES_ENV = "PROCONG_FIXTURES"
 
 KIND_TORUS = "torus_monodromy"
 KIND_MAPPING_TORUS = "mapping_torus"
-KIND_CELLULAR = "cellular_flow"
 KIND_NT = "nt_decomposition"
 KIND_ORBIT_PROJECTION = "orbit_projection"
 KIND_ORBIT_TABLE = "indexed_orbit_table"
@@ -53,12 +51,6 @@ def _decode_torus(body) -> Mat2:
     return Mat2.from_string(body["matrix"])
 
 
-def _decode_cellular(body) -> Tuple[CellularSurface, CellularSelfMap]:
-    surface = CellularSurface.from_json(body["surface"])
-    flow = CellularSelfMap.from_json(surface, body["flow"])
-    return surface, flow
-
-
 def _decode_orbit_projection(body) -> OrbitProjectionFixture:
     table = OrbitProjectionTable.from_json(body["rows"])
     attained = body.get("attained", False)
@@ -71,7 +63,6 @@ def _decode_orbit_projection(body) -> OrbitProjectionFixture:
 _DECODERS = {
     KIND_TORUS: _decode_torus,
     KIND_MAPPING_TORUS: MappingTorusPresentation.from_json,
-    KIND_CELLULAR: _decode_cellular,
     KIND_NT: NTDecomposition.from_json,
     KIND_ORBIT_PROJECTION: _decode_orbit_projection,
     KIND_ORBIT_TABLE: IndexedOrbitTable.from_json,

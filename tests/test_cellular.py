@@ -1,6 +1,5 @@
 """Tests for decorated cellular models, flow matrices, zeta, and torsion."""
 
-import json
 import random
 import re
 import sys
@@ -13,7 +12,6 @@ from procong import cellular, cli, kernel, lattice, surfgrp
 from procong.cellular import (
     _det_one_minus_t,
     CellularSelfMap,
-    CellularSurface,
     CellularTorsion,
     HomologyAction,
     LEFSCHETZ_LIMIT,
@@ -42,7 +40,7 @@ from procong.surfgrp import (
     word_concat,
     word_inverse,
 )
-from procong.serialize import KIND_CELLULAR, load_fixture, save_fixture
+from procong.serialize import load_fixture
 from procong.torus import Mat2
 import reference  # noqa: F401  (attaches FiniteRepresentation.conjugate)
 from reference import poly_matrix, replace
@@ -287,106 +285,6 @@ class TestCellularModel:
         with pytest.raises(ValueError, match="witness"):
             cellular_model(mapping_torus(TORUS, bare))
 
-    def test_json_round_trips(self):
-        # chains pass through as paths [word, [[end, target, coeff], ...]]
-        surface, flow = cellular_model(anosov_bundle())
-        assert CellularSurface.from_json(surface.to_json()) == surface
-        assert CellularSelfMap.from_json(surface, flow.to_json()) == flow
-        surface_json = json.loads(json.dumps(surface.to_json()))
-        flow_json = json.loads(json.dumps(flow.to_json()))
-        assert surface_json["boundary_one"][0] == [[[1], [[0, 0, -1],
-                                                         [1, 0, 1]]]]
-        assert flow_json["images"][2] == [[[[3, 2, -1], [[3, 0, 1]]]]]
-        assert CellularSurface.from_json(surface_json) == surface
-        assert CellularSelfMap.from_json(surface, flow_json) == flow
-
-
-class TestDecorationValidation:
-    def test_chain_targets_must_exist(self):
-        mt = anosov_bundle()
-        with pytest.raises(ValueError, match="target"):
-            CellularSurface(mt, (("p",), ("a", "b"), ()),
-                            ((((), ((0, 5, 1),)),), ()), ())
-
-    def test_decoration_letters_must_exist(self):
-        mt = anosov_bundle()
-        for letter in (9, -4, 0):
-            with pytest.raises(ValueError, match=(
-                    f"decoration letter {letter} out of range")):
-                CellularSurface(mt, (("p",), ("a",), ()),
-                                ((((1, letter), ((0, 0, 1),)),),), ())
-
-    @pytest.mark.parametrize("decoration, value", [
-        (((1,), ((0, 0, -1), (1, 0.9, 1))), 0.9),
-        (((1,), ((0, 0, -1), (1, 0, 1.0))), 1.0),
-        (((1,), ((0, 0, -1), (1, 0, True))), True),
-        (((1.5,), ((0, 0, -1), (1, 0, 1))), 1.5),
-        (((1,), ((0, 0, -1), (1.0, 0, 1))), 1.0)])
-    def test_chain_numbers_must_be_integers(self, decoration, value):
-        # int() would truncate each of these to the valid path
-        mt = anosov_bundle()
-        with pytest.raises(ValueError, match=re.escape(
-                f"boundary_one must be an integer, got {value!r}")):
-            CellularSurface(mt, (("p",), ("a",), ()), ((decoration,),), ())
-        surface, flow = cellular_model(mt)
-        bad_images = (((((3, 0.9), ((1, 0, 1),)),),),) + flow.images[1:]
-        with pytest.raises(ValueError,
-                           match="flow images must be an integer, got 0.9"):
-            CellularSelfMap(surface, bad_images)
-
-    @pytest.mark.parametrize("terms, message", [
-        (((2, 0, 1),), "boundary_one term end 2 must lie in 0..1"),
-        (((-1, 0, 1),), "boundary_one term end -1 must lie in 0..1"),
-        (((1, 0, 1), (0, 0, -1)), "boundary_one term end 0 must lie in 1..1")])
-    def test_term_ends_lie_on_the_path_in_order(self, terms, message):
-        mt = anosov_bundle()
-        with pytest.raises(ValueError, match=re.escape(message)):
-            CellularSurface(mt, (("p",), ("a",), ()),
-                            ((((1,), terms),),), ())
-
-    @pytest.mark.parametrize("path", [
-        [0, 1, [1]], [[1]], [1, [[0, 0, 1]]], [[1], [[0, 0]]],
-        [[1], [[0, 0, 1, 1]]], [[1], [0, 0, 1]]])
-    def test_paths_must_be_word_and_term_triples(self, path):
-        mt = anosov_bundle()
-        with pytest.raises(ValueError, match="^boundary_one (path|term) must"):
-            CellularSurface(mt, (("p",), ("a",), ()), ((path,),), ())
-
-    def test_boundary_decorations_must_have_degree_zero(self):
-        mt = anosov_bundle()
-        with pytest.raises(ValueError, match="degree 0"):
-            CellularSurface(mt, (("p",), ("a",), ()),
-                            ((((3,), ((1, 0, 1),)),),), ())
-        # every term of a path is checked, not only its last
-        with pytest.raises(ValueError, match="degree 0"):
-            CellularSurface(mt, (("p",), ("a",), ()),
-                            ((((3, -3), ((1, 0, 1), (2, 0, -1))),),), ())
-
-    def test_flow_decorations_must_have_degree_one(self):
-        surface, flow = cellular_model(anosov_bundle())
-        bad_images = (((((), ((0, 0, 1),)),),),) + flow.images[1:]
-        with pytest.raises(ValueError, match="degree 1"):
-            CellularSelfMap(surface, bad_images)
-
-    @pytest.mark.parametrize("cells, message", [
-        ((("p",), "a", ()), "cells must be a list, got 'a'"),
-        ("pa", "cells must be a list, got 'pa'"),
-        ((("p",), (1,), ()), "cells name must be a string, got 1"),
-        ((("p",), ("a",), (None,)), "cells name must be a string, got None"),
-        ((("p",), ("a",)), "cells must have 3 dimensions, got 2")])
-    def test_cell_names_are_lists_of_strings(self, cells, message):
-        # "a" would split into its characters and 1 and None pass as names
-        mt = anosov_bundle()
-        with pytest.raises(ValueError, match=re.escape(message)):
-            CellularSurface(mt, cells,
-                            ((((1,), ((0, 0, -1), (1, 0, 1))),),), ())
-
-    def test_cell_names_must_be_distinct(self):
-        mt = anosov_bundle()
-        with pytest.raises(ValueError, match="distinct"):
-            CellularSurface(mt, (("p",), ("a", "a"), ()),
-                            ((((1,), ((0, 0, -1), (1, 0, 1))),),) * 2, ())
-
 
 # ---------------------------------------------------------------------------
 # flow matrices
@@ -617,6 +515,21 @@ class TestLiftIndependence:
         assert (zeta_from_cellular(moved_surface, moved_flow, rep)
                 == zeta_from_cellular(surface, flow, rep))
 
+    @pytest.mark.parametrize("label", ["trivial", "sign", "zeta:4",
+                                       "zeta:12"])
+    def test_finite_order_genus_two_lift_change(self, label):
+        # every invariant a fibered subcommand reads from the flow
+        mt = load_fixture(FIXTURES / "genus2_finite_order.json").payload
+        surface, flow = cellular_model(mt)
+        rep = cli._resolve_rep(surface.presentation, label)
+        lifts = (((1,),), ((2,), (), (3, -4), (1,)), ((4, 3, -4),))
+        moved_surface, moved_flow = change_lifts(surface, flow, lifts)
+        assert moved_surface.boundary_two != surface.boundary_two
+        for invariant in (zeta_from_cellular, torsion_from_cellular,
+                          lambda *model: lefschetz_numbers(*model, 10)):
+            assert (invariant(moved_surface, moved_flow, rep)
+                    == invariant(surface, flow, rep))
+
 
 class TestComputedOnce:
     """Every invariant of one (presentation, representation) is read from
@@ -775,20 +688,12 @@ class TestComputedOnce:
 
     def test_each_representation_enumerates_its_closure_once(
             self, monkeypatch, tmp_path):
-        # the torus_A211 model with its surface presented by moved relators:
-        # the model's representation is certified on the moved presentation
-        # and on the canonical one, and the canonical check builds a second
-        # representation of the same value
+        # the torus_A211 bundle presented by moved relators: the label is
+        # certified on the model's canonical presentation and on the moved
+        # one, which builds a second representation of the same value
         from test_fibered_golden import write_generated
         write_generated(tmp_path)
-        moved = load_fixture(tmp_path / "moved_A211.json").payload
-        surface, flow = cellular_model(mapping_torus(moved.fiber,
-                                                     moved.monodromy))
-        path = tmp_path / "moved_cellular.json"
-        save_fixture(path, KIND_CELLULAR,
-                     {"surface": dict(surface.to_json(),
-                                      presentation=moved.to_json()),
-                      "flow": flow.to_json()})
+        path = tmp_path / "moved_A211.json"
         cli._compiled.cache_clear()
         closures = []
         closure = FiniteRepresentation._closure

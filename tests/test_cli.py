@@ -15,13 +15,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from procong import cellular, cli, ntform, serialize, surfgrp, torus
-from procong.cellular import LEFSCHETZ_LIMIT, cellular_model
+from procong.cellular import LEFSCHETZ_LIMIT
 from procong.cli import RunConfig, config_from_args, build_parser, dispatch, main
 from procong.ntform import ITERATE_LIMIT, Dilatation, NTDecomposition
-from procong.serialize import KIND_CELLULAR, load_fixture, wrap
-from procong.surfgrp import (GeneratorEndomorphism, MappingTorusPresentation,
-                             SurfacePresentation, mapping_torus)
-from procong.torus import SWEEP_LIMIT, Mat2
+from procong.serialize import wrap
+from procong.torus import SWEEP_LIMIT
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -122,6 +120,29 @@ class TestGoldenReports:
         assert status == 2
         assert out == ""
         assert err.startswith("error: level bound must be at most 9858, got 9859")
+
+    @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                        != 4300, reason="needs the default 4300-digit cap "
+                                        "on printing integers")
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    @pytest.mark.parametrize("sub, flag", [("lefschetz", "--upto"),
+                                           ("zeta", "--terms")])
+    def test_lefschetz_count_at_the_digit_cap(self, capsys, sub, flag, mode):
+        # |L_m| grows like 365^m on torus_pair_a: L_1679 is the first
+        # Lefschetz number with more than 4300 digits
+        path = fixture("torus_pair_a.json")
+        status, out, err = run(capsys, sub, path, flag, "1679", *mode)
+        assert (status, out) == (2, "")
+        assert err == (f"error: {flag} must be at most 1678 for this "
+                       f"fixture: L_1679 exceeds the 4300-digit limit for "
+                       f"printing integers\n")
+        status, out, _ = run(capsys, sub, path, flag, "1678", *mode)
+        assert status == 0
+        if mode:
+            assert len(json.loads(out)["lefschetz"]) == 1678
+        else:
+            assert out.splitlines()[-1].startswith(
+                "L_1678 = " if sub == "lefschetz" else "L_1..L_1678 = ")
 
     def test_alexander_orders_of_the_anosov_torus(self, capsys):
         status, out, _ = run(capsys, "alexander", fixture("torus_A211.json"))
@@ -533,36 +554,6 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {message}\n"
 
-    # "cells" values of a cellular_flow fixture of the torus_A211 model,
-    # with the error line; each was accepted before: a string split into
-    # its characters, numbers and null as names
-    LOOSE_CELLS = [
-        ([["p"], "ab", ["F0"]], "cells must be a list, got 'ab'"),
-        ("pab", "cells must be a list, got 'pab'"),
-        ([["p"], [1, 2], ["F0"]], "cells name must be a string, got 1"),
-        ([["p"], ["a1", "b1"], [None]],
-         "cells name must be a string, got None"),
-        ([["p"], ["a1", "b1"]], "cells must have 3 dimensions, got 2"),
-    ]
-
-    @pytest.mark.parametrize("cells, message", LOOSE_CELLS,
-                             ids=["string-dimension", "string", "numbers",
-                                  "null", "two-dimensions"])
-    def test_loose_cell_names_are_an_input_error(self, tmp_path, capsys,
-                                                 cells, message):
-        matrix = load_fixture(fixture("torus_A211.json")).payload
-        surface, flow = cellular_model(mapping_torus(
-            SurfacePresentation.closed(1),
-            GeneratorEndomorphism.torus_monodromy(matrix)))
-        body = json.loads(json.dumps({"surface": surface.to_json(),
-                                      "flow": flow.to_json()}))
-        assert body["surface"]["cells"] == [["p"], ["a1", "b1"], ["F0"]]
-        body["surface"]["cells"] = cells
-        path = tmp_path / "torus_A211_model.json"
-        path.write_text(json.dumps(wrap(KIND_CELLULAR, body)))
-        status, out, err = run(capsys, "zeta", str(path))
-        assert (status, out, err) == (2, "", f"error: {message}\n")
-
     # (path into the fixture, value, field named in the error); each value
     # truncates to the valid one it replaces
     NON_INTEGERS = [
@@ -577,13 +568,6 @@ class TestExitCodes:
         (("body", "fiber", "boundary_count"), 0.0, "boundary_count"),
         (("body", "fiber_values", 4), 1.4, "fiber_values"),
         (("body", "relators", 1, 0), 5.5, "relators"),
-        # chains are lists of paths [word, [[end, target, coeff], ...]]
-        (("body", "surface", "boundary_two", 0, 0, 1, 0, 2), 1.5,
-         "boundary_two"),
-        (("body", "surface", "boundary_one", 0, 0, 1, 0, 1), False,
-         "boundary_one"),
-        (("body", "flow", "images", 1, 0, 0, 0, 0), 5.2, "flow images"),
-        (("body", "flow", "images", 1, 0, 0, 1, 0, 0), 1.0, "flow images"),
     ]
 
     @pytest.mark.parametrize("path, value, field", NON_INTEGERS,
@@ -591,13 +575,6 @@ class TestExitCodes:
     def test_non_integer_fixture_field_is_an_input_error(self, tmp_path,
                                                          path, value, field):
         data = json.loads((FIXTURES / "genus2_finite_order.json").read_text())
-        if path[1] in ("surface", "flow"):
-            mt = MappingTorusPresentation.from_json(data["body"])
-            surface, flow = cellular_model(mt)
-            # the JSON text, as the chains are tuples in memory
-            data = json.loads(json.dumps(wrap(
-                KIND_CELLULAR, {"surface": surface.to_json(),
-                                "flow": flow.to_json()})))
         owner = data
         for step in path[:-1]:
             owner = owner[step]
@@ -613,32 +590,6 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert f"{field} must be an integer, got {value!r}" in proc.stderr
         assert "Traceback" not in proc.stderr
-
-    @pytest.mark.parametrize("field", ["boundary_one", "boundary_two",
-                                       "flow images"])
-    def test_triple_shaped_chain_is_an_input_error(self, tmp_path, capsys,
-                                                   field):
-        # one [target, coeff, word] per term instead of paths
-        def triples(chain):
-            return [[target, coeff, word[:end]]
-                    for word, terms in chain for end, target, coeff in terms]
-
-        data = json.loads((FIXTURES / "genus2_finite_order.json").read_text())
-        surface, flow = cellular_model(
-            MappingTorusPresentation.from_json(data["body"]))
-        body = {"surface": surface.to_json(), "flow": flow.to_json()}
-        if field == "flow images":
-            body["flow"]["images"] = [[triples(c) for c in dim]
-                                      for dim in body["flow"]["images"]]
-        else:
-            body["surface"][field] = [triples(c)
-                                      for c in body["surface"][field]]
-        path = tmp_path / "fixture.json"
-        path.write_text(json.dumps(wrap(KIND_CELLULAR, body)))
-        status, out, err = run(capsys, "zeta", str(path))
-        assert status == 2
-        assert out == ""
-        assert err.startswith(f"error: {field} path must be [word, ")
 
     # (path into the two_pa_swap.json body, value, field named in the
     # error); each float truncates to the valid value it replaces
@@ -909,47 +860,20 @@ class TestExitCodes:
         assert (status, out) == (2, "")
         assert "monodromy.inverse_images" in err
 
-    @staticmethod
-    def torus_model(matrix):
-        return cellular_model(mapping_torus(
-            SurfacePresentation.closed(1),
-            GeneratorEndomorphism.torus_monodromy(matrix)))
-
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
     @pytest.mark.parametrize("sub", ["alexander", "torsion", "zeta",
                                      "lefschetz"])
-    @pytest.mark.parametrize("rep", ["trivial", "zeta:5"])
-    def test_flow_of_another_monodromy_is_an_input_error(self, tmp_path,
-                                                         capsys, sub, rep):
-        # the surface of the 2,1;1,1 model carrying the flow of the 3,1;2,1
-        # model passes every chain-map check under a rank-1 representation
-        surface, _ = self.torus_model(Mat2(2, 1, 1, 1))
-        _, other = self.torus_model(Mat2(3, 1, 2, 1))
-        path = tmp_path / "mismatched_flow.json"
-        serialize.save_fixture(path, KIND_CELLULAR,
-                               {"surface": surface.to_json(),
-                                "flow": other.to_json()})
-        status, out, err = run(capsys, sub, str(path), "--rep", rep)
-        assert (status, out) == (2, "")
-        assert err.startswith("error: flow does not follow the monodromy: ")
-        if rep == "trivial":
-            assert err.endswith(
-                "zeta = (1 - 4*t + t^2) / (1 - 2*t + t^2) under --rep "
-                "trivial, but (1 - 3*t + t^2) / (1 - 2*t + t^2) for the "
-                "canonical model\n")
-
-    @pytest.mark.parametrize("sub", ["alexander", "torsion", "zeta",
-                                     "lefschetz"])
-    def test_given_flow_needs_the_inverse_witness(self, tmp_path, capsys,
-                                                  sub):
-        # the canonical model the flow is checked against needs it
-        surface, flow = self.torus_model(Mat2(2, 1, 1, 1))
-        body = {"surface": surface.to_json(), "flow": flow.to_json()}
-        del body["surface"]["presentation"]["monodromy"]["inverse_images"]
-        path = tmp_path / "no_witness.json"
-        serialize.save_fixture(path, KIND_CELLULAR, body)
-        status, out, err = run(capsys, sub, str(path))
-        assert (status, out) == (2, "")
-        assert "monodromy.inverse_images" in err
+    def test_cellular_flow_is_an_unknown_kind(self, tmp_path, capsys, sub,
+                                              mode):
+        # a fibered fixture is a torus_monodromy or a mapping_torus: the
+        # cellular model is always built from the monodromy
+        path = tmp_path / "cellular.json"
+        path.write_text(json.dumps({"schema": serialize.SCHEMA_ID,
+                                    "kind": "cellular_flow",
+                                    "body": {"surface": {}, "flow": {}}}))
+        status, out, err = run(capsys, sub, str(path), *mode)
+        assert (status, out, err) == (
+            2, "", "error: unknown fixture kind 'cellular_flow'\n")
 
     def test_approx_renders_the_dilatation_once(self, capsys, monkeypatch):
         calls = []
@@ -1270,8 +1194,21 @@ class TestImportFootprint:
                           "procong.kernel", "procong.ntform",
                           "procong.record"}
 
+    def test_nt_and_chars_requests_leave_cellular_unloaded(self):
+        # `serialize` imports every payload type but the fibered model,
+        # which only a fibered fixture compiles to
+        loaded = self.loaded_after(
+            [["nt analyze", [fixture("two_pa_swap.json")]],
+             ["chars bound", [fixture("orbit_s3.json")]]])
+        assert loaded == {"fractions", "procong", "procong.chars",
+                          "procong.cli", "procong.kernel", "procong.lattice",
+                          "procong.ntform", "procong.record",
+                          "procong.serialize", "procong.surfgrp",
+                          "procong.torus"}
+
     def test_fibered_request_loads_no_dataclasses_or_inspect(self):
-        # `serialize` imports every payload type, so every module loads
+        # `serialize` imports every payload type and the fibered handlers
+        # import `cellular`, so every module loads
         loaded = self.loaded_after(
             [["alexander", [fixture("torus_A211.json")]]])
         assert loaded == {"fractions", "procong", "procong.cellular",

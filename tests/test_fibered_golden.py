@@ -6,7 +6,9 @@ representations (text mode), plus the JSON mode under ``zeta:4``, two
 reports on each of the long-word bundles ``torus_pair_a.json`` and
 ``torus_pair_b.json``, and the fibered subcommands under ``trivial`` and
 ``zeta:4`` on fixtures written at test time whose presentation is not the
-canonical mapping torus of its monodromy (see `write_generated`).  Any change
+canonical mapping torus of its monodromy (see `write_generated`).  That
+re-chosen cell lifts leave the invariants alone is checked in process
+(`test_cellular.TestLiftIndependence`).  Any change
 to how the twisted matrices, determinants or series are computed must keep
 these reports identical.  The rank-1 representations are also checked
 against the trivial invariants with t replaced by u t (see
@@ -22,17 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from procong.cellular import (cellular_model, lefschetz_numbers,
-                              zeta_from_cellular)
+from procong.cellular import lefschetz_numbers, zeta_from_cellular
 from procong.cli import RunConfig, _fibered_input, main
 from procong.kernel import (Cyclotomic, LaurentPolynomial, RationalFunction,
                             as_exact)
-from procong.serialize import (KIND_CELLULAR, KIND_MAPPING_TORUS,
-                               load_fixture, save_fixture)
+from procong.serialize import KIND_MAPPING_TORUS, load_fixture, save_fixture
 from procong.surfgrp import (GeneratorEndomorphism, SurfacePresentation,
                              mapping_torus, twisted_alexander)
 import reference  # noqa: F401  (attaches the relator moves)
-from test_cellular import change_lifts
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE.parent / "fixtures"
@@ -51,11 +50,9 @@ PAIR_KEYS = tuple(f"{key} torus_pair_{pair}.json --rep {rep}"
 # torus_A211 bundle by other relators than the canonical ones, and
 # `extended_A211.json` by one more generator: every invariant is read from
 # the canonical presentation, and the fixture's own relators are checked
-# against it on Delta_0/Delta_1.  `lifted_genus2.json` keeps the canonical
-# presentation under re-chosen cell lifts.
+# against it on Delta_0/Delta_1.
 GENERATED = {"moved_A211.json": SUBCOMMANDS,
-             "extended_A211.json": SUBCOMMANDS,
-             "lifted_genus2.json": SUBCOMMANDS}
+             "extended_A211.json": SUBCOMMANDS}
 GENERATED_REPS = ("trivial", "zeta:4")
 # Also written by `write_generated`, and not in the golden file: the
 # canonical torus_A211 presentation with its generators listed in another
@@ -71,9 +68,8 @@ def write_generated(directory):
 
     `moved_A211.json` presents the torus_A211 bundle after a relator cycle,
     an inversion and a conjugation; `extended_A211.json` adds a redundant
-    fourth generator to it.  `lifted_genus2.json` is the cellular model of
-    genus2_finite_order with every cell lift re-chosen.  The REORDERED
-    fixtures list the generators of torus_A211 in another order."""
+    fourth generator to it.  The REORDERED fixtures list the generators of
+    torus_A211 in another order."""
     directory = Path(directory)
     phi = GeneratorEndomorphism.torus_monodromy(
         load_fixture(FIXTURES / "torus_A211.json").payload)
@@ -87,11 +83,6 @@ def write_generated(directory):
                  moved.to_json())
     save_fixture(directory / "extended_A211.json", KIND_MAPPING_TORUS,
                  moved.add_generator("x", (1, 3, -2)).to_json())
-    genus2 = load_fixture(FIXTURES / "genus2_finite_order.json").payload
-    lifts = (((1,),), ((2,), (), (3, -4), (1,)), ((4, 3, -4),))
-    surface, flow = change_lifts(*cellular_model(genus2), lifts)
-    save_fixture(directory / "lifted_genus2.json", KIND_CELLULAR,
-                 {"surface": surface.to_json(), "flow": flow.to_json()})
 
 
 def invocations():

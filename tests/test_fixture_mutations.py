@@ -1,8 +1,6 @@
 """Deterministic mutation sweep over the shipped fixtures: every malformed
 input exits 0 or 2, never 1 and never with a traceback, and an exit-2
-message names the field instead of repeating Python's own type error.  The
-cellular model of `torus_A211`, written as a `cellular_flow` fixture, is
-swept the same way, as no shipped fixture has that kind.
+message names the field instead of repeating Python's own type error.
 
 Each fixture that a subcommand reads is mutated at every key and at the
 first three entries of every list, at any depth, of the whole file: the
@@ -20,11 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from procong.cellular import cellular_model
 from procong.cli import main
-from procong.serialize import KIND_CELLULAR, load_fixture, wrap
-from procong.surfgrp import (GeneratorEndomorphism, SurfacePresentation,
-                             mapping_torus)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -114,20 +108,6 @@ def sweep_faults(data, argv, target: Path):
 def test_mutated_fixture_exits_zero_or_two(tmp_path, source):
     data = json.loads((FIXTURES / source).read_text())
     faults = sweep_faults(data, SUBCOMMANDS[data["kind"]], tmp_path / source)
-    assert not faults, "\n".join(faults)
-
-
-def test_mutated_cellular_flow_fixture_exits_zero_or_two(tmp_path):
-    # no shipped fixture is a cellular_flow, so the torus_A211 model is
-    # written here as one
-    matrix = load_fixture(FIXTURES / "torus_A211.json").payload
-    surface, flow = cellular_model(mapping_torus(
-        SurfacePresentation.closed(1),
-        GeneratorEndomorphism.torus_monodromy(matrix)))
-    data = json.loads(json.dumps(wrap(
-        KIND_CELLULAR, {"surface": surface.to_json(),
-                        "flow": flow.to_json()})))
-    faults = sweep_faults(data, ["alexander"], tmp_path / "cellular.json")
     assert not faults, "\n".join(faults)
 
 

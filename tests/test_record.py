@@ -48,7 +48,7 @@ def _records():
         (congruence_sweep(Mat2(2, 1, 1, 1), Mat2(1, 1, 1, 2), 4),
          "max_modulus", 5),
         (cli.RunConfig("torus conj", ("2,1;1,1", "1,1;1,2")), "rep", "sign"),
-        (cli.FiberedBundle(SURFACE, FLOW, MT), "given_flow", True),
+        (cli.FiberedBundle(SURFACE, FLOW, MT), "reps", {"trivial": TRIVIAL}),
         (PHI, "high", F(5, 2)),
         (Dilatation(PHI, 2), "factor", PHI_SQUARED),
         (InteriorOrbit("o", 2, 3, 1), "size", 4),
@@ -103,7 +103,7 @@ def test_record_contract(record, field, other):
     if isinstance(record, cli.FiberedBundle):
         # the CLI's cache entry: mutable, so unhashable
         assert type(record).__hash__ is None
-        copy.given_flow = True
+        copy.reps = {"trivial": TRIVIAL}
         assert copy == changed
         return
     for name in (field, "unknown"):
