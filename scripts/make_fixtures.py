@@ -12,12 +12,10 @@ import argparse
 from fractions import Fraction as F
 from pathlib import Path
 
-from procong.cellular import HomologyAction, classical_lefschetz
-from procong.ntform import (IndexedOrbitTable, InteriorOrbit, NTDecomposition,
-                            ReductionAnnulus, StretchFactor, VertexPiece)
+from procong.ntform import (InteriorOrbit, NTDecomposition, ReductionAnnulus,
+                            StretchFactor, VertexPiece)
 from procong.serialize import (KIND_MAPPING_TORUS, KIND_NT,
-                               KIND_ORBIT_PROJECTION, KIND_ORBIT_TABLE,
-                               KIND_TORUS, dumps)
+                               KIND_ORBIT_PROJECTION, KIND_TORUS, dumps)
 from procong.surfgrp import (GeneratorEndomorphism, SurfacePresentation,
                              mapping_torus)
 from procong.torus import Mat2
@@ -112,18 +110,6 @@ def genus2_finite_order_bundle():
     return mapping_torus(genus2, swap)
 
 
-def anosov_orbit_table(upto=30):
-    """Indexed orbit counts of the Anosov model with monodromy [[2,1],[1,1]]:
-    every m-periodic class is essential with index -1, and there are
-    |det(A^m - I)| of them, the classical Lefschetz count."""
-    action = HomologyAction.from_monodromy_matrix(((2, 1), (1, 1)))
-    counts = {}
-    for m in range(1, upto + 1):
-        n = -classical_lefschetz(action, m)
-        counts[m] = {-1: n}
-    return IndexedOrbitTable.from_counts(counts)
-
-
 def all_fixtures():
     yield "torus_A211.json", KIND_TORUS, {
         "matrix": Mat2.from_rows(((2, 1), (1, 1))).to_string()}
@@ -139,8 +125,6 @@ def all_fixtures():
     yield "pure_twist.json", KIND_NT, pure_twist_decomposition().to_json()
     yield ("separating_twist.json", KIND_NT,
            separating_twist_decomposition().to_json())
-    yield ("anosov_orbit_table.json", KIND_ORBIT_TABLE,
-           anosov_orbit_table().to_json())
     yield "orbit_cyclic2.json", KIND_ORBIT_PROJECTION, {
         "group": "cyclic(2)",
         "rows": [["o1", -1, 0], ["o2", -1, 1]],

@@ -28,6 +28,7 @@ from .kernel import (
     PolyMatrix,
     RationalFunction,
     _json_int,
+    as_exact,
     charpoly_coefficients,
     log_coefficients,
     normalize_unit_class,
@@ -227,8 +228,9 @@ def torsion_from_cellular(surface: CellularSurface, flow: CellularSelfMap,
     return CellularTorsion(value, acyclic)
 
 
-# the most Lefschetz numbers one call computes: the series and its
-# logarithm take time quadratic in the count
+# the most Lefschetz numbers one call computes: each costs a number of
+# products linear in the degree of the zeta function, but L_m has about
+# m log10(dilatation) digits
 LEFSCHETZ_LIMIT = 2000
 
 
@@ -236,14 +238,17 @@ def lefschetz_numbers(surface: CellularSurface, flow: CellularSelfMap,
                       rep: FiniteRepresentation, upto: int):
     """Exact twisted Lefschetz numbers L_1..L_upto (upto at most
     `LEFSCHETZ_LIMIT`), read off from the logarithmic derivative of the
-    zeta function."""
+    zeta function N/D: L_m = m [t^m] log N - m [t^m] log D, where N and D
+    both have constant term 1, so no power series of N/D is expanded."""
     if upto < 1:
         raise ValueError("need at least one Lefschetz number")
     if upto > LEFSCHETZ_LIMIT:
         raise ValueError(
             f"at most {LEFSCHETZ_LIMIT} Lefschetz numbers, got {upto}")
     zeta = zeta_from_cellular(surface, flow, rep)
-    return log_coefficients(zeta.series(upto + 1), upto)
+    num, den = (log_coefficients([p.coefficient(k) for k in range(upto + 1)],
+                                 upto) for p in (zeta.num, zeta.den))
+    return [as_exact(a - b) for a, b in zip(num, den)]
 
 
 # ---------------------------------------------------------------------------

@@ -248,13 +248,6 @@ class OrbitProjectionTable(Record):
     def class_ids(self) -> Tuple[int, ...]:
         return tuple(sorted({c for _, _, c in self.rows}))
 
-    def to_json(self):
-        return [[o, i, c] for o, i, c in self.rows]
-
-    @staticmethod
-    def from_json(data) -> "OrbitProjectionTable":
-        return OrbitProjectionTable(data)
-
 
 def twisted_L_from_orbits(table: OrbitProjectionTable,
                           chi: Union[Sequence[Scalar], Mapping[int, Scalar]]

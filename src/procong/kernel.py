@@ -938,15 +938,18 @@ def log_coefficients(series, terms: int):
 
     The input series must have constant term exactly 1 and at least terms + 1
     coefficients; then exp(sum L_m t^m / m) reproduces it mod t^{terms+1}.
+    The sum for L_m only visits the coefficients up to the last nonzero
+    one, so a polynomial of degree d takes time linear in terms * d.
     """
     if not series or series[0] != 1:
         raise ValueError("series constant term must be exactly 1")
     if len(series) < terms + 1:
         raise ValueError(f"need {terms + 1} coefficients, got {len(series)}")
+    last = max(k for k in range(terms + 1) if series[k])
     out = []
     for m in range(1, terms + 1):
         acc = m * series[m]
-        for i in range(1, m):
+        for i in range(max(1, m - last), m):
             li = out[i - 1]
             if li:
                 a = series[m - i]

@@ -855,27 +855,7 @@ class OrbitRow(Record):
 
     def __init__(self, iterate: int, counts: Tuple[Tuple[int, int], ...],
                  nielsen: int):
-        _json_int(iterate, "iterate")
-        _json_int(nielsen, "nielsen")
-        pairs = []
-        for k, pair in enumerate(_json_list(counts, "counts")):
-            if len(_json_list(pair, f"counts[{k}]")) != 2:
-                raise ValueError(f"counts[{k}] must be [index, count], "
-                                 f"got {pair!r}")
-            pairs.append((_json_int(pair[0], f"counts[{k}] index"),
-                          _json_int(pair[1], f"counts[{k}] count")))
-        counts = tuple(sorted(pairs))
-        if any(i == 0 for i, _ in counts):
-            raise DecompositionError("orbit tables only keep nonzero indices")
-        if any(c < 0 for _, c in counts):
-            raise DecompositionError("orbit counts must be nonnegative")
-        if nielsen != sum(c for _, c in counts):
-            raise DecompositionError(
-                "the Nielsen number must equal the sum of the indexed counts")
         self.__dict__.update(iterate=iterate, counts=counts, nielsen=nielsen)
-
-    def count(self, index: int) -> int:
-        return dict(self.counts).get(index, 0)
 
 
 class IndexedOrbitTable(Record):
@@ -885,36 +865,21 @@ class IndexedOrbitTable(Record):
 
     def __init__(self, rows: Tuple[OrbitRow, ...],
                  remainder: Tuple[str, ...] = ()):
-        rows = tuple(rows)
-        seen = set()
-        for k, r in enumerate(rows):
-            if r.iterate < 1 or r.iterate in seen:
-                raise DecompositionError(
-                    f"rows[{k}] iterate must be positive and not repeat an "
-                    f"earlier row's, got {r.iterate}")
-            seen.add(r.iterate)
-        self.__dict__.update(rows=rows, remainder=tuple(
-            _json_str(name, "remainder")
-            for name in _json_list(remainder, "remainder")))
-
-    def row(self, m: int) -> OrbitRow:
-        for r in self.rows:
-            if r.iterate == m:
-                return r
-        raise KeyError(m)
-
-    def nu(self, m: int, index: int) -> int:
-        return self.row(m).count(index)
-
-    def nielsen(self, m: int) -> int:
-        return self.row(m).nielsen
+        self.__dict__.update(rows=rows, remainder=remainder)
 
     @staticmethod
     def from_counts(counts: Mapping[int, Mapping[int, int]],
                     remainder: Sequence[str] = ()) -> "IndexedOrbitTable":
+        """The table of iterate -> {index: count}, zero counts dropped; the
+        Nielsen number of an iterate is the sum of its counts."""
         rows = []
         for m in sorted(counts):
             pairs = tuple((i, c) for i, c in sorted(counts[m].items()) if c)
+            if any(i == 0 for i, _ in pairs):
+                raise DecompositionError(
+                    "orbit tables only keep nonzero indices")
+            if any(c < 0 for _, c in pairs):
+                raise DecompositionError("orbit counts must be nonnegative")
             rows.append(OrbitRow(m, pairs, sum(c for _, c in pairs)))
         return IndexedOrbitTable(tuple(rows), tuple(remainder))
 
@@ -923,14 +888,6 @@ class IndexedOrbitTable(Record):
                           "counts": [list(pair) for pair in r.counts],
                           "nielsen": r.nielsen} for r in self.rows],
                 "remainder": list(self.remainder)}
-
-    @staticmethod
-    def from_json(data) -> "IndexedOrbitTable":
-        rows = []
-        for k, r in enumerate(_json_list(data["rows"], "rows")):
-            r = _json_object(r, f"rows[{k}]")
-            rows.append(OrbitRow(r["iterate"], r["counts"], r["nielsen"]))
-        return IndexedOrbitTable(tuple(rows), data.get("remainder", ()))
 
 
 # the largest iterate bound of an indexed orbit table

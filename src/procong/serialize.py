@@ -1,11 +1,13 @@
 """Versioned JSON fixture grammar shared by the command-line driver.
 
 Every fixture file is a JSON object ``{"schema": ..., "kind": ..., "body":
-...}``; the body is the kind-specific payload produced by the owning
-module's ``to_json``.  Loading validates the schema id and decodes the
-body into live objects.  Relative paths are resolved against the fixture
-root, which defaults to the in-repo ``fixtures`` directory and can be
-overridden with the ``PROCONG_FIXTURES`` environment variable.
+...}``.  The kinds are the keys of ``_DECODERS``: ``torus_monodromy``,
+``mapping_torus``, ``nt_decomposition`` and ``orbit_projection``; any other
+kind, such as a computed orbit table, is refused as unknown.  Loading
+validates the schema id and decodes the body into live objects.  Relative
+paths are resolved against the fixture root, which defaults to the in-repo
+``fixtures`` directory and can be overridden with the ``PROCONG_FIXTURES``
+environment variable.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Any
 
 from .chars import OrbitProjectionTable
 from .kernel import _json_object, _json_str
-from .ntform import IndexedOrbitTable, NTDecomposition
+from .ntform import NTDecomposition
 from .record import Record
 from .surfgrp import MappingTorusPresentation
 from .torus import Mat2
@@ -29,7 +31,6 @@ KIND_TORUS = "torus_monodromy"
 KIND_MAPPING_TORUS = "mapping_torus"
 KIND_NT = "nt_decomposition"
 KIND_ORBIT_PROJECTION = "orbit_projection"
-KIND_ORBIT_TABLE = "indexed_orbit_table"
 
 
 class Fixture(Record):
@@ -52,7 +53,7 @@ def _decode_torus(body) -> Mat2:
 
 
 def _decode_orbit_projection(body) -> OrbitProjectionFixture:
-    table = OrbitProjectionTable.from_json(body["rows"])
+    table = OrbitProjectionTable(body["rows"])
     attained = body.get("attained", False)
     if type(attained) is not bool:
         raise ValueError(f"attained must be true or false, got {attained!r}")
@@ -65,7 +66,6 @@ _DECODERS = {
     KIND_MAPPING_TORUS: MappingTorusPresentation.from_json,
     KIND_NT: NTDecomposition.from_json,
     KIND_ORBIT_PROJECTION: _decode_orbit_projection,
-    KIND_ORBIT_TABLE: IndexedOrbitTable.from_json,
 }
 
 

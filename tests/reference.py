@@ -14,8 +14,9 @@ iterate by iterate); the others build test inputs and expected values
 (copies of records with changed fields, exact powers and iterates of
 normal forms, growth brackets from Nielsen numbers, presentation moves
 and generator orders, changes of basis, dense copies of sparse
-scalar matrices, polynomial matrices from and to dense grids, the affine
-representations of closed-fiber bundles).
+scalar matrices, polynomial matrices from and to dense grids, and the
+affine representations of closed-fiber bundles, loaded from
+`scripts/large_rep_timings.py`).
 
 Importing the module attaches the moved methods to their classes
 (`StretchFactor.power` and `refined_to`, `Dilatation.power`, the relator
@@ -26,10 +27,12 @@ so a test calls them as methods.
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from math import gcd
+from pathlib import Path
 from typing import Iterable, Mapping, Tuple
 
 from procong.kernel import (Cyclotomic, LaurentPolynomial, PolyMatrix,
@@ -722,33 +725,20 @@ def leibniz_determinant(a) -> LaurentPolynomial:
     return total
 
 
-def affine_rep(mt: MappingTorusPresentation, n: int) -> FiniteRepresentation:
-    """affine:n of the canonical presentation `mt` of a closed-fiber mapping
-    torus: the permutation representation on the points of (Z/n)^(2g) in
-    which the fiber generators translate by the unit vectors and the stable
-    letter acts by the monodromy's matrix on H1 of the fiber (transposed
-    permutation matrices, the convention in which the relators die)."""
-    rank = mt.fiber.rank
-    action = mt.monodromy.abelianization()
-    points = list(product(range(n), repeat=rank))
-    index = {p: i for i, p in enumerate(points)}
+def _script(name: str):
+    """The module of `scripts/<name>.py`, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    def perm(f):
-        rows = [[0] * len(points) for _ in points]
-        for p in points:
-            rows[index[f(p)]][index[p]] = 1
-        return rows
 
-    def translate(k):
-        return perm(lambda p: tuple((x + (i == k)) % n
-                                    for i, x in enumerate(p)))
-
-    def monodromy(p):
-        return tuple(sum(a * x for a, x in zip(row, p)) % n for row in action)
-
-    return FiniteRepresentation(len(points), tuple(
-        perm(monodromy) if j == mt.stable_index else translate(j - 1)
-        for j in range(1, mt.rank + 1)))
+# affine:n of the canonical presentation of a closed-fiber mapping torus:
+# the permutation representation on the points of (Z/n)^(2g) in which the
+# fiber generators translate by the unit vectors and the stable letter acts
+# by the monodromy's matrix on H1 of the fiber; the timing script owns it
+affine_rep = _script("large_rep_timings").affine_rep
 
 
 def conjugate(rep: FiniteRepresentation,

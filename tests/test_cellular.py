@@ -841,6 +841,20 @@ class TestLefschetzNumbers:
         with pytest.raises(ValueError, match=f"at most {LEFSCHETZ_LIMIT}"):
             lefschetz_numbers(surface, flow, rep, upto)
 
+    @pytest.mark.parametrize("label", ["trivial", "zeta:4", "zeta:59"])
+    @pytest.mark.parametrize("source", [
+        "torus_A211.json", "torus_pair_a.json", "torus_pair_b.json",
+        "genus2_finite_order.json"])
+    def test_agrees_with_the_logarithm_of_the_zeta_series(self, source,
+                                                          label):
+        # L_m = m [t^m] log N - m [t^m] log D against the logarithm of the
+        # power series of N/D itself
+        bundle, rep = cli._fibered_input(
+            cli.RunConfig("lefschetz", (str(FIXTURES / source),), rep=label))
+        zeta = zeta_from_cellular(bundle.surface, bundle.flow, rep)
+        assert (lefschetz_numbers(bundle.surface, bundle.flow, rep, 300)
+                == kernel.log_coefficients(zeta.series(301), 300))
+
     def test_matches_classical_traces_for_random_monodromies(self):
         rng = random.Random(23)
         count = 0

@@ -262,12 +262,6 @@ class TestSpecificTables:
 # ---------------------------------------------------------------------------
 
 class TestOrbitProjectionTable:
-    def test_round_trips_through_json(self):
-        table = OrbitProjectionTable((("o1", -1, 0), ("o2", 3, 2)))
-        data = table.to_json()
-        assert data == [["o1", -1, 0], ["o2", 3, 2]]
-        assert OrbitProjectionTable.from_json(data) == table
-
     def test_duplicate_orbit_ids_rejected(self):
         with pytest.raises(ValueError, match="twice"):
             OrbitProjectionTable((("o", 1, 0), ("o", 2, 1)))

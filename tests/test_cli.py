@@ -17,7 +17,8 @@ from hypothesis import given, strategies as st
 from procong import cellular, cli, ntform, serialize, surfgrp, torus
 from procong.cellular import LEFSCHETZ_LIMIT
 from procong.cli import RunConfig, config_from_args, build_parser, dispatch, main
-from procong.ntform import ITERATE_LIMIT, Dilatation, NTDecomposition
+from procong.ntform import (ITERATE_LIMIT, Dilatation, IndexedOrbitTable,
+                            NTDecomposition)
 from procong.serialize import wrap
 from procong.torus import SWEEP_LIMIT
 
@@ -466,16 +467,6 @@ class TestExitCodes:
         status, out, err = run(capsys, "zeta", str(path))
         assert (status, out, err) == (2, "", message)
 
-    def test_orbit_table_with_a_repeated_iterate_is_an_input_error(
-            self, tmp_path, capsys):
-        data = json.loads((FIXTURES / "anosov_orbit_table.json").read_text())
-        data["body"]["rows"][1]["iterate"] = 1
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps(data))
-        status, out, err = run(capsys, "nt", "analyze", str(path))
-        assert (status, out) == (2, "")
-        assert err.startswith("error: rows[1] iterate must be positive")
-
     @pytest.mark.parametrize("entry", [10 ** 30, surfgrp.WORD_CAP + 1])
     def test_torus_monodromy_past_the_word_cap_is_an_input_error(
             self, tmp_path, capsys, monkeypatch, entry):
@@ -874,6 +865,24 @@ class TestExitCodes:
         status, out, err = run(capsys, sub, str(path), *mode)
         assert (status, out, err) == (
             2, "", "error: unknown fixture kind 'cellular_flow'\n")
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    @pytest.mark.parametrize("sub", [
+        ["alexander"], ["torsion"], ["zeta"], ["lefschetz"],
+        ["nt", "analyze"], ["chars", "decompose"], ["chars", "bound"]],
+        ids=lambda sub: "-".join(sub))
+    def test_orbit_table_is_an_unknown_kind(self, tmp_path, capsys, sub,
+                                            mode):
+        # orbit tables are computed by `nt analyze`, never read: a file of
+        # one is refused like any other unknown kind
+        table = IndexedOrbitTable.from_counts({1: {-1: 1}, 2: {-1: 5}})
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"schema": serialize.SCHEMA_ID,
+                                    "kind": "indexed_orbit_table",
+                                    "body": table.to_json()}))
+        status, out, err = run(capsys, *sub, str(path), *mode)
+        assert (status, out, err) == (
+            2, "", "error: unknown fixture kind 'indexed_orbit_table'\n")
 
     def test_approx_renders_the_dilatation_once(self, capsys, monkeypatch):
         calls = []

@@ -22,7 +22,6 @@ from procong.ntform import (
     InteriorOrbit,
     NTDecomposition,
     OrbitDataIncompleteError,
-    OrbitRow,
     ReductionAnnulus,
     StretchFactor,
     VertexPiece,
@@ -982,50 +981,63 @@ class TestFixedPointClasses:
 # indexed orbit numbers
 # ---------------------------------------------------------------------------
 
+def counts(table: IndexedOrbitTable, m: int) -> dict:
+    """{index: count} of iterate m; a table's rows are iterates 1, 2, ..."""
+    row = table.rows[m - 1]
+    assert row.iterate == m
+    return dict(row.counts)
+
+
+def nielsen(table: IndexedOrbitTable, m: int) -> int:
+    row = table.rows[m - 1]
+    assert row.iterate == m
+    return row.nielsen
+
+
 class TestIndexedOrbitNumbers:
     def test_swap_table(self):
         table = indexed_orbit_numbers(make_swap(), 6)
-        assert [table.nielsen(m) for m in range(1, 7)] == [0, 2, 0, 2, 0, 2]
+        assert [nielsen(table, m) for m in range(1, 7)] == [0, 2, 0, 2, 0, 2]
         for m in (2, 4, 6):
-            assert dict(table.row(m).counts) == {-3: 1, -2: 1}
+            assert counts(table, m) == {-3: 1, -2: 1}
         assert table.remainder == ("P",)
 
     def test_five_cases_table(self):
         table = indexed_orbit_numbers(make_five_cases(), 6)
-        assert dict(table.row(1).counts) == {-2: 3, 1: 2}
-        assert dict(table.row(2).counts) == {-3: 1, -2: 2, 1: 1}
-        assert dict(table.row(3).counts) == {-2: 4, 1: 1}
-        assert dict(table.row(6).counts) == {-3: 1, -2: 3}
-        assert [table.nielsen(m) for m in (1, 2, 3, 6)] == [5, 4, 5, 4]
+        assert counts(table, 1) == {-2: 3, 1: 2}
+        assert counts(table, 2) == {-3: 1, -2: 2, 1: 1}
+        assert counts(table, 3) == {-2: 4, 1: 1}
+        assert counts(table, 6) == {-3: 1, -2: 3}
+        assert [nielsen(table, m) for m in (1, 2, 3, 6)] == [5, 4, 5, 4]
 
     def test_single_four_prong_orbit(self):
         nt = make_closed_pa((InteriorOrbit("s", 1, 4, 0),))
         table = indexed_orbit_numbers(nt, 1)
-        assert table.nu(1, -3) == 1 and table.nielsen(1) == 1
+        assert counts(table, 1) == {-3: 1} and nielsen(table, 1) == 1
 
     def test_two_swapped_three_prongs(self):
         table = indexed_orbit_numbers(make_swap(prongs=3), 2)
-        assert table.nielsen(1) == 0
+        assert nielsen(table, 1) == 0
         # one orbit class made of two fixed classes, plus the crown annulus
-        assert dict(table.row(2).counts) == {-2: 2}
+        assert counts(table, 2) == {-2: 2}
         assert len(fixed_point_classes(make_swap(prongs=3), 2)) == 3
 
     def test_annuli_only_all_zero(self):
         table = indexed_orbit_numbers(make_annuli_only(), 6)
         for m in range(1, 7):
-            assert table.row(m).counts == () and table.nielsen(m) == 0
+            assert counts(table, m) == {} and nielsen(table, m) == 0
         assert table.remainder == ()
 
     def test_separating_twist_constant_two(self):
         table = indexed_orbit_numbers(make_separating_twist(), 5)
         for m in range(1, 6):
-            assert table.nielsen(m) == 2
-            assert dict(table.row(m).counts) == {-1: 2}
+            assert nielsen(table, m) == 2
+            assert counts(table, m) == {-1: 2}
 
     def test_star_table(self):
         table = indexed_orbit_numbers(make_star(), 6)
-        assert [table.nielsen(m) for m in range(1, 7)] == [0, 0, 2, 0, 0, 2]
-        assert dict(table.row(3).counts) == {-1: 2}
+        assert [nielsen(table, m) for m in range(1, 7)] == [0, 0, 2, 0, 0, 2]
+        assert counts(table, 3) == {-1: 2}
 
     @pytest.mark.parametrize("factory", ALL_FIXTURES)
     def test_nielsen_is_total_count(self, factory):
@@ -1034,26 +1046,28 @@ class TestIndexedOrbitNumbers:
             assert row.nielsen == sum(c for _, c in row.counts)
 
     def test_row_constructor_guards(self):
-        with pytest.raises(DecompositionError):
-            OrbitRow(1, ((0, 2),), 2)
-        with pytest.raises(DecompositionError):
-            OrbitRow(1, ((-2, 1),), 2)
-        with pytest.raises(DecompositionError):
-            OrbitRow(1, ((-2, -1),), -1)
+        # the two properties a caller's counts could break
+        with pytest.raises(DecompositionError, match="nonzero indices"):
+            IndexedOrbitTable.from_counts({1: {0: 2}})
+        with pytest.raises(DecompositionError, match="nonnegative"):
+            IndexedOrbitTable.from_counts({1: {-2: -1}})
 
     def test_from_counts_and_json(self):
         table = IndexedOrbitTable.from_counts(
             {1: {-1: 2, 3: 0}, 2: {-2: 1}}, remainder=("P",))
-        assert table.row(1).counts == ((-1, 2),)
-        assert table.nielsen(2) == 1
-        assert IndexedOrbitTable.from_json(table.to_json()) == table
+        assert table.rows[0].counts == ((-1, 2),)
+        assert nielsen(table, 2) == 1
+        assert table.to_json() == {
+            "rows": [{"iterate": 1, "counts": [[-1, 2]], "nielsen": 2},
+                     {"iterate": 2, "counts": [[-2, 1]], "nielsen": 1}],
+            "remainder": ["P"]}
 
     def test_orbit_counts_divide_class_counts(self):
         nt = make_swap()
         table = indexed_orbit_numbers(nt, 6)
         for m in range(1, 7):
             classes = len(fixed_point_classes(nt, m))
-            orbits = table.nielsen(m)
+            orbits = nielsen(table, m)
             assert orbits <= classes
             if classes:
                 assert orbits >= 1

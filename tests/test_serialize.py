@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from procong.ntform import DecompositionError, NTDecomposition
+from procong.ntform import NTDecomposition
 from procong.serialize import (SCHEMA_ID, Fixture, OrbitProjectionFixture,
                                default_fixture_root, dumps, load_fixture,
                                parse_fixture, resolve_path, save_fixture,
@@ -25,7 +25,6 @@ SHIPPED = {
     "star_rotation.json": "nt_decomposition",
     "pure_twist.json": "nt_decomposition",
     "separating_twist.json": "nt_decomposition",
-    "anosov_orbit_table.json": "indexed_orbit_table",
     "orbit_cyclic2.json": "orbit_projection",
     "orbit_s3.json": "orbit_projection",
 }
@@ -75,8 +74,10 @@ class TestGrammarErrors:
             parse_fixture(bad)
 
     def test_rejects_unknown_kind(self):
-        # a list or an object is not looked up, so it raises no TypeError
-        for kind in ("mystery", 5, [], {}, ["torus_monodromy"]):
+        # a list or an object is not looked up, so it raises no TypeError;
+        # the last two kinds were read by earlier versions of the grammar
+        for kind in ("mystery", 5, [], {}, ["torus_monodromy"],
+                     "cellular_flow", "indexed_orbit_table"):
             bad = json.dumps({"schema": SCHEMA_ID, "kind": kind, "body": {}})
             with pytest.raises(ValueError, match=(
                     f"^unknown fixture kind {re.escape(repr(kind))}$")):
@@ -104,63 +105,6 @@ class TestGrammarErrors:
     def test_wrap_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown fixture kind"):
             wrap("mystery", {})
-
-
-# (edit of the anosov_orbit_table.json body, the error); each value was
-# decoded loosely: floats and booleans kept, a string split into letters
-LOOSE_ORBIT_TABLE_FIELDS = [
-    (lambda body: body["rows"][0].update(iterate=1.5),
-     "iterate must be an integer, got 1.5"),
-    (lambda body: body["rows"][0].update(nielsen=True),
-     "nielsen must be an integer, got True"),
-    (lambda body: body["rows"][0].update(counts=[[-1, 1.0]]),
-     "counts[0] count must be an integer, got 1.0"),
-    (lambda body: body["rows"][0].update(counts=[["-1", 1]]),
-     "counts[0] index must be an integer, got '-1'"),
-    (lambda body: body["rows"][0].update(counts=[[-1, 1, 0]]),
-     "counts[0] must be [index, count], got [-1, 1, 0]"),
-    (lambda body: body["rows"][0].update(counts="x"),
-     "counts must be a list, got 'x'"),
-    (lambda body: body.update(remainder="ab"),
-     "remainder must be a list, got 'ab'"),
-    (lambda body: body.update(remainder=[7]),
-     "remainder must be a string, got 7"),
-    (lambda body: body.update(rows={}), "rows must be a list, got {}"),
-    (lambda body: body["rows"].insert(1, 5), "rows[1] must be an object, got 5"),
-]
-
-
-@pytest.mark.parametrize("edit, message", LOOSE_ORBIT_TABLE_FIELDS,
-                         ids=[m for _, m in LOOSE_ORBIT_TABLE_FIELDS])
-def test_loose_orbit_table_field_is_rejected(edit, message):
-    data = json.loads((FIXTURES / "anosov_orbit_table.json").read_text())
-    edit(data["body"])
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        parse_fixture(json.dumps(data))
-
-
-# (edit of the anosov_orbit_table.json body, the error); each table was
-# built, and `nielsen(m)` read the first row of iterate m
-BAD_ORBIT_TABLE_ITERATES = [
-    (lambda body: body["rows"][1].update(iterate=1),
-     "rows[1] iterate must be positive and not repeat an earlier row's, "
-     "got 1"),
-    (lambda body: body["rows"][0].update(iterate=0),
-     "rows[0] iterate must be positive and not repeat an earlier row's, "
-     "got 0"),
-    (lambda body: body["rows"][2].update(iterate=-4),
-     "rows[2] iterate must be positive and not repeat an earlier row's, "
-     "got -4"),
-]
-
-
-@pytest.mark.parametrize("edit, message", BAD_ORBIT_TABLE_ITERATES,
-                         ids=["repeated", "zero", "negative"])
-def test_orbit_table_iterates_are_positive_and_distinct(edit, message):
-    data = json.loads((FIXTURES / "anosov_orbit_table.json").read_text())
-    edit(data["body"])
-    with pytest.raises(DecompositionError, match=f"^{re.escape(message)}$"):
-        parse_fixture(json.dumps(data))
 
 
 class TestPathResolution:
