@@ -15,12 +15,13 @@ from pathlib import Path
 from procong.ntform import (InteriorOrbit, NTDecomposition, ReductionAnnulus,
                             StretchFactor, VertexPiece)
 from procong.serialize import (KIND_MAPPING_TORUS, KIND_NT,
-                               KIND_ORBIT_PROJECTION, KIND_TORUS, dumps)
+                               KIND_ORBIT_PROJECTION, KIND_TORUS, dumps,
+                               encode_mapping_torus, encode_nt)
 from procong.surfgrp import (GeneratorEndomorphism, SurfacePresentation,
                              mapping_torus)
 from procong.torus import Mat2
 
-GOLDEN_RATIO_SQUARED = StretchFactor((1, -3, 1), F(5, 2), 3)
+GOLDEN_RATIO_SQUARED = StretchFactor((1, -3, 1), F(5, 2), F(3))
 
 
 def swap_decomposition():
@@ -118,13 +119,13 @@ def all_fixtures():
     yield "torus_pair_b.json", KIND_TORUS, {
         "matrix": Mat2.from_rows(((188, 11), (3025, 177))).to_string()}
     yield ("genus2_finite_order.json", KIND_MAPPING_TORUS,
-           genus2_finite_order_bundle().to_json())
-    yield "two_pa_swap.json", KIND_NT, swap_decomposition().to_json()
-    yield "five_cases.json", KIND_NT, five_cases_decomposition().to_json()
-    yield "star_rotation.json", KIND_NT, star_decomposition().to_json()
-    yield "pure_twist.json", KIND_NT, pure_twist_decomposition().to_json()
+           encode_mapping_torus(genus2_finite_order_bundle()))
+    yield "two_pa_swap.json", KIND_NT, encode_nt(swap_decomposition())
+    yield "five_cases.json", KIND_NT, encode_nt(five_cases_decomposition())
+    yield "star_rotation.json", KIND_NT, encode_nt(star_decomposition())
+    yield "pure_twist.json", KIND_NT, encode_nt(pure_twist_decomposition())
     yield ("separating_twist.json", KIND_NT,
-           separating_twist_decomposition().to_json())
+           encode_nt(separating_twist_decomposition()))
     yield "orbit_cyclic2.json", KIND_ORBIT_PROJECTION, {
         "group": "cyclic(2)",
         "rows": [["o1", -1, 0], ["o2", -1, 1]],

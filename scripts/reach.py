@@ -76,16 +76,17 @@ WORKLOADS = ("fibered_long", "fibered_wide", "queries")
 def write_fixtures(directory: Path):
     """Write a `mapping_torus` fixture with a bounded fiber into
     `directory`; return the list of its path."""
-    from procong.serialize import KIND_MAPPING_TORUS, save_fixture
+    from procong.serialize import (KIND_MAPPING_TORUS, encode_mapping_torus,
+                                   save_fixture)
     from procong.surfgrp import (GeneratorEndomorphism, SurfacePresentation,
                                  mapping_torus)
     from procong.torus import Mat2
     free = SurfacePresentation.with_boundary(1, 1)
     knot = GeneratorEndomorphism.torus_monodromy(Mat2(2, 1, 1, 1))
     bounded = directory / "bounded_211.json"
-    save_fixture(bounded, KIND_MAPPING_TORUS, mapping_torus(
-        free, GeneratorEndomorphism(free, knot.images,
-                                    knot.inverse_images)).to_json())
+    save_fixture(bounded, KIND_MAPPING_TORUS, encode_mapping_torus(
+        mapping_torus(free, GeneratorEndomorphism(free, knot.images,
+                                                  knot.inverse_images))))
     return [bounded]
 
 

@@ -27,7 +27,6 @@ from .kernel import (
     NormalizedTorsionClass,
     PolyMatrix,
     RationalFunction,
-    _json_int,
     as_exact,
     charpoly_coefficients,
     log_coefficients,
@@ -93,9 +92,7 @@ class HomologyAction(Record):
     def __init__(self, h0: Tuple[Tuple[int, ...], ...],
                  h1: Tuple[Tuple[int, ...], ...],
                  h2: Tuple[Tuple[int, ...], ...]):
-        h0, h1, h2 = (tuple(tuple(_json_int(e, field) for e in row)
-                            for row in rows)
-                      for field, rows in (("h0", h0), ("h1", h1), ("h2", h2)))
+        h0, h1, h2 = (tuple(map(tuple, rows)) for rows in (h0, h1, h2))
         if h0 != ((1,),):
             raise ValueError("degree-0 action must be [1]")
         if h2 not in (((1,),), ((-1,),)):
@@ -107,8 +104,7 @@ class HomologyAction(Record):
 
     @classmethod
     def from_monodromy_matrix(cls, rows) -> "HomologyAction":
-        rows = tuple(tuple(_json_int(e, "monodromy action") for e in row)
-                     for row in rows)
+        rows = tuple(map(tuple, rows))
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("monodromy action must be square")
         det = (-1) ** len(rows) * charpoly_coefficients(_sparse(rows))[-1]

@@ -18,8 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .kernel import (Cyclotomic, _json_int, _json_list, _json_str, as_exact,
-                     hermitian_products)
+from .kernel import Cyclotomic, as_exact, hermitian_products
 from .record import Record
 
 Scalar = Union[int, Fraction, Cyclotomic]
@@ -214,24 +213,11 @@ def builtin_group(name: str) -> FiniteGroupTable:
 # ---------------------------------------------------------------------------
 
 class OrbitProjectionTable(Record):
-    """Rows (orbit class id, index, group class id) for one iterate.
-
-    Indices and class ids must be integers; floats and booleans are
-    rejected, not truncated, with an error naming the row."""
+    """Rows (orbit class id, index, group class id) for one iterate."""
 
     def __init__(self, rows: Tuple[Tuple[str, int, int], ...]):
-        checked = []
-        for k, row in enumerate(_json_list(rows, "rows")):
-            try:
-                orbit, index, class_id = row
-            except (TypeError, ValueError):
-                raise ValueError(f"rows[{k}] must be [orbit, index, class id], "
-                                 f"got {row!r}") from None
-            checked.append((_json_str(orbit, f"rows[{k}] orbit"),
-                            _json_int(index, f"rows[{k}] index"),
-                            _json_int(class_id, f"rows[{k}] class id")))
         seen = set()
-        for orbit, index, class_id in checked:
+        for orbit, index, class_id in rows:
             if orbit in seen:
                 raise ValueError(f"orbit class {orbit} appears twice")
             seen.add(orbit)
@@ -239,7 +225,7 @@ class OrbitProjectionTable(Record):
                 raise ValueError("orbit class indices must be nonzero")
             if class_id < 0:
                 raise ValueError("group class ids must be nonnegative")
-        self.__dict__.update(rows=tuple(checked))
+        self.__dict__.update(rows=rows)
 
     @property
     def orbit_count(self) -> int:

@@ -413,9 +413,9 @@ def _handle_nt_analyze(config: RunConfig):
         lines.append(f"dilatation ~ {approx}")
     lines.append(f"deviation: {dev}")
     lines.append(" m | N_m | indexed counts")
-    for row in table.rows:
+    for m, row in enumerate(table.rows, 1):
         counts = " ".join(f"{i}:{c}" for i, c in row.counts) or "-"
-        lines.append(f"{row.iterate:2d} | {row.nielsen:3d} | {counts}")
+        lines.append(f"{m:2d} | {row.nielsen:3d} | {counts}")
     remainder = ", ".join(table.remainder) if table.remainder else "none"
     lines.append(f"regular-orbit remainder pieces: {remainder}")
 
@@ -499,7 +499,7 @@ def _print_warning(message, category, filename, lineno, file=None,
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _json_report(payload) -> str:
+def _render_json(payload) -> str:
     """The payload as `json.dumps(payload, indent=2, sort_keys=True)` writes
     it, in one pass: `indent` sends `json.dumps` to its pure-Python encoder.
     A payload holds dicts with string keys, lists, tuples, strings, ints,
@@ -577,7 +577,7 @@ def dispatch(config: RunConfig) -> Tuple[int, str]:
         warnings.showwarning = _print_warning
         text, payload = handler(config)
     if config.output == "json":
-        return 0, _json_report(payload)
+        return 0, _render_json(payload)
     return 0, text
 
 

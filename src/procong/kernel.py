@@ -48,50 +48,6 @@ def scalar_inverse(value):
     return as_exact(Fraction(1, 1) / Fraction(value))
 
 
-def _json_int(value, field: str) -> int:
-    """An integer, as read from a fixture or given to a constructor: floats,
-    booleans and strings are rejected, not truncated."""
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
-def _json_str(value, field: str) -> str:
-    """A name, as read from a fixture or given to a constructor."""
-    if type(value) is not str:
-        raise ValueError(f"{field} must be a string, got {value!r}")
-    return value
-
-
-def _json_list(value, field: str):
-    """A list, as read from a fixture or given to a constructor (a tuple):
-    a string is rejected, not split into its characters."""
-    if type(value) not in (list, tuple):
-        raise ValueError(f"{field} must be a list, got {value!r}")
-    return value
-
-
-def _json_object(value, field: str) -> dict:
-    """A JSON object, as read from a fixture: a list, string or number is
-    rejected with the field's name, not indexed into."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{field} must be an object, got {value!r}")
-    return value
-
-
-def _json_fraction(value, field: str) -> Fraction:
-    """A rational number, as read from a fixture (an integer or a string
-    such as "5/2") or given to a constructor (also a Fraction); floats and
-    booleans are rejected, not rounded."""
-    if type(value) in (int, str, Fraction):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"{field} must be an integer or a fraction string, "
-                     f"got {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic fields
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .kernel import (LaurentPolynomial, _json_fraction, _json_int,
-                     _json_list, _json_object, _json_str, laurent_gcd)
+from .kernel import LaurentPolynomial, laurent_gcd
 from .record import Record
 
 
@@ -104,8 +103,7 @@ class StretchFactor(Record):
 
     def __init__(self, polynomial: Tuple[int, ...], low: Fraction,
                  high: Fraction):
-        coeffs = tuple(_json_int(c, "stretch polynomial") for c in
-                       _json_list(polynomial, "stretch polynomial"))
+        coeffs = tuple(polynomial)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         shift = 0
@@ -121,8 +119,6 @@ class StretchFactor(Record):
         if coeffs[-1] < 0:
             content = -content
         coeffs = tuple(c // content for c in coeffs)
-        low = _json_fraction(low, "stretch interval")
-        high = _json_fraction(high, "stretch interval")
         if not 1 <= low < high:
             raise DecompositionError(
                 "stretch factor interval must satisfy 1 <= low < high")
@@ -209,15 +205,6 @@ class StretchFactor(Record):
         return {"polynomial": list(self.polynomial),
                 "interval": [str(self.low), str(self.high)]}
 
-    @staticmethod
-    def from_json(data) -> "StretchFactor":
-        data = _json_object(data, "stretch")
-        interval = _json_list(data["interval"], "stretch interval")
-        if len(interval) != 2:
-            raise ValueError("stretch interval must have two entries, got "
-                             f"{len(interval)}")
-        return StretchFactor(data["polynomial"], *interval)
-
 
 class Dilatation(Record):
     """Maximal per-application stretch of the pseudo-Anosov part (the value
@@ -265,11 +252,6 @@ class InteriorOrbit(Record):
 
     def __init__(self, name: str, size: int, prongs: Optional[int] = None,
                  rotation: int = 0):
-        _json_str(name, "orbit name")
-        _json_int(size, "orbit size")
-        _json_int(rotation, "orbit rotation")
-        if prongs is not None:
-            _json_int(prongs, "orbit prongs")
         self.__dict__.update(name=name, size=size, prongs=prongs,
                              rotation=rotation)
 
@@ -292,21 +274,10 @@ class VertexPiece(Record):
                  stretch: Optional[StretchFactor] = None,
                  orbits: Optional[Tuple[InteriorOrbit, ...]] = None,
                  period: int = 1):
-        _json_str(name, "piece name")
-        _json_str(kind, "piece kind")
-        _json_int(euler, "euler")
-        _json_int(period, "period")
         self.__dict__.update(
-            name=name, kind=kind, euler=euler,
-            circles=tuple(_json_str(c, "circles")
-                          for c in _json_list(circles, "circles")),
-            boundary_singularities=tuple(
-                _json_int(c, "boundary_singularities")
-                for c in _json_list(boundary_singularities,
-                                    "boundary_singularities")),
-            stretch=stretch,
-            orbits=(None if orbits is None
-                    else tuple(_json_list(orbits, "orbits"))),
+            name=name, kind=kind, euler=euler, circles=tuple(circles),
+            boundary_singularities=tuple(boundary_singularities),
+            stretch=stretch, orbits=None if orbits is None else tuple(orbits),
             period=period)
 
     def singular_points(self, circle: str) -> int:
@@ -324,26 +295,15 @@ class ReductionAnnulus(Record):
     def __init__(self, name: str, twist: Fraction,
                  ends: Tuple[Optional[str], Optional[str]],
                  orbits: Tuple[InteriorOrbit, ...] = ()):
-        _json_str(name, "annulus name")
-        self.__dict__.update(
-            name=name, twist=_json_fraction(twist, "twist"),
-            ends=tuple(None if e is None else _json_str(e, "annulus ends")
-                       for e in _json_list(ends, "annulus ends")),
-            orbits=tuple(_json_list(orbits, "annulus orbits")))
+        self.__dict__.update(name=name, twist=twist, ends=tuple(ends),
+                             orbits=tuple(orbits))
 
 
 def _as_sorted_pairs(mapping, field: str) -> Tuple[Tuple[str, str], ...]:
-    """A map between names, given as an object or as a list of pairs."""
-    if isinstance(mapping, Mapping):
-        pairs = mapping.items()
-    elif type(mapping) in (list, tuple) and all(
-            type(pair) in (list, tuple) and len(pair) == 2 for pair in mapping):
-        pairs = mapping
-    else:
-        raise ValueError(f"{field} must be an object or a list of pairs, "
-                         f"got {mapping!r}")
-    pairs = tuple(sorted((_json_str(a, field), _json_str(b, field))
-                         for a, b in pairs))
+    """A map between names, given as a mapping or as (name, name) pairs,
+    which may not map a name twice."""
+    pairs = tuple(sorted(tuple(pair) for pair in (
+        mapping.items() if isinstance(mapping, Mapping) else mapping)))
     for (a, _), (b, _) in zip(pairs, pairs[1:]):
         if a == b:
             raise ValueError(f"{field} maps {a} more than once")
@@ -567,68 +527,6 @@ class NTDecomposition(Record):
         self.__dict__.update(_row_period=_row_period(self), _rows={})
         return self
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        def orbit_json(o):
-            return {"name": o.name, "size": o.size,
-                    "prongs": o.prongs, "rotation": o.rotation}
-
-        pieces = []
-        for p in self.pieces:
-            entry = {"name": p.name, "kind": p.kind, "euler": p.euler,
-                     "circles": list(p.circles)}
-            if p.kind == PSEUDO_ANOSOV:
-                entry["boundary_singularities"] = list(p.boundary_singularities)
-                entry["stretch"] = p.stretch.to_json()
-            if p.period != 1:
-                entry["period"] = p.period
-            if p.orbits is not None:
-                entry["orbits"] = [orbit_json(o) for o in p.orbits]
-            pieces.append(entry)
-        annuli = []
-        for a in self.annuli:
-            entry = {"name": a.name, "twist": str(a.twist),
-                     "ends": list(a.ends)}
-            if a.orbits:
-                entry["orbits"] = [orbit_json(o) for o in a.orbits]
-            annuli.append(entry)
-        return {"pieces": pieces, "annuli": annuli,
-                "piece_map": dict(self.piece_map),
-                "circle_map": dict(self.circle_map)}
-
-    @staticmethod
-    def from_json(data) -> "NTDecomposition":
-        def orbits(entries, field):
-            out = []
-            for i, o in enumerate(_json_list(entries, field)):
-                o = _json_object(o, f"{field}[{i}]")
-                out.append(InteriorOrbit(o["name"], o["size"], o.get("prongs"),
-                                         o.get("rotation", 0)))
-            return tuple(out)
-
-        pieces = []
-        for i, p in enumerate(_json_list(data["pieces"], "pieces")):
-            p = _json_object(p, f"pieces[{i}]")
-            stretch = p.get("stretch")
-            piece_orbits = p.get("orbits")
-            pieces.append(VertexPiece(
-                name=p["name"], kind=p["kind"], euler=p["euler"],
-                circles=p.get("circles", ()),
-                boundary_singularities=p.get("boundary_singularities", ()),
-                stretch=None if stretch is None else StretchFactor.from_json(stretch),
-                orbits=(None if piece_orbits is None
-                        else orbits(piece_orbits, "orbits")),
-                period=p.get("period", 1)))
-        annuli = []
-        for i, a in enumerate(_json_list(data.get("annuli", ()), "annuli")):
-            a = _json_object(a, f"annuli[{i}]")
-            annuli.append(ReductionAnnulus(
-                name=a["name"], twist=a["twist"], ends=a["ends"],
-                orbits=orbits(a.get("orbits", ()), "annulus orbits")))
-        return NTDecomposition(tuple(pieces), tuple(annuli),
-                               data["piece_map"], data["circle_map"])
-
 
 def _row_period(nt: NTDecomposition) -> int:
     """A period of the essential class families in the iterate m: the lcm
@@ -850,43 +748,39 @@ def fixed_point_classes(nt: NTDecomposition, m: int) -> Tuple[FixedClassRecord, 
 
 
 class OrbitRow(Record):
-    """Indexed orbit counts for one iterate: pairs (index, count) plus the
-    Nielsen number."""
+    """Indexed orbit counts of one iterate: pairs (index, count), ascending
+    by index, plus the Nielsen number."""
 
-    def __init__(self, iterate: int, counts: Tuple[Tuple[int, int], ...],
-                 nielsen: int):
-        self.__dict__.update(iterate=iterate, counts=counts, nielsen=nielsen)
+    def __init__(self, counts: Tuple[Tuple[int, int], ...], nielsen: int):
+        self.__dict__.update(counts=counts, nielsen=nielsen)
+
+    @staticmethod
+    def from_counts(counts: Mapping[int, int]) -> "OrbitRow":
+        """The row of {index: count}, zero counts dropped; the Nielsen
+        number is the sum of the counts."""
+        pairs = tuple((i, c) for i, c in sorted(counts.items()) if c)
+        if any(i == 0 for i, _ in pairs):
+            raise DecompositionError("orbit tables only keep nonzero indices")
+        if any(c < 0 for _, c in pairs):
+            raise DecompositionError("orbit counts must be nonnegative")
+        return OrbitRow(pairs, sum(c for _, c in pairs))
 
 
 class IndexedOrbitTable(Record):
-    """Indexed orbit counts for all iterates up to a bound.  `remainder`
-    names the pieces whose interior regular orbits beyond the declared data
-    are model-dependent."""
+    """Indexed orbit counts for the iterates 1..len(rows): iterate m has
+    row m - 1, and equal rows may be one object.  `remainder` names the
+    pieces whose interior regular orbits beyond the declared data are
+    model-dependent."""
 
     def __init__(self, rows: Tuple[OrbitRow, ...],
                  remainder: Tuple[str, ...] = ()):
         self.__dict__.update(rows=rows, remainder=remainder)
 
-    @staticmethod
-    def from_counts(counts: Mapping[int, Mapping[int, int]],
-                    remainder: Sequence[str] = ()) -> "IndexedOrbitTable":
-        """The table of iterate -> {index: count}, zero counts dropped; the
-        Nielsen number of an iterate is the sum of its counts."""
-        rows = []
-        for m in sorted(counts):
-            pairs = tuple((i, c) for i, c in sorted(counts[m].items()) if c)
-            if any(i == 0 for i, _ in pairs):
-                raise DecompositionError(
-                    "orbit tables only keep nonzero indices")
-            if any(c < 0 for _, c in pairs):
-                raise DecompositionError("orbit counts must be nonnegative")
-            rows.append(OrbitRow(m, pairs, sum(c for _, c in pairs)))
-        return IndexedOrbitTable(tuple(rows), tuple(remainder))
-
     def to_json(self):
-        return {"rows": [{"iterate": r.iterate,
+        return {"rows": [{"iterate": m,
                           "counts": [list(pair) for pair in r.counts],
-                          "nielsen": r.nielsen} for r in self.rows],
+                          "nielsen": r.nielsen}
+                         for m, r in enumerate(self.rows, 1)],
                 "remainder": list(self.remainder)}
 
 
@@ -898,8 +792,9 @@ def indexed_orbit_numbers(nt: NTDecomposition, upto: int) -> IndexedOrbitTable:
     """Orbit-class counts by index and Nielsen numbers for all iterates up
     to the bound; each orbit of fixed classes counts once.  The rows repeat
     with the period P of `_row_period`, so iterate m reads row
-    ((m - 1) mod P) + 1.  Only rows 1..min(upto, P) are computed, in order,
-    each once per decomposition, which keeps them.  The bound is at most
+    ((m - 1) mod P) + 1.  Only rows 1..min(upto, P) are computed and
+    checked, in order, each once per decomposition, which keeps them; the
+    table repeats those row objects.  The bound is at most
     `ITERATE_LIMIT`: the table holds a row per iterate."""
     if upto < 1:
         raise DecompositionError("the iterate bound must be a positive integer")
@@ -909,15 +804,16 @@ def indexed_orbit_numbers(nt: NTDecomposition, upto: int) -> IndexedOrbitTable:
     period, rows = nt._row_period, nt._rows
     for r in range(1, min(upto, period) + 1):
         if r not in rows:
-            row = {}
+            counts = {}
             for family in _essential_families(nt, r):
-                row[family.index] = row.get(family.index, 0) + 1
-            rows[r] = row
-    counts = {m: rows[(m - 1) % period + 1] for m in range(1, upto + 1)}
+                counts[family.index] = counts.get(family.index, 0) + 1
+            rows[r] = OrbitRow.from_counts(counts)
+    cycle = tuple(rows[r] for r in range(1, min(upto, period) + 1))
+    whole, part = divmod(upto, period)
     leading = [nt._orbits[p.name] for p in nt.pieces
                if p.kind == PSEUDO_ANOSOV and nt._orbits[p.name][0] == p.name]
     remainder = sorted(min(orbit) for orbit in leading if len(orbit) <= upto)
-    return IndexedOrbitTable.from_counts(counts, tuple(remainder))
+    return IndexedOrbitTable(cycle * whole + cycle[:part], tuple(remainder))
 
 
 # ---------------------------------------------------------------------------
@@ -929,8 +825,10 @@ def shearing_from_slopes(g: Sequence[int], gstar: Sequence[int]
     """Order of the quotient of the rank-two lattice by the sublattice the
     two slopes generate: the absolute determinant when nonzero, or
     "trivial" for parallel slopes."""
-    g = tuple(_json_int(v, "slope entry") for v in g)
-    gstar = tuple(_json_int(v, "slope entry") for v in gstar)
+    bad = next((v for v in (*g, *gstar) if type(v) is not int), None)
+    if bad is not None:
+        raise ValueError(f"slope entry must be an integer, got {bad!r}")
+    g, gstar = tuple(g), tuple(gstar)
     if len(g) != 2 or len(gstar) != 2:
         raise ValueError("slopes must be integer pairs")
     if g == (0, 0) or gstar == (0, 0):

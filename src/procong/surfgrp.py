@@ -41,10 +41,6 @@ from .kernel import (
     PolyMatrix,
     RationalFunction,
     SparseMatrix,
-    _json_int,
-    _json_list,
-    _json_object,
-    _json_str,
     _sparse_row,
     as_exact,
     charpoly_coefficients,
@@ -127,34 +123,12 @@ def fox_derivative(word: Iterable[int], index: int) -> Tuple[Tuple[int, Word], .
                  if target == index - 1)
 
 
-def _json_letters(letters: Iterable[int], field: str) -> Word:
-    """The letters of a word as a tuple, every one an integer (else
-    ValueError naming `field`); one type check for the whole word."""
-    letters = tuple(letters)
-    if not set(map(type, letters)) <= {int}:
-        _json_int(next(x for x in letters if type(x) is not int), field)
-    return letters
-
-
-def _json_names(names, field: str) -> Tuple[str, ...]:
-    """Generator names read from a fixture: a list of strings (else
-    ValueError naming `field`)."""
-    return tuple(_json_str(name, field) for name in _json_list(names, field))
-
-
-def _json_words(words, field: str) -> Tuple[Tuple[int, ...], ...]:
-    """Words read from a fixture: a list of lists (else ValueError naming
-    `field` or the entry); the letters are checked by `_check_indices`."""
-    return tuple(tuple(_json_list(w, f"{field}[{i}]"))
-                 for i, w in enumerate(_json_list(words, field)))
-
-
 def _check_indices(word: Iterable[int], n_generators: int,
                    field: str = "letter", index: Optional[int] = None) -> Word:
     """Freely reduce a word of integer letters in +-1..+-n_generators.  A
-    letter that is not an integer names `field`; one out of range names
-    the word, `field[index]`, when it is entry `index` of a list."""
-    letters = _json_letters(word, field)
+    letter out of range names the word, `field[index]`, when it is entry
+    `index` of a list."""
+    letters = tuple(word)
     bad = next((x for x in letters if not 0 < abs(x) <= n_generators), None)
     if bad is not None:
         reason = (f"letter {bad} exceeds generator count {n_generators}"
@@ -225,21 +199,6 @@ class SurfacePresentation(Record):
     @property
     def rank(self) -> int:
         return len(self.generators)
-
-    def to_json(self):
-        return {
-            "genus": self.genus,
-            "boundary_count": self.boundary_count,
-            "generators": list(self.generators),
-            "relators": [list(r) for r in self.relators],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "SurfacePresentation":
-        return cls(_json_int(data["genus"], "genus"),
-                   _json_int(data["boundary_count"], "boundary_count"),
-                   _json_names(data["generators"], "fiber generators"),
-                   _json_words(data["relators"], "fiber relators"))
 
 
 # ---------------------------------------------------------------------------
@@ -443,20 +402,6 @@ class GeneratorEndomorphism(Record):
                                  "block structure")
         return mt
 
-    def to_json(self):
-        data = {"images": [list(w) for w in self.images]}
-        if self.inverse_images is not None:
-            data["inverse_images"] = [list(w) for w in self.inverse_images]
-        return data
-
-    @classmethod
-    def from_json(cls, pres: SurfacePresentation, data) -> "GeneratorEndomorphism":
-        data = _json_object(data, "monodromy")
-        inverse = data.get("inverse_images")
-        return cls(pres, _json_words(data["images"], "images"),
-                   None if inverse is None
-                   else _json_words(inverse, "inverse_images"))
-
 
 def _substitute(images: Sequence[Word], word: Iterable[int]) -> Word:
     pieces: List[int] = []
@@ -559,32 +504,6 @@ class MappingTorusPresentation(Record):
         return _abelian_invariants(
             [[exponent_sum(r, j + 1) for j in range(self.rank)]
              for r in self.relators], self.rank)
-
-    def to_json(self):
-        return {
-            "generators": list(self.generators),
-            "relators": [list(r) for r in self.relators],
-            "fiber_values": list(self.fiber_values),
-            "stable_index": self.stable_index,
-            "fiber": self.fiber.to_json(),
-            "monodromy": self.monodromy.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "MappingTorusPresentation":
-        fiber = SurfacePresentation.from_json(
-            _json_object(data["fiber"], "fiber"))
-        monodromy = GeneratorEndomorphism.from_json(fiber, data["monodromy"])
-        return cls(
-            generators=_json_names(data["generators"], "generators"),
-            relators=_json_words(data["relators"], "relators"),
-            fiber_values=tuple(
-                _json_int(v, "fiber_values")
-                for v in _json_list(data["fiber_values"], "fiber_values")),
-            fiber=fiber,
-            monodromy=monodromy,
-            stable_index=_json_int(data["stable_index"], "stable_index"),
-        )
 
 
 def mapping_torus(pres: SurfacePresentation,

@@ -40,7 +40,7 @@ from procong.kernel import (Cyclotomic, LaurentPolynomial, PolyMatrix,
 from procong.lattice import ext_gcd, smith_integer
 from procong.ntform import (PERIODIC, PSEUDO_ANOSOV, DecompositionError,
                             Dilatation, IndexedOrbitTable, InteriorOrbit,
-                            NTDecomposition, StretchFactor,
+                            NTDecomposition, OrbitRow, StretchFactor,
                             _essential_families, _orbit, _roots_between,
                             _sign_at, _squarefree, _sturm_chain)
 from procong.surfgrp import (FiniteRepresentation, MappingTorusPresentation,
@@ -396,16 +396,16 @@ def orbit_numbers_by_iterate(nt: NTDecomposition,
                              upto: int) -> IndexedOrbitTable:
     """`indexed_orbit_numbers` without its row period: every iterate's row
     from its own essential families."""
-    counts = {}
+    rows = []
     for m in range(1, upto + 1):
-        row = {}
+        counts = {}
         for family in _essential_families(nt, m):
-            row[family.index] = row.get(family.index, 0) + 1
-        counts[m] = row
+            counts[family.index] = counts.get(family.index, 0) + 1
+        rows.append(OrbitRow.from_counts(counts))
     leading = [nt._orbits[p.name] for p in nt.pieces
                if p.kind == PSEUDO_ANOSOV and nt._orbits[p.name][0] == p.name]
     remainder = sorted(min(orbit) for orbit in leading if len(orbit) <= upto)
-    return IndexedOrbitTable.from_counts(counts, tuple(remainder))
+    return IndexedOrbitTable(tuple(rows), tuple(remainder))
 
 
 @dataclass(frozen=True)
@@ -427,8 +427,8 @@ def dilatation_from_nielsen(table: IndexedOrbitTable,
         raise DecompositionError("the orbit table has no rows")
     tolerance = Fraction(tolerance)
     out = []
-    for row in table.rows:
-        m, n = row.iterate, max(1, row.nielsen)
+    for m, row in enumerate(table.rows, 1):
+        n = max(1, row.nielsen)
         if n == 1:
             out.append(GrowthBracket(m, row.nielsen, Fraction(1), Fraction(1)))
             continue

@@ -18,9 +18,10 @@ from procong.cellular import (HomologyAction, cellular_model,
 from procong.chars import (OrbitProjectionTable, all_class_indicators,
                            builtin_group, nielsen_bound)
 from procong.kernel import LaurentPolynomial, normalize_unit_class
-from procong.ntform import (Dilatation, IndexedOrbitTable, StretchFactor,
-                            deviation, dilatation, fixed_point_classes,
-                            indexed_orbit_numbers, shearing_from_slopes)
+from procong.ntform import (Dilatation, IndexedOrbitTable, OrbitRow,
+                            StretchFactor, deviation, dilatation,
+                            fixed_point_classes, indexed_orbit_numbers,
+                            shearing_from_slopes)
 from procong.serialize import load_fixture
 from procong.surfgrp import (FiniteRepresentation, GeneratorEndomorphism,
                              SurfacePresentation, mapping_torus,
@@ -201,12 +202,13 @@ def test_primary_07_growth_certifies_the_dilatation():
     # every m-periodic class of the Anosov map is essential with index -1,
     # and there are -L_m of them, the classical Lefschetz count
     action = HomologyAction.from_monodromy_matrix(((2, 1), (1, 1)))
-    table = IndexedOrbitTable.from_counts(
-        {m: {-1: -classical_lefschetz(action, m)} for m in range(1, 31)})
+    table = IndexedOrbitTable(tuple(
+        OrbitRow.from_counts({-1: -classical_lefschetz(action, m)})
+        for m in range(1, 31)))
     anosov = Mat2.from_rows(((2, 1), (1, 1)))
-    for row in table.rows:
-        expected = det_power_minus_identity(anosov, row.iterate)
-        assert row.nielsen == expected, row.iterate
+    for m, row in enumerate(table.rows, 1):
+        expected = det_power_minus_identity(anosov, m)
+        assert row.nielsen == expected, m
     brackets = dilatation_from_nielsen(table)
     final = brackets[-1]
     assert final.iterate == 30

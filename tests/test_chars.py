@@ -28,7 +28,8 @@ from procong.chars import (
 )
 from procong.cli import main
 from procong.kernel import Cyclotomic, as_exact
-from procong.serialize import KIND_ORBIT_PROJECTION, save_fixture
+from procong.serialize import (KIND_ORBIT_PROJECTION, dumps, parse_fixture,
+                               save_fixture)
 from reference import complex_conjugate
 
 BUILTIN_NAMES = ("cyclic(1)", "cyclic(2)", "cyclic(3)", "cyclic(6)",
@@ -275,13 +276,14 @@ class TestOrbitProjectionTable:
             OrbitProjectionTable((("o", 1, -1),))
 
     @pytest.mark.parametrize("rows, message", [
-        (((None, 2, 1),), "rows[0] orbit must be a string, got None"),
-        (((1, 1, 0), ("1", 2, 1)), "rows[0] orbit must be a string, got 1"),
+        ([[None, 2, 1]], "rows[0] orbit must be a string, got None"),
+        ([[1, 1, 0], ["1", 2, 1]], "rows[0] orbit must be a string, got 1"),
         ("o21", "rows must be a list, got 'o21'")])
     def test_orbit_names_are_strings(self, rows, message):
         # str() made None the orbit "None" and 1 a duplicate of "1"
+        body = {"group": "S3", "rows": rows}
         with pytest.raises(ValueError, match=re.escape(message)):
-            OrbitProjectionTable(rows)
+            parse_fixture(dumps(KIND_ORBIT_PROJECTION, body))
 
     def test_class_ids_are_sorted_and_unique(self):
         table = OrbitProjectionTable((("a", 1, 3), ("b", 1, 0), ("c", 1, 3)))

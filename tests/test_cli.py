@@ -18,7 +18,7 @@ from procong import cellular, cli, ntform, serialize, surfgrp, torus
 from procong.cellular import LEFSCHETZ_LIMIT
 from procong.cli import RunConfig, config_from_args, build_parser, dispatch, main
 from procong.ntform import (ITERATE_LIMIT, Dilatation, IndexedOrbitTable,
-                            NTDecomposition)
+                            NTDecomposition, OrbitRow)
 from procong.serialize import wrap
 from procong.torus import SWEEP_LIMIT
 
@@ -875,7 +875,8 @@ class TestExitCodes:
                                             mode):
         # orbit tables are computed by `nt analyze`, never read: a file of
         # one is refused like any other unknown kind
-        table = IndexedOrbitTable.from_counts({1: {-1: 1}, 2: {-1: 5}})
+        table = IndexedOrbitTable((OrbitRow.from_counts({-1: 1}),
+                                   OrbitRow.from_counts({-1: 5})))
         path = tmp_path / "table.json"
         path.write_text(json.dumps({"schema": serialize.SCHEMA_ID,
                                     "kind": "indexed_orbit_table",
@@ -1290,7 +1291,7 @@ class TestFixtureRootEnvironment:
 
 
 class TestJsonReport:
-    """`dispatch` writes a --json report with `cli._json_report`, which
+    """`dispatch` writes a --json report with `cli._render_json`, which
     must print what `json.dumps(payload, indent=2, sort_keys=True)` does."""
 
     @staticmethod
@@ -1333,8 +1334,8 @@ class TestJsonReport:
     def test_every_handler_payload_matches_json_dumps(self, monkeypatch,
                                                       tmp_path):
         payloads = []
-        write = cli._json_report
-        monkeypatch.setattr(cli, "_json_report",
+        write = cli._render_json
+        monkeypatch.setattr(cli, "_render_json",
                             lambda payload: payloads.append(payload)
                             or write(payload))
         parser = build_parser()
@@ -1357,16 +1358,16 @@ class TestJsonReport:
 
     @given(TREES)
     def test_drawn_trees_match_json_dumps(self, tree):
-        assert cli._json_report(tree) == self.oracle(tree)
+        assert cli._render_json(tree) == self.oracle(tree)
 
     def test_escapes_and_empty_containers(self):
         tree = {"": [], "a": {}, "\u00e9\n\"\\": ["\U0001f600", "\t\x00"],
                 "b": [[], {}, ()], "n": [-(10 ** 30), 0, True, False, None]}
-        assert cli._json_report(tree) == self.oracle(tree)
+        assert cli._render_json(tree) == self.oracle(tree)
 
     @pytest.mark.parametrize("payload", [
         1.5, Fraction(1, 2), {1: "a"}, {"a": [0.5]}, [{"b": Fraction(3)}],
         {("a",): 1}])
     def test_anything_else_is_a_type_error(self, payload):
         with pytest.raises(TypeError):
-            cli._json_report(payload)
+            cli._render_json(payload)

@@ -28,7 +28,8 @@ from procong.cellular import lefschetz_numbers, zeta_from_cellular
 from procong.cli import RunConfig, _fibered_input, main
 from procong.kernel import (Cyclotomic, LaurentPolynomial, RationalFunction,
                             as_exact)
-from procong.serialize import KIND_MAPPING_TORUS, load_fixture, save_fixture
+from procong.serialize import (KIND_MAPPING_TORUS, encode_mapping_torus,
+                               load_fixture, save_fixture)
 from procong.surfgrp import (GeneratorEndomorphism, SurfacePresentation,
                              mapping_torus, twisted_alexander)
 import reference  # noqa: F401  (attaches the relator moves)
@@ -76,13 +77,13 @@ def write_generated(directory):
     mt = mapping_torus(SurfacePresentation.closed(1), phi)
     for name, order in REORDERED.items():
         save_fixture(directory / name, KIND_MAPPING_TORUS,
-                     mt.permute_generators(order).to_json())
+                     encode_mapping_torus(mt.permute_generators(order)))
     moved = (mt.cycle_relator(0, 1).invert_relator(1)
              .conjugate_relator(2, (3, 1)))
     save_fixture(directory / "moved_A211.json", KIND_MAPPING_TORUS,
-                 moved.to_json())
+                 encode_mapping_torus(moved))
     save_fixture(directory / "extended_A211.json", KIND_MAPPING_TORUS,
-                 moved.add_generator("x", (1, 3, -2)).to_json())
+                 encode_mapping_torus(moved.add_generator("x", (1, 3, -2))))
 
 
 def invocations():

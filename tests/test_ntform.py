@@ -22,6 +22,7 @@ from procong.ntform import (
     InteriorOrbit,
     NTDecomposition,
     OrbitDataIncompleteError,
+    OrbitRow,
     ReductionAnnulus,
     StretchFactor,
     VertexPiece,
@@ -33,7 +34,8 @@ from procong.ntform import (
     split_order,
 )
 from procong.cli import main
-from procong.serialize import KIND_NT, load_fixture, save_fixture
+from procong.serialize import (KIND_NT, _decode_stretch, dumps, encode_nt,
+                               load_fixture, parse_fixture, save_fixture)
 from reference import (certify_growth_estimate, dilatation_from_nielsen,
                        iterate, orbit_numbers_by_iterate, replace)
 
@@ -79,6 +81,11 @@ def det_power_minus_identity(a, m):
 
 def index_multiset(records):
     return sorted((r.case, r.index) for r in records)
+
+
+def decoded(body):
+    """The decomposition that an `nt_decomposition` fixture body decodes to."""
+    return parse_fixture(dumps(KIND_NT, body)).payload
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +276,15 @@ class TestStretchFactor:
         with pytest.raises(DecompositionError):
             StretchFactor((1, -3, 1), F(5), F(6))
 
-    @pytest.mark.parametrize("low, high", [(2.5, F(3)), (F(5, 2), 3.0)],
+    @pytest.mark.parametrize("low, high", [(2.5, "3"), ("5/2", 3.0)],
                              ids=["low", "high"])
     def test_rejects_float_endpoints(self, low, high):
         # a float would enter through Fraction(float) as a binary fraction
+        body = encode_nt(make_closed_pa(()))
+        body["pieces"][0]["stretch"]["interval"] = [low, high]
         with pytest.raises(ValueError, match="stretch interval must be an "
                                              "integer or a fraction string"):
-            StretchFactor((1, -3, 1), low, high)
+            decoded(body)
 
     def test_accepts_repeated_root_polynomial(self):
         s = StretchFactor((4, -4, 1), F(3, 2), F(5, 2))
@@ -375,7 +384,7 @@ class TestStretchFactor:
         assert not PHI.algebraic_equal(StretchFactor((-2, 1), F(3, 2), F(3)))
 
     def test_json_roundtrip(self):
-        assert StretchFactor.from_json(PHI.to_json()) == PHI
+        assert _decode_stretch(PHI.to_json()) == PHI
 
     def test_rendering_is_kept_per_digit_count(self, monkeypatch):
         stretch = phi_squared_interval()
@@ -460,24 +469,31 @@ class TestValidation:
             NTDecomposition(**fields).validate()
 
     def test_annulus_twist_must_be_exact(self):
+        body = encode_nt(make_single_pa(twist=F(1, 2)))
+        body["annuli"][0]["twist"] = 0.1
         with pytest.raises(ValueError, match="twist must be an integer or a "
                                              "fraction string, got 0.1"):
-            ReductionAnnulus("A", 0.1, ("x", None))
-        assert ReductionAnnulus("A", "1/10", ("x", None)).twist == F(1, 10)
+            decoded(body)
+        body["annuli"][0]["twist"] = "1/10"
+        assert decoded(body).annuli[0].twist == F(1, 10)
 
-    @pytest.mark.parametrize("field, build", [
-        ("circles", lambda: VertexPiece("P", "periodic", 0, circles="cP")),
-        ("boundary_singularities",
-         lambda: VertexPiece("P", "periodic", 0, boundary_singularities="1")),
-        ("orbits", lambda: VertexPiece("P", "periodic", 0, orbits="o")),
-        ("annulus ends", lambda: ReductionAnnulus("A", 0, "cP")),
-        ("annulus orbits",
-         lambda: ReductionAnnulus("A", 0, ("cP", None), "o")),
+    @pytest.mark.parametrize("field, path", [
+        ("circles", ("pieces", 1, "circles")),
+        ("boundary_singularities", ("pieces", 1, "boundary_singularities")),
+        ("orbits", ("pieces", 1, "orbits")),
+        ("annulus ends", ("annuli", 0, "ends")),
+        ("annulus orbits", ("annuli", 0, "orbits")),
     ], ids=["circles", "boundary_singularities", "orbits", "annulus ends",
             "annulus orbits"])
-    def test_string_is_not_a_list(self, field, build):
+    def test_string_is_not_a_list(self, field, path):
+        body = encode_nt(make_swap())
+        *steps, key = path
+        owner = body
+        for step in steps:
+            owner = owner[step]
+        owner[key] = "cQ"
         with pytest.raises(ValueError, match=f"^{field} must be a list, got"):
-            build()
+            decoded(body)
 
     def test_maps_are_objects_or_pair_lists(self):
         base = make_swap()
@@ -485,11 +501,14 @@ class TestValidation:
                                 [list(p) for p in base.piece_map],
                                 tuple(base.circle_map))
         assert pairs == base
-        for bad in ("PQ", [("P", "Q", "Q")], [("P", "Q"), "QP"], None):
+        body = encode_nt(base)
+        body["piece_map"] = [list(p) for p in base.piece_map]
+        assert decoded(body) == base
+        for bad in ("PQ", [["P", "Q", "Q"]], [["P", "Q"], "QP"], None):
+            body["piece_map"] = bad
             with pytest.raises(ValueError, match="^piece_map must be an "
                                                  "object or a list of pairs"):
-                NTDecomposition(base.pieces, base.annuli, bad,
-                                dict(base.circle_map))
+                decoded(body)
 
     def test_duplicate_names(self):
         dup = VertexPiece("A", "pseudoAnosov", -1, ("cZ",), (1,), PHI, ())
@@ -763,7 +782,7 @@ class TestDilDev:
         nt = self.make_two_fixed_pa(order)
         assert dilatation(nt) == Dilatation(PHI, 1)
         path = tmp_path / "two_orbits.json"
-        save_fixture(path, KIND_NT, nt.to_json())
+        save_fixture(path, KIND_NT, encode_nt(nt))
         assert main(["nt", "analyze", str(path)]) == 0
         assert "dilatation: root of [1, -3, 1] in [5/2, 3]\n" \
             in capsys.readouterr().out
@@ -983,15 +1002,11 @@ class TestFixedPointClasses:
 
 def counts(table: IndexedOrbitTable, m: int) -> dict:
     """{index: count} of iterate m; a table's rows are iterates 1, 2, ..."""
-    row = table.rows[m - 1]
-    assert row.iterate == m
-    return dict(row.counts)
+    return dict(table.rows[m - 1].counts)
 
 
 def nielsen(table: IndexedOrbitTable, m: int) -> int:
-    row = table.rows[m - 1]
-    assert row.iterate == m
-    return row.nielsen
+    return table.rows[m - 1].nielsen
 
 
 class TestIndexedOrbitNumbers:
@@ -1048,13 +1063,14 @@ class TestIndexedOrbitNumbers:
     def test_row_constructor_guards(self):
         # the two properties a caller's counts could break
         with pytest.raises(DecompositionError, match="nonzero indices"):
-            IndexedOrbitTable.from_counts({1: {0: 2}})
+            OrbitRow.from_counts({0: 2})
         with pytest.raises(DecompositionError, match="nonnegative"):
-            IndexedOrbitTable.from_counts({1: {-2: -1}})
+            OrbitRow.from_counts({-2: -1})
 
     def test_from_counts_and_json(self):
-        table = IndexedOrbitTable.from_counts(
-            {1: {-1: 2, 3: 0}, 2: {-2: 1}}, remainder=("P",))
+        table = IndexedOrbitTable(
+            (OrbitRow.from_counts({-1: 2, 3: 0}), OrbitRow.from_counts({-2: 1})),
+            remainder=("P",))
         assert table.rows[0].counts == ((-1, 2),)
         assert nielsen(table, 2) == 1
         assert table.to_json() == {
@@ -1129,6 +1145,13 @@ class TestOrbitRowPeriod:
             indexed_orbit_numbers(nt, upto)
         assert calls == list(range(1, self.PERIODS[name] + 1))
 
+    @pytest.mark.parametrize("name", sorted(PERIODS))
+    def test_rows_repeat_as_objects(self, name):
+        # one checked row object per residue of the iterate mod P
+        nt, period = self.shipped(name), self.PERIODS[name]
+        rows = indexed_orbit_numbers(nt, 3 * period + 1).rows
+        assert all(row is rows[m % period] for m, row in enumerate(rows))
+
     @pytest.mark.parametrize("upto", [ITERATE_LIMIT + 1, 10 ** 30])
     def test_bound_past_the_limit_computes_no_row(self, monkeypatch, upto):
         nt = self.shipped("two_pa_swap")
@@ -1194,8 +1217,9 @@ class TestOrbitRowPeriod:
 class TestGrowthEstimates:
     def anosov_table(self, upto=30):
         a = ((2, 1), (1, 1))
-        return IndexedOrbitTable.from_counts(
-            {m: {-1: det_power_minus_identity(a, m)} for m in range(1, upto + 1)})
+        return IndexedOrbitTable(tuple(
+            OrbitRow.from_counts({-1: det_power_minus_identity(a, m)})
+            for m in range(1, upto + 1)))
 
     def test_bracket_invariant(self):
         for bracket in dilatation_from_nielsen(self.anosov_table(12)):
@@ -1220,7 +1244,7 @@ class TestGrowthEstimates:
                                            F(1, 100))
 
     def test_all_zero_table(self):
-        table = IndexedOrbitTable.from_counts({m: {} for m in range(1, 6)})
+        table = IndexedOrbitTable((OrbitRow.from_counts({}),) * 5)
         for bracket in dilatation_from_nielsen(table):
             assert (bracket.low, bracket.high) == (1, 1)
             assert certify_growth_estimate(bracket, Dilatation(None, 1))
@@ -1398,17 +1422,17 @@ class TestJson:
     @pytest.mark.parametrize("factory", ALL_FIXTURES)
     def test_decomposition_roundtrip(self, factory):
         nt = factory()
-        assert NTDecomposition.from_json(nt.to_json()) == nt
+        assert decoded(encode_nt(nt)) == nt
 
     def test_json_is_plain_data(self):
         import json
         for factory in ALL_FIXTURES:
-            json.dumps(factory().to_json())
+            json.dumps(encode_nt(factory()))
 
     def test_undeclared_orbits_distinct_from_empty(self):
         declared = make_closed_pa(())
         undeclared = NTDecomposition(
             (bad_piece(declared.pieces[0], orbits=None),), (), {"P": "P"}, {})
-        assert "orbits" in declared.to_json()["pieces"][0]
-        assert "orbits" not in undeclared.to_json()["pieces"][0]
-        assert NTDecomposition.from_json(undeclared.to_json()) == undeclared
+        assert "orbits" in encode_nt(declared)["pieces"][0]
+        assert "orbits" not in encode_nt(undeclared)["pieces"][0]
+        assert decoded(encode_nt(undeclared)) == undeclared

@@ -36,7 +36,7 @@ SURFACE, FLOW = cellular_model(MT)
 TRIVIAL = FiniteRepresentation.trivial(MT)
 RENAMED = tuple(tuple(name + "'" for name in dim)
                 for dim in SURFACE.cell_names)
-ROW = OrbitRow(1, ((1, 2),), 2)
+ROW = OrbitRow(((1, 2),), 2)
 ORBITS = OrbitProjectionTable((("o", 1, 0),))
 
 
@@ -59,7 +59,7 @@ def _records():
          "pieces", (VertexPiece("E", "periodic", -2),)),
         (FixedClassRecord(1, 1, "interior orbit o", 1), "carrier", "other"),
         (_ClassFamily(1, 1, 1, "interior orbit o"), "classes", 2),
-        (ROW, "iterate", 2),
+        (ROW, "nielsen", 3),
         (IndexedOrbitTable((ROW,), ("E",)), "remainder", ()),
         (TORUS, "generators", ("x", "y")),
         (MONODROMY, "inverse_images", None),

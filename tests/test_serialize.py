@@ -1,5 +1,6 @@
 """Tests for the versioned fixture grammar and path resolution."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -14,6 +15,7 @@ from procong.serialize import (SCHEMA_ID, Fixture, OrbitProjectionFixture,
 from procong.torus import Mat2
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src" / "procong"
 
 SHIPPED = {
     "torus_A211.json": "torus_monodromy",
@@ -131,3 +133,65 @@ class TestPathResolution:
         monkeypatch.setenv("PROCONG_FIXTURES", str(tmp_path))
         with pytest.raises(ValueError, match="not found"):
             resolve_path("nothing_here.json")
+
+
+class TestOneOwnerOfTheGrammar:
+    """`serialize` is the one module that knows the fixture format: no other
+    module names a `_json_*` helper, imports `json`, defines a `KIND_*`
+    constant or a `from_json`, and no payload type has a JSON form of its
+    own.  The one `from_json` elsewhere is `LaurentPolynomial.from_json`,
+    which reads the polynomials of a report back."""
+
+    # the types a fixture body decodes to, apart from Mat2 and
+    # StretchFactor, whose `to_json` is their report form
+    PAYLOAD_TYPES = {"SurfacePresentation", "GeneratorEndomorphism",
+                     "MappingTorusPresentation", "NTDecomposition",
+                     "VertexPiece", "ReductionAnnulus", "InteriorOrbit",
+                     "OrbitProjectionTable"}
+
+    @staticmethod
+    def modules():
+        return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+                for path in sorted(SRC.glob("*.py"))}
+
+    @staticmethod
+    def identifiers(tree):
+        """Every name the module defines, imports, reads or writes."""
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node.name
+            elif isinstance(node, ast.alias):
+                yield node.asname or node.name
+                yield node.name
+            elif isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+    def test_only_serialize_names_json_helpers(self):
+        owners = {name: sorted({n for n in self.identifiers(tree)
+                                if n.startswith("_json_")})
+                  for name, tree in self.modules().items()}
+        assert "_json_int" in owners.pop("serialize")
+        assert {name: found for name, found in owners.items() if found} == {}
+
+    def test_only_serialize_decodes_or_encodes_a_fixture_kind(self):
+        readers, kinds, methods = set(), set(), []
+        for name, tree in self.modules().items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import) and any(
+                        alias.name == "json" for alias in node.names):
+                    readers.add(name)
+                elif isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id.startswith("KIND_")
+                        for t in node.targets):
+                    kinds.add(name)
+                elif isinstance(node, ast.ClassDef):
+                    methods += [
+                        f"{name}.{node.name}.{item.name}"
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef) and (
+                            item.name == "from_json" or item.name == "to_json"
+                            and node.name in self.PAYLOAD_TYPES)]
+        assert readers == kinds == {"serialize"}
+        assert methods == ["kernel.LaurentPolynomial.from_json"]

@@ -23,7 +23,6 @@ from procong.cellular import (cellular_model, flow_boundary_matrices,
 from procong.surfgrp import (
     FiniteRepresentation,
     GeneratorEndomorphism,
-    MappingTorusPresentation,
     SurfacePresentation,
     exponent_sum,
     fox_derivative,
@@ -38,7 +37,9 @@ from procong.surfgrp import (
     _presentation_boundaries,
     _fox_chain,
 )
-from procong.serialize import load_fixture
+from procong.serialize import (KIND_MAPPING_TORUS, dumps,
+                               encode_mapping_torus, load_fixture,
+                               parse_fixture)
 from procong.torus import Mat2, rl_runs
 from reference import (affine_rep, cyclic_reduce, dense, dense_entries,
                        mat_inverse, poly_matrix, replace)
@@ -66,6 +67,11 @@ def assert_witness_inverts(endo):
         assert endo.apply(endo.inverse_images[j - 1]) == (j,)
         assert surfgrp._substitute(endo.inverse_images,
                                    endo.images[j - 1]) == (j,)
+
+
+def decoded(body):
+    """The presentation that a `mapping_torus` fixture body decodes to."""
+    return parse_fixture(dumps(KIND_MAPPING_TORUS, body)).payload
 
 
 def anosov_bundle():
@@ -275,7 +281,8 @@ class TestSurfacePresentation:
 
     def test_json_round_trip(self):
         for pres in (TORUS, GENUS2, SurfacePresentation.with_boundary(1, 2)):
-            assert SurfacePresentation.from_json(pres.to_json()) == pres
+            mt = mapping_torus(pres, GeneratorEndomorphism.identity(pres))
+            assert decoded(encode_mapping_torus(mt)).fiber == pres
 
 
 # ---------------------------------------------------------------------------
@@ -517,27 +524,31 @@ class TestGeneratorEndomorphism:
     def test_non_integer_letters_are_rejected(self, images):
         # int() would truncate ((1.7,), (2.2,)) to the identity
         bad = next(x for w in images for x in w if type(x) is not int)
-        with pytest.raises(ValueError, match=re.escape(
-                f"images must be an integer, got {bad!r}")):
-            GeneratorEndomorphism(TORUS, images)
-        with pytest.raises(ValueError,
-                           match="inverse_images must be an integer"):
-            GeneratorEndomorphism(TORUS, ((1,), (2,)), images)
-        with pytest.raises(ValueError, match="relators must be an integer"):
-            SurfacePresentation(1, 0, ("a1", "b1"), (images[0] + images[1],))
         mt = mapping_torus(TORUS, ANOSOV_WORDS)
-        with pytest.raises(ValueError, match="relators must be an integer"):
-            replace(mt, relators=mt.relators[:2] + (
-                mt.relators[2][:-1] + (float(mt.relators[2][-1]),),))
-        with pytest.raises(ValueError, match="letter must be an integer"):
-            mt.conjugate_relator(0, (bad,))
+        for path, message in [
+                (("monodromy", "images"),
+                 re.escape(f"images must be an integer, got {bad!r}")),
+                (("monodromy", "inverse_images"),
+                 "inverse_images must be an integer"),
+                (("fiber", "relators"), "fiber relators must be an integer")]:
+            body = encode_mapping_torus(mt)
+            words = [list(w) for w in images]
+            if path[1] == "relators":
+                words = [words[0] + words[1]]
+            body[path[0]][path[1]] = words
+            with pytest.raises(ValueError, match=message):
+                decoded(body)
+        body = encode_mapping_torus(mt)
+        body["relators"][2][-1] = float(body["relators"][2][-1])
+        with pytest.raises(ValueError, match="^relators must be an integer"):
+            decoded(body)
 
     def test_json_round_trip(self):
-        data = ANOSOV_WORDS.to_json()
-        assert GeneratorEndomorphism.from_json(TORUS, data) == ANOSOV_WORDS
-        bare = GeneratorEndomorphism(TORUS, ((2,), (1,)))
-        assert (GeneratorEndomorphism.from_json(TORUS, bare.to_json())
-                == bare)
+        for endo in (ANOSOV_WORDS, GeneratorEndomorphism(TORUS, ((2,), (1,)))):
+            body = encode_mapping_torus(mapping_torus(TORUS, endo))
+            assert ("inverse_images" in body["monodromy"]) == (
+                endo.inverse_images is not None)
+            assert decoded(body).monodromy == endo
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +649,7 @@ class TestMappingTorus:
 
     def test_json_round_trip(self):
         for mt in (anosov_bundle(), genus2_swap_bundle()):
-            assert MappingTorusPresentation.from_json(mt.to_json()) == mt
+            assert decoded(encode_mapping_torus(mt)) == mt
 
 
 # ---------------------------------------------------------------------------
@@ -1433,8 +1444,10 @@ class TestBoundedFiber:
     def test_zeta_subcommand_on_a_saved_fixture(self, tmp_path, capsys,
                                                 matrix, report):
         from procong import cli
-        from procong.serialize import KIND_MAPPING_TORUS, save_fixture
+        from procong.serialize import (KIND_MAPPING_TORUS,
+                                       encode_mapping_torus, save_fixture)
         path = tmp_path / "bounded.json"
-        save_fixture(path, KIND_MAPPING_TORUS, bounded_bundle(matrix).to_json())
+        save_fixture(path, KIND_MAPPING_TORUS,
+                     encode_mapping_torus(bounded_bundle(matrix)))
         assert cli.main(["zeta", str(path)]) == 0
         assert capsys.readouterr().out == "rep: trivial\n" + report
