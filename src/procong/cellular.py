@@ -187,8 +187,8 @@ def _flow(mt: MappingTorusPresentation, rep: FiniteRepresentation,
     numerator = _det_one_minus_t(f1)
     denominator = _det_one_minus_t(f0) * _det_one_minus_t(f2)
     zeta = RationalFunction(numerator, denominator)
-    series0 = zeta.series(1)[0]
-    if series0 != 1:
+    # the canonical denominator has constant term 1, so zeta(0) is num(0)
+    if not (zeta.num.valuation == 0 and zeta.num.coefficient(0) == 1):
         raise AssertionError("zeta lost its constant term 1")
     return (f0, f1, f2), zeta
 

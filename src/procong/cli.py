@@ -1,23 +1,17 @@
 """Command-line driver exposing every computation of the library.
 
-Subcommands: ``torus conj|congr|sweep|klevel``, ``alexander``, ``torsion``,
-``zeta``, ``lefschetz``, ``nt analyze|shear``, ``chars decompose|bound``.
-All numeric output is exact (integers, fractions, coefficient lists); the
-optional ``--approx`` flag adds decimal renderings with 30 significant
-digits obtained by interval refinement.  ``--json`` switches the report to
-a machine-readable form encoding the same values.  Identical inputs yield
-byte-identical reports.
+Each subcommand (``torus conj|congr|sweep|klevel``, ``alexander``,
+``torsion``, ``zeta``, ``lefschetz``, ``nt analyze|shear``, ``chars
+decompose|bound``) is one row of `COMMANDS`, which `build_parser`,
+`config_from_args`, `RunConfig` and `dispatch` read.  Its handler renders
+the report from the records the library returns, as text or, under
+``--json``, as JSON holding the same values; the library renders only
+values (see `kernel`).  All numeric output is exact; ``--approx`` adds
+decimal renderings with 30 significant digits obtained by interval
+refinement.  Identical inputs yield byte-identical reports.
 
-Every fixture-reading subcommand (``alexander``, ``torsion``, ``zeta``,
-``lefschetz``, ``nt analyze``, ``chars``) reads its fixture file on every
-call and looks its text up in one cache of compiled fixtures: fibered
-bundles, validated decompositions and orbit projection tables.  The cache
-is keyed by the text, so an edited file is compiled anew; it is one
-``functools.lru_cache`` of ``COMPILED_SLOTS`` (8) texts, which evicts the
-least recently used; a text that fails to decode or validate raises
-inside it, so it is never stored.  A decomposition keeps
-its orbit-count rows and a stretch factor its decimal renderings, so those
-are derived once per process (see ``ntform``).
+Every fixture-reading subcommand reads its file on every call and looks
+its text up in one cache of compiled fixtures (see `_compiled`).
 
 Exit status: 0 on success, 2 on input errors (unreadable fixtures, bad
 arguments, validation failures), 1 on internal assertion failures.
@@ -31,8 +25,9 @@ import os
 import re
 import sys
 import warnings
+from importlib import import_module
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .record import Record
 
@@ -40,24 +35,30 @@ APPROX_DIGITS = 30
 
 
 class RunConfig(Record):
-    """One dispatchable invocation of the driver.  A bound flag must be
-    positive and at most the limit of the computation it bounds (see
-    `_flag_limit`), so no request starts on a size it cannot finish."""
+    """One dispatchable invocation of the driver.  A bound flag must be one
+    that the subcommand's row of `COMMANDS` declares, positive, and at most
+    its limit, so no request starts on a size it cannot finish."""
 
     def __init__(self, subcommand: str, inputs: Tuple[str, ...] = (),
                  max_modulus: Optional[int] = None,
                  terms: Optional[int] = None, upto: Optional[int] = None,
                  rep: str = "trivial", group: Optional[str] = None,
                  approx: bool = False, output: str = "text"):
-        for label, bound in (("--max", max_modulus), ("--terms", terms),
-                             ("--upto", upto)):
+        command = COMMANDS.get(subcommand)
+        flags = {flag.field: flag for flag in command.flags} if command else {}
+        for field, bound in (("max_modulus", max_modulus), ("terms", terms),
+                             ("upto", upto)):
             if bound is None:
                 continue
+            flag = flags.get(field)
+            if flag is None:
+                raise ValueError(f"{subcommand!r} takes no bound {field}")
             if bound < 1:
-                raise ValueError(f"{label} must be a positive integer")
-            limit = _flag_limit(label, subcommand)
+                raise ValueError(f"{flag.option} must be a positive integer")
+            module, name = flag.limit
+            limit = getattr(import_module(f".{module}", __package__), name)
             if bound > limit:
-                raise ValueError(f"{label} must be at most {limit}")
+                raise ValueError(f"{flag.option} must be at most {limit}")
         if output not in ("text", "json"):
             raise ValueError(f"unknown output mode {output!r}")
         self.__dict__.update(
@@ -66,27 +67,17 @@ class RunConfig(Record):
             group=group, approx=approx, output=output)
 
 
-def _flag_limit(label: str, subcommand: str) -> int:
-    """The largest value of a bound flag: `torus.SWEEP_LIMIT` for --max,
-    `cellular.LEFSCHETZ_LIMIT` for --terms and for the --upto of
-    lefschetz, and `ntform.ITERATE_LIMIT` for the --upto of nt analyze."""
-    if label == "--max":
-        from .torus import SWEEP_LIMIT
-        return SWEEP_LIMIT
-    if label == "--terms" or subcommand == "lefschetz":
-        from .cellular import LEFSCHETZ_LIMIT
-        return LEFSCHETZ_LIMIT
-    from .ntform import ITERATE_LIMIT
-    return ITERATE_LIMIT
-
-
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _matrix_pair(config: RunConfig) -> Tuple[Mat2, Mat2]:
+def _matrix_pair(config: RunConfig):
+    """The matrices A and B of the first two inputs, the report line that
+    names them and their JSON fields."""
     from .torus import Mat2
-    return Mat2.from_string(config.inputs[0]), Mat2.from_string(config.inputs[1])
+    a, b = (Mat2.from_string(text) for text in config.inputs[:2])
+    return a, b, f"pair A = {a.to_string()}  B = {b.to_string()}", {
+        "matrix_a": a.to_string(), "matrix_b": b.to_string()}
 
 
 def _positive_int(text: str, label: str) -> int:
@@ -243,41 +234,131 @@ def _orbit_projection_input(config: RunConfig):
 
 
 # ---------------------------------------------------------------------------
+# the subcommand table
+# ---------------------------------------------------------------------------
+
+class Flag(Record):
+    """A flag that sets the RunConfig field `field`: a switch, a string, or
+    a bound, which is a positive integer, `default` when omitted and at
+    most the library constant `limit`, a (module, name) pair."""
+
+    def __init__(self, option: str, field: str, help: str,
+                 default: Optional[int] = None,
+                 limit: Optional[Tuple[str, str]] = None, switch=False):
+        self.__dict__.update(option=option, field=field, help=help,
+                             default=default, limit=limit, switch=switch)
+
+
+class Command(Record):
+    """A subcommand: its handler, help line, positionals in the order they
+    fill `RunConfig.inputs`, and flags after ``--json``, which all take.
+    A `signed` subcommand's positionals may begin with a minus sign."""
+
+    def __init__(self, handler: Callable, help: str, positionals: tuple,
+                 flags: Tuple[Flag, ...] = (), signed=False):
+        self.__dict__.update(handler=handler, help=help, flags=flags,
+                             positionals=positionals, signed=signed)
+
+
+COMMANDS = {}       # subcommand -> Command, in the order of `--help`
+
+
+def _command(name: str, *row, **options):
+    """Make the decorated handler's Command(handler, *row, **options) the
+    row `name` of `COMMANDS`."""
+    def declare(handler):
+        COMMANDS[name] = Command(handler, *row, **options)
+        return handler
+    return declare
+
+
+def _bound(config: RunConfig, field: str) -> int:
+    """The bound flag `field` of config, or its default when omitted."""
+    return getattr(config, field) or next(
+        flag.default for flag in COMMANDS[config.subcommand].flags
+        if flag.field == field)
+
+
+_FIXTURE, _PAIR = ("fixture",), ("matrix_a", "matrix_b")
+_REP = Flag("--rep", "rep", "representation: trivial, sign, or zeta:n[:k]")
+_GROUP = Flag("--group", "group", "override the group named in the fixture")
+_LEFSCHETZ = ("cellular", "LEFSCHETZ_LIMIT")
+_GROUPS = {"torus": "2x2 integer matrix conjugacy",
+           "nt": "normal-form decomposition invariants",
+           "chars": "character projections of orbit data"}
+
+
+# ---------------------------------------------------------------------------
 # handlers: each returns (text report, json payload)
 # ---------------------------------------------------------------------------
 
+SWEEP_NOTE = ("levels test conjugacy on the quotients (Z/n)^2; these are "
+              "characteristic subgroups and, by the lcm structure of the "
+              "intersection lattices, cofinal with the full characteristic "
+              "tower, so a full pass carries the same information")
+
+
+def _verdict_json(verdict, key: str, value) -> dict:
+    """An SL(2,Z) or GL(2,Z/n) verdict as JSON, with `key` set to `value`."""
+    return {key: value, "conjugate": verdict.conjugate,
+            "witness": verdict.witness and verdict.witness.to_string()}
+
+
+def _sl2_report(verdict: SL2Verdict):
+    """The report lines (answer, then any witness) and JSON of a verdict."""
+    word = "conjugate" if verdict.conjugate else "not conjugate"
+    lines = [f"SL(2,Z): {word} ({verdict.reason})"]
+    if verdict.witness is not None:
+        lines.append(f"SL(2,Z) witness: {verdict.witness.to_string()}")
+    return lines, _verdict_json(verdict, "reason", verdict.reason)
+
+
+@_command("torus conj", "decide SL(2,Z) conjugacy", _PAIR, signed=True)
 def _handle_torus_conj(config: RunConfig):
     from .torus import sl2_conjugate
-    a, b = _matrix_pair(config)
-    verdict = sl2_conjugate(a, b)
-    lines = [f"pair A = {a.to_string()}  B = {b.to_string()}",
-             *verdict.lines()]
-    payload = {"matrix_a": a.to_string(), "matrix_b": b.to_string(),
-               "sl2": verdict.to_json()}
-    return "\n".join(lines), payload
+    a, b, line, payload = _matrix_pair(config)
+    lines, payload["sl2"] = _sl2_report(sl2_conjugate(a, b))
+    return "\n".join([line, *lines]), payload
 
 
+@_command("torus congr", "decide GL(2,Z/n) conjugacy at one level",
+          (*_PAIR, "modulus"), signed=True)
 def _handle_torus_congr(config: RunConfig):
     from .torus import congruent_conjugate_mod
-    a, b = _matrix_pair(config)
+    a, b, line, payload = _matrix_pair(config)
     n = _positive_int(config.inputs[2], "modulus")
     verdict = congruent_conjugate_mod(a, b, n)
     word = "conjugate" if verdict.conjugate else "not conjugate"
-    lines = [f"pair A = {a.to_string()}  B = {b.to_string()}",
-             f"GL(2,Z/{n}): {word}"]
+    lines = [line, f"GL(2,Z/{n}): {word}"]
     if verdict.witness is not None:
         lines.append(f"witness mod {n}: {verdict.witness.to_string()}")
-    payload = {"matrix_a": a.to_string(), "matrix_b": b.to_string(),
-               "level": verdict.to_json()}
+    payload["level"] = _verdict_json(verdict, "modulus", n)
     return "\n".join(lines), payload
 
 
+@_command("torus sweep", "GL(2,Z/n) conjugacy for all n up to a bound",
+          _PAIR, (Flag("--max", "max_modulus", "largest modulus", 100,
+                       ("torus", "SWEEP_LIMIT")),), signed=True)
 def _handle_torus_sweep(config: RunConfig):
     from .torus import congruence_sweep
-    a, b = _matrix_pair(config)
-    bound = config.max_modulus if config.max_modulus is not None else 100
-    report = congruence_sweep(a, b, bound)
-    return report.render_text(), report.to_json()
+    a, b, line, payload = _matrix_pair(config)
+    report = congruence_sweep(a, b, _bound(config, "max_modulus"))
+    sl2_lines, payload["sl2"] = _sl2_report(report.sl2)
+    first, n = report.first_failure, report.max_modulus
+    failures = sum(not v.conjugate for v in report.verdicts)
+    candidate = report.procongruence_candidate
+    lines = [line, f"note: {SWEEP_NOTE}", *sl2_lines,
+             f"levels tested: 1..{n}; failures: {failures}",
+             "all levels conjugate" if first is None
+             else f"first failing level: {first}",
+             "procongruence candidate: " + ("yes" if candidate else "no")]
+    payload.update(
+        max_modulus=n, note=SWEEP_NOTE, first_failure=first,
+        levels=[_verdict_json(v, "modulus", v.modulus)
+                for v in report.verdicts],
+        all_levels_pass=report.all_levels_pass,
+        procongruence_candidate=candidate)
+    return "\n".join(lines), payload
 
 
 def _largest_printable_bound(digits: int) -> int:
@@ -289,6 +370,8 @@ def _largest_printable_bound(digits: int) -> int:
     return n
 
 
+@_command("torus klevel", "characteristic level of an index bound",
+          ("bound",))
 def _handle_torus_klevel(config: RunConfig):
     from .torus import characteristic_level
     n = _positive_int(config.inputs[0], "level bound")
@@ -308,6 +391,7 @@ def _handle_torus_klevel(config: RunConfig):
     return text, {"bound": n, "characteristic_level": level}
 
 
+@_command("alexander", "twisted homology orders", _FIXTURE, (_REP,))
 def _handle_alexander(config: RunConfig):
     from .surfgrp import twisted_alexander
     bundle, rep = _fibered_input(config)
@@ -320,6 +404,7 @@ def _handle_alexander(config: RunConfig):
     return "\n".join(lines), payload
 
 
+@_command("torsion", "twisted Reidemeister torsion", _FIXTURE, (_REP,))
 def _handle_torsion(config: RunConfig):
     from .cellular import torsion_from_cellular
     from .surfgrp import twisted_torsion
@@ -343,69 +428,93 @@ def _handle_torsion(config: RunConfig):
     return "\n".join(lines), payload
 
 
-def _rendered_lefschetz(bundle: FiberedBundle, rep: FiniteRepresentation,
-                        count: int, label: str):
-    """L_1..L_count of the bundle under rep, each rendered by
-    `render_scalar`; a number with more digits than the interpreter prints
-    is a ValueError naming the flag `label` that set `count` and the
-    largest count whose numbers all print."""
+def _rendered_lefschetz(config: RunConfig, bundle: FiberedBundle,
+                        rep: FiniteRepresentation, field: str):
+    """L_1..L_n of the bundle under rep, for n the bound flag `field` of
+    config, each rendered by `render_scalar`; a number with more digits
+    than the interpreter prints is a ValueError naming the flag and the
+    largest n whose numbers all print."""
     from .cellular import lefschetz_numbers
     from .kernel import render_scalar
-    values = lefschetz_numbers(bundle.surface, bundle.flow, rep, count)
+    values = lefschetz_numbers(bundle.surface, bundle.flow, rep,
+                               _bound(config, field))
     rendered = []
     for m, value in enumerate(values, start=1):
         try:
             rendered.append(render_scalar(value))
         except ValueError:  # more digits than the interpreter converts
             raise ValueError(
-                f"{label} must be at most {m - 1} for this fixture: L_{m} "
+                f"--{field} must be at most {m - 1} for this fixture: L_{m} "
                 f"exceeds the {sys.get_int_max_str_digits()}-digit limit "
                 f"for printing integers") from None
     return rendered
 
 
+@_command("zeta", "twisted Lefschetz zeta function", _FIXTURE,
+          (_REP, Flag("--terms", "terms", "number of Lefschetz numbers", 5,
+                      _LEFSCHETZ)))
 def _handle_zeta(config: RunConfig):
     from .cellular import zeta_from_cellular
     bundle, rep = _fibered_input(config)
-    terms = config.terms if config.terms is not None else 5
     zeta = zeta_from_cellular(bundle.surface, bundle.flow, rep)
-    rendered = _rendered_lefschetz(bundle, rep, terms, "--terms")
+    rendered = _rendered_lefschetz(config, bundle, rep, "terms")
     lines = [f"rep: {config.rep}",
              f"zeta = {zeta.pretty()}",
-             f"L_1..L_{terms} = " + ", ".join(rendered)]
+             f"L_1..L_{len(rendered)} = " + ", ".join(rendered)]
     payload = {"rep": config.rep, "zeta": zeta.to_json(),
                "lefschetz": rendered}
     return "\n".join(lines), payload
 
 
+@_command("lefschetz", "twisted Lefschetz numbers", _FIXTURE,
+          (_REP, Flag("--upto", "upto", "largest iterate", 10, _LEFSCHETZ)))
 def _handle_lefschetz(config: RunConfig):
     bundle, rep = _fibered_input(config)
-    upto = config.upto if config.upto is not None else 10
-    rendered = _rendered_lefschetz(bundle, rep, upto, "--upto")
+    rendered = _rendered_lefschetz(config, bundle, rep, "upto")
     lines = [f"rep: {config.rep}"]
     lines += [f"L_{m} = {v}" for m, v in enumerate(rendered, start=1)]
     payload = {"rep": config.rep, "lefschetz": rendered}
     return "\n".join(lines), payload
 
 
+def _stretch_json(factor: StretchFactor) -> dict:
+    """A stretch factor as JSON: its polynomial and isolating interval."""
+    return {"polynomial": list(factor.polynomial),
+            "interval": [str(factor.low), str(factor.high)]}
+
+
+def _table_json(table: IndexedOrbitTable) -> dict:
+    """An indexed orbit table as JSON: a row per iterate, then the pieces
+    of model-dependent remainder."""
+    return {"rows": [{"iterate": m,
+                      "counts": [list(pair) for pair in row.counts],
+                      "nielsen": row.nielsen}
+                     for m, row in enumerate(table.rows, 1)],
+            "remainder": list(table.remainder)}
+
+
+@_command("nt analyze", "split order, stretch, twist, orbit table", _FIXTURE,
+          (Flag("--upto", "upto", "largest iterate", 6,
+                ("ntform", "ITERATE_LIMIT")),
+           Flag("--approx", "approx",
+                f"add {APPROX_DIGITS}-digit decimal renderings", switch=True)))
 def _handle_nt_analyze(config: RunConfig):
     from .ntform import deviation, dilatation, indexed_orbit_numbers
     from .serialize import KIND_NT
     nt = _compiled_input(config, (KIND_NT,), "is not a decomposition")
-    upto = config.upto if config.upto is not None else 6
     dil = dilatation(nt)
     dev = deviation(nt)
-    table = indexed_orbit_numbers(nt, upto)
+    table = indexed_orbit_numbers(nt, _bound(config, "upto"))
 
     pa = sum(1 for p in nt.pieces if p.stretch is not None)
     lines = [f"pieces: {len(nt.pieces)} (pseudo-Anosov {pa}, "
              f"periodic {len(nt.pieces) - pa}); annuli: {len(nt.annuli)}; "
              f"circles: {len(nt.circle_permutation)}",
              f"split order: {dil.split_order}"]
-    if dil.factor is None:
+    f = dil.factor
+    if f is None:
         lines.append("dilatation: 1")
     else:
-        f = dil.factor
         lines.append(f"dilatation: root of {list(f.polynomial)} in "
                      f"[{f.low}, {f.high}]")
     approx = dil.approx(APPROX_DIGITS) if config.approx else None
@@ -420,14 +529,17 @@ def _handle_nt_analyze(config: RunConfig):
     lines.append(f"regular-orbit remainder pieces: {remainder}")
 
     payload = {"split_order": dil.split_order,
-               "dilatation": dil.to_json(),
+               "dilatation": {"factor": f and _stretch_json(f),
+                              "split_order": dil.split_order},
                "deviation": str(dev),
-               "table": table.to_json()}
+               "table": _table_json(table)}
     if approx is not None:
         payload["dilatation_approx"] = approx
     return "\n".join(lines), payload
 
 
+@_command("nt shear", "shearing degree of two integer slopes",
+          ("slope_a", "slope_b"), signed=True)
 def _handle_nt_shear(config: RunConfig):
     from .ntform import shearing_from_slopes
     first = _parse_slope(config.inputs[0])
@@ -439,6 +551,8 @@ def _handle_nt_shear(config: RunConfig):
     return "\n".join(lines), payload
 
 
+@_command("chars decompose", "twisted L against every character",
+          _FIXTURE, (_GROUP,))
 def _handle_chars_decompose(config: RunConfig):
     from .chars import all_class_indicators, character_L_vector
     from .kernel import render_scalar
@@ -459,6 +573,8 @@ def _handle_chars_decompose(config: RunConfig):
     return "\n".join(lines), payload
 
 
+@_command("chars bound", "lower bound for the Nielsen number", _FIXTURE,
+          (_GROUP,))
 def _handle_chars_bound(config: RunConfig):
     from .chars import nielsen_bound
     group, table, attained = _orbit_projection_input(config)
@@ -474,22 +590,6 @@ def _handle_chars_bound(config: RunConfig):
                "indexed_counts": (None if result.indexed_counts is None
                                   else [list(p) for p in result.indexed_counts])}
     return "\n".join(lines), payload
-
-
-_HANDLERS = {
-    "torus conj": _handle_torus_conj,
-    "torus congr": _handle_torus_congr,
-    "torus sweep": _handle_torus_sweep,
-    "torus klevel": _handle_torus_klevel,
-    "alexander": _handle_alexander,
-    "torsion": _handle_torsion,
-    "zeta": _handle_zeta,
-    "lefschetz": _handle_lefschetz,
-    "nt analyze": _handle_nt_analyze,
-    "nt shear": _handle_nt_shear,
-    "chars decompose": _handle_chars_decompose,
-    "chars bound": _handle_chars_bound,
-}
 
 
 def _print_warning(message, category, filename, lineno, file=None,
@@ -548,21 +648,12 @@ def _write_json(value, newline: str, emit) -> None:
             _write_json(value[key], inner, emit)
             separator = "," + inner
         emit(newline + "}")
-    # None, the booleans, and subclasses, written as their base type
     elif value is None:
         emit("null")
     elif value is True:
         emit("true")
     elif value is False:
         emit("false")
-    elif isinstance(value, str):
-        emit(encode_basestring_ascii(value))
-    elif isinstance(value, int):
-        emit(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        _write_json(list(value), newline, emit)
-    elif isinstance(value, dict):
-        _write_json(dict(value), newline, emit)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not "
                         f"JSON serializable")
@@ -570,12 +661,12 @@ def _write_json(value, newline: str, emit) -> None:
 
 def dispatch(config: RunConfig) -> Tuple[int, str]:
     """Route a configuration to its handler and render the report."""
-    handler = _HANDLERS.get(config.subcommand)
-    if handler is None:
+    command = COMMANDS.get(config.subcommand)
+    if command is None:
         raise ValueError(f"unknown subcommand {config.subcommand!r}")
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
-        text, payload = handler(config)
+        text, payload = command.handler(config)
     if config.output == "json":
         return 0, _render_json(payload)
     return 0, text
@@ -586,115 +677,60 @@ def dispatch(config: RunConfig) -> Tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> "argparse.ArgumentParser":
+    """The parser of every subcommand in `COMMANDS`, in its order: a
+    subcommand of two words is a leaf of the group `_GROUPS` names."""
     # argparse is imported here, not at module level: `dispatch` never
     # parses, and the import would cost every in-process caller
     import argparse
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit the machine-readable report")
-    rep_flag = argparse.ArgumentParser(add_help=False)
-    rep_flag.add_argument("--rep", default="trivial",
-                          help="representation: trivial, sign, or zeta:n[:k]")
 
     parser = argparse.ArgumentParser(
         prog="procong",
         description="exact invariants separating mapping classes up to "
                     "congruence-level conjugacy")
     top = parser.add_subparsers(dest="command", required=True)
-
-    torus = top.add_parser("torus", help="2x2 integer matrix conjugacy")
-    tsub = torus.add_subparsers(dest="subcommand", required=True)
-    conj = tsub.add_parser("conj", parents=[common],
-                           help="decide SL(2,Z) conjugacy")
-    conj.add_argument("matrix_a")
-    conj.add_argument("matrix_b")
-    congr = tsub.add_parser("congr", parents=[common],
-                            help="decide GL(2,Z/n) conjugacy at one level")
-    congr.add_argument("matrix_a")
-    congr.add_argument("matrix_b")
-    congr.add_argument("modulus")
-    sweep = tsub.add_parser("sweep", parents=[common],
-                            help="GL(2,Z/n) conjugacy for all n up to a bound")
-    sweep.add_argument("matrix_a")
-    sweep.add_argument("matrix_b")
-    sweep.add_argument("--max", type=int,
-                       help="largest modulus (default 100)")
-    klevel = tsub.add_parser("klevel", parents=[common],
-                             help="characteristic level of an index bound")
-    klevel.add_argument("bound")
-
-    for name, helptext in (("alexander", "twisted homology orders"),
-                           ("torsion", "twisted Reidemeister torsion"),
-                           ("zeta", "twisted Lefschetz zeta function"),
-                           ("lefschetz", "twisted Lefschetz numbers")):
-        sub = top.add_parser(name, parents=[common, rep_flag], help=helptext)
-        sub.add_argument("fixture")
-        if name == "zeta":
-            sub.add_argument("--terms", type=int,
-                             help="number of Lefschetz numbers (default 5)")
-        if name == "lefschetz":
-            sub.add_argument("--upto", type=int,
-                             help="largest iterate (default 10)")
-
-    nt = top.add_parser("nt", help="normal-form decomposition invariants")
-    ntsub = nt.add_subparsers(dest="subcommand", required=True)
-    analyze = ntsub.add_parser("analyze", parents=[common],
-                               help="split order, stretch, twist, orbit table")
-    analyze.add_argument("fixture")
-    analyze.add_argument("--upto", type=int,
-                         help="largest iterate (default 6)")
-    analyze.add_argument("--approx", action="store_true",
-                         help=f"add {APPROX_DIGITS}-digit decimal renderings")
-    shear = ntsub.add_parser("shear", parents=[common],
-                             help="shearing degree of two integer slopes")
-    shear.add_argument("slope_a")
-    shear.add_argument("slope_b")
-    # A matrix or slope may begin with a minus sign.  argparse reads an
-    # argument that matches a parser's negative-number pattern as a
-    # positional, so these parsers widen it to any "-" and a digit.
-    for sub in (conj, congr, sweep, shear):
-        sub._negative_number_matcher = re.compile(r"-\d")
-
-    chars = top.add_parser("chars", help="character projections of orbit data")
-    csub = chars.add_subparsers(dest="subcommand", required=True)
-    decompose = csub.add_parser("decompose", parents=[common],
-                                help="twisted L against every character")
-    decompose.add_argument("fixture")
-    decompose.add_argument("--group", default=None,
-                           help="override the group named in the fixture")
-    bound = csub.add_parser("bound", parents=[common],
-                            help="lower bound for the Nielsen number")
-    bound.add_argument("fixture")
-    bound.add_argument("--group", default=None,
-                       help="override the group named in the fixture")
+    groups = {}
+    for name, command in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = top.add_parser(
+                group, help=_GROUPS[group]).add_subparsers(
+                    dest="subcommand", required=True)
+        sub = groups.get(group, top).add_parser(leaf, help=command.help)
+        sub.add_argument("--json", action="store_true",
+                         help="emit the machine-readable report")
+        for flag in command.flags:
+            if flag.limit:
+                sub.add_argument(flag.option, type=int,
+                                 help=f"{flag.help} (default {flag.default})")
+            else:
+                sub.add_argument(flag.option, help=flag.help, action=(
+                    "store_true" if flag.switch else "store"))
+        for positional in command.positionals:
+            sub.add_argument(positional)
+        if command.signed:
+            # argparse reads an argument that matches a parser's negative-
+            # number pattern as a positional: widen it to any "-" and digit
+            sub._negative_number_matcher = re.compile(r"-\d")
     return parser
 
 
 def config_from_args(args: "argparse.Namespace") -> RunConfig:
+    """The configuration of parsed arguments: the positionals of the
+    subcommand's row in order, and each flag given; an omitted flag takes
+    the default of `RunConfig` (a bound flag's is its row's)."""
     subcommand = args.command
     if getattr(args, "subcommand", None):
         subcommand += f" {args.subcommand}"
-    inputs = [getattr(args, field) for field in
-              ("matrix_a", "matrix_b", "modulus", "bound", "fixture",
-               "slope_a", "slope_b")
-              if getattr(args, field, None) is not None]
+    command, given = COMMANDS[subcommand], vars(args)
     return RunConfig(
-        subcommand=subcommand,
-        inputs=tuple(inputs),
-        max_modulus=getattr(args, "max", None),
-        terms=getattr(args, "terms", None),
-        upto=getattr(args, "upto", None),
-        rep=getattr(args, "rep", "trivial"),
-        group=getattr(args, "group", None),
-        approx=getattr(args, "approx", False),
+        subcommand, tuple(given[name] for name in command.positionals),
         output="json" if args.json else "text",
-    )
+        **{flag.field: given[flag.option[2:]] for flag in command.flags
+           if given[flag.option[2:]] is not None})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
         status, report = dispatch(config)

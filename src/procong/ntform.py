@@ -99,10 +99,15 @@ def _roots_between(chain, low: Fraction, high: Fraction) -> int:
 
 class StretchFactor(Record):
     """An algebraic number above one, held as an integer polynomial with an
-    isolating rational interval containing exactly one root."""
+    isolating rational interval containing exactly one root.  The endpoints
+    are ints or Fractions, stored as Fractions, so no float enters."""
 
     def __init__(self, polynomial: Tuple[int, ...], low: Fraction,
                  high: Fraction):
+        if not all(type(end) in (int, Fraction) for end in (low, high)):
+            raise TypeError("stretch factor interval endpoints must be ints "
+                            f"or Fractions, got {low!r} and {high!r}")
+        low, high = Fraction(low), Fraction(high)
         coeffs = tuple(polynomial)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
@@ -201,10 +206,6 @@ class StretchFactor(Record):
             self._renderings[digits] = str(value)
         return self._renderings[digits]
 
-    def to_json(self):
-        return {"polynomial": list(self.polynomial),
-                "interval": [str(self.low), str(self.high)]}
-
 
 class Dilatation(Record):
     """Maximal per-application stretch of the pseudo-Anosov part (the value
@@ -226,10 +227,6 @@ class Dilatation(Record):
 
     def approx(self, digits: int = 12) -> str:
         return "1" if self.factor is None else self.factor.approx(digits)
-
-    def to_json(self):
-        return {"factor": None if self.factor is None else self.factor.to_json(),
-                "split_order": self.split_order}
 
 
 # ---------------------------------------------------------------------------
@@ -775,13 +772,6 @@ class IndexedOrbitTable(Record):
     def __init__(self, rows: Tuple[OrbitRow, ...],
                  remainder: Tuple[str, ...] = ()):
         self.__dict__.update(rows=rows, remainder=remainder)
-
-    def to_json(self):
-        return {"rows": [{"iterate": m,
-                          "counts": [list(pair) for pair in r.counts],
-                          "nielsen": r.nielsen}
-                         for m, r in enumerate(self.rows, 1)],
-                "remainder": list(self.remainder)}
 
 
 # the largest iterate bound of an indexed orbit table

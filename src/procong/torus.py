@@ -19,6 +19,8 @@ Three layers:
   conjugate without being SL(2,Z) conjugate.  `characteristic_level`
   computes the lattice d with d.Z^2 = (intersection of all subgroups of Z^2
   of index <= n).
+
+The verdicts and reports are plain records; `cli` renders them.
 """
 
 from __future__ import annotations
@@ -167,33 +169,11 @@ class SL2Verdict(Record):
         self.__dict__.update(conjugate=conjugate, witness=witness,
                              reason=reason)
 
-    def to_json(self):
-        return {
-            "conjugate": self.conjugate,
-            "witness": self.witness.to_string() if self.witness else None,
-            "reason": self.reason,
-        }
-
-    def lines(self) -> list:
-        """The verdict's report lines: the answer, then any witness."""
-        word = "conjugate" if self.conjugate else "not conjugate"
-        lines = [f"SL(2,Z): {word} ({self.reason})"]
-        if self.witness is not None:
-            lines.append(f"SL(2,Z) witness: {self.witness.to_string()}")
-        return lines
-
 
 class ModVerdict(Record):
     def __init__(self, modulus: int, conjugate: bool, witness: Optional[Mat2]):
         self.__dict__.update(modulus=modulus, conjugate=conjugate,
                              witness=witness)
-
-    def to_json(self):
-        return {
-            "modulus": self.modulus,
-            "conjugate": self.conjugate,
-            "witness": self.witness.to_string() if self.witness else None,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -625,19 +605,12 @@ def characteristic_level(n: int) -> int:
 # sweeps
 # ---------------------------------------------------------------------------
 
-REPORT_NOTE = ("levels test conjugacy on the quotients (Z/n)^2; these are "
-               "characteristic subgroups and, by the lcm structure of the "
-               "intersection lattices, cofinal with the full characteristic "
-               "tower, so a full pass carries the same information")
-
-
 class CongruenceReport(Record):
     def __init__(self, matrix_a: Mat2, matrix_b: Mat2, max_modulus: int,
-                 verdicts: Tuple[ModVerdict, ...], sl2: SL2Verdict,
-                 note: str = REPORT_NOTE):
+                 verdicts: Tuple[ModVerdict, ...], sl2: SL2Verdict):
         self.__dict__.update(matrix_a=matrix_a, matrix_b=matrix_b,
                              max_modulus=max_modulus, verdicts=verdicts,
-                             sl2=sl2, note=note)
+                             sl2=sl2)
 
     @property
     def all_levels_pass(self) -> bool:
@@ -653,36 +626,6 @@ class CongruenceReport(Record):
     @property
     def procongruence_candidate(self) -> bool:
         return self.all_levels_pass and not self.sl2.conjugate
-
-    def to_json(self):
-        return {
-            "matrix_a": self.matrix_a.to_string(),
-            "matrix_b": self.matrix_b.to_string(),
-            "max_modulus": self.max_modulus,
-            "note": self.note,
-            "sl2": self.sl2.to_json(),
-            "levels": [v.to_json() for v in self.verdicts],
-            "all_levels_pass": self.all_levels_pass,
-            "first_failure": self.first_failure,
-            "procongruence_candidate": self.procongruence_candidate,
-        }
-
-    def render_text(self) -> str:
-        lines = [
-            f"pair A = {self.matrix_a.to_string()}  B = {self.matrix_b.to_string()}",
-            f"note: {self.note}",
-            *self.sl2.lines(),
-        ]
-        fails = [v for v in self.verdicts if not v.conjugate]
-        lines.append(f"levels tested: 1..{self.max_modulus}; "
-                     f"failures: {len(fails)}")
-        if fails:
-            lines.append(f"first failing level: {fails[0].modulus}")
-        else:
-            lines.append("all levels conjugate")
-        lines.append("procongruence candidate: "
-                     + ("yes" if self.procongruence_candidate else "no"))
-        return "\n".join(lines)
 
 
 def congruence_sweep(a: Mat2, b: Mat2, max_n: int) -> CongruenceReport:

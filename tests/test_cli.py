@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver: golden reports, exit
 codes, JSON/text agreement, and determinism."""
 
+import ast
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from procong.ntform import (ITERATE_LIMIT, Dilatation, IndexedOrbitTable,
                             NTDecomposition, OrbitRow)
 from procong.serialize import wrap
 from procong.torus import SWEEP_LIMIT
+from reference import replace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -386,7 +388,8 @@ class TestExitCodes:
     def test_internal_assertions_exit_one(self, capsys, monkeypatch):
         def broken(config):
             raise AssertionError("synthetic internal failure")
-        monkeypatch.setitem(cli._HANDLERS, "torus klevel", broken)
+        monkeypatch.setitem(cli.COMMANDS, "torus klevel", replace(
+            cli.COMMANDS["torus klevel"], handler=broken))
         status, out, err = run(capsys, "torus", "klevel", "3")
         assert status == 1
         assert out == ""
@@ -880,7 +883,7 @@ class TestExitCodes:
         path = tmp_path / "table.json"
         path.write_text(json.dumps({"schema": serialize.SCHEMA_ID,
                                     "kind": "indexed_orbit_table",
-                                    "body": table.to_json()}))
+                                    "body": cli._table_json(table)}))
         status, out, err = run(capsys, *sub, str(path), *mode)
         assert (status, out, err) == (
             2, "", "error: unknown fixture kind 'indexed_orbit_table'\n")
@@ -972,6 +975,106 @@ class TestRunConfig:
     def test_dispatch_rejects_unknown_subcommand(self):
         with pytest.raises(ValueError, match="unknown subcommand"):
             dispatch(RunConfig("torus explode"))
+
+    @pytest.mark.parametrize("subcommand, field", [
+        ("zeta", "upto"), ("lefschetz", "terms"), ("torus conj", "max_modulus"),
+        ("torus explode", "upto")])
+    def test_rejects_a_bound_the_subcommand_does_not_take(self, subcommand,
+                                                          field):
+        with pytest.raises(ValueError, match=f"takes no bound {field}"):
+            RunConfig(subcommand, ("x",), **{field: 3})
+
+
+class TestCommandTable:
+    """`cli.COMMANDS` declares every subcommand once: the parser, the
+    configuration, the bound checks and dispatch all read it."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+    # `--help` of the top parser, the three groups and the twelve leaves,
+    # as argparse formats them at 80 columns
+    HELP = json.loads((Path(__file__).resolve().parent
+                       / "golden_help_texts.json").read_text())
+
+    @pytest.mark.parametrize("key", sorted(HELP))
+    def test_help_text_is_pinned(self, capsys, monkeypatch, key):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(key.split()[1:] + ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == self.HELP[key]
+
+    def test_help_texts_cover_every_row(self):
+        groups = {name.split()[0] for name in cli.COMMANDS if " " in name}
+        assert set(self.HELP) == {f"procong {name}".strip() for name
+                                  in ("", *groups, *cli.COMMANDS)}
+
+    def test_every_handler_is_a_row(self):
+        handlers = {name: value for name, value in vars(cli).items()
+                    if name.startswith("_handle_")}
+        assert len(handlers) == len(cli.COMMANDS) == 12
+        assert {command.handler for command in cli.COMMANDS.values()} == set(
+            handlers.values())
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_row_round_trips_through_the_parser(self, name):
+        command, parser = cli.COMMANDS[name], build_parser()
+        inputs = tuple(f"{positional}-text"
+                       for positional in command.positionals)
+        argv = [*name.split(), *inputs]
+        assert config_from_args(parser.parse_args(argv)) == RunConfig(
+            name, inputs)
+        given = {}
+        for flag in command.flags:
+            if flag.switch:
+                argv.append(flag.option)
+                given[flag.field] = True
+            elif flag.limit:
+                argv += [flag.option, str(flag.default + 1)]
+                given[flag.field] = flag.default + 1
+            else:
+                argv += [flag.option, "flag-text"]
+                given[flag.field] = "flag-text"
+        assert config_from_args(parser.parse_args(argv + ["--json"])) == (
+            RunConfig(name, inputs, output="json", **given))
+
+    def test_readme_command_block_lists_the_rows(self):
+        readme = (self.ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1]
+        block = block.split("```text\n", 1)[1].split("```", 1)[0]
+        listed = []
+        for line in block.splitlines():
+            words = line.split()
+            if words and words[0] == "procong":
+                pair = " ".join(words[1:3])
+                listed.append(pair if pair in cli.COMMANDS else words[1])
+        assert listed == list(cli.COMMANDS)
+
+
+class TestOneOwnerOfTheReports:
+    """`cli` renders every report: apart from the value types of `kernel`
+    (polynomials, rational functions and torsion classes, whose `to_json`
+    is the value grammar that `perfbench/oracles.py` reads back), no module
+    but `cli` defines a `to_json`, `lines` or `render_text`."""
+
+    RENDERERS = {"to_json", "lines", "render_text"}
+
+    def test_only_cli_and_kernel_values_render(self):
+        found = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef):
+                    found += [f"{path.stem}.{node.name}.{item.name}"
+                              for item in node.body
+                              if isinstance(item, ast.FunctionDef)
+                              and item.name in self.RENDERERS]
+                elif (isinstance(node, ast.FunctionDef)
+                      and node.name in self.RENDERERS):
+                    found.append(f"{path.stem}.{node.name}")
+        assert [name for name in found if not name.startswith("cli.")] == [
+            "kernel.LaurentPolynomial.to_json",
+            "kernel.RationalFunction.to_json",
+            "kernel.NormalizedTorsionClass.to_json"]
 
 
 class TestLastFiberedFixture:
@@ -1247,7 +1350,7 @@ class TestImportFootprint:
     def test_dispatch_leaves_argparse_unloaded_and_main_parses(self, tmp_path):
         script = (
             "import contextlib, io, json, sys\n"
-            "from procong.cli import RunConfig, _HANDLERS, dispatch, main\n"
+            "from procong.cli import COMMANDS, RunConfig, dispatch, main\n"
             "assert dispatch(RunConfig('torus conj', ('2,1;1,1', "
             "'1,1;1,2')))[0] == 0\n"
             "loaded = 'argparse' in sys.modules\n"
@@ -1256,7 +1359,7 @@ class TestImportFootprint:
             "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
             "            contextlib.redirect_stderr(io.StringIO()):\n"
             "        statuses.append(main(argv))\n"
-            "print(json.dumps([loaded, statuses, sorted(_HANDLERS)]))\n")
+            "print(json.dumps([loaded, statuses, sorted(COMMANDS)]))\n")
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", script,
                                json.dumps(self.ARGVS)],
@@ -1346,7 +1449,7 @@ class TestJsonReport:
             assert status == 0
             assert report == self.oracle(payloads[-1]), argv
             handled.add(config.subcommand)
-        assert handled == set(cli._HANDLERS)
+        assert handled == set(cli.COMMANDS)
 
     TREES = st.recursive(
         st.none() | st.booleans() | st.integers()

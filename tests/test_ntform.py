@@ -33,7 +33,7 @@ from procong.ntform import (
     shearing_from_slopes,
     split_order,
 )
-from procong.cli import main
+from procong.cli import _stretch_json, _table_json, main
 from procong.serialize import (KIND_NT, _decode_stretch, dumps, encode_nt,
                                load_fixture, parse_fixture, save_fixture)
 from reference import (certify_growth_estimate, dilatation_from_nielsen,
@@ -384,7 +384,23 @@ class TestStretchFactor:
         assert not PHI.algebraic_equal(StretchFactor((-2, 1), F(3, 2), F(3)))
 
     def test_json_roundtrip(self):
-        assert _decode_stretch(PHI.to_json()) == PHI
+        # the report form of a stretch factor decodes back to the factor
+        assert _decode_stretch(_stretch_json(PHI)) == PHI
+
+    def test_int_endpoints_are_stored_as_fractions(self):
+        # int endpoints once gave a float midpoint, so approx and refined
+        # raised AttributeError in the sign test
+        stretch = StretchFactor((1, -3, 1), 2, 3)
+        assert type(stretch.low) is type(stretch.high) is Fraction
+        assert stretch.algebraic_equal(PHI)
+        assert stretch.approx(30) == PHI.approx(30)
+        assert stretch.refined() == PHI        # [2, 3] halves to [5/2, 3]
+
+    @pytest.mark.parametrize("low, high", [(2.0, 3), (2, 3.0), (True, 3),
+                                           (F(2), "3")])
+    def test_float_bool_or_string_endpoint_is_refused(self, low, high):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            StretchFactor((1, -3, 1), low, high)
 
     def test_rendering_is_kept_per_digit_count(self, monkeypatch):
         stretch = phi_squared_interval()
@@ -1073,7 +1089,7 @@ class TestIndexedOrbitNumbers:
             remainder=("P",))
         assert table.rows[0].counts == ((-1, 2),)
         assert nielsen(table, 2) == 1
-        assert table.to_json() == {
+        assert _table_json(table) == {
             "rows": [{"iterate": 1, "counts": [[-1, 2]], "nielsen": 2},
                      {"iterate": 2, "counts": [[-2, 1]], "nielsen": 1}],
             "remainder": ["P"]}
