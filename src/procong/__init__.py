@@ -10,7 +10,7 @@ cellular  chain-level mapping torus models, zeta functions, Lefschetz numbers
 ntform    canonical-form data, dilatation, fixed point classes
 chars     finite group character tables, orbit-class projections
 serialize fixture and result JSON grammar
-record    the immutable value record every data type builds on
+record    the immutable value record every data type builds on; integer grammar
 cli       the `procong` command line tool
 """
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .kernel import Cyclotomic, as_exact, hermitian_products
-from .record import Record
+from .record import Record, parse_int
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
@@ -169,7 +169,7 @@ def _permutation_table(name: str, generators, representatives,
                             characters).verify()
 
 
-_CYCLIC_NAME = re.compile(r"cyclic\((\d+)\)\Z")
+_CYCLIC_NAME = re.compile(r"cyclic\((.*)\)\Z")
 
 
 @lru_cache(maxsize=None)
@@ -177,8 +177,8 @@ def builtin_group(name: str) -> FiniteGroupTable:
     """A verified built-in group table: cyclic(n) for 1 <= n <= 60, or one
     of the permutation groups S3, D4, Q8."""
     match = _CYCLIC_NAME.match(name)
-    if match:
-        n = int(match.group(1))
+    n = match and parse_int(match[1], "cyclic order")
+    if n is not None:
         if not 1 <= n <= CYCLIC_LIMIT:
             raise ValueError(
                 f"cyclic order must lie in 1..{CYCLIC_LIMIT}, got {n}")

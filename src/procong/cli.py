@@ -29,7 +29,7 @@ from importlib import import_module
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Tuple
 
-from .record import Record
+from .record import Record, parse_int
 
 APPROX_DIGITS = 30
 
@@ -80,34 +80,34 @@ def _matrix_pair(config: RunConfig):
         "matrix_a": a.to_string(), "matrix_b": b.to_string()}
 
 
+def _integer(text: str, label: str) -> int:
+    """The integer argument `text`, as `parse_int` reads it."""
+    value = parse_int(text, label)
+    if value is None:
+        raise ValueError(f"{label} must be an integer, got {text!r}")
+    return value
+
+
 def _positive_int(text: str, label: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{label} must be an integer, got {text!r}") from None
+    value = _integer(text, label)
     if value < 1:
         raise ValueError(f"{label} must be positive, got {value}")
     return value
 
 
-class FiberedBundle(Record):
+class FiberedBundle:
     """A fibered fixture compiled once: its cellular model, built by
     `cellular_model` on the canonical presentation of the monodromy, which
     every fibered subcommand reads, the fixture's own presentation, and the
-    --rep representations resolved on the model's presentation.  Each
-    representation keeps its twisted complexes, so the certification, the
-    orders, the flow maps and the zeta function are built once per bundle
-    and label, however many subcommands read them.  Unlike other records
-    it is mutable and unhashable."""
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    --rep representations resolved on the model's presentation, memoized in
+    `reps` by label.  Each representation keeps its twisted complexes, so
+    the certification, the orders, the flow maps and the zeta function are
+    built once per bundle and label, however many subcommands read them."""
 
     def __init__(self, surface: CellularSurface, flow: CellularSelfMap,
-                 own: MappingTorusPresentation, reps: Optional[dict] = None):
-        self.__dict__.update(surface=surface, flow=flow, own=own,
-                             reps={} if reps is None else reps)
+                 own: MappingTorusPresentation):
+        self.surface, self.flow, self.own = surface, flow, own
+        self.reps = {}
 
     def rep(self, label: str) -> FiniteRepresentation:
         """The representation named by --rep on the model's presentation,
@@ -214,11 +214,10 @@ def _resolve_rep(mt, label: str) -> FiniteRepresentation:
 
 
 def _parse_slope(text: str) -> Tuple[int, int]:
-    parts = text.strip().split(",")
-    try:
-        values = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"slope must look like 'p,q', got {text!r}") from None
+    values = tuple(parse_int(p.strip(), "slope entries")
+                   for p in text.split(","))
+    if None in values:
+        raise ValueError(f"slope must look like 'p,q', got {text!r}")
     if len(values) != 2:
         raise ValueError(f"slope must have two entries, got {text!r}")
     return values
@@ -699,12 +698,10 @@ def build_parser() -> "argparse.ArgumentParser":
         sub.add_argument("--json", action="store_true",
                          help="emit the machine-readable report")
         for flag in command.flags:
-            if flag.limit:
-                sub.add_argument(flag.option, type=int,
-                                 help=f"{flag.help} (default {flag.default})")
-            else:
-                sub.add_argument(flag.option, help=flag.help, action=(
-                    "store_true" if flag.switch else "store"))
+            text = (f"{flag.help} (default {flag.default})" if flag.limit
+                    else flag.help)
+            sub.add_argument(flag.option, help=text, action=(
+                "store_true" if flag.switch else "store"))
         for positional in command.positionals:
             sub.add_argument(positional)
         if command.signed:
@@ -717,7 +714,8 @@ def build_parser() -> "argparse.ArgumentParser":
 def config_from_args(args: "argparse.Namespace") -> RunConfig:
     """The configuration of parsed arguments: the positionals of the
     subcommand's row in order, and each flag given; an omitted flag takes
-    the default of `RunConfig` (a bound flag's is its row's)."""
+    the default of `RunConfig` (a bound flag's is its row's).  A bound is
+    read by `parse_int`."""
     subcommand = args.command
     if getattr(args, "subcommand", None):
         subcommand += f" {args.subcommand}"
@@ -725,8 +723,9 @@ def config_from_args(args: "argparse.Namespace") -> RunConfig:
     return RunConfig(
         subcommand, tuple(given[name] for name in command.positionals),
         output="json" if args.json else "text",
-        **{flag.field: given[flag.option[2:]] for flag in command.flags
-           if given[flag.option[2:]] is not None})
+        **{flag.field: _integer(value, flag.option) if flag.limit else value
+           for flag in command.flags
+           if (value := given[flag.option[2:]]) is not None})
 
 
 def main(argv=None) -> int:

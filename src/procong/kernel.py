@@ -6,19 +6,22 @@ of a cyclotomic field Q(zeta_n) stored as coefficient vectors modulo the n-th
 cyclotomic polynomial.  `Cyclotomic` has no division: `scalar_inverse` is
 the one inverse of a scalar.  On top of the scalars sit sparse Laurent
 polynomials F[t^{+-1}]; rational functions F(t), canonical reduced fractions
-that are built, compared, hashed, rendered and expanded as series, with no
-field arithmetic; the canonical unit-normalized torsion classes, Smith-type
-normal forms over F[t], the formal power series plumbing (Taylor expansion,
-logarithmic coefficient extraction) used to turn zeta functions into
-Lefschetz numbers, and Berkowitz's characteristic polynomial on sparse rows,
-the one determinant routine over the scalars: det(1 - tF) of flow matrices
-and the determinant of a homology action both come from it.
+that are built, compared, hashed and rendered, with no field arithmetic; the
+canonical unit-normalized torsion classes, Smith-type normal forms over F[t],
+the logarithmic coefficients of a polynomial with constant term 1, from
+which `cellular.lefschetz_numbers` reads Lefschetz numbers off the numerator
+and the denominator of a zeta function, and Berkowitz's characteristic
+polynomial on sparse rows, the one determinant routine over the scalars:
+det(1 - tF) of flow matrices and the determinant of a homology action both
+come from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +134,7 @@ _RATIONALS = (int, Fraction)
 _INT_ONLY = {int}
 
 
-class Cyclotomic:
+class Cyclotomic(Record):
     """An element of Q(zeta_n), stored as a vector modulo Phi_n.
 
     Coefficient entries are ints or Fractions; the vector length is
@@ -159,9 +162,6 @@ class Cyclotomic:
             coeffs = [c if type(c) is int else as_exact(c) for c in coeffs]
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Cyclotomic values are immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -434,7 +434,7 @@ def _clean_terms(terms: dict) -> dict:
     return clean
 
 
-class LaurentPolynomial:
+class LaurentPolynomial(Record):
     """Sparse Laurent polynomial over exact scalars.
 
     Terms live in a dict {exponent: coefficient} with no zero coefficients;
@@ -459,9 +459,6 @@ class LaurentPolynomial:
         poly = object.__new__(cls)
         object.__setattr__(poly, "terms", _clean_terms(terms))
         return poly
-
-    def __setattr__(self, *args):
-        raise AttributeError("LaurentPolynomial values are immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -708,7 +705,7 @@ def laurent_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial
 # rational functions and the torsion class
 # ---------------------------------------------------------------------------
 
-class RationalFunction:
+class RationalFunction(Record):
     """Reduced fraction of Laurent polynomials.
 
     Canonical form: gcd(num, den) is a monomial unit, and the denominator is a
@@ -754,9 +751,6 @@ class RationalFunction:
         object.__setattr__(f, "num", num)
         object.__setattr__(f, "den", den)
         return f
-
-    def __setattr__(self, *args):
-        raise AttributeError("RationalFunction values are immutable")
 
     @staticmethod
     def zero() -> "RationalFunction":
@@ -808,7 +802,9 @@ class RationalFunction:
     # -- series ------------------------------------------------------------
 
     def series(self, terms: int):
-        """First `terms` Taylor coefficients at t = 0; error on a pole."""
+        """First `terms` Taylor coefficients at t = 0; error on a pole.
+        No computation of the package expands a series: the tests read
+        this as an oracle, and the benchmark's tracer times it by name."""
         if terms < 0:
             raise ValueError("terms must be nonnegative")
         if self.is_zero():
@@ -831,7 +827,7 @@ class RationalFunction:
         return coeffs
 
 
-class NormalizedTorsionClass:
+class NormalizedTorsionClass(Record):
     """A rational function up to monomial units, in canonical unit form.
 
     The stored representative has ord_{t=0} = 0 and value 1 at t = 0, or is the
@@ -843,22 +839,8 @@ class NormalizedTorsionClass:
     def __init__(self, value: RationalFunction):
         object.__setattr__(self, "value", value)
 
-    def __setattr__(self, *args):
-        raise AttributeError("NormalizedTorsionClass values are immutable")
-
     def is_zero(self) -> bool:
         return self.value.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalizedTorsionClass):
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"NormalizedTorsionClass({self.value.pretty()})"
 
     def pretty(self) -> str:
         return self.value.pretty()
@@ -935,7 +917,7 @@ def _sparse_row(cells: dict) -> tuple:
     return tuple((j, p) for j, p in row if p.terms)
 
 
-class PolyMatrix:
+class PolyMatrix(Record):
     """Immutable matrix with LaurentPolynomial entries; supports 0-dim shapes.
     `sparse` holds its nonzero entries, in canonical `SparseMatrix` rows,
     which the constructor takes as they are; `build` takes any entries.
@@ -951,9 +933,6 @@ class PolyMatrix:
         object.__setattr__(self, "sparse", tuple(sparse))
         object.__setattr__(self, "_diagonal", None)
 
-    def __setattr__(self, *args):
-        raise AttributeError("PolyMatrix values are immutable")
-
     @staticmethod
     def build(rows, cols, fn) -> "PolyMatrix":
         """Entry fn(i, j), a LaurentPolynomial or a scalar, at (i, j)."""
@@ -968,14 +947,6 @@ class PolyMatrix:
     @staticmethod
     def identity(n) -> "PolyMatrix":
         return PolyMatrix.build(n, n, lambda i, j: int(i == j))
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.sparse) == (other.rows, other.cols, other.sparse)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.sparse))
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols})"

@@ -26,7 +26,6 @@ The verdicts and reports are plain records; `cli` renders them.
 from __future__ import annotations
 
 import math
-import sys
 from functools import reduce
 from itertools import count, product
 from math import gcd, isqrt
@@ -34,10 +33,10 @@ from operator import mul, sub
 from typing import Optional, Tuple
 
 from .lattice import ext_gcd, smith_integer
-from .record import Record
+from .record import Record, parse_int
 
 
-class Mat2:
+class Mat2(Record):
     """Immutable 2x2 integer matrix with exact arithmetic."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -50,9 +49,6 @@ class Mat2:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Mat2 values are immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -67,25 +63,18 @@ class Mat2:
 
     @staticmethod
     def from_string(text: str) -> "Mat2":
-        """Parse the CLI matrix format "a,b;c,d"."""
+        """Parse the CLI matrix format "a,b;c,d", each entry an integer as
+        `parse_int` reads it, with optional spaces around it."""
         shape = f"matrix must look like 'a,b;c,d', got {text!r}"
         try:
-            rows = [part.split(",") for part in text.strip().split(";")]
+            rows = [part.split(",") for part in text.split(";")]
         except AttributeError:
             raise ValueError(shape) from None
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
+        entries = [parse_int(x.strip(), "matrix entries")
+                   for row in rows for x in row]
+        if [len(row) for row in rows] != [2, 2] or None in entries:
             raise ValueError(shape)
-        limit = sys.get_int_max_str_digits()
-        for x in rows[0] + rows[1]:
-            digits = x.strip().lstrip("+-").replace("_", "")
-            if 0 < limit < len(digits) and digits.isdecimal():
-                raise ValueError(
-                    f"matrix entries must have at most {limit} digits (the "
-                    f"interpreter's limit), got {text[:20]!r}...")
-        try:
-            return Mat2.from_rows([[int(x) for x in r] for r in rows])
-        except ValueError:
-            raise ValueError(shape) from None
+        return Mat2(*entries)
 
     def to_string(self) -> str:
         return f"{self.a},{self.b};{self.c},{self.d}"
@@ -147,17 +136,6 @@ class Mat2:
 
     def nonnegative(self) -> bool:
         return self.a >= 0 and self.b >= 0 and self.c >= 0 and self.d >= 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return self.entries() == other.entries()
-
-    def __hash__(self):
-        return hash(self.entries())
-
-    def __repr__(self):
-        return f"Mat2({self.a},{self.b};{self.c},{self.d})"
 
 
 # ---------------------------------------------------------------------------

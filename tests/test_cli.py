@@ -20,6 +20,7 @@ from procong.cellular import LEFSCHETZ_LIMIT
 from procong.cli import RunConfig, config_from_args, build_parser, dispatch, main
 from procong.ntform import (ITERATE_LIMIT, Dilatation, IndexedOrbitTable,
                             NTDecomposition, OrbitRow)
+from procong.record import Record
 from procong.serialize import wrap
 from procong.torus import SWEEP_LIMIT
 from reference import replace
@@ -282,6 +283,91 @@ class TestNegativeArguments:
         assert (status, err) == (0, "")
         assert (status, out, err) == run(capsys, *words, *form, "--",
                                          *positionals)
+
+
+# ---------------------------------------------------------------------------
+# integer arguments: one grammar and one digit-cap message
+# ---------------------------------------------------------------------------
+
+class TestIntegerArguments:
+    """Every integer written in an argument or a fixture matrix reads as an
+    optional minus sign and ASCII digits, as `--rep zeta:n` does: int()
+    also read Arabic-Indic digits ('٣' is 3) and underscores ('1_2' is 12).
+    An integer past the interpreter's digit cap is refused in one line
+    naming its position."""
+
+    # argv with "{}" where the integer goes, the error for a malformed
+    # integer (formatted with the repr of the argument that holds it) and
+    # the position the digit-cap error names
+    POSITIONS = {
+        "klevel": (("torus", "klevel", "{}"),
+                   "level bound must be an integer, got {}", "level bound"),
+        "congr": (("torus", "congr", PAIR_A, PAIR_B, "{}"),
+                  "modulus must be an integer, got {}", "modulus"),
+        "terms": (("zeta", fixture("torus_A211.json"), "--terms", "{}"),
+                  "--terms must be an integer, got {}", "--terms"),
+        "max": (("torus", "sweep", PAIR_A, PAIR_B, "--max", "{}"),
+                "--max must be an integer, got {}", "--max"),
+        "slope": (("nt", "shear", "{},1", "1,2"),
+                  "slope must look like 'p,q', got {}", "slope entries"),
+        "matrix": (("torus", "conj", "{},0;0,1", "1,0;0,1"),
+                   "matrix must look like 'a,b;c,d', got {}",
+                   "matrix entries"),
+        "group": (("chars", "bound", fixture("orbit_cyclic2.json"), "--group",
+                   "cyclic({})"),
+                  "unknown group {}: expected cyclic(n), S3, D4, or Q8",
+                  "cyclic order"),
+    }
+
+    @staticmethod
+    def argv(template, text):
+        return [word.format(text) for word in template]
+
+    @pytest.mark.parametrize("position, text", [
+        ("klevel", "٣"), ("congr", "1_2"), ("terms", "٣"), ("max", "1_0"),
+        ("slope", "٣"), ("matrix", "١"), ("group", "٢")])
+    def test_integer_is_a_minus_sign_and_ascii_digits(self, capsys, position,
+                                                      text):
+        template, error, _ = self.POSITIONS[position]
+        argv = self.argv(template, text)
+        argument = next(word for word, slot in zip(argv, template)
+                        if "{}" in slot)
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (2, "")
+        assert err == f"error: {error.format(repr(argument))}\n"
+
+    def test_fixture_matrix_entry_is_ascii_digits(self, capsys, tmp_path):
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(wrap("torus_monodromy",
+                                        {"matrix": "١,1;-1,0"})))
+        status, out, err = run(capsys, "zeta", str(path))
+        assert (status, out) == (2, "")
+        assert err == ("error: matrix must look like 'a,b;c,d', got "
+                       "'١,1;-1,0'\n")
+
+    @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                        != 4300, reason="needs the default 4300-digit cap "
+                                        "on reading integers")
+    @pytest.mark.parametrize("position", ["klevel", "congr", "terms", "max",
+                                          "slope", "group"])
+    def test_integer_past_the_digit_cap_names_its_position(self, capsys,
+                                                           position):
+        # the errors were the format message with all 5,000 digits in it,
+        # argparse's, or the interpreter's
+        template, _, label = self.POSITIONS[position]
+        status, out, err = run(capsys, *self.argv(template, "1" * 5000))
+        assert (status, out) == (2, "")
+        assert err == (f"error: {label} must have at most 4300 digits (the "
+                       f"interpreter's limit), got '11111111111111111111'"
+                       f"...\n")
+
+    def test_integers_read_without_the_digit_cap(self, capsys, monkeypatch):
+        # Python 3.10.0-3.10.6 have no sys.get_int_max_str_digits
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        for argv in (("torus", "conj", PAIR_A, PAIR_B),
+                     ("torus", "congr", PAIR_A, PAIR_B, "6"),
+                     ("nt", "shear", "1,2", "-3,4")):
+            assert run(capsys, *argv)[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1253,6 +1339,33 @@ class TestCompiledFixtureCache:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == [] and len(sizes) == 4 * 3 * len(paths)
         assert max(sizes) <= cli.COMPILED_SLOTS
+
+    def test_fibered_bundle_resolves_each_rep_once(self, capsys,
+                                                   monkeypatch):
+        # a compiled fibered fixture is a plain object, not a record: its
+        # `reps` memo takes each --rep label on first use, and every
+        # fibered subcommand reads that representation
+        resolved = []
+        resolve = cli._resolve_rep
+        monkeypatch.setattr(cli, "_resolve_rep", lambda mt, label:
+                            resolved.append(label) or resolve(mt, label))
+        path = fixture("torus_A211.json")
+        for sub in ("alexander", "torsion", "zeta", "lefschetz"):
+            for label in ("trivial", "sign"):
+                assert run(capsys, sub, path, "--rep", label)[0] == 0
+        assert resolved == ["trivial", "sign"]
+        bundle, rep = cli._fibered_input(RunConfig("zeta", (path,),
+                                                   rep="sign"))
+        assert not isinstance(bundle, Record)
+        assert bundle.reps == {"trivial": bundle.reps["trivial"], "sign": rep}
+        # the memo belongs to its bundle: a text compiled anew resolves
+        # its labels again
+        cli._compiled.cache_clear()
+        fresh, again = cli._fibered_input(RunConfig("zeta", (path,),
+                                                    rep="sign"))
+        assert fresh is not bundle and fresh.reps == {"sign": again}
+        assert again is not rep and again == rep
+        assert resolved == ["trivial", "sign", "sign"]
 
     def test_deviation_warning_is_printed_on_every_call(self, capsys):
         for _ in range(3):

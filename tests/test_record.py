@@ -1,29 +1,32 @@
 """The record contract of the library's data types.
 
-Every record class is immutable (but `FiberedBundle`, the CLI's mutable
-per-fixture cache entry), equal to a copy rebuilt through its constructor,
-and unequal once a field changes; the hashable ones hash alike when equal.
-What a request imports at start-up is tested in `test_cli.py`
-(`TestImportFootprint`)."""
+Every record class is immutable, equal to a copy rebuilt through its
+constructor, and unequal once a field changes; the hashable ones hash
+alike when equal.  `Record` is the package's one immutable-value
+mechanism: no other class guards assignment or deletion, and every
+slotted class is a record.  What a request imports at start-up is tested
+in `test_cli.py` (`TestImportFootprint`)."""
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from procong import cli, serialize
-from procong.cellular import (CellularSelfMap, CellularSurface,
-                              CellularTorsion, HomologyAction, cellular_model,
+from procong.cellular import (HomologyAction, cellular_model,
                               torsion_from_cellular)
-from procong.chars import (FiniteGroupTable, NielsenBound,
-                           OrbitProjectionTable, builtin_group)
+from procong.chars import NielsenBound, OrbitProjectionTable, builtin_group
+from procong.kernel import (Cyclotomic, LaurentPolynomial,
+                            NormalizedTorsionClass, PolyMatrix,
+                            RationalFunction)
 from procong.ntform import (Dilatation, FixedClassRecord, IndexedOrbitTable,
                             InteriorOrbit, NTDecomposition, OrbitRow,
                             ReductionAnnulus, StretchFactor, VertexPiece,
                             _ClassFamily)
 from procong.record import Record
 from procong.surfgrp import (FiniteRepresentation, GeneratorEndomorphism,
-                             MappingTorusPresentation, SurfacePresentation,
-                             mapping_torus)
+                             SurfacePresentation, mapping_torus)
 from procong.torus import Mat2, ModVerdict, SL2Verdict, congruence_sweep
 from reference import replace
 
@@ -38,6 +41,9 @@ RENAMED = tuple(tuple(name + "'" for name in dim)
                 for dim in SURFACE.cell_names)
 ROW = OrbitRow(((1, 2),), 2)
 ORBITS = OrbitProjectionTable((("o", 1, 0),))
+ONE_OVER_1_MINUS_T = RationalFunction(LaurentPolynomial({0: 1}),
+                                      LaurentPolynomial({0: 1, 1: -1}))
+SRC = Path(__file__).resolve().parent.parent / "src" / "procong"
 
 
 def _records():
@@ -48,7 +54,8 @@ def _records():
         (congruence_sweep(Mat2(2, 1, 1, 1), Mat2(1, 1, 1, 2), 4),
          "max_modulus", 5),
         (cli.RunConfig("torus conj", ("2,1;1,1", "1,1;1,2")), "rep", "sign"),
-        (cli.FiberedBundle(SURFACE, FLOW, MT), "reps", {"trivial": TRIVIAL}),
+        (cli.Flag("--rep", "rep", "representation"), "help", "other"),
+        (cli.COMMANDS["torus conj"], "positionals", ("matrix",)),
         (PHI, "high", F(5, 2)),
         (Dilatation(PHI, 2), "factor", PHI_SQUARED),
         (InteriorOrbit("o", 2, 3, 1), "size", 4),
@@ -78,6 +85,14 @@ def _records():
          Mat2(1, 1, 1, 2)),
         (serialize.OrbitProjectionFixture("S3", ORBITS, False), "attained",
          True),
+        # the slotted exact values
+        (Cyclotomic(5, (1, 2)), "coeffs", (0, 1, 0, 0)),
+        (LaurentPolynomial({0: 1, 2: 3}), "terms", {1: 1}),
+        (ONE_OVER_1_MINUS_T, "num", LaurentPolynomial({1: 2})),
+        (NormalizedTorsionClass(ONE_OVER_1_MINUS_T), "value",
+         RationalFunction(LaurentPolynomial({0: 1, 1: 1}))),
+        (PolyMatrix.identity(2), "sparse", PolyMatrix.zero(2, 2).sparse),
+        (Mat2(2, 1, 1, 1), "d", 2),
     ]
 
 
@@ -86,10 +101,13 @@ RECORDS = _records()
 
 def test_every_record_class_is_covered():
     classes = {type(record) for record, _, _ in RECORDS}
-    assert len(classes) == len(RECORDS) == 28
-    assert {FiniteGroupTable, CellularSurface, CellularSelfMap,
-            CellularTorsion, MappingTorusPresentation} <= classes
-    assert all(isinstance(record, Record) for record, _, _ in RECORDS)
+    assert len(classes) == len(RECORDS) == 35
+    assert classes == set(Record.__subclasses__())
+    # a slotted record carries no instance dict
+    assert {type(record) for record, _, _ in RECORDS
+            if not hasattr(record, "__dict__")} == {
+                Cyclotomic, LaurentPolynomial, RationalFunction,
+                NormalizedTorsionClass, PolyMatrix, Mat2}
 
 
 @pytest.mark.parametrize("record, field, other", RECORDS,
@@ -100,16 +118,10 @@ def test_record_contract(record, field, other):
     changed = replace(record, **{field: other})
     assert changed != record and getattr(changed, field) == other
     assert record != record._values(record)
-    if isinstance(record, cli.FiberedBundle):
-        # the CLI's cache entry: mutable, so unhashable
-        assert type(record).__hash__ is None
-        copy.reps = {"trivial": TRIVIAL}
-        assert copy == changed
-        return
     for name in (field, "unknown"):
-        with pytest.raises(AttributeError, match="immutable"):
+        with pytest.raises(AttributeError, match="records are immutable"):
             setattr(record, name, other)
-        with pytest.raises(AttributeError, match="immutable"):
+        with pytest.raises(AttributeError, match="records are immutable"):
             delattr(record, name)
     if type(record).__hash__ is not None:
         assert hash(copy) == hash(record)
@@ -127,3 +139,28 @@ def test_record_fields_follow_the_constructor():
     assert hash(ModVerdict(5, True, None)) == hash((5, True, None))
     with pytest.raises(TypeError):
         replace(ModVerdict(5, True, None), level=5)
+
+
+def test_record_is_the_one_immutable_value_mechanism():
+    # no class but `Record` guards assignment or deletion, and a class
+    # that declares __slots__ is a record
+    guards, slotted = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) or node.name == "Record":
+                continue
+            names = {target.id for statement in node.body
+                     if isinstance(statement, ast.Assign)
+                     for target in statement.targets
+                     if isinstance(target, ast.Name)}
+            names |= {statement.name for statement in node.body
+                      if isinstance(statement, ast.FunctionDef)}
+            where = f"{path.stem}.{node.name}"
+            if names & {"__setattr__", "__delattr__"}:
+                guards.append(where)
+            bases = {base.id for base in node.bases
+                     if isinstance(base, ast.Name)}
+            if "__slots__" in names and "Record" not in bases:
+                slotted.append(where)
+    assert (guards, slotted) == ([], [])
+    assert not issubclass(cli.FiberedBundle, Record)
