@@ -36,8 +36,9 @@ APPROX_DIGITS = 30
 
 class RunConfig(Record):
     """One dispatchable invocation of the driver.  A bound flag must be one
-    that the subcommand's row of `COMMANDS` declares, positive, and at most
-    its limit, so no request starts on a size it cannot finish."""
+    that the subcommand's row of `COMMANDS` declares, an `int` (not a bool),
+    positive, and at most its limit, so no request starts on a size it
+    cannot finish."""
 
     def __init__(self, subcommand: str, inputs: Tuple[str, ...] = (),
                  max_modulus: Optional[int] = None,
@@ -53,7 +54,7 @@ class RunConfig(Record):
             flag = flags.get(field)
             if flag is None:
                 raise ValueError(f"{subcommand!r} takes no bound {field}")
-            if bound < 1:
+            if type(bound) is not int or bound < 1:
                 raise ValueError(f"{flag.option} must be a positive integer")
             module, name = flag.limit
             limit = getattr(import_module(f".{module}", __package__), name)
@@ -195,13 +196,16 @@ def _resolve_rep(mt, label: str) -> FiniteRepresentation:
         return FiniteRepresentation.trivial(mt)
     if label == "sign":
         return FiniteRepresentation.fibered_character(mt, -1)
-    match = re.fullmatch(r"zeta:(-?[0-9]+)(?::(-?[0-9]+))?", label)
-    if match:
+    name, *fields = label.split(":")
+    values = None
+    if name == "zeta" and len(fields) in (1, 2):
         try:
-            n, k = int(match[1]), int(match[2] or 1)
+            values = [parse_int(field, "--rep")
+                      for field in (fields + ["1"])[:2]]
         except ValueError:  # more digits than the interpreter converts
-            match = None
-    if match:
+            pass
+    if values and None not in values:
+        n, k = values
         if n > CYCLIC_LIMIT:
             raise ValueError(f"--rep zeta:n needs n in 1..{CYCLIC_LIMIT}, "
                              f"got {n}")

@@ -434,6 +434,34 @@ def _clean_terms(terms: dict) -> dict:
     return clean
 
 
+def _canonical(c):
+    """A coefficient in the canonical form `_clean_terms` gives it."""
+    return c if type(c) is int else as_exact(c)
+
+
+def _divide_terms(a: dict, b: dict, limit: int) -> tuple:
+    """(q, rem) of the long division of a by b, both term dicts {exponent:
+    coeff}: each step cancels the leading term of rem by a multiple of b,
+    until rem is zero or of degree below `limit`.  The coefficients of q
+    are canonical, those of rem need `_clean_terms`."""
+    top = max(b)
+    lead = scalar_inverse(b[top])
+    rem, q = dict(a), {}
+    while rem:
+        d = max(rem)
+        if d < limit:
+            break
+        c = q[d - top] = _canonical(rem[d] * lead)
+        for e, v in b.items():
+            e += d - top
+            v = rem.get(e, 0) - c * v
+            if v:
+                rem[e] = v
+            else:
+                rem.pop(e, None)
+    return q, rem
+
+
 class LaurentPolynomial(Record):
     """Sparse Laurent polynomial over exact scalars.
 
@@ -585,24 +613,7 @@ class LaurentPolynomial(Record):
             raise ZeroDivisionError("polynomial division by zero")
         if (self.valuation is not None and self.valuation < 0) or den.valuation < 0:
             raise ValueError("divmod_poly needs nonnegative valuations")
-        rem = dict(self.terms)
-        q = {}
-        dd = den.degree
-        dl = den.terms[dd]
-        dl_inv = scalar_inverse(dl)
-        while rem:
-            rd = max(rem)
-            if rd < dd:
-                break
-            coeff = rem[rd] * dl_inv
-            q[rd - dd] = coeff
-            for e, c in den.terms.items():
-                e2 = e + rd - dd
-                s = rem.get(e2, 0) - coeff * c
-                if s:
-                    rem[e2] = s
-                else:
-                    rem.pop(e2, None)
+        q, rem = _divide_terms(self.terms, den.terms, den.degree)
         return LaurentPolynomial._of(q), LaurentPolynomial._of(rem)
 
     def exact_divide(self, den: "LaurentPolynomial") -> "LaurentPolynomial":
@@ -1110,71 +1121,91 @@ def charpoly_coefficients(rows: SparseMatrix) -> list:
     return coeffs
 
 
-def _minus_product(a: LaurentPolynomial, q: LaurentPolynomial,
-                   b: LaurentPolynomial) -> LaurentPolynomial:
-    """a - q * b, built as one polynomial (a step of an elimination)."""
-    out = dict(a.terms)
-    b_terms = b.terms.items()
-    for e1, c1 in q.terms.items():
-        for e2, c2 in b_terms:
-            e = e1 + e2
-            c = c1 * c2
-            out[e] = out[e] - c if e in out else -c
-    return LaurentPolynomial._of(out)
+def _quotient(a: dict, b: dict) -> dict:
+    """Quotient of a by b in F[t^{+-1}], both term dicts {exponent: coeff}:
+    the division runs as if both were shifted to valuation 0, so a - q * b
+    is zero or of smaller span than b (zero when b is a unit)."""
+    if len(b) == 1:
+        ((e, c),) = b.items()
+        c = scalar_inverse(c)
+        return {k - e: _canonical(v * c) for k, v in a.items()}
+    # a - q * b keeps the valuation of a and must end below this degree
+    return _divide_terms(a, b, min(a) + max(b) - min(b))[0]
 
 
-def _laurent_quotient(a: LaurentPolynomial,
-                      b: LaurentPolynomial) -> LaurentPolynomial:
-    """Quotient of a by b in F[t^{+-1}]: both are shifted to valuation 0
-    and divided there, so a - q * b is zero or of smaller span than b."""
-    av, bv = a.valuation, b.valuation
-    q, _ = a.shift(-av).divmod_poly(b.shift(-bv))
-    return q.shift(av - bv)
+class _Elimination:
+    """The working state of `smith_diagonalize`: `rows` holds the rows
+    left, as dicts {column: {exponent: coeff}} that `subtract` updates in
+    place, and `cols` the rows meeting each column, {column: {rows}}."""
 
+    def __init__(self, sparse: SparseMatrix, ncols: int):
+        self.rows = {}
+        self.cols = cols = {j: set() for j in range(ncols)}
+        for i, row in enumerate(sparse):
+            if row:
+                self.rows[i] = {j: dict(e.terms) for j, e in row}
+                for j, _ in row:
+                    cols[j].add(i)
 
-def _subtract_row(rows: dict, cols: dict, i: int, q: LaurentPolynomial,
-                  source: dict) -> None:
-    """rows[i] -= q * source on sparse rows, keeping the column index
-    `cols` {column: rows with a nonzero entry there} in step."""
-    row = rows[i]
-    for j, e in source.items():
-        new = _minus_product(row.get(j, _ZERO), q, e)
-        if new:
-            row[j] = new
-            cols[j].add(i)
-        else:
-            row.pop(j, None)
-            cols[j].discard(i)
-    if not row:
-        del rows[i]
+    def subtract(self, i: int, q: dict, source: dict) -> None:
+        """rows[i] -= q * source, one fused a - q * b per entry of
+        `source`, a dict {column: terms}; q is a term dict."""
+        row, cols = self.rows[i], self.cols
+        q = q.items()
+        for j, b in source.items():
+            a = row.get(j)
+            if a is None:
+                a = row[j] = {}
+                cols[j].add(i)
+            for e2, c2 in b.items():
+                for e1, c1 in q:
+                    e = e1 + e2
+                    c = (a[e] if e in a else 0) - c1 * c2
+                    if type(c) is not int:
+                        c = as_exact(c)
+                    if c:
+                        a[e] = c
+                    else:
+                        del a[e]
+            if not a:
+                del row[j]
+                cols[j].discard(i)
+        if not row:
+            del self.rows[i]
 
+    def drop_row(self, i: int) -> None:
+        """Remove row i with all its entries."""
+        for j in self.rows.pop(i):
+            self.cols[j].discard(i)
 
-def _choose_pivot(rows: dict, cols: dict) -> tuple:
-    """(row, column) of the entry of least span (degree - valuation), ties
-    broken by the Markowitz cost (row nonzeros - 1) * (column nonzeros - 1)
-    and then by the order of the scan.  Units (monomials, span 0) are
-    looked for first, since they are most of the entries."""
-    best = best_cost = None
-    for i, row in rows.items():
-        width = len(row) - 1
-        for j, e in row.items():
-            if len(e.terms) == 1:
-                cost = width * (len(cols[j]) - 1)
-                if best is None or cost < best_cost:
-                    if not cost:
-                        return i, j
-                    best, best_cost = (i, j), cost
-    if best is not None:
+    def choose_pivot(self):
+        """(row, column) of the entry of least span (degree - valuation),
+        ties broken by the Markowitz cost (row nonzeros - 1) * (column
+        nonzeros - 1) and then by the order of the scan; None once no
+        entry is left.  Units (monomials, span 0) are looked for first,
+        since they are most of the entries, and one of cost 0 ends the
+        scan."""
+        rows, cols = self.rows, self.cols
+        best = best_cost = None
+        for i, row in rows.items():
+            width = len(row) - 1
+            for j, a in row.items():
+                if len(a) == 1:
+                    cost = width * (len(cols[j]) - 1)
+                    if best is None or cost < best_cost:
+                        if not cost:
+                            return i, j
+                        best, best_cost = (i, j), cost
+        if best is not None:
+            return best
+        best_key = None
+        for i, row in rows.items():
+            width = len(row) - 1
+            for j, a in row.items():
+                key = (max(a) - min(a), width * (len(cols[j]) - 1))
+                if best_key is None or key < best_key:
+                    best, best_key = (i, j), key
         return best
-    best_key = None
-    for i, row in rows.items():
-        width = len(row) - 1
-        for j, e in row.items():
-            key = (max(e.terms) - min(e.terms),
-                   width * (len(cols[j]) - 1))
-            if best_key is None or key < best_key:
-                best, best_key = (i, j), key
-    return best
 
 
 def smith_diagonalize(matrix: PolyMatrix) -> tuple:
@@ -1185,61 +1216,47 @@ def smith_diagonalize(matrix: PolyMatrix) -> tuple:
     maximal nonzero minors up to a unit.  Computed once per matrix and kept
     on it, so later calls read it back.
 
-    One sparse elimination on rows kept as dicts {column: entry}.  Each step
-    takes the pivot `_choose_pivot` names.  A pivot of span 0 is a monomial,
-    hence a unit: its column is cleared from the other rows, its row is
-    dropped and 1 is recorded.  Otherwise a Euclid step divides the other
-    entries of its column by it, and once the column is clear, the entries
-    of its row; the remainders, of smaller span, are left to the next
-    choice, and a pivot alone in its row and column is recorded at
-    valuation 0.  Between two recorded pivots the least span strictly
+    One sparse elimination on term dicts (`_Elimination`): each entry is a
+    dict {exponent: coeff} updated in place by one fused a - q * b, and
+    LaurentPolynomials are built only for the diagonal returned.  Each step
+    takes the pivot `_Elimination.choose_pivot` names: an entry of least
+    span, and among those of least Markowitz cost, found by a scan of the
+    entries left that stops at a unit of cost 0.  The other entries of
+    its column are divided by it, each row taking the quotient's multiple
+    of the pivot's row.  A pivot of span 0 is a monomial, hence a unit:
+    the division is exact, so its column is clear, its row is dropped and
+    1 is recorded.  Otherwise the remainders, of smaller span, are left to
+    the next choice; once the column is clear, the entries of its row are
+    divided the same way, by column operations, and a pivot alone in its
+    row and column is recorded at valuation 0.  Between two recorded pivots the least span strictly
     falls, so the elimination ends.
     """
     if matrix._diagonal is not None:
         return matrix._diagonal
-    rows, cols = {}, {j: set() for j in range(matrix.cols)}
-    for i, row in enumerate(matrix.sparse):
-        if row:
-            rows[i] = dict(row)
-            for j, _ in row:
-                cols[j].add(i)
+    work = _Elimination(matrix.sparse, matrix.cols)
     one = LaurentPolynomial.one()
     diag = []
-    while rows:
-        p, c = _choose_pivot(rows, cols)
-        pivot_row = rows[p]
+    while (chosen := work.choose_pivot()) is not None:
+        p, c = chosen
+        pivot_row = work.rows[p]
         pivot = pivot_row[c]
-        if len(pivot.terms) == 1:
-            # each row meeting column c loses its entry there and takes a
-            # multiple of the rest of the pivot's row
-            ((e, a),) = pivot.terms.items()
-            inverse = LaurentPolynomial._of({-e: scalar_inverse(a)})
-            del rows[p], pivot_row[c]
-            for j in pivot_row:
-                cols[j].discard(p)
-            for i in cols.pop(c) - {p}:
-                _subtract_row(rows, cols, i, rows[i].pop(c) * inverse,
-                              pivot_row)
+        for i in [i for i in work.cols[c] if i != p]:
+            work.subtract(i, _quotient(work.rows[i][c], pivot), pivot_row)
+        if len(pivot) == 1:
+            work.drop_row(p)
             diag.append(one)
             continue
-        for i in [i for i in cols[c] if i != p]:
-            _subtract_row(rows, cols, i,
-                          _laurent_quotient(rows[i][c], pivot), pivot_row)
-        if len(cols[c]) > 1:
+        if len(work.cols[c]) > 1:
             continue
         # the column is clear, so a column operation changes only the
         # pivot's row: each entry becomes its remainder
-        for j, e in list(pivot_row.items()):
-            if j != c:
-                r = _minus_product(e, _laurent_quotient(e, pivot), pivot)
-                if r:
-                    pivot_row[j] = r
-                else:
-                    del pivot_row[j]
-                    cols[j].discard(p)
+        for j in [j for j in pivot_row if j != c]:
+            work.subtract(p, _quotient(pivot_row[j], pivot), {j: pivot})
         if len(pivot_row) == 1:
-            diag.append(pivot.shift(-pivot.valuation))
-            del rows[p], cols[c]
+            v = min(pivot)
+            diag.append(LaurentPolynomial._of(
+                {k - v: x for k, x in pivot.items()}))
+            work.drop_row(p)
     diag = tuple(diag)
     object.__setattr__(matrix, "_diagonal", diag)
     return diag
@@ -1275,5 +1292,6 @@ def homology_order(boundary_in, boundary_out) -> LaurentPolynomial:
         return LaurentPolynomial.zero()
     order = LaurentPolynomial.one()
     for d in in_diag:
-        order = order * d
+        if len(d.terms) > 1:  # a unit changes the product by a unit only
+            order = order * d
     return order.monic_normal()

@@ -1054,6 +1054,19 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="--terms"):
             RunConfig("zeta", ("x",), terms=0)
 
+    # a str raised TypeError from the comparison; a float or a bool passed
+    # it and reached the handler
+    @pytest.mark.parametrize("subcommand, field, bound, flag", [
+        ("zeta", "terms", "5", "--terms"),
+        ("torus sweep", "max_modulus", 2.5, "--max"),
+        ("torus sweep", "max_modulus", True, "--max")],
+        ids=["str-terms", "float-max", "bool-max"])
+    def test_rejects_a_bound_that_is_not_an_int(self, subcommand, field,
+                                                bound, flag):
+        with pytest.raises(ValueError,
+                           match=f"^{flag} must be a positive integer$"):
+            RunConfig(subcommand, ("x",), **{field: bound})
+
     def test_rejects_unknown_output_mode(self):
         with pytest.raises(ValueError, match="output mode"):
             RunConfig("zeta", ("x",), output="xml")

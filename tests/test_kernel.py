@@ -884,6 +884,141 @@ class TestSparseElimination:
                           for n in range(4)]
 
 
+class TestDegree81Orders:
+    """Delta_0..Delta_3 of genus2_finite_order under affine:3 (degree 81,
+    matrices up to 405 x 405), as computed by the elimination on
+    LaurentPolynomial entries that term dicts replaced.  A pivot order that
+    changed a printed polynomial fails here."""
+
+    # Delta_1 is palindromic of degree 164: its coefficients of t^0..t^82
+    DELTA_1_LOW = (
+        1, 16, 46, -624, -4359, 6144, 132624, 163584, -2292156, -6928576,
+        24671912, 133516352, -138601068, -1741970688, -486012048, 17017425408,
+        21573788358, -128847986592, -291916025692, 751052506208, 2731828992518,
+        -3104445215232, -20138840834832, 5291922279168, 122682756458868,
+        48670522479168, -630648367099032, -624280611044032, 2751463745820068,
+        4467236677453568, -10090776086409072, -24662237704476672,
+        29924006009599653, 113904900328757328, -62573246706089322,
+        -454934682581846832, 23765754180057293, 1596400705944301568,
+        592115651580565568, -4955616390503519232, -3847410858680189232,
+        13607157928635533568, 16542701746059809568, -32767376681051480832,
+        -57783809998093646832, 67562480409727351808, 174240367094062505408,
+        -111746580750054356992, -465589762689588444792, 114794158055570299008,
+        1116902380017627687600, 91551174586107031680, -2420424087089073920760,
+        -925888077767080704000, 4745801639068573849280, 3249207324677147995136,
+        -8393765412548370633904, -8569541140185667747584,
+        13265758729521609387936, 19138865113088342359296,
+        -18332476391997951956208, -37752466543381035721728,
+        21008678710865974708032, 67057824021303210708992,
+        -16718125690116844513678, -108312772879899904520416,
+        -927148440404757893316, 159822837911397230167584,
+        38941558143265028768034, -215648555755265085014016,
+        -102696663911966916027936, 265400932030404400280064,
+        193054185002935562654264, -295800270120282742788736,
+        -303970126245872914173136, 294057367480156839560064,
+        421871437392250943533464, -252222892304648618497536,
+        -527695548299903345216736, 170889403262100965643264,
+        601450595074816289236644, -60523330321994091998656,
+        -627929552090688704486056)
+
+    def test_orders_are_the_golden_values(self):
+        fixture = (Path(__file__).resolve().parent.parent / "fixtures"
+                   / "genus2_finite_order.json")
+        mt = load_fixture(fixture).payload
+        rep = affine_rep(mt, 3)
+        assert rep.dimension == 81
+        coeffs = self.DELTA_1_LOW + self.DELTA_1_LOW[-2::-1]
+        assert [twisted_alexander(mt, rep, n) for n in range(4)] == [
+            poly(-1, 1), LaurentPolynomial.from_coefficients(coeffs),
+            poly(-1, 1), ONE]
+
+
+def block_matrix(rng):
+    """A matrix up to 40 x 40 that is block diagonal, with blocks up to
+    6 x 6, once its rows and columns are shuffled.  Its entries are mostly
+    0 and units +-t^k, otherwise c t^k or a + bt^m.  Many entries tie in
+    span and in Markowitz cost, about half of the matrices need Euclid
+    steps once the units run out, and the fill-in of the dense oracle
+    stays inside the blocks, so its coefficients stay small."""
+    max_rows, max_cols = rng.randint(1, 40), rng.randint(1, 40)
+    blocks, rows, cols = [], 0, 0
+    while True:
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        if blocks and (rows + r > max_rows or cols + c > max_cols):
+            break
+        blocks.append((rows, cols, r, c))
+        rows, cols = rows + r, cols + c
+
+    def entry():
+        kind, k = rng.random(), rng.randint(-1, 1)
+        if kind < 0.4:
+            return ZERO
+        if kind < 0.75:
+            return LaurentPolynomial.t_power(k, rng.choice((1, -1)))
+        if kind < 0.85:
+            return LaurentPolynomial.t_power(k, rng.choice((2, -3)))
+        return LaurentPolynomial({k: rng.choice((1, -1, 2)),
+                                  k + rng.randint(1, 2): rng.choice((1, -2, 3))})
+
+    grid = [[ZERO] * cols for _ in range(rows)]
+    for i0, j0, r, c in blocks:
+        for i in range(i0, i0 + r):
+            grid[i][j0:j0 + c] = [entry() for _ in range(c)]
+    row_order, col_order = list(range(rows)), list(range(cols))
+    rng.shuffle(row_order)
+    rng.shuffle(col_order)
+    return poly_matrix(rows, cols, [[grid[i][j] for j in col_order]
+                                    for i in row_order])
+
+
+def eliminate_checked(m) -> list:
+    """`smith_diagonalize` on m, checked against the dense oracle, with
+    each pivot checked against a scan of every entry left: it must have
+    the least span and, among the entries of that span, the least
+    Markowitz cost.  Returns the spans of the pivots taken."""
+    choose = kernel._Elimination.choose_pivot
+    spans = []
+
+    def checked(work):
+        keys = [(max(a) - min(a),
+                 (len(row) - 1) * (len(work.cols[j]) - 1))
+                for row in work.rows.values() for j, a in row.items()]
+        chosen = choose(work)
+        if not keys:
+            assert chosen is None
+            return chosen
+        i, j = chosen
+        a = work.rows[i][j]
+        spans.append(max(a) - min(a))
+        assert (spans[-1], (len(work.rows[i]) - 1)
+                * (len(work.cols[j]) - 1)) == min(keys)
+        return chosen
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel._Elimination, "choose_pivot", checked)
+        assert_matches_oracle(m)
+    return spans
+
+
+class TestPivotChoice:
+    """The pivot choice of `smith_diagonalize` against a brute-force
+    scan of every entry, on matrices with many ties."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_every_pivot_is_a_cheapest_entry(self, rng):
+        eliminate_checked(block_matrix(rng))
+
+    def test_eliminations_cross_the_unit_and_the_euclid_phase(self):
+        # seeded matrices whose eliminations take units first and then
+        # pivots of positive span, by Euclid steps
+        crossing = 0
+        for seed in range(20):
+            spans = eliminate_checked(block_matrix(random.Random(seed)))
+            crossing += spans[0] == 0 and max(spans) > 0
+        assert crossing >= 10
+
+
 @st.composite
 def product_pairs(draw):
     """(a, b, c, d) with a @ b and c @ d of one shape, from `poly_matrices`;
