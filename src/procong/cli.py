@@ -8,7 +8,8 @@ the report from the records the library returns, as text or, under
 ``--json``, as JSON holding the same values; the library renders only
 values (see `kernel`).  All numeric output is exact; ``--approx`` adds
 decimal renderings with 30 significant digits obtained by interval
-refinement.  Identical inputs yield byte-identical reports.
+refinement.  Identical inputs yield byte-identical reports.  A caveat
+(`ntform.notes`) is a ``note:`` line, and in JSON a ``notes`` entry.
 
 Every fixture-reading subcommand reads its file on every call and looks
 its text up in one cache of compiled fixtures (see `_compiled`).
@@ -24,7 +25,6 @@ import math
 import os
 import re
 import sys
-import warnings
 from importlib import import_module
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Tuple
@@ -254,23 +254,22 @@ class Flag(Record):
 
 class Command(Record):
     """A subcommand: its handler, help line, positionals in the order they
-    fill `RunConfig.inputs`, and flags after ``--json``, which all take.
-    A `signed` subcommand's positionals may begin with a minus sign."""
+    fill `RunConfig.inputs`, and flags after ``--json``, which all take."""
 
     def __init__(self, handler: Callable, help: str, positionals: tuple,
-                 flags: Tuple[Flag, ...] = (), signed=False):
+                 flags: Tuple[Flag, ...] = ()):
         self.__dict__.update(handler=handler, help=help, flags=flags,
-                             positionals=positionals, signed=signed)
+                             positionals=positionals)
 
 
 COMMANDS = {}       # subcommand -> Command, in the order of `--help`
 
 
-def _command(name: str, *row, **options):
-    """Make the decorated handler's Command(handler, *row, **options) the
-    row `name` of `COMMANDS`."""
+def _command(name: str, *row):
+    """Make the decorated handler's Command(handler, *row) the row `name`
+    of `COMMANDS`."""
     def declare(handler):
-        COMMANDS[name] = Command(handler, *row, **options)
+        COMMANDS[name] = Command(handler, *row)
         return handler
     return declare
 
@@ -316,7 +315,7 @@ def _sl2_report(verdict: SL2Verdict):
     return lines, _verdict_json(verdict, "reason", verdict.reason)
 
 
-@_command("torus conj", "decide SL(2,Z) conjugacy", _PAIR, signed=True)
+@_command("torus conj", "decide SL(2,Z) conjugacy", _PAIR)
 def _handle_torus_conj(config: RunConfig):
     from .torus import sl2_conjugate
     a, b, line, payload = _matrix_pair(config)
@@ -325,7 +324,7 @@ def _handle_torus_conj(config: RunConfig):
 
 
 @_command("torus congr", "decide GL(2,Z/n) conjugacy at one level",
-          (*_PAIR, "modulus"), signed=True)
+          (*_PAIR, "modulus"))
 def _handle_torus_congr(config: RunConfig):
     from .torus import congruent_conjugate_mod
     a, b, line, payload = _matrix_pair(config)
@@ -341,7 +340,7 @@ def _handle_torus_congr(config: RunConfig):
 
 @_command("torus sweep", "GL(2,Z/n) conjugacy for all n up to a bound",
           _PAIR, (Flag("--max", "max_modulus", "largest modulus", 100,
-                       ("torus", "SWEEP_LIMIT")),), signed=True)
+                       ("torus", "SWEEP_LIMIT")),))
 def _handle_torus_sweep(config: RunConfig):
     from .torus import congruence_sweep
     a, b, line, payload = _matrix_pair(config)
@@ -502,11 +501,12 @@ def _table_json(table: IndexedOrbitTable) -> dict:
            Flag("--approx", "approx",
                 f"add {APPROX_DIGITS}-digit decimal renderings", switch=True)))
 def _handle_nt_analyze(config: RunConfig):
-    from .ntform import deviation, dilatation, indexed_orbit_numbers
+    from .ntform import deviation, dilatation, indexed_orbit_numbers, notes
     from .serialize import KIND_NT
     nt = _compiled_input(config, (KIND_NT,), "is not a decomposition")
     dil = dilatation(nt)
     dev = deviation(nt)
+    caveats = notes(nt)
     table = indexed_orbit_numbers(nt, _bound(config, "upto"))
 
     pa = sum(1 for p in nt.pieces if p.stretch is not None)
@@ -524,6 +524,7 @@ def _handle_nt_analyze(config: RunConfig):
     if approx is not None:
         lines.append(f"dilatation ~ {approx}")
     lines.append(f"deviation: {dev}")
+    lines += [f"note: {note}" for note in caveats]
     lines.append(" m | N_m | indexed counts")
     for m, row in enumerate(table.rows, 1):
         counts = " ".join(f"{i}:{c}" for i, c in row.counts) or "-"
@@ -538,11 +539,13 @@ def _handle_nt_analyze(config: RunConfig):
                "table": _table_json(table)}
     if approx is not None:
         payload["dilatation_approx"] = approx
+    if caveats:
+        payload["notes"] = list(caveats)
     return "\n".join(lines), payload
 
 
 @_command("nt shear", "shearing degree of two integer slopes",
-          ("slope_a", "slope_b"), signed=True)
+          ("slope_a", "slope_b"))
 def _handle_nt_shear(config: RunConfig):
     from .ntform import shearing_from_slopes
     first = _parse_slope(config.inputs[0])
@@ -562,16 +565,16 @@ def _handle_chars_decompose(config: RunConfig):
     group, table, _ = _orbit_projection_input(config)
     character_L = character_L_vector(table, group)
     indicators = all_class_indicators(table, group, character_L)
+    rendered = [render_scalar(v) for v in character_L]
     lines = [f"group: {group.name} (order {group.order}, "
              f"{group.class_count} classes)",
              f"orbit classes: {table.orbit_count}"]
-    lines += [f"L(chi_{r}) = {render_scalar(v)}"
-              for r, v in enumerate(character_L)]
+    lines += [f"L(chi_{r}) = {v}" for r, v in enumerate(rendered)]
     lines += [f"indicator L, class {c} = {v}"
               for c, v in enumerate(indicators)]
     payload = {"group": group.name,
                "orbit_classes": table.orbit_count,
-               "character_L": [render_scalar(v) for v in character_L],
+               "character_L": rendered,
                "class_indicators": list(indicators)}
     return "\n".join(lines), payload
 
@@ -593,13 +596,6 @@ def _handle_chars_bound(config: RunConfig):
                "indexed_counts": (None if result.indexed_counts is None
                                   else [list(p) for p in result.indexed_counts])}
     return "\n".join(lines), payload
-
-
-def _print_warning(message, category, filename, lineno, file=None,
-                   line=None):
-    """Library warnings reach stderr as one `warning:` line, without the
-    source location."""
-    print(f"warning: {message}", file=sys.stderr)
 
 
 def _render_json(payload) -> str:
@@ -667,9 +663,7 @@ def dispatch(config: RunConfig) -> Tuple[int, str]:
     command = COMMANDS.get(config.subcommand)
     if command is None:
         raise ValueError(f"unknown subcommand {config.subcommand!r}")
-    with warnings.catch_warnings():
-        warnings.showwarning = _print_warning
-        text, payload = command.handler(config)
+    text, payload = command.handler(config)
     if config.output == "json":
         return 0, _render_json(payload)
     return 0, text
@@ -708,10 +702,10 @@ def build_parser() -> "argparse.ArgumentParser":
                 "store_true" if flag.switch else "store"))
         for positional in command.positionals:
             sub.add_argument(positional)
-        if command.signed:
-            # argparse reads an argument that matches a parser's negative-
-            # number pattern as a positional: widen it to any "-" and digit
-            sub._negative_number_matcher = re.compile(r"-\d")
+        # argparse reads an argument that matches a parser's negative-number
+        # pattern as a positional: widen it to any "-" and digit, so a
+        # matrix or slope may begin with a minus sign
+        sub._negative_number_matcher = re.compile(r"-\d")
     return parser
 
 

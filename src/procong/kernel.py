@@ -94,40 +94,33 @@ def cyclotomic_polynomial(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _power_reduction_table(n: int) -> tuple:
-    """x^k mod Phi_n for 0 <= k < n, as tuples of ints of length deg Phi_n."""
+def _field(n: int) -> tuple:
+    """(deg Phi_n, the power reduction table: x^k mod Phi_n for 0 <= k < n
+    as tuples of ints of length deg Phi_n, the nonzero (i, r) entries of
+    each of its rows, and the map coeffs -> k of the roots zeta_n^k)."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    rows = []
     row = [0] * deg
     if deg:
         row[0] = 1
-    rows.append(tuple(row))
+    table = [tuple(row)]
     for _ in range(1, n):
-        shifted = [0] + list(rows[-1])
+        shifted = [0, *table[-1]]
         if len(shifted) > deg:
             top = shifted.pop()
             if top:
                 # subtract top * Phi_n (monic), keeping degree < deg
                 for i in range(deg):
                     shifted[i] -= top * phi[i]
-        rows.append(tuple(shifted))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _field(n: int) -> tuple:
-    """(deg Phi_n, the nonzero (i, r) entries of each row of the power
-    reduction table, and the map coeffs -> k of the roots zeta_n^k)."""
-    table = _power_reduction_table(n)
+        table.append(tuple(shifted))
     sparse = tuple(tuple((i, r) for i, r in enumerate(row) if r)
                    for row in table)
-    return len(table[0]), sparse, {row: k for k, row in enumerate(table)}
+    return deg, tuple(table), sparse, {row: k for k, row in enumerate(table)}
 
 
 def _lookup_root(n: int, coeffs: tuple) -> int | None:
     """k with coeffs the vector of zeta_n^k, or None."""
-    return _field(n)[2].get(coeffs)
+    return _field(n)[3].get(coeffs)
 
 
 _RATIONALS = (int, Fraction)
@@ -146,7 +139,7 @@ class Cyclotomic(Record):
     __slots__ = ("conductor", "coeffs", "_root")
 
     def __init__(self, conductor: int, coeffs):
-        deg, sparse, _ = _field(conductor)
+        deg, _, sparse, _ = _field(conductor)
         coeffs = list(coeffs)
         if len(coeffs) > deg:
             # reduce high powers through the nonzero entries of the table
@@ -168,8 +161,7 @@ class Cyclotomic(Record):
     @staticmethod
     def root(conductor: int, power: int = 1) -> "Cyclotomic":
         """zeta_n^power."""
-        table = _power_reduction_table(conductor)
-        return Cyclotomic(conductor, table[power % conductor])
+        return Cyclotomic(conductor, _field(conductor)[1][power % conductor])
 
     @staticmethod
     def from_rational(conductor: int, value) -> "Cyclotomic":

@@ -7,7 +7,8 @@ and boundary circles, and declared singularity or marked-point orbits.
 On top of validated fixtures the module computes the split order,
 exact dilatation and deviation, fixed-class index tables for
 iterates, indexed orbit counts with Nielsen numbers, and shearing
-degrees from slope pairs.
+degrees from slope pairs.  `notes` returns the caveats of a report as
+data; no function here warns.
 
 All arithmetic is exact.  Stretch factors are algebraic numbers given
 by an integer polynomial together with a rational interval that a Sturm
@@ -20,7 +21,6 @@ period of its iterates, so neither is derived twice.
 from __future__ import annotations
 
 import decimal
-import warnings
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Tuple, Union
@@ -569,16 +569,25 @@ def dilatation(nt: NTDecomposition) -> Dilatation:
 
 def deviation(nt: NTDecomposition) -> Fraction:
     """Maximal absolute twist rate over the reduction annuli.  Defined to be
-    zero when the pseudo-Anosov part is empty; a warning flags fixtures
-    where nonzero twisting is then being discarded."""
+    zero when the pseudo-Anosov part is empty, even where annuli twist (a
+    caveat `notes` reports)."""
     if not any(p.kind == PSEUDO_ANOSOV for p in nt.pieces):
-        if any(a.twist != 0 for a in nt.annuli):
-            warnings.warn(
-                "deviation is defined to be zero when the pseudo-Anosov part "
-                "is empty, although nonzero twist rates are present",
-                stacklevel=2)
         return Fraction(0)
     return max((abs(a.twist) for a in nt.annuli), default=Fraction(0))
+
+
+DISCARDED_TWIST_NOTE = ("deviation is defined to be zero when the "
+                        "pseudo-Anosov part is empty, although nonzero twist "
+                        "rates are present")
+
+
+def notes(nt: NTDecomposition) -> Tuple[str, ...]:
+    """The caveats of a report on nt, one message each.  There is one
+    today: `deviation` is zero although an annulus twists, which happens
+    only when the pseudo-Anosov part is empty."""
+    if deviation(nt) == 0 and any(a.twist != 0 for a in nt.annuli):
+        return (DISCARDED_TWIST_NOTE,)
+    return ()
 
 
 # ---------------------------------------------------------------------------

@@ -169,30 +169,27 @@ def test_primary_05_index_table_of_the_five_cases():
 
 
 def test_primary_06_invariance_under_relabeling_and_power_laws():
-    import warnings
     rng = random.Random(97)
     relabelings = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name in NT_FIXTURE_NAMES:
-            nt = load_nt(name)
-            table = indexed_orbit_numbers(nt, 6)
-            dil = dilatation(nt)
-            dev = deviation(nt)
-            for _ in range(20):
-                pieces, circles, orbits = random_relabeling(nt, rng)
-                moved = relabel(nt, pieces, circles, orbits)
-                moved_table = indexed_orbit_numbers(moved, 6)
-                assert [r.counts for r in moved_table.rows] == \
-                    [r.counts for r in table.rows], name
-                assert [r.nielsen for r in moved_table.rows] == \
-                    [r.nielsen for r in table.rows], name
-                assert dilatation(moved) == dil, name
-                assert deviation(moved) == dev, name
-                relabelings += 1
-            for m in range(1, 13):
-                assert dilatation(iterate(nt, m)) == dil.power(m), (name, m)
-                assert deviation(iterate(nt, m)) == m * dev, (name, m)
+    for name in NT_FIXTURE_NAMES:
+        nt = load_nt(name)
+        table = indexed_orbit_numbers(nt, 6)
+        dil = dilatation(nt)
+        dev = deviation(nt)
+        for _ in range(20):
+            pieces, circles, orbits = random_relabeling(nt, rng)
+            moved = relabel(nt, pieces, circles, orbits)
+            moved_table = indexed_orbit_numbers(moved, 6)
+            assert [r.counts for r in moved_table.rows] == \
+                [r.counts for r in table.rows], name
+            assert [r.nielsen for r in moved_table.rows] == \
+                [r.nielsen for r in table.rows], name
+            assert dilatation(moved) == dil, name
+            assert deviation(moved) == dev, name
+            relabelings += 1
+        for m in range(1, 13):
+            assert dilatation(iterate(nt, m)) == dil.power(m), (name, m)
+            assert deviation(iterate(nt, m)) == m * dev, (name, m)
     assert relabelings == 100
     print("[PRIMARY 6] PASS: nu_m, N_m, Dil, and Dev unchanged under 100 "
           "relabelings; power laws exact for m <= 12")

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -283,6 +284,14 @@ class TestNegativeArguments:
         assert (status, err) == (0, "")
         assert (status, out, err) == run(capsys, *words, *form, "--",
                                          *positionals)
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_every_leaf_reads_a_minus_digit_as_a_positional(self, name):
+        command = cli.COMMANDS[name]
+        values = [f"-{k},1" for k in range(len(command.positionals))]
+        config = config_from_args(build_parser().parse_args(
+            [*name.split(), *values]))
+        assert config.inputs == tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -989,25 +998,32 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("source", ["pure_twist.json",
                                         "separating_twist.json"])
-    def test_library_warning_is_one_plain_stderr_line(self, capsys, source):
+    def test_library_caveat_is_a_note_line(self, capsys, source):
+        # the caveat rides in the report, in text and JSON, whether a fresh
+        # process or an in-process caller of dispatch asks; no warning is
+        # raised and nothing reaches stderr
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "procong", "nt",
-                               "analyze", fixture(source)],
-                              capture_output=True, text=True, env=env,
-                              timeout=60)
-        assert proc.returncode == 0
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(
-            "warning: deviation is defined to be zero ")
-        assert "cli.py" not in proc.stderr and "/" not in proc.stderr
-        # an in-process caller of dispatch gets the same line, once per
-        # request
-        for _ in range(2):
-            _, report = dispatch(config_from_args(
-                build_parser().parse_args(["nt", "analyze", fixture(source)])))
-            assert proc.stdout == report + "\n"
-            assert capsys.readouterr() == ("", proc.stderr)
+        for form in ([], ["--json"]):
+            argv = ["nt", "analyze", fixture(source), *form]
+            proc = subprocess.run([sys.executable, "-W", "error", "-m",
+                                   "procong", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            if form:
+                notes = json.loads(proc.stdout)["notes"]
+                assert notes == [ntform.DISCARDED_TWIST_NOTE]
+            else:
+                assert proc.stdout.count("note: ") == 1
+                assert (f"\nnote: {ntform.DISCARDED_TWIST_NOTE}\n"
+                        in proc.stdout)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for _ in range(2):
+                    _, report = dispatch(config_from_args(
+                        build_parser().parse_args(argv)))
+                    assert proc.stdout == report + "\n"
+            assert capsys.readouterr() == ("", "")
 
     def test_missing_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1176,6 +1192,27 @@ class TestOneOwnerOfTheReports:
             "kernel.NormalizedTorsionClass.to_json"]
 
 
+class TestNoWarnings:
+    """A caveat is data (see `ntform.notes`): no module of the package
+    imports `warnings`, so no request raises a warning or swaps the
+    process's warning hooks."""
+
+    def test_no_module_imports_warnings(self):
+        found = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.stem}: {name}" for name in names
+                          if name.split(".")[0] == "warnings"]
+        assert found == []
+
+
 class TestLastFiberedFixture:
     """dispatch keeps the fibered fixtures it compiled, keyed by the text
     of the fixture file, which it reads on every request."""
@@ -1322,15 +1359,17 @@ class TestCompiledFixtureCache:
             paths[-1][1].write_text((FIXTURES / source).read_text()
                                     + " " * k)
         failures, sizes = [], []
+        hooks = warnings.showwarning, warnings.filters
 
         def worker(offset):
             for i in range(3 * len(paths)):
                 source, path = paths[(i + offset) % len(paths)]
-                # the table past the row period, or the kept rendering
+                # the table past the row period, or the kept rendering,
+                # in text and in JSON
                 argv = ("--upto", "30") if i % 2 else ("--approx",)
-                # the handler, not dispatch: dispatch swaps the process's
-                # warning hooks, which threads would restore out of order
-                report, _ = cli._handle_nt_analyze(config_from_args(
+                if i % 3 == 0:
+                    argv += ("--json",)
+                _, report = dispatch(config_from_args(
                     build_parser().parse_args(
                         ["nt", "analyze", str(path), *argv])))
                 key = " ".join(("nt analyze", source, *argv))
@@ -1352,6 +1391,9 @@ class TestCompiledFixtureCache:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == [] and len(sizes) == 4 * 3 * len(paths)
         assert max(sizes) <= cli.COMPILED_SLOTS
+        # no request touched the process's warning hooks
+        assert warnings.showwarning is hooks[0]
+        assert warnings.filters is hooks[1]
 
     def test_fibered_bundle_resolves_each_rep_once(self, capsys,
                                                    monkeypatch):
@@ -1381,14 +1423,19 @@ class TestCompiledFixtureCache:
         assert resolved == ["trivial", "sign", "sign"]
 
     def test_deviation_warning_is_printed_on_every_call(self, capsys):
-        for _ in range(3):
-            status, out, err = run(capsys, "nt", "analyze",
-                                   fixture("pure_twist.json"), "--upto", "30")
-            assert status == 0
-            assert out == self.QUERY_GOLDEN["nt analyze pure_twist.json "
-                                            "--upto 30"]
-            assert err.startswith("warning: deviation is defined to be zero ")
-            assert err.count("\n") == 1
+        # the caveat is a note line of every report, the cached one too,
+        # and never a warning
+        note = f"\nnote: {ntform.DISCARDED_TWIST_NOTE}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(3):
+                status, out, err = run(capsys, "nt", "analyze",
+                                       fixture("pure_twist.json"), "--upto",
+                                       "30")
+                assert (status, err) == (0, "")
+                assert out == self.QUERY_GOLDEN["nt analyze pure_twist.json "
+                                                "--upto 30"]
+                assert out.count(note) == 1
 
 
 class TestImportFootprint:

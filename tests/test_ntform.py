@@ -3,6 +3,7 @@ order, dilatation/deviation, fixed class tables, orbit counts, growth
 certification, relabeling invariance, shearing."""
 
 import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional
@@ -30,6 +31,7 @@ from procong.ntform import (
     dilatation,
     fixed_point_classes,
     indexed_orbit_numbers,
+    notes,
     shearing_from_slopes,
     split_order,
 )
@@ -754,21 +756,30 @@ class TestDilDev:
         assert d == Dilatation(PHI, 2) and d.split_order == 2
         assert deviation(make_swap()) == F(1, 2)
 
-    def test_pure_twist_warns_and_returns_zero(self):
+    def test_pure_twist_notes_and_returns_zero(self):
         nt = make_pure_twist()
         assert dilatation(nt) == Dilatation(None, 1)
-        with pytest.warns(UserWarning, match="pseudo-Anosov part is empty"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert deviation(nt) == 0
+            assert notes(nt) == (ntform.DISCARDED_TWIST_NOTE,)
+        assert "pseudo-Anosov part is empty" in ntform.DISCARDED_TWIST_NOTE
 
-    def test_separating_twist_warns(self):
-        with pytest.warns(UserWarning):
-            assert deviation(make_separating_twist()) == 0
+    def test_separating_twist_notes(self):
+        nt = make_separating_twist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert deviation(nt) == 0
+            assert notes(nt) == (ntform.DISCARDED_TWIST_NOTE,)
 
     def test_no_annuli_no_warning(self):
-        import warnings as w
-        with w.catch_warnings():
-            w.simplefilter("error")
+        # no annulus twists, so no caveat, and no warning either way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert deviation(make_rotating_periodic()) == 0
+            assert notes(make_rotating_periodic()) == ()
+            for nt in (make_single_pa(twist=4), make_swap()):
+                assert notes(nt) == ()
 
     def test_maximum_over_pieces(self):
         bigger = PHI.power(2)
@@ -869,15 +880,12 @@ class TestIterate:
                              (make_swap, make_five_cases, make_star,
                               make_single_pa, make_separating_twist))
     def test_power_laws_up_to_twelve(self, factory):
-        import warnings as w
         nt = factory()
-        with w.catch_warnings():
-            w.simplefilter("ignore")
-            dil, dev = dilatation(nt), deviation(nt)
-            for m in range(1, 13):
-                it = iterate(nt, m)
-                assert dilatation(it) == dil.power(m)
-                assert deviation(it) == m * dev
+        dil, dev = dilatation(nt), deviation(nt)
+        for m in range(1, 13):
+            it = iterate(nt, m)
+            assert dilatation(it) == dil.power(m)
+            assert deviation(it) == m * dev
 
     def test_class_tables_commute_with_iteration(self):
         for factory in (make_swap, make_five_cases, make_star):
@@ -1342,10 +1350,7 @@ class TestRelabelingInvariance:
         nt = factory()
         table = indexed_orbit_numbers(nt, 6)
         dil = dilatation(nt)
-        import warnings as w
-        with w.catch_warnings():
-            w.simplefilter("ignore")
-            dev = deviation(nt)
+        dev = deviation(nt)
         for _ in range(25):
             renamed = relabel(nt, *random_relabeling(nt, rng))
             renamed.validate()
@@ -1353,9 +1358,7 @@ class TestRelabelingInvariance:
             assert other.rows == table.rows
             assert len(other.remainder) == len(table.remainder)
             assert dilatation(renamed) == dil
-            with w.catch_warnings():
-                w.simplefilter("ignore")
-                assert deviation(renamed) == dev
+            assert deviation(renamed) == dev
 
     def test_composing_with_fixture_automorphism(self):
         nt = make_swap()
