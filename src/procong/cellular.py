@@ -256,7 +256,7 @@ def cellular_model(mt: MappingTorusPresentation
     """Canonical decorated cell structure of the fiber with its flow-return
     map: one 0-cell, one 1-cell per fiber generator, one 2-cell for a closed
     fiber.  The flow-return decorations realize conjugation by the inverse
-    stable letter, so the monodromy must carry an inverse witness.
+    stable letter, whose images the monodromy's inverse witness gives.
     """
     canonical = mapping_torus(mt.fiber, mt.monodromy)
     fiber = canonical.fiber

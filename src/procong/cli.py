@@ -35,10 +35,10 @@ APPROX_DIGITS = 30
 
 
 class RunConfig(Record):
-    """One dispatchable invocation of the driver.  A bound flag must be one
-    that the subcommand's row of `COMMANDS` declares, an `int` (not a bool),
-    positive, and at most its limit, so no request starts on a size it
-    cannot finish."""
+    """One dispatchable invocation of the driver.  A flag set other than by
+    default must be one that the subcommand's row of `COMMANDS` declares;
+    a bound flag must also be an `int` (not a bool), positive, and at most
+    its limit, so no request starts on a size it cannot finish."""
 
     def __init__(self, subcommand: str, inputs: Tuple[str, ...] = (),
                  max_modulus: Optional[int] = None,
@@ -60,6 +60,11 @@ class RunConfig(Record):
             limit = getattr(import_module(f".{module}", __package__), name)
             if bound > limit:
                 raise ValueError(f"{flag.option} must be at most {limit}")
+        for field, value, default in (("rep", rep, "trivial"),
+                                      ("group", group, None),
+                                      ("approx", approx, False)):
+            if value != default and field not in flags:
+                raise ValueError(f"{subcommand!r} takes no flag --{field}")
         if output not in ("text", "json"):
             raise ValueError(f"unknown output mode {output!r}")
         self.__dict__.update(
@@ -99,38 +104,22 @@ def _positive_int(text: str, label: str) -> int:
 class FiberedBundle:
     """A fibered fixture compiled once: its cellular model, built by
     `cellular_model` on the canonical presentation of the monodromy, which
-    every fibered subcommand reads, the fixture's own presentation, and the
-    --rep representations resolved on the model's presentation, memoized in
-    `reps` by label.  Each representation keeps its twisted complexes, so
+    every fibered subcommand reads, and the --rep representations resolved
+    on the model's presentation, memoized in `reps` by label from the
+    trivial one on.  Each representation keeps its twisted complexes, so
     the certification, the orders, the flow maps and the zeta function are
     built once per bundle and label, however many subcommands read them."""
 
     def __init__(self, surface: CellularSurface, flow: CellularSelfMap,
-                 own: MappingTorusPresentation):
-        self.surface, self.flow, self.own = surface, flow, own
-        self.reps = {}
+                 trivial: FiniteRepresentation):
+        self.surface, self.flow = surface, flow
+        self.reps = {"trivial": trivial}
 
     def rep(self, label: str) -> FiniteRepresentation:
         """The representation named by --rep on the model's presentation,
-        resolved once per label.  When the fixture's own presentation is
-        not the model's, the two must agree on Delta_0 and Delta_1 under
-        the label (else ValueError naming the relators)."""
-        from .surfgrp import twisted_alexander
+        resolved once per label."""
         if label not in self.reps:
-            model = self.surface.presentation
-            rep = _resolve_rep(model, label)
-            if self.own != model:
-                own = _resolve_rep(self.own, label)
-                for n in (0, 1):
-                    given, expected = (twisted_alexander(p, r, n) for p, r
-                                       in ((self.own, own), (model, rep)))
-                    if given != expected:
-                        raise ValueError(
-                            f"relators do not present the mapping torus of "
-                            f"the monodromy: Delta_{n} = {given.pretty()} "
-                            f"under --rep {label}, but {expected.pretty()} "
-                            f"on the canonical presentation")
-            self.reps[label] = rep
+            self.reps[label] = _resolve_rep(self.surface.presentation, label)
         return self.reps[label]
 
 
@@ -143,6 +132,11 @@ def _compiled(text: str, kinds: Tuple[str, ...], role: str):
     `kinds` (else ValueError: "fixture kind ... {role}"): a FiberedBundle
     for the fibered kinds, the validated payload for the others.
 
+    A fixture's own presentation must agree with the model's on Delta_0
+    and Delta_1 under the trivial representation (else ValueError naming
+    the relators): every --rep sends g to u^(degree g), so its orders are
+    the trivial ones at t -> u t, and this check stands for every label.
+
     The cache holds COMPILED_SLOTS texts and evicts the least recently
     used; concurrent callers at worst compile a text twice.  A text that
     fails to decode, to validate, to compile or to match `kinds` raises, so
@@ -154,13 +148,28 @@ def _compiled(text: str, kinds: Tuple[str, ...], role: str):
     if fixture.kind not in (KIND_TORUS, KIND_MAPPING_TORUS):
         return fixture.payload
     from .cellular import cellular_model
-    from .surfgrp import (GeneratorEndomorphism, SurfacePresentation,
-                          mapping_torus)
-    mt = fixture.payload
+    from .surfgrp import (FiniteRepresentation, GeneratorEndomorphism,
+                          SurfacePresentation, mapping_torus,
+                          twisted_alexander)
+    own = fixture.payload
     if fixture.kind == KIND_TORUS:
-        mt = mapping_torus(SurfacePresentation.closed(1),
-                           GeneratorEndomorphism.torus_monodromy(mt))
-    return FiberedBundle(*cellular_model(mt), mt)
+        own = mapping_torus(SurfacePresentation.closed(1),
+                            GeneratorEndomorphism.torus_monodromy(own))
+    surface, flow = cellular_model(own)
+    model = surface.presentation
+    trivial = FiniteRepresentation.trivial(model)
+    if own != model:
+        own_trivial = FiniteRepresentation.trivial(own)
+        for n in (0, 1):
+            given, expected = (twisted_alexander(p, r, n) for p, r
+                               in ((own, own_trivial), (model, trivial)))
+            if given != expected:
+                raise ValueError(
+                    f"relators do not present the mapping torus of the "
+                    f"monodromy: Delta_{n} = {given.pretty()} under --rep "
+                    f"trivial, but {expected.pretty()} on the canonical "
+                    f"presentation")
+    return FiberedBundle(surface, flow, trivial)
 
 
 def _compiled_input(config: RunConfig, kinds: Tuple[str, ...], role: str):

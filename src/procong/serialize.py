@@ -149,10 +149,9 @@ def _decode_mapping_torus(body) -> MappingTorusPresentation:
         _json_names(fiber["generators"], "fiber generators"),
         _json_words(fiber["relators"], "fiber relators"))
     monodromy = _json_object(body["monodromy"], "monodromy")
-    inverse = monodromy.get("inverse_images")
     monodromy = GeneratorEndomorphism(
         fiber, _json_words(monodromy["images"], "images"),
-        None if inverse is None else _json_words(inverse, "inverse_images"))
+        _json_words(monodromy["inverse_images"], "inverse_images"))
     return MappingTorusPresentation(
         generators=_json_names(body["generators"], "generators"),
         relators=_json_words(body["relators"], "relators"),
@@ -263,9 +262,6 @@ def _lists(words) -> list:
 def encode_mapping_torus(mt: MappingTorusPresentation) -> dict:
     """The `mapping_torus` body of a fibered presentation."""
     fiber, monodromy = mt.fiber, mt.monodromy
-    images = {"images": _lists(monodromy.images)}
-    if monodromy.inverse_images is not None:
-        images["inverse_images"] = _lists(monodromy.inverse_images)
     return {"generators": list(mt.generators),
             "relators": _lists(mt.relators),
             "fiber_values": list(mt.fiber_values),
@@ -274,7 +270,8 @@ def encode_mapping_torus(mt: MappingTorusPresentation) -> dict:
                       "boundary_count": fiber.boundary_count,
                       "generators": list(fiber.generators),
                       "relators": _lists(fiber.relators)},
-            "monodromy": images}
+            "monodromy": {"images": _lists(monodromy.images),
+                          "inverse_images": _lists(monodromy.inverse_images)}}
 
 
 def _encode_orbits(orbits) -> list:

@@ -6,11 +6,11 @@ reduced.  The central objects are:
 
 * :class:`SurfacePresentation` -- one-relator (closed) or free (bounded)
   surface group presentations;
-* :class:`GeneratorEndomorphism` -- monodromy data given by generator images,
-  validated exactly (unimodular on homology, relator preserved up to
-  conjugacy for closed surfaces), each check once per endomorphism; an
-  inverse witness is checked on the words of each factor, never on a
-  product of checked factors;
+* :class:`GeneratorEndomorphism` -- a monodromy: an automorphism given by
+  generator images and an inverse witness, which invert each other on
+  whole words and, for a closed surface, preserve the relator up to
+  conjugacy, both checked when it is built from outside words; a product
+  of checked factors is not checked again;
 * :func:`mapping_torus` -- the associated fibered-group presentation with a
   stable letter and its distinguished degree class: one canonical
   presentation per monodromy, which the monodromy keeps, so the CLI, the
@@ -43,7 +43,6 @@ from .kernel import (
     SparseMatrix,
     _sparse_row,
     as_exact,
-    charpoly_coefficients,
     homology_order,
     normalize_unit_class,
     products_cancel,
@@ -206,36 +205,38 @@ class SurfacePresentation(Record):
 # ---------------------------------------------------------------------------
 
 class GeneratorEndomorphism(Record):
-    """A self-map of a surface group given by generator images.
+    """An automorphism of a surface group given by generator images.
 
-    `inverse_images` optionally witnesses invertibility: when present, the
-    two substitutions must compose to the identity on every generator, in
-    both orders, at the level of freely reduced words.  Words from outside
-    are checked so on construction; `identity`, `compose`, `power`,
-    `inverse` and `torus_monodromy` build products of checked factors
-    (`_product`), whose witnesses are correct by construction.
+    `inverse_images` witnesses invertibility: the two substitutions must
+    compose to the identity on every generator, in both orders, on freely
+    reduced words, and a closed surface's relator must go to a conjugate
+    of itself or its inverse (`relator_conjugacy`).  Both are checked on
+    construction, so no unchecked instance exists; `identity`, `compose`,
+    `power`, `inverse` and `torus_monodromy` build products of checked
+    factors (`_product`), which pass both by construction.
     """
 
     def __init__(self, source: SurfacePresentation, images: Tuple[Word, ...],
-                 inverse_images: Optional[Tuple[Word, ...]] = None):
+                 inverse_images: Tuple[Word, ...]):
         if len(images) != source.rank:
             raise ValueError("need exactly one image word per generator")
         images = tuple(_check_indices(w, source.rank, "images", j)
                        for j, w in enumerate(images))
-        if inverse_images is not None:
-            inverse_images = tuple(
-                _check_indices(w, source.rank, "inverse_images", j)
-                for j, w in enumerate(inverse_images))
-            if len(inverse_images) != source.rank:
-                raise ValueError("inverse witness needs one word per generator")
+        inverse_images = tuple(
+            _check_indices(w, source.rank, "inverse_images", j)
+            for j, w in enumerate(inverse_images))
+        if len(inverse_images) != source.rank:
+            raise ValueError("inverse witness needs one word per generator")
         self.__dict__.update(source=source, images=images,
                              inverse_images=inverse_images)
-        for j, word in enumerate(inverse_images or (), 1):
+        for j, word in enumerate(inverse_images, 1):
             forward = self.apply(word)
             backward = _substitute(inverse_images, images[j - 1])
             if forward != (j,) or backward != (j,):
                 raise ValueError("inverse witness does not invert the "
                                  "generator images")
+        if source.boundary_count == 0:
+            self.relator_conjugacy()
 
     @classmethod
     def identity(cls, pres: SurfacePresentation) -> "GeneratorEndomorphism":
@@ -245,18 +246,17 @@ class GeneratorEndomorphism(Record):
     def _product(cls, source: SurfacePresentation,
                  factors) -> "GeneratorEndomorphism":
         """f_1 o f_2 o ... o f_k (f_k applied first) of factors given as
-        (images, inverse_images) of endomorphisms that passed the witness
-        check of `__init__`.  The composed inverse words invert the
-        product by construction, so it is built without checking again; it
-        has no witness when some factor has none."""
+        (images, inverse_images) of endomorphisms that passed the checks of
+        `__init__`.  The composed inverse words invert the product, and the
+        product carries the relator, by construction, so it is built
+        without checking again."""
         identity = tuple((j,) for j in range(1, source.rank + 1))
         factors = iter(factors)
         # the product of the identity and the first factor is that factor
         images, inverse = next(factors, (identity, identity))
         for forward, backward in factors:
             images = _substitute_all(images, forward)
-            inverse = (None if inverse is None or backward is None
-                       else _substitute_all(backward, inverse))
+            inverse = _substitute_all(backward, inverse)
         endo = object.__new__(cls)
         endo.__dict__.update(source=source, images=images,
                              inverse_images=inverse)
@@ -290,7 +290,7 @@ class GeneratorEndomorphism(Record):
                                    for f in factors])
         if endo.abelianization() != ((matrix.a, matrix.b), (matrix.c, matrix.d)):
             raise AssertionError("R/L factorization lost the matrix")
-        return endo.validate()
+        return endo
 
     def apply(self, word: Iterable[int]) -> Word:
         return _substitute(self.images, word)
@@ -304,10 +304,7 @@ class GeneratorEndomorphism(Record):
                               (inner.images, inner.inverse_images)))
 
     def inverse(self) -> "GeneratorEndomorphism":
-        """Inverse substitution; needs the attached witness."""
-        if self.inverse_images is None:
-            raise ValueError("no inverse witness: monodromy.inverse_images "
-                             "is missing")
+        """Inverse substitution, read from the witness."""
         return self._product(self.source,
                              ((self.inverse_images, self.images),))
 
@@ -329,9 +326,10 @@ class GeneratorEndomorphism(Record):
         """For closed surfaces: (sign, w) with image(relator) = w r^sign w^-1.
 
         Exact decision: the image is conjugate to r (or its inverse) if and
-        only if their cyclic reductions agree up to rotation.  Raises
-        ValueError when the relator is not preserved.  The endomorphism
-        keeps the certificate it finds, so the search runs once.
+        only if their cyclic reductions agree up to rotation.  `__init__`
+        raises ValueError when the relator is not preserved.  The
+        endomorphism keeps the certificate it finds, so the search runs
+        once.
         """
         if self.source.boundary_count != 0:
             raise ValueError("relator conjugacy only concerns closed surfaces")
@@ -361,25 +359,10 @@ class GeneratorEndomorphism(Record):
         raise ValueError("generator images do not carry the surface relator "
                          "to a conjugate of itself or its inverse")
 
-    def validate(self) -> "GeneratorEndomorphism":
-        """Check the automorphism conditions; return self or raise ValueError.
-        A passed check is kept and not run again."""
-        if not self._unimodular:
-            raise ValueError("generator images are not unimodular on homology")
-        if self.source.boundary_count == 0 and self.source.genus >= 1:
-            self.relator_conjugacy()
-        return self
-
-    @cached_property
-    def _unimodular(self) -> bool:
-        return abs(charpoly_coefficients(
-            _sparse(self.abelianization()))[-1]) == 1
-
     @cached_property
     def _mapping_torus(self) -> "MappingTorusPresentation":
         """The canonical presentation of `mapping_torus`, built and checked
         once per monodromy."""
-        self.validate()
         pres = self.source
         g = pres.rank
         name = "t"
@@ -508,7 +491,7 @@ class MappingTorusPresentation(Record):
 
 def mapping_torus(pres: SurfacePresentation,
                   phi: GeneratorEndomorphism) -> MappingTorusPresentation:
-    """Present the fibered group of a validated monodromy.
+    """Present the fibered group of a monodromy, checked when it was built.
 
     Generators: fiber generators plus a fresh stable letter t (last);
     relators: the fiber relator (closed case) and t g t^-1 phi(g)^-1 for each

@@ -393,6 +393,8 @@ FACTOR_LIMIT = 3317044064679887385961981
 _TRIAL_BOUND = 128
 # the largest sweep bound: a sweep keeps a sieve entry and a verdict per level
 SWEEP_LIMIT = 100_000
+# the largest characteristic-level bound: building lcm(1..n) takes time n^2
+LEVEL_LIMIT = 100_000
 
 
 def _is_prime(n: int) -> bool:
@@ -572,10 +574,13 @@ def characteristic_level(n: int) -> int:
 
     Every subgroup of index m contains m.Z^2, and the coordinate subgroups of
     index m intersect in exactly m.Z^2, so the intersection over all m <= n is
-    lcm(1..n).Z^2.
+    lcm(1..n).Z^2.  n is at most `LEVEL_LIMIT`.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"level must be a positive integer, got {n!r}")
+    if n > LEVEL_LIMIT:
+        raise ValueError(f"level bound must be at most {LEVEL_LIMIT}, "
+                         f"got {n}")
     return reduce(math.lcm, range(1, n + 1), 1)
 
 

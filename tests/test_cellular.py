@@ -268,11 +268,6 @@ class TestCellularModel:
         assert surface.cell_counts == (1, 2, 0)
         assert flow.images[2] == ()
 
-    def test_requires_inverse_witness(self):
-        bare = GeneratorEndomorphism(TORUS, ((1, 1, 2), (1, 2)))
-        with pytest.raises(ValueError, match="witness"):
-            cellular_model(mapping_torus(TORUS, bare))
-
 
 # ---------------------------------------------------------------------------
 # flow matrices
@@ -623,10 +618,13 @@ class TestComputedOnce:
         status, _ = cli.dispatch(cli.RunConfig(
             subcommand, (str(FIXTURES / "torus_pair_a.json"),)))
         assert status == 0
-        # the monodromy's search and its inverse's (for the flow map); the
-        # two Smith forms of the abelianization cross-check (unimodularity
-        # reads the characteristic polynomial)
-        assert (len(built), len(searches), len(smith)) == (1, 2, 2)
+        # one search per R/L run (the matrix has seven), run when the
+        # factor is built, and the inverse's (for the flow map), then the
+        # monodromy's where Delta_2/Delta_3 are read (their
+        # three-dimensional model needs it); the two Smith forms of the
+        # abelianization cross-check
+        model = subcommand in ("alexander", "torsion")
+        assert (len(built), len(searches), len(smith)) == (1, 8 + model, 2)
 
     @pytest.mark.parametrize("subcommand",
                              ["alexander", "torsion", "zeta", "lefschetz"])
@@ -649,10 +647,11 @@ class TestComputedOnce:
     @pytest.mark.parametrize("source, work", [
         # the canonical presentation: d1, d2, d3 and the flow's five
         ("torus_pair_a.json", (8, 4, 1)),
-        # its relators are checked on Delta_0/Delta_1 under their own
-        # representation, which adds two boundaries, two orders and one
-        # closure; Delta_2/Delta_3 are read only on the canonical one
-        ("moved_A211.json", (10, 6, 2)),
+        # its relators are checked once, on Delta_0/Delta_1 under the
+        # trivial representation of its own presentation and of the
+        # model's, which adds four boundaries, four orders and two
+        # closures; Delta_2/Delta_3 are read only on the canonical one
+        ("moved_A211.json", (12, 8, 3)),
     ])
     def test_fibered_subcommands_share_one_representation(
             self, monkeypatch, tmp_path, source, work):
@@ -677,8 +676,9 @@ class TestComputedOnce:
     def test_each_representation_enumerates_its_closure_once(
             self, monkeypatch, tmp_path):
         # the torus_A211 bundle presented by moved relators: the label is
-        # certified on the model's canonical presentation and on the moved
-        # one, which builds a second representation of the same value
+        # certified on the model's canonical presentation; the moved
+        # relators are checked under the trivial representation, which is
+        # built on each presentation, two representations of one value
         from test_fibered_golden import write_generated
         write_generated(tmp_path)
         path = tmp_path / "moved_A211.json"
@@ -691,8 +691,12 @@ class TestComputedOnce:
             status, _ = cli.dispatch(cli.RunConfig(sub, (str(path),),
                                                    rep="zeta:4"))
             assert status == 0
-        assert len(closures) == 2
-        assert closures[0] == closures[1] and closures[0] is not closures[1]
+        trivial = FiniteRepresentation.trivial(
+            load_fixture(path).payload)
+        assert len(closures) == 3
+        assert closures[0] == closures[1] == trivial
+        assert closures[0] is not closures[1]
+        assert closures[2].dimension == 1 and closures[2] != trivial
 
     def test_each_monodromy_is_checked_once_per_object(self, monkeypatch):
         pres = SurfacePresentation.closed(1)
@@ -1049,7 +1053,8 @@ class TestMappingTorusBoundaries:
 
     def test_bounded_fiber_has_no_top_cell(self):
         free = SurfacePresentation.with_boundary(1, 1)
-        phi = GeneratorEndomorphism(free, ((1, 1, 2), (1, 2)))
+        phi = GeneratorEndomorphism(free, ((1, 1, 2), (1, 2)),
+                                    ((1, -2), (2, -1, 2)))
         mt = mapping_torus(free, phi)
         rep = FiniteRepresentation.trivial(mt)
         _, d2, d3 = mapping_torus_boundaries(mt, rep)

@@ -121,10 +121,13 @@ class TestGoldenReports:
         level = (json.loads(out)["characteristic_level"] if mode
                  else int(out.split()[-1]))
         assert level == math.lcm(*range(1, 9859))
-        status, out, err = run(capsys, "torus", "klevel", "9859", *mode)
-        assert status == 2
-        assert out == ""
-        assert err.startswith("error: level bound must be at most 9858, got 9859")
+        # under a cap, the cap's bound is named before `torus.LEVEL_LIMIT`
+        for n in (9859, torus.LEVEL_LIMIT + 1):
+            status, out, err = run(capsys, "torus", "klevel", str(n), *mode)
+            assert status == 2
+            assert out == ""
+            assert err.startswith(
+                f"error: level bound must be at most 9858, got {n}: larger")
 
     @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)()
                         != 4300, reason="needs the default 4300-digit cap "
@@ -369,6 +372,18 @@ class TestIntegerArguments:
         assert err == (f"error: {label} must have at most 4300 digits (the "
                        f"interpreter's limit), got '11111111111111111111'"
                        f"...\n")
+
+    def test_klevel_is_bounded_without_the_digit_cap(self):
+        # with no cap on printing integers only `torus.LEVEL_LIMIT` bounds
+        # the level, whose time grows as the bound squared
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=0", "-m", "procong",
+             "torus", "klevel", str(torus.LEVEL_LIMIT + 1)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: level bound must be at most {torus.LEVEL_LIMIT}, "
+            f"got {torus.LEVEL_LIMIT + 1}\n")
 
     def test_integers_read_without_the_digit_cap(self, capsys, monkeypatch):
         # Python 3.10.0-3.10.6 have no sys.get_int_max_str_digits
@@ -910,6 +925,23 @@ class TestExitCodes:
             "monodromy: Delta_1 = 0 under --rep trivial, but 1 - 2*t^2 + "
             "t^4 on the canonical presentation\n")
 
+    @pytest.mark.parametrize("rep", ["sign", "zeta:4"])
+    def test_labelled_request_cites_the_trivial_check(self, tmp_path, capsys,
+                                                      rep):
+        # the fixture's own relators are checked once, when it is
+        # compiled, under the trivial representation: every label is the
+        # trivial invariant at t -> u t, so that check decides every label
+        data = json.loads((FIXTURES / "genus2_finite_order.json").read_text())
+        self.PRESENTATION_MUTANTS["relator-reversed"](data["body"])
+        path = tmp_path / "genus2_finite_order.json"
+        path.write_text(json.dumps(data))
+        for argv in (["--rep", rep], []):
+            status, out, err = run(capsys, "zeta", *argv, str(path))
+            assert (status, out, err) == (
+                2, "", "error: relators do not present the mapping torus of "
+                "the monodromy: Delta_1 = 0 under --rep trivial, but 1 - "
+                "2*t^2 + t^4 on the canonical presentation\n")
+
     # each mutant of the genus2_finite_order body is refused when its
     # presentation is built, before any representation is resolved
     PRESENTATION_REFUSALS = {
@@ -924,6 +956,13 @@ class TestExitCodes:
         "relator-of-degree-one": (
             lambda body: body["relators"][1].append(5),
             "every relator must have degree zero"),
+        # the monodromy is checked when it is built, before the presentation
+        "half-swap-monodromy": (
+            lambda body: body.__setitem__("monodromy", {
+                "images": [[1], [2], [4], [3]],
+                "inverse_images": [[1], [2], [4], [3]]}),
+            "generator images do not carry the surface relator to a "
+            "conjugate of itself or its inverse"),
     }
 
     @pytest.mark.parametrize("mutant", list(PRESENTATION_REFUSALS))
@@ -946,8 +985,10 @@ class TestExitCodes:
         path = tmp_path / "genus2_finite_order.json"
         path.write_text(json.dumps(data))
         status, out, err = run(capsys, sub, str(path))
-        assert (status, out) == (2, "")
-        assert "monodromy.inverse_images" in err
+        # the witness is a required key, refused when the body is decoded
+        assert (status, out, err) == (
+            2, "", "error: malformed mapping_torus fixture: missing key "
+            "'inverse_images'\n")
 
     @pytest.mark.parametrize("mode", [[], ["--json"]])
     @pytest.mark.parametrize("sub", ["alexander", "torsion", "zeta",
@@ -1098,6 +1139,19 @@ class TestRunConfig:
                                                           field):
         with pytest.raises(ValueError, match=f"takes no bound {field}"):
             RunConfig(subcommand, ("x",), **{field: 3})
+
+    @pytest.mark.parametrize("subcommand, field, value", [
+        ("torus conj", "rep", "zeta:4"), ("torus conj", "group", "S3"),
+        ("torus conj", "approx", True), ("zeta", "group", "S3"),
+        ("zeta", "approx", True), ("chars bound", "rep", "sign"),
+        ("nt analyze", "rep", "trivial:"), ("nt shear", "approx", True),
+        ("torus explode", "rep", "sign")])
+    def test_rejects_a_flag_the_subcommand_does_not_take(self, subcommand,
+                                                         field, value):
+        # a flag that the row does not declare would be silently ignored
+        with pytest.raises(ValueError, match=(
+                f"^'{subcommand}' takes no flag --{field}$")):
+            RunConfig(subcommand, ("x",), **{field: value})
 
 
 class TestCommandTable:
@@ -1398,8 +1452,9 @@ class TestCompiledFixtureCache:
     def test_fibered_bundle_resolves_each_rep_once(self, capsys,
                                                    monkeypatch):
         # a compiled fibered fixture is a plain object, not a record: its
-        # `reps` memo takes each --rep label on first use, and every
-        # fibered subcommand reads that representation
+        # `reps` memo starts with the trivial representation, which the
+        # compilation builds, takes each other --rep label on first use,
+        # and every fibered subcommand reads that representation
         resolved = []
         resolve = cli._resolve_rep
         monkeypatch.setattr(cli, "_resolve_rep", lambda mt, label:
@@ -1408,7 +1463,7 @@ class TestCompiledFixtureCache:
         for sub in ("alexander", "torsion", "zeta", "lefschetz"):
             for label in ("trivial", "sign"):
                 assert run(capsys, sub, path, "--rep", label)[0] == 0
-        assert resolved == ["trivial", "sign"]
+        assert resolved == ["sign"]
         bundle, rep = cli._fibered_input(RunConfig("zeta", (path,),
                                                    rep="sign"))
         assert not isinstance(bundle, Record)
@@ -1418,9 +1473,11 @@ class TestCompiledFixtureCache:
         cli._compiled.cache_clear()
         fresh, again = cli._fibered_input(RunConfig("zeta", (path,),
                                                     rep="sign"))
-        assert fresh is not bundle and fresh.reps == {"sign": again}
+        assert fresh is not bundle and fresh.reps == {
+            "trivial": bundle.reps["trivial"], "sign": again}
+        assert fresh.reps["trivial"] is not bundle.reps["trivial"]
         assert again is not rep and again == rep
-        assert resolved == ["trivial", "sign", "sign"]
+        assert resolved == ["sign", "sign"]
 
     def test_deviation_warning_is_printed_on_every_call(self, capsys):
         # the caveat is a note line of every report, the cached one too,

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from procong.cellular import lefschetz_numbers, zeta_from_cellular
-from procong.cli import RunConfig, _fibered_input, main
+from procong.cli import RunConfig, _fibered_input, _resolve_rep, main
 from procong.kernel import (Cyclotomic, LaurentPolynomial, RationalFunction,
                             as_exact)
 from procong.serialize import (KIND_MAPPING_TORUS, encode_mapping_torus,
@@ -153,12 +153,16 @@ def at_u_t(p: LaurentPolynomial, u) -> LaurentPolynomial:
                          ids=[label for label, _ in DEGREE_REPS])
 @pytest.mark.parametrize("source", ["torus_A211.json",
                                     "genus2_finite_order.json",
-                                    "torus_pair_a.json"])
-def test_every_rep_is_the_trivial_invariant_at_u_t(source, label, u):
+                                    "torus_pair_a.json", *GENERATED])
+def test_every_rep_is_the_trivial_invariant_at_u_t(source, label, u,
+                                                   generated_dir):
     # every --rep sends g to u^(degree g), so its twisted complex is the
     # untwisted one with t replaced by u t: an oracle that shares nothing
-    # with the cyclotomic elimination
-    path = str(FIXTURES / source)
+    # with the cyclotomic elimination.  It holds on a fixture's own
+    # presentation too, which is why the CLI checks that presentation
+    # under the trivial representation alone
+    root = FIXTURES if (FIXTURES / source).is_file() else generated_dir
+    path = str(root / source)
     bundle, trivial = _fibered_input(RunConfig("zeta", (path,)))
     _, rep = _fibered_input(RunConfig("zeta", (path,), rep=label))
     surface, flow = bundle.surface, bundle.flow
@@ -166,6 +170,14 @@ def test_every_rep_is_the_trivial_invariant_at_u_t(source, label, u):
     for n in range(4):
         assert twisted_alexander(mt, rep, n) == at_u_t(
             twisted_alexander(mt, trivial, n), u).monic_normal(), n
+    own = load_fixture(path).payload
+    if source in GENERATED:
+        assert own != mt
+        own_trivial, own_rep = (_resolve_rep(own, name)
+                                for name in ("trivial", label))
+        for n in (0, 1):
+            assert twisted_alexander(own, own_rep, n) == at_u_t(
+                twisted_alexander(own, own_trivial, n), u).monic_normal(), n
     zeta = zeta_from_cellular(surface, flow, trivial)
     assert zeta_from_cellular(surface, flow, rep) == RationalFunction(
         at_u_t(zeta.num, u), at_u_t(zeta.den, u))

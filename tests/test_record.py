@@ -53,7 +53,8 @@ def _records():
         (ModVerdict(5, True, None), "modulus", 6),
         (congruence_sweep(Mat2(2, 1, 1, 1), Mat2(1, 1, 1, 2), 4),
          "max_modulus", 5),
-        (cli.RunConfig("torus conj", ("2,1;1,1", "1,1;1,2")), "rep", "sign"),
+        (cli.RunConfig("torus conj", ("2,1;1,1", "1,1;1,2")), "output",
+         "json"),
         (cli.Flag("--rep", "rep", "representation"), "help", "other"),
         (cli.COMMANDS["torus conj"], "positionals", ("matrix",)),
         (PHI, "high", F(5, 2)),
@@ -69,7 +70,8 @@ def _records():
         (ROW, "nielsen", 3),
         (IndexedOrbitTable((ROW,), ("E",)), "remainder", ()),
         (TORUS, "generators", ("x", "y")),
-        (MONODROMY, "inverse_images", None),
+        # the witness is unique, so only the source can change alone
+        (MONODROMY, "source", SurfacePresentation.with_boundary(1, 1)),
         (MT, "relators", MT.relators[:-1]),
         (TRIVIAL, "matrices",
          FiniteRepresentation.fibered_character(MT, -1).matrices),

@@ -41,8 +41,8 @@ from procong.serialize import (KIND_MAPPING_TORUS, dumps,
                                encode_mapping_torus, load_fixture,
                                parse_fixture)
 from procong.torus import Mat2, rl_runs
-from reference import (affine_rep, cyclic_reduce, dense, dense_entries,
-                       mat_inverse, poly_matrix, replace)
+from reference import (affine_rep, cyclic_reduce, dense, dense_charpoly,
+                       dense_entries, mat_inverse, poly_matrix, replace)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -55,8 +55,8 @@ TORUS = SurfacePresentation.closed(1)
 GENUS2 = SurfacePresentation.closed(2)
 
 # a -> a^2 b, b -> a b with its exact inverse a -> a b^-1, b -> b a^-1 b
-ANOSOV_WORDS = GeneratorEndomorphism(
-    TORUS, ((1, 1, 2), (1, 2)), ((1, -2), (2, -1, 2)))
+ANOSOV_IMAGES, ANOSOV_INVERSE = ((1, 1, 2), (1, 2)), ((1, -2), (2, -1, 2))
+ANOSOV_WORDS = GeneratorEndomorphism(TORUS, ANOSOV_IMAGES, ANOSOV_INVERSE)
 
 
 def assert_witness_inverts(endo):
@@ -67,6 +67,20 @@ def assert_witness_inverts(endo):
         assert endo.apply(endo.inverse_images[j - 1]) == (j,)
         assert surfgrp._substitute(endo.inverse_images,
                                    endo.images[j - 1]) == (j,)
+
+
+def assert_automorphism(endo):
+    """The conditions the deleted `validate` checked, as an oracle: a
+    closed fiber's relator goes to a conjugate of itself or its inverse,
+    and the homology matrix has determinant +-1 (by a dense
+    characteristic polynomial)."""
+    if endo.source.boundary_count == 0:
+        sign, conj = endo.relator_conjugacy()
+        relator = endo.source.relators[0]
+        assert word_concat(conj, relator if sign == 1
+                           else word_inverse(relator),
+                           word_inverse(conj)) == endo.apply(relator)
+    assert abs(dense_charpoly(endo.abelianization())[-1]) == 1
 
 
 def decoded(body):
@@ -315,10 +329,18 @@ class TestGeneratorEndomorphism:
             GeneratorEndomorphism(TORUS, ((1, 1, 2), (1, 2)),
                                   ((-2, 1), (2, -1, -1, 1)))
 
-    def test_missing_witness_blocks_inversion(self):
-        bare = GeneratorEndomorphism(TORUS, ((1, 1, 2), (1, 2)))
-        with pytest.raises(ValueError, match="witness"):
-            bare.inverse()
+    def test_missing_witness_is_refused_when_built(self):
+        # every monodromy can be inverted: the witness is required
+        with pytest.raises(TypeError, match="inverse_images"):
+            GeneratorEndomorphism(TORUS, ANOSOV_IMAGES)
+        with pytest.raises(ValueError, match="one word per generator"):
+            GeneratorEndomorphism(TORUS, ANOSOV_IMAGES, ANOSOV_INVERSE[:1])
+
+    def test_validate_is_gone(self):
+        # every instance is checked when built, so there is nothing left
+        # to check afterwards
+        assert not hasattr(GeneratorEndomorphism, "validate")
+        assert not hasattr(GeneratorEndomorphism, "_unimodular")
 
     def test_composition_multiplies_homology_matrices(self):
         a = GeneratorEndomorphism.torus_monodromy(Mat2(2, 1, 1, 1))
@@ -367,25 +389,37 @@ class TestGeneratorEndomorphism:
         assert w.relator_conjugacy() == (-1, ())
 
     def test_genus_two_handle_swap_certificate(self):
-        swap = GeneratorEndomorphism(GENUS2, ((3,), (4,), (1,), (2,)))
+        swap = GeneratorEndomorphism(GENUS2, ((3,), (4,), (1,), (2,)),
+                                     ((3,), (4,), (1,), (2,)))
         assert swap.relator_conjugacy() == (1, (2, 1, -2, -1))
-        swap.validate()
+        assert_automorphism(swap)
 
     def test_non_unimodular_images_fail_validation(self):
-        squaring = GeneratorEndomorphism(TORUS, ((1, 1), (2,)))
-        # a failed check is not remembered as a pass
-        for check in (squaring.validate, squaring.validate,
-                      lambda: mapping_torus(TORUS, squaring)):
-            with pytest.raises(ValueError, match="unimodular"):
-                check()
+        # a -> a^2 is not invertible, so no witness inverts it: the map is
+        # refused when built, whatever witness it is given
+        for witness in (((1,), (2,)), ((1, 1), (2,)), ((-1,), (2,))):
+            with pytest.raises(ValueError, match="^inverse witness does "
+                               "not invert the generator images$"):
+                GeneratorEndomorphism(TORUS, ((1, 1), (2,)), witness)
+
+    def test_relator_breaking_half_swap_is_refused_when_built(self):
+        # swapping only one handle pair is its own inverse on the free
+        # group, but scrambles the relator
+        half = ((1,), (2,), (4,), (3,))
+        with pytest.raises(ValueError, match="^generator images do not "
+                           "carry the surface relator to a conjugate of "
+                           "itself or its inverse$"):
+            GeneratorEndomorphism(GENUS2, half, half)
 
     def test_unimodular_but_relator_breaking_images_fail(self):
-        # swapping only one handle pair scrambles the relator
-        partial = GeneratorEndomorphism(GENUS2, ((1,), (2,), (4,), (3,)))
-        for check in (partial.validate, partial.relator_conjugacy,
-                      lambda: mapping_torus(GENUS2, partial)):
-            with pytest.raises(ValueError, match="relator"):
-                check()
+        # a fixture whose monodromy is the half swap is refused when it is
+        # decoded, by the relator check of the monodromy it builds
+        body = encode_mapping_torus(genus2_swap_bundle())
+        body["monodromy"] = {"images": [[1], [2], [4], [3]],
+                             "inverse_images": [[1], [2], [4], [3]]}
+        with pytest.raises(ValueError, match="^generator images do not "
+                           "carry the surface relator"):
+            decoded(body)
 
     def test_torus_monodromy_recovers_matrix(self):
         rng = random.Random(11)
@@ -468,7 +502,7 @@ class TestGeneratorEndomorphism:
             for endo in (a.compose(b), b.compose(a), a.inverse(),
                          b.inverse(), *(a.power(m) for m in range(6))):
                 assert_witness_inverts(endo)
-                assert endo.validate() is endo
+                assert_automorphism(endo)
 
     def test_random_unimodular_monodromies_pass_the_witness_oracle(self):
         rng = random.Random(20)
@@ -517,7 +551,7 @@ class TestGeneratorEndomorphism:
 
     def test_image_word_count_enforced(self):
         with pytest.raises(ValueError):
-            GeneratorEndomorphism(TORUS, ((1,),))
+            GeneratorEndomorphism(TORUS, ((1,),), ((1,), (2,)))
 
     @pytest.mark.parametrize("images", [((1.7,), (2.2,)), ((1,), (True,)),
                                         ((1, "2"), (2,))])
@@ -544,11 +578,21 @@ class TestGeneratorEndomorphism:
             decoded(body)
 
     def test_json_round_trip(self):
-        for endo in (ANOSOV_WORDS, GeneratorEndomorphism(TORUS, ((2,), (1,)))):
+        swap = GeneratorEndomorphism(TORUS, ((2,), (1,)), ((2,), (1,)))
+        for endo in (ANOSOV_WORDS, swap):
             body = encode_mapping_torus(mapping_torus(TORUS, endo))
-            assert ("inverse_images" in body["monodromy"]) == (
-                endo.inverse_images is not None)
+            assert body["monodromy"] == {
+                "images": [list(w) for w in endo.images],
+                "inverse_images": [list(w) for w in endo.inverse_images]}
             assert decoded(body).monodromy == endo
+
+    def test_body_without_witness_is_refused(self):
+        body = encode_mapping_torus(mapping_torus(TORUS, ANOSOV_WORDS))
+        del body["monodromy"]["inverse_images"]
+        with pytest.raises(ValueError, match=re.escape(
+                "malformed mapping_torus fixture: missing key "
+                "'inverse_images'")):
+            decoded(body)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +626,8 @@ class TestMappingTorus:
 
     def test_torsion_in_abelianization(self):
         # a -> a, b -> a^2 b has A - I = [[0,2],[0,0]]: coker Z + Z/2
-        shear = GeneratorEndomorphism(TORUS, ((1,), (1, 1, 2)))
+        shear = GeneratorEndomorphism(TORUS, ((1,), (1, 1, 2)),
+                                      ((1,), (-1, -1, 2)))
         mt = mapping_torus(TORUS, shear)
         assert mt.abelianization() == (2, (2,))
 
@@ -597,8 +642,10 @@ class TestMappingTorus:
             mapping_torus(GENUS2, ANOSOV_WORDS)
 
     def test_invalid_monodromy_rejected(self):
-        with pytest.raises(ValueError, match="unimodular"):
-            mapping_torus(TORUS, GeneratorEndomorphism(TORUS, ((1, 1), (2,))))
+        # a non-invertible map is refused before any mapping torus
+        with pytest.raises(ValueError, match="witness"):
+            mapping_torus(TORUS, GeneratorEndomorphism(TORUS, ((1, 1), (2,)),
+                                                       ((1,), (2,))))
 
     def test_relators_must_have_degree_zero(self):
         mt = anosov_bundle()
@@ -1255,7 +1302,7 @@ class TestTwistedAlexander:
 
     def test_free_fiber_orders(self):
         free = SurfacePresentation.with_boundary(1, 1)
-        phi = GeneratorEndomorphism(free, ((1, 1, 2), (1, 2)))
+        phi = GeneratorEndomorphism(free, ANOSOV_IMAGES, ANOSOV_INVERSE)
         mt = mapping_torus(free, phi)
         rep = FiniteRepresentation.trivial(mt)
         assert twisted_alexander(mt, rep, 0) == poly(-1, 1)
@@ -1357,7 +1404,7 @@ class TestTwistedTorsion:
 
     def test_free_fiber_value(self):
         free = SurfacePresentation.with_boundary(1, 1)
-        phi = GeneratorEndomorphism(free, ((1, 1, 2), (1, 2)))
+        phi = GeneratorEndomorphism(free, ANOSOV_IMAGES, ANOSOV_INVERSE)
         mt = mapping_torus(free, phi)
         rep = FiniteRepresentation.trivial(mt)
         expected = RationalFunction(poly(1, -3, 1), poly(1, -1))

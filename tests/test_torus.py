@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from procong.cli import RunConfig, _handle_torus_sweep, main
 from procong.torus import (
     FACTOR_LIMIT,
+    LEVEL_LIMIT,
     SWEEP_LIMIT,
     CommutationSolver,
     CongruenceReport,
@@ -495,6 +496,15 @@ class TestCharacteristicLevel:
     def test_invalid_level(self):
         with pytest.raises(ValueError):
             characteristic_level(0)
+
+    def test_level_bound_is_limited(self):
+        # refused before any lcm is built: the time grows as n^2
+        with pytest.raises(ValueError, match=(
+                f"^level bound must be at most {LEVEL_LIMIT}, got "
+                f"{LEVEL_LIMIT + 1}$")):
+            characteristic_level(LEVEL_LIMIT + 1)
+        with pytest.raises(ValueError, match="at most"):
+            characteristic_level(10 ** 100)
 
     def test_level_must_be_an_int(self):
         for n in (True, 2.0, "3", None):
