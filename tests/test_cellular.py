@@ -268,6 +268,16 @@ class TestCellularModel:
         assert surface.cell_counts == (1, 2, 0)
         assert flow.images[2] == ()
 
+    def test_requires_inverse_witness(self):
+        # the flow decorations are the witness words behind the stable
+        # letter, so the model needs them; a monodromy without its witness
+        # cannot be built
+        _, flow = cellular_model(mapping_torus(TORUS, ANOSOV_WORDS))
+        assert tuple(paths[0][0][1:] for paths in flow.images[1]) == (
+            ANOSOV_WORDS.inverse_images)
+        with pytest.raises(TypeError, match="inverse_images"):
+            GeneratorEndomorphism(TORUS, ((1, 1, 2), (1, 2)))
+
 
 # ---------------------------------------------------------------------------
 # flow matrices

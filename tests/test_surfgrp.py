@@ -329,8 +329,10 @@ class TestGeneratorEndomorphism:
             GeneratorEndomorphism(TORUS, ((1, 1, 2), (1, 2)),
                                   ((-2, 1), (2, -1, -1, 1)))
 
-    def test_missing_witness_is_refused_when_built(self):
-        # every monodromy can be inverted: the witness is required
+    def test_missing_witness_blocks_inversion(self):
+        # inverse() reads the witness, so a monodromy without one cannot
+        # be built: every monodromy can be inverted
+        assert ANOSOV_WORDS.inverse().images == ANOSOV_INVERSE
         with pytest.raises(TypeError, match="inverse_images"):
             GeneratorEndomorphism(TORUS, ANOSOV_IMAGES)
         with pytest.raises(ValueError, match="one word per generator"):
