@@ -101,26 +101,16 @@ def _positive_int(text: str, label: str) -> int:
     return value
 
 
-class FiberedBundle:
+class FiberedBundle(Record):
     """A fibered fixture compiled once: its cellular model, built by
-    `cellular_model` on the canonical presentation of the monodromy, which
-    every fibered subcommand reads, and the --rep representations resolved
-    on the model's presentation, memoized in `reps` by label from the
-    trivial one on.  Each representation keeps its twisted complexes, so
-    the certification, the orders, the flow maps and the zeta function are
-    built once per bundle and label, however many subcommands read them."""
+    `cellular_model` on the canonical presentation of the monodromy, and
+    the trivial representation on the model's presentation, which keeps
+    its twisted complex.  Every --rep reads each invariant off that one
+    complex at t -> u t, so each is built once per bundle."""
 
     def __init__(self, surface: CellularSurface, flow: CellularSelfMap,
                  trivial: FiniteRepresentation):
-        self.surface, self.flow = surface, flow
-        self.reps = {"trivial": trivial}
-
-    def rep(self, label: str) -> FiniteRepresentation:
-        """The representation named by --rep on the model's presentation,
-        resolved once per label."""
-        if label not in self.reps:
-            self.reps[label] = _resolve_rep(self.surface.presentation, label)
-        return self.reps[label]
+        self.__dict__.update(surface=surface, flow=flow, trivial=trivial)
 
 
 COMPILED_SLOTS = 8
@@ -134,8 +124,8 @@ def _compiled(text: str, kinds: Tuple[str, ...], role: str):
 
     A fixture's own presentation must agree with the model's on Delta_0
     and Delta_1 under the trivial representation (else ValueError naming
-    the relators): every --rep sends g to u^(degree g), so its orders are
-    the trivial ones at t -> u t, and this check stands for every label.
+    the relators): every --rep reads the trivial orders at t -> u t, so
+    this check stands for every label.
 
     The cache holds COMPILED_SLOTS texts and evicts the least recently
     used; concurrent callers at worst compile a text twice.  A text that
@@ -181,31 +171,26 @@ def _compiled_input(config: RunConfig, kinds: Tuple[str, ...], role: str):
     return _compiled(read_fixture(config.inputs[0]), kinds, role)
 
 
-def _fibered_input(config: RunConfig
-                   ) -> Tuple[FiberedBundle, FiniteRepresentation]:
+def _fibered_input(config: RunConfig) -> Tuple[FiberedBundle, object]:
     """The fibered model of a fixture, compiled once per fixture text (see
-    `_compiled_input`), and the --rep representation on the model's
-    presentation, from which every fibered invariant is read."""
+    `_compiled_input`), and the unit u of --rep (see `_rep_unit`): every
+    fibered invariant is the bundle's trivial one at t -> u t."""
     from .serialize import KIND_MAPPING_TORUS, KIND_TORUS
     bundle = _compiled_input(config, (KIND_TORUS, KIND_MAPPING_TORUS),
                              "carries no fibered model")
-    return bundle, bundle.rep(config.rep)
+    return bundle, _rep_unit(config.rep)
 
 
-def _resolve_rep(mt, label: str) -> FiniteRepresentation:
-    """Build the rank-1 representation named by --rep: trivial, sign, or
-    zeta:n[:k] for the k-th power of a primitive n-th root of unity, with
-    n at most the package's conductor bound `chars.CYCLIC_LIMIT`.  The
-    root is built in its least conductor n / gcd(n, k), so every label of
-    one root gives one report."""
+def _rep_unit(label: str):
+    """The unit u of the rank-1 representation g -> u^(degree g) named by
+    --rep zeta:n[:k], trivial (zeta:1) or sign (zeta:2): the k-th power of
+    a primitive n-th root of unity, n at most the package's conductor bound
+    `chars.CYCLIC_LIMIT`, built in its least conductor n / gcd(n, k), so
+    every label of one root gives one report (1 and -1 are ints)."""
     from .chars import CYCLIC_LIMIT
     from .kernel import Cyclotomic
-    from .surfgrp import FiniteRepresentation
-    if label == "trivial":
-        return FiniteRepresentation.trivial(mt)
-    if label == "sign":
-        return FiniteRepresentation.fibered_character(mt, -1)
-    name, *fields = label.split(":")
+    name, *fields = {"trivial": "zeta:1", "sign": "zeta:2"}.get(
+        label, label).split(":")
     values = None
     if name == "zeta" and len(fields) in (1, 2):
         try:
@@ -220,8 +205,7 @@ def _resolve_rep(mt, label: str) -> FiniteRepresentation:
                              f"got {n}")
         if n >= 1:
             g = math.gcd(n, k)
-            return FiniteRepresentation.fibered_character(
-                mt, Cyclotomic.root(n // g, k // g))
+            return Cyclotomic.root(n // g, k // g).demote()
     raise ValueError(f"unknown representation {label!r}: expected trivial, "
                      "sign, or zeta:n[:k]")
 
@@ -405,8 +389,9 @@ def _handle_torus_klevel(config: RunConfig):
 @_command("alexander", "twisted homology orders", _FIXTURE, (_REP,))
 def _handle_alexander(config: RunConfig):
     from .surfgrp import twisted_alexander
-    bundle, rep = _fibered_input(config)
-    orders = [twisted_alexander(bundle.surface.presentation, rep, n)
+    bundle, u = _fibered_input(config)
+    orders = [twisted_alexander(bundle.surface.presentation, bundle.trivial,
+                                n).at_u_t(u).monic_normal()
               for n in range(4)]
     lines = [f"rep: {config.rep}"]
     lines += [f"Delta_{n} = {p.pretty()}" for n, p in enumerate(orders)]
@@ -418,41 +403,44 @@ def _handle_alexander(config: RunConfig):
 @_command("torsion", "twisted Reidemeister torsion", _FIXTURE, (_REP,))
 def _handle_torsion(config: RunConfig):
     from .cellular import torsion_from_cellular
+    from .kernel import NormalizedTorsionClass
     from .surfgrp import twisted_torsion
-    bundle, rep = _fibered_input(config)
-    surface = bundle.surface
-    cellular = torsion_from_cellular(surface, bundle.flow, rep)
-    alexander_route = twisted_torsion(surface.presentation, rep)
-    if cellular.homological != alexander_route:
+    bundle, u = _fibered_input(config)
+    surface, trivial = bundle.surface, bundle.trivial
+    cellular = torsion_from_cellular(surface, bundle.flow, trivial)
+    torsion = twisted_torsion(surface.presentation, trivial)
+    if cellular.homological != torsion:
         raise ArithmeticError(
             "determinant-ratio torsion disagrees with the Alexander-order "
             "route")
+    # t -> u t keeps a class normalized: its value at t = 0 stays 1
+    ratio = NormalizedTorsionClass(cellular.value.value.at_u_t(u))
+    torsion = ratio if cellular.acyclic else torsion    # else the zero class
     lines = [f"rep: {config.rep}",
-             f"determinant ratio = {cellular.value.pretty()}",
+             f"determinant ratio = {ratio.pretty()}",
              f"acyclic: {'yes' if cellular.acyclic else 'no'}",
-             f"torsion class = {cellular.homological.pretty()}",
+             f"torsion class = {torsion.pretty()}",
              "alexander route agrees: yes"]
-    payload = {"rep": config.rep,
-               "determinant_ratio": cellular.value.to_json(),
-               "acyclic": cellular.acyclic,
-               "torsion": cellular.homological.to_json()}
+    payload = {"rep": config.rep, "determinant_ratio": ratio.to_json(),
+               "acyclic": cellular.acyclic, "torsion": torsion.to_json()}
     return "\n".join(lines), payload
 
 
-def _rendered_lefschetz(config: RunConfig, bundle: FiberedBundle,
-                        rep: FiniteRepresentation, field: str):
-    """L_1..L_n of the bundle under rep, for n the bound flag `field` of
-    config, each rendered by `render_scalar`; a number with more digits
-    than the interpreter prints is a ValueError naming the flag and the
-    largest n whose numbers all print."""
+def _rendered_lefschetz(config: RunConfig, bundle: FiberedBundle, u,
+                        field: str):
+    """L_1..L_n under the --rep of unit u, the trivial L_m times u^m, for n
+    the bound flag `field` of config, each rendered by `render_scalar`; a
+    number with more digits than the interpreter prints is a ValueError
+    naming the flag and the largest n whose numbers all print."""
     from .cellular import lefschetz_numbers
-    from .kernel import render_scalar
-    values = lefschetz_numbers(bundle.surface, bundle.flow, rep,
-                               _bound(config, field))
+    from .kernel import LaurentPolynomial, render_scalar
+    n = _bound(config, field)
+    values = LaurentPolynomial.from_coefficients(lefschetz_numbers(
+        bundle.surface, bundle.flow, bundle.trivial, n), 1).at_u_t(u)
     rendered = []
-    for m, value in enumerate(values, start=1):
+    for m in range(1, n + 1):
         try:
-            rendered.append(render_scalar(value))
+            rendered.append(render_scalar(values.coefficient(m)))
         except ValueError:  # more digits than the interpreter converts
             raise ValueError(
                 f"--{field} must be at most {m - 1} for this fixture: L_{m} "
@@ -466,9 +454,10 @@ def _rendered_lefschetz(config: RunConfig, bundle: FiberedBundle,
                       _LEFSCHETZ)))
 def _handle_zeta(config: RunConfig):
     from .cellular import zeta_from_cellular
-    bundle, rep = _fibered_input(config)
-    zeta = zeta_from_cellular(bundle.surface, bundle.flow, rep)
-    rendered = _rendered_lefschetz(config, bundle, rep, "terms")
+    bundle, u = _fibered_input(config)
+    zeta = zeta_from_cellular(bundle.surface, bundle.flow,
+                              bundle.trivial).at_u_t(u)
+    rendered = _rendered_lefschetz(config, bundle, u, "terms")
     lines = [f"rep: {config.rep}",
              f"zeta = {zeta.pretty()}",
              f"L_1..L_{len(rendered)} = " + ", ".join(rendered)]
@@ -480,8 +469,8 @@ def _handle_zeta(config: RunConfig):
 @_command("lefschetz", "twisted Lefschetz numbers", _FIXTURE,
           (_REP, Flag("--upto", "upto", "largest iterate", 10, _LEFSCHETZ)))
 def _handle_lefschetz(config: RunConfig):
-    bundle, rep = _fibered_input(config)
-    rendered = _rendered_lefschetz(config, bundle, rep, "upto")
+    bundle, u = _fibered_input(config)
+    rendered = _rendered_lefschetz(config, bundle, u, "upto")
     lines = [f"rep: {config.rep}"]
     lines += [f"L_{m} = {v}" for m, v in enumerate(rendered, start=1)]
     payload = {"rep": config.rep, "lefschetz": rendered}

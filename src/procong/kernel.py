@@ -1,19 +1,19 @@
 """Exact scalar, Laurent polynomial and rational function arithmetic.
 
 Every computation in this package runs over characteristic-zero fields with no
-rounding anywhere: scalars are big rationals (`fractions.Fraction`) or elements
-of a cyclotomic field Q(zeta_n) stored as coefficient vectors modulo the n-th
-cyclotomic polynomial.  `Cyclotomic` has no division: `scalar_inverse` is
-the one inverse of a scalar.  On top of the scalars sit sparse Laurent
-polynomials F[t^{+-1}]; rational functions F(t), canonical reduced fractions
-that are built, compared, hashed and rendered, with no field arithmetic; the
-canonical unit-normalized torsion classes, Smith-type normal forms over F[t],
-the logarithmic coefficients of a polynomial with constant term 1, from
-which `cellular.lefschetz_numbers` reads Lefschetz numbers off the numerator
-and the denominator of a zeta function, and Berkowitz's characteristic
-polynomial on sparse rows, the one determinant routine over the scalars:
-det(1 - tF) of flow matrices and the determinant of a homology action both
-come from it.
+rounding anywhere: scalars are big rationals (`fractions.Fraction`) or
+elements of a cyclotomic field Q(zeta_n) stored as coefficient vectors modulo
+the n-th cyclotomic polynomial.  `Cyclotomic` has no division:
+`scalar_inverse` is the one inverse of a scalar.  On top of the scalars sit
+sparse Laurent polynomials F[t^{+-1}]; rational functions F(t), canonical
+reduced fractions that are built, compared, hashed, rendered and read at
+t -> u t, with no field arithmetic; the canonical unit-normalized torsion
+classes, Smith-type normal forms over F[t], the logarithmic coefficients of a
+polynomial with constant term 1, from which `cellular.lefschetz_numbers` reads
+Lefschetz numbers off the numerator and the denominator of a zeta function,
+and Berkowitz's characteristic polynomial on sparse rows, the one determinant
+routine over the scalars: det(1 - tF) of flow matrices and the determinant of
+a homology action both come from it.
 """
 
 from __future__ import annotations
@@ -49,6 +49,15 @@ def scalar_inverse(value):
     if type(value) is int:
         return value if value in (1, -1) else Fraction(1, value)
     return as_exact(Fraction(1, 1) / Fraction(value))
+
+
+def _power(base, exponent: int, one):
+    """base ** exponent for exponent >= 0, by repeated squaring from `one`."""
+    while exponent:
+        if exponent & 1:
+            one = one * base
+        base, exponent = base * base, exponent >> 1
+    return one
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +271,9 @@ class Cyclotomic(Record):
     def inverse(self) -> "Cyclotomic":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
+        k = self.root_exponent()
+        if k is not None:       # zeta_n^k: its inverse is looked up
+            return Cyclotomic.root(self.conductor, -k)
         # extended Euclid in Q[x], tracking the cofactor s of the invariant
         # s * self = r (mod Phi_n); it ends at a nonzero constant r
         r0 = LaurentPolynomial.from_coefficients(
@@ -282,15 +294,7 @@ class Cyclotomic(Record):
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = Cyclotomic.from_rational(self.conductor, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, Cyclotomic.root(self.conductor, 0))
 
     # -- comparisons / hashing / rendering ---------------------------------
 
@@ -571,24 +575,27 @@ class LaurentPolynomial(Record):
                 raise ValueError("negative powers only for monomial units")
             ((e, c),) = self.terms.items()
             return LaurentPolynomial({e * exponent: scalar_inverse(c) ** (-exponent)})
-        result = LaurentPolynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, LaurentPolynomial.one())
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by t^k."""
         return LaurentPolynomial._of({e + k: c for e, c in self.terms.items()})
 
     def scale(self, c) -> "LaurentPolynomial":
-        if not c:
-            return LaurentPolynomial.zero()
-        return LaurentPolynomial({e: c * v for e, v in self.terms.items()})
+        return LaurentPolynomial._of({e: c * v for e, v in self.terms.items()})
+
+    def at_u_t(self, u) -> "LaurentPolynomial":
+        """p(u t) for a unit scalar u, each power of u one product from the
+        last, up from u^valuation (an exact power of 1/u when negative)."""
+        if u == 1 or not self.terms:
+            return self
+        out, at = {}, self.valuation
+        power = u ** at if at >= 0 else scalar_inverse(u) ** -at
+        for e in sorted(self.terms):
+            while at < e:
+                power, at = power * u, at + 1
+            out[e] = self.terms[e] * power
+        return LaurentPolynomial._of(out)
 
     def _coerce(self, other):
         if isinstance(other, LaurentPolynomial):
@@ -627,7 +634,7 @@ class LaurentPolynomial(Record):
         coefficient 1.  Zero maps to zero."""
         if self.is_zero():
             return self
-        p = self.shift(-self.valuation)
+        p = self.shift(-self.valuation) if self.valuation else self
         lead = p.terms[p.degree]
         if lead == 1:
             return p
@@ -769,14 +776,18 @@ class RationalFunction(Record):
     def __bool__(self):
         return not self.is_zero()
 
+    def at_u_t(self, u) -> "RationalFunction":
+        """f(u t) for a unit scalar u: t -> u t is a ring automorphism fixing
+        constants, so a canonical fraction stays canonical."""
+        return RationalFunction._of(self.num.at_u_t(u), self.den.at_u_t(u))
+
     # -- comparisons / hashing / rendering ---------------------------------
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other
         if isinstance(other, (int, Fraction, Cyclotomic, LaurentPolynomial)) and not isinstance(other, bool):
-            return RationalFunction(other if isinstance(other, LaurentPolynomial)
-                                    else LaurentPolynomial.constant(other))
+            return RationalFunction(other)
         return NotImplemented
 
     def __eq__(self, other):

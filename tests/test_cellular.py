@@ -46,6 +46,9 @@ import reference  # noqa: F401  (attaches FiniteRepresentation.conjugate)
 from reference import poly_matrix, replace
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# each --rep label with the unit u of its representation g -> u^(degree g)
+UNITS = {"trivial": 1, "sign": -1, "zeta:4": Cyclotomic.root(4),
+         "zeta:12": Cyclotomic.root(12), "zeta:59": Cyclotomic.root(59)}
 
 
 def poly(*coeffs, valuation=0):
@@ -514,7 +517,8 @@ class TestLiftIndependence:
         # every invariant a fibered subcommand reads from the flow
         mt = load_fixture(FIXTURES / "genus2_finite_order.json").payload
         surface, flow = cellular_model(mt)
-        rep = cli._resolve_rep(surface.presentation, label)
+        rep = FiniteRepresentation.fibered_character(surface.presentation,
+                                                     UNITS[label])
         lifts = (((1,),), ((2,), (), (3, -4), (1,)), ((4, 3, -4),))
         moved_surface, moved_flow = change_lifts(surface, flow, lifts)
         assert moved_surface.boundary_two != surface.boundary_two
@@ -658,10 +662,10 @@ class TestComputedOnce:
         # the canonical presentation: d1, d2, d3 and the flow's five
         ("torus_pair_a.json", (8, 4, 1)),
         # its relators are checked once, on Delta_0/Delta_1 under the
-        # trivial representation of its own presentation and of the
-        # model's, which adds four boundaries, four orders and two
-        # closures; Delta_2/Delta_3 are read only on the canonical one
-        ("moved_A211.json", (12, 8, 3)),
+        # trivial representation of its own presentation, which adds two
+        # boundaries, two orders and one closure; every invariant is read
+        # on the canonical one
+        ("moved_A211.json", (10, 6, 2)),
     ])
     def test_fibered_subcommands_share_one_representation(
             self, monkeypatch, tmp_path, source, work):
@@ -685,10 +689,10 @@ class TestComputedOnce:
 
     def test_each_representation_enumerates_its_closure_once(
             self, monkeypatch, tmp_path):
-        # the torus_A211 bundle presented by moved relators: the label is
-        # certified on the model's canonical presentation; the moved
-        # relators are checked under the trivial representation, which is
-        # built on each presentation, two representations of one value
+        # the torus_A211 bundle presented by moved relators: every label
+        # reads the trivial complex of the model's canonical presentation,
+        # and the moved relators are checked under the trivial
+        # representation of their own, two representations of one value
         from test_fibered_golden import write_generated
         write_generated(tmp_path)
         path = tmp_path / "moved_A211.json"
@@ -703,10 +707,9 @@ class TestComputedOnce:
             assert status == 0
         trivial = FiniteRepresentation.trivial(
             load_fixture(path).payload)
-        assert len(closures) == 3
+        assert len(closures) == 2
         assert closures[0] == closures[1] == trivial
         assert closures[0] is not closures[1]
-        assert closures[2].dimension == 1 and closures[2] != trivial
 
     def test_each_monodromy_is_checked_once_per_object(self, monkeypatch):
         pres = SurfacePresentation.closed(1)
@@ -851,8 +854,10 @@ class TestLefschetzNumbers:
                                                           label):
         # L_m = m [t^m] log N - m [t^m] log D against the logarithm of the
         # power series of N/D itself
-        bundle, rep = cli._fibered_input(
-            cli.RunConfig("lefschetz", (str(FIXTURES / source),), rep=label))
+        bundle, _ = cli._fibered_input(
+            cli.RunConfig("lefschetz", (str(FIXTURES / source),)))
+        rep = FiniteRepresentation.fibered_character(
+            bundle.surface.presentation, UNITS[label])
         zeta = zeta_from_cellular(bundle.surface, bundle.flow, rep)
         assert (lefschetz_numbers(bundle.surface, bundle.flow, rep, 300)
                 == kernel.log_coefficients(zeta.series(301), 300))

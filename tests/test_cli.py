@@ -21,7 +21,6 @@ from procong.cellular import LEFSCHETZ_LIMIT
 from procong.cli import RunConfig, config_from_args, build_parser, dispatch, main
 from procong.ntform import (ITERATE_LIMIT, Dilatation, IndexedOrbitTable,
                             NTDecomposition, OrbitRow)
-from procong.record import Record
 from procong.serialize import wrap
 from procong.torus import SWEEP_LIMIT
 from reference import replace
@@ -1449,35 +1448,33 @@ class TestCompiledFixtureCache:
         assert warnings.showwarning is hooks[0]
         assert warnings.filters is hooks[1]
 
-    def test_fibered_bundle_resolves_each_rep_once(self, capsys,
-                                                   monkeypatch):
-        # a compiled fibered fixture is a plain object, not a record: its
-        # `reps` memo starts with the trivial representation, which the
-        # compilation builds, takes each other --rep label on first use,
-        # and every fibered subcommand reads that representation
-        resolved = []
-        resolve = cli._resolve_rep
-        monkeypatch.setattr(cli, "_resolve_rep", lambda mt, label:
-                            resolved.append(label) or resolve(mt, label))
+    def test_every_rep_does_the_work_of_the_trivial_label(self, capsys,
+                                                          monkeypatch):
+        # every --rep reads the bundle's trivial complex at t -> u t: the
+        # four fibered subcommands under every label build one
+        # representation, enumerate one closure, and assemble d1, d2, d3
+        # and the flow's five chain matrices and four orders, as the
+        # trivial label alone does
+        from test_cellular import TestComputedOnce
+        from test_fibered_golden import REPS
+        count = TestComputedOnce.count
+        chains = count(monkeypatch, surfgrp._chain_matrix)
+        orders = count(monkeypatch, surfgrp.homology_order)
+        built, closures = [], []
+        init = surfgrp.FiniteRepresentation.__init__
+        closure = surfgrp.FiniteRepresentation._closure
+        monkeypatch.setattr(surfgrp.FiniteRepresentation, "__init__",
+                            lambda rep, *args: built.append(rep)
+                            or init(rep, *args))
+        monkeypatch.setattr(surfgrp.FiniteRepresentation, "_closure",
+                            lambda rep: closures.append(rep) or closure(rep))
         path = fixture("torus_A211.json")
-        for sub in ("alexander", "torsion", "zeta", "lefschetz"):
-            for label in ("trivial", "sign"):
+        for label in REPS:
+            for sub in ("alexander", "torsion", "zeta", "lefschetz"):
                 assert run(capsys, sub, path, "--rep", label)[0] == 0
-        assert resolved == ["sign"]
-        bundle, rep = cli._fibered_input(RunConfig("zeta", (path,),
-                                                   rep="sign"))
-        assert not isinstance(bundle, Record)
-        assert bundle.reps == {"trivial": bundle.reps["trivial"], "sign": rep}
-        # the memo belongs to its bundle: a text compiled anew resolves
-        # its labels again
-        cli._compiled.cache_clear()
-        fresh, again = cli._fibered_input(RunConfig("zeta", (path,),
-                                                    rep="sign"))
-        assert fresh is not bundle and fresh.reps == {
-            "trivial": bundle.reps["trivial"], "sign": again}
-        assert fresh.reps["trivial"] is not bundle.reps["trivial"]
-        assert again is not rep and again == rep
-        assert resolved == ["sign", "sign"]
+        assert (len(chains), len(orders), len(closures)) == (8, 4, 1)
+        bundle, _ = cli._fibered_input(RunConfig("zeta", (path,)))
+        assert built == closures == [bundle.trivial]
 
     def test_deviation_warning_is_printed_on_every_call(self, capsys):
         # the caveat is a note line of every report, the cached one too,

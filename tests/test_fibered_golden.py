@@ -10,10 +10,12 @@ canonical mapping torus of its monodromy (see `write_generated`).  That
 re-chosen cell lifts leave the invariants alone is checked in process
 (`test_cellular.TestLiftIndependence`).  Any change
 to how the twisted matrices, determinants or series are computed must keep
-these reports identical.  The rank-1 representations are also checked
-against the trivial invariants with t replaced by u t (see
-`test_every_rep_is_the_trivial_invariant_at_u_t`).  To regenerate (only when a report is meant to
-change, and say why): ``PYTHONPATH=src python tests/test_fibered_golden.py``.
+these reports identical.  The CLI reads every rank-1 representation off
+the trivial invariants with t replaced by u t; each representation's own
+twisted complex is checked against its reports
+(`test_every_rep_is_the_trivial_invariant_at_u_t`).  To regenerate (only
+when a report is meant to change, and say why):
+``PYTHONPATH=src python tests/test_fibered_golden.py``.
 """
 
 import contextlib
@@ -24,14 +26,15 @@ from pathlib import Path
 
 import pytest
 
-from procong.cellular import lefschetz_numbers, zeta_from_cellular
-from procong.cli import RunConfig, _fibered_input, _resolve_rep, main
-from procong.kernel import (Cyclotomic, LaurentPolynomial, RationalFunction,
-                            as_exact)
+from procong.cellular import (lefschetz_numbers, torsion_from_cellular,
+                              zeta_from_cellular)
+from procong.cli import RunConfig, _fibered_input, main
+from procong.kernel import Cyclotomic, render_scalar
 from procong.serialize import (KIND_MAPPING_TORUS, encode_mapping_torus,
                                load_fixture, save_fixture)
-from procong.surfgrp import (GeneratorEndomorphism, SurfacePresentation,
-                             mapping_torus, twisted_alexander)
+from procong.surfgrp import (FiniteRepresentation, GeneratorEndomorphism,
+                             SurfacePresentation, mapping_torus,
+                             twisted_alexander, twisted_torsion)
 import reference  # noqa: F401  (attaches the relator moves)
 
 HERE = Path(__file__).resolve().parent
@@ -143,10 +146,12 @@ DEGREE_REPS = (("sign", Cyclotomic.root(2)), ("zeta:5", Cyclotomic.root(5)),
                ("zeta:6:5", Cyclotomic.root(6, 5)))
 
 
-def at_u_t(p: LaurentPolynomial, u) -> LaurentPolynomial:
-    """p(u t): the coefficient of t^e scaled by u^e."""
-    return LaurentPolynomial({e: as_exact(c * u ** e)
-                              for e, c in p.terms.items()})
+def cli_json(sub, path, label, *flags):
+    """The --json report of a fibered subcommand under --rep label."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([sub, path, "--rep", label, "--json", *flags]) == 0
+    return json.loads(out.getvalue())
 
 
 @pytest.mark.parametrize("label, u", DEGREE_REPS,
@@ -156,34 +161,37 @@ def at_u_t(p: LaurentPolynomial, u) -> LaurentPolynomial:
                                     "torus_pair_a.json", *GENERATED])
 def test_every_rep_is_the_trivial_invariant_at_u_t(source, label, u,
                                                    generated_dir):
-    # every --rep sends g to u^(degree g), so its twisted complex is the
-    # untwisted one with t replaced by u t: an oracle that shares nothing
-    # with the cyclotomic elimination.  It holds on a fixture's own
-    # presentation too, which is why the CLI checks that presentation
+    # every --rep sends g to u^(degree g), so the CLI reads each invariant
+    # off the trivial complex with t replaced by u t; the representation
+    # built here eliminates its own twisted complex over Q(zeta_n), a route
+    # that shares nothing with that substitution.  It holds on a fixture's
+    # own presentation too, which is why the CLI checks that presentation
     # under the trivial representation alone
     root = FIXTURES if (FIXTURES / source).is_file() else generated_dir
     path = str(root / source)
-    bundle, trivial = _fibered_input(RunConfig("zeta", (path,)))
-    _, rep = _fibered_input(RunConfig("zeta", (path,), rep=label))
+    bundle, _ = _fibered_input(RunConfig("zeta", (path,)))
     surface, flow = bundle.surface, bundle.flow
     mt = surface.presentation
-    for n in range(4):
-        assert twisted_alexander(mt, rep, n) == at_u_t(
-            twisted_alexander(mt, trivial, n), u).monic_normal(), n
+    rep = FiniteRepresentation.fibered_character(mt, u)
+    assert cli_json("alexander", path, label)["orders"] == [
+        twisted_alexander(mt, rep, n).to_json() for n in range(4)]
     own = load_fixture(path).payload
     if source in GENERATED:
         assert own != mt
-        own_trivial, own_rep = (_resolve_rep(own, name)
-                                for name in ("trivial", label))
+        own_rep = FiniteRepresentation.fibered_character(own, u)
         for n in (0, 1):
-            assert twisted_alexander(own, own_rep, n) == at_u_t(
-                twisted_alexander(own, own_trivial, n), u).monic_normal(), n
-    zeta = zeta_from_cellular(surface, flow, trivial)
-    assert zeta_from_cellular(surface, flow, rep) == RationalFunction(
-        at_u_t(zeta.num, u), at_u_t(zeta.den, u))
-    plain = lefschetz_numbers(surface, flow, trivial, 6)
-    assert lefschetz_numbers(surface, flow, rep, 6) == [
-        u ** m * value for m, value in enumerate(plain, 1)]
+            assert twisted_alexander(own, own_rep, n) == twisted_alexander(
+                mt, rep, n), n
+    zeta = cli_json("zeta", path, label, "--terms", "6")
+    assert zeta["zeta"] == zeta_from_cellular(surface, flow, rep).to_json()
+    assert zeta["lefschetz"] == [render_scalar(value) for value
+                                 in lefschetz_numbers(surface, flow, rep, 6)]
+    torsion = torsion_from_cellular(surface, flow, rep)
+    assert torsion.homological == twisted_torsion(mt, rep)
+    assert cli_json("torsion", path, label) == {
+        "rep": label, "determinant_ratio": torsion.value.to_json(),
+        "acyclic": torsion.acyclic,
+        "torsion": torsion.homological.to_json()}
 
 
 @pytest.mark.parametrize("source", list(REORDERED))

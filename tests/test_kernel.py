@@ -27,6 +27,7 @@ from procong.kernel import (
     parse_scalar,
     products_cancel,
     render_scalar,
+    scalar_inverse,
     smith_diagonalize,
 )
 from procong.lattice import ext_gcd, smith_integer
@@ -44,6 +45,13 @@ ZERO = LaurentPolynomial.zero()
 
 def poly(*coeffs, valuation=0):
     return LaurentPolynomial.from_coefficients(coeffs, valuation)
+
+
+# units u with an independent u^e for every integer e
+UNIT_POWERS = ((-1, lambda e: 1 if e % 2 == 0 else -1),
+               (Cyclotomic.root(5, 2), lambda e: Cyclotomic.root(5, 2 * e)),
+               (Cyclotomic.root(12), lambda e: Cyclotomic.root(12, e)))
+UNIT_POWER_IDS = ("sign", "zeta5^2", "zeta12")
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +96,21 @@ class TestCyclotomic:
         z = Cyclotomic.root(5)
         x = 2 * z + 3 * z ** 2 - Fraction(1, 2)
         assert (x * x.inverse()).demote() == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 59])
+    def test_root_inverse_is_looked_up(self, n, monkeypatch):
+        # zeta_n^k inverts to zeta_n^-k without the extended Euclid, which
+        # still inverts every other element
+        divide = LaurentPolynomial.divmod_poly
+        monkeypatch.setattr(LaurentPolynomial, "divmod_poly", None)
+        for k in range(n):
+            z = Cyclotomic.root(n, k)
+            assert z.inverse() == Cyclotomic.root(n, -k)
+            assert (z * z.inverse()).demote() == 1
+        monkeypatch.setattr(LaurentPolynomial, "divmod_poly", divide)
+        x = Cyclotomic.root(n) + 1
+        if n > 2:
+            assert (x * x.inverse()).demote() == 1
 
     @pytest.mark.parametrize("n, coeffs", [
         (1, (-1, 1)),
@@ -380,6 +403,24 @@ class TestLaurentPolynomial:
         p = LaurentPolynomial({-1: Fraction(1, 2), 2: -3})
         assert LaurentPolynomial.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize("u, power", UNIT_POWERS,
+                             ids=UNIT_POWER_IDS)
+    def test_at_u_t_is_exact_term_by_term(self, u, power):
+        # p(u t) against u^e evaluated term by term; (-1) ** -2 is the
+        # float 1.0, so every coefficient's type is checked too
+        p = LaurentPolynomial({-13: 2, -5: -3, -2: 1, -1: Fraction(1, 2),
+                               0: 7, 3: -1, 10: Fraction(-4, 3), 25: 5})
+        q = p.at_u_t(u)
+        assert q.terms.keys() == p.terms.keys()
+        for e, c in p.terms.items():
+            expected = as_exact(c * power(e))
+            assert q.terms[e] == expected, e
+            assert type(q.terms[e]) is type(expected), e
+        assert {type(c) for c in q.terms.values()} <= {int, Fraction,
+                                                       Cyclotomic}
+        assert q.at_u_t(scalar_inverse(u)) == p
+        assert p.at_u_t(1) is p and ZERO.at_u_t(u) == ZERO
+
 
 @st.composite
 def polys_over_one_field(draw, count):
@@ -479,6 +520,17 @@ def exp_series(l_values, terms):
 
 
 class TestRationalFunction:
+    @pytest.mark.parametrize("u", [u for u, _ in UNIT_POWERS],
+                             ids=UNIT_POWER_IDS)
+    def test_at_u_t_stays_canonical(self, u):
+        # t -> u t keeps a reduced fraction reduced, so the result equals
+        # the one the constructor reduces and normalizes
+        for f in (RationalFunction(poly(1, -3, 1), (ONE - T) * (ONE - T)),
+                  RationalFunction(poly(2, 0, 5, valuation=-3),
+                                   poly(3, 1, 0, -1))):
+            assert f.at_u_t(u) == RationalFunction(f.num.at_u_t(u),
+                                                   f.den.at_u_t(u))
+            assert f.at_u_t(u).den.coefficient(0) == 1
     def test_reduction(self):
         f = RationalFunction(poly(-1, 0, 0, 1), poly(-1, 1))      # (t^3-1)/(t-1)
         assert f == RationalFunction(poly(1, 1, 1))

@@ -57,6 +57,8 @@ def _records():
          "json"),
         (cli.Flag("--rep", "rep", "representation"), "help", "other"),
         (cli.COMMANDS["torus conj"], "positionals", ("matrix",)),
+        (cli.FiberedBundle(SURFACE, FLOW, TRIVIAL), "surface",
+         replace(SURFACE, cell_names=RENAMED)),
         (PHI, "high", F(5, 2)),
         (Dilatation(PHI, 2), "factor", PHI_SQUARED),
         (InteriorOrbit("o", 2, 3, 1), "size", 4),
@@ -103,7 +105,7 @@ RECORDS = _records()
 
 def test_every_record_class_is_covered():
     classes = {type(record) for record, _, _ in RECORDS}
-    assert len(classes) == len(RECORDS) == 35
+    assert len(classes) == len(RECORDS) == 36
     assert classes == set(Record.__subclasses__())
     # a slotted record carries no instance dict
     assert {type(record) for record, _, _ in RECORDS
@@ -165,4 +167,3 @@ def test_record_is_the_one_immutable_value_mechanism():
             if "__slots__" in names and "Record" not in bases:
                 slotted.append(where)
     assert (guards, slotted) == ([], [])
-    assert not issubclass(cli.FiberedBundle, Record)
